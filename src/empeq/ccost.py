@@ -413,10 +413,6 @@ class SplineQRF(QRF):
         return induced_qrf(self.spline, utilities)
 
 
-def spline_qrf_profile(ccg):
-    return [SplineQRF(s) for s in ccg.splines]
-
-
 # ---------------------------------------------------------------------------
 # vanishing sequences
 

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import search
-from .game import MixedProfile, expected_utility, nash_defect, weak_dominance
+from .game import MixedProfile, weak_dominance
 from .monotone import (
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
     is_weakly_payoff_monotone,
 )
-from .nash import NASH_TOL, enumerate_nash
+from .nash import NASH_TOL, _require_nash, enumerate_nash
 from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
 
 DEFAULT_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -49,12 +49,6 @@ class MembershipVerdict:
     witnesses: list  # (delta, MixedProfile), delta decreasing
     refutation: Refutation | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _require_nash(game, profile, tol=NASH_TOL):
-    d = nash_defect(game, profile)
-    if d > tol:
-        raise ValueError(f"candidate is not a Nash equilibrium (defect {d:.3e})")
 
 
 def _dominance_refutation(game, profile, m):

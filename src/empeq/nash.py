@@ -1,8 +1,20 @@
 """Nash equilibrium enumeration and classical refinements.
 
-Support enumeration over all support pairs; each support's indifference
-system is solved with dense linear algebra, and underdetermined systems
-surface as one-dimensional solution components instead of being dropped.
+Support enumeration runs over every support pair of a two-player game.  Each
+side of a pair is one `_Side` record, built from one SVD of the opponent's
+payoff block: the vectors v over the side's own support that sum to one and
+make the opponent indifferent across the opponent's support are
+x0 + null @ z, and v is feasible where g @ v >= -tol (nonnegative
+probabilities, no opponent action outside its support doing better).  A pair
+whose sides leave no freedom gives an isolated candidate, one free dimension
+a segment (`Component`), and larger solution sets a `degenerate` diagnostic
+that keeps its side records, so `nearest_nash` projects onto the face with
+one LP per side.
+
+The max-norm distance from a profile to a segment is convex and piecewise
+linear in the segment parameter, so `Component.distance_to` is exact: it
+checks the interval ends and every crossing of two of the distance's lines.
+
 Perfection and properness are decided by bounded searches for the
 epsilon-constrained interior profiles of their definitions, so verdicts are
 three-valued: verified (witness sequence in hand), refuted (structural
@@ -11,7 +23,6 @@ certificate), or inconclusive.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,29 +75,27 @@ class Component:
         ts = np.linspace(lo, hi, points)
         return [(float(t), self.profile_at(game, float(t))) for t in ts]
 
-    def varying_player(self):
-        for i, d in enumerate(self.direction):
-            if np.max(np.abs(d)) > 1e-12:
-                return i
-        return None
-
     def distance_to(self, game, profile):
-        """Max-norm distance from `profile` to the component (convex in t)."""
+        """(distance, t): max-norm distance from `profile` to the component
+        and the smallest t in the interval attaining it.
+
+        The distance max_i |a_i + t b_i|, with a = base - profile and
+        b = direction, is convex and piecewise linear in t, so its minimum
+        lies at an interval end or where two of the lines ±(a_i + t b_i)
+        cross.
+        """
+        a = np.concatenate(self.base) - profile.stacked()
+        b = np.concatenate(self.direction)
+        alpha, beta = np.concatenate([a, -a]), np.concatenate([b, -b])
+        i, j = np.triu_indices(len(alpha), 1)
+        slope = beta[i] - beta[j]
+        crossing = slope != 0
+        cross = (alpha[j] - alpha[i])[crossing] / slope[crossing]
         lo, hi = self.interval
-
-        def dist(t):
-            return self.profile_at(game, t).distance(profile)
-
-        a, b = lo, hi
-        for _ in range(200):
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            if dist(m1) <= dist(m2):
-                b = m2
-            else:
-                a = m1
-        t = 0.5 * (a + b)
-        return dist(t), float(t)
+        ts = np.concatenate([[lo, hi], cross[(cross > lo) & (cross < hi)]])
+        vals = np.max(np.abs(a + ts[:, None] * b), axis=1)
+        t = float(np.min(ts[vals <= vals.min() + 1e-14]))
+        return self.profile_at(game, t).distance(profile), t
 
 
 @dataclass
@@ -94,6 +103,8 @@ class SupportDiagnostic:
     support: tuple
     status: str
     detail: str = ""
+    # side records of a `degenerate` face, which `nearest_nash` projects onto
+    sides: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -102,84 +113,69 @@ class EquilibriumSet:
     components: list
     diagnostics: list = field(default_factory=list)
 
-    def all_profiles(self, game, grid=11):
-        out = list(self.isolated)
-        for comp in self.components:
-            out.extend(p for _, p in comp.grid(game, grid))
-        return out
-
 
 def is_nash(game, profile, tol=NASH_TOL):
     return nash_defect(game, profile) <= tol
 
 
-def _affine_solve(rows, rhs, scale):
-    """Solution set of a small linear system: (particular, nullspace) or None."""
-    a = np.array(rows, dtype=float)
-    b = np.array(rhs, dtype=float)
-    x, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ x - b)) > 1e-9 * max(1.0, scale):
-        return None
-    _, s, vt = np.linalg.svd(a)
-    tol = max(a.shape) * np.finfo(float).eps * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    null = vt[rank:].T
-    return x, null
+@dataclass(frozen=True)
+class _Side:
+    """One side of a support pair: the vectors v = x0 + null @ z over the
+    actions `own`, feasible where g @ v >= -tol entrywise."""
+
+    own: tuple
+    x0: np.ndarray
+    null: np.ndarray
+    g: np.ndarray
+    tol: np.ndarray
+
+    @property
+    def x0_feasible(self):
+        return bool(np.all(self.g @ self.x0 >= -self.tol))
 
 
-def _side_solution(own_support, opp_support, opp_payoff, scale):
-    """Vector over `own_support` equalizing the opponent across `opp_support`.
+def _side(own, opp, opp_payoff, scale):
+    """The `_Side` of actions `own` against opponent support `opp`, or None
+    when its equalities are inconsistent.
 
-    opp_payoff[own_action, opp_action] is the opponent's payoff (for the
-    x-side) or own-player-utility layout transposed appropriately by caller.
+    opp_payoff[own action, opponent action] is the opponent's payoff.  The
+    equalities are sum(v) = 1 and equal opponent payoff across `opp`; one
+    SVD of their matrix gives the minimum-norm solution x0 and the null
+    space.  The rows of g are v_j >= -1e-10, then the payoff edge of opp[0]
+    over each opponent action outside `opp`.
     """
-    rows = [np.ones(len(own_support))]
-    rhs = [1.0]
-    for b, b2 in zip(opp_support, opp_support[1:]):
-        rows.append(opp_payoff[np.ix_(own_support, [b])].ravel()
-                    - opp_payoff[np.ix_(own_support, [b2])].ravel())
-        rhs.append(0.0)
-    return _affine_solve(rows, rhs, scale)
+    pay = opp_payoff[list(own)]
+    block = pay[:, list(opp)]
+    a = np.vstack([np.ones(len(own)), (block[:, :-1] - block[:, 1:]).T])
+    u, s, vt = np.linalg.svd(a)
+    # s[0] >= 1: the all-ones row has norm at least one
+    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
+    x0 = vt[:rank].T @ (u[0, :rank] / s[:rank])
+    rhs = np.zeros(len(a))
+    rhs[0] = 1.0
+    if np.max(np.abs(a @ x0 - rhs)) > 1e-9 * max(1.0, scale):
+        return None
+    outside = [b for b in range(pay.shape[1]) if b not in opp]
+    g = np.vstack([np.eye(len(own)), (block[:, :1] - pay[:, outside]).T])
+    tol = np.repeat([1e-10, NASH_TOL], [len(own), len(outside)])
+    return _Side(tuple(own), x0, vt[rank:].T, g, tol)
 
 
-def _side_inequalities(own_support, opp_support, opp_payoff, n_opp):
-    """Linear rows g, c with g @ v + c >= 0 required for feasibility of the
-    own-side vector v (probabilities and opponent-optimality)."""
-    rows = []
-    for j in range(len(own_support)):
-        g = np.zeros(len(own_support))
-        g[j] = 1.0
-        rows.append((g, 0.0, 1e-10))  # v_j >= -1e-10
-    for b in range(n_opp):
-        if b in opp_support:
-            continue
-        g = (opp_payoff[np.ix_(own_support, [opp_support[0]])].ravel()
-             - opp_payoff[np.ix_(own_support, [b])].ravel())
-        rows.append((g, 0.0, NASH_TOL))
-    return rows
-
-
-def _interval_for(x0, d, rows):
-    lo, hi = -1e12, 1e12
-    for g, c, tol in rows:
-        a = float(g @ d)
-        b = float(g @ x0 + c + tol)
-        if abs(a) <= 1e-12:
-            if b < 0:
-                return None
-        elif a > 0:
-            lo = max(lo, -b / a)
-        else:
-            hi = min(hi, -b / a)
+def _interval_for(x0, d, g, tol):
+    """[lo, hi] of the t with g @ (x0 + t d) >= -tol, or None when empty."""
+    a = g @ d
+    b = g @ x0 + tol
+    flat = np.abs(a) <= 1e-12
+    if np.any(b[flat] < 0):
+        return None
+    up, down = a > 1e-12, a < -1e-12
+    lo = float(np.max(-b[up] / a[up], initial=-1e12))
+    hi = float(np.min(-b[down] / a[down], initial=1e12))
     if lo > hi + 1e-12:
         return None
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
     return (lo, hi)
-
-
-def _point_feasible(x0, rows):
-    return all(float(g @ x0 + c) >= -tol for g, c, tol in rows)
 
 
 def _embed(n, support, values):
@@ -212,23 +208,17 @@ def enumerate_nash(game):
         for s2 in _supports(k):
             # x over s1 equalizes player 2 across s2; y over s2 equalizes
             # player 1 across s1
-            x_sol = _side_solution(s1, s2, b_pay, scale)
-            y_sol = _side_solution(
-                s2, s1, a_pay.T, scale
-            )
-            if x_sol is None or y_sol is None:
+            xs = _side(s1, s2, b_pay, scale)
+            ys = None if xs is None else _side(s2, s1, a_pay.T, scale)
+            if ys is None:
                 diags.append(SupportDiagnostic((s1, s2), "inconsistent"))
                 continue
-            x0, xnull = x_sol
-            y0, ynull = y_sol
-            dim_x, dim_y = xnull.shape[1], ynull.shape[1]
-            x_rows = _side_inequalities(s1, s2, b_pay, k)
-            y_rows = _side_inequalities(s2, s1, a_pay.T, m)
-            if dim_x + dim_y == 0:
-                if _point_feasible(x0, x_rows) and _point_feasible(y0, y_rows):
+            dim = xs.null.shape[1] + ys.null.shape[1]
+            if dim == 0:
+                if xs.x0_feasible and ys.x0_feasible:
                     prof = MixedProfile(
-                        game, [_embed(m, s1, np.clip(x0, 0, None)),
-                               _embed(k, s2, np.clip(y0, 0, None))]
+                        game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
+                               _embed(k, s2, np.clip(ys.x0, 0, None))]
                     )
                     if is_nash(game, prof, 1e-8):
                         isolated.append(prof)
@@ -236,10 +226,8 @@ def enumerate_nash(game):
                         diags.append(
                             SupportDiagnostic((s1, s2), "incentive-violation")
                         )
-            elif dim_x + dim_y == 1:
-                comp = _one_dim_component(
-                    game, s1, s2, x0, xnull, y0, ynull, x_rows, y_rows, m, k
-                )
+            elif dim == 1:
+                comp = _one_dim_component(game, xs, ys)
                 if comp is None:
                     diags.append(SupportDiagnostic((s1, s2), "empty-family"))
                 elif isinstance(comp, MixedProfile):
@@ -252,7 +240,8 @@ def enumerate_nash(game):
                     SupportDiagnostic(
                         (s1, s2),
                         "degenerate",
-                        f"solution set of dimension {dim_x + dim_y} not traced",
+                        f"solution set of dimension {dim} not traced",
+                        sides=(xs, ys),
                     )
                 )
     isolated, components = _dedupe(game, isolated, components)
@@ -267,52 +256,43 @@ def _supports(n):
     return out
 
 
-def _one_dim_component(game, s1, s2, x0, xnull, y0, ynull, x_rows, y_rows, m, k):
-    if xnull.shape[1] == 1:
-        var_rows, var0, null, fixed0, fixed_rows = x_rows, x0, xnull, y0, y_rows
-        varying_first = True
-    else:
-        var_rows, var0, null, fixed0, fixed_rows = y_rows, y0, ynull, x0, x_rows
-        varying_first = False
-    if not _point_feasible(fixed0, fixed_rows):
+def _one_dim_component(game, xs, ys):
+    """Segment of a support pair with one free dimension: a `Component`, a
+    single `MixedProfile` when the segment has width <= 1e-9, or None."""
+    var, fixed = (xs, ys) if xs.null.shape[1] == 1 else (ys, xs)
+    if not fixed.x0_feasible:
         return None
-    d = null[:, 0]
+    d = var.null[:, 0]
     mx = np.max(np.abs(d))
     if mx <= 1e-12:
         return None
     d = d / mx
-    for v in d:
-        if abs(v) > 1e-12:
-            if v < 0:
-                d = -d
-            break
-    span = _interval_for(var0, d, var_rows)
+    if d[np.flatnonzero(np.abs(d) > 1e-12)[0]] < 0:
+        d = -d
+    span = _interval_for(var.x0, d, var.g, var.tol)
     if span is None:
         return None
     # tolerance fuzz inflates point solutions into hair-width intervals;
-    # the zero-tolerance geometry decides point vs genuine component
-    exact = _interval_for(var0, d, [(g, c, 0.0) for g, c, _ in var_rows])
+    # the zero-tolerance geometry decides point vs genuine component.  Rows
+    # flat along d cannot widen the interval, so they keep their tolerance
+    # (a zero weight that rounds to -1e-17 must not empty the family)
+    flat = np.abs(var.g @ d) <= 1e-12
+    exact = _interval_for(var.x0, d, var.g, np.where(flat, var.tol, 0.0))
     if exact is None:
         mid = 0.5 * (span[0] + span[1])
-        span = (mid, mid)
-    else:
-        span = exact
-    lo, hi = span
-    if varying_first:
-        base = (_embed(m, s1, var0), _embed(k, s2, np.clip(fixed0, 0, None)))
-        direction = (_embed(m, s1, d), np.zeros(k))
-    else:
-        base = (_embed(m, s1, np.clip(fixed0, 0, None)), _embed(k, s2, var0))
-        direction = (np.zeros(m), _embed(k, s2, d))
+        exact = (mid, mid)
+    lo, hi = exact
+    sides = (xs, ys)
+    base = tuple(_embed(n, s.own, s.x0 if s is var else np.clip(s.x0, 0, None))
+                 for n, s in zip(game.action_counts, sides))
+    direction = tuple(_embed(n, s.own, d if s is var else 0.0)
+                      for n, s in zip(game.action_counts, sides))
+    support = tuple(tuple(game.actions[p][a] for a in s.own)
+                    for p, s in zip(game.players, sides))
+    comp = Component(support, base, direction, (float(lo), float(hi)))
     if hi - lo <= 1e-9:
-        t = 0.5 * (lo + hi)
-        vecs = [np.clip(b + t * dd, 0, None) for b, dd in zip(base, direction)]
-        return MixedProfile(game, vecs)
-    support = (
-        tuple(game.actions[game.players[0]][a] for a in s1),
-        tuple(game.actions[game.players[1]][b] for b in s2),
-    )
-    return Component(support, base, direction, (float(lo), float(hi)))
+        return comp.profile_at(game, 0.5 * (lo + hi))
+    return comp
 
 
 def _enumerate_single(game):
@@ -340,9 +320,12 @@ def _enumerate_single(game):
         )
         isolated = []
     elif len(argmax) > 2:
+        # the face is the simplex over the argmax: a side with no opponent
+        face = _side(tuple(argmax), (), np.zeros((len(u), 0)), 1.0)
         diags.append(
             SupportDiagnostic(
-                (tuple(argmax),), "degenerate", "argmax face of dimension >= 2"
+                (tuple(argmax),), "degenerate", "argmax face of dimension >= 2",
+                sides=(face,),
             )
         )
     return EquilibriumSet(isolated, components, diags)
@@ -401,59 +384,39 @@ def _try_join(game, a, b):
                      (min(alo, blo), max(ahi, bhi)))
 
 
-def _project_side(target, own_support, solution, rows):
-    """Vector on one side's solution polytope closest to `target` in max
-    norm: minimize s with |v - target| <= s entrywise, v = x0 + N z on the
-    side's affine solution set and inside its inequality rows."""
-    x0, null = solution
-    own = list(own_support)
+def _project_side(target, side):
+    """Vector on the side's polytope closest to `target` in max norm:
+    minimize s with |v - target| <= s entrywise, v = x0 + null @ z and
+    g @ v >= -tol."""
+    own = list(side.own)
+    x0, null = side.x0, side.null
     r = null.shape[1]
     p = target[own]
     off = np.delete(target, own)
-    a_ub, b_ub = [], []
-    for j in range(len(own)):
-        a_ub.append(np.append(null[j], -1.0))
-        b_ub.append(p[j] - x0[j])
-        a_ub.append(np.append(-null[j], -1.0))
-        b_ub.append(x0[j] - p[j])
-    for g, c, tol in rows:
-        a_ub.append(np.append(-(g @ null), 0.0))
-        b_ub.append(float(g @ x0) + c + tol)
+    ones = np.ones((len(own), 1))
+    a_ub = np.block([[null, -ones], [-null, -ones],
+                     [-(side.g @ null), np.zeros((len(side.g), 1))]])
+    b_ub = np.concatenate([p - x0, x0 - p, side.g @ x0 + side.tol])
     cost = np.zeros(r + 1)
     cost[-1] = 1.0
     s_lo = float(off.max()) if off.size else 0.0
-    res = linprog(cost, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
                   bounds=[(None, None)] * r + [(s_lo, None)],
                   method="highs", options=search._HIGHS_OPTS)
     if not res.success:
         return None
-    return _embed(len(target), own_support,
-                  np.clip(x0 + null @ res.x[:r], 0.0, None))
+    return _embed(len(target), own, np.clip(x0 + null @ res.x[:r], 0.0, None))
 
 
-def _project_face(game, support, profile):
+def _project_face(game, sides, profile):
     """Nash candidate on a degenerate face closest to `profile`, or None.
 
-    The face of a support pair is the product of the x-side and y-side
-    polytopes that `enumerate_nash` sets up, and the max-norm distance is a
-    max over players, so each side is projected by its own LP.  A
-    one-player argmax face is the simplex over its actions.
+    The face is the product of its sides' polytopes and the max-norm
+    distance is a max over players, so each side is projected by its own LP.
     """
-    scale = float(np.max(np.abs(game.payoffs))) or 1.0
-    if game.n_players == 1:
-        sides = [(support[0], (), None, 0)]
-    else:
-        s1, s2 = support
-        m, k = game.action_counts
-        sides = [(s1, s2, game.payoffs[..., 1], k),
-                 (s2, s1, game.payoffs[..., 0].T, m)]
     vecs = []
-    for target, (own, opp, opp_payoff, n_opp) in zip(profile.vectors, sides):
-        solution = _side_solution(own, opp, opp_payoff, scale)
-        if solution is None:
-            return None
-        rows = _side_inequalities(own, opp, opp_payoff, n_opp)
-        v = _project_side(target, own, solution, rows)
+    for target, side in zip(profile.vectors, sides):
+        v = _project_side(target, side)
         if v is None:
             return None
         vecs.append(v)
@@ -481,9 +444,9 @@ def nearest_nash(game, profile, eqset=None):
         if d < best[0]:
             best = (d, comp.profile_at(game, t))
     for diag in eqset.diagnostics:
-        if diag.status != "degenerate":
+        if not diag.sides:
             continue
-        p = _project_face(game, diag.support, profile)
+        p = _project_face(game, diag.sides, profile)
         if p is None or not is_nash(game, p):
             continue
         d = profile.distance(p)
@@ -512,13 +475,7 @@ class RefinementTag:
 
 
 def undominated_flag(game, profile, tol=NASH_TOL):
-    report = weak_dominance(game)
-    for i, p in enumerate(game.players):
-        bad = report.dominated_actions(p)
-        for a in bad:
-            if profile.vectors[i][game.action_index(p, a)] > tol:
-                return False
-    return True
+    return _dominated_on_support(game, profile, tol) is None
 
 
 @dataclass
@@ -554,9 +511,9 @@ def filter_undominated(game, eqset):
     return UndominatedReport(flags, regions)
 
 
-def _require_nash(game, profile):
+def _require_nash(game, profile, tol=NASH_TOL):
     d = nash_defect(game, profile)
-    if d > NASH_TOL:
+    if d > tol:
         raise ValueError(f"profile is not a Nash equilibrium (defect {d:.3e})")
 
 

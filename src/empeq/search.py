@@ -212,11 +212,6 @@ def add_cross_strict_rows(lp, levels, coefs=None):
                     lp.add_strict(_vec_of(lp.n, coefs, a) - _vec_of(lp.n, coefs, b))
 
 
-def add_prob_level_rows(lp, levels):
-    """Probability-sign pattern: exact ties within levels, strict gaps across."""
-    add_order_rows(lp, levels, coefs=None)
-
-
 def add_ratio_rows(lp, levels, eps):
     """x[b] <= eps * x[a] across consecutive levels (chains downward)."""
     for up, down in zip(levels, levels[1:]):
@@ -377,7 +372,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
     def build_lp(i, own, opp):
         lp = _base_lp(candidate.vectors[i], delta, interior=not refute_mode)
         if m == 1.0:
-            add_prob_level_rows(lp, own)
+            add_order_rows(lp, own)
         else:
             add_m_fraction_rows(lp, own, m)
         coefs = _util_coefs(game, i)

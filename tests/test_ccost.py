@@ -176,7 +176,7 @@ def test_induced_qrf_matches_grid_maximization():
             return x @ p - sp.value(p).sum()
 
         grid = np.linspace(1e-9, 1 - 1e-9, 200_001)
-        vals = [objective(p0) for p0 in grid]
+        vals = x[0] * grid + x[1] * (1 - grid) - (sp.value(grid) + sp.value(1 - grid))
         p_star = grid[int(np.argmax(vals))]
         assert abs(best[0] - p_star) < 1e-4
         assert objective(best[0]) >= max(vals) - 1e-9

@@ -323,3 +323,72 @@ def test_nearest_nash_phi_faces_change_nothing(phi):
         d0, q0 = nearest_nash(phi, p, bare)
         assert d == d0
         assert q.distance(q0) == 0.0
+
+
+def test_segment_with_rounded_zero_weight_is_kept():
+    # P1 uniform with P2 = (q, 1 - q, 0) is Nash for every q in [0, 1].  The
+    # zero weight on b3 rounds to about -1e-17; it once emptied the family,
+    # which then collapsed to its midpoint as a lone "isolated" point.
+    a = [[2, 2, 1], [2, 2, 0], [2, 2, 2]]
+    b = [[2, 1, 1], [1, 0, 1], [0, 2, 1]]
+    g = Game(["P1", "P2"], {"P1": ["a1", "a2", "a3"], "P2": ["b1", "b2", "b3"]},
+             np.stack([a, b], axis=-1).astype(float))
+    eq = enumerate_nash(g)
+    assert not eq.isolated
+    full = [c for c in eq.components
+            if c.support == (("a1", "a2", "a3"), ("b1", "b2", "b3"))]
+    assert len(full) == 1
+    lo, hi = full[0].interval
+    assert hi - lo == pytest.approx(1.0, abs=1e-9)
+    for _, prof in full[0].grid(g, 11):
+        assert nash_defect(g, prof) <= 1e-9
+
+
+def _grid_distances(comp, profile, ts):
+    pts = np.clip(np.concatenate(comp.base)
+                  + ts[:, None] * np.concatenate(comp.direction), 0.0, None)
+    return np.max(np.abs(pts - profile.stacked()), axis=1)
+
+
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_component_distance_is_exact(name):
+    game = corpus.get(name)
+    (comp,) = enumerate_nash(game).components
+    lo, hi = comp.interval
+    ts = np.linspace(lo, hi, 100_001)
+    step = ts[1] - ts[0]
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        p = MixedProfile(game, [rng.dirichlet(np.ones(k)) for k in game.action_counts])
+        d, t = comp.distance_to(game, p)
+        vals = _grid_distances(comp, p, ts)
+        assert lo <= t <= hi
+        assert d == comp.profile_at(game, t).distance(p)
+        assert d <= vals.min() + 1e-12
+        # the slopes are at most 1, so no grid point is more than a step off
+        assert d >= vals.min() - step
+
+
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_component_distance_flat_minimum_takes_smallest_t(name):
+    # probes off the component in the fixed player's vector: the distance is
+    # flat over every t whose varying vector is at least as close
+    game = corpus.get(name)
+    (comp,) = enumerate_nash(game).components
+    lo, hi = comp.interval
+    ts = np.linspace(lo, hi, 100_001)
+    step = ts[1] - ts[0]
+    fixed = next(i for i, d in enumerate(comp.direction) if not d.any())
+    mid = comp.profile_at(game, 0.5 * (lo + hi))
+    for shift in (0.02, 0.1, 0.25):
+        vecs = [v.copy() for v in mid.vectors]
+        top = int(np.argmax(vecs[fixed]))
+        vecs[fixed][top] -= shift
+        vecs[fixed][top - 1] += shift
+        p = MixedProfile(game, vecs)
+        d, t = comp.distance_to(game, p)
+        vals = _grid_distances(comp, p, ts)
+        assert d == pytest.approx(shift, abs=1e-12)
+        flat = ts[vals <= d + 1e-12]
+        assert flat[-1] - flat[0] > 0.01
+        assert flat[0] - step <= t <= flat[0] + 1e-12
