@@ -2,7 +2,8 @@
 
 The payoff tensor is dense, shape ``(|A_1|, ..., |A_n|, n)``; the trailing
 axis indexes players.  Games are immutable after construction and safe to
-share across concurrent workers; profiles are value types.
+share across concurrent workers (the weak-dominance report is computed once,
+on first use, and kept on the game); profiles are value types.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class ProfileError(ValueError):
 class Game:
     """Immutable finite normal-form game (players, named actions, payoffs)."""
 
-    __slots__ = ("players", "actions", "payoffs", "_pidx", "_aidx")
+    __slots__ = ("players", "actions", "payoffs", "_pidx", "_aidx", "_dominance")
 
     def __init__(self, players, actions, payoffs):
         players = tuple(str(p) for p in players)
@@ -61,6 +62,7 @@ class Game:
         self.payoffs = arr
         self._pidx = {p: i for i, p in enumerate(players)}
         self._aidx = {p: {a: j for j, a in enumerate(acts[p])} for p in players}
+        self._dominance = None  # weak_dominance(self), computed on first use
 
     # -- basic geometry -------------------------------------------------
 
@@ -362,7 +364,17 @@ class DominanceReport:
 
 
 def weak_dominance(game):
-    """Exhaustive weak-dominance report, exact arithmetic on raw payoffs."""
+    """Exhaustive weak-dominance report, exact arithmetic on raw payoffs.
+
+    The report is computed on first use and kept on the game, so every
+    caller shares it and none may mutate it.
+    """
+    if game._dominance is None:
+        game._dominance = _dominance_report(game)
+    return game._dominance
+
+
+def _dominance_report(game):
     out = {}
     for i, p in enumerate(game.players):
         k = len(game.actions[p])

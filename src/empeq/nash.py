@@ -11,6 +11,14 @@ a segment (`Component`), and larger solution sets a `degenerate` diagnostic
 that keeps its side records, so `nearest_nash` projects onto the face with
 one LP per side.
 
+Most pairs of a generic game fail their equalities or give an infeasible
+point, so a screen decides those first, one size class (|s1|, |s2|) at a
+time: one fancy-indexed slice builds every pair's equality matrix and one
+stacked SVD gives each pair's rank, x0, residual and feasibility slack.
+The screen only rejects a pair by a margin far above the rounding by which
+its sums can differ from `_side`'s; every other pair gets the exact per-pair
+decision, so the result is the same as deciding every pair exactly.
+
 The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
 checks the interval ends and every crossing of two of the distance's lines.
@@ -24,6 +32,7 @@ certificate), or inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -178,6 +187,12 @@ def _interval_for(x0, d, g, tol):
     return (lo, hi)
 
 
+def _snap_zero(v):
+    """`v` with entries of size <= 1e-15, rounding noise on structural zeros,
+    set to exactly 0."""
+    return np.where(np.abs(v) <= 1e-15, 0.0, v)
+
+
 def _embed(n, support, values):
     v = np.zeros(n)
     v[list(support)] = values
@@ -196,64 +211,143 @@ def enumerate_nash(game):
         raise UnsupportedGameError(
             "support enumeration is implemented for 1- and 2-player games"
         )
-    a_pay = game.payoffs[..., 0]
-    b_pay = game.payoffs[..., 1]
     scale = float(np.max(np.abs(game.payoffs))) or 1.0
     m, k = game.action_counts
     if (2**m - 1) * (2**k - 1) > 1 << 20:
         raise UnsupportedGameError("too many support pairs to enumerate")
-    isolated, components, diags = [], [], []
-
-    for s1 in _supports(m):
-        for s2 in _supports(k):
-            # x over s1 equalizes player 2 across s2; y over s2 equalizes
-            # player 1 across s1
-            xs = _side(s1, s2, b_pay, scale)
-            ys = None if xs is None else _side(s2, s1, a_pay.T, scale)
-            if ys is None:
-                diags.append(SupportDiagnostic((s1, s2), "inconsistent"))
-                continue
-            dim = xs.null.shape[1] + ys.null.shape[1]
-            if dim == 0:
-                if xs.x0_feasible and ys.x0_feasible:
-                    prof = MixedProfile(
-                        game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
-                               _embed(k, s2, np.clip(ys.x0, 0, None))]
-                    )
-                    if is_nash(game, prof, 1e-8):
-                        isolated.append(prof)
-                    else:
-                        diags.append(
-                            SupportDiagnostic((s1, s2), "incentive-violation")
-                        )
-            elif dim == 1:
-                comp = _one_dim_component(game, xs, ys)
-                if comp is None:
-                    diags.append(SupportDiagnostic((s1, s2), "empty-family"))
-                elif isinstance(comp, MixedProfile):
-                    if is_nash(game, comp, 1e-8):
-                        isolated.append(comp)
-                else:
-                    components.append(comp)
-            else:
-                diags.append(
-                    SupportDiagnostic(
-                        (s1, s2),
-                        "degenerate",
-                        f"solution set of dimension {dim} not traced",
-                        sides=(xs, ys),
-                    )
-                )
-    isolated, components = _dedupe(game, isolated, components)
-    return EquilibriumSet(isolated, components, diags)
-
-
-def _supports(n):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(a for a in range(n) if mask >> a & 1))
-    out.sort(key=lambda s: (len(s), s))
+    classes1, classes2 = _support_classes(m), _support_classes(k)
+    sup1 = [tuple(s) for c in classes1 for s in c.tolist()]
+    sup2 = [tuple(s) for c in classes2 for s in c.tolist()]
+    code = np.block([[_screen_class(game, c1, c2, scale) for c2 in classes2]
+                     for c1 in classes1])
+    out = EquilibriumSet([], [], [])
+    # row-major order is the order of the pairs (s1 outer, s2 inner)
+    for i, j in zip(*np.nonzero(code)):
+        s1, s2 = sup1[i], sup2[j]
+        if code[i, j] == _INCONSISTENT:
+            out.diagnostics.append(SupportDiagnostic((s1, s2), "inconsistent"))
+        else:
+            _solve_pair(game, s1, s2, scale, out)
+    out.isolated, out.components = _dedupe(game, out.isolated, out.components)
     return out
+
+
+def _support_classes(n):
+    """Supports over n actions as one index array per size 1..n, each in
+    lexicographic order."""
+    return [np.array(list(combinations(range(n), r))) for r in range(1, n + 1)]
+
+
+# screen outcomes of a support pair
+_REJECTED, _INCONSISTENT, _EXACT = 0, 1, 2
+
+
+def _screen_class(game, s1, s2, scale):
+    """Screen codes (len(s1), len(s2)) for every pair of one size class.
+
+    `_REJECTED` pairs are isolated candidates that `_solve_pair` would drop
+    silently, `_INCONSISTENT` pairs have a side whose equalities fail, and
+    `_EXACT` pairs (consistent families, feasible or borderline candidates)
+    go to `_solve_pair`.
+    """
+    i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
+    x = (s1[i], s2[j], game.payoffs[..., 1])
+    y = (s2[j], s1[i], game.payoffs[..., 0].T)
+    # a side with more equalities than unknowns fails on almost every pair
+    # of a generic game, so it is screened first and the other side only
+    # where it passes
+    first, second = (x, y) if s2.shape[1] > s1.shape[1] else (y, x)
+    bad, point, infeasible = _screen_side(*first, scale)
+    rest = ~bad
+    bad2, point2, infeasible2 = _screen_side(second[0][rest], second[1][rest],
+                                             second[2], scale)
+    rejected = point[rest] & point2 & (infeasible[rest] | infeasible2)
+    code = np.full(len(i), _INCONSISTENT, dtype=np.int8)
+    code[rest] = np.where(bad2, _INCONSISTENT,
+                          np.where(rejected, _REJECTED, _EXACT))
+    return code.reshape(len(s1), len(s2))
+
+
+def _screen_side(own, opp, opp_payoff, scale):
+    """The `_side` decisions for the pairs (own[n], opp[n]) of a size class,
+    from one stacked SVD: boolean arrays `bad` (inconsistent equalities),
+    `point` (consistent, no free dimension) and `infeasible` (a point whose
+    x0 fails `_Side.x0_feasible`).
+
+    The screen is conservative: each decision needs a margin `err`, about a
+    thousand times the rounding by which these sums can differ from
+    `_side`'s, and no singular value may lie within a factor 4 of the rank
+    cut.  Pairs that miss a margin are neither bad nor point.
+    """
+    p, q = own.shape[1], opp.shape[1]
+    block = opp_payoff[own[:, :, None], opp[:, None, :]]
+    diff = np.swapaxes(block[..., :-1] - block[..., 1:], -1, -2)
+    a = np.concatenate([np.ones((len(own), 1, p)), diff], axis=-2)
+    u, s, vt = np.linalg.svd(a)
+    r = s.shape[-1]
+    cut = max(q, p) * np.finfo(float).eps * s[:, :1]
+    kept = s > cut
+    clean = ~np.any((s > cut / 4) & (s <= 4 * cut), axis=-1)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    x0 = np.einsum("nij,ni->nj", vt[:, :r], u[:, 0, :r] * inv)
+    resid = np.einsum("nij,nj->ni", a, x0)
+    resid[:, 0] -= 1.0
+    resid = np.max(np.abs(resid), axis=-1)
+    err = 1e-12 * p * (1.0 + 2.0 * scale) * (1.0 + inv.sum(axis=-1))
+    thr = 1e-9 * max(1.0, scale)
+    bad = clean & (resid > thr + err)
+    point = clean & (resid < thr - err) & (kept.sum(axis=-1) == p)
+    # the opponent's payoff of each action against x0; the best one outside
+    # opp may not beat opp[0] by more than NASH_TOL
+    vals = np.einsum("nj,njb->nb", x0, opp_payoff[own])
+    outside = np.all(opp[:, :, None] != np.arange(opp_payoff.shape[1]), axis=1)
+    best_out = np.max(vals, axis=-1, where=outside, initial=-np.inf)
+    edge = vals[np.arange(len(opp)), opp[:, 0]] - best_out
+    slack = np.minimum(x0.min(axis=-1) + 1e-10, edge + NASH_TOL)
+    return bad, point, point & (slack < -err)
+
+
+def _solve_pair(game, s1, s2, scale, out):
+    """The exact decision for the support pair (s1, s2), added to `out`."""
+    m, k = game.action_counts
+    # x over s1 equalizes player 2 across s2; y over s2 equalizes player 1
+    # across s1
+    xs = _side(s1, s2, game.payoffs[..., 1], scale)
+    ys = None if xs is None else _side(s2, s1, game.payoffs[..., 0].T, scale)
+    if ys is None:
+        out.diagnostics.append(SupportDiagnostic((s1, s2), "inconsistent"))
+        return
+    dim = xs.null.shape[1] + ys.null.shape[1]
+    if dim == 0:
+        if xs.x0_feasible and ys.x0_feasible:
+            prof = MixedProfile(
+                game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
+                       _embed(k, s2, np.clip(ys.x0, 0, None))]
+            )
+            if is_nash(game, prof, 1e-8):
+                out.isolated.append(prof)
+            else:
+                out.diagnostics.append(
+                    SupportDiagnostic((s1, s2), "incentive-violation")
+                )
+    elif dim == 1:
+        comp = _one_dim_component(game, xs, ys)
+        if comp is None:
+            out.diagnostics.append(SupportDiagnostic((s1, s2), "empty-family"))
+        elif isinstance(comp, MixedProfile):
+            if is_nash(game, comp, 1e-8):
+                out.isolated.append(comp)
+        else:
+            out.components.append(comp)
+    else:
+        out.diagnostics.append(
+            SupportDiagnostic(
+                (s1, s2),
+                "degenerate",
+                f"solution set of dimension {dim} not traced",
+                sides=(xs, ys),
+            )
+        )
 
 
 def _one_dim_component(game, xs, ys):
@@ -281,11 +375,13 @@ def _one_dim_component(game, xs, ys):
     if exact is None:
         mid = 0.5 * (span[0] + span[1])
         exact = (mid, mid)
-    lo, hi = exact
+    lo, hi = _snap_zero(np.array(exact))
     sides = (xs, ys)
-    base = tuple(_embed(n, s.own, s.x0 if s is var else np.clip(s.x0, 0, None))
-                 for n, s in zip(game.action_counts, sides))
-    direction = tuple(_embed(n, s.own, d if s is var else 0.0)
+    base = tuple(
+        _snap_zero(_embed(n, s.own, s.x0 if s is var else np.clip(s.x0, 0, None)))
+        for n, s in zip(game.action_counts, sides)
+    )
+    direction = tuple(_snap_zero(_embed(n, s.own, d if s is var else 0.0))
                       for n, s in zip(game.action_counts, sides))
     support = tuple(tuple(game.actions[p][a] for a in s.own)
                     for p, s in zip(game.players, sides))
@@ -387,7 +483,8 @@ def _try_join(game, a, b):
 def _project_side(target, side):
     """Vector on the side's polytope closest to `target` in max norm:
     minimize s with |v - target| <= s entrywise, v = x0 + null @ z and
-    g @ v >= -tol."""
+    g @ v >= 0.  Without the enumeration's slack `tol`, the projection is
+    Nash up to the LP's own tolerance, well inside NASH_TOL."""
     own = list(side.own)
     x0, null = side.x0, side.null
     r = null.shape[1]
@@ -396,7 +493,7 @@ def _project_side(target, side):
     ones = np.ones((len(own), 1))
     a_ub = np.block([[null, -ones], [-null, -ones],
                      [-(side.g @ null), np.zeros((len(side.g), 1))]])
-    b_ub = np.concatenate([p - x0, x0 - p, side.g @ x0 + side.tol])
+    b_ub = np.concatenate([p - x0, x0 - p, side.g @ x0])
     cost = np.zeros(r + 1)
     cost[-1] = 1.0
     s_lo = float(off.max()) if off.size else 0.0

@@ -67,34 +67,41 @@ def level_of(levels):
     return lv
 
 
-def admissible_orders(k, forced_strict=(), forced_weak=()):
-    """Weak orders where forced_strict pairs (a,b) have a strictly above b
-    and forced_weak pairs have a at least as high as b."""
-    out = []
-    for levels in weak_orders(k):
-        lv = level_of(levels)
-        if all(lv[a] < lv[b] for a, b in forced_strict) and all(
-            lv[a] <= lv[b] for a, b in forced_weak
-        ):
-            out.append(levels)
-    return out
+@lru_cache(maxsize=None)
+def _level_table(k):
+    """Row r holds each action's level in weak_orders(k)[r], best level 0."""
+    table = np.empty((len(weak_orders(k)), k), dtype=np.int64)
+    for r, levels in enumerate(weak_orders(k)):
+        for d, level in enumerate(levels):
+            table[r, list(level)] = d
+    table.setflags(write=False)
+    return table
 
 
-def order_distance(levels, values):
-    """Disagreement between a weak order and a value vector (sort key)."""
-    lv = level_of(levels)
-    k = len(lv)
-    score = 0.0
+def ranked_orders(k, forced_strict, forced_weak, values):
+    """Weak orders of k actions where forced_strict pairs (a,b) have a
+    strictly above b and forced_weak pairs have a at least as high as b,
+    closest to the value vector first, ties in weak_orders(k) order.
+
+    The distance sums, over pairs a < b, the amount by which the values run
+    against the order, plus 0.1 for a tie in value split across levels.
+    """
+    lv = _level_table(k)
+    keep = np.ones(len(lv), dtype=bool)
+    for a, b in forced_strict:
+        keep &= lv[:, a] < lv[:, b]
+    for a, b in forced_weak:
+        keep &= lv[:, a] <= lv[:, b]
+    score = np.zeros(len(lv))
     for a in range(k):
         for b in range(a + 1, k):
             dv = float(values[a] - values[b])
-            if lv[a] < lv[b]:
-                score += max(0.0, -dv) + (0.1 if dv == 0 else 0.0)
-            elif lv[a] > lv[b]:
-                score += max(0.0, dv) + (0.1 if dv == 0 else 0.0)
-            else:
-                score += abs(dv)
-    return score
+            tie = 0.1 if dv == 0 else 0.0
+            score += np.where(lv[:, a] < lv[:, b], max(0.0, -dv) + tie,
+                              np.where(lv[:, a] > lv[:, b], max(0.0, dv) + tie, abs(dv)))
+    rows = np.flatnonzero(keep)
+    orders = weak_orders(k)
+    return [orders[r] for r in rows[np.argsort(score[rows], kind="stable")]]
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +129,110 @@ class PlayerLP:
         self.eq.append((np.asarray(coef, dtype=float), float(const)))
 
 
-def solve_player_lp(lp):
-    """Return (max slack, argmax x); (-inf, None) when infeasible."""
+def _direct_highs():
+    """scipy's HiGHS bindings with the options `linprog(method="highs",
+    options=_HIGHS_OPTS)` passes, or (None, None) where scipy has none.
+
+    A pattern search solves up to hundreds of LPs of at most a dozen rows.
+    `linprog` spends about three quarters of each call validating options
+    and converting inputs, and a new solver instance costs about a third
+    of what is left.  The model and options given here are the ones
+    `linprog` hands to HiGHS, so the solutions are the same to the bit.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+        opts = _core.HighsOptions()
+        opts.presolve = "on" if _HIGHS_OPTS["presolve"] else "off"
+        opts.primal_feasibility_tolerance = _HIGHS_OPTS["primal_feasibility_tolerance"]
+        opts.dual_feasibility_tolerance = _HIGHS_OPTS["dual_feasibility_tolerance"]
+        opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+        opts.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        opts.log_to_console = False
+        opts.output_flag = False
+    except (ImportError, AttributeError):
+        return None, None
+    return _core, opts
+
+
+_HIGHS, _HIGHS_OPTIONS = _direct_highs()
+# linprog rejects an "optimal" solution that misses a constraint by more
+# than this (10 * sqrt of its default tol)
+_LINPROG_CHECK_TOL = 10 * np.sqrt(1e-9)
+
+
+def new_solver():
+    """A HiGHS instance for `solve_player_lp` to reuse, or None where scipy
+    has no direct bindings.  Each solve passes it a new model, which
+    discards the previous model, basis and solution."""
+    if _HIGHS is None:
+        return None
+    highs = _HIGHS._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
+def _solve_highs(highs, c, a, lhs, rhs, lb, ub):
+    """min c @ x subject to lhs <= a @ x <= rhs and lb <= x <= ub; returns
+    the minimizer, or None unless HiGHS reports an optimum."""
+    cols, rows = np.nonzero(a.T)  # column-wise, as linprog's CSC matrix
+    model = _HIGHS.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = a.shape[1]
+    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
+    model.a_matrix_.start_ = np.searchsorted(cols, np.arange(a.shape[1] + 1)).astype(np.int32)
+    model.a_matrix_.index_ = rows.astype(np.int32)
+    model.a_matrix_.value_ = a.T[cols, rows]
+    model.col_cost_ = c
+    model.col_lower_ = lb
+    model.col_upper_ = ub
+    model.row_lower_ = lhs
+    model.row_upper_ = rhs
+    highs.passModel(model)
+    highs.run()
+    if highs.getModelStatus() != _HIGHS.HighsModelStatus.kOptimal:
+        return None
+    sol = highs.getSolution()
+    x = np.array(sol.col_value)
+    act = np.array(sol.row_value)
+    miss = np.max(np.concatenate([lb - x, x - ub, act - rhs, lhs - act]))
+    return x if miss <= _LINPROG_CHECK_TOL else None  # False for NaN
+
+
+def solve_player_lp(lp, solver=None):
+    """Return (max slack, argmax x); (-inf, None) when infeasible.
+
+    Variables (x, s) with s in [-10, 10]; rows in linprog's order: strict,
+    then weak as upper bounds, then equalities.  `solver` is an instance
+    from `new_solver()` to reuse; without one the call makes its own.
+    """
     n = lp.n
+    rows = lp.strict + lp.weak + lp.eq
+    n_ub = len(lp.strict) + len(lp.weak)
+    a = np.zeros((len(rows), n + 1))
+    const = np.zeros(len(rows))
+    for r, (coef, k) in enumerate(rows):
+        a[r, :n] = coef
+        const[r] = k
+    a[:n_ub, :n] *= -1.0
+    a[:len(lp.strict), n] = 1.0
+    rhs = np.concatenate([const[:n_ub], -const[n_ub:]])
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    a_ub, b_ub = [], []
-    for coef, const in lp.strict:
-        row = np.zeros(n + 1)
-        row[:n] = -coef
-        row[-1] = 1.0
-        a_ub.append(row)
-        b_ub.append(const)
-    for coef, const in lp.weak:
-        row = np.zeros(n + 1)
-        row[:n] = -coef
-        a_ub.append(row)
-        b_ub.append(const)
-    a_eq, b_eq = [], []
-    for coef, const in lp.eq:
-        row = np.zeros(n + 1)
-        row[:n] = coef
-        a_eq.append(row)
-        b_eq.append(-const)
-    bounds = [(float(lo), float(hi)) for lo, hi in zip(lp.lo, lp.hi)]
-    bounds.append((-10.0, 10.0))
-    res = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-        options=_HIGHS_OPTS,
-    )
-    if not res.success:
+    lb = np.append(np.asarray(lp.lo, dtype=float), -10.0)
+    ub = np.append(np.asarray(lp.hi, dtype=float), 10.0)
+    if _HIGHS is not None:
+        lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
+        x = _solve_highs(solver if solver is not None else new_solver(),
+                         c, a, lhs, rhs, lb, ub)
+    else:
+        res = linprog(c, A_ub=a[:n_ub] if n_ub else None, b_ub=rhs[:n_ub] if n_ub else None,
+                      A_eq=a[n_ub:] if len(lp.eq) else None,
+                      b_eq=rhs[n_ub:] if len(lp.eq) else None,
+                      bounds=list(zip(lb, ub)), method="highs", options=_HIGHS_OPTS)
+        x = res.x if res.success else None
+    if x is None:
         return float("-inf"), None
-    return float(res.x[-1]), np.asarray(res.x[:-1], dtype=float)
+    return float(x[-1]), np.asarray(x[:-1], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +356,8 @@ def _sorted_orders(game, candidate, player, forced_strict, forced_weak):
     k = game.action_counts[player]
     if k > MAX_EXHAUSTIVE_ACTIONS:
         return None
-    orders = admissible_orders(k, tuple(forced_strict), tuple(forced_weak))
     eu = expected_utility(game, candidate, player)
-    orders.sort(key=lambda lv: order_distance(lv, eu))
-    return orders
+    return ranked_orders(k, forced_strict, forced_weak, eu)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +387,14 @@ def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_ref
     tried = 0
     table = []
     all_refuted = True
+    solver = new_solver()
     for pat0 in patterns0:
         for pat1 in patterns1:
             tried += 1
             slacks, xs = [], []
             for i, (own, opp) in enumerate(((pat0, pat1), (pat1, pat0))):
                 lp = build_lp(i, own, opp)
-                s, x = solve_player_lp(lp)
+                s, x = solve_player_lp(lp, solver)
                 slacks.append(s)
                 xs.append(x)
                 if s < s_feas:

@@ -97,6 +97,14 @@ def test_weak_dominance_constant_game_empty():
     assert weak_dominance(g).is_empty
 
 
+def test_weak_dominance_is_computed_once_per_game(phi):
+    rep = weak_dominance(phi)
+    assert weak_dominance(phi) is rep
+    fresh = weak_dominance(Game(phi.players, phi.actions, phi.payoffs))
+    assert fresh is not rep
+    assert fresh.pairs == rep.pairs
+
+
 def test_weak_dominance_witness_is_strict(phi):
     rep = weak_dominance(phi)
     for p in phi.players:

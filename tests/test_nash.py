@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from empeq import corpus
+from empeq import corpus, nash
 from empeq.game import Game, MixedProfile, nash_defect
 from empeq.nash import (
     EquilibriumSet,
@@ -342,6 +344,83 @@ def test_segment_with_rounded_zero_weight_is_kept():
     assert hi - lo == pytest.approx(1.0, abs=1e-9)
     for _, prof in full[0].grid(g, 11):
         assert nash_defect(g, prof) <= 1e-9
+
+
+def _integer_games(count):
+    # payoffs in {0, 1, 2}; sizes cycle through 2, 3, 3, 4
+    rng = np.random.default_rng(11)
+    out = []
+    for i in range(count):
+        n = (2, 3, 3, 4)[i % 4]
+        pay = rng.integers(0, 3, size=(n, n, 2)).astype(float)
+        out.append(Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(n)],
+                                       "P2": [f"b{j}" for j in range(n)]}, pay))
+    return out
+
+
+def _per_pair_reference(game):
+    """Support enumeration without the batched screen: the exact decision
+    for every support pair, in the order (|s1|, s1, |s2|, s2)."""
+    def supports(n):
+        return sorted((s for r in range(1, n + 1) for s in combinations(range(n), r)),
+                      key=lambda s: (len(s), s))
+
+    scale = float(np.max(np.abs(game.payoffs))) or 1.0
+    out = EquilibriumSet([], [], [])
+    m, k = game.action_counts
+    for s1 in supports(m):
+        for s2 in supports(k):
+            nash._solve_pair(game, s1, s2, scale, out)
+    out.isolated, out.components = nash._dedupe(game, out.isolated, out.components)
+    return out
+
+
+def test_enumeration_matches_per_pair_reference():
+    rng = np.random.default_rng(4)
+    games = [random_game(rng, (n, n)) for n in (4, 4, 4, 5, 5, 6, 6)]
+    # the first 48 integer games hold five segments that a tolerance fault
+    # once dropped; the 3x3 game below held another
+    games += _integer_games(48)
+    a = [[2, 2, 1], [2, 2, 0], [2, 2, 2]]
+    b = [[2, 1, 1], [1, 0, 1], [0, 2, 1]]
+    games.append(Game(["P1", "P2"], {"P1": ["a1", "a2", "a3"], "P2": ["b1", "b2", "b3"]},
+                      np.stack([a, b], axis=-1).astype(float)))
+    # the only equilibrium puts weight 1e-7/(1 + 1e-7) on a1
+    games.append(Game(["P1", "P2"], {"P1": ["a1", "a2"], "P2": ["b1", "b2"]},
+                      np.stack([[[1, 0], [0, 1]], [[0, 1], [1e-7, 0]]], axis=-1)))
+    for g in games:
+        got, ref = enumerate_nash(g), _per_pair_reference(g)
+        assert ([(d.support, d.status, d.detail) for d in got.diagnostics]
+                == [(d.support, d.status, d.detail) for d in ref.diagnostics])
+        assert len(got.isolated) == len(ref.isolated)
+        for p, q in zip(got.isolated, ref.isolated):
+            assert p.distance(q) <= 1e-12
+        assert [c.support for c in got.components] == [c.support for c in ref.components]
+        for c, r in zip(got.components, ref.components):
+            assert np.allclose(c.interval, r.interval, rtol=0, atol=1e-12)
+            for u, v in zip(c.base + c.direction, r.base + r.direction):
+                assert np.allclose(u, v, rtol=0, atol=1e-12)
+
+
+def test_face_projection_has_no_incentive_slack():
+    # with the enumeration's 1e-9 slack the projections of this game's
+    # degenerate faces had Nash defect 1.2e-9
+    a = [[2, 1, 1], [2, 2, 0], [2, 1, 2]]
+    b = [[0, 1, 1], [1, 0, 1], [0, 0, 2]]
+    g = Game(["P1", "P2"], {"P1": ["a1", "a2", "a3"], "P2": ["b1", "b2", "b3"]},
+             np.stack([a, b], axis=-1).astype(float))
+    faces = [d.sides for d in enumerate_nash(g).diagnostics if d.sides]
+    assert faces
+    rng = np.random.default_rng(5)
+    projected = 0
+    for _ in range(5):
+        p = MixedProfile(g, [rng.dirichlet(np.ones(k)) for k in g.action_counts])
+        for sides in faces:
+            q = nash._project_face(g, sides, p)
+            if q is not None:
+                projected += 1
+                assert nash_defect(g, q) <= 1e-10
+    assert projected
 
 
 def _grid_distances(comp, profile, ts):
