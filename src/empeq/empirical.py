@@ -27,7 +27,13 @@ from .monotone import (
     is_payoff_monotone,
     is_weakly_payoff_monotone,
 )
-from .nash import NASH_TOL, _require_nash, enumerate_nash
+from .nash import (
+    NASH_TOL,
+    _require_nash,
+    check_component_grid,
+    check_schedule,
+    enumerate_nash,
+)
 from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
 
 DEFAULT_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -102,10 +108,9 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
+    check_schedule(delta_schedule, "delta")
     _require_nash(game, profile, nash_tol)
     deltas = sorted(float(d) for d in delta_schedule)
-    if not deltas or deltas[0] <= 0:
-        raise ValueError("delta schedule must be positive")
     t0 = time.perf_counter()
     diagnostics = {"m": m, "stage_seconds": {}}
 
@@ -250,6 +255,8 @@ def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0,
     Isolated equilibria are decided directly; components on a parameter
     grid, reported as member subintervals.
     """
+    check_schedule(delta_schedule, "delta")
+    check_component_grid(component_grid)
     eqset = enumerate_nash(game)
     isolated = [
         (p, empirical_membership(game, p, delta_schedule, m=m, seed=seed))

@@ -2,8 +2,16 @@
 
 The payoff tensor is dense, shape ``(|A_1|, ..., |A_n|, n)``; the trailing
 axis indexes players.  Games are immutable after construction and safe to
-share across concurrent workers (the weak-dominance report is computed once,
-on first use, and kept on the game); profiles are value types.
+share across concurrent workers; profiles are value types.
+
+Each game keeps, built once in its constructor, every player's utility view
+``np.moveaxis(payoffs[..., i], i, 0)`` (own actions first), and the
+weak-dominance report, computed on first use.  `utility_vector` contracts a
+view with plain probability vectors; `expected_utility` is the same
+contraction behind the `MixedProfile` check, for callers at the API
+boundary.  Hot loops (the QRE iteration, the region grid) call
+`utility_vector` and `normalized` on plain arrays and build a
+`MixedProfile` only for what they return.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ class ProfileError(ValueError):
 class Game:
     """Immutable finite normal-form game (players, named actions, payoffs)."""
 
-    __slots__ = ("players", "actions", "payoffs", "_pidx", "_aidx", "_dominance")
+    __slots__ = ("players", "actions", "payoffs", "_pidx", "_aidx", "_views",
+                 "_dominance")
 
     def __init__(self, players, actions, payoffs):
         players = tuple(str(p) for p in players)
@@ -62,6 +71,8 @@ class Game:
         self.payoffs = arr
         self._pidx = {p: i for i, p in enumerate(players)}
         self._aidx = {p: {a: j for j, a in enumerate(acts[p])} for p in players}
+        # read-only views of `arr`, indexed (own action, opponents in order)
+        self._views = tuple(np.moveaxis(arr[..., i], i, 0) for i in range(len(players)))
         self._dominance = None  # weak_dominance(self), computed on first use
 
     # -- basic geometry -------------------------------------------------
@@ -211,15 +222,7 @@ class MixedProfile:
                 raise ProfileError(
                     f"vector for {p!r} has shape {v.shape}, expected ({len(game.actions[p])},)"
                 )
-            if not np.all(np.isfinite(v)):
-                raise ProfileError(f"non-finite probability for player {p!r}")
-            if np.any(v < -SIMPLEX_TOL):
-                raise ProfileError(f"negative probability for player {p!r}: {v.min()}")
-            v = np.clip(v, 0.0, None)
-            total = v.sum()
-            if not total > 0:
-                raise ProfileError(f"probabilities for {p!r} sum to zero")
-            v = v / total
+            v = normalized(v, p)
             v.flags.writeable = False
             cleaned.append(v)
         self.game = game
@@ -294,6 +297,25 @@ class MixedProfile:
         return "MixedProfile(" + "; ".join(parts) + ")"
 
 
+def normalized(v, player):
+    """The cleaning rule of every profile vector, for a float array `v`.
+
+    Rejects non-finite entries and entries below -SIMPLEX_TOL, clamps the
+    rest at zero and divides by the sum.  `MixedProfile` applies it to each
+    player's vector; loops on plain arrays apply it to their iterates, so a
+    profile later built from the same input holds the same bits.
+    """
+    if not np.isfinite(v).all():
+        raise ProfileError(f"non-finite probability for player {player!r}")
+    if (v < -SIMPLEX_TOL).any():
+        raise ProfileError(f"negative probability for player {player!r}: {v.min()}")
+    v = np.maximum(v, 0.0)  # what np.clip(v, 0.0, None) computes
+    total = v.sum()
+    if not total > 0:
+        raise ProfileError(f"probabilities for {player!r} sum to zero")
+    return v / total
+
+
 def _check_profile(game, profile):
     if not isinstance(profile, MixedProfile):
         raise ProfileError("expected a MixedProfile")
@@ -302,14 +324,24 @@ def _check_profile(game, profile):
     return profile
 
 
+def utility_vector(game, i, vectors):
+    """Vector over A_i of U_i(sigma_{-i}, a_i) for plain probability vectors.
+
+    `i` is a player index and `vectors` one array per player; nothing is
+    checked.  Opponents are contracted from the last to the first.
+    """
+    u = game._views[i]
+    for j in range(game.n_players - 1, -1, -1):
+        if j != i:
+            u = u @ vectors[j]
+    return u
+
+
 def expected_utility(game, profile, player):
     """Vector over A_i of U_i(sigma_{-i}, a_i)."""
     i = game.player_index(player)
     _check_profile(game, profile)
-    u = np.moveaxis(game.payoffs[..., i], i, 0)
-    for j in reversed([j for j in range(game.n_players) if j != i]):
-        u = u @ profile.vectors[j]
-    return u
+    return utility_vector(game, i, profile.vectors)
 
 
 def profile_value(game, profile, player):
@@ -378,7 +410,7 @@ def _dominance_report(game):
     out = {}
     for i, p in enumerate(game.players):
         k = len(game.actions[p])
-        ui = np.moveaxis(game.payoffs[..., i], i, 0).reshape(k, -1)
+        ui = game._views[i].reshape(k, -1)
         opp_players = [q for q in game.players if q != p]
         opp_counts = [len(game.actions[q]) for q in opp_players]
         found = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MixedProfile, expected_utility
+from .game import expected_utility, normalized, utility_vector
 
 DEFAULT_TOL = 1e-9
 
@@ -35,8 +35,68 @@ class MonotonicityVerdict:
         return self.satisfied
 
 
-def _greater(x, y, tol):
-    return x > y + tol
+# Each rule is written once, as a mask over action pairs.  `sig` and `eu` are
+# probabilities and expected utilities of shape (..., k) that broadcast
+# against each other; the mask has shape (..., k, k) and is True at [a, b]
+# where the pair (a, b) violates the rule.  Its row-major order is the pair
+# order of `itertools.permutations` (ordered rules, diagonal False) or of
+# `itertools.combinations` (the symmetric strict rule, upper triangle only).
+
+
+def _pairwise(x):
+    return x[..., :, None], x[..., None, :]
+
+
+def weak_violations(sig, eu, tol):
+    """a is played more than b by over tol, but a's payoff is not more than
+    tol above b's."""
+    sa, sb = _pairwise(sig)
+    ua, ub = _pairwise(eu)
+    off_diagonal = ~np.eye(sig.shape[-1], dtype=bool)
+    return (sa > sb + tol) & ~(ua > ub + tol) & off_diagonal
+
+
+def strict_violations(sig, eu, tol):
+    """Payoffs within tol of each other but probabilities not, or payoffs
+    apart by more than tol but the better-paid action not strictly more
+    played.  Only pairs a < b are marked."""
+    sa, sb = _pairwise(sig)
+    ua, ub = _pairwise(eu)
+    du = ua - ub
+    tie = np.abs(du) <= tol
+    more = sa > sb
+    tie_bad = tie & (np.abs(sa - sb) > tol)
+    order_bad = ~tie & np.where(du > 0, ~more, ~np.swapaxes(more, -1, -2))
+    upper = ~np.tri(sig.shape[-1], dtype=bool)
+    return (tie_bad | order_bad) & upper
+
+
+def m_weak_violations(sig, eu, m, tol):
+    """a's payoff is at least b's (within tol), but a keeps less than
+    fraction m of b's probability (within tol)."""
+    sa, sb = _pairwise(sig)
+    ua, ub = _pairwise(eu)
+    off_diagonal = ~np.eye(sig.shape[-1], dtype=bool)
+    return (ua >= ub - tol) & ~(sa >= m * sb - tol) & off_diagonal
+
+
+def _marked_pairs(game, profile, rule):
+    """Per player: (player, sig, eu, pairs the rule's mask marks, in order)."""
+    for i, p in enumerate(game.players):
+        sig = profile.vectors[i]
+        eu = expected_utility(game, profile, i)
+        yield p, sig, eu, zip(*np.nonzero(rule(sig, eu)))
+
+
+def _violation(game, p, sig, eu, a, b, note):
+    a, b = int(a), int(b)
+    return Violation(
+        p,
+        (game.actions[p][a], game.actions[p][b]),
+        (float(sig[a]), float(sig[b])),
+        (float(eu[a]), float(eu[b])),
+        note,
+    )
 
 
 def is_weakly_payoff_monotone(game, profile, tol=DEFAULT_TOL):
@@ -45,21 +105,13 @@ def is_weakly_payoff_monotone(game, profile, tol=DEFAULT_TOL):
     Probability ties impose nothing; a pair violates when the probability
     gap exceeds `tol` but the utility gap does not.
     """
-    bad = []
-    for i, p in enumerate(game.players):
-        sig = profile.vectors[i]
-        eu = expected_utility(game, profile, i)
-        for a, b in itertools.permutations(range(len(sig)), 2):
-            if _greater(sig[a], sig[b], tol) and not _greater(eu[a], eu[b], tol):
-                bad.append(
-                    Violation(
-                        p,
-                        (game.actions[p][a], game.actions[p][b]),
-                        (float(sig[a]), float(sig[b])),
-                        (float(eu[a]), float(eu[b])),
-                        "played strictly more without strictly higher payoff",
-                    )
-                )
+    note = "played strictly more without strictly higher payoff"
+    bad = [
+        _violation(game, p, sig, eu, a, b, note)
+        for p, sig, eu, pairs in _marked_pairs(
+            game, profile, lambda s, u: weak_violations(s, u, tol))
+        for a, b in pairs
+    ]
     return MonotonicityVerdict(not bad, tuple(bad))
 
 
@@ -72,34 +124,17 @@ def is_payoff_monotone(game, profile, tol=DEFAULT_TOL):
     less than tol, so the direction of the gap decides, not its size.
     """
     bad = []
-    for i, p in enumerate(game.players):
-        sig = profile.vectors[i]
-        eu = expected_utility(game, profile, i)
-        for a, b in itertools.combinations(range(len(sig)), 2):
+    for p, sig, eu, pairs in _marked_pairs(
+            game, profile, lambda s, u: strict_violations(s, u, tol)):
+        for a, b in pairs:
             du = eu[a] - eu[b]
             if abs(du) <= tol:
-                if abs(sig[a] - sig[b]) > tol:
-                    bad.append(
-                        Violation(
-                            p,
-                            (game.actions[p][a], game.actions[p][b]),
-                            (float(sig[a]), float(sig[b])),
-                            (float(eu[a]), float(eu[b])),
-                            "utility tie without probability tie",
-                        )
-                    )
-                continue
-            hi, lo = (a, b) if du > 0 else (b, a)
-            if not sig[hi] > sig[lo]:
-                bad.append(
-                    Violation(
-                        p,
-                        (game.actions[p][hi], game.actions[p][lo]),
-                        (float(sig[hi]), float(sig[lo])),
-                        (float(eu[hi]), float(eu[lo])),
-                        "higher payoff without strictly higher probability",
-                    )
-                )
+                bad.append(_violation(game, p, sig, eu, a, b,
+                                      "utility tie without probability tie"))
+            else:  # reported best-paid first
+                hi, lo = (a, b) if du > 0 else (b, a)
+                bad.append(_violation(game, p, sig, eu, hi, lo,
+                                      "higher payoff without strictly higher probability"))
     return MonotonicityVerdict(not bad, tuple(bad))
 
 
@@ -107,21 +142,13 @@ def is_m_weakly_payoff_monotone(game, profile, m, tol=DEFAULT_TOL):
     """Weakly-better actions keep at least fraction `m` of the worse one's mass."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
-    bad = []
-    for i, p in enumerate(game.players):
-        sig = profile.vectors[i]
-        eu = expected_utility(game, profile, i)
-        for a, b in itertools.permutations(range(len(sig)), 2):
-            if eu[a] >= eu[b] - tol and not sig[a] >= m * sig[b] - tol:
-                bad.append(
-                    Violation(
-                        p,
-                        (game.actions[p][a], game.actions[p][b]),
-                        (float(sig[a]), float(sig[b])),
-                        (float(eu[a]), float(eu[b])),
-                        f"sigma(a) < {m} * sigma(b) despite weakly higher payoff",
-                    )
-                )
+    note = f"sigma(a) < {m} * sigma(b) despite weakly higher payoff"
+    bad = [
+        _violation(game, p, sig, eu, a, b, note)
+        for p, sig, eu, pairs in _marked_pairs(
+            game, profile, lambda s, u: m_weak_violations(s, u, m, tol))
+        for a, b in pairs
+    ]
     return MonotonicityVerdict(not bad, tuple(bad))
 
 
@@ -129,26 +156,40 @@ def sample_monotone_region(game, resolution, kind="weak", tol=DEFAULT_TOL):
     """Grid verdicts over the unit cube for games with two actions per player.
 
     Coordinates are sigma_i(first action).  Rows come out in lexicographic
-    coordinate order (first player's coordinate slowest).
+    coordinate order (first player's coordinate slowest).  Each verdict is
+    the rule's mask applied to the whole grid at once; a point's
+    probabilities and utilities are those of the `MixedProfile` at its
+    coordinates, bit for bit.
     """
     if any(k != 2 for k in game.action_counts):
         raise ValueError("region sampling requires exactly 2 actions per player")
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
-    if kind == "weak":
-        predicate = is_weakly_payoff_monotone
-    elif kind == "strict":
-        predicate = is_payoff_monotone
-    else:
+    rules = {"weak": weak_violations, "strict": strict_violations}
+    if kind not in rules:
         raise ValueError("kind must be 'weak' or 'strict'")
+    violated = rules[kind]
     axis = np.linspace(0.0, 1.0, resolution + 1)
-    rows = []
-    for idx in itertools.product(range(resolution + 1), repeat=game.n_players):
-        coords = tuple(float(axis[j]) for j in idx)
-        profile = MixedProfile(game, [np.array([c, 1.0 - c]) for c in coords])
-        rows.append((coords, bool(predicate(game, profile, tol).satisfied)))
-    return rows
+    n, size = game.n_players, len(axis)
+    # the profile vector at each coordinate, the same for every player
+    vecs = [normalized(np.array([c, 1.0 - c]), game.players[0]) for c in axis]
+    probs = np.array(vecs)
+    satisfied = np.ones((size,) * n, dtype=bool)
+    for i in range(n):
+        own = [1] * n + [2]
+        own[i] = size
+        sig = probs.reshape(own)
+        # i's utilities depend on the opponents' coordinates only
+        opp = [size] * n + [2]
+        opp[i] = 1
+        eu = np.empty(opp)
+        for idx in itertools.product(range(size), repeat=n - 1):
+            idx = idx[:i] + (0,) + idx[i:]
+            eu[idx] = utility_vector(game, i, [vecs[r] for r in idx])
+        satisfied &= ~violated(sig, eu, tol).any(axis=(-2, -1))
+    coords = itertools.product([float(c) for c in axis], repeat=n)
+    return list(zip(coords, satisfied.ravel().tolist()))
 
 
 def region_csv(rows):

@@ -60,6 +60,24 @@ class UnsupportedGameError(ValueError):
     """Game outside the enumeration limits of this module."""
 
 
+def check_schedule(schedule, name):
+    """ValueError unless `schedule` is non-empty and every entry is finite
+    and > 0: a NaN, infinite or non-positive eps or delta makes a verdict
+    at that scale meaningless."""
+    values = [float(v) for v in schedule]
+    if not values:
+        raise ValueError(f"the {name} schedule is empty")
+    if not all(np.isfinite(v) and v > 0 for v in values):
+        shown = ", ".join(f"{v:g}" for v in values)
+        raise ValueError(f"{name} schedule entries must be finite and > 0, got {shown}")
+
+
+def check_component_grid(points):
+    """ValueError unless a component grid has at least its two ends."""
+    if points < 2:
+        raise ValueError(f"a component grid needs at least 2 points, got {points}")
+
+
 @dataclass(frozen=True)
 class Component:
     """One-dimensional connected set of equilibria.
@@ -708,6 +726,7 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     Refutation uses the two-player equivalence with undominated play: an
     on-support weakly dominated action rules perfection out.
     """
+    check_schedule(schedule, "eps")
     _require_nash(game, profile)
     if game.n_players == 2:
         cert = _dominated_on_support(game, profile)
@@ -745,6 +764,7 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     smallest scheduled eps -- constraints only tighten for smaller eps, so
     pattern exhaustion rules out every tail of a would-be defining sequence.
     """
+    check_schedule(schedule, "eps")
     _require_nash(game, profile)
     if game.n_players == 2:
         cert = _dominated_on_support(game, profile)
@@ -786,6 +806,8 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
 
 def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE, component_grid=101):
     """Refinement tags for isolated equilibria plus component summaries."""
+    check_schedule(schedule, "eps")
+    check_component_grid(component_grid)
     undom = filter_undominated(game, eqset)
     tags = []
     for flag, prof in zip(undom.isolated_flags, eqset.isolated):

@@ -5,6 +5,13 @@ distribution over that player's actions.  Fixed points of the composition
 with the expected-payoff operator are quantal response equilibria; tracing
 them along an increasing logit precision schedule yields limit candidates
 that land on Nash equilibria.
+
+The fixed-point iterations run on plain vectors, one array per player:
+`utility_vector` gives the utilities and `normalized` cleans each iterate
+exactly as `MixedProfile` would.  Only the returned point becomes a
+`MixedProfile`, built from the raw vectors that the last iterate was
+cleaned from, so it holds the iterate's bits without a second
+normalization.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MixedProfile, expected_utility
+from .game import MixedProfile, _check_profile, normalized, utility_vector
 from .monotone import is_payoff_monotone, is_weakly_payoff_monotone
 
 FIXED_POINT_TOL = 1e-10
@@ -84,18 +91,20 @@ class QrePoint:
         return self.profile.is_interior
 
 
-def _apply_qrfs(game, qrfs, profile):
+def _apply_qrfs(game, qrfs, vectors):
     return [
-        np.asarray(q.evaluate(expected_utility(game, profile, i)), dtype=float)
+        np.asarray(q.evaluate(utility_vector(game, i, vectors)), dtype=float)
         for i, q in enumerate(qrfs)
     ]
 
 
-def _residual(profile, target_vectors):
-    return max(
-        float(np.max(np.abs(v - t)))
-        for v, t in zip(profile.vectors, target_vectors)
-    )
+def _residual(vectors, target_vectors):
+    return max(float(np.abs(v - t).max()) for v, t in zip(vectors, target_vectors))
+
+
+def _normalized(game, vectors):
+    return [normalized(np.asarray(v, dtype=float), p)
+            for p, v in zip(game.players, vectors)]
 
 
 def qre_fixed_point(game, qrfs, start=None, tol=FIXED_POINT_TOL,
@@ -108,18 +117,19 @@ def qre_fixed_point(game, qrfs, start=None, tol=FIXED_POINT_TOL,
     """
     if len(qrfs) != game.n_players:
         raise ValueError("one quantal response function per player required")
-    profile = start if start is not None else MixedProfile.uniform(game)
+    start = _check_profile(game, start) if start is not None else MixedProfile.uniform(game)
+    # the current point: its vectors, and the raw vectors they were cleaned
+    # from (None while it is `start` itself)
+    vecs, raw = start.vectors, None
     alpha = 1.0
-    target = _apply_qrfs(game, qrfs, profile)
-    res = _residual(profile, target)
+    target = _apply_qrfs(game, qrfs, vecs)
+    res = _residual(vecs, target)
     stall = 0
     for _ in range(max_iter):
         if res < tol:
-            return _accept(game, qrfs, profile, target, res, lam, tol)
-        step = [
-            (1 - alpha) * v + alpha * t for v, t in zip(profile.vectors, target)
-        ]
-        cand = MixedProfile(game, step)
+            return _accept(game, qrfs, start, raw, target, res, lam, tol)
+        step = [(1 - alpha) * v + alpha * t for v, t in zip(vecs, target)]
+        cand = _normalized(game, step)
         cand_target = _apply_qrfs(game, qrfs, cand)
         cand_res = _residual(cand, cand_target)
         if cand_res <= res or alpha <= 1e-3:
@@ -127,32 +137,33 @@ def qre_fixed_point(game, qrfs, start=None, tol=FIXED_POINT_TOL,
                 stall += 1
             else:
                 stall = 0
-            profile, target, res = cand, cand_target, cand_res
+            vecs, raw, target, res = cand, step, cand_target, cand_res
             alpha = min(1.0, alpha * 1.25)
         else:
             alpha *= 0.5
         if stall >= 60:
-            newton = _newton_polish(game, qrfs, profile, tol)
+            newton = _newton_polish(game, qrfs, vecs, tol)
             if newton is not None:
-                profile = newton
-                target = _apply_qrfs(game, qrfs, profile)
-                res = _residual(profile, target)
+                raw = newton
+                vecs = _normalized(game, raw)
+                target = _apply_qrfs(game, qrfs, vecs)
+                res = _residual(vecs, target)
                 if res < tol:
-                    return _accept(game, qrfs, profile, target, res, lam, tol)
+                    return _accept(game, qrfs, start, raw, target, res, lam, tol)
             stall = 0
     raise QreConvergenceError(
         f"fixed point not reached (last residual {res:.3e})", res
     )
 
 
-def _accept(game, qrfs, profile, target, res, lam, tol):
+def _accept(game, qrfs, start, raw, target, res, lam, tol):
     """Prefer landing on the QRF image: it is interior by construction,
     which heals exact zeros left by clipped Newton steps."""
-    imaged = MixedProfile(game, target)
+    imaged = _normalized(game, target)
     imaged_res = _residual(imaged, _apply_qrfs(game, qrfs, imaged))
     if imaged_res < tol:
-        return QrePoint(lam, imaged, imaged_res)
-    return QrePoint(lam, profile, res)
+        return QrePoint(lam, MixedProfile(game, target), imaged_res)
+    return QrePoint(lam, start if raw is None else MixedProfile(game, raw), res)
 
 
 def _stack_reduced(vectors):
@@ -160,6 +171,7 @@ def _stack_reduced(vectors):
 
 
 def _unstack_reduced(game, z):
+    """Raw vectors for reduced coordinates z; `_normalized` cleans them."""
     vecs = []
     pos = 0
     for k in game.action_counts:
@@ -167,16 +179,17 @@ def _unstack_reduced(game, z):
         pos += k - 1
         tail = max(0.0, 1.0 - head.sum())
         vecs.append(np.concatenate([head, [tail]]))
-    return MixedProfile(game, vecs)
+    return vecs
 
 
-def _newton_polish(game, qrfs, profile, tol, steps=40):
+def _newton_polish(game, qrfs, vectors, tol, steps=40):
+    """Raw vectors of a polished point, or None when Newton fails."""
     def defect(z):
-        prof = _unstack_reduced(game, z)
-        target = _apply_qrfs(game, qrfs, prof)
-        return _stack_reduced(prof.vectors) - _stack_reduced(target)
+        vecs = _normalized(game, _unstack_reduced(game, z))
+        target = _apply_qrfs(game, qrfs, vecs)
+        return _stack_reduced(vecs) - _stack_reduced(target)
 
-    z = _stack_reduced(profile.vectors)
+    z = _stack_reduced(vectors)
     n = len(z)
     for _ in range(steps):
         f = defect(z)
@@ -206,6 +219,12 @@ def _newton_polish(game, qrfs, profile, tol, steps=40):
 
 
 def default_lambda_schedule(lam_max=1e3, steps=40, lam_min=1e-2):
+    """0, then `steps` log-spaced values from lam_min to lam_max."""
+    if not (np.isfinite(lam_min) and np.isfinite(lam_max) and 0 < lam_min < lam_max):
+        raise ValueError(
+            "the lambda schedule needs finite 0 < lam_min < lam_max, "
+            f"got lam_min={lam_min:g}, lam_max={lam_max:g}"
+        )
     return [0.0] + list(np.logspace(np.log10(lam_min), np.log10(lam_max), steps))
 
 
@@ -286,24 +305,22 @@ def perturbed_monotone_point(game, mu, zeta, lam=1.0, tol=1e-12,
     if not check.satisfied:
         raise ValueError("mu is not weakly payoff monotone")
     logit = LogisticQRF(lam)
-    profile = mu
+    vecs = mu.vectors
     res = np.inf
     for _ in range(max_iter):
         target = [
-            (1 - zeta) * m + zeta * logit.evaluate(expected_utility(game, profile, i))
+            (1 - zeta) * m + zeta * logit.evaluate(utility_vector(game, i, vecs))
             for i, m in enumerate(mu.vectors)
         ]
-        res = max(
-            float(np.max(np.abs(v - t)))
-            for v, t in zip(profile.vectors, target)
-        )
-        profile = MixedProfile(game, target)
+        res = _residual(vecs, target)
+        vecs = _normalized(game, target)
         if res < tol:
             break
     else:
         raise QreConvergenceError(
             f"perturbation fixed point not reached (residual {res:.3e})", res
         )
+    profile = MixedProfile(game, target)
     return PerturbedPoint(
         profile, profile.distance(mu), is_payoff_monotone(game, profile)
     )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import empeq
+from empeq import corpus
 from empeq.cli import run
 from empeq.game import Game
 
@@ -92,13 +93,51 @@ def test_structural_zeros_in_components_print_as_zero(tmp_path):
     assert full["direction"][1][2] == 0.0
 
 
-@pytest.mark.parametrize("command", ["nash", "empirical", "trace"])
-@pytest.mark.parametrize("game", sorted(GAMES))
-def test_repeat_runs_are_byte_identical(command, game):
+def _profile_file(tmp_path, game):
+    # a mixed profile whose monotonicity verdicts list violations
+    game = corpus.get(game.split("-")[0], *game.split("-")[1:])
+    doc = {p: {a: (0.7 if j == 0 else 0.3 / (len(acts) - 1)) for j, a in enumerate(acts)}
+           for p, acts in game.actions.items()}
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# region needs two actions per player, so it runs on gamma1 only
+REPEAT_CASES = [(g, c) for g in sorted(GAMES) for c in ("nash", "empirical", "trace", "wpm")]
+REPEAT_CASES.append(("gamma1", "region"))
+
+
+@pytest.mark.parametrize("game, command", REPEAT_CASES)
+def test_repeat_runs_are_byte_identical(game, command, tmp_path):
     argv = [command, *GAMES[game]]
+    if command == "region":
+        argv += ["--resolution", "20"]
+    if command == "wpm":
+        argv += ["--profile", _profile_file(tmp_path, game), "--m", "0.5"]
     code, out, _ = _run(argv)
     assert code in (0, 1)
     assert out
     assert _run(argv)[:2] == (code, out)
     # a fresh interpreter has a fresh hash seed
     assert _run_fresh_process(argv) == (code, out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["empirical", "--corpus", "gamma1", "--delta-schedule", "nan"], "delta schedule"),
+    (["empirical", "--corpus", "gamma1", "--delta-schedule", "inf"], "delta schedule"),
+    (["empirical", "--corpus", "gamma1", "--delta-schedule", "0.1,-0.01"], "delta schedule"),
+    (["nash", "--corpus", "gamma1", "--eps-schedule", "-0.1"], "eps schedule"),
+    (["nash", "--corpus", "gamma1", "--eps-schedule", "0.1,nan"], "eps schedule"),
+    (["trace", "--corpus", "gamma1", "--lambda-max", "inf"], "lambda schedule"),
+    (["trace", "--corpus", "gamma1", "--lambda-max", "0.001"], "lambda schedule"),
+    (["empirical", "--corpus", "psi", "--grid", "0"], "component grid"),
+    (["empirical", "--corpus", "psi", "--grid", "1"], "component grid"),
+    (["nash", "--corpus", "psi", "--grid", "0"], "component grid"),
+])
+def test_meaningless_schedules_and_grids_are_input_errors(argv, message):
+    code, out, err = _run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Warning" not in err

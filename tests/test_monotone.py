@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from empeq.game import Game, MixedProfile, expected_utility
+from empeq import corpus
 from empeq.monotone import (
+    Violation,
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
     is_weakly_payoff_monotone,
@@ -201,3 +205,104 @@ def test_monotone_verdicts_relabel_invariant(seed):
     p2 = MixedProfile(g2, [p.vectors[0][perm], p.vectors[1]])
     for pred in (is_weakly_payoff_monotone, is_payoff_monotone):
         assert pred(g, p).satisfied == pred(g2, p2).satisfied
+
+
+# Pair-by-pair references: the rules as scalar loops over
+# itertools.permutations / combinations, as they were written before they
+# became array masks.
+
+
+def _ref_violation(game, p, sig, eu, a, b, note):
+    return Violation(p, (game.actions[p][a], game.actions[p][b]),
+                     (float(sig[a]), float(sig[b])), (float(eu[a]), float(eu[b])), note)
+
+
+def _ref_weak(game, profile, tol):
+    bad = []
+    for i, p in enumerate(game.players):
+        sig, eu = profile.vectors[i], expected_utility(game, profile, i)
+        for a, b in itertools.permutations(range(len(sig)), 2):
+            if sig[a] > sig[b] + tol and not eu[a] > eu[b] + tol:
+                bad.append(_ref_violation(game, p, sig, eu, a, b,
+                                          "played strictly more without strictly higher payoff"))
+    return tuple(bad)
+
+
+def _ref_strict(game, profile, tol):
+    bad = []
+    for i, p in enumerate(game.players):
+        sig, eu = profile.vectors[i], expected_utility(game, profile, i)
+        for a, b in itertools.combinations(range(len(sig)), 2):
+            du = eu[a] - eu[b]
+            if abs(du) <= tol:
+                if abs(sig[a] - sig[b]) > tol:
+                    bad.append(_ref_violation(game, p, sig, eu, a, b,
+                                              "utility tie without probability tie"))
+                continue
+            hi, lo = (a, b) if du > 0 else (b, a)
+            if not sig[hi] > sig[lo]:
+                bad.append(_ref_violation(game, p, sig, eu, hi, lo,
+                                          "higher payoff without strictly higher probability"))
+    return tuple(bad)
+
+
+def _ref_m_weak(game, profile, m, tol):
+    bad = []
+    for i, p in enumerate(game.players):
+        sig, eu = profile.vectors[i], expected_utility(game, profile, i)
+        for a, b in itertools.permutations(range(len(sig)), 2):
+            if eu[a] >= eu[b] - tol and not sig[a] >= m * sig[b] - tol:
+                bad.append(_ref_violation(
+                    game, p, sig, eu, a, b,
+                    f"sigma(a) < {m} * sigma(b) despite weakly higher payoff"))
+    return tuple(bad)
+
+
+def test_predicates_match_pairwise_reference():
+    rng = np.random.default_rng(31)
+    games = corpus_games()
+    for shape in ((3, 3), (4, 2), (3, 2, 2)):
+        # integer payoffs and rounded probabilities give exact ties
+        g = random_game(rng, shape)
+        games.append(Game(g.players, g.actions, np.round(g.payoffs / 4)))
+    for g in games:
+        for s in range(60):
+            vecs = [rng.dirichlet(np.ones(k)) for k in g.action_counts]
+            if s % 2:
+                vecs = [np.round(v * 4) + (v == v.max()) for v in vecs]
+            p = MixedProfile(g, vecs)
+            for tol in (1e-9, 0.0, -0.05, 0.2):
+                assert is_weakly_payoff_monotone(g, p, tol).violations == _ref_weak(g, p, tol)
+                assert is_payoff_monotone(g, p, tol).violations == _ref_strict(g, p, tol)
+                for m in (0.0, 0.5, 1.0):
+                    got = is_m_weakly_payoff_monotone(g, p, m, tol).violations
+                    assert got == _ref_m_weak(g, p, m, tol)
+
+
+def _region_reference(game, resolution, kind, tol=1e-9):
+    predicate = is_weakly_payoff_monotone if kind == "weak" else is_payoff_monotone
+    axis = np.linspace(0.0, 1.0, resolution + 1)
+    rows = []
+    for idx in itertools.product(range(resolution + 1), repeat=game.n_players):
+        coords = tuple(float(axis[j]) for j in idx)
+        profile = MixedProfile(game, [np.array([c, 1.0 - c]) for c in coords])
+        rows.append((coords, bool(predicate(game, profile, tol).satisfied)))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["weak", "strict"])
+@pytest.mark.parametrize("case", ["gamma1", "psi", "2x2x2"])
+def test_region_grid_matches_per_point_reference(case, kind):
+    if case == "2x2x2":
+        game, resolution = random_game(np.random.default_rng(5), (2, 2, 2), -3.0, 3.0), 8
+    else:
+        game, resolution = corpus.get(case), 200
+    rows = sample_monotone_region(game, resolution, kind=kind)
+    assert region_csv(rows) == region_csv(_region_reference(game, resolution, kind))
+
+
+@pytest.mark.parametrize("kind", ["weak", "strict"])
+def test_region_grid_matches_reference_at_other_tolerances(psi, kind):
+    for tol in (-0.01, 0.0, 0.3):
+        rows = sample_monotone_region(psi, 30, kind=kind, tol=tol)
+        assert rows == _region_reference(psi, 30, kind, tol)

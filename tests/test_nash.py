@@ -10,6 +10,7 @@ from empeq.nash import (
     UnsupportedGameError,
     check_perfect,
     check_proper,
+    classify,
     enumerate_nash,
     filter_undominated,
     is_epsilon_perfect,
@@ -272,6 +273,29 @@ def test_refinement_rejects_non_nash(gamma1):
         check_perfect(gamma1, p)
     with pytest.raises(ValueError):
         check_proper(gamma1, p)
+
+
+BAD_SCHEDULES = [(np.nan,), (np.inf,), (-0.1,), (0.0,), (0.1, -1e-3), ()]
+
+
+@pytest.mark.parametrize("schedule", BAD_SCHEDULES)
+def test_refinements_reject_meaningless_schedules(gamma1, schedule):
+    # (a1, b1) is strict, so any schedule would otherwise verify it
+    p = MixedProfile.pure(gamma1, {"P1": "a1", "P2": "b1"})
+    with pytest.raises(ValueError, match="schedule"):
+        check_perfect(gamma1, p, schedule=schedule)
+    with pytest.raises(ValueError, match="schedule"):
+        check_proper(gamma1, p, schedule=schedule)
+    with pytest.raises(ValueError, match="schedule"):
+        classify(gamma1, enumerate_nash(gamma1), schedule=schedule)
+
+
+@pytest.mark.parametrize("points", [-1, 0, 1])
+def test_classify_rejects_component_grid_below_two(psi, points):
+    with pytest.raises(ValueError, match="component grid"):
+        classify(psi, enumerate_nash(psi), component_grid=points)
+    _, (summary,) = classify(psi, enumerate_nash(psi), component_grid=2)
+    assert [e["t"] for e in summary["grid"]] == list(enumerate_nash(psi).components[0].interval)
 
 
 def test_nearest_nash(gamma1):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from empeq import corpus
-from empeq.game import Game, MixedProfile
+from empeq.game import Game, MixedProfile, ProfileError, expected_utility
 from empeq.monotone import is_payoff_monotone
 from empeq.qre import (
+    QRF,
     LogisticQRF,
     QreConvergenceError,
     default_lambda_schedule,
@@ -180,3 +181,187 @@ def test_newton_fallback_high_lambda():
     g = random_game(rng, (3, 3))
     pt = qre_fixed_point(g, logistic_profile(g, 40.0))
     assert pt.residual < 1e-10
+
+
+def test_default_lambda_schedule_rejects_meaningless_ranges():
+    assert len(default_lambda_schedule()) == 41
+    for kwargs in ({"lam_max": np.inf}, {"lam_max": np.nan}, {"lam_min": 0.0},
+                   {"lam_min": -1.0}, {"lam_max": 1e-3}, {"lam_max": 1e-2},
+                   {"lam_min": -np.inf}):
+        with pytest.raises(ValueError, match="lambda schedule"):
+            default_lambda_schedule(**kwargs)
+
+
+class _NanQRF(QRF):
+    def evaluate(self, utilities):
+        return np.full(len(utilities), np.nan)
+
+
+def test_nan_returning_qrf_raises_profile_error(gamma1):
+    with pytest.raises(ProfileError, match="non-finite"):
+        qre_fixed_point(gamma1, [_NanQRF(), _NanQRF()])
+
+
+# MixedProfile-based reference: the iteration as it was written before it ran
+# on plain vectors.  Every vector goes through a validated profile and every
+# utility through expected_utility.
+
+
+def _ref_apply(game, qrfs, profile):
+    return [np.asarray(q.evaluate(expected_utility(game, profile, i)), dtype=float)
+            for i, q in enumerate(qrfs)]
+
+
+def _ref_residual(profile, target):
+    return max(float(np.max(np.abs(v - t))) for v, t in zip(profile.vectors, target))
+
+
+def _ref_accept(game, qrfs, profile, target, res, lam, tol):
+    imaged = MixedProfile(game, target)
+    imaged_res = _ref_residual(imaged, _ref_apply(game, qrfs, imaged))
+    if imaged_res < tol:
+        return imaged, imaged_res
+    return profile, res
+
+
+def _ref_unstack(game, z):
+    vecs, pos = [], 0
+    for k in game.action_counts:
+        head = np.clip(z[pos : pos + k - 1], 0.0, 1.0)
+        pos += k - 1
+        vecs.append(np.concatenate([head, [max(0.0, 1.0 - head.sum())]]))
+    return MixedProfile(game, vecs)
+
+
+def _ref_stack(vectors):
+    return np.concatenate([v[:-1] for v in vectors])
+
+
+def _ref_newton(game, qrfs, profile, tol, steps=40):
+    def defect(z):
+        prof = _ref_unstack(game, z)
+        return _ref_stack(prof.vectors) - _ref_stack(_ref_apply(game, qrfs, prof))
+
+    z = _ref_stack(profile.vectors)
+    n = len(z)
+    for _ in range(steps):
+        f = defect(z)
+        if np.max(np.abs(f)) < tol / 4:
+            return _ref_unstack(game, z)
+        jac = np.empty((n, n))
+        for j in range(n):
+            zp = z.copy()
+            zp[j] += 1e-7
+            jac[:, j] = (defect(zp) - f) / 1e-7
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        scale, base = 1.0, np.max(np.abs(f))
+        for _ in range(20):
+            trial = z + scale * step
+            if np.max(np.abs(defect(trial))) < base:
+                z = trial
+                break
+            scale *= 0.5
+        else:
+            return None
+    return None
+
+
+def _ref_fixed_point(game, qrfs, start=None, tol=1e-10, max_iter=100_000, lam=None):
+    profile = start if start is not None else MixedProfile.uniform(game)
+    alpha, stall = 1.0, 0
+    target = _ref_apply(game, qrfs, profile)
+    res = _ref_residual(profile, target)
+    for _ in range(max_iter):
+        if res < tol:
+            return _ref_accept(game, qrfs, profile, target, res, lam, tol)
+        cand = MixedProfile(game, [(1 - alpha) * v + alpha * t
+                                   for v, t in zip(profile.vectors, target)])
+        cand_target = _ref_apply(game, qrfs, cand)
+        cand_res = _ref_residual(cand, cand_target)
+        if cand_res <= res or alpha <= 1e-3:
+            stall = stall + 1 if res - cand_res < 1e-3 * res else 0
+            profile, target, res = cand, cand_target, cand_res
+            alpha = min(1.0, alpha * 1.25)
+        else:
+            alpha *= 0.5
+        if stall >= 60:
+            newton = _ref_newton(game, qrfs, profile, tol)
+            if newton is not None:
+                profile = newton
+                target = _ref_apply(game, qrfs, profile)
+                res = _ref_residual(profile, target)
+                if res < tol:
+                    return _ref_accept(game, qrfs, profile, target, res, lam, tol)
+            stall = 0
+    raise QreConvergenceError("reference did not converge", res)
+
+
+def _ref_trace_step(game, lam_lo, lam_hi, profile, depth):
+    try:
+        point = _ref_fixed_point(game, logistic_profile(game, lam_hi), start=profile)
+        if point[0].distance(profile) <= 0.35 or depth >= 6:
+            return point
+    except QreConvergenceError:
+        if depth >= 6:
+            raise
+    mid = 0.5 * (lam_lo + lam_hi)
+    bridge = _ref_trace_step(game, lam_lo, mid, profile, depth + 1)
+    return _ref_trace_step(game, mid, lam_hi, bridge[0], depth + 1)
+
+
+def _ref_trace(game, schedule):
+    profile, prev, points = MixedProfile.uniform(game), 0.0, []
+    for lam in schedule:
+        points.append(_ref_trace_step(game, prev, lam, profile, 0))
+        profile, prev = points[-1][0], lam
+    return points
+
+
+def _ref_perturbed(game, mu, zeta, lam=1.0, tol=1e-12, max_iter=100_000):
+    logit, profile = LogisticQRF(lam), mu
+    for _ in range(max_iter):
+        target = [(1 - zeta) * m + zeta * logit.evaluate(expected_utility(game, profile, i))
+                  for i, m in enumerate(mu.vectors)]
+        res = max(float(np.max(np.abs(v - t))) for v, t in zip(profile.vectors, target))
+        profile = MixedProfile(game, target)
+        if res < tol:
+            return profile
+    raise QreConvergenceError("reference did not converge", res)
+
+
+def _same_bits(p, q):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(p.vectors, q.vectors))
+
+
+def _differential_games():
+    games = corpus_games()
+    games.append(random_game(np.random.default_rng(9), (3, 3)))
+    games.append(random_game(np.random.default_rng(5), (2, 2, 2), lo=-3.0, hi=3.0))
+    return games
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_logit_iteration_matches_profile_reference(index):
+    # psi, phi and the 2x2x2 game reach the Newton polish along the trace
+    g = _differential_games()[index]
+    schedule = default_lambda_schedule()
+    path = trace_logit_path(g, schedule)
+    ref = _ref_trace(g, schedule)
+    assert len(path.points) == len(ref)
+    for point, (profile, res) in zip(path.points, ref):
+        assert _same_bits(point.profile, profile)
+        assert point.residual == res
+    start = path.points[10].profile
+    for lam in (0.3, 4.0, 40.0):
+        for begin in (None, start):
+            got = qre_fixed_point(g, logistic_profile(g, lam), start=begin, lam=lam)
+            profile, res = _ref_fixed_point(g, logistic_profile(g, lam), start=begin)
+            assert _same_bits(got.profile, profile)
+            assert got.residual == res
+    for mu in (MixedProfile.uniform(g), path.points[5].profile):
+        for zeta in (0.25, 0.01):
+            got = perturbed_monotone_point(g, mu, zeta=zeta)
+            assert _same_bits(got.profile, _ref_perturbed(g, mu, zeta))
