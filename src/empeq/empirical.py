@@ -8,6 +8,15 @@ certified structurally, either through a weak-dominance forcing the limit
 violates, or by exhausting every comparison pattern at the smallest
 scheduled distance.  Everything else stays inconclusive.
 
+The scales of a schedule are nested.  Being interior, lying within delta and
+being monotone of the tested kind each survive a larger delta, so a witness
+for the smallest scheduled distance certifies the whole schedule.  The
+searches run smallest distance first, and a witness found is re-checked and
+reused at every larger distance (`nash.nested_witnesses`).
+`nash.check_perfect` and `nash.check_proper` do the same over eps:
+"non-best responses <= eps" and "ratios <= eps" only loosen as eps grows.
+A printed witness may therefore repeat across scales.
+
 With the fraction parameter m < 1 the same machinery decides m-empirical
 membership, where weakly-better actions only need fraction m of the
 weakly-worse action's probability.
@@ -33,6 +42,7 @@ from .nash import (
     check_component_grid,
     check_schedule,
     enumerate_nash,
+    nested_witnesses,
 )
 from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
 
@@ -105,6 +115,13 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     non-member: a dominance forcing is violated, or every pattern at the
     smallest distance is infeasible (then no monotone profile of the tested
     kind exists that close, so no sequence can converge to the candidate).
+
+    The distances are searched smallest first (`nash.nested_witnesses`).
+    A witness within delta is one within every larger delta (interior and
+    monotone do not depend on delta), so once a search succeeds its witness
+    is re-checked with `_witness_ok` and reused at every larger distance; a
+    member candidate costs one search, and its witnesses may be one profile
+    repeated.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
@@ -119,25 +136,21 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     if cert is not None and m > 0.0:
         return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
 
-    witnesses = []
-    missing = []
-    t1 = time.perf_counter()
-    if game.n_players == 2:
-        for delta in sorted(deltas, reverse=True):
+    def ok(witness, delta):
+        return _witness_ok(game, witness, profile, delta, m)
+
+    def find(delta):
+        if game.n_players == 2:
             out = search.monotone_pattern_search(game, profile, delta, m=m)
-            if out.outcome == search.OUTCOME_FEASIBLE and _witness_ok(
-                game, out.witness, profile, delta, m
-            ):
-                witnesses.append((delta, out.witness))
-            else:
-                missing.append(delta)
-    else:
-        for delta in sorted(deltas, reverse=True):
+            w = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
+        else:
             w = _generic_witness(game, profile, delta, m, seed)
-            if _witness_ok(game, w, profile, delta, m):
-                witnesses.append((delta, w))
-            else:
-                missing.append(delta)
+        return w if ok(w, delta) else None
+
+    t1 = time.perf_counter()
+    found = nested_witnesses(deltas, find, ok)
+    witnesses = [(d, w) for d, w in found if w is not None]
+    missing = [d for d, w in found if w is None]
     diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
 
     if not missing:

@@ -15,7 +15,7 @@ Most pairs of a generic game fail their equalities or give an infeasible
 point, so a screen decides those first, one size class (|s1|, |s2|) at a
 time: one fancy-indexed slice builds every pair's equality matrix and one
 stacked SVD gives each pair's rank, x0, residual and feasibility slack.
-The screen only rejects a pair by a margin far above the rounding by which
+The screen only decides a pair by a margin that bounds the rounding by which
 its sums can differ from `_side`'s; every other pair gets the exact per-pair
 decision, so the result is the same as deciding every pair exactly.
 
@@ -76,6 +76,26 @@ def check_component_grid(points):
     """ValueError unless a component grid has at least its two ends."""
     if points < 2:
         raise ValueError(f"a component grid needs at least 2 points, got {points}")
+
+
+def nested_witnesses(scales, find, ok):
+    """(scale, witness or None) per scale, largest scale first.
+
+    For schedules whose witness conditions only loosen as the scale grows,
+    so that a witness at one scale is one at every larger scale.  The
+    scales run smallest first: `find(scale)` searches one scale and returns
+    a checked witness or None, and the last witness found is re-checked
+    with `ok(witness, scale)` and reused at each larger scale; `find` runs
+    only where that check fails.
+    """
+    rows = []
+    last = None
+    for scale in sorted(scales):
+        if last is None or not ok(last, scale):
+            last = find(scale)
+        rows.append((scale, last))
+    rows.reverse()
+    return rows
 
 
 @dataclass(frozen=True)
@@ -292,10 +312,35 @@ def _screen_side(own, opp, opp_payoff, scale):
     `point` (consistent, no free dimension) and `infeasible` (a point whose
     x0 fails `_Side.x0_feasible`).
 
-    The screen is conservative: each decision needs a margin `err`, about a
-    thousand times the rounding by which these sums can differ from
-    `_side`'s, and no singular value may lie within a factor 4 of the rank
-    cut.  Pairs that miss a margin are neither bad nor point.
+    The screen is conservative: each decision needs a margin `err` that
+    bounds how far its resid and slack can round away from `_side`'s.
+    Pairs that miss a margin are neither bad nor point.
+
+    The bound.  `np.linalg.svd` runs the same LAPACK routine on each matrix
+    of a stack as on a single one, so both paths factor the same equality
+    matrix into the same U, s and Vt, and the same cut on s gives them the
+    same rank r; they differ only in the arithmetic after it.  Let u be the
+    unit roundoff, g_n = n u / (1 - n u), and T = sum of 1/s_k over the
+    kept values (`inv.sum()`).  As |U|, |Vt| <= 1, the exact x0 has entries of
+    size at most T, and an n-term dot product rounds by at most g_n times
+    the sum of its terms' sizes.
+    - x0: `_side` rounds U/s once and sums r <= p terms, the screen rounds
+      1/s and U * inv and sums min(p, q) <= p terms, so the two x0 differ
+      by at most (2p + 3) u T per entry.
+    - resid: each row of the q x p equality matrix has absolute sum at most
+      R = p (1 + 2 scale) (the ones row, and payoff differences of size
+      <= 2 scale).  The x0 gap moves a row by at most R (2p + 3) u T, and
+      each path's own dot products round it by at most g_p R T, so the
+      resids differ by at most (4p + 3) u R T, plus u times the resid
+      itself for the final subtraction of the right-hand side.
+    - slack: the probability rows are x0 itself.  For the payoff edge
+      `_side` rounds each difference of payoffs and then sums p terms of
+      size <= 2 scale T, while the screen sums two p-term products of size
+      <= scale T and subtracts; with the x0 gap the edges differ by at most
+      (4p + 4) u 2 scale p T, plus u times the edge for the final sums.
+    So err = (4p + 6) u R (1 + T) covers both; the 1 covers the terms that
+    scale with the resid, edge and tolerances themselves, all about thr or
+    below near a decision.
     """
     p, q = own.shape[1], opp.shape[1]
     block = opp_payoff[own[:, :, None], opp[:, None, :]]
@@ -305,16 +350,16 @@ def _screen_side(own, opp, opp_payoff, scale):
     r = s.shape[-1]
     cut = max(q, p) * np.finfo(float).eps * s[:, :1]
     kept = s > cut
-    clean = ~np.any((s > cut / 4) & (s <= 4 * cut), axis=-1)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     x0 = np.einsum("nij,ni->nj", vt[:, :r], u[:, 0, :r] * inv)
     resid = np.einsum("nij,nj->ni", a, x0)
     resid[:, 0] -= 1.0
     resid = np.max(np.abs(resid), axis=-1)
-    err = 1e-12 * p * (1.0 + 2.0 * scale) * (1.0 + inv.sum(axis=-1))
+    unit = np.finfo(float).eps / 2
+    err = (4 * p + 6) * unit * p * (1.0 + 2.0 * scale) * (1.0 + inv.sum(axis=-1))
     thr = 1e-9 * max(1.0, scale)
-    bad = clean & (resid > thr + err)
-    point = clean & (resid < thr - err) & (kept.sum(axis=-1) == p)
+    bad = resid > thr + err
+    point = (resid < thr - err) & (kept.sum(axis=-1) == p)
     # the opponent's payoff of each action against x0; the best one outside
     # opp may not beat opp[0] by more than NASH_TOL
     vals = np.einsum("nj,njb->nb", x0, opp_payoff[own])
@@ -719,12 +764,52 @@ def _dominated_on_support(game, profile, tol=NASH_TOL):
     return None
 
 
+def _refinement_rows(game, profile, schedule, delta_factor, closed_form,
+                     passes, pattern_search):
+    """(eps, witness, search outcome or None) per scheduled eps, largest
+    eps first.
+
+    Each eps takes its closed-form candidate when that lies within
+    delta_factor * eps.  The other eps share one `nested_witnesses` run of
+    the pattern search, whose outcomes are kept for the notes.
+    """
+    closed = {}
+    for eps in schedule:
+        cand = closed_form(game, profile, eps)
+        if cand is not None and cand.distance(profile) <= delta_factor * eps:
+            closed[eps] = cand
+    outcomes = {}
+
+    def find(eps):
+        if game.n_players != 2:
+            return None
+        out = outcomes[eps] = pattern_search(game, profile, eps, delta_factor * eps)
+        if out.outcome == search.OUTCOME_FEASIBLE and passes(game, out.witness, eps):
+            return out.witness
+        return None
+
+    def ok(witness, eps):
+        return (witness.distance(profile) <= delta_factor * eps
+                and passes(game, witness, eps))
+
+    searched = dict(nested_witnesses([e for e in schedule if e not in closed],
+                                     find, ok))
+    return [(eps, closed.get(eps, searched.get(eps)), outcomes.get(eps))
+            for eps in sorted(schedule, reverse=True)]
+
+
 def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
                   delta_factor=DELTA_FACTOR):
     """Three-valued perfection check with explicit witnesses.
 
     Refutation uses the two-player equivalence with undominated play: an
     on-support weakly dominated action rules perfection out.
+
+    An eps-perfect witness within delta_factor * eps is eps'-perfect and
+    within delta_factor * eps' for every eps' >= eps: interior stays
+    interior, the distance bound and "non-best responses <= eps" only grow.
+    So the pattern search runs at the smallest eps first and its witness is
+    reused at the larger ones, where it may therefore repeat.
     """
     check_schedule(schedule, "eps")
     _require_nash(game, profile)
@@ -732,26 +817,15 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
         cert = _dominated_on_support(game, profile)
         if cert is not None:
             return RefinementVerdict(REFUTED, certificate=cert)
-    witnesses = []
-    notes = []
-    for eps in sorted(schedule, reverse=True):
-        delta = delta_factor * eps
-        cand = _smoothed_perfect_witness(game, profile, eps)
-        if cand is not None and cand.distance(profile) <= delta:
-            witnesses.append((eps, cand))
-            continue
-        if game.n_players == 2:
-            out = search.perfect_pattern_search(game, profile, eps, delta)
-            if out.outcome == search.OUTCOME_FEASIBLE and is_epsilon_perfect(
-                game, out.witness, eps
-            ):
-                witnesses.append((eps, out.witness))
-                continue
-            notes.append(f"eps={eps:g}: no witness found ({out.tried} patterns)")
-        else:
-            notes.append(f"eps={eps:g}: no witness found")
+    rows = _refinement_rows(game, profile, schedule, delta_factor,
+                            _smoothed_perfect_witness, is_epsilon_perfect,
+                            search.perfect_pattern_search)
+    witnesses = [(eps, w) for eps, w, _ in rows if w is not None]
     if len(witnesses) == len(schedule):
         return RefinementVerdict(VERIFIED, witnesses)
+    notes = [f"eps={eps:g}: no witness found"
+             + ("" if out is None else f" ({out.tried} patterns)")
+             for eps, w, out in rows if w is None]
     return RefinementVerdict(INCONCLUSIVE, witnesses, notes=notes)
 
 
@@ -763,6 +837,12 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     perfection), or exhaustion of every utility-order pattern at the
     smallest scheduled eps -- constraints only tighten for smaller eps, so
     pattern exhaustion rules out every tail of a would-be defining sequence.
+
+    The same nesting runs the other way for witnesses: an eps-proper one
+    within delta_factor * eps is eps'-proper and within delta_factor * eps'
+    for every eps' >= eps, since "ratios <= eps" only loosens.  So the
+    pattern search runs at the smallest eps first and its witness is reused
+    at the larger ones, where it may therefore repeat.
     """
     check_schedule(schedule, "eps")
     _require_nash(game, profile)
@@ -770,35 +850,25 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
         cert = _dominated_on_support(game, profile)
         if cert is not None:
             return RefinementVerdict(REFUTED, certificate=cert)
-    witnesses = []
-    notes = []
-    smallest_refuted = None
-    for eps in sorted(schedule, reverse=True):
-        delta = delta_factor * eps
-        cand = _tiered_proper_witness(game, profile, eps)
-        if cand is not None and cand.distance(profile) <= delta:
-            witnesses.append((eps, cand))
-            continue
-        if game.n_players != 2:
-            notes.append(f"eps={eps:g}: no witness found")
-            continue
-        out = search.proper_pattern_search(game, profile, eps, delta)
-        if out.outcome == search.OUTCOME_FEASIBLE and is_epsilon_proper(
-            game, out.witness, eps
-        ):
-            witnesses.append((eps, out.witness))
-        else:
-            notes.append(f"eps={eps:g}: {out.outcome} ({out.tried} patterns)")
-            if eps == min(schedule) and out.outcome == search.OUTCOME_REFUTED:
-                smallest_refuted = out
+    rows = _refinement_rows(game, profile, schedule, delta_factor,
+                            _tiered_proper_witness, is_epsilon_proper,
+                            search.proper_pattern_search)
+    witnesses = [(eps, w) for eps, w, _ in rows if w is not None]
     if len(witnesses) == len(schedule):
         return RefinementVerdict(VERIFIED, witnesses)
-    if smallest_refuted is not None:
+    notes = [f"eps={eps:g}: no witness found" if out is None
+             else f"eps={eps:g}: {out.outcome} ({out.tried} patterns)"
+             for eps, w, out in rows if w is None]
+    smallest = min(schedule)
+    refuted = [out for eps, w, out in rows
+               if eps == smallest and out is not None
+               and out.outcome == search.OUTCOME_REFUTED]
+    if refuted:
         cert = {
             "kind": "order-exhaustion",
-            "eps": float(min(schedule)),
-            "delta": float(delta_factor * min(schedule)),
-            "patterns_tried": smallest_refuted.tried,
+            "eps": float(smallest),
+            "delta": float(delta_factor * smallest),
+            "patterns_tried": refuted[-1].tried,
         }
         return RefinementVerdict(REFUTED, witnesses, certificate=cert, notes=notes)
     return RefinementVerdict(INCONCLUSIVE, witnesses, notes=notes)

@@ -1,3 +1,4 @@
+import itertools
 from itertools import combinations
 
 import numpy as np
@@ -402,6 +403,9 @@ def _per_pair_reference(game):
 def test_enumeration_matches_per_pair_reference():
     rng = np.random.default_rng(4)
     games = [random_game(rng, (n, n)) for n in (4, 4, 4, 5, 5, 6, 6)]
+    # payoffs in [0, 1] give small singular values, where the screen's
+    # margin is tightest
+    games += [random_game(rng, (n, n), 0.0, 1.0) for n in (5, 6, 6)]
     # the first 48 integer games hold five segments that a tolerance fault
     # once dropped; the 3x3 game below held another
     games += _integer_games(48)
@@ -424,6 +428,65 @@ def test_enumeration_matches_per_pair_reference():
             assert np.allclose(c.interval, r.interval, rtol=0, atol=1e-12)
             for u, v in zip(c.base + c.direction, r.base + r.direction):
                 assert np.allclose(u, v, rtol=0, atol=1e-12)
+
+
+def _svd_calls(monkeypatch, fn, *args):
+    """(matrix, U, s, Vt) of every `np.linalg.svd` call made by fn(*args)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def record(a, *rest, **kwargs):
+        out = svd(a, *rest, **kwargs)
+        calls.append((np.array(a), *out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", record)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_stacked_svd_matches_per_pair_svd(monkeypatch, n):
+    # the screen's rounding bound rests on `_screen_side` and `_side`
+    # factoring the same equality matrix of each pair into the same bits
+    game = random_game(np.random.default_rng(0), (n, n), 0.0, 1.0)
+    scale = float(np.max(np.abs(game.payoffs)))
+    classes = nash._support_classes(n)
+    for s1, s2 in itertools.product(classes, classes):
+        i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
+        for own, opp, pay in ((s1[i], s2[j], game.payoffs[..., 1]),
+                              (s2[j], s1[i], game.payoffs[..., 0].T)):
+            [(a, u, s, vt)] = _svd_calls(monkeypatch, nash._screen_side,
+                                         own, opp, pay, scale)
+            for k in range(len(own)):
+                [(ak, uk, sk, vtk)] = _svd_calls(monkeypatch, nash._side,
+                                                 tuple(own[k]), tuple(opp[k]),
+                                                 pay, scale)
+                assert np.array_equal(ak, a[k])
+                assert np.array_equal(uk, u[k]) and np.array_equal(sk, s[k])
+                assert np.array_equal(vtk, vt[k])
+
+
+def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch):
+    # payoffs in [0, 1] give small singular values; the screen's margin must
+    # still be tight enough to decide every pair but the equilibria
+    game = random_game(np.random.default_rng(0), (6, 6), 0.0, 1.0)
+    pairs = []
+    solve = nash._solve_pair
+
+    def record(game, s1, s2, scale, out):
+        pairs.append((s1, s2))
+        solve(game, s1, s2, scale, out)
+
+    monkeypatch.setattr(nash, "_solve_pair", record)
+    eq = enumerate_nash(game)
+    assert len(pairs) == 5
+    assert len(eq.isolated) == 5
+    assert {tuple(tuple(np.flatnonzero(v)) for v in p.vectors)
+            for p in eq.isolated} == set(pairs)
 
 
 def test_face_projection_has_no_incentive_slack():

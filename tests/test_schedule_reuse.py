@@ -1,0 +1,291 @@
+"""Witness reuse across a schedule against the per-scale loops it replaced.
+
+`empirical_membership`, `check_perfect` and `check_proper` search the
+smallest scale first and reuse its witness at the larger ones.  The
+references below are the earlier loops, which searched every scale on its
+own.  Verdicts, certificates, notes and the scales that hold a witness must
+match; the witness profiles themselves may differ.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from empeq import corpus, empirical, nash, search
+from empeq.empirical import (
+    DEFAULT_DELTAS,
+    INCONCLUSIVE,
+    MEMBER,
+    NON_MEMBER,
+    MembershipVerdict,
+    Refutation,
+    empirical_membership,
+)
+from empeq.game import Game, MixedProfile, nash_defect
+from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
+from empeq.nash import (
+    DEFAULT_EPS_SCHEDULE,
+    DELTA_FACTOR,
+    check_perfect,
+    check_proper,
+    enumerate_nash,
+    is_epsilon_perfect,
+    is_epsilon_proper,
+)
+
+from conftest import corpus_games, random_game
+
+
+def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0, seed=0):
+    """One witness search per delta, largest first."""
+    cert = empirical._dominance_refutation(game, profile, m)
+    if cert is not None and m > 0.0:
+        return MembershipVerdict(NON_MEMBER, [], cert)
+    witnesses, missing = [], []
+    for delta in sorted(deltas, reverse=True):
+        if game.n_players == 2:
+            out = search.monotone_pattern_search(game, profile, delta, m=m)
+            w = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
+        else:
+            w = empirical._generic_witness(game, profile, delta, m, seed)
+        if empirical._witness_ok(game, w, profile, delta, m):
+            witnesses.append((delta, w))
+        else:
+            missing.append(delta)
+    if not missing:
+        return MembershipVerdict(MEMBER, witnesses)
+    if game.n_players == 2:
+        ref = search.monotone_pattern_search(game, profile, min(deltas), m=m,
+                                             refute_mode=True)
+        if ref.outcome == search.OUTCOME_REFUTED:
+            cert = Refutation("pattern-exhaustion", {
+                "delta": min(deltas), "m": m, "patterns_tried": ref.tried,
+                "note": "no monotone profile of the tested kind exists "
+                        "within delta of the candidate",
+            })
+            return MembershipVerdict(NON_MEMBER, witnesses, cert)
+    return MembershipVerdict(INCONCLUSIVE, witnesses, None,
+                             {"missing_deltas": missing})
+
+
+def _perfect_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
+    """One perfect-witness search per eps, largest first."""
+    if game.n_players == 2:
+        cert = nash._dominated_on_support(game, profile)
+        if cert is not None:
+            return nash.RefinementVerdict(nash.REFUTED, certificate=cert)
+    witnesses, notes = [], []
+    for eps in sorted(schedule, reverse=True):
+        delta = DELTA_FACTOR * eps
+        cand = nash._smoothed_perfect_witness(game, profile, eps)
+        if cand is not None and cand.distance(profile) <= delta:
+            witnesses.append((eps, cand))
+            continue
+        if game.n_players == 2:
+            out = search.perfect_pattern_search(game, profile, eps, delta)
+            if out.outcome == search.OUTCOME_FEASIBLE and is_epsilon_perfect(
+                game, out.witness, eps
+            ):
+                witnesses.append((eps, out.witness))
+                continue
+            notes.append(f"eps={eps:g}: no witness found ({out.tried} patterns)")
+        else:
+            notes.append(f"eps={eps:g}: no witness found")
+    if len(witnesses) == len(schedule):
+        return nash.RefinementVerdict(nash.VERIFIED, witnesses)
+    return nash.RefinementVerdict(nash.INCONCLUSIVE, witnesses, notes=notes)
+
+
+def _proper_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
+    """One proper-witness search per eps, largest first."""
+    if game.n_players == 2:
+        cert = nash._dominated_on_support(game, profile)
+        if cert is not None:
+            return nash.RefinementVerdict(nash.REFUTED, certificate=cert)
+    witnesses, notes = [], []
+    smallest_refuted = None
+    for eps in sorted(schedule, reverse=True):
+        delta = DELTA_FACTOR * eps
+        cand = nash._tiered_proper_witness(game, profile, eps)
+        if cand is not None and cand.distance(profile) <= delta:
+            witnesses.append((eps, cand))
+            continue
+        if game.n_players != 2:
+            notes.append(f"eps={eps:g}: no witness found")
+            continue
+        out = search.proper_pattern_search(game, profile, eps, delta)
+        if out.outcome == search.OUTCOME_FEASIBLE and is_epsilon_proper(
+            game, out.witness, eps
+        ):
+            witnesses.append((eps, out.witness))
+        else:
+            notes.append(f"eps={eps:g}: {out.outcome} ({out.tried} patterns)")
+            if eps == min(schedule) and out.outcome == search.OUTCOME_REFUTED:
+                smallest_refuted = out
+    if len(witnesses) == len(schedule):
+        return nash.RefinementVerdict(nash.VERIFIED, witnesses)
+    if smallest_refuted is not None:
+        cert = {
+            "kind": "order-exhaustion",
+            "eps": float(min(schedule)),
+            "delta": float(DELTA_FACTOR * min(schedule)),
+            "patterns_tried": smallest_refuted.tried,
+        }
+        return nash.RefinementVerdict(nash.REFUTED, witnesses, certificate=cert,
+                                      notes=notes)
+    return nash.RefinementVerdict(nash.INCONCLUSIVE, witnesses, notes=notes)
+
+
+def _candidates(game):
+    """Isolated equilibria, and component points at both ends and inside."""
+    eqset = enumerate_nash(game)
+    out = list(eqset.isolated)
+    for c in eqset.components:
+        out += [p for _, p in c.grid(game, 3)]
+    return out
+
+
+def _seeded_games():
+    rng = np.random.default_rng(2024)
+    return [random_game(rng, (n, n)) for n in (3, 4, 5) for _ in range(5)]
+
+
+def _integer_games():
+    # payoffs in {0, 1, 2}: ties, dominance, segments and degenerate faces
+    rng = np.random.default_rng(12)
+    return [Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(n)],
+                                "P2": [f"b{j}" for j in range(n)]},
+                 rng.integers(0, 3, size=(n, n, 2)).astype(float))
+            for n in (2, 3, 3, 3, 4, 4)]
+
+
+def _three_player_games():
+    return [random_game(np.random.default_rng(seed), (2, 2, 2), -3.0, 3.0)
+            for seed in range(4)]
+
+
+def _pure_equilibria(game):
+    out = []
+    for combo in itertools.product(*(range(k) for k in game.action_counts)):
+        pure = {p: game.actions[p][j] for p, j in zip(game.players, combo)}
+        candidate = MixedProfile.pure(game, pure)
+        if nash_defect(game, candidate) == 0:
+            out.append(candidate)
+    return out
+
+
+GAME_SETS = {
+    "corpus": lambda: [(g, _candidates(g)) for g in corpus_games()],
+    "seeded": lambda: [(g, _candidates(g)) for g in _seeded_games()],
+    "integer": lambda: [(g, _candidates(g)) for g in _integer_games()],
+    "three-player": lambda: [(g, _pure_equilibria(g)) for g in _three_player_games()],
+}
+
+
+def _recheck_monotone(game, candidate, verdict, m):
+    for delta, w in verdict.witnesses:
+        assert w.is_interior and w.distance(candidate) <= delta * (1 + 1e-9)
+        if m == 1.0:
+            assert is_payoff_monotone(game, w).satisfied
+        else:
+            assert is_m_weakly_payoff_monotone(game, w, m).satisfied
+
+
+# the wide schedules leave some corpus and integer-game candidates with
+# witnesses at their largest scales only, found by searches that run after
+# the smallest scale failed
+DELTA_SCHEDULES = {"default": DEFAULT_DELTAS, "wide": (0.5, 0.25, 1e-1, 1e-6)}
+EPS_SCHEDULES = {"default": DEFAULT_EPS_SCHEDULE, "wide": (0.3, 0.1, 1e-3, 1e-5)}
+
+
+def _capped_games():
+    # every two-player search stops at the 5-action cap: all deltas missing
+    return [(g, enumerate_nash(g).isolated)
+            for g in [random_game(np.random.default_rng(6), (6, 6))]]
+
+
+@pytest.mark.parametrize("schedule", sorted(DELTA_SCHEDULES))
+@pytest.mark.parametrize("m", [1.0, 0.5])
+@pytest.mark.parametrize("games", sorted(GAME_SETS) + ["capped"])
+def test_membership_matches_per_scale_reference(games, m, schedule):
+    deltas = DELTA_SCHEDULES[schedule]
+    decisions = set()
+    game_set = _capped_games() if games == "capped" else GAME_SETS[games]()
+    for game, candidates in game_set:
+        for candidate in candidates:
+            got = empirical_membership(game, candidate, deltas, m=m)
+            ref = _membership_reference(game, candidate, deltas, m=m)
+            assert got.decision == ref.decision
+            assert got.refutation == ref.refutation
+            assert [d for d, _ in got.witnesses] == [d for d, _ in ref.witnesses]
+            assert (got.diagnostics.get("missing_deltas")
+                    == ref.diagnostics.get("missing_deltas"))
+            _recheck_monotone(game, candidate, got, m)
+            decisions.add(got.decision)
+    if games == "capped":
+        assert decisions == {INCONCLUSIVE}
+    else:
+        assert MEMBER in decisions
+
+
+def _recheck_refinement(game, candidate, verdict, passes):
+    for eps, w in verdict.witnesses:
+        assert w.distance(candidate) <= DELTA_FACTOR * eps * (1 + 1e-9)
+        assert passes(game, w, eps)
+
+
+@pytest.mark.parametrize("schedule", sorted(EPS_SCHEDULES))
+@pytest.mark.parametrize("games", sorted(GAME_SETS))
+def test_refinements_match_per_scale_reference(games, schedule):
+    epss = EPS_SCHEDULES[schedule]
+    statuses = set()
+    for game, candidates in GAME_SETS[games]():
+        for candidate in candidates:
+            for check, reference, passes in (
+                (check_perfect, _perfect_reference, is_epsilon_perfect),
+                (check_proper, _proper_reference, is_epsilon_proper),
+            ):
+                got, ref = check(game, candidate, epss), reference(game, candidate, epss)
+                assert got.status == ref.status
+                assert got.certificate == ref.certificate
+                assert got.notes == ref.notes
+                assert [e for e, _ in got.witnesses] == [e for e, _ in ref.witnesses]
+                _recheck_refinement(game, candidate, got, passes)
+                statuses.add(got.status)
+    assert nash.VERIFIED in statuses
+
+
+def _count_searches(monkeypatch, name):
+    calls = []
+    original = getattr(search, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("refute_mode", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1.0, 0.5])
+def test_member_candidate_runs_one_search(monkeypatch, m):
+    game = corpus.gamma1()
+    top = MixedProfile.pure(game, {"P1": "a1", "P2": "b1"})
+    calls = _count_searches(monkeypatch, "monotone_pattern_search")
+    verdict = empirical_membership(game, top, m=m)
+    assert verdict.decision == MEMBER
+    assert len(verdict.witnesses) == len(DEFAULT_DELTAS)
+    assert calls == [False]
+
+
+def test_seeded_members_run_one_search_each(monkeypatch):
+    calls = _count_searches(monkeypatch, "monotone_pattern_search")
+    members = 0
+    for game in _seeded_games():
+        for candidate in enumerate_nash(game).isolated:
+            calls.clear()
+            if empirical_membership(game, candidate).decision == MEMBER:
+                assert calls == [False]
+                members += 1
+    assert members >= 3

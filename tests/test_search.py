@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 from scipy.optimize import linprog
 
 from empeq import search
-from empeq.empirical import empirical_membership
+from empeq.empirical import DEFAULT_DELTAS
 from empeq.nash import enumerate_nash
 
 from conftest import random_game
@@ -50,7 +52,9 @@ def test_ranked_orders_match_loop_reference():
 
 
 def _pattern_lps(monkeypatch, games):
-    """Every slack LP that membership searches solve on `games`."""
+    """Every slack LP that monotone pattern searches solve on `games`: at
+    each equilibrium, every default delta, m in (1, 0.5), witness and
+    refute mode."""
     lps = []
     solve = search.solve_player_lp
 
@@ -61,8 +65,10 @@ def _pattern_lps(monkeypatch, games):
     monkeypatch.setattr(search, "solve_player_lp", record)
     for game in games:
         for profile in enumerate_nash(game).isolated:
-            for m in (1.0, 0.5):
-                empirical_membership(game, profile, m=m)
+            for m, delta, refute in itertools.product((1.0, 0.5), DEFAULT_DELTAS,
+                                                      (False, True)):
+                search.monotone_pattern_search(game, profile, delta, m=m,
+                                               refute_mode=refute)
     monkeypatch.undo()
     return lps
 
