@@ -119,7 +119,6 @@ def build_parser():
     p.add_argument("--grid", type=int, default=101,
                    help="refinement grid points per component")
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
 
     p = subs.add_parser("wpm", help="monotonicity verdicts for a profile")
     _add_game_args(p)

@@ -2,20 +2,19 @@
 
 A Nash equilibrium is a member when interior payoff-monotone profiles exist
 arbitrarily close to it (the interior characterization of approachability by
-weakly payoff-monotone play).  Membership is certified numerically: one
-interior monotone witness per scheduled distance.  Non-membership is
-certified structurally, either through a weak-dominance forcing the limit
-violates, or by exhausting every comparison pattern at the smallest
-scheduled distance.  Everything else stays inconclusive.
+weakly payoff-monotone play).  Membership is certified numerically, by an
+interior monotone witness within the smallest scheduled distance.
+Non-membership is certified structurally, either through a weak-dominance
+forcing the limit violates, or by exhausting every comparison pattern at
+the smallest scheduled distance.  Everything else stays inconclusive.
 
 The scales of a schedule are nested.  Being interior, lying within delta and
-being monotone of the tested kind each survive a larger delta, so a witness
-for the smallest scheduled distance certifies the whole schedule.  The
-searches run smallest distance first, and a witness found is re-checked and
-reused at every larger distance (`nash.nested_witnesses`).
-`nash.check_perfect` and `nash.check_proper` do the same over eps:
+being monotone of the tested kind each survive a larger delta, so the
+smallest scheduled distance alone decides membership: one witness search
+runs there, and a witness found is listed at every scheduled distance.
+Only member verdicts carry witnesses.  `nash.check_perfect` and
+`nash.check_proper` decide at the smallest eps in the same way, since
 "non-best responses <= eps" and "ratios <= eps" only loosen as eps grows.
-A printed witness may therefore repeat across scales.
 
 With the fraction parameter m < 1 the same machinery decides m-empirical
 membership, where weakly-better actions only need fraction m of the
@@ -42,7 +41,6 @@ from .nash import (
     check_component_grid,
     check_schedule,
     enumerate_nash,
-    nested_witnesses,
 )
 from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
 
@@ -62,7 +60,8 @@ class Refutation:
 @dataclass
 class MembershipVerdict:
     decision: str
-    witnesses: list  # (delta, MixedProfile), delta decreasing
+    witnesses: list  # member only: (delta, MixedProfile) per scheduled delta,
+    # largest first, one smallest-delta witness repeated
     refutation: Refutation | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -111,23 +110,21 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
                          nash_tol=NASH_TOL, seed=0):
     """Decide (m-)empirical membership of a Nash candidate.
 
-    member: an interior monotone witness exists at every scheduled distance.
+    member: an interior monotone witness exists within the smallest
+    scheduled distance.  It is one within every larger distance (interior
+    and monotone do not depend on delta), so it is listed at every scheduled
+    distance, largest first.
     non-member: a dominance forcing is violated, or every pattern at the
     smallest distance is infeasible (then no monotone profile of the tested
     kind exists that close, so no sequence can converge to the candidate).
-
-    The distances are searched smallest first (`nash.nested_witnesses`).
-    A witness within delta is one within every larger delta (interior and
-    monotone do not depend on delta), so once a search succeeds its witness
-    is re-checked with `_witness_ok` and reused at every larger distance; a
-    member candidate costs one search, and its witnesses may be one profile
-    repeated.
+    Non-member and inconclusive verdicts carry no witnesses.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
     check_schedule(delta_schedule, "delta")
     _require_nash(game, profile, nash_tol)
-    deltas = sorted(float(d) for d in delta_schedule)
+    deltas = sorted((float(d) for d in delta_schedule), reverse=True)
+    delta = deltas[-1]
     t0 = time.perf_counter()
     diagnostics = {"m": m, "stage_seconds": {}}
 
@@ -136,30 +133,22 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     if cert is not None and m > 0.0:
         return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
 
-    def ok(witness, delta):
-        return _witness_ok(game, witness, profile, delta, m)
-
-    def find(delta):
-        if game.n_players == 2:
-            out = search.monotone_pattern_search(game, profile, delta, m=m)
-            w = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
-        else:
-            w = _generic_witness(game, profile, delta, m, seed)
-        return w if ok(w, delta) else None
-
     t1 = time.perf_counter()
-    found = nested_witnesses(deltas, find, ok)
-    witnesses = [(d, w) for d, w in found if w is not None]
-    missing = [d for d, w in found if w is None]
+    if game.n_players == 2:
+        out = search.monotone_pattern_search(game, profile, delta, m=m)
+        witness = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
+    else:
+        witness = _generic_witness(game, profile, delta, m, seed)
     diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
 
-    if not missing:
+    if _witness_ok(game, witness, profile, delta, m):
+        witnesses = [(d, witness) for d in deltas]
         return MembershipVerdict(MEMBER, witnesses, None, diagnostics)
 
     t2 = time.perf_counter()
     if game.n_players == 2:
         ref = search.monotone_pattern_search(
-            game, profile, deltas[0], m=m, refute_mode=True
+            game, profile, delta, m=m, refute_mode=True
         )
         diagnostics["stage_seconds"]["refutation"] = time.perf_counter() - t2
         diagnostics["patterns_tried"] = ref.tried
@@ -167,16 +156,15 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
             cert = Refutation(
                 "pattern-exhaustion",
                 {
-                    "delta": deltas[0],
+                    "delta": delta,
                     "m": m,
                     "patterns_tried": ref.tried,
                     "note": "no monotone profile of the tested kind exists "
                             "within delta of the candidate",
                 },
             )
-            return MembershipVerdict(NON_MEMBER, witnesses, cert, diagnostics)
-    diagnostics["missing_deltas"] = missing
-    return MembershipVerdict(INCONCLUSIVE, witnesses, None, diagnostics)
+            return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
+    return MembershipVerdict(INCONCLUSIVE, [], None, diagnostics)
 
 
 def _generic_witness(game, profile, delta, m, seed):
@@ -277,15 +265,11 @@ def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0,
     ]
     comps = []
     for comp in eqset.components:
-        lo, hi = comp.interval
-        ts = np.linspace(lo, hi, component_grid)
-        grid = []
-        for t in ts:
-            prof = comp.profile_at(game, float(t))
-            verdict = empirical_membership(
-                game, prof, delta_schedule, m=m, seed=seed
-            )
-            grid.append((float(t), verdict.decision))
+        grid = [
+            (t, empirical_membership(game, prof, delta_schedule, m=m,
+                                     seed=seed).decision)
+            for t, prof in comp.grid(game, component_grid)
+        ]
         intervals = []
         run_start = None
         for t, dec in grid:

@@ -26,7 +26,10 @@ checks the interval ends and every crossing of two of the distance's lines.
 Perfection and properness are decided by bounded searches for the
 epsilon-constrained interior profiles of their definitions, so verdicts are
 three-valued: verified (witness sequence in hand), refuted (structural
-certificate), or inconclusive.
+certificate), or inconclusive.  The witness conditions only loosen as eps
+grows, so each check is decided at the smallest scheduled eps alone; only a
+verified verdict carries witnesses, its smallest-eps witness listed at every
+scheduled eps.
 """
 
 from __future__ import annotations
@@ -76,26 +79,6 @@ def check_component_grid(points):
     """ValueError unless a component grid has at least its two ends."""
     if points < 2:
         raise ValueError(f"a component grid needs at least 2 points, got {points}")
-
-
-def nested_witnesses(scales, find, ok):
-    """(scale, witness or None) per scale, largest scale first.
-
-    For schedules whose witness conditions only loosen as the scale grows,
-    so that a witness at one scale is one at every larger scale.  The
-    scales run smallest first: `find(scale)` searches one scale and returns
-    a checked witness or None, and the last witness found is re-checked
-    with `ok(witness, scale)` and reused at each larger scale; `find` runs
-    only where that check fails.
-    """
-    rows = []
-    last = None
-    for scale in sorted(scales):
-        if last is None or not ok(last, scale):
-            last = find(scale)
-        rows.append((scale, last))
-    rows.reverse()
-    return rows
 
 
 @dataclass(frozen=True)
@@ -764,52 +747,15 @@ def _dominated_on_support(game, profile, tol=NASH_TOL):
     return None
 
 
-def _refinement_rows(game, profile, schedule, delta_factor, closed_form,
-                     passes, pattern_search):
-    """(eps, witness, search outcome or None) per scheduled eps, largest
-    eps first.
+def _check_refinement(game, profile, schedule, delta_factor, closed_form,
+                      passes, pattern_search, exhaustion_refutes):
+    """Decide a refinement at the smallest scheduled eps.
 
-    Each eps takes its closed-form candidate when that lies within
-    delta_factor * eps.  The other eps share one `nested_witnesses` run of
-    the pattern search, whose outcomes are kept for the notes.
-    """
-    closed = {}
-    for eps in schedule:
-        cand = closed_form(game, profile, eps)
-        if cand is not None and cand.distance(profile) <= delta_factor * eps:
-            closed[eps] = cand
-    outcomes = {}
-
-    def find(eps):
-        if game.n_players != 2:
-            return None
-        out = outcomes[eps] = pattern_search(game, profile, eps, delta_factor * eps)
-        if out.outcome == search.OUTCOME_FEASIBLE and passes(game, out.witness, eps):
-            return out.witness
-        return None
-
-    def ok(witness, eps):
-        return (witness.distance(profile) <= delta_factor * eps
-                and passes(game, witness, eps))
-
-    searched = dict(nested_witnesses([e for e in schedule if e not in closed],
-                                     find, ok))
-    return [(eps, closed.get(eps, searched.get(eps)), outcomes.get(eps))
-            for eps in sorted(schedule, reverse=True)]
-
-
-def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
-                  delta_factor=DELTA_FACTOR):
-    """Three-valued perfection check with explicit witnesses.
-
-    Refutation uses the two-player equivalence with undominated play: an
-    on-support weakly dominated action rules perfection out.
-
-    An eps-perfect witness within delta_factor * eps is eps'-perfect and
-    within delta_factor * eps' for every eps' >= eps: interior stays
-    interior, the distance bound and "non-best responses <= eps" only grow.
-    So the pattern search runs at the smallest eps first and its witness is
-    reused at the larger ones, where it may therefore repeat.
+    The closed-form candidate is kept if it lies within delta_factor * eps,
+    else the pattern search runs.  A witness found is listed at every
+    scheduled eps, largest first; any other verdict carries no witnesses
+    and one note for the smallest eps.  With `exhaustion_refutes`, a search
+    that exhausts every pattern refutes.
     """
     check_schedule(schedule, "eps")
     _require_nash(game, profile)
@@ -817,21 +763,60 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
         cert = _dominated_on_support(game, profile)
         if cert is not None:
             return RefinementVerdict(REFUTED, certificate=cert)
-    rows = _refinement_rows(game, profile, schedule, delta_factor,
-                            _smoothed_perfect_witness, is_epsilon_perfect,
-                            search.perfect_pattern_search)
-    witnesses = [(eps, w) for eps, w, _ in rows if w is not None]
-    if len(witnesses) == len(schedule):
-        return RefinementVerdict(VERIFIED, witnesses)
-    notes = [f"eps={eps:g}: no witness found"
-             + ("" if out is None else f" ({out.tried} patterns)")
-             for eps, w, out in rows if w is None]
-    return RefinementVerdict(INCONCLUSIVE, witnesses, notes=notes)
+    eps = min(schedule)
+    delta = delta_factor * eps
+    witness = closed_form(game, profile, eps)
+    if witness is not None and witness.distance(profile) > delta:
+        witness = None
+    out = None
+    if witness is None and game.n_players == 2:
+        out = pattern_search(game, profile, eps, delta)
+        if out.outcome == search.OUTCOME_FEASIBLE and passes(game, out.witness, eps):
+            witness = out.witness
+    if witness is not None:
+        return RefinementVerdict(
+            VERIFIED, [(e, witness) for e in sorted(schedule, reverse=True)]
+        )
+    if out is None:
+        return RefinementVerdict(INCONCLUSIVE, notes=[f"eps={eps:g}: no witness found"])
+    if not exhaustion_refutes:
+        return RefinementVerdict(
+            INCONCLUSIVE, notes=[f"eps={eps:g}: no witness found ({out.tried} patterns)"]
+        )
+    notes = [f"eps={eps:g}: {out.outcome} ({out.tried} patterns)"]
+    if out.outcome == search.OUTCOME_REFUTED:
+        cert = {
+            "kind": "order-exhaustion",
+            "eps": float(eps),
+            "delta": float(delta),
+            "patterns_tried": out.tried,
+        }
+        return RefinementVerdict(REFUTED, certificate=cert, notes=notes)
+    return RefinementVerdict(INCONCLUSIVE, notes=notes)
+
+
+def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
+                  delta_factor=DELTA_FACTOR):
+    """Three-valued perfection check, decided at the smallest scheduled eps.
+
+    Refutation uses the two-player equivalence with undominated play: an
+    on-support weakly dominated action rules perfection out.
+
+    An eps-perfect witness within delta_factor * eps is eps'-perfect and
+    within delta_factor * eps' for every eps' >= eps: interior stays
+    interior, the distance bound and "non-best responses <= eps" only grow.
+    So only the smallest eps is searched, and `verified` lists its witness
+    at every scheduled eps; refuted and inconclusive verdicts carry none.
+    """
+    return _check_refinement(game, profile, schedule, delta_factor,
+                             _smoothed_perfect_witness, is_epsilon_perfect,
+                             search.perfect_pattern_search,
+                             exhaustion_refutes=False)
 
 
 def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
                  delta_factor=DELTA_FACTOR):
-    """Three-valued properness check.
+    """Three-valued properness check, decided at the smallest scheduled eps.
 
     Refutation: either an on-support dominated action (properness implies
     perfection), or exhaustion of every utility-order pattern at the
@@ -840,38 +825,14 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
 
     The same nesting runs the other way for witnesses: an eps-proper one
     within delta_factor * eps is eps'-proper and within delta_factor * eps'
-    for every eps' >= eps, since "ratios <= eps" only loosens.  So the
-    pattern search runs at the smallest eps first and its witness is reused
-    at the larger ones, where it may therefore repeat.
+    for every eps' >= eps, since "ratios <= eps" only loosens.  So only the
+    smallest eps is searched, and `verified` lists its witness at every
+    scheduled eps; refuted and inconclusive verdicts carry none.
     """
-    check_schedule(schedule, "eps")
-    _require_nash(game, profile)
-    if game.n_players == 2:
-        cert = _dominated_on_support(game, profile)
-        if cert is not None:
-            return RefinementVerdict(REFUTED, certificate=cert)
-    rows = _refinement_rows(game, profile, schedule, delta_factor,
-                            _tiered_proper_witness, is_epsilon_proper,
-                            search.proper_pattern_search)
-    witnesses = [(eps, w) for eps, w, _ in rows if w is not None]
-    if len(witnesses) == len(schedule):
-        return RefinementVerdict(VERIFIED, witnesses)
-    notes = [f"eps={eps:g}: no witness found" if out is None
-             else f"eps={eps:g}: {out.outcome} ({out.tried} patterns)"
-             for eps, w, out in rows if w is None]
-    smallest = min(schedule)
-    refuted = [out for eps, w, out in rows
-               if eps == smallest and out is not None
-               and out.outcome == search.OUTCOME_REFUTED]
-    if refuted:
-        cert = {
-            "kind": "order-exhaustion",
-            "eps": float(smallest),
-            "delta": float(delta_factor * smallest),
-            "patterns_tried": refuted[-1].tried,
-        }
-        return RefinementVerdict(REFUTED, witnesses, certificate=cert, notes=notes)
-    return RefinementVerdict(INCONCLUSIVE, witnesses, notes=notes)
+    return _check_refinement(game, profile, schedule, delta_factor,
+                             _tiered_proper_witness, is_epsilon_proper,
+                             search.proper_pattern_search,
+                             exhaustion_refutes=True)
 
 
 def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE, component_grid=101):
@@ -890,14 +851,11 @@ def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE, component_grid=101):
         )
     comp_summaries = []
     for comp, region in zip(eqset.components, undom.component_regions):
-        lo, hi = comp.interval
-        ts = np.linspace(lo, hi, component_grid)
         entries = []
-        for t in ts:
-            prof = comp.profile_at(game, float(t))
+        for t, prof in comp.grid(game, component_grid):
             entries.append(
                 {
-                    "t": float(t),
+                    "t": t,
                     "undominated": undominated_flag(game, prof),
                     "perfect": check_perfect(game, prof, schedule=schedule).status,
                     "proper": check_proper(game, prof, schedule=schedule).status,
