@@ -12,12 +12,21 @@ that keeps its side records, so `nearest_nash` projects onto the face with
 one LP per side.
 
 Most pairs of a generic game fail their equalities or give an infeasible
-point, so a screen decides those first, one size class (|s1|, |s2|) at a
-time: one fancy-indexed slice builds every pair's equality matrix and one
-stacked SVD gives each pair's rank, x0, residual and feasibility slack.
-The screen only decides a pair by a margin that bounds the rounding by which
-its sums can differ from `_side`'s; every other pair gets the exact per-pair
-decision, so the result is the same as deciding every pair exactly.
+point, so enumeration decides each size class (|s1|, |s2|) in three stages:
+- Certificate.  In an unbalanced pair (|s1| != |s2|) one side has more
+  equalities than unknowns.  One stacked determinant per class proves that
+  side's equalities inconsistent on most such pairs, by a lower bound on
+  the residual of any solution `_side` could compute; no SVD is taken.
+  This is the balance condition of Porter, Nudelman & Shoham (GEB 2008),
+  applied pair by pair, so degenerate games keep their unbalanced
+  equilibria.
+- SVD screen.  For the remaining pairs one fancy-indexed slice builds every
+  equality matrix and one stacked SVD gives each pair's rank, x0, residual
+  and feasibility slack.  The screen only decides a pair by a margin that
+  bounds the rounding by which its sums can differ from `_side`'s.
+- Exact decision.  Every pair left undecided goes to `_solve_pair`.
+Certified pairs would fail `_side` as well, so the result is the same as
+deciding every pair exactly.
 
 The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
@@ -34,6 +43,7 @@ scheduled eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -274,19 +284,74 @@ def _screen_class(game, s1, s2, scale):
     i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
     x = (s1[i], s2[j], game.payoffs[..., 1])
     y = (s2[j], s1[i], game.payoffs[..., 0].T)
-    # a side with more equalities than unknowns fails on almost every pair
-    # of a generic game, so it is screened first and the other side only
-    # where it passes
+    # in an unbalanced pair the side of the smaller support has more
+    # equalities than unknowns; `_certified_inconsistent` proves it fails
+    # on most such pairs without an SVD, and only the rest are screened,
+    # that side first and the other side only where it passes
     first, second = (x, y) if s2.shape[1] > s1.shape[1] else (y, x)
-    bad, point, infeasible = _screen_side(*first, scale)
-    rest = ~bad
-    bad2, point2, infeasible2 = _screen_side(second[0][rest], second[1][rest],
-                                             second[2], scale)
-    rejected = point[rest] & point2 & (infeasible[rest] | infeasible2)
+    live = np.arange(len(i))
+    if s1.shape[1] != s2.shape[1]:
+        live = live[~_certified_inconsistent(*first, scale)]
+    point, infeasible = True, False
+    for own, opp, opp_payoff in (first, second):
+        if not live.size:
+            break
+        bad, pt, inf = _screen_side(own[live], opp[live], opp_payoff, scale)
+        live = live[~bad]
+        point, infeasible = (point & pt)[~bad], (infeasible | inf)[~bad]
     code = np.full(len(i), _INCONSISTENT, dtype=np.int8)
-    code[rest] = np.where(bad2, _INCONSISTENT,
-                          np.where(rejected, _REJECTED, _EXACT))
+    code[live] = np.where(point & infeasible, _REJECTED, _EXACT)
     return code.reshape(len(s1), len(s2))
+
+
+def _certified_inconsistent(own, opp, opp_payoff, scale):
+    """For the pairs (own[n], opp[n]) of a size class whose side has fewer
+    unknowns p = len(own[n]) than equalities q = len(opp[n]): a boolean
+    array, True where `_side` is proven to return None.  No SVD is taken.
+
+    The bound.  Let a (q x p) be `_side`'s equality matrix, with right-hand
+    side e1, and C the first p + 1 rows of [a | e1].  C's first row is all
+    ones and its last column is e1, so |det C| = |det D| for the p x p block
+    D of payoff differences under the first row.  For any x0, the one
+    `_side` computes included, put z = (x0, -1) and M = max(1, |x0|_inf)
+    <= |z|_2; then |a x0 - e1|_inf >= |a x0 - e1|_2 / sqrt(q)
+    >= |C z|_2 / sqrt(q) >= sigma_min(C) M / sqrt(q).  Let u be the unit
+    roundoff and g_n = n u / (1 - n u).  Each row of a has absolute sum at
+    most R = p max(1, 2 scale), so the computed a @ x0 is off by at most
+    g_p R M per entry, and the subtraction of e1 rounds by a factor 1 - u
+    at worst: `_side`'s resid is at least (1 - u) M (sigma_min(C) / sqrt(q)
+    - g_p R), with M >= 1, and exceeds thr = 1e-9 max(1, scale) once
+        sigma_min(C) > sqrt(q) (thr / (1 - u) + g_p R).
+    For sigma_min(C): the product of C's singular values is |det C| and none
+    exceeds |C|_F, so sigma_min(C) >= |det C| / |C|_F^p.  `slogdet` factors
+    D by LU with partial pivoting, which is exact for some D + E with
+    |E|_F <= e = g_p p^2 2^(p-1) 2 scale (multipliers at most 1, growth at
+    most 2^(p-1), entries of D at most 2 scale).  Putting E into C's D block
+    gives a C' with |C' - C|_2 <= e and |det C'| = |det(D + E)|, so
+        sigma_min(C) >= |det(D + E)| / (|C|_F + e)^p - e,
+    where |C|_F^2 = p + 1 + |D|_F^2 and log |det(D + E)| is the logarithm
+    that `slogdet` returns.  The test compares logarithms, so payoff scales
+    of 1e+-150 neither overflow nor underflow; a singular D has log -inf and
+    is never certified.  A slack of 1e-6 in the logarithm covers the
+    rounding of the logarithms, of |C|_F and of the bound itself, and the
+    1 + O(p u) factors the growth picks up in floating point (all relative
+    errors below 1e-10 for p <= 20).  The argument holds for every x0, so
+    it needs no error constant of the SVD.
+    """
+    p, q = own.shape[1], opp.shape[1]
+    block = opp_payoff[own[:, :, None], opp[:, None, :p + 1]]
+    # the transpose of D, rounded as `_side` rounds a
+    d = block[..., :-1] - block[..., 1:]
+    _, logdet = np.linalg.slogdet(d)
+    unit = np.finfo(float).eps / 2
+    g_p = p * unit / (1 - p * unit)
+    lu = g_p * p * p * 2.0 ** (p - 1) * 2.0 * scale
+    thr = 1e-9 * max(1.0, scale)
+    need = math.sqrt(q) * (thr / (1 - unit) + g_p * p * max(1.0, 2.0 * scale)) + lu
+    # payoffs beyond 1e153 overflow the norm to inf, which only withholds
+    # the certificate
+    frob = np.sqrt(p + 1 + np.einsum("nij,nij->n", d, d))
+    return logdet - p * np.log(frob + lu) > math.log(need) + 1e-6
 
 
 def _screen_side(own, opp, opp_payoff, scale):

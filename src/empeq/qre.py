@@ -219,7 +219,12 @@ def _newton_polish(game, qrfs, vectors, tol, steps=40):
 
 
 def default_lambda_schedule(lam_max=1e3, steps=40, lam_min=1e-2):
-    """0, then `steps` log-spaced values from lam_min to lam_max."""
+    """0, then `steps` log-spaced values from lam_min to lam_max.
+
+    ValueError unless steps >= 2: fewer points cannot reach lam_max from
+    lam_min."""
+    if steps < 2:
+        raise ValueError(f"the lambda schedule needs steps >= 2, got steps={steps}")
     if not (np.isfinite(lam_min) and np.isfinite(lam_max) and 0 < lam_min < lam_max):
         raise ValueError(
             "the lambda schedule needs finite 0 < lam_min < lam_max, "

@@ -134,6 +134,9 @@ def test_repeat_runs_are_byte_identical(game, command, tmp_path):
     (["empirical", "--corpus", "psi", "--grid", "0"], "component grid"),
     (["empirical", "--corpus", "psi", "--grid", "1"], "component grid"),
     (["nash", "--corpus", "psi", "--grid", "0"], "component grid"),
+    (["trace", "--corpus", "gamma1", "--steps", "1", "--lambda-max", "1000"],
+     "steps >= 2"),
+    (["trace", "--corpus", "gamma1", "--steps", "-3"], "steps >= 2"),
 ])
 def test_meaningless_schedules_and_grids_are_input_errors(argv, message):
     code, out, err = _run(argv)

@@ -371,15 +371,33 @@ def test_segment_with_rounded_zero_weight_is_kept():
         assert nash_defect(g, prof) <= 1e-9
 
 
+def _two_player(pay):
+    m, k = pay.shape[:2]
+    return Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(m)],
+                               "P2": [f"b{j}" for j in range(k)]}, pay)
+
+
+def _integer_game(rng, shape):
+    # payoffs in {0, 1, 2}
+    return _two_player(rng.integers(0, 3, size=(*shape, 2)).astype(float))
+
+
 def _integer_games(count):
     # payoffs in {0, 1, 2}; sizes cycle through 2, 3, 3, 4
     rng = np.random.default_rng(11)
+    return [_integer_game(rng, ((2, 3, 3, 4)[i % 4],) * 2) for i in range(count)]
+
+
+def _near_degenerate_games(shifts):
+    """A 3x4 integer game with 19 consistent unbalanced pairs, with P2's
+    payoff at (a1, b2) moved by each shift."""
+    a = [[2, 0, 0, 1], [1, 0, 1, 1], [0, 1, 2, 2]]
+    b = [[0, 2, 0, 2], [2, 1, 1, 1], [0, 1, 0, 0]]
     out = []
-    for i in range(count):
-        n = (2, 3, 3, 4)[i % 4]
-        pay = rng.integers(0, 3, size=(n, n, 2)).astype(float)
-        out.append(Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(n)],
-                                       "P2": [f"b{j}" for j in range(n)]}, pay))
+    for shift in shifts:
+        pay = np.stack([a, b], axis=-1).astype(float)
+        pay[1, 2, 1] += shift
+        out.append(_two_player(pay))
     return out
 
 
@@ -416,6 +434,15 @@ def test_enumeration_matches_per_pair_reference():
     # the only equilibrium puts weight 1e-7/(1 + 1e-7) on a1
     games.append(Game(["P1", "P2"], {"P1": ["a1", "a2"], "P2": ["b1", "b2"]},
                       np.stack([[[1, 0], [0, 1]], [[0, 1], [1e-7, 0]]], axis=-1)))
+    # non-square games, where every class of unbalanced pairs has its
+    # overdetermined side on one player
+    for shape in ((2, 6), (3, 5), (5, 3), (6, 4)):
+        games.append(random_game(rng, shape, 0.0, 1.0))
+        games.append(_integer_game(rng, shape))
+    # a degenerate game moved off degeneracy by 1e-13 (all pairs keep their
+    # decision), 1e-10 (below the equalities' 1e-9 tolerance) and 1e-8
+    # (pairs turn inconsistent, some certified and some only by the SVD)
+    games += _near_degenerate_games((0.0, 1e-13, 1e-10, 1e-8))
     for g in games:
         got, ref = enumerate_nash(g), _per_pair_reference(g)
         assert ([(d.support, d.status, d.detail) for d in got.diagnostics]
@@ -468,6 +495,56 @@ def test_stacked_svd_matches_per_pair_svd(monkeypatch, n):
                 assert np.array_equal(ak, a[k])
                 assert np.array_equal(uk, u[k]) and np.array_equal(sk, s[k])
                 assert np.array_equal(vtk, vt[k])
+
+
+def _overdetermined_sides(game):
+    """(own, opp, opp_payoff) stacks of the side with more equalities than
+    unknowns, one per size class of unbalanced support pairs."""
+    m, k = game.action_counts
+    for s1, s2 in itertools.product(nash._support_classes(m), nash._support_classes(k)):
+        i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
+        if s2.shape[1] > s1.shape[1]:
+            yield s1[i], s2[j], game.payoffs[..., 1]
+        elif s1.shape[1] > s2.shape[1]:
+            yield s2[j], s1[i], game.payoffs[..., 0].T
+
+
+def test_inconsistency_certificate_is_sound():
+    # wherever the certificate fires, `_side` must find the equalities
+    # inconsistent, at payoff scales that overflow or underflow a plain
+    # determinant too
+    rng = np.random.default_rng(6)
+    uniform = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
+    games = uniform + [random_game(rng, shape, 0.0, 1.0)
+                       for shape in ((3, 5), (5, 3), (4, 6))]
+    games += [_integer_game(rng, shape) for shape in ((3, 5), (5, 3), (4, 6))]
+    games += _integer_games(400)
+    games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    fired = 0
+    for factor in (1.0, 1e-150, 1e150):
+        for g in games:
+            scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
+            for own, opp, opp_payoff in _overdetermined_sides(g):
+                opp_payoff = opp_payoff * factor
+                cert = nash._certified_inconsistent(own, opp, opp_payoff, scale)
+                fired += int(cert.sum())
+                for n in np.flatnonzero(cert):
+                    assert nash._side(tuple(own[n]), tuple(opp[n]), opp_payoff,
+                                      scale) is None
+                # every unbalanced pair of a uniform game is certified
+                if factor == 1.0 and any(g is u for u in uniform):
+                    assert cert.all()
+    assert fired > 10000
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 6)])
+def test_only_balanced_pairs_reach_the_svd(monkeypatch, shape):
+    # every unbalanced pair of a generic game is certified inconsistent, so
+    # the screen and the exact path factor square equality matrices only
+    game = random_game(np.random.default_rng(6), shape, 0.0, 1.0)
+    calls = _svd_calls(monkeypatch, enumerate_nash, game)
+    assert calls
+    assert all(a.shape[-1] == a.shape[-2] for a, *_ in calls)
 
 
 def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch):

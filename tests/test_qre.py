@@ -187,7 +187,8 @@ def test_default_lambda_schedule_rejects_meaningless_ranges():
     assert len(default_lambda_schedule()) == 41
     for kwargs in ({"lam_max": np.inf}, {"lam_max": np.nan}, {"lam_min": 0.0},
                    {"lam_min": -1.0}, {"lam_max": 1e-3}, {"lam_max": 1e-2},
-                   {"lam_min": -np.inf}):
+                   {"lam_min": -np.inf}, {"steps": 1}, {"steps": 0},
+                   {"steps": -3}):
         with pytest.raises(ValueError, match="lambda schedule"):
             default_lambda_schedule(**kwargs)
 
