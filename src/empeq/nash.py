@@ -12,7 +12,7 @@ that keeps its side records, so `nearest_nash` projects onto the face with
 one LP per side.
 
 Most pairs of a generic game fail their equalities or give an infeasible
-point, so enumeration decides each size class (|s1|, |s2|) in three stages:
+point, so enumeration decides each size class (|s1|, |s2|) in stages:
 - Certificate.  In an unbalanced pair (|s1| != |s2|) one side has more
   equalities than unknowns.  One stacked determinant per class proves that
   side's equalities inconsistent on most such pairs, by a lower bound on
@@ -20,13 +20,22 @@ point, so enumeration decides each size class (|s1|, |s2|) in three stages:
   This is the balance condition of Porter, Nudelman & Shoham (GEB 2008),
   applied pair by pair, so degenerate games keep their unbalanced
   equilibria.
-- SVD screen.  For the remaining pairs one fancy-indexed slice builds every
-  equality matrix and one stacked SVD gives each pair's rank, x0, residual
-  and feasibility slack.  The screen only decides a pair by a margin that
-  bounds the rounding by which its sums can differ from `_side`'s.
+- First side.  For the remaining pairs one fancy-indexed slice builds every
+  equality matrix of the side screened first and one stacked SVD gives
+  each pair's rank, x0, residual and feasibility slack.  The screen only
+  decides a pair by a margin that bounds the rounding by which its sums
+  can differ from `_side`'s.  A pair whose first side is an infeasible
+  point holds no equilibrium, whatever its second side.
+- Second side.  It is screened the same way, only for the pairs that the
+  first side leaves open.
 - Exact decision.  Every pair left undecided goes to `_solve_pair`.
-Certified pairs would fail `_side` as well, so the result is the same as
-deciding every pair exactly.
+Certified pairs would fail `_side` as well, so the equilibria are the same
+as when every pair is decided exactly.  The labels of the pairs that hold
+none (`SupportDiagnostic`) depend on the second side, which equilibria never
+need, so they are computed on the first read of `EquilibriumSet.diagnostics`:
+the second sides of the pairs stopped at their first side are screened then,
+in one stack per size class, and `_solve_pair` decides those the screen
+leaves open.
 
 The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -147,11 +157,27 @@ class SupportDiagnostic:
     sides: tuple = field(default=(), repr=False, compare=False)
 
 
-@dataclass
 class EquilibriumSet:
-    isolated: list
-    components: list
-    diagnostics: list = field(default_factory=list)
+    """The isolated equilibria and components of a game, and the
+    diagnostics of the support pairs that hold neither but are not dropped
+    silently.
+
+    `diagnostics` is a list, or a function that returns it.  A function is
+    called on the first read of `diagnostics`, and its list is kept:
+    `enumerate_nash` passes one, so the labels cost nothing until they are
+    read, and on that read cost what enumeration used to pay for them.
+    """
+
+    def __init__(self, isolated, components, diagnostics=None):
+        self.isolated = isolated
+        self.components = components
+        self._diagnostics = [] if diagnostics is None else diagnostics
+
+    @property
+    def diagnostics(self):
+        if callable(self._diagnostics):
+            self._diagnostics = self._diagnostics()
+        return self._diagnostics
 
 
 def is_nash(game, profile, tol=NASH_TOL):
@@ -247,20 +273,16 @@ def enumerate_nash(game):
     if (2**m - 1) * (2**k - 1) > 1 << 20:
         raise UnsupportedGameError("too many support pairs to enumerate")
     classes1, classes2 = _support_classes(m), _support_classes(k)
-    sup1 = [tuple(s) for c in classes1 for s in c.tolist()]
-    sup2 = [tuple(s) for c in classes2 for s in c.tolist()]
-    code = np.block([[_screen_class(game, c1, c2, scale) for c2 in classes2]
-                     for c1 in classes1])
-    out = EquilibriumSet([], [], [])
+    sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
+    codes = [[_screen_class(game, c1, c2, scale) for c2 in classes2]
+             for c1 in classes1]
+    found = EquilibriumSet([], [], [])
     # row-major order is the order of the pairs (s1 outer, s2 inner)
-    for i, j in zip(*np.nonzero(code)):
-        s1, s2 = sup1[i], sup2[j]
-        if code[i, j] == _INCONSISTENT:
-            out.diagnostics.append(SupportDiagnostic((s1, s2), "inconsistent"))
-        else:
-            _solve_pair(game, s1, s2, scale, out)
-    out.isolated, out.components = _dedupe(game, out.isolated, out.components)
-    return out
+    for i, j in zip(*np.nonzero(np.block(codes) == _EXACT)):
+        _solve_pair(game, sup1[i], sup2[j], scale, found)
+    isolated, components = _dedupe(game, found.isolated, found.components)
+    return EquilibriumSet(isolated, components, partial(
+        _label_pairs, game, classes1, classes2, codes, found.diagnostics, scale))
 
 
 def _support_classes(n):
@@ -269,8 +291,27 @@ def _support_classes(n):
     return [np.array(list(combinations(range(n), r))) for r in range(1, n + 1)]
 
 
+def _flat_supports(classes):
+    """The supports of `classes` as one list of tuples, in class order."""
+    return [tuple(s) for c in classes for s in c.tolist()]
+
+
 # screen outcomes of a support pair
-_REJECTED, _INCONSISTENT, _EXACT = 0, 1, 2
+_REJECTED, _INCONSISTENT, _EXACT, _DEFERRED = 0, 1, 2, 3
+
+
+def _ordered_sides(game, s1, s2):
+    """The sides of the pairs (s1[n], s2[n]) of one size class as
+    (own, opp, opp_payoff) stacks, in the order `_screen_class` screens
+    them.
+
+    In an unbalanced pair the side of the smaller support has more
+    equalities than unknowns and comes first: `_certified_inconsistent`
+    proves it fails on most such pairs without an SVD.
+    """
+    x = (s1, s2, game.payoffs[..., 1])
+    y = (s2, s1, game.payoffs[..., 0].T)
+    return (x, y) if s2.shape[1] > s1.shape[1] else (y, x)
 
 
 def _screen_class(game, s1, s2, scale):
@@ -280,28 +321,81 @@ def _screen_class(game, s1, s2, scale):
     silently, `_INCONSISTENT` pairs have a side whose equalities fail, and
     `_EXACT` pairs (consistent families, feasible or borderline candidates)
     go to `_solve_pair`.
+
+    `_DEFERRED` pairs have a first side that is a point with infeasible x0,
+    by the screen's margin; their second side is not screened.  Such a pair
+    holds no equilibrium whatever its second side is, and only the label
+    `_solve_pair` would give it depends on that side:
+    - second side inconsistent: `inconsistent`;
+    - second side a point: no label, the pair is dropped silently;
+    - second side with one free dimension: `_one_dim_component` takes the
+      first side as `fixed`, whose x0 is infeasible, so it returns None and
+      the label is `empty-family`;
+    - second side with two or more free dimensions: a `degenerate` face,
+      one of whose sides is a fixed infeasible x0.
+    `_label_pairs` finds these labels when the diagnostics are read.
     """
     i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
-    x = (s1[i], s2[j], game.payoffs[..., 1])
-    y = (s2[j], s1[i], game.payoffs[..., 0].T)
-    # in an unbalanced pair the side of the smaller support has more
-    # equalities than unknowns; `_certified_inconsistent` proves it fails
-    # on most such pairs without an SVD, and only the rest are screened,
-    # that side first and the other side only where it passes
-    first, second = (x, y) if s2.shape[1] > s1.shape[1] else (y, x)
+    first, second = _ordered_sides(game, s1[i], s2[j])
+    code = np.full(len(i), _INCONSISTENT, dtype=np.int8)
     live = np.arange(len(i))
     if s1.shape[1] != s2.shape[1]:
         live = live[~_certified_inconsistent(*first, scale)]
-    point, infeasible = True, False
-    for own, opp, opp_payoff in (first, second):
-        if not live.size:
-            break
+    if not live.size:
+        return code.reshape(len(s1), len(s2))
+    own, opp, opp_payoff = first
+    bad, point, infeasible = _screen_side(own[live], opp[live], opp_payoff, scale)
+    code[live[infeasible]] = _DEFERRED
+    keep = ~bad & ~infeasible
+    live, point = live[keep], point[keep]
+    if live.size:
+        own, opp, opp_payoff = second
         bad, pt, inf = _screen_side(own[live], opp[live], opp_payoff, scale)
-        live = live[~bad]
-        point, infeasible = (point & pt)[~bad], (infeasible | inf)[~bad]
-    code = np.full(len(i), _INCONSISTENT, dtype=np.int8)
-    code[live] = np.where(point & infeasible, _REJECTED, _EXACT)
+        rejected = (point & pt & inf)[~bad]
+        code[live[~bad]] = np.where(rejected, _REJECTED, _EXACT)
     return code.reshape(len(s1), len(s2))
+
+
+def _label_pairs(game, classes1, classes2, codes, exact, scale):
+    """The diagnostics of `enumerate_nash`, in the order of its pairs.
+
+    `codes` holds the `_screen_class` codes of each size class and `exact`
+    the labels `_solve_pair` gave the `_EXACT` pairs.  Every
+    `_INCONSISTENT` pair is labelled `inconsistent`, and the `_DEFERRED`
+    pairs as `_screen_deferred` and `_solve_pair` decide.
+    """
+    code = np.block([[_screen_deferred(game, c1, c2, block, scale)
+                      for c2, block in zip(classes2, row)]
+                     for c1, row in zip(classes1, codes)])
+    sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
+    exact = {d.support: d for d in exact}
+    out = EquilibriumSet([], [], [])
+    labels = out.diagnostics
+    i, j = np.nonzero(code)
+    for i, j, c in zip(i.tolist(), j.tolist(), code[i, j].tolist()):
+        pair = sup1[i], sup2[j]
+        if c == _INCONSISTENT:
+            labels.append(SupportDiagnostic(pair, "inconsistent"))
+        elif c == _DEFERRED:
+            _solve_pair(game, *pair, scale, out)
+        elif pair in exact:
+            labels.append(exact[pair])
+    return labels
+
+
+def _screen_deferred(game, s1, s2, code, scale):
+    """A copy of the codes `code` of one size class with the second sides of
+    its `_DEFERRED` pairs screened in one stack: `_INCONSISTENT` where the
+    side's equalities fail, `_REJECTED` where it is a point, and
+    `_DEFERRED` kept where `_solve_pair` must decide."""
+    i, j = np.nonzero(code == _DEFERRED)
+    if not i.size:
+        return code
+    bad, point, _ = _screen_side(*_ordered_sides(game, s1[i], s2[j])[1], scale)
+    code = code.copy()
+    code[i[bad], j[bad]] = _INCONSISTENT
+    code[i[point], j[point]] = _REJECTED
+    return code
 
 
 def _certified_inconsistent(own, opp, opp_payoff, scale):

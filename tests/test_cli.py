@@ -13,6 +13,8 @@ from empeq import corpus
 from empeq.cli import run
 from empeq.game import Game
 
+from conftest import per_pair_reference
+
 GAMES = {
     "gamma1": ["--corpus", "gamma1"],
     "gamma2c-2-2": ["--corpus", "gamma2c", "--c1", "2", "--c2", "2"],
@@ -79,6 +81,21 @@ def test_inconclusive_verdict_exits_one(tmp_path):
     doc = json.loads(out)
     assert doc["isolated"]
     assert {e["decision"] for e in doc["isolated"]} == {"inconclusive"}
+
+
+def test_nash_diagnostics_match_per_pair_reference(tmp_path):
+    # `nash` reports the diagnostics, so it labels the pairs that
+    # enumeration stops at their first side; this game has degenerate faces
+    rng = np.random.default_rng(3)
+    path = _game_file(tmp_path, *rng.integers(0, 3, size=(2, 4, 4)))
+    code, out, err = _run(["nash", "--game", path])
+    assert code == 0
+    assert err == ""
+    got = json.loads(out)["diagnostics"]
+    ref = per_pair_reference(Game.from_file(path)).diagnostics
+    assert sum(d["status"] == "degenerate" for d in got) == 16
+    assert got == [{"support": [list(s) for s in d.support], "status": d.status,
+                    "detail": d.detail} for d in ref]
 
 
 def test_structural_zeros_in_components_print_as_zero(tmp_path):
