@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 analysis inconclusive, 2 input error.  Output is
+Exit codes: 0 success, 1 analysis inconclusive, 2 input error.  A logit
+QRE fixed point that is not reached (`QreConvergenceError`) is
+inconclusive: it prints `error: ...` on stderr and exits 1.  Output is
 deterministic for a fixed (input, seed, version) triple; wall-clock timings
 are only included when explicitly requested.
 """
@@ -31,7 +33,11 @@ from .monotone import (
     sample_monotone_region,
 )
 from .nash import UnsupportedGameError, classify, enumerate_nash
-from .qre import default_lambda_schedule, trace_logit_path
+from .qre import (
+    QreConvergenceError,
+    default_lambda_schedule,
+    trace_logit_path,
+)
 
 INPUT_ERRORS = (
     GameFormatError,
@@ -386,6 +392,9 @@ def run(argv):
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except QreConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -72,9 +72,7 @@ def _dominance_refutation(game, profile, m):
     cannot be approached."""
     report = weak_dominance(game)
     for i, p in enumerate(game.players):
-        for pair in report.pairs[p]:
-            d = game.action_index(p, pair.dominated)
-            g = game.action_index(p, pair.dominating)
+        for pair, d, g in report.indexed[i]:
             lhs = m * profile.vectors[i][d]
             rhs = profile.vectors[i][g]
             if lhs - rhs > NASH_TOL:

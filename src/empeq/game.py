@@ -378,10 +378,17 @@ class DominancePair:
 
 
 class DominanceReport:
-    """Weak-dominance pairs per player, with strict-somewhere witnesses."""
+    """Weak-dominance pairs per player, with strict-somewhere witnesses.
 
-    def __init__(self, pairs):
-        self.pairs = {p: tuple(lst) for p, lst in pairs.items()}
+    `indexed[i]` holds the pairs of the i-th player as (pair, dominated
+    index, dominating index) triples, and `pairs[player]` the same pairs
+    alone, both in the order they were found.
+    """
+
+    def __init__(self, players, indexed):
+        self.indexed = tuple(tuple(lst) for lst in indexed)
+        self.pairs = {p: tuple(t[0] for t in lst)
+                      for p, lst in zip(players, self.indexed)}
 
     def dominated_actions(self, player):
         return {d.dominated for d in self.pairs.get(player, ())}
@@ -407,7 +414,7 @@ def weak_dominance(game):
 
 
 def _dominance_report(game):
-    out = {}
+    indexed = []
     for i, p in enumerate(game.players):
         k = len(game.actions[p])
         ui = game._views[i].reshape(k, -1)
@@ -427,8 +434,7 @@ def _dominance_report(game):
                         witness = {
                             q: game.actions[q][idx[t]] for t, q in enumerate(opp_players)
                         }
-                    found.append(
-                        DominancePair(game.actions[p][d], game.actions[p][g], witness)
-                    )
-        out[p] = found
-    return DominanceReport(out)
+                    pair = DominancePair(game.actions[p][d], game.actions[p][g], witness)
+                    found.append((pair, d, g))
+        indexed.append(found)
+    return DominanceReport(game.players, indexed)

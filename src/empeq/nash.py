@@ -11,8 +11,10 @@ a segment (`Component`), and larger solution sets a `degenerate` diagnostic
 that keeps its side records, so `nearest_nash` projects onto the face with
 one LP per side.
 
-Most pairs of a generic game fail their equalities or give an infeasible
-point, so enumeration decides each size class (|s1|, |s2|) in stages:
+A pair is proven empty when one of its sides has inconsistent equalities
+or is a point with infeasible x0.  Most pairs of a generic game are, so
+enumeration decides each size class (|s1|, |s2|) in stages, and a pair
+drops at the first stage that proves it empty:
 - Certificate.  In an unbalanced pair (|s1| != |s2|) one side has more
   equalities than unknowns.  One stacked determinant per class proves that
   side's equalities inconsistent on most such pairs, by a lower bound on
@@ -24,18 +26,15 @@ point, so enumeration decides each size class (|s1|, |s2|) in stages:
   equality matrix of the side screened first and one stacked SVD gives
   each pair's rank, x0, residual and feasibility slack.  The screen only
   decides a pair by a margin that bounds the rounding by which its sums
-  can differ from `_side`'s.  A pair whose first side is an infeasible
-  point holds no equilibrium, whatever its second side.
+  can differ from `_side`'s.
 - Second side.  It is screened the same way, only for the pairs that the
   first side leaves open.
-- Exact decision.  Every pair left undecided goes to `_solve_pair`.
-Certified pairs would fail `_side` as well, so the equilibria are the same
-as when every pair is decided exactly.  The labels of the pairs that hold
-none (`SupportDiagnostic`) depend on the second side, which equilibria never
-need, so they are computed on the first read of `EquilibriumSet.diagnostics`:
-the second sides of the pairs stopped at their first side are screened then,
-in one stack per size class, and `_solve_pair` decides those the screen
-leaves open.
+- Exact decision.  Every pair left open goes to `_solve_pair`, which drops
+  the empty pairs the screen missed by its margin.
+A dropped pair would be found empty by `_side` as well, so the result is
+the same as when every pair is decided exactly.  Diagnostics report only
+the pairs that may hold equilibria but gave none: `degenerate` faces of
+dimension >= 2 and isolated candidates with an `incentive-violation`.
 
 The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -157,27 +155,15 @@ class SupportDiagnostic:
     sides: tuple = field(default=(), repr=False, compare=False)
 
 
+@dataclass
 class EquilibriumSet:
-    """The isolated equilibria and components of a game, and the
-    diagnostics of the support pairs that hold neither but are not dropped
-    silently.
+    """The isolated equilibria and components of a game, and a diagnostic
+    for each support pair that may hold equilibria but gave neither: an
+    untraced `degenerate` face or an `incentive-violation`."""
 
-    `diagnostics` is a list, or a function that returns it.  A function is
-    called on the first read of `diagnostics`, and its list is kept:
-    `enumerate_nash` passes one, so the labels cost nothing until they are
-    read, and on that read cost what enumeration used to pay for them.
-    """
-
-    def __init__(self, isolated, components, diagnostics=None):
-        self.isolated = isolated
-        self.components = components
-        self._diagnostics = [] if diagnostics is None else diagnostics
-
-    @property
-    def diagnostics(self):
-        if callable(self._diagnostics):
-            self._diagnostics = self._diagnostics()
-        return self._diagnostics
+    isolated: list
+    components: list
+    diagnostics: list = field(default_factory=list)
 
 
 def is_nash(game, profile, tol=NASH_TOL):
@@ -274,15 +260,15 @@ def enumerate_nash(game):
         raise UnsupportedGameError("too many support pairs to enumerate")
     classes1, classes2 = _support_classes(m), _support_classes(k)
     sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
-    codes = [[_screen_class(game, c1, c2, scale) for c2 in classes2]
-             for c1 in classes1]
-    found = EquilibriumSet([], [], [])
+    may_hold = np.block([[_screen_class(game, c1, c2, scale) for c2 in classes2]
+                         for c1 in classes1])
+    found = EquilibriumSet([], [])
     # row-major order is the order of the pairs (s1 outer, s2 inner)
-    for i, j in zip(*np.nonzero(np.block(codes) == _EXACT)):
+    for i, j in zip(*np.nonzero(may_hold)):
         _solve_pair(game, sup1[i], sup2[j], scale, found)
-    isolated, components = _dedupe(game, found.isolated, found.components)
-    return EquilibriumSet(isolated, components, partial(
-        _label_pairs, game, classes1, classes2, codes, found.diagnostics, scale))
+    found.isolated, found.components = _dedupe(game, found.isolated,
+                                                found.components)
+    return found
 
 
 def _support_classes(n):
@@ -294,10 +280,6 @@ def _support_classes(n):
 def _flat_supports(classes):
     """The supports of `classes` as one list of tuples, in class order."""
     return [tuple(s) for c in classes for s in c.tolist()]
-
-
-# screen outcomes of a support pair
-_REJECTED, _INCONSISTENT, _EXACT, _DEFERRED = 0, 1, 2, 3
 
 
 def _ordered_sides(game, s1, s2):
@@ -315,87 +297,28 @@ def _ordered_sides(game, s1, s2):
 
 
 def _screen_class(game, s1, s2, scale):
-    """Screen codes (len(s1), len(s2)) for every pair of one size class.
+    """A boolean mask (len(s1), len(s2)) over the pairs of one size class:
+    True where the pair may hold an equilibrium and goes to `_solve_pair`.
 
-    `_REJECTED` pairs are isolated candidates that `_solve_pair` would drop
-    silently, `_INCONSISTENT` pairs have a side whose equalities fail, and
-    `_EXACT` pairs (consistent families, feasible or borderline candidates)
-    go to `_solve_pair`.
-
-    `_DEFERRED` pairs have a first side that is a point with infeasible x0,
-    by the screen's margin; their second side is not screened.  Such a pair
-    holds no equilibrium whatever its second side is, and only the label
-    `_solve_pair` would give it depends on that side:
-    - second side inconsistent: `inconsistent`;
-    - second side a point: no label, the pair is dropped silently;
-    - second side with one free dimension: `_one_dim_component` takes the
-      first side as `fixed`, whose x0 is infeasible, so it returns None and
-      the label is `empty-family`;
-    - second side with two or more free dimensions: a `degenerate` face,
-      one of whose sides is a fixed infeasible x0.
-    `_label_pairs` finds these labels when the diagnostics are read.
+    A pair drops at the first stage that proves it empty: the certificate,
+    or the screen of either side finding that side inconsistent or a point
+    with infeasible x0.  The second side is screened only for the
+    pairs the first side leaves open.  `_solve_pair` would find every
+    dropped pair empty too, and give it no diagnostic.
     """
     i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
     first, second = _ordered_sides(game, s1[i], s2[j])
-    code = np.full(len(i), _INCONSISTENT, dtype=np.int8)
     live = np.arange(len(i))
     if s1.shape[1] != s2.shape[1]:
         live = live[~_certified_inconsistent(*first, scale)]
-    if not live.size:
-        return code.reshape(len(s1), len(s2))
-    own, opp, opp_payoff = first
-    bad, point, infeasible = _screen_side(own[live], opp[live], opp_payoff, scale)
-    code[live[infeasible]] = _DEFERRED
-    keep = ~bad & ~infeasible
-    live, point = live[keep], point[keep]
-    if live.size:
-        own, opp, opp_payoff = second
-        bad, pt, inf = _screen_side(own[live], opp[live], opp_payoff, scale)
-        rejected = (point & pt & inf)[~bad]
-        code[live[~bad]] = np.where(rejected, _REJECTED, _EXACT)
-    return code.reshape(len(s1), len(s2))
-
-
-def _label_pairs(game, classes1, classes2, codes, exact, scale):
-    """The diagnostics of `enumerate_nash`, in the order of its pairs.
-
-    `codes` holds the `_screen_class` codes of each size class and `exact`
-    the labels `_solve_pair` gave the `_EXACT` pairs.  Every
-    `_INCONSISTENT` pair is labelled `inconsistent`, and the `_DEFERRED`
-    pairs as `_screen_deferred` and `_solve_pair` decide.
-    """
-    code = np.block([[_screen_deferred(game, c1, c2, block, scale)
-                      for c2, block in zip(classes2, row)]
-                     for c1, row in zip(classes1, codes)])
-    sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
-    exact = {d.support: d for d in exact}
-    out = EquilibriumSet([], [], [])
-    labels = out.diagnostics
-    i, j = np.nonzero(code)
-    for i, j, c in zip(i.tolist(), j.tolist(), code[i, j].tolist()):
-        pair = sup1[i], sup2[j]
-        if c == _INCONSISTENT:
-            labels.append(SupportDiagnostic(pair, "inconsistent"))
-        elif c == _DEFERRED:
-            _solve_pair(game, *pair, scale, out)
-        elif pair in exact:
-            labels.append(exact[pair])
-    return labels
-
-
-def _screen_deferred(game, s1, s2, code, scale):
-    """A copy of the codes `code` of one size class with the second sides of
-    its `_DEFERRED` pairs screened in one stack: `_INCONSISTENT` where the
-    side's equalities fail, `_REJECTED` where it is a point, and
-    `_DEFERRED` kept where `_solve_pair` must decide."""
-    i, j = np.nonzero(code == _DEFERRED)
-    if not i.size:
-        return code
-    bad, point, _ = _screen_side(*_ordered_sides(game, s1[i], s2[j])[1], scale)
-    code = code.copy()
-    code[i[bad], j[bad]] = _INCONSISTENT
-    code[i[point], j[point]] = _REJECTED
-    return code
+    for own, opp, opp_payoff in (first, second):
+        if not live.size:
+            break
+        bad, infeasible = _screen_side(own[live], opp[live], opp_payoff, scale)
+        live = live[~bad & ~infeasible]
+    mask = np.zeros(len(i), dtype=bool)
+    mask[live] = True
+    return mask.reshape(len(s1), len(s2))
 
 
 def _certified_inconsistent(own, opp, opp_payoff, scale):
@@ -450,13 +373,13 @@ def _certified_inconsistent(own, opp, opp_payoff, scale):
 
 def _screen_side(own, opp, opp_payoff, scale):
     """The `_side` decisions for the pairs (own[n], opp[n]) of a size class,
-    from one stacked SVD: boolean arrays `bad` (inconsistent equalities),
-    `point` (consistent, no free dimension) and `infeasible` (a point whose
-    x0 fails `_Side.x0_feasible`).
+    from one stacked SVD: boolean arrays `bad` (inconsistent equalities)
+    and `infeasible` (consistent, no free dimension, and x0 fails
+    `_Side.x0_feasible`).
 
     The screen is conservative: each decision needs a margin `err` that
     bounds how far its resid and slack can round away from `_side`'s.
-    Pairs that miss a margin are neither bad nor point.
+    Pairs that miss a margin are neither bad nor infeasible.
 
     The bound.  `np.linalg.svd` runs the same LAPACK routine on each matrix
     of a stack as on a single one, so both paths factor the same equality
@@ -509,40 +432,51 @@ def _screen_side(own, opp, opp_payoff, scale):
     best_out = np.max(vals, axis=-1, where=outside, initial=-np.inf)
     edge = vals[np.arange(len(opp)), opp[:, 0]] - best_out
     slack = np.minimum(x0.min(axis=-1) + 1e-10, edge + NASH_TOL)
-    return bad, point, point & (slack < -err)
+    return bad, point & (slack < -err)
+
+
+def _proves_empty(side):
+    """True when a pair with this side holds no equilibrium: its equalities
+    are inconsistent (None), or it is a point with infeasible x0."""
+    return side is None or (not side.null.shape[1] and not side.x0_feasible)
 
 
 def _solve_pair(game, s1, s2, scale, out):
-    """The exact decision for the support pair (s1, s2), added to `out`."""
+    """The exact decision for the support pair (s1, s2), added to `out`.
+
+    A pair with a side that `_proves_empty`, or a one-dimensional family
+    with no feasible point, adds nothing.  Otherwise the pair adds an isolated
+    equilibrium or a segment, or a diagnostic: `degenerate` for a solution
+    set of dimension >= 2, with the side records `nearest_nash` projects
+    onto, and `incentive-violation` for a candidate point that is not Nash.
+    """
     m, k = game.action_counts
     # x over s1 equalizes player 2 across s2; y over s2 equalizes player 1
     # across s1
     xs = _side(s1, s2, game.payoffs[..., 1], scale)
-    ys = None if xs is None else _side(s2, s1, game.payoffs[..., 0].T, scale)
-    if ys is None:
-        out.diagnostics.append(SupportDiagnostic((s1, s2), "inconsistent"))
+    if _proves_empty(xs):
+        return
+    ys = _side(s2, s1, game.payoffs[..., 0].T, scale)
+    if _proves_empty(ys):
         return
     dim = xs.null.shape[1] + ys.null.shape[1]
     if dim == 0:
-        if xs.x0_feasible and ys.x0_feasible:
-            prof = MixedProfile(
-                game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
-                       _embed(k, s2, np.clip(ys.x0, 0, None))]
+        prof = MixedProfile(
+            game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
+                   _embed(k, s2, np.clip(ys.x0, 0, None))]
+        )
+        if is_nash(game, prof, 1e-8):
+            out.isolated.append(prof)
+        else:
+            out.diagnostics.append(
+                SupportDiagnostic((s1, s2), "incentive-violation")
             )
-            if is_nash(game, prof, 1e-8):
-                out.isolated.append(prof)
-            else:
-                out.diagnostics.append(
-                    SupportDiagnostic((s1, s2), "incentive-violation")
-                )
     elif dim == 1:
         comp = _one_dim_component(game, xs, ys)
-        if comp is None:
-            out.diagnostics.append(SupportDiagnostic((s1, s2), "empty-family"))
-        elif isinstance(comp, MixedProfile):
+        if isinstance(comp, MixedProfile):
             if is_nash(game, comp, 1e-8):
                 out.isolated.append(comp)
-        else:
+        elif comp is not None:
             out.components.append(comp)
     else:
         out.diagnostics.append(
@@ -557,10 +491,9 @@ def _solve_pair(game, s1, s2, scale, out):
 
 def _one_dim_component(game, xs, ys):
     """Segment of a support pair with one free dimension: a `Component`, a
-    single `MixedProfile` when the segment has width <= 1e-9, or None."""
-    var, fixed = (xs, ys) if xs.null.shape[1] == 1 else (ys, xs)
-    if not fixed.x0_feasible:
-        return None
+    single `MixedProfile` when the segment has width <= 1e-9, or None.  The
+    fixed side is a point with feasible x0."""
+    var = xs if xs.null.shape[1] == 1 else ys
     d = var.null[:, 0]
     mx = np.max(np.abs(d))
     if mx <= 1e-12:
@@ -893,8 +826,7 @@ def _order_from_values(values, tol=0.0):
 def _dominated_on_support(game, profile, tol=NASH_TOL):
     report = weak_dominance(game)
     for i, p in enumerate(game.players):
-        for pair in report.pairs[p]:
-            j = game.action_index(p, pair.dominated)
+        for pair, j, _ in report.indexed[i]:
             if profile.vectors[i][j] > tol:
                 return {
                     "kind": "dominated-on-support",

@@ -344,12 +344,7 @@ def forced_util_pairs(game, candidate, player, delta):
 
 def dominance_pairs(game, player):
     """(dominating_index, dominated_index) pairs for one player."""
-    report = weak_dominance(game)
-    p = game.players[player]
-    return {
-        (game.action_index(p, d.dominating), game.action_index(p, d.dominated))
-        for d in report.pairs[p]
-    }
+    return {(g, d) for _, d, g in weak_dominance(game).indexed[player]}
 
 
 def _sorted_orders(game, candidate, player, forced_strict, forced_weak):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import empeq
-from empeq import corpus
+from empeq import cli, corpus
 from empeq.cli import run
 from empeq.game import Game
+from empeq.qre import QreConvergenceError
 
 from conftest import per_pair_reference
 
@@ -60,6 +61,18 @@ def test_missing_game_file_is_input_error(tmp_path):
     assert err.startswith("error:")
 
 
+def test_unconverged_trace_exits_one(monkeypatch):
+    def fail(game, schedule):
+        raise QreConvergenceError("fixed point not reached (last residual 1.4e-10)",
+                                  1.4e-10)
+
+    monkeypatch.setattr(cli, "trace_logit_path", fail)
+    code, out, err = _run(["trace", *GAMES["gamma1"]])
+    assert code == 1
+    assert out == ""
+    assert err == "error: fixed point not reached (last residual 1.4e-10)\n"
+
+
 def _game_file(tmp_path, a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, k = a.shape
@@ -84,8 +97,8 @@ def test_inconclusive_verdict_exits_one(tmp_path):
 
 
 def test_nash_diagnostics_match_per_pair_reference(tmp_path):
-    # `nash` reports the diagnostics, so it labels the pairs that
-    # enumeration stops at their first side; this game has degenerate faces
+    # `nash` reports only the pairs that may hold equilibria but gave none;
+    # this game has degenerate faces
     rng = np.random.default_rng(3)
     path = _game_file(tmp_path, *rng.integers(0, 3, size=(2, 4, 4)))
     code, out, err = _run(["nash", "--game", path])
@@ -93,9 +106,14 @@ def test_nash_diagnostics_match_per_pair_reference(tmp_path):
     assert err == ""
     got = json.loads(out)["diagnostics"]
     ref = per_pair_reference(Game.from_file(path)).diagnostics
-    assert sum(d["status"] == "degenerate" for d in got) == 16
+    assert sum(d["status"] == "degenerate" for d in got) == 13
+    assert {d["status"] for d in got} <= {"degenerate", "incentive-violation"}
     assert got == [{"support": [list(s) for s in d.support], "status": d.status,
                     "detail": d.detail} for d in ref]
+    # every support pair of Gamma2(2, 2) without an equilibrium is empty
+    code, out, _ = _run(["nash", *GAMES["gamma2c-2-2"]])
+    assert code == 0
+    assert '"diagnostics": []' in out
 
 
 def test_structural_zeros_in_components_print_as_zero(tmp_path):
