@@ -442,10 +442,6 @@ class VanishingSequence:
     limit: MixedProfile
     grid: np.ndarray
 
-    @property
-    def retained_indices(self):
-        return [e.source_index for e in self.entries]
-
 
 def _limit_profile(game, terminal):
     from .nash import UnsupportedGameError, nearest_nash

@@ -2,16 +2,24 @@
 
 A quantal response function maps a player's utility vector to an interior
 distribution over that player's actions.  Fixed points of the composition
-with the expected-payoff operator are quantal response equilibria; tracing
-them along an increasing logit precision schedule yields limit candidates
-that land on Nash equilibria.
+with the expected-payoff operator are quantal response equilibria.
 
-The fixed-point iterations run on plain vectors, one array per player:
-`utility_vector` gives the utilities and `normalized` cleans each iterate
-exactly as `MixedProfile` would.  Only the returned point becomes a
-`MixedProfile`, built from the raw vectors that the last iterate was
-cleaned from, so it holds the iterate's bits without a second
+`qre_fixed_point` finds one for any list of QRFs (logit, or the spline
+QRFs of `ccost`) by damped fixed-point iteration on plain vectors, one
+array per player: `utility_vector` gives the utilities and `normalized`
+cleans each iterate exactly as `MixedProfile` would.  Only the returned
+point becomes a `MixedProfile`, built from the raw vectors that the last
+iterate was cleaned from, so it holds the iterate's bits without a second
 normalization.
+
+`trace_logit_path` follows the principal branch of logit QRE from the
+centroid at lambda = 0 (McKelvey and Palfrey 1995; Turocy 2005).  It
+continues the zero set of H(y, lambda) = y - log logit_lambda(U(exp y)) in
+the log-probabilities y by pseudo-arclength predictor-corrector steps with
+an analytic Jacobian, so it passes folds where the branch turns back in
+lambda.  Each scheduled lambda is reported where the branch first reaches
+it, with its residual max |sigma - logit_lambda(U(sigma))|.  The terminal
+point is the limit candidate, which lands on a Nash equilibrium.
 """
 
 from __future__ import annotations
@@ -235,19 +243,43 @@ def default_lambda_schedule(lam_max=1e3, steps=40, lam_min=1e-2):
 
 @dataclass
 class LogitPath:
-    points: list  # accepted QrePoints, one per schedule entry
+    points: list  # QrePoints, one per schedule entry
     terminal: MixedProfile
     nearest_nash: MixedProfile | None
     nash_distance: float | None
 
 
-def trace_logit_path(game, lam_schedule=None, start=None, tol=FIXED_POINT_TOL):
-    """Warm-started continuation along an increasing logit schedule.
+MAX_JUMP = 0.35  # largest change of any probability over one accepted step
+MIN_STEP = 1e-12  # arclength floor, relative to the size of the current point
+MAX_STEPS = 20_000  # continuation steps per trace
+MAX_NEWTON = 8  # corrector iterations per step
+BRANCH_TOL = 1e-9  # probability error of the points between scheduled lambdas
 
-    The centroid seeds lambda = 0; each accepted point seeds the next
-    lambda.  Residual spikes or large profile jumps trigger step halving in
-    lambda.  The terminal point is the limit candidate; its nearest
-    enumerated Nash equilibrium is attached when enumeration is available.
+
+def trace_logit_path(game, lam_schedule=None, tol=FIXED_POINT_TOL):
+    """The principal branch of logit QRE, read off at each scheduled lambda.
+
+    The branch is the curve H(y, lambda) = 0 that leaves the centroid at
+    lambda = 0, where y = log sigma is stacked over the players and
+    H_i = y_i - log logit_lambda(U_i(sigma)).  It is followed by
+    pseudo-arclength continuation: an Euler predictor along the tangent
+    (the null vector of [dH/dy | dH/dlambda], oriented by the previous
+    tangent), then Newton on H together with the constraint that the point
+    moves orthogonally to that tangent.  Since the arclength, not lambda,
+    parametrizes the curve, the branch may turn back in lambda at a fold
+    and forward again.  A step that Newton cannot correct, or that moves
+    any probability by more than MAX_JUMP, is halved; below MIN_STEP the
+    trace raises QreConvergenceError.
+
+    Each scheduled lambda is reported where the branch first reaches it: a
+    step that would pass it is shortened to end there, and Newton corrects
+    it at that fixed lambda.  The reported profile is sigma = exp(y) there,
+    and its `residual` is the largest |sigma - logit_lambda(U(sigma))| over
+    all entries, computed as in `qre_fixed_point`; a point is reported
+    only if that residual is below `tol`.  Newton stops once no probability
+    differs from its logit response by more than tol / 10, so the residual
+    column mostly shows rounding.  The terminal point is the limit candidate; its nearest enumerated Nash
+    equilibrium is attached when enumeration is available.
     """
     if lam_schedule is None:
         lam_schedule = default_lambda_schedule()
@@ -256,14 +288,7 @@ def trace_logit_path(game, lam_schedule=None, start=None, tol=FIXED_POINT_TOL):
         raise ValueError("the lambda schedule must start at 0")
     if any(b <= a for a, b in zip(lam_schedule, lam_schedule[1:])):
         raise ValueError("the lambda schedule must be strictly increasing")
-    profile = start if start is not None else MixedProfile.uniform(game)
-    points = []
-    prev_lam = 0.0
-    for lam in lam_schedule:
-        point = _trace_step(game, prev_lam, lam, profile, tol, depth=0)
-        points.append(point)
-        profile = point.profile
-        prev_lam = lam
+    points = _LogitHomotopy(game).trace(lam_schedule, tol)
     terminal = points[-1].profile
     nearest = None
     distance = None
@@ -276,18 +301,154 @@ def trace_logit_path(game, lam_schedule=None, start=None, tol=FIXED_POINT_TOL):
     return LogitPath(points, terminal, nearest, distance)
 
 
-def _trace_step(game, lam_lo, lam_hi, profile, tol, depth):
-    qrfs = logistic_profile(game, lam_hi)
-    try:
-        point = qre_fixed_point(game, qrfs, start=profile, tol=tol, lam=lam_hi)
-        if point.profile.distance(profile) <= 0.35 or depth >= 6:
-            return point
-    except QreConvergenceError:
-        if depth >= 6:
-            raise
-    mid = 0.5 * (lam_lo + lam_hi)
-    bridge = _trace_step(game, lam_lo, mid, profile, tol, depth + 1)
-    return _trace_step(game, mid, lam_hi, bridge.profile, tol, depth + 1)
+class _LogitHomotopy:
+    """H(y, lambda) = y - log logit_lambda(U(exp y)) and its continuation.
+
+    Points are vectors w = (y, lambda) with y stacked over the players.
+    """
+
+    def __init__(self, game):
+        self.game = game
+        bounds = np.cumsum((0,) + game.action_counts)
+        self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.size = int(bounds[-1])
+        self.starts = bounds[:-1]
+        self.counts = np.diff(bounds)
+        self.eye = np.eye(self.size)
+        # with two players dU/dsigma holds the payoff matrices, whatever sigma
+        self.fixed_du = self._du(None) if game.n_players <= 2 else None
+
+    def _du(self, vectors):
+        """dU/dsigma, stacked: block (i, j) is du_i/dsigma_j, zero for i == j.
+
+        Block (i, j) contracts player i's view with every player's vector
+        but i's and j's own."""
+        game = self.game
+        n = game.n_players
+        du = np.zeros((self.size, self.size))
+        for i in range(n):
+            for j in range(n):
+                if j == i:
+                    continue
+                # the view's axes: i's actions, then every other player in order
+                block = np.moveaxis(game._views[i], j + (j < i), 1)
+                for m in range(n - 1, -1, -1):
+                    if m != i and m != j:
+                        block = block @ vectors[m]
+                du[self.slices[i], self.slices[j]] = block
+        return du
+
+    def evaluate(self, w):
+        """H at w, its Jacobian [dH/dy | dH/dlambda], and sigma = exp(y).
+
+        dH_i/dy = I - lambda (D_i - 1 p_i^T D_i) diag(sigma), where D_i is
+        player i's rows of dU/dsigma and p_i = logit_lambda(u_i), and
+        dH_i/dlambda = (p_i . u_i) 1 - u_i."""
+        y, lam = w[:-1], w[-1]
+        sigma = np.exp(y)
+        n = self.game.n_players
+        if self.fixed_du is not None:
+            du = self.fixed_du
+        else:
+            du = self._du([sigma[s] for s in self.slices])
+        # U is multilinear, so u_i = du_i/dsigma_j sigma_j for every j != i
+        u = du @ sigma / (n - 1) if n > 1 else self.game._views[0]
+        z = lam * u
+        z -= np.repeat(np.maximum.reduceat(z, self.starts), self.counts)
+        e = np.exp(z)
+        total = np.repeat(np.add.reduceat(e, self.starts), self.counts)
+        p = e / total
+        h = y - z + np.log(total)
+        jac = np.empty((self.size, self.size + 1))
+        jac[:, :-1] = du - np.repeat(np.add.reduceat(p[:, None] * du, self.starts),
+                                     self.counts, axis=0)
+        jac[:, :-1] *= -lam * sigma
+        jac[:, :-1] += self.eye
+        jac[:, -1] = np.repeat(np.add.reduceat(p * u, self.starts), self.counts) - u
+        return h, jac, sigma
+
+    def correct(self, trial, row, goal):
+        """Newton on [H(w); row . (w - trial)] = 0 from `trial`.
+
+        `row` is the unit lambda vector for a solve at fixed lambda, and the
+        predictor's tangent for an arclength step.  Returns the corrected w,
+        once every probability is within `goal` of its logit response,
+        with a tangent there: the solution x of [dH; row] x = (0, 1) at the
+        last Newton iterate.  None when that error fails to halve at some
+        iteration."""
+        rhs = np.zeros((self.size + 1, 2))
+        rhs[-1, 1] = 1.0
+        w, x = trial, None
+        last = np.inf
+        for _ in range(MAX_NEWTON):
+            h, jac, sigma = self.evaluate(w)
+            error = float(np.max(sigma * np.abs(np.expm1(-h))))
+            done = error <= goal
+            if not (done or error <= 0.5 * last):  # also when error is nan
+                return None
+            if done and x is not None:
+                return w, x
+            rhs[:-1, 0] = -h
+            rhs[-1, 0] = -row @ (w - trial)
+            try:
+                delta, x = np.linalg.solve(np.vstack([jac, row]), rhs).T
+            except np.linalg.LinAlgError:
+                return None
+            if done:
+                return w, x
+            last = error
+            w = w + delta
+        return None
+
+    def point(self, w):
+        """The QrePoint at w: the profile exp(y) and its residual."""
+        game, lam = self.game, float(w[-1])
+        profile = MixedProfile(game, [np.exp(w[s]) for s in self.slices])
+        target = _apply_qrfs(game, logistic_profile(game, lam), profile.vectors)
+        return QrePoint(lam, profile, _residual(profile.vectors, target))
+
+    def trace(self, schedule, tol):
+        """QrePoints at every lambda of `schedule`, which starts at 0."""
+        goal = 0.1 * tol
+        lam_axis = np.eye(self.size + 1)[-1]
+        start = np.append(np.concatenate(
+            [np.full(k, -np.log(k)) for k in self.game.action_counts]), 0.0)
+        w, t = self.correct(start, lam_axis, goal)  # H vanishes at start
+        t /= np.linalg.norm(t)
+        points = [self.point(w)]
+        length = 0.1
+        for _ in range(MAX_STEPS):
+            if len(points) == len(schedule):
+                return points
+            lam = schedule[len(points)]
+            # a step that would pass lam ends at lam and is corrected there
+            clipped = t[-1] > 0 and w[-1] + length * t[-1] >= lam
+            step = (lam - w[-1]) / t[-1] if clipped else length
+            trial = w + step * t
+            if clipped:
+                trial[-1] = lam
+                found = self.correct(trial, lam_axis, goal)
+            else:
+                found = self.correct(trial, t, BRANCH_TOL)
+            # an arclength step that ends past lam would skip where the
+            # branch first reaches it
+            if found is not None and (clipped or found[0][-1] < lam):
+                moved = np.max(np.abs(np.exp(found[0][:-1]) - np.exp(w[:-1])))
+                point = self.point(found[0]) if clipped else None
+                if moved <= MAX_JUMP and (point is None or point.residual < tol):
+                    w, x = found
+                    t = x / np.copysign(np.linalg.norm(x), x @ t)
+                    if clipped:
+                        points.append(point)
+                    length = max(length, 2.0 * step)
+                    continue
+            length = 0.5 * step
+            if length < MIN_STEP * (1.0 + np.max(np.abs(w))):
+                break
+        residual = self.point(w).residual
+        raise QreConvergenceError(
+            f"logit branch lost at lambda = {w[-1]:.6g} before reaching "
+            f"{schedule[len(points)]:.6g} (residual {residual:.3e})", residual)
 
 
 @dataclass

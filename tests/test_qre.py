@@ -5,6 +5,7 @@ from empeq import corpus
 from empeq.game import Game, MixedProfile, ProfileError, expected_utility
 from empeq.monotone import is_payoff_monotone
 from empeq.qre import (
+    FIXED_POINT_TOL,
     QRF,
     LogisticQRF,
     QreConvergenceError,
@@ -113,6 +114,11 @@ def test_trace_rejects_bad_schedule(gamma1):
         trace_logit_path(gamma1, [0.1, 1.0])
     with pytest.raises(ValueError):
         trace_logit_path(gamma1, [0.0, 1.0, 0.5])
+
+
+def test_trace_raises_when_no_point_meets_tol(gamma1):
+    with pytest.raises(QreConvergenceError, match="before reaching 0.01"):
+        trace_logit_path(gamma1, tol=1e-30)
 
 
 def test_trace_endpoints_near_nash_on_corpus():
@@ -346,15 +352,17 @@ def _differential_games():
 
 @pytest.mark.parametrize("index", range(7))
 def test_logit_iteration_matches_profile_reference(index):
-    # psi, phi and the 2x2x2 game reach the Newton polish along the trace
+    # psi, phi and the 2x2x2 game reach the Newton polish along the
+    # reference trace; the continuation lands within 1e-8 of its points
     g = _differential_games()[index]
     schedule = default_lambda_schedule()
     path = trace_logit_path(g, schedule)
     ref = _ref_trace(g, schedule)
-    assert len(path.points) == len(ref)
-    for point, (profile, res) in zip(path.points, ref):
-        assert _same_bits(point.profile, profile)
-        assert point.residual == res
+    assert [point.lam for point in path.points] == schedule
+    assert len(ref) == len(schedule)
+    for point, (profile, _) in zip(path.points, ref):
+        assert point.residual < FIXED_POINT_TOL
+        assert point.profile.distance(profile) < 1e-8
     start = path.points[10].profile
     for lam in (0.3, 4.0, 40.0):
         for begin in (None, start):
@@ -366,3 +374,41 @@ def test_logit_iteration_matches_profile_reference(index):
         for zeta in (0.25, 0.01):
             got = perturbed_monotone_point(g, mu, zeta=zeta)
             assert _same_bits(got.profile, _ref_perturbed(g, mu, zeta))
+
+
+def _seeded_game(index):
+    """Game `index` of 24 seeded two-player games, n x n with n = 4 + index % 3:
+    payoffs uniform in [-10, 10) at even indices, integers 0..3 at odd ones."""
+    rng = np.random.default_rng(2026)
+    for j in range(index + 1):
+        n = 4 + j % 3
+        if j % 2:
+            payoffs = rng.integers(0, 4, size=(n, n, 2)).astype(float)
+        else:
+            payoffs = rng.uniform(-10, 10, size=(n, n, 2))
+    actions = {"P1": [f"a{k}" for k in range(n)], "P2": [f"b{k}" for k in range(n)]}
+    return Game(["P1", "P2"], actions, payoffs)
+
+
+def _softmax_residual(game, point):
+    x, y = point.profile.vectors
+    a, b = game.payoffs[..., 0], game.payoffs[..., 1]
+    worst = 0.0
+    for sigma, u in ((x, a @ y), (y, b.T @ x)):
+        e = np.exp(point.lam * (u - u.max()))
+        worst = max(worst, float(np.max(np.abs(sigma - e / e.sum()))))
+    return worst
+
+
+@pytest.mark.parametrize("index", [1, 2, 7, 16])
+def test_trace_reaches_every_lambda_on_seeded_games(index):
+    # the branches of games 1 and 16 fold back in lambda near 12.1 and 2.0,
+    # where dH/dy is nearly singular and continuation in lambda alone stalls
+    g = _seeded_game(index)
+    schedule = default_lambda_schedule()
+    path = trace_logit_path(g, schedule)
+    lams = [point.lam for point in path.points]
+    assert lams == schedule
+    assert all(b > a for a, b in zip(lams, lams[1:]))
+    for point in path.points:
+        assert _softmax_residual(g, point) < FIXED_POINT_TOL
