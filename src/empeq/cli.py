@@ -150,7 +150,6 @@ def build_parser():
     _add_game_args(p)
     p.add_argument("--delta-schedule", default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=101)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall times (breaks byte determinism)")
@@ -296,10 +295,9 @@ def _cmd_trace(args):
 
 def _membership_doc(verdict, timings):
     doc = {"decision": verdict.decision}
-    if verdict.witnesses:
-        doc["witnesses"] = [
-            {"delta": d, "profile": _profile_doc(w)} for d, w in verdict.witnesses
-        ]
+    if verdict.witnesses:  # one witness, listed at every scheduled delta
+        profile = _profile_doc(verdict.witnesses[0][1])
+        doc["witnesses"] = [{"delta": d, "profile": profile} for d, _ in verdict.witnesses]
     if verdict.refutation is not None:
         doc["refutation"] = {
             "kind": verdict.refutation.kind,
@@ -313,9 +311,7 @@ def _membership_doc(verdict, timings):
 def _cmd_empirical(args):
     game = _load_game(args)
     schedule = tuple(_parse_schedule(args.delta_schedule))
-    report = enumerate_empirical(
-        game, schedule, m=args.m, component_grid=args.grid, seed=args.seed
-    )
+    report = enumerate_empirical(game, schedule, m=args.m, seed=args.seed)
     doc = {"m": args.m, "isolated": [], "components": []}
     inconclusive = False
     for prof, verdict in report.isolated:

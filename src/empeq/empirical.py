@@ -1,35 +1,35 @@
 """Empirical-equilibrium membership: witnesses and refutations.
 
-A Nash equilibrium is a member when interior payoff-monotone profiles exist
-arbitrarily close to it (the interior characterization of approachability by
-weakly payoff-monotone play).  Membership is certified numerically, by an
-interior monotone witness within the smallest scheduled distance.
-Non-membership is certified structurally, either through a weak-dominance
-forcing the limit violates, or by exhausting every comparison pattern at
-the smallest scheduled distance.  Everything else stays inconclusive.
-
-The scales of a schedule are nested.  Being interior, lying within delta and
-being monotone of the tested kind each survive a larger delta, so the
-smallest scheduled distance alone decides membership: one witness search
-runs there, and a witness found is listed at every scheduled distance.
-Only member verdicts carry witnesses.  `nash.check_perfect` and
-`nash.check_proper` decide at the smallest eps in the same way, since
-"non-best responses <= eps" and "ratios <= eps" only loosen as eps grows.
+An empirical equilibrium is a limit of interior payoff-monotone play, so
+membership is a closure question.  A weak-dominance forcing that the
+candidate violates refutes it first.  For two players the closure test of
+`search.monotone_pattern_search` then decides exactly: the candidate is a
+member iff it lies in the closure of the interior monotone profiles of some
+comparison pattern pair, and a non-member by pattern exhaustion otherwise.
+With three or more players a witness heuristic runs, and only dominance
+refutes.  No decision depends on a distance: the delta schedule only places
+the witness a member verdict lists at every scheduled delta.
+`nash.check_perfect` and `nash.check_proper` still decide at the smallest
+eps, since "non-best responses <= eps" and "ratios <= eps" only loosen as
+eps grows.
 
 With the fraction parameter m < 1 the same machinery decides m-empirical
 membership, where weakly-better actions only need fraction m of the
-weakly-worse action's probability.
+weakly-worse action's probability.  Along a two-player Nash segment,
+probabilities and utilities are linear in the segment parameter, so its
+decisions can change only at their crossings (`segment_breakpoints`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from . import search
-from .game import MixedProfile, weak_dominance
+from .game import MixedProfile, utility_vector, weak_dominance
 from .monotone import (
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
@@ -38,7 +38,6 @@ from .monotone import (
 from .nash import (
     NASH_TOL,
     _require_nash,
-    check_component_grid,
     check_schedule,
     enumerate_nash,
 )
@@ -61,7 +60,7 @@ class Refutation:
 class MembershipVerdict:
     decision: str
     witnesses: list  # member only: (delta, MixedProfile) per scheduled delta,
-    # largest first, one smallest-delta witness repeated
+    # largest first; one witness within the smallest delta, repeated
     refutation: Refutation | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -108,14 +107,16 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
                          nash_tol=NASH_TOL, seed=0):
     """Decide (m-)empirical membership of a Nash candidate.
 
-    member: an interior monotone witness exists within the smallest
-    scheduled distance.  It is one within every larger distance (interior
-    and monotone do not depend on delta), so it is listed at every scheduled
-    distance, largest first.
-    non-member: a dominance forcing is violated, or every pattern at the
-    smallest distance is infeasible (then no monotone profile of the tested
-    kind exists that close, so no sequence can converge to the candidate).
-    Non-member and inconclusive verdicts carry no witnesses.
+    member: an interior monotone witness within the smallest scheduled
+    distance passes `_witness_ok`.  It is one within every larger distance
+    (interior and monotone do not depend on delta), so it is listed at
+    every scheduled distance, largest first.
+    non-member: a dominance forcing is violated, or (two players) the
+    closure test finds no compatible pattern pair with interior monotone
+    profiles, so no sequence of them converges to the candidate.
+    inconclusive: too many compatible pattern pairs, a witness that fails
+    its re-check, or no witness for three or more players.  Non-member and
+    inconclusive verdicts carry no witnesses.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
@@ -134,34 +135,21 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     t1 = time.perf_counter()
     if game.n_players == 2:
         out = search.monotone_pattern_search(game, profile, delta, m=m)
-        witness = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
+        diagnostics["stage_seconds"]["closure-test"] = time.perf_counter() - t1
+        diagnostics["patterns_tried"] = out.tried
+        if out.outcome == search.OUTCOME_REFUTED:
+            cert = Refutation("pattern-exhaustion", {
+                "m": m, "patterns_tried": out.tried,
+                "note": "no compatible pattern pair has interior monotone profiles"})
+            return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
+        witness = out.witness
     else:
         witness = _generic_witness(game, profile, delta, m, seed)
-    diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
+        diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
 
     if _witness_ok(game, witness, profile, delta, m):
         witnesses = [(d, witness) for d in deltas]
         return MembershipVerdict(MEMBER, witnesses, None, diagnostics)
-
-    t2 = time.perf_counter()
-    if game.n_players == 2:
-        ref = search.monotone_pattern_search(
-            game, profile, delta, m=m, refute_mode=True
-        )
-        diagnostics["stage_seconds"]["refutation"] = time.perf_counter() - t2
-        diagnostics["patterns_tried"] = ref.tried
-        if ref.outcome == search.OUTCOME_REFUTED:
-            cert = Refutation(
-                "pattern-exhaustion",
-                {
-                    "delta": delta,
-                    "m": m,
-                    "patterns_tried": ref.tried,
-                    "note": "no monotone profile of the tested kind exists "
-                            "within delta of the candidate",
-                },
-            )
-            return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
     return MembershipVerdict(INCONCLUSIVE, [], None, diagnostics)
 
 
@@ -236,7 +224,7 @@ def reverify_dominance(game, refutation, samples=1000, seed=0):
 @dataclass
 class ComponentMembership:
     component: object
-    grid: list  # (t, decision)
+    grid: list  # (t, decision) at the segment breakpoints and between them
     member_intervals: list  # (t_lo, t_hi) runs of member verdicts
 
 
@@ -247,15 +235,39 @@ class EmpiricalReport:
     components: list  # ComponentMembership
 
 
-def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0,
-                        component_grid=101, seed=0):
+def segment_breakpoints(game, comp, m=1.0):
+    """The interval ends of a two-player segment and the crossings inside it
+    of sigma_a - sigma_b, sigma_a - m * sigma_b and u_a - u_b for one
+    player's actions a, b, merged within 1e-12, with the midpoints between
+    them.  All are linear in t, so membership decisions can change only at
+    these crossings."""
+    lo, hi = comp.interval
+    ts = [lo, hi]
+    for i in range(game.n_players):
+        lines = [(comp.base[i], comp.direction[i], w) for w in {1.0, m}]
+        if game.n_players == 2:  # a one-player game's utilities are constant
+            lines.append((utility_vector(game, i, comp.base),
+                          utility_vector(game, i, comp.direction), 1.0))
+        for value, slope, w in lines:
+            v, s = value[:, None] - w * value, slope[:, None] - w * slope
+            cross = -v[s != 0] / s[s != 0] + 0.0  # no -0.0
+            ts += cross[(cross > lo) & (cross < hi)].tolist()
+    points = [lo]
+    for t in sorted(ts):
+        if t - points[-1] > 1e-12:
+            points.append(t)
+    points[-1] = hi
+    return sorted(points + [(a + b) / 2 for a, b in zip(points, points[1:])])
+
+
+def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
     """Membership verdicts for every enumerated equilibrium.
 
-    Isolated equilibria are decided directly; components on a parameter
-    grid, reported as member subintervals.
+    Isolated equilibria are decided directly, components at their
+    `segment_breakpoints`; runs of member verdicts give the member
+    subintervals.
     """
     check_schedule(delta_schedule, "delta")
-    check_component_grid(component_grid)
     eqset = enumerate_nash(game)
     isolated = [
         (p, empirical_membership(game, p, delta_schedule, m=m, seed=seed))
@@ -264,21 +276,13 @@ def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0,
     comps = []
     for comp in eqset.components:
         grid = [
-            (t, empirical_membership(game, prof, delta_schedule, m=m,
-                                     seed=seed).decision)
-            for t, prof in comp.grid(game, component_grid)
+            (t, empirical_membership(game, comp.profile_at(game, t), delta_schedule,
+                                     m=m, seed=seed).decision)
+            for t in segment_breakpoints(game, comp, m)
         ]
-        intervals = []
-        run_start = None
-        for t, dec in grid:
-            if dec == MEMBER and run_start is None:
-                run_start = t
-            elif dec != MEMBER and run_start is not None:
-                intervals.append((run_start, prev_t))
-                run_start = None
-            prev_t = t
-        if run_start is not None:
-            intervals.append((run_start, grid[-1][0]))
+        runs = (list(run) for member, run in groupby(grid, lambda e: e[1] == MEMBER)
+                if member)
+        intervals = [(run[0][0], run[-1][0]) for run in runs]
         comps.append(ComponentMembership(comp, grid, intervals))
     return EmpiricalReport(eqset, isolated, comps)
 

@@ -1,29 +1,37 @@
-"""Feasibility engine for witness searches near a candidate profile.
+"""Feasibility engine for pattern searches near a candidate profile.
 
 For two-player games every search used here decomposes per player: once each
 player's comparison pattern (a weak order over actions, or a best-response
 set) is fixed, the constraints on one player's vector are linear -- own
 probability constraints plus the *opponent's* utility constraints, which are
-linear in this player's probabilities.  Each pattern therefore reduces to a
-pair of small "maximize the common slack" linear programs (HiGHS).
+linear in this player's probabilities.  So each pattern pair reduces to
+small "maximize the common slack" linear programs (HiGHS).
 
-A pattern is feasible when both programs clear a positive margin on every
-strict constraint; exhausting every pattern with nonpositive margins refutes
-the search goal outright, because any real profile realizes some pattern.
-Margins between the two thresholds leave the question open.
+Membership is a closure test with no distance box (`monotone_pattern_search`).
+The perfect and proper searches bound the profile to a delta box: a pattern
+is feasible when the slack clears a positive margin on every strict row,
+exhausting every pattern with nonpositive margins refutes, and margins
+between the two thresholds leave the question open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .game import MixedProfile, expected_utility, weak_dominance
+from .game import MixedProfile, expected_utility, utility_vector, weak_dominance
 
 MAX_EXHAUSTIVE_ACTIONS = 5
+# the closure test gives up (outcome "open") past this many pattern pairs
+MAX_PATTERN_PAIRS = 20000
+# values closer than this count as tied when patterns are matched to a
+# candidate; a closure LP whose slack does not exceed it counts as empty
+TIE_TOL = 1e-9
 
 # 1e-10 is the tightest feasibility tolerance HiGHS accepts
 _HIGHS_OPTS = {
@@ -59,12 +67,14 @@ def weak_orders(k):
     return tuple(rec(items))
 
 
+@lru_cache(maxsize=None)
+def n_weak_orders(k):
+    """len(weak_orders(k)), without building them (the Fubini numbers)."""
+    return 1 if k == 0 else sum(comb(k, j) * n_weak_orders(k - j) for j in range(1, k + 1))
+
+
 def level_of(levels):
-    lv = {}
-    for d, level in enumerate(levels):
-        for a in level:
-            lv[a] = d
-    return lv
+    return {a: d for d, level in enumerate(levels) for a in level}
 
 
 @lru_cache(maxsize=None)
@@ -160,14 +170,18 @@ _HIGHS, _HIGHS_OPTIONS = _direct_highs()
 _LINPROG_CHECK_TOL = 10 * np.sqrt(1e-9)
 
 
-def new_solver():
+def new_solver(presolve=True):
     """A HiGHS instance for `solve_player_lp` to reuse, or None where scipy
     has no direct bindings.  Each solve passes it a new model, which
-    discards the previous model, basis and solution."""
+    discards the previous model, basis and solution.  Presolve costs the
+    closure test's small LPs more than it saves; the delta-box searches keep
+    it, as the witnesses they print depend on the vertex HiGHS returns."""
     if _HIGHS is None:
         return None
     highs = _HIGHS._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
+    if not presolve:
+        highs.setOptionValue("presolve", "off")
     return highs
 
 
@@ -239,17 +253,13 @@ def solve_player_lp(lp, solver=None):
 # row builders
 
 
-def _base_lp(candidate_vec, delta, interior):
-    n = len(candidate_vec)
-    lo = np.maximum(0.0, np.asarray(candidate_vec) - delta)
-    hi = np.minimum(1.0, np.asarray(candidate_vec) + delta)
-    lp = PlayerLP(n, lo, hi)
-    lp.add_eq(np.ones(n), -1.0)
-    if interior:
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = 1.0
-            lp.add_strict(e)
+def _base_lp(candidate_vec, delta):
+    """Interior vectors summing to one, within delta of the candidate."""
+    v = np.asarray(candidate_vec)
+    lp = PlayerLP(len(v), np.maximum(0.0, v - delta), np.minimum(1.0, v + delta))
+    lp.add_eq(np.ones(len(v)), -1.0)
+    for row in np.eye(len(v)):
+        lp.add_strict(row)
     return lp
 
 
@@ -272,74 +282,36 @@ def add_order_rows(lp, levels, coefs=None):
         lp.add_strict(_vec_of(lp.n, coefs, up[0]) - _vec_of(lp.n, coefs, down[0]))
 
 
-def add_cross_strict_rows(lp, levels, coefs=None):
-    """Strict rows for every pair across distinct levels, no tie equalities.
-
-    This is the weak-payoff-monotonicity shape: strictly-more-played pairs
-    need strictly higher value, ties require nothing.
-    """
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            for a in levels[i]:
-                for b in levels[j]:
-                    lp.add_strict(_vec_of(lp.n, coefs, a) - _vec_of(lp.n, coefs, b))
-
-
 def add_ratio_rows(lp, levels, eps):
     """x[b] <= eps * x[a] across consecutive levels (chains downward)."""
     for up, down in zip(levels, levels[1:]):
         for a in up:
             for b in down:
-                row = np.zeros(lp.n)
-                row[a] = eps
-                row[b] = -1.0
-                lp.add_weak(row)
+                lp.add_weak(eps * _vec_of(lp.n, None, a) - _vec_of(lp.n, None, b))
 
 
-def add_m_fraction_rows(lp, levels, m):
-    """x[a] >= m * x[b] whenever a's level is at or above b's."""
+def add_m_fraction_rows(lp, levels, m, coefs=None):
+    """x[a] >= m * x[b] (or the same on `coefs @ x`) whenever a's level is
+    at or above b's."""
     lv = level_of(levels)
     for a in lv:
         for b in lv:
             if a != b and lv[a] <= lv[b]:
-                row = np.zeros(lp.n)
-                row[a] = 1.0
-                row[b] = -m
-                lp.add_weak(row)
+                lp.add_weak(_vec_of(lp.n, coefs, a) - m * _vec_of(lp.n, coefs, b))
 
 
 # ---------------------------------------------------------------------------
 # forcing sets derived from the candidate and the ball radius
 
 
-def forced_prob_pairs(candidate_vec, delta):
-    """Pairs whose probability order cannot flip inside the max-norm ball."""
-    v = np.asarray(candidate_vec)
-    n = len(v)
-    return {
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if a != b and v[a] - v[b] > 2 * delta
-    }
-
-
 def forced_util_pairs(game, candidate, player, delta):
     """Pairs whose expected-utility order cannot flip inside the ball."""
     eu = expected_utility(game, candidate, player)
     ui = game.payoffs[..., player]
-    span = float(ui.max() - ui.min())
-    opp_size = int(
-        np.prod([k for j, k in enumerate(game.action_counts) if j != player])
-    )
-    slack = span * min(2.0, opp_size * delta)
+    opp_size = ui.size // game.action_counts[player]
+    slack = float(ui.max() - ui.min()) * min(2.0, opp_size * delta)
     n = len(eu)
-    return {
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if a != b and eu[a] - eu[b] > 2 * slack
-    }
+    return {(a, b) for a in range(n) for b in range(n) if a != b and eu[a] - eu[b] > 2 * slack}
 
 
 def dominance_pairs(game, player):
@@ -364,7 +336,6 @@ class PatternOutcome:
     outcome: str  # feasible | refuted | open
     witness: MixedProfile | None
     tried: int
-    table: list  # (pattern, slacks) diagnostics
 
 
 def _util_coefs(game, for_player):
@@ -372,15 +343,12 @@ def _util_coefs(game, for_player):
     if game.n_players != 2:
         raise ValueError("linear utility rows need a two-player game")
     uj = game.payoffs[..., 1 - for_player]
-    if for_player == 0:
-        return [uj[:, b] for b in range(uj.shape[1])]
-    return [uj[a, :] for a in range(uj.shape[0])]
+    return uj.T if for_player == 0 else uj
 
 
 def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_refute):
     """Shared driver: iterate pattern pairs, early-exit on a feasible one."""
     tried = 0
-    table = []
     all_refuted = True
     solver = new_solver()
     for pat0 in patterns0:
@@ -394,62 +362,106 @@ def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_ref
                 xs.append(x)
                 if s < s_feas:
                     break
-            table.append(((pat0, pat1), tuple(slacks)))
             if min(slacks) > s_refute:
                 all_refuted = False
             if len(slacks) == 2 and min(slacks) >= s_feas:
                 witness = MixedProfile(game, [np.clip(x, 0.0, None) for x in xs])
-                return PatternOutcome(OUTCOME_FEASIBLE, witness, tried, table)
+                return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
     if all_refuted and tried > 0:
-        return PatternOutcome(OUTCOME_REFUTED, None, tried, table)
+        return PatternOutcome(OUTCOME_REFUTED, None, tried)
     if tried == 0:
         # every pattern was pruned by geometry: nothing can realize the ball
-        return PatternOutcome(OUTCOME_REFUTED, None, 0, table)
-    return PatternOutcome(OUTCOME_OPEN, None, tried, table)
+        return PatternOutcome(OUTCOME_REFUTED, None, 0)
+    return PatternOutcome(OUTCOME_OPEN, None, tried)
 
 
-def monotone_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
-    """Search for (m=1: interior payoff-monotone / m<1: interior m-weakly
-    monotone) profiles within `delta`; in refute mode, certify that not even
-    boundary profiles of the matching monotonicity notion exist there.
+def _tie_blocks(sig, u, m):
+    """One player's actions in blocks, best first: the blocks of actions
+    tied in (sig, u) for m = 1, in u for m < 1.  Every compatible pattern
+    keeps the blocks in this order and splits each by any weak order.
+    None when the blocks do not run down in every value."""
+    values = [v.tolist() for v in ((sig, u) if m == 1.0 else (u,))]
+
+    def cmp(a, b):
+        for v in values:
+            if abs(v[a] - v[b]) > TIE_TOL:
+                return -1 if v[a] > v[b] else 1
+        return 0
+
+    blocks = []
+    for a in sorted(range(len(values[0])), key=cmp_to_key(cmp)):
+        if blocks and cmp(blocks[-1][0], a) == 0:
+            blocks[-1].append(a)
+        else:
+            blocks.append([a])
+    for up, down in zip(blocks, blocks[1:]):
+        if any(v[a] < v[b] - TIE_TOL for v in values for a in up for b in down):
+            return None
+    return blocks
+
+
+def monotone_pattern_search(game, candidate, delta, m=1.0):
+    """Closure test: is the candidate a limit of interior payoff-monotone
+    (m = 1) or m-weakly payoff-monotone (m < 1) profiles?
+
+    Player i's pattern is a weak order realized by u_i(., x_j), and by x_i
+    too for m = 1; for m < 1, x_i meets its m-fraction rows.  The interior
+    profiles of a pattern pair form a relatively open polyhedron S, whose
+    closure, if S is nonempty, is the same system with strict rows made
+    weak.  So only pairs that the candidate meets weakly are tried, one
+    stacked LP each with one slack on the strict rows and x > 0.
+    feasible: some slack > TIE_TOL; the witness is on the ray from the
+    candidate to the LP's point, at distance delta, inside S.  refuted: no
+    such slack.  open: more than MAX_PATTERN_PAIRS pairs.
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
-    s_feas = max(1e-12, min(1e-8, 1e-2 * delta))
-    s_refute = s_feas * 1e-3
+    k0, k1 = game.action_counts
+    n = k0 + k1
+    own = np.split(np.eye(n), [k0])  # x_i in the stacked variables (x_0, x_1)
+    util = (np.hstack([np.zeros((k0, k0)), _util_coefs(game, 1)]),  # u_0(., x_1)
+            np.hstack([_util_coefs(game, 0), np.zeros((k1, k1))]))  # u_1(., x_0)
+    point = candidate.stacked()
+    base = PlayerLP(n, np.zeros(n), np.ones(n), [(row, 0.0) for row in np.eye(n)])
+    for i in range(2):
+        base.add_eq(own[i].sum(axis=0), -1.0)
+
+    def pattern_rows(i, levels):
+        lp = PlayerLP(n, base.lo, base.hi)
+        if m == 1.0:
+            add_order_rows(lp, levels, own[i])
+        else:
+            add_m_fraction_rows(lp, levels, m, own[i])
+            if any(coef @ point + const < -TIE_TOL for coef, const in lp.weak):
+                return None
+        add_order_rows(lp, levels, util[i])
+        return lp
 
     pats = []
     for i in range(2):
-        prob_forced = forced_prob_pairs(candidate.vectors[i], delta)
-        util_forced = forced_util_pairs(game, candidate, i, delta)
-        dom = dominance_pairs(game, i)
-        if m == 1.0 and not refute_mode:
-            strict, weak = prob_forced | util_forced | dom, set()
-        elif m == 1.0:
-            strict, weak = prob_forced, util_forced | dom
-        elif not refute_mode:
-            strict, weak = util_forced | dom, set()
-        else:
-            strict, weak = util_forced, dom
-        orders = _sorted_orders(game, candidate, i, strict, weak)
-        if orders is None:
-            return PatternOutcome(OUTCOME_OPEN, None, 0, [("too many actions", ())])
-        pats.append(orders)
-
-    def build_lp(i, own, opp):
-        lp = _base_lp(candidate.vectors[i], delta, interior=not refute_mode)
-        if m == 1.0:
-            add_order_rows(lp, own)
-        else:
-            add_m_fraction_rows(lp, own, m)
-        coefs = _util_coefs(game, i)
-        if m == 1.0 and refute_mode:
-            add_cross_strict_rows(lp, opp, coefs=coefs)
-        else:
-            add_order_rows(lp, opp, coefs=coefs)
-        return lp
-
-    return _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
+        blocks = _tie_blocks(candidate.vectors[i], utility_vector(game, i, candidate.vectors), m)
+        if blocks is None:
+            return PatternOutcome(OUTCOME_REFUTED, None, 0)
+        if prod(n_weak_orders(len(b)) for b in blocks) > MAX_PATTERN_PAIRS:
+            return PatternOutcome(OUTCOME_OPEN, None, 0)
+        splits = [[tuple(tuple(b[j] for j in level) for level in levels)
+                   for levels in sorted(weak_orders(len(b)), key=len)] for b in blocks]
+        rows = (pattern_rows(i, sum(parts, ())) for parts in product(*splits))
+        pats.append([lp for lp in rows if lp is not None])
+    count = len(pats[0]) * len(pats[1])
+    if count > MAX_PATTERN_PAIRS:
+        return PatternOutcome(OUTCOME_OPEN, None, 0)
+    solver = new_solver(presolve=False)
+    for tried, (lp0, lp1) in enumerate(product(*pats), start=1):
+        lp = PlayerLP(n, base.lo, base.hi, base.strict + lp0.strict + lp1.strict,
+                      lp0.weak + lp1.weak, base.eq + lp0.eq + lp1.eq)
+        s, x = solve_player_lp(lp, solver)
+        if s > TIE_TOL:
+            x = np.clip(x, 0.0, None)
+            t = delta / max(delta, float(np.max(np.abs(x - point))))
+            witness = MixedProfile(game, np.split((1 - t) * point + t * x, [k0]))
+            return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
+    return PatternOutcome(OUTCOME_REFUTED, None, count)
 
 
 def perfect_pattern_search(game, candidate, eps, delta):
@@ -463,42 +475,29 @@ def perfect_pattern_search(game, candidate, eps, delta):
     for i in range(2):
         k = game.action_counts[i]
         if k > MAX_EXHAUSTIVE_ACTIONS + 3:
-            return PatternOutcome(OUTCOME_OPEN, None, 0, [("too many actions", ())])
-        core = frozenset(
-            int(a) for a in np.where(candidate.vectors[i] > eps + delta)[0]
-        )
-        patterns = []
-        for mask in range(1, 1 << k):
-            b = tuple(a for a in range(k) if mask >> a & 1)
-            if core <= set(b):
-                patterns.append(b)
-        patterns.sort(key=len)
-        pats.append(patterns)
+            return PatternOutcome(OUTCOME_OPEN, None, 0)
+        core = set(np.flatnonzero(candidate.vectors[i] > eps + delta).tolist())
+        subsets = (tuple(a for a in range(k) if mask >> a & 1) for mask in range(1, 1 << k))
+        pats.append(sorted((b for b in subsets if core <= set(b)), key=len))
 
     def build_lp(i, own, opp):
-        lp = _base_lp(candidate.vectors[i], delta, interior=True)
-        k = game.action_counts[i]
-        for a in range(k):
+        lp = _base_lp(candidate.vectors[i], delta)
+        for a, row in enumerate(np.eye(game.action_counts[i])):
             if a not in own:
-                row = np.zeros(k)
-                row[a] = -1.0
-                lp.add_weak(row, eps)  # x[a] <= eps
+                lp.add_weak(-row, eps)  # x[a] <= eps
         coefs = _util_coefs(game, i)
-        rep = opp[0]
-        for b in opp[1:]:
-            lp.add_eq(np.asarray(coefs[rep], dtype=float) - np.asarray(coefs[b], dtype=float))
         for b in range(game.action_counts[1 - i]):
-            if b not in opp:
-                lp.add_strict(
-                    np.asarray(coefs[rep], dtype=float) - np.asarray(coefs[b], dtype=float)
-                )
+            if b in opp[1:]:
+                lp.add_eq(coefs[opp[0]] - coefs[b])
+            elif b not in opp:
+                lp.add_strict(coefs[opp[0]] - coefs[b])
         return lp
 
     out = _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
     if out.outcome == OUTCOME_REFUTED:
         # best-response enumeration is not an exhaustive class system for
         # perfection; failure to find a witness stays "open"
-        return PatternOutcome(OUTCOME_OPEN, None, out.tried, out.table)
+        return PatternOutcome(OUTCOME_OPEN, None, out.tried)
     return out
 
 
@@ -521,11 +520,11 @@ def proper_pattern_search(game, candidate, eps, delta):
         dom = dominance_pairs(game, i)
         orders = _sorted_orders(game, candidate, i, util_forced | dom, set())
         if orders is None:
-            return PatternOutcome(OUTCOME_OPEN, None, 0, [("too many actions", ())])
+            return PatternOutcome(OUTCOME_OPEN, None, 0)
         pats.append(orders)
 
     def build_lp(i, own, opp):
-        lp = _base_lp(candidate.vectors[i], delta, interior=True)
+        lp = _base_lp(candidate.vectors[i], delta)
         add_ratio_rows(lp, own, eps)
         coefs = _util_coefs(game, i)
         add_order_rows(lp, opp, coefs=coefs)

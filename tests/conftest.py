@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from empeq import corpus, nash
+from empeq import corpus, empirical, nash, search
 from empeq.game import Game, MixedProfile
 from empeq.qre import QreConvergenceError, logistic_profile, qre_fixed_point
 
@@ -83,3 +83,101 @@ def per_pair_reference(game):
             nash._solve_pair(game, s1, s2, scale, out)
     out.isolated, out.components = nash._dedupe(game, out.isolated, out.components)
     return out
+
+
+def integer_game(rng, shape):
+    """Two-player game with payoffs in {0, 1, 2}."""
+    m, k = shape
+    return Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(m)],
+                               "P2": [f"b{j}" for j in range(k)]},
+                rng.integers(0, 3, size=(m, k, 2)).astype(float))
+
+
+def integer_games(count):
+    # payoffs in {0, 1, 2}; sizes cycle through 2, 3, 3, 4
+    rng = np.random.default_rng(11)
+    return [integer_game(rng, ((2, 3, 3, 4)[i % 4],) * 2) for i in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# reference membership: the delta-box searches that the closure test replaced
+
+
+def _forced_prob_pairs(candidate_vec, delta):
+    """Pairs whose probability order cannot flip inside the max-norm ball."""
+    v = np.asarray(candidate_vec)
+    return {(a, b) for a in range(len(v)) for b in range(len(v))
+            if a != b and v[a] - v[b] > 2 * delta}
+
+
+def _add_cross_strict_rows(lp, levels, coefs=None):
+    """Strict rows for every pair across distinct levels, no tie equalities:
+    strictly-more-played pairs need strictly higher value."""
+    for i in range(len(levels)):
+        for j in range(i + 1, len(levels)):
+            for a in levels[i]:
+                for b in levels[j]:
+                    lp.add_strict(search._vec_of(lp.n, coefs, a)
+                                  - search._vec_of(lp.n, coefs, b))
+
+
+def reference_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
+    """Search for interior monotone profiles (m = 1: payoff-monotone; m < 1:
+    m-weakly monotone) within `delta`; in refute mode, certify that not even
+    boundary profiles of the matching monotonicity notion exist there.
+    Weak orders are ranked per player, and only up to
+    `search.MAX_EXHAUSTIVE_ACTIONS` actions."""
+    s_feas = max(1e-12, min(1e-8, 1e-2 * delta))
+    s_refute = s_feas * 1e-3
+    pats = []
+    for i in range(2):
+        prob_forced = _forced_prob_pairs(candidate.vectors[i], delta)
+        util_forced = search.forced_util_pairs(game, candidate, i, delta)
+        dom = search.dominance_pairs(game, i)
+        if m == 1.0 and not refute_mode:
+            strict, weak = prob_forced | util_forced | dom, set()
+        elif m == 1.0:
+            strict, weak = prob_forced, util_forced | dom
+        elif not refute_mode:
+            strict, weak = util_forced | dom, set()
+        else:
+            strict, weak = util_forced, dom
+        orders = search._sorted_orders(game, candidate, i, strict, weak)
+        if orders is None:
+            return search.PatternOutcome(search.OUTCOME_OPEN, None, 0)
+        pats.append(orders)
+
+    def build_lp(i, own, opp):
+        lp = search._base_lp(candidate.vectors[i], delta)
+        if refute_mode:
+            lp.strict = []  # boundary profiles count as well
+        if m == 1.0:
+            search.add_order_rows(lp, own)
+        else:
+            search.add_m_fraction_rows(lp, own, m)
+        coefs = search._util_coefs(game, i)
+        if m == 1.0 and refute_mode:
+            _add_cross_strict_rows(lp, opp, coefs=coefs)
+        else:
+            search.add_order_rows(lp, opp, coefs=coefs)
+        return lp
+
+    return search._run_patterns(game, candidate, pats[0], pats[1], build_lp,
+                                s_feas, s_refute)
+
+
+def reference_membership(game, profile, delta_schedule=empirical.DEFAULT_DELTAS,
+                         m=1.0):
+    """Two-player membership decided at the smallest delta: dominance, a
+    witness search, then a refutation search.  Returns the decision."""
+    delta = min(delta_schedule)
+    if empirical._dominance_refutation(game, profile, m) is not None and m > 0.0:
+        return empirical.NON_MEMBER
+    out = reference_pattern_search(game, profile, delta, m=m)
+    witness = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
+    if empirical._witness_ok(game, witness, profile, delta, m):
+        return empirical.MEMBER
+    ref = reference_pattern_search(game, profile, delta, m=m, refute_mode=True)
+    if ref.outcome == search.OUTCOME_REFUTED:
+        return empirical.NON_MEMBER
+    return empirical.INCONCLUSIVE

@@ -85,15 +85,26 @@ def _game_file(tmp_path, a, b):
 
 
 def test_inconclusive_verdict_exits_one(tmp_path):
-    # every membership search on a 6x6 game stops at the 5-action cap
-    rng = np.random.default_rng(6)
-    path = _game_file(tmp_path, *rng.uniform(-10, 10, size=(2, 6, 6)))
+    # (a1, b1) is the only equilibrium; P2's seven unused actions tie in
+    # probability and utility, so they have 47,293 weak orders, more
+    # compatible patterns than the closure test tries
+    a = [[1] * 8, [0] * 8]
+    b = [[1] + [0] * 7] * 2
+    path = _game_file(tmp_path, a, b)
     code, out, err = _run(["empirical", "--game", path])
     assert code == 1
     assert err == ""
     doc = json.loads(out)
-    assert doc["isolated"]
-    assert {e["decision"] for e in doc["isolated"]} == {"inconclusive"}
+    assert [e["decision"] for e in doc["isolated"]] == ["inconclusive"]
+    assert doc["components"] == []
+
+
+def test_empirical_has_no_grid_option():
+    # component decisions are taken at breakpoints, not on a grid
+    code, out, err = _run(["empirical", "--corpus", "psi", "--grid", "101"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --grid" in err
 
 
 def test_nash_diagnostics_match_per_pair_reference(tmp_path):
@@ -166,8 +177,8 @@ def test_repeat_runs_are_byte_identical(game, command, tmp_path):
     (["nash", "--corpus", "gamma1", "--eps-schedule", "0.1,nan"], "eps schedule"),
     (["trace", "--corpus", "gamma1", "--lambda-max", "inf"], "lambda schedule"),
     (["trace", "--corpus", "gamma1", "--lambda-max", "0.001"], "lambda schedule"),
-    (["empirical", "--corpus", "psi", "--grid", "0"], "component grid"),
-    (["empirical", "--corpus", "psi", "--grid", "1"], "component grid"),
+    (["nash", "--corpus", "psi", "--grid", "1"], "component grid"),
+    (["nash", "--corpus", "psi", "--grid", "-1"], "component grid"),
     (["nash", "--corpus", "psi", "--grid", "0"], "component grid"),
     (["trace", "--corpus", "gamma1", "--steps", "1", "--lambda-max", "1000"],
      "steps >= 2"),

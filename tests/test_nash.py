@@ -20,7 +20,7 @@ from empeq.nash import (
     undominated_flag,
 )
 
-from conftest import per_pair_reference, random_game
+from conftest import integer_game, integer_games, per_pair_reference, random_game
 
 
 def _pure_set(game, eqset):
@@ -377,17 +377,6 @@ def _two_player(pay):
                                "P2": [f"b{j}" for j in range(k)]}, pay)
 
 
-def _integer_game(rng, shape):
-    # payoffs in {0, 1, 2}
-    return _two_player(rng.integers(0, 3, size=(*shape, 2)).astype(float))
-
-
-def _integer_games(count):
-    # payoffs in {0, 1, 2}; sizes cycle through 2, 3, 3, 4
-    rng = np.random.default_rng(11)
-    return [_integer_game(rng, ((2, 3, 3, 4)[i % 4],) * 2) for i in range(count)]
-
-
 def _near_degenerate_games(shifts):
     """A 3x4 integer game with 19 consistent unbalanced pairs, with P2's
     payoff at (a1, b2) moved by each shift."""
@@ -409,7 +398,7 @@ def test_enumeration_matches_per_pair_reference():
     games += [random_game(rng, (n, n), 0.0, 1.0) for n in (5, 6, 6)]
     # the first 48 integer games hold five segments that a tolerance fault
     # once dropped; the 3x3 game below held another
-    games += _integer_games(48)
+    games += integer_games(48)
     a = [[2, 2, 1], [2, 2, 0], [2, 2, 2]]
     b = [[2, 1, 1], [1, 0, 1], [0, 2, 1]]
     games.append(Game(["P1", "P2"], {"P1": ["a1", "a2", "a3"], "P2": ["b1", "b2", "b3"]},
@@ -421,7 +410,7 @@ def test_enumeration_matches_per_pair_reference():
     # overdetermined side on one player
     for shape in ((2, 6), (3, 5), (5, 3), (6, 4)):
         games.append(random_game(rng, shape, 0.0, 1.0))
-        games.append(_integer_game(rng, shape))
+        games.append(integer_game(rng, shape))
     # a degenerate game moved off degeneracy by 1e-13 (all pairs keep their
     # decision), 1e-10 (below the equalities' 1e-9 tolerance) and 1e-8
     # (pairs turn inconsistent, some certified and some only by the SVD)
@@ -442,7 +431,7 @@ def test_enumeration_matches_per_pair_reference():
     # no `degenerate` diagnostic may hold one; 191 of the 400 games keep a
     # face of dimension >= 2
     with_face = 0
-    for g in _integer_games(400):
+    for g in integer_games(400):
         faces = [d for d in enumerate_nash(g).diagnostics if d.status == "degenerate"]
         assert all(s.null.shape[1] or s.x0_feasible for d in faces for s in d.sides)
         with_face += bool(faces)
@@ -509,8 +498,8 @@ def test_inconsistency_certificate_is_sound():
     uniform = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
     games = uniform + [random_game(rng, shape, 0.0, 1.0)
                        for shape in ((3, 5), (5, 3), (4, 6))]
-    games += [_integer_game(rng, shape) for shape in ((3, 5), (5, 3), (4, 6))]
-    games += _integer_games(400)
+    games += [integer_game(rng, shape) for shape in ((3, 5), (5, 3), (4, 6))]
+    games += integer_games(400)
     games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
     fired = 0
     for factor in (1.0, 1e-150, 1e150):

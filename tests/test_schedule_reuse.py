@@ -1,15 +1,22 @@
-"""Smallest-scale decisions against the per-scale loops they replaced.
+"""Smallest-scale decisions against the per-scale loops they replaced, and
+two-player membership against the delta-box searches it replaced.
 
-`empirical_membership`, `check_perfect` and `check_proper` search the
-smallest scale only and list its witness at every scale.  The references
-below are the earlier loops, which searched every scale on its own.  On the
+`empirical_membership`, `check_perfect` and `check_proper` list one
+witness at every scale.  The refinement references below are the earlier
+loops, which searched every scale on its own.  The membership reference
+runs one closure test for two players and re-checks its witness at every
+delta; for more players it searches every delta on its own.  On the
 default schedules decisions, refutations, statuses and certificates must
 match.  On the wide eps schedule a refinement may also go from inconclusive
 to verified: its smallest-eps witness holds at every larger eps, where a
 search of its own failed.  Every witness is re-checked at every scale, and
 only member and verified verdicts carry witnesses.
+
+The closure test must also keep every verdict that the earlier delta-box
+searches decided (`conftest.reference_membership`).
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -24,6 +31,7 @@ from empeq.empirical import (
     MembershipVerdict,
     Refutation,
     empirical_membership,
+    segment_breakpoints,
 )
 from empeq.game import Game, MixedProfile, nash_defect
 from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
@@ -37,39 +45,30 @@ from empeq.nash import (
     is_epsilon_proper,
 )
 
-from conftest import corpus_games, random_game
+from conftest import corpus_games, integer_games, random_game, reference_membership
 
 
 def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0, seed=0):
-    """One witness search per delta, largest first."""
+    """Two players: one closure test, its witness re-checked at every delta.
+    More players: one witness search per delta, largest first."""
     cert = empirical._dominance_refutation(game, profile, m)
     if cert is not None and m > 0.0:
         return MembershipVerdict(NON_MEMBER, [], cert)
-    witnesses, missing = [], []
-    for delta in sorted(deltas, reverse=True):
-        if game.n_players == 2:
-            out = search.monotone_pattern_search(game, profile, delta, m=m)
-            w = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
-        else:
-            w = empirical._generic_witness(game, profile, delta, m, seed)
-        if empirical._witness_ok(game, w, profile, delta, m):
-            witnesses.append((delta, w))
-        else:
-            missing.append(delta)
+    if game.n_players == 2:
+        out = search.monotone_pattern_search(game, profile, min(deltas), m=m)
+        if out.outcome == search.OUTCOME_REFUTED:
+            return MembershipVerdict(NON_MEMBER, [], Refutation("pattern-exhaustion", {
+                "m": m, "patterns_tried": out.tried,
+                "note": "no compatible pattern pair has interior monotone profiles",
+            }))
+        witnesses = [(delta, out.witness) for delta in sorted(deltas, reverse=True)]
+    else:
+        witnesses = [(delta, empirical._generic_witness(game, profile, delta, m, seed))
+                     for delta in sorted(deltas, reverse=True)]
+    missing = [d for d, w in witnesses if not empirical._witness_ok(game, w, profile, d, m)]
     if not missing:
         return MembershipVerdict(MEMBER, witnesses)
-    if game.n_players == 2:
-        ref = search.monotone_pattern_search(game, profile, min(deltas), m=m,
-                                             refute_mode=True)
-        if ref.outcome == search.OUTCOME_REFUTED:
-            cert = Refutation("pattern-exhaustion", {
-                "delta": min(deltas), "m": m, "patterns_tried": ref.tried,
-                "note": "no monotone profile of the tested kind exists "
-                        "within delta of the candidate",
-            })
-            return MembershipVerdict(NON_MEMBER, witnesses, cert)
-    return MembershipVerdict(INCONCLUSIVE, witnesses, None,
-                             {"missing_deltas": missing})
+    return MembershipVerdict(INCONCLUSIVE, [], None, {"missing_deltas": missing})
 
 
 def _perfect_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
@@ -207,7 +206,8 @@ EPS_SCHEDULES = {"default": DEFAULT_EPS_SCHEDULE, "wide": (0.3, 0.1, 1e-3, 1e-5)
 
 
 def _capped_games():
-    # every two-player search stops at the 5-action cap: all inconclusive
+    # a 6x6 game, which the former 5-action cap of the searches left
+    # inconclusive throughout
     return [(g, enumerate_nash(g).isolated)
             for g in [random_game(np.random.default_rng(6), (6, 6))]]
 
@@ -228,10 +228,9 @@ def test_membership_matches_per_scale_reference(games, m, schedule):
             assert "missing_deltas" not in got.diagnostics
             _recheck_monotone(game, candidate, got, deltas, m)
             decisions.add(got.decision)
+    assert MEMBER in decisions
     if games == "capped":
-        assert decisions == {INCONCLUSIVE}
-    else:
-        assert MEMBER in decisions
+        assert decisions == {MEMBER}
 
 
 def _recheck_refinement(game, candidate, verdict, epss, passes):
@@ -273,8 +272,9 @@ def _count_searches(monkeypatch, name):
     original = getattr(search, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("refute_mode", False))
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        calls.append(out.outcome)
+        return out
 
     monkeypatch.setattr(search, name, counted)
     return calls
@@ -288,18 +288,21 @@ def test_member_candidate_runs_one_search(monkeypatch, m):
     verdict = empirical_membership(game, top, m=m)
     assert verdict.decision == MEMBER
     assert len(verdict.witnesses) == len(DEFAULT_DELTAS)
-    assert calls == [False]
+    assert calls == [search.OUTCOME_FEASIBLE]
 
 
 def test_seeded_members_run_one_search_each(monkeypatch):
+    # one closure test per candidate that passes the dominance check,
+    # member or not
     calls = _count_searches(monkeypatch, "monotone_pattern_search")
     members = 0
-    for game in _seeded_games():
-        for candidate in enumerate_nash(game).isolated:
+    for game, candidates in GAME_SETS["seeded"]() + GAME_SETS["integer"]():
+        for candidate in candidates:
             calls.clear()
-            if empirical_membership(game, candidate).decision == MEMBER:
-                assert calls == [False]
-                members += 1
+            verdict = empirical_membership(game, candidate)
+            dominated = verdict.refutation is not None and verdict.refutation.kind == "dominance"
+            assert len(calls) == (0 if dominated else 1)
+            members += verdict.decision == MEMBER
     assert members >= 3
 
 
@@ -314,10 +317,9 @@ def _found_game():
                 np.stack([rows, cols], axis=-1).astype(float))
 
 
-def test_non_member_runs_one_witness_and_one_refute_search(monkeypatch):
-    # the segment ends are refuted at the smallest delta; a search at a
-    # larger delta cannot change that, and at delta = 0.1 it tries
-    # thousands of patterns
+def test_non_member_runs_one_search(monkeypatch):
+    # the segment ends are refuted by one closure test each, which is what
+    # the delta-box searches decided as well
     game = _found_game()
     (segment,) = [c for c in enumerate_nash(game).components
                   if c.support == (("a0", "a1"), ("b3",))]
@@ -328,4 +330,32 @@ def test_non_member_runs_one_witness_and_one_refute_search(monkeypatch):
         assert verdict.decision == NON_MEMBER
         assert verdict.refutation.kind == "pattern-exhaustion"
         assert verdict.witnesses == []
-        assert calls == [False, True]
+        assert calls == [search.OUTCOME_REFUTED]
+        assert reference_membership(game, end, m=0.5) == NON_MEMBER
+
+
+def _differential_games():
+    """The game sets above and every fourth of the first 80 integer games."""
+    games = [g for name in ("corpus", "seeded", "integer") for g, _ in GAME_SETS[name]()]
+    return games + integer_games(80)[::4]
+
+
+@pytest.mark.parametrize("m", [1.0, 0.5])
+def test_closure_test_keeps_decided_reference_verdicts(m):
+    """Every verdict that the delta-box searches decide, at isolated
+    equilibria and at component points (ends, breakpoints and a grid), is
+    the closure test's verdict too; the 400 integer games are in CHANGES.md."""
+    kept = collections.Counter()
+    for game in _differential_games():
+        eqset = enumerate_nash(game)
+        candidates = list(eqset.isolated)
+        for c in eqset.components:
+            candidates += [p for _, p in c.grid(game, 5)]
+            candidates += [c.profile_at(game, t) for t in segment_breakpoints(game, c, m)]
+        for candidate in candidates:
+            ref = reference_membership(game, candidate, m=m)
+            got = empirical_membership(game, candidate, m=m)
+            if ref != INCONCLUSIVE:
+                assert got.decision == ref
+            kept[ref, got.decision] += 1
+    assert kept[MEMBER, MEMBER] > 50 and kept[NON_MEMBER, NON_MEMBER] > 50

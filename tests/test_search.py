@@ -1,11 +1,9 @@
-import itertools
-
 import numpy as np
 from scipy.optimize import linprog
 
-from empeq import search
+from empeq import corpus, search
 from empeq.empirical import DEFAULT_DELTAS
-from empeq.nash import enumerate_nash
+from empeq.nash import DEFAULT_EPS_SCHEDULE, DELTA_FACTOR, enumerate_nash
 
 from conftest import random_game
 
@@ -52,9 +50,9 @@ def test_ranked_orders_match_loop_reference():
 
 
 def _pattern_lps(monkeypatch, games):
-    """Every slack LP that monotone pattern searches solve on `games`: at
-    each equilibrium, every default delta, m in (1, 0.5), witness and
-    refute mode."""
+    """Every slack LP that the closure test (m in (1, 0.5)) and the proper
+    search (largest and smallest default eps) solve at each equilibrium of
+    `games`."""
     lps = []
     solve = search.solve_player_lp
 
@@ -65,10 +63,10 @@ def _pattern_lps(monkeypatch, games):
     monkeypatch.setattr(search, "solve_player_lp", record)
     for game in games:
         for profile in enumerate_nash(game).isolated:
-            for m, delta, refute in itertools.product((1.0, 0.5), DEFAULT_DELTAS,
-                                                      (False, True)):
-                search.monotone_pattern_search(game, profile, delta, m=m,
-                                               refute_mode=refute)
+            for m in (1.0, 0.5):
+                search.monotone_pattern_search(game, profile, min(DEFAULT_DELTAS), m=m)
+            for eps in (max(DEFAULT_EPS_SCHEDULE), min(DEFAULT_EPS_SCHEDULE)):
+                search.proper_pattern_search(game, profile, eps, DELTA_FACTOR * eps)
     monkeypatch.undo()
     return lps
 
@@ -111,6 +109,7 @@ def test_slack_lp_matches_linprog_reference(monkeypatch):
     linprog call kept for scipy builds without HiGHS bindings."""
     rng = np.random.default_rng(1)
     games = [random_game(rng, shape=(k, k)) for k in (3, 4, 5)]
+    games.append(corpus.gamma2c(0.5, 0.5))  # closure LPs with slack <= 0
     lps = _pattern_lps(monkeypatch, games)
     reference = [_solve_reference(lp) for lp in lps]
     assert len(lps) > 100
