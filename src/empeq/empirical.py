@@ -69,28 +69,26 @@ def _dominance_refutation(game, profile, m):
     """Forced inequality sigma(dominating) >= m * sigma(dominated) holds in
     every (m-)weakly monotone profile; a candidate violating it in the limit
     cannot be approached."""
-    report = weak_dominance(game)
-    for i, p in enumerate(game.players):
-        for pair, d, g in report.indexed[i]:
-            lhs = m * profile.vectors[i][d]
-            rhs = profile.vectors[i][g]
-            if lhs - rhs > NASH_TOL:
-                return Refutation(
-                    "dominance",
-                    {
-                        "player": p,
-                        "dominated": pair.dominated,
-                        "dominating": pair.dominating,
-                        "m": m,
-                        "forced": f"sigma({pair.dominating}) >= "
-                                  f"{m:g} * sigma({pair.dominated})",
-                        "candidate": {
-                            pair.dominated: float(profile.vectors[i][d]),
-                            pair.dominating: float(profile.vectors[i][g]),
-                        },
-                    },
-                )
-    return None
+    hit = weak_dominance(game).first_violation(
+        profile, lambda x_d, x_g: m * x_d - x_g > NASH_TOL)
+    if hit is None:
+        return None
+    player, pair, x_d, x_g = hit
+    return Refutation(
+        "dominance",
+        {
+            "player": player,
+            "dominated": pair.dominated,
+            "dominating": pair.dominating,
+            "m": m,
+            "forced": f"sigma({pair.dominating}) >= "
+                      f"{m:g} * sigma({pair.dominated})",
+            "candidate": {
+                pair.dominated: float(x_d),
+                pair.dominating: float(x_g),
+            },
+        },
+    )
 
 
 def _witness_ok(game, witness, candidate, delta, m):

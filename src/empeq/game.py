@@ -393,6 +393,16 @@ class DominanceReport:
     def dominated_actions(self, player):
         return {d.dominated for d in self.pairs.get(player, ())}
 
+    def first_violation(self, profile, violates):
+        """(player, pair, dominated probability, dominating probability) of
+        the first pair, players in order, whose probabilities in `profile`
+        satisfy violates(dominated, dominating); None when no pair does."""
+        for player, found, vec in zip(self.pairs, self.indexed, profile.vectors):
+            for pair, d, g in found:
+                if violates(vec[d], vec[g]):
+                    return player, pair, vec[d], vec[g]
+        return None
+
     @property
     def is_empty(self):
         return all(not lst for lst in self.pairs.values())

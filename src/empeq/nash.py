@@ -13,24 +13,37 @@ one LP per side.
 
 A pair is proven empty when one of its sides has inconsistent equalities
 or is a point with infeasible x0.  Most pairs of a generic game are, so
-enumeration decides each size class (|s1|, |s2|) in stages, and a pair
-drops at the first stage that proves it empty:
-- Certificate.  In an unbalanced pair (|s1| != |s2|) one side has more
-  equalities than unknowns.  One stacked determinant per class proves that
-  side's equalities inconsistent on most such pairs, by a lower bound on
-  the residual of any solution `_side` could compute; no SVD is taken.
-  This is the balance condition of Porter, Nudelman & Shoham (GEB 2008),
-  applied pair by pair, so degenerate games keep their unbalanced
-  equilibria.
-- First side.  For the remaining pairs one fancy-indexed slice builds every
-  equality matrix of the side screened first and one stacked SVD gives
-  each pair's rank, x0, residual and feasibility slack.  The screen only
-  decides a pair by a margin that bounds the rounding by which its sums
-  can differ from `_side`'s.
-- Second side.  It is screened the same way, only for the pairs that the
-  first side leaves open.
+enumeration screens the pairs by the size p of their smaller support, in
+stages, and a pair drops at the first stage that proves it empty:
+- Closed form (p = 1), with no LAPACK call.  A side of size 1 has the
+  equality x0 = 1, so the payoff table decides whether it is consistent
+  and feasible, in pure pairs and pairs (1, q) alike.  The other side of a
+  pair (1, q >= 2) is one equality over q unknowns and never proves the
+  pair empty.
+- Determinant and LU (p >= 2).  One `slogdet` per size factors every
+  p x p matrix the size needs:
+  - Certificate.  In an unbalanced pair (|s1| != |s2|) the side of the
+    smaller support has more equalities than unknowns.  A lower bound on
+    the residual of any solution `_side` could compute, from the
+    determinant of a p x p block, proves that side inconsistent on most
+    such pairs.  This is the balance condition of Porter, Nudelman &
+    Shoham (GEB 2008), applied pair by pair, so degenerate games keep
+    their unbalanced equilibria.
+  - LU decision.  On a balanced pair's square first side, the determinant
+    and the Frobenius norm bound the smallest singular value from below.
+    Where that bound clears `_side`'s rank cut, one stacked `solve` gives
+    a point close enough to any x0 `_side` could accept to prove x0
+    infeasible by a margin.  The second side of each surviving pair is
+    decided the same way.
+- SVD screen, the fallback.  Pairs the bounds leave open go to
+  `_screen_side`: uncertified unbalanced pairs, the other side of those
+  that survive, and square sides that are singular or ill-conditioned, as
+  in degenerate games.  One stacked SVD per size class and side gives each
+  pair's rank, x0, residual and feasibility slack, and decides only by a
+  margin that bounds the rounding by which its sums can differ from
+  `_side`'s.
 - Exact decision.  Every pair left open goes to `_solve_pair`, which drops
-  the empty pairs the screen missed by its margin.
+  the empty pairs the screens missed by their margins.
 A dropped pair would be found empty by `_side` as well, so the result is
 the same as when every pair is decided exactly.  Diagnostics report only
 the pairs that may hold equilibria but gave none: `degenerate` faces of
@@ -71,6 +84,7 @@ NASH_TOL = 1e-9
 ENUMERATION_LIMIT = 4096
 DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 DELTA_FACTOR = 10.0
+_UNIT = np.finfo(float).eps / 2  # unit roundoff
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -260,8 +274,7 @@ def enumerate_nash(game):
         raise UnsupportedGameError("too many support pairs to enumerate")
     classes1, classes2 = _support_classes(m), _support_classes(k)
     sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
-    may_hold = np.block([[_screen_class(game, c1, c2, scale) for c2 in classes2]
-                         for c1 in classes1])
+    may_hold = _screen_pairs(game, classes1, classes2, scale)
     found = EquilibriumSet([], [])
     # row-major order is the order of the pairs (s1 outer, s2 inner)
     for i, j in zip(*np.nonzero(may_hold)):
@@ -282,49 +295,134 @@ def _flat_supports(classes):
     return [tuple(s) for c in classes for s in c.tolist()]
 
 
-def _ordered_sides(game, s1, s2):
-    """The sides of the pairs (s1[n], s2[n]) of one size class as
-    (own, opp, opp_payoff) stacks, in the order `_screen_class` screens
-    them.
+def _screen_pairs(game, classes1, classes2, scale):
+    """A boolean mask over every support pair (s1, s2), rows and columns in
+    `_flat_supports` order: True where the pair may hold an equilibrium and
+    goes to `_solve_pair`.
 
-    In an unbalanced pair the side of the smaller support has more
-    equalities than unknowns and comes first: `_certified_inconsistent`
-    proves it fails on most such pairs without an SVD.
+    The pairs are screened by the size p of their smaller support; the
+    stages are listed in the module docstring.  For each p >= 2 one
+    `slogdet` factors every p x p matrix the size needs: the D blocks of
+    `_certified_inconsistent` for the unbalanced pairs, and the equality
+    matrix of each balanced pair's first side (player 2's, y).
     """
-    x = (s1, s2, game.payoffs[..., 1])
-    y = (s2, s1, game.payoffs[..., 0].T)
-    return (x, y) if s2.shape[1] > s1.shape[1] else (y, x)
+    a_t, b = game.payoffs[..., 0].T, game.payoffs[..., 1]
+    m, k = len(classes1), len(classes2)
+    start1 = np.cumsum([0] + [len(c) for c in classes1])
+    start2 = np.cumsum([0] + [len(c) for c in classes2])
+    may_hold = np.zeros((start1[-1], start2[-1]), dtype=bool)
+    # pairs with a size-1 support: the other side of a pair (1, q >= 2) has
+    # the one equality sum(v) = 1 over q unknowns, so it is consistent and
+    # never a point
+    single1 = _single_sides(b, classes2, scale)
+    single2 = _single_sides(a_t, classes1, scale).T
+    may_hold[:m] = single1
+    may_hold[m:, :k] = single2[m:]
+    may_hold[:m, :k] &= single2[:m]
+    for p in range(2, min(m, k) + 1):
+        own1, own2 = classes1[p - 1], classes2[p - 1]
+        # the pairs of player 1's size-p supports with player 2's larger ones,
+        # and of player 2's size-p supports with player 1's larger ones
+        dx = _d_blocks(own1, classes2[p:], b)
+        dy = _d_blocks(own2, classes1[p:], a_t)
+        i, j = np.divmod(np.arange(len(own1) * len(own2)), len(own2))
+        first = (own2[j], own1[i], a_t)
+        a = _equality_matrices(*first)
+        mats = [dx.reshape(-1, p, p), dy.reshape(-1, p, p), a]
+        logdet = np.split(np.linalg.slogdet(np.concatenate(mats))[1],
+                          np.cumsum([len(x) for x in mats[:-1]]))
+        rows = slice(start1[p - 1], start1[p])
+        cols = slice(start2[p - 1], start2[p])
+        _screen_unbalanced(may_hold[rows, start2[p]:], dx, logdet[0],
+                           own1, classes2[p:], b, a_t, scale)
+        _screen_unbalanced(may_hold.T[cols, start1[p]:], dy, logdet[1],
+                           own2, classes1[p:], a_t, b, scale)
+        keep = _screen_square(a, logdet[2], first, scale)
+        live = np.flatnonzero(keep)
+        if live.size:
+            second = (own1[i[live]], own2[j[live]], b)
+            a = _equality_matrices(*second)
+            keep[live] = _screen_square(a, np.linalg.slogdet(a)[1], second, scale)
+        may_hold[rows, cols] = keep.reshape(len(own1), len(own2))
+    return may_hold
 
 
-def _screen_class(game, s1, s2, scale):
-    """A boolean mask (len(s1), len(s2)) over the pairs of one size class:
-    True where the pair may hold an equilibrium and goes to `_solve_pair`.
+def _single_sides(pay, opp_classes, scale):
+    """A boolean mask over the sides of each own action a (rows of `pay`,
+    the opponent's payoffs) against each opponent support S of
+    `opp_classes` (columns, in class order): False where `_side` is proven
+    to return None or a point with infeasible x0.  No LAPACK call is made.
 
-    A pair drops at the first stage that proves it empty: the certificate,
-    or the screen of either side finding that side inconsistent or a point
-    with infeasible x0.  The second side is screened only for the
-    pairs the first side leaves open.  `_solve_pair` would find every
-    dropped pair empty too, and give it no diagnostic.
+    The bound.  Let thr = 1e-9 max(1, scale) < 0.5.  The equalities of a
+    size-1 side read x0 = 1 and d_i x0 = 0, with d_i = pay[a, S[i]] -
+    pay[a, S[i + 1]] rounded as `_side` rounds it.  `_side`'s subtraction
+    of 1 is exact for x0 in [0.5, 2], so any x0 it accepts has
+    |x0 - 1| <= thr, and then |d_i| x0, rounded once, is <= thr as well.
+    Its payoff edges are g x0, with g = pay[a, S[0]] - pay[a, c] rounded as
+    `_side` rounds it, for each c outside S; the smallest g is pay[a, S[0]]
+    minus the best payoff outside S.  So the side is empty where
+    max |d_i| (1 - thr) > thr, or where g (1 - thr) < -NASH_TOL, each by a
+    relative 8 eps, which covers the roundings of both products.
     """
-    i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
-    first, second = _ordered_sides(game, s1[i], s2[j])
-    live = np.arange(len(i))
-    if s1.shape[1] != s2.shape[1]:
-        live = live[~_certified_inconsistent(*first, scale)]
-    for own, opp, opp_payoff in (first, second):
-        if not live.size:
-            break
-        bad, infeasible = _screen_side(own[live], opp[live], opp_payoff, scale)
-        live = live[~bad & ~infeasible]
-    mask = np.zeros(len(i), dtype=bool)
-    mask[live] = True
-    return mask.reshape(len(s1), len(s2))
+    thr = 1e-9 * max(1.0, scale)
+    n = sum(len(c) for c in opp_classes)
+    if thr >= 0.5:
+        return np.ones((len(pay), n), dtype=bool)
+    inside = np.zeros((n, pay.shape[1]), dtype=bool)
+    spread = np.zeros((len(pay), n))
+    start = 0
+    for c in opp_classes:
+        rows = np.arange(start, start + len(c))
+        inside[rows[:, None], c] = True
+        if c.shape[1] > 1:
+            d = pay[:, c[:, :-1]] - pay[:, c[:, 1:]]
+            spread[:, rows] = np.abs(d).max(axis=-1)
+        start += len(c)
+    heads = np.concatenate([c[:, 0] for c in opp_classes])
+    gap = pay[:, heads] - np.where(inside, -np.inf, pay[:, None, :]).max(axis=-1)
+    return ((spread * (1.0 - thr) <= thr * (1.0 + 16 * _UNIT))
+            & (gap * (1.0 - thr) >= -NASH_TOL * (1.0 + 16 * _UNIT)))
 
 
-def _certified_inconsistent(own, opp, opp_payoff, scale):
-    """For the pairs (own[n], opp[n]) of a size class whose side has fewer
-    unknowns p = len(own[n]) than equalities q = len(opp[n]): a boolean
-    array, True where `_side` is proven to return None.  No SVD is taken.
+def _d_blocks(own, opp_classes, opp_payoff):
+    """The D blocks of `_certified_inconsistent` (transposed, rounded as
+    `_side` rounds its equality matrix) of every pair of a support in `own`
+    (size p) with an opponent support in `opp_classes` (sizes > p), in
+    class order: shape (len(own), opponent supports, p, p).  A block reads
+    only the first p + 1 actions of the opponent support."""
+    p = own.shape[1]
+    head = np.concatenate([c[:, :p + 1] for c in opp_classes]
+                          or [np.zeros((0, p + 1), dtype=int)])
+    block = opp_payoff[own[:, None, :, None], head[None, :, None, :]]
+    return block[..., :-1] - block[..., 1:]
+
+
+def _lu_floor(logdet, frob, p, others, entry_max):
+    """(log_floor, e): sigma_min(Z) >= exp(log_floor) - e for a matrix Z
+    with others + 1 rows whose |det| is that of a p x p block M, given
+    `logdet`, the log |det| that `slogdet` returns for M, and frob = |Z|_F.
+
+    Let u be the unit roundoff and g_p = p u / (1 - p u).  `slogdet`
+    factors M by LU with partial pivoting, which is exact for some M + E
+    with |E|_F <= e = g_p p^2 2^(p-1) entry_max (multipliers at most 1,
+    growth at most 2^(p-1), entries of M at most entry_max).  Putting E
+    into Z's M block gives a Z' with |Z' - Z|_2 <= e, |Z'|_F <= frob + e and
+    |det Z'| = |det(M + E)|.  The product of Z''s singular values is
+    |det Z'| and none exceeds |Z'|_F, so
+        sigma_min(Z) >= sigma_min(Z') - e >= |det(M + E)| / (frob + e)^others - e.
+    The floor is a logarithm, so payoff scales of 1e+-150 neither overflow
+    nor underflow; a singular M has log -inf and never clears a bound.
+    """
+    g_p = p * _UNIT / (1 - p * _UNIT)
+    e = g_p * p * p * 2.0 ** (p - 1) * entry_max
+    return logdet - others * np.log(frob + e), e
+
+
+def _certified_inconsistent(d, logdet, q, scale):
+    """For pairs whose side has fewer unknowns p than equalities q, given
+    that side's D blocks d (from `_d_blocks`), their log |det| and each
+    pair's q: a boolean array, True where `_side` is proven to return None.
+    No SVD is taken.
 
     The bound.  Let a (q x p) be `_side`'s equality matrix, with right-hand
     side e1, and C the first p + 1 rows of [a | e1].  C's first row is all
@@ -339,36 +437,176 @@ def _certified_inconsistent(own, opp, opp_payoff, scale):
     at worst: `_side`'s resid is at least (1 - u) M (sigma_min(C) / sqrt(q)
     - g_p R), with M >= 1, and exceeds thr = 1e-9 max(1, scale) once
         sigma_min(C) > sqrt(q) (thr / (1 - u) + g_p R).
-    For sigma_min(C): the product of C's singular values is |det C| and none
-    exceeds |C|_F, so sigma_min(C) >= |det C| / |C|_F^p.  `slogdet` factors
-    D by LU with partial pivoting, which is exact for some D + E with
-    |E|_F <= e = g_p p^2 2^(p-1) 2 scale (multipliers at most 1, growth at
-    most 2^(p-1), entries of D at most 2 scale).  Putting E into C's D block
-    gives a C' with |C' - C|_2 <= e and |det C'| = |det(D + E)|, so
-        sigma_min(C) >= |det(D + E)| / (|C|_F + e)^p - e,
-    where |C|_F^2 = p + 1 + |D|_F^2 and log |det(D + E)| is the logarithm
-    that `slogdet` returns.  The test compares logarithms, so payoff scales
-    of 1e+-150 neither overflow nor underflow; a singular D has log -inf and
-    is never certified.  A slack of 1e-6 in the logarithm covers the
-    rounding of the logarithms, of |C|_F and of the bound itself, and the
-    1 + O(p u) factors the growth picks up in floating point (all relative
-    errors below 1e-10 for p <= 20).  The argument holds for every x0, so
-    it needs no error constant of the SVD.
+    `_lu_floor` bounds sigma_min(C) from below (Z = C, others = p, entries
+    of D at most 2 scale), with |C|_F^2 = p + 1 + |D|_F^2.  A slack of 1e-6
+    in the logarithm covers the rounding of the logarithms, of |C|_F and of
+    the bound itself, and the 1 + O(p u) factors the growth picks up in
+    floating point (all relative errors below 1e-10 for p <= 20).  The
+    argument holds for every x0, so it needs no error constant of the SVD.
     """
-    p, q = own.shape[1], opp.shape[1]
-    block = opp_payoff[own[:, :, None], opp[:, None, :p + 1]]
-    # the transpose of D, rounded as `_side` rounds a
-    d = block[..., :-1] - block[..., 1:]
-    _, logdet = np.linalg.slogdet(d)
-    unit = np.finfo(float).eps / 2
-    g_p = p * unit / (1 - p * unit)
-    lu = g_p * p * p * 2.0 ** (p - 1) * 2.0 * scale
+    p = d.shape[-1]
+    g_p = p * _UNIT / (1 - p * _UNIT)
     thr = 1e-9 * max(1.0, scale)
-    need = math.sqrt(q) * (thr / (1 - unit) + g_p * p * max(1.0, 2.0 * scale)) + lu
+    need = np.sqrt(q) * (thr / (1 - _UNIT) + g_p * p * max(1.0, 2.0 * scale))
     # payoffs beyond 1e153 overflow the norm to inf, which only withholds
     # the certificate
-    frob = np.sqrt(p + 1 + np.einsum("nij,nij->n", d, d))
-    return logdet - p * np.log(frob + lu) > math.log(need) + 1e-6
+    frob = np.sqrt(p + 1 + np.einsum("...ij,...ij->...", d, d))
+    log_floor, e = _lu_floor(logdet, frob, p, p, 2.0 * scale)
+    return log_floor > np.log(need + e) + 1e-6
+
+
+def _screen_unbalanced(view, d, logdet, own, opp_classes, pay, opp_pay, scale):
+    """Fill `view`, the mask over the pairs of the supports `own` (size p,
+    rows) with every larger opponent support (columns, in class order).
+
+    A pair whose own side `_certified_inconsistent` proves inconsistent
+    stays False.  The others go to `_screen_side`, one call per size
+    class and side: the own side (payoffs `pay`) first, then the
+    opponent's (`opp_pay`) for the pairs it leaves open.
+    """
+    if not opp_classes:
+        return
+    q = np.repeat([c.shape[1] for c in opp_classes], [len(c) for c in opp_classes])
+    open_ = ~_certified_inconsistent(d, logdet.reshape(d.shape[:2]), q, scale)
+    start = 0
+    for opp in opp_classes:
+        i, j = np.nonzero(open_[:, start:start + len(opp)])
+        if i.size:
+            view[i, start + j] = _fallback(
+                ((own[i], opp[j], pay), (opp[j], own[i], opp_pay)), scale)
+        start += len(opp)
+
+
+def _fallback(sides, scale):
+    """A boolean mask over the pairs of one size class whose `sides` are
+    (own, opp, opp_payoff) stacks: False where `_screen_side` proves a side
+    empty.  Each side is screened only for the pairs the sides before it
+    leave open."""
+    live = np.arange(len(sides[0][0]))
+    for own, opp, opp_payoff in sides:
+        if not live.size:
+            break
+        bad, infeasible = _screen_side(own[live], opp[live], opp_payoff, scale)
+        live = live[~bad & ~infeasible]
+    keep = np.zeros(len(sides[0][0]), dtype=bool)
+    keep[live] = True
+    return keep
+
+
+def _screen_square(a, logdet, side, scale):
+    """A boolean mask over the pairs of one balanced size class, False
+    where their square `side` (own, opp, opp_payoff), with equality matrices
+    `a` and their log |det|, proves the pair empty: by `_lu_screen`, and by
+    `_screen_side` on the pairs that `_lu_screen` leaves open."""
+    infeasible, open_ = _lu_screen(a, logdet, side, scale)
+    keep = ~infeasible
+    if open_.any():
+        own, opp, opp_payoff = side
+        keep[open_] = _fallback(((own[open_], opp[open_], opp_payoff),), scale)
+    return keep
+
+
+# a square side is decided by its LU factors only where the floor on its
+# smallest singular value exceeds this multiple of `_side`'s rank cut
+_CLEARANCE = 1e6
+
+
+def _square_floor(a, logdet, scale):
+    """(low, frob): a lower bound on the smallest singular value of each
+    square equality matrix of a stack, from its log |det| (`_lu_floor`
+    with Z = M = a, entries at most max(1, 2 scale)), and its Frobenius
+    norm.  The 1e-6 in the logarithm covers the rounding of the floor."""
+    p = a.shape[-1]
+    frob = np.sqrt(np.einsum("nij,nij->n", a, a))
+    log_floor, e = _lu_floor(logdet, frob, p, p - 1, max(1.0, 2.0 * scale))
+    return np.exp(log_floor - 1e-6) - e, frob
+
+
+def _lu_screen(a, logdet, side, scale):
+    """The `_side` decisions for square sides (p unknowns, p equalities)
+    from their LU factors: boolean arrays `infeasible` (`_side` returns None
+    or a point with infeasible x0) and `open_` (undecided; for
+    `_screen_side`).  Where a side is neither, x^ below is feasible.
+
+    The bound.  Let u be the unit roundoff, x* = a^-1 e1 the exact solution,
+    L the `_square_floor` of a (L <= sigma_min(a)) and F = |a|_F; each row
+    of a has absolute sum at most R = sqrt(p) F.  A side is decided only
+    where L > _CLEARANCE p 2u F.  The one LAPACK property this relies on:
+    the SVD computes each singular value within 1e3 p u |a|_F of the exact
+    one (LAPACK's SVD is backward stable with an error of a small multiple
+    of p u |a|_2).  Then `_side`'s smallest computed singular value exceeds
+    its rank cut p 2u s[0], so `_side` finds a point: its null space is
+    empty.
+    - `_side` returns a point x0 only if its computed resid is <= thr =
+      1e-9 max(1, scale).  A row of a @ x0 rounds by at most
+      (2p + 4) u R |x0|_inf, and |x0|_inf <= |x*|_2 + D0 <= 1/L + D0 with
+      D0 = |x0 - x*|_2 <= sqrt(p) |a x0 - e1|_inf / L, so
+          D0 <= sqrt(p) (thr + (2p + 4) u R / L) / (L (1 - c)),
+      c = sqrt(p) (2p + 4) u R / L <= (2p + 4) / (2 _CLEARANCE) < 1.
+    - x^ = `np.linalg.solve(a, e1)` has computed residual r^, so
+      D1 = |x^ - x*|_2 <= sqrt(p) (r^ + (2p + 4) u R |x^|_inf) / L.
+    So |x0 - x^|_2 <= D = D0 + D1, times 1 + 1e-6 for the rounding of these
+    sums.  `_side` takes x0 feasible where g_r @ x0 >= -tol_r for each row
+    r of g: x0_j >= -1e-10 (computed exactly) and each payoff edge
+    >= -NASH_TOL.  A row has |g_r|_2 <= max(1, 2 sqrt(p) scale), so
+    g_r @ (x0 - x^) is at most that times D.  The slacks of x^ (from
+    `_slack`) and of x0 (in `_side`) round by at most
+    (8p + 8) u (p scale (|x^|_inf + D) + 1) together.  A side is infeasible
+    where the slack of x^ is below minus the sum of these margins.  It is
+    open where the slack is negative but within the margin, so
+    `_screen_side`, whose x0 is `_side`'s up to rounding, still drops what
+    it can.
+    """
+    p = a.shape[-1]
+    low, frob = _square_floor(a, logdet, scale)
+    clear = low > _CLEARANCE * p * 2 * _UNIT * frob
+    n = np.flatnonzero(clear)
+    infeasible = np.zeros(len(a), dtype=bool)
+    open_ = ~clear
+    if not n.size:
+        return infeasible, open_
+    a, low, frob = a[n], low[n], frob[n]
+    rhs = np.zeros((len(n), p, 1))
+    rhs[:, 0] = 1.0
+    x = np.linalg.solve(a, rhs)[..., 0]
+    resid = np.einsum("nij,nj->ni", a, x)
+    resid[:, 0] -= 1.0
+    resid = np.max(np.abs(resid), axis=-1)
+    thr = 1e-9 * max(1.0, scale)
+    rnd = (2 * p + 4) * _UNIT * math.sqrt(p) * frob
+    c = math.sqrt(p) * rnd / low
+    x_max = np.max(np.abs(x), axis=-1)
+    dist = math.sqrt(p) * ((thr + rnd / low) / (1 - c) + resid + rnd * x_max) / low
+    dist *= 1.0 + 1e-6
+    own, opp, opp_payoff = side
+    slack = _slack(x, own[n], opp[n], opp_payoff)
+    err = (max(1.0, 2.0 * math.sqrt(p) * scale) * dist
+           + (8 * p + 8) * _UNIT * (p * scale * (x_max + dist) + 1.0))
+    infeasible[n] = slack < -err
+    open_[n] = ~infeasible[n] & (slack < 0)
+    return infeasible, open_
+
+
+def _equality_matrices(own, opp, opp_payoff):
+    """`_side`'s equality matrix of each side (own[n], opp[n]), rounded as
+    `_side` rounds it: shape (n, len(opp[n]), len(own[n]))."""
+    p = own.shape[1]
+    block = opp_payoff[own[:, :, None], opp[:, None, :]]
+    diff = np.swapaxes(block[..., :-1] - block[..., 1:], -1, -2)
+    return np.concatenate([np.ones((len(own), 1, p)), diff], axis=-2)
+
+
+def _slack(x0, own, opp, opp_payoff):
+    """The feasibility slack of each vector x0[n] over the side (own[n],
+    opp[n]): the smaller of its least entry plus 1e-10 and NASH_TOL plus
+    the opponent's payoff edge of opp[n][0] over the best opponent action
+    outside opp[n].  x0 passes `_Side.x0_feasible` where it is >= 0, up to
+    rounding."""
+    vals = np.einsum("nj,njb->nb", x0, opp_payoff[own])
+    outside = np.all(opp[:, :, None] != np.arange(opp_payoff.shape[1]), axis=1)
+    best_out = np.max(vals, axis=-1, where=outside, initial=-np.inf)
+    edge = vals[np.arange(len(opp)), opp[:, 0]] - best_out
+    return np.minimum(x0.min(axis=-1) + 1e-10, edge + NASH_TOL)
 
 
 def _screen_side(own, opp, opp_payoff, scale):
@@ -376,6 +614,12 @@ def _screen_side(own, opp, opp_payoff, scale):
     from one stacked SVD: boolean arrays `bad` (inconsistent equalities)
     and `infeasible` (consistent, no free dimension, and x0 fails
     `_Side.x0_feasible`).
+
+    This is the fallback screen: it runs on unbalanced pairs that
+    `_certified_inconsistent` leaves open, on the other side of those that
+    survive their first, and on square sides that `_lu_screen` cannot
+    decide (singular or ill-conditioned, as in degenerate games, or with
+    slack within its margin).
 
     The screen is conservative: each decision needs a margin `err` that
     bounds how far its resid and slack can round away from `_side`'s.
@@ -408,9 +652,7 @@ def _screen_side(own, opp, opp_payoff, scale):
     below near a decision.
     """
     p, q = own.shape[1], opp.shape[1]
-    block = opp_payoff[own[:, :, None], opp[:, None, :]]
-    diff = np.swapaxes(block[..., :-1] - block[..., 1:], -1, -2)
-    a = np.concatenate([np.ones((len(own), 1, p)), diff], axis=-2)
+    a = _equality_matrices(own, opp, opp_payoff)
     u, s, vt = np.linalg.svd(a)
     r = s.shape[-1]
     cut = max(q, p) * np.finfo(float).eps * s[:, :1]
@@ -420,19 +662,11 @@ def _screen_side(own, opp, opp_payoff, scale):
     resid = np.einsum("nij,nj->ni", a, x0)
     resid[:, 0] -= 1.0
     resid = np.max(np.abs(resid), axis=-1)
-    unit = np.finfo(float).eps / 2
-    err = (4 * p + 6) * unit * p * (1.0 + 2.0 * scale) * (1.0 + inv.sum(axis=-1))
+    err = (4 * p + 6) * _UNIT * p * (1.0 + 2.0 * scale) * (1.0 + inv.sum(axis=-1))
     thr = 1e-9 * max(1.0, scale)
     bad = resid > thr + err
     point = (resid < thr - err) & (kept.sum(axis=-1) == p)
-    # the opponent's payoff of each action against x0; the best one outside
-    # opp may not beat opp[0] by more than NASH_TOL
-    vals = np.einsum("nj,njb->nb", x0, opp_payoff[own])
-    outside = np.all(opp[:, :, None] != np.arange(opp_payoff.shape[1]), axis=1)
-    best_out = np.max(vals, axis=-1, where=outside, initial=-np.inf)
-    edge = vals[np.arange(len(opp)), opp[:, 0]] - best_out
-    slack = np.minimum(x0.min(axis=-1) + 1e-10, edge + NASH_TOL)
-    return bad, point & (slack < -err)
+    return bad, point & (_slack(x0, own, opp, opp_payoff) < -err)
 
 
 def _proves_empty(side):
@@ -824,18 +1058,17 @@ def _order_from_values(values, tol=0.0):
 
 
 def _dominated_on_support(game, profile, tol=NASH_TOL):
-    report = weak_dominance(game)
-    for i, p in enumerate(game.players):
-        for pair, j, _ in report.indexed[i]:
-            if profile.vectors[i][j] > tol:
-                return {
-                    "kind": "dominated-on-support",
-                    "player": p,
-                    "action": pair.dominated,
-                    "dominated_by": pair.dominating,
-                    "probability": float(profile.vectors[i][j]),
-                }
-    return None
+    hit = weak_dominance(game).first_violation(profile, lambda x_d, _: x_d > tol)
+    if hit is None:
+        return None
+    player, pair, x_d, _ = hit
+    return {
+        "kind": "dominated-on-support",
+        "player": player,
+        "action": pair.dominated,
+        "dominated_by": pair.dominating,
+        "probability": float(x_d),
+    }
 
 
 def _check_refinement(game, profile, schedule, delta_factor, closed_form,

@@ -438,22 +438,33 @@ def test_enumeration_matches_per_pair_reference():
     assert with_face == 191
 
 
-def _svd_calls(monkeypatch, fn, *args):
-    """(matrix, U, s, Vt) of every `np.linalg.svd` call made by fn(*args)."""
+def _lapack_calls(monkeypatch, fn, *args, names=("svd", "slogdet", "solve")):
+    """(name, matrix stack, output) of every `np.linalg` call among `names`
+    made by fn(*args), in call order."""
     calls = []
-    svd = np.linalg.svd
+    originals = {name: getattr(np.linalg, name) for name in names}
 
-    def record(a, *rest, **kwargs):
-        out = svd(a, *rest, **kwargs)
-        calls.append((np.array(a), *out))
-        return out
+    def recorder(name):
+        def record(a, *rest, **kwargs):
+            out = originals[name](a, *rest, **kwargs)
+            calls.append((name, np.array(a), out))
+            return out
+        return record
 
-    monkeypatch.setattr(np.linalg, "svd", record)
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, recorder(name))
     try:
         fn(*args)
     finally:
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        for name, original in originals.items():
+            monkeypatch.setattr(np.linalg, name, original)
     return calls
+
+
+def _svd_calls(monkeypatch, fn, *args):
+    """(matrix, U, s, Vt) of every `np.linalg.svd` call made by fn(*args)."""
+    return [(a, *out) for _, a, out in _lapack_calls(monkeypatch, fn, *args,
+                                                     names=("svd",))]
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -479,15 +490,14 @@ def test_stacked_svd_matches_per_pair_svd(monkeypatch, n):
 
 
 def _overdetermined_sides(game):
-    """(own, opp, opp_payoff) stacks of the side with more equalities than
-    unknowns, one per size class of unbalanced support pairs."""
+    """(own, opp_classes, opp_payoff) for each size p and player: the
+    player's supports of size p, the opponent's larger size classes, and
+    the payoffs that the own side equalizes."""
     m, k = game.action_counts
-    for s1, s2 in itertools.product(nash._support_classes(m), nash._support_classes(k)):
-        i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
-        if s2.shape[1] > s1.shape[1]:
-            yield s1[i], s2[j], game.payoffs[..., 1]
-        elif s1.shape[1] > s2.shape[1]:
-            yield s2[j], s1[i], game.payoffs[..., 0].T
+    classes1, classes2 = nash._support_classes(m), nash._support_classes(k)
+    for p in range(1, min(m, k) + 1):
+        yield classes1[p - 1], classes2[p:], game.payoffs[..., 1]
+        yield classes2[p - 1], classes1[p:], game.payoffs[..., 0].T
 
 
 def test_inconsistency_certificate_is_sound():
@@ -505,12 +515,19 @@ def test_inconsistency_certificate_is_sound():
     for factor in (1.0, 1e-150, 1e150):
         for g in games:
             scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
-            for own, opp, opp_payoff in _overdetermined_sides(g):
+            for own, opp_classes, opp_payoff in _overdetermined_sides(g):
+                if not opp_classes:
+                    continue
                 opp_payoff = opp_payoff * factor
-                cert = nash._certified_inconsistent(own, opp, opp_payoff, scale)
+                d = nash._d_blocks(own, opp_classes, opp_payoff)
+                q = np.repeat([c.shape[1] for c in opp_classes],
+                              [len(c) for c in opp_classes])
+                logdet = np.linalg.slogdet(d)[1]
+                cert = nash._certified_inconsistent(d, logdet, q, scale)
                 fired += int(cert.sum())
-                for n in np.flatnonzero(cert):
-                    assert nash._side(tuple(own[n]), tuple(opp[n]), opp_payoff,
+                opps = nash._flat_supports(opp_classes)
+                for r, c in zip(*np.nonzero(cert)):
+                    assert nash._side(tuple(own[r]), opps[c], opp_payoff,
                                       scale) is None
                 # every unbalanced pair of a uniform game is certified
                 if factor == 1.0 and any(g is u for u in uniform):
@@ -518,14 +535,88 @@ def test_inconsistency_certificate_is_sound():
     assert fired > 10000
 
 
+def test_single_sides_are_sound():
+    # wherever the closed form drops a side of size 1, `_side` must return
+    # None or a point with infeasible x0, at payoff scales of 1e+-150 too
+    rng = np.random.default_rng(7)
+    games = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
+    games += [integer_game(rng, shape) for shape in ((3, 5), (5, 3))]
+    games += integer_games(400)
+    games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    dropped = 0
+    for factor in (1.0, 1e-150, 1e150):
+        for g in games:
+            scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
+            m, k = g.action_counts
+            for pay, n_opp in ((g.payoffs[..., 1], k), (g.payoffs[..., 0].T, m)):
+                pay = pay * factor
+                classes = nash._support_classes(n_opp)
+                keep = nash._single_sides(pay, classes, scale)
+                opps = nash._flat_supports(classes)
+                for a, c in zip(*np.nonzero(~keep)):
+                    assert nash._proves_empty(nash._side((a,), opps[c], pay, scale))
+                dropped += int((~keep).sum())
+    assert dropped > 15000
+
+
+def _square_sides(game):
+    """(first, second) side stacks (own, opp, opp_payoff) of the balanced
+    pairs of each size p >= 2, in the order the screen decides them."""
+    m, k = game.action_counts
+    classes1, classes2 = nash._support_classes(m), nash._support_classes(k)
+    for p in range(2, min(m, k) + 1):
+        c1, c2 = classes1[p - 1], classes2[p - 1]
+        i, j = np.divmod(np.arange(len(c1) * len(c2)), len(c2))
+        yield ((c2[j], c1[i], game.payoffs[..., 0].T),
+               (c1[i], c2[j], game.payoffs[..., 1]))
+
+
+def test_lu_screen_is_sound():
+    # wherever the LU stage drops a square side, `_side` must return None
+    # or a point with infeasible x0, at payoff scales of 1e+-150 too; on
+    # uniform games it decides every first side the SVD screen decides
+    rng = np.random.default_rng(8)
+    uniform = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
+    games = uniform + integer_games(400)
+    games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    unit = np.finfo(float).eps / 2
+    dropped = decided = 0
+    for factor in (1.0, 1e-150, 1e150):
+        for g in games:
+            scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
+            for sides in _square_sides(g):
+                for n_side, (own, opp, opp_payoff) in enumerate(sides):
+                    opp_payoff = opp_payoff * factor
+                    side = (own, opp, opp_payoff)
+                    a = nash._equality_matrices(*side)
+                    logdet = np.linalg.slogdet(a)[1]
+                    infeasible, open_ = nash._lu_screen(a, logdet, side, scale)
+                    assert not (infeasible & open_).any()
+                    dropped += int(infeasible.sum())
+                    for n in np.flatnonzero(infeasible):
+                        assert nash._proves_empty(
+                            nash._side(tuple(own[n]), tuple(opp[n]), opp_payoff, scale))
+                    # the LAPACK property the stage relies on
+                    p = a.shape[-1]
+                    low, frob = nash._square_floor(a, logdet, scale)
+                    s_min = np.linalg.svd(a, compute_uv=False)[:, -1]
+                    assert np.all(s_min >= low - 1e3 * p * unit * frob)
+                    if factor == 1.0 and n_side == 0 and any(g is u for u in uniform):
+                        bad, svd_infeasible = nash._screen_side(*side, scale)
+                        assert not (bad | svd_infeasible)[~infeasible].any()
+                        decided += int(infeasible.sum())
+    assert decided > 1000 and dropped > 6000
+
+
 @pytest.mark.parametrize("shape", [(6, 6), (4, 6)])
 def test_only_balanced_pairs_reach_the_svd(monkeypatch, shape):
-    # every unbalanced pair of a generic game is certified inconsistent, so
-    # the screen and the exact path factor square equality matrices only
+    # every unbalanced pair of a generic game is certified inconsistent and
+    # every square side is decided by its LU factors, so the screen takes no
+    # SVD, and the exact path factors square equality matrices only
     game = random_game(np.random.default_rng(6), shape, 0.0, 1.0)
     calls = _svd_calls(monkeypatch, enumerate_nash, game)
     assert calls
-    assert all(a.shape[-1] == a.shape[-2] for a, *_ in calls)
+    assert all(a.ndim == 2 and a.shape[0] == a.shape[1] for a, *_ in calls)
 
 
 def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch):
@@ -548,12 +639,24 @@ def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch):
 
 
 def test_empirical_does_no_label_work(monkeypatch):
-    # a pair whose first side is an infeasible point never has its second
-    # side factored: fewer matrices than the two sides of the 923 balanced
-    # pairs reach the SVD
+    # the screen takes no SVD on this game.  Each size p >= 2 factors its
+    # balanced first sides in one LU stack, together with the D blocks of
+    # its unbalanced pairs, and the 36 pure pairs need no factorization.  A
+    # pair whose first side is an infeasible point never has its second
+    # side factored: fewer second sides than first sides reach the LU
     game = random_game(np.random.default_rng(0), (6, 6), 0.0, 1.0)
-    calls = _svd_calls(monkeypatch, enumerate_empirical, game)
-    assert 923 <= sum(len(a) if a.ndim == 3 else 1 for a, *_ in calls) < 2 * 923
+    calls = _lapack_calls(monkeypatch, enumerate_empirical, game)
+    assert all(a.ndim == 2 for name, a, _ in calls if name == "svd")
+    classes = nash._support_classes(6)
+    first = second = 0
+    for p in range(2, 7):
+        stacks = [len(a) for name, a, _ in calls
+                  if name == "slogdet" and a.shape[-1] == p]
+        assert len(stacks) <= 2
+        first += stacks[0] - 2 * len(classes[p - 1]) * sum(len(c) for c in classes[p:])
+        second += sum(stacks[1:])
+    assert first == 923 - 36
+    assert second < first / 10
     eq = enumerate_nash(game)
     assert len(eq.isolated) == 5
     assert eq.components == eq.diagnostics == []
