@@ -193,13 +193,20 @@ def _verdict_doc(verdict):
     return doc
 
 
+def _diagnostics_doc(eqset):
+    """The support pairs that enumeration could not decide."""
+    return [{"support": [list(s) for s in d.support], "status": d.status,
+             "detail": d.detail} for d in eqset.diagnostics]
+
+
 def _cmd_nash(args):
     game = _load_game(args)
     schedule = tuple(_parse_schedule(args.eps_schedule))
     eqset = enumerate_nash(game)
     tags, comp_summaries = classify(game, eqset, schedule=schedule,
                                     component_grid=args.grid)
-    doc = {"isolated": [], "components": [], "diagnostics": []}
+    doc = {"isolated": [], "components": [],
+           "diagnostics": _diagnostics_doc(eqset)}
     inconclusive = False
     for prof, tag in zip(eqset.isolated, tags):
         entry = {
@@ -223,11 +230,6 @@ def _cmd_nash(args):
         )
         inconclusive |= any(
             "inconclusive" in (g["perfect"], g["proper"]) for g in summary["grid"]
-        )
-    for diag in eqset.diagnostics:
-        doc["diagnostics"].append(
-            {"support": [list(s) for s in diag.support], "status": diag.status,
-             "detail": diag.detail}
         )
     _dump(doc, args.out)
     return 1 if inconclusive else 0
@@ -312,7 +314,8 @@ def _cmd_empirical(args):
     game = _load_game(args)
     schedule = tuple(_parse_schedule(args.delta_schedule))
     report = enumerate_empirical(game, schedule, m=args.m, seed=args.seed)
-    doc = {"m": args.m, "isolated": [], "components": []}
+    doc = {"m": args.m, "isolated": [], "components": [],
+           "diagnostics": _diagnostics_doc(report.eqset)}
     inconclusive = False
     for prof, verdict in report.isolated:
         doc["isolated"].append(

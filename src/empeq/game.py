@@ -5,13 +5,13 @@ axis indexes players.  Games are immutable after construction and safe to
 share across concurrent workers; profiles are value types.
 
 Each game keeps, built once in its constructor, every player's utility view
-``np.moveaxis(payoffs[..., i], i, 0)`` (own actions first), and the
-weak-dominance report, computed on first use.  `utility_vector` contracts a
-view with plain probability vectors; `expected_utility` is the same
-contraction behind the `MixedProfile` check, for callers at the API
-boundary.  Hot loops (the QRE iteration, the region grid) call
-`utility_vector` and `normalized` on plain arrays and build a
-`MixedProfile` only for what they return.
+``np.moveaxis(payoffs[..., i], i, 0)`` (own actions first), and, each
+computed on first use, the weak-dominance report and the game on unit-range
+payoffs (`unit_view`).  `utility_vector` contracts a view with plain
+probability vectors; `expected_utility` is the same contraction behind the
+`MixedProfile` check, for callers at the API boundary.  Hot loops (the QRE
+iteration, the region grid) call `utility_vector` and `normalized` on plain
+arrays and build a `MixedProfile` only for what they return.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Game:
     """Immutable finite normal-form game (players, named actions, payoffs)."""
 
     __slots__ = ("players", "actions", "payoffs", "_pidx", "_aidx", "_views",
-                 "_dominance")
+                 "_dominance", "_unit")
 
     def __init__(self, players, actions, payoffs):
         players = tuple(str(p) for p in players)
@@ -74,6 +74,7 @@ class Game:
         # read-only views of `arr`, indexed (own action, opponents in order)
         self._views = tuple(np.moveaxis(arr[..., i], i, 0) for i in range(len(players)))
         self._dominance = None  # weak_dominance(self), computed on first use
+        self._unit = None  # unit_view(self), computed on first use
 
     # -- basic geometry -------------------------------------------------
 
@@ -359,6 +360,27 @@ def best_responses(game, profile, player, tol=0.0):
     cut = eu.max() - tol
     p = game.players[i]
     return {a for j, a in enumerate(game.actions[p]) if eu[j] >= cut}
+
+
+def unit_view(game):
+    """The game with each player's payoffs mapped to [0, 1] by
+    u_i -> (u_i - min u_i) / (max u_i - min u_i); a constant player maps
+    to 0.
+
+    The map is a positive affine one per player, so it keeps best
+    responses, Nash equilibria and weak dominance, and a test with an
+    absolute tolerance on the view means the same at every payoff scale.
+    The view is built on first use and kept on the game.
+    """
+    if game._unit is None:
+        axes = tuple(range(game.n_players))
+        # halving is exact, and keeps a span beyond the largest double finite
+        half = 0.5 * game.payoffs
+        lo = half.min(axis=axes)
+        span = half.max(axis=axes) - lo
+        unit = (half - lo) / np.where(span > 0, span, 1.0)
+        game._unit = Game(game.players, game.actions, unit)
+    return game._unit
 
 
 def nash_defect(game, profile):

@@ -1,9 +1,15 @@
 """Nash equilibrium enumeration and classical refinements.
 
-Support enumeration runs over every support pair of a two-player game.  Each
-side of a pair is one `_Side` record, built from one SVD of the opponent's
-payoff block: the vectors v over the side's own support that sum to one and
-make the opponent indifferent across the opponent's support are
+Support enumeration runs over every support pair of a two-player game, on
+the game's `unit_view`: each player's payoffs mapped to [0, 1].  The map is
+a positive affine one per player, so it keeps the Nash set, and every
+tolerance below is absolute on payoffs of size at most 1, whatever the
+game's units.  Profiles, components and diagnostics are built on the
+caller's game.
+
+Each side of a pair is one `_Side` record, built from one SVD of the
+opponent's payoff block: the vectors v over the side's own support that sum
+to one and make the opponent indifferent across the opponent's support are
 x0 + null @ z, and v is feasible where g @ v >= -tol (nonnegative
 probabilities, no opponent action outside its support doing better).  A pair
 whose sides leave no freedom gives an isolated candidate, one free dimension
@@ -14,36 +20,28 @@ one LP per side.
 A pair is proven empty when one of its sides has inconsistent equalities
 or is a point with infeasible x0.  Most pairs of a generic game are, so
 enumeration screens the pairs by the size p of their smaller support, in
-stages, and a pair drops at the first stage that proves it empty:
+three stages, and a pair drops at the first stage that proves it empty:
 - Closed form (p = 1), with no LAPACK call.  A side of size 1 has the
   equality x0 = 1, so the payoff table decides whether it is consistent
   and feasible, in pure pairs and pairs (1, q) alike.  The other side of a
   pair (1, q >= 2) is one equality over q unknowns and never proves the
   pair empty.
-- Determinant and LU (p >= 2).  One `slogdet` per size factors every
-  p x p matrix the size needs:
-  - Certificate.  In an unbalanced pair (|s1| != |s2|) the side of the
-    smaller support has more equalities than unknowns.  A lower bound on
-    the residual of any solution `_side` could compute, from the
-    determinant of a p x p block, proves that side inconsistent on most
-    such pairs.  This is the balance condition of Porter, Nudelman &
-    Shoham (GEB 2008), applied pair by pair, so degenerate games keep
-    their unbalanced equilibria.
-  - LU decision.  On a balanced pair's square first side, the determinant
-    and the Frobenius norm bound the smallest singular value from below.
-    Where that bound clears `_side`'s rank cut, one stacked `solve` gives
-    a point close enough to any x0 `_side` could accept to prove x0
-    infeasible by a margin.  The second side of each surviving pair is
-    decided the same way.
-- SVD screen, the fallback.  Pairs the bounds leave open go to
-  `_screen_side`: uncertified unbalanced pairs, the other side of those
-  that survive, and square sides that are singular or ill-conditioned, as
-  in degenerate games.  One stacked SVD per size class and side gives each
-  pair's rank, x0, residual and feasibility slack, and decides only by a
-  margin that bounds the rounding by which its sums can differ from
-  `_side`'s.
-- Exact decision.  Every pair left open goes to `_solve_pair`, which drops
-  the empty pairs the screens missed by their margins.
+- Certificate (p >= 2).  One `slogdet` per size factors every p x p matrix
+  the size needs.  In an unbalanced pair (|s1| != |s2|) the side of the
+  smaller support has more equalities than unknowns.  A lower bound on the
+  residual of any solution `_side` could compute, from the determinant of a
+  p x p block, proves that side inconsistent on most such pairs.  This is
+  the balance condition of Porter, Nudelman & Shoham (GEB 2008), applied
+  pair by pair, so degenerate games keep their unbalanced equilibria.
+- LU decision (p >= 2).  On a balanced pair's square first side, the
+  determinant and the Frobenius norm bound the smallest singular value from
+  below.  Where that bound clears `_side`'s rank cut, one stacked `solve`
+  gives a point close enough to any x0 `_side` could accept to prove x0
+  infeasible by a margin.  The second side of each surviving pair is
+  decided the same way.
+Every pair left open goes to `_solve_pair`, the exact decision: unbalanced
+pairs without a certificate, square sides that are singular or
+ill-conditioned, as in degenerate games, and sides within the LU margin.
 A dropped pair would be found empty by `_side` as well, so the result is
 the same as when every pair is decided exactly.  Diagnostics report only
 the pairs that may hold equilibria but gave none: `degenerate` faces of
@@ -76,6 +74,7 @@ from .game import (
     best_responses,
     expected_utility,
     nash_defect,
+    unit_view,
     weak_dominance,
 )
 from . import search
@@ -85,6 +84,9 @@ ENUMERATION_LIMIT = 4096
 DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 DELTA_FACTOR = 10.0
 _UNIT = np.finfo(float).eps / 2  # unit roundoff
+# `_side`'s bound on the residual of its equalities, on the unit view; the
+# screens prove a side empty against this same threshold
+_EQ_TOL = 1e-9
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -200,15 +202,15 @@ class _Side:
         return bool(np.all(self.g @ self.x0 >= -self.tol))
 
 
-def _side(own, opp, opp_payoff, scale):
+def _side(own, opp, opp_payoff):
     """The `_Side` of actions `own` against opponent support `opp`, or None
     when its equalities are inconsistent.
 
-    opp_payoff[own action, opponent action] is the opponent's payoff.  The
-    equalities are sum(v) = 1 and equal opponent payoff across `opp`; one
-    SVD of their matrix gives the minimum-norm solution x0 and the null
-    space.  The rows of g are v_j >= -1e-10, then the payoff edge of opp[0]
-    over each opponent action outside `opp`.
+    opp_payoff[own action, opponent action] is the opponent's payoff on the
+    unit view, in [0, 1].  The equalities are sum(v) = 1 and equal opponent
+    payoff across `opp`; one SVD of their matrix gives the minimum-norm
+    solution x0 and the null space.  The rows of g are v_j >= -1e-10, then
+    the payoff edge of opp[0] over each opponent action outside `opp`.
     """
     pay = opp_payoff[list(own)]
     block = pay[:, list(opp)]
@@ -219,7 +221,7 @@ def _side(own, opp, opp_payoff, scale):
     x0 = vt[:rank].T @ (u[0, :rank] / s[:rank])
     rhs = np.zeros(len(a))
     rhs[0] = 1.0
-    if np.max(np.abs(a @ x0 - rhs)) > 1e-9 * max(1.0, scale):
+    if np.max(np.abs(a @ x0 - rhs)) > _EQ_TOL:
         return None
     outside = [b for b in range(pay.shape[1]) if b not in opp]
     g = np.vstack([np.eye(len(own)), (block[:, :1] - pay[:, outside]).T])
@@ -257,7 +259,12 @@ def _embed(n, support, values):
 
 
 def enumerate_nash(game):
-    """Exhaustive support enumeration (one- and two-player games)."""
+    """Exhaustive support enumeration (one- and two-player games).
+
+    Two-player games are decided on the game's `unit_view`, so the result
+    is the same, up to rounding, when any player's payoffs are mapped by
+    u_i -> alpha_i u_i + beta_i with alpha_i > 0.
+    """
     if int(np.prod(game.action_counts)) > ENUMERATION_LIMIT:
         raise UnsupportedGameError(
             f"action-profile count exceeds the soft limit {ENUMERATION_LIMIT}"
@@ -268,17 +275,16 @@ def enumerate_nash(game):
         raise UnsupportedGameError(
             "support enumeration is implemented for 1- and 2-player games"
         )
-    scale = float(np.max(np.abs(game.payoffs))) or 1.0
     m, k = game.action_counts
     if (2**m - 1) * (2**k - 1) > 1 << 20:
         raise UnsupportedGameError("too many support pairs to enumerate")
     classes1, classes2 = _support_classes(m), _support_classes(k)
     sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
-    may_hold = _screen_pairs(game, classes1, classes2, scale)
+    may_hold = _screen_pairs(unit_view(game), classes1, classes2)
     found = EquilibriumSet([], [])
     # row-major order is the order of the pairs (s1 outer, s2 inner)
     for i, j in zip(*np.nonzero(may_hold)):
-        _solve_pair(game, sup1[i], sup2[j], scale, found)
+        _solve_pair(game, sup1[i], sup2[j], found)
     found.isolated, found.components = _dedupe(game, found.isolated,
                                                 found.components)
     return found
@@ -295,18 +301,19 @@ def _flat_supports(classes):
     return [tuple(s) for c in classes for s in c.tolist()]
 
 
-def _screen_pairs(game, classes1, classes2, scale):
+def _screen_pairs(unit, classes1, classes2):
     """A boolean mask over every support pair (s1, s2), rows and columns in
     `_flat_supports` order: True where the pair may hold an equilibrium and
     goes to `_solve_pair`.
 
-    The pairs are screened by the size p of their smaller support; the
-    stages are listed in the module docstring.  For each p >= 2 one
-    `slogdet` factors every p x p matrix the size needs: the D blocks of
-    `_certified_inconsistent` for the unbalanced pairs, and the equality
-    matrix of each balanced pair's first side (player 2's, y).
+    `unit` is the game's unit view.  The pairs are screened by the size p
+    of their smaller support; the stages are listed in the module
+    docstring.  For each p >= 2 one `slogdet` factors every p x p matrix
+    the size needs: the D blocks of `_certified_inconsistent` for the
+    unbalanced pairs, and the equality matrix of each balanced pair's first
+    side (player 2's, y).
     """
-    a_t, b = game.payoffs[..., 0].T, game.payoffs[..., 1]
+    a_t, b = unit.payoffs[..., 0].T, unit.payoffs[..., 1]
     m, k = len(classes1), len(classes2)
     start1 = np.cumsum([0] + [len(c) for c in classes1])
     start2 = np.cumsum([0] + [len(c) for c in classes2])
@@ -314,8 +321,8 @@ def _screen_pairs(game, classes1, classes2, scale):
     # pairs with a size-1 support: the other side of a pair (1, q >= 2) has
     # the one equality sum(v) = 1 over q unknowns, so it is consistent and
     # never a point
-    single1 = _single_sides(b, classes2, scale)
-    single2 = _single_sides(a_t, classes1, scale).T
+    single1 = _single_sides(b, classes2)
+    single2 = _single_sides(a_t, classes1).T
     may_hold[:m] = single1
     may_hold[m:, :k] = single2[m:]
     may_hold[:m, :k] &= single2[:m]
@@ -333,27 +340,30 @@ def _screen_pairs(game, classes1, classes2, scale):
                           np.cumsum([len(x) for x in mats[:-1]]))
         rows = slice(start1[p - 1], start1[p])
         cols = slice(start2[p - 1], start2[p])
-        _screen_unbalanced(may_hold[rows, start2[p]:], dx, logdet[0],
-                           own1, classes2[p:], b, a_t, scale)
-        _screen_unbalanced(may_hold.T[cols, start1[p]:], dy, logdet[1],
-                           own2, classes1[p:], a_t, b, scale)
-        keep = _screen_square(a, logdet[2], first, scale)
+        for view, d, log_d, opp_classes in (
+                (may_hold[rows, start2[p]:], dx, logdet[0], classes2[p:]),
+                (may_hold.T[cols, start1[p]:], dy, logdet[1], classes1[p:])):
+            q = np.repeat([c.shape[1] for c in opp_classes],
+                          [len(c) for c in opp_classes])
+            view[:] = ~_certified_inconsistent(d, log_d.reshape(d.shape[:2]), q)
+        keep = ~_lu_screen(a, logdet[2], first)
         live = np.flatnonzero(keep)
         if live.size:
             second = (own1[i[live]], own2[j[live]], b)
             a = _equality_matrices(*second)
-            keep[live] = _screen_square(a, np.linalg.slogdet(a)[1], second, scale)
+            keep[live] = ~_lu_screen(a, np.linalg.slogdet(a)[1], second)
         may_hold[rows, cols] = keep.reshape(len(own1), len(own2))
     return may_hold
 
 
-def _single_sides(pay, opp_classes, scale):
+def _single_sides(pay, opp_classes):
     """A boolean mask over the sides of each own action a (rows of `pay`,
-    the opponent's payoffs) against each opponent support S of
-    `opp_classes` (columns, in class order): False where `_side` is proven
-    to return None or a point with infeasible x0.  No LAPACK call is made.
+    the opponent's payoffs on the unit view) against each opponent support
+    S of `opp_classes` (columns, in class order): False where `_side` is
+    proven to return None or a point with infeasible x0.  No LAPACK call is
+    made.
 
-    The bound.  Let thr = 1e-9 max(1, scale) < 0.5.  The equalities of a
+    The bound.  Let thr = _EQ_TOL, `_side`'s threshold.  The equalities of a
     size-1 side read x0 = 1 and d_i x0 = 0, with d_i = pay[a, S[i]] -
     pay[a, S[i + 1]] rounded as `_side` rounds it.  `_side`'s subtraction
     of 1 is exact for x0 in [0.5, 2], so any x0 it accepts has
@@ -364,10 +374,8 @@ def _single_sides(pay, opp_classes, scale):
     max |d_i| (1 - thr) > thr, or where g (1 - thr) < -NASH_TOL, each by a
     relative 8 eps, which covers the roundings of both products.
     """
-    thr = 1e-9 * max(1.0, scale)
+    thr = _EQ_TOL
     n = sum(len(c) for c in opp_classes)
-    if thr >= 0.5:
-        return np.ones((len(pay), n), dtype=bool)
     inside = np.zeros((n, pay.shape[1]), dtype=bool)
     spread = np.zeros((len(pay), n))
     start = 0
@@ -410,19 +418,19 @@ def _lu_floor(logdet, frob, p, others, entry_max):
     |det Z'| = |det(M + E)|.  The product of Z''s singular values is
     |det Z'| and none exceeds |Z'|_F, so
         sigma_min(Z) >= sigma_min(Z') - e >= |det(M + E)| / (frob + e)^others - e.
-    The floor is a logarithm, so payoff scales of 1e+-150 neither overflow
-    nor underflow; a singular M has log -inf and never clears a bound.
+    The floor is a logarithm, so a singular M has log -inf and never clears
+    a bound.
     """
     g_p = p * _UNIT / (1 - p * _UNIT)
     e = g_p * p * p * 2.0 ** (p - 1) * entry_max
     return logdet - others * np.log(frob + e), e
 
 
-def _certified_inconsistent(d, logdet, q, scale):
+def _certified_inconsistent(d, logdet, q):
     """For pairs whose side has fewer unknowns p than equalities q, given
-    that side's D blocks d (from `_d_blocks`), their log |det| and each
-    pair's q: a boolean array, True where `_side` is proven to return None.
-    No SVD is taken.
+    that side's D blocks d (from `_d_blocks`, on the unit view), their
+    log |det| and each pair's q: a boolean array, True where `_side` is
+    proven to return None.  No SVD is taken.
 
     The bound.  Let a (q x p) be `_side`'s equality matrix, with right-hand
     side e1, and C the first p + 1 rows of [a | e1].  C's first row is all
@@ -431,79 +439,26 @@ def _certified_inconsistent(d, logdet, q, scale):
     `_side` computes included, put z = (x0, -1) and M = max(1, |x0|_inf)
     <= |z|_2; then |a x0 - e1|_inf >= |a x0 - e1|_2 / sqrt(q)
     >= |C z|_2 / sqrt(q) >= sigma_min(C) M / sqrt(q).  Let u be the unit
-    roundoff and g_n = n u / (1 - n u).  Each row of a has absolute sum at
-    most R = p max(1, 2 scale), so the computed a @ x0 is off by at most
-    g_p R M per entry, and the subtraction of e1 rounds by a factor 1 - u
-    at worst: `_side`'s resid is at least (1 - u) M (sigma_min(C) / sqrt(q)
-    - g_p R), with M >= 1, and exceeds thr = 1e-9 max(1, scale) once
+    roundoff and g_n = n u / (1 - n u).  Payoffs lie in [0, 1], so entries
+    of D are below 2 and each row of a has absolute sum at most R = 2p;
+    the computed a @ x0 is off by at most g_p R M per entry, and the
+    subtraction of e1 rounds by a factor 1 - u at worst: `_side`'s resid is
+    at least (1 - u) M (sigma_min(C) / sqrt(q) - g_p R), with M >= 1, and
+    exceeds thr = _EQ_TOL once
         sigma_min(C) > sqrt(q) (thr / (1 - u) + g_p R).
     `_lu_floor` bounds sigma_min(C) from below (Z = C, others = p, entries
-    of D at most 2 scale), with |C|_F^2 = p + 1 + |D|_F^2.  A slack of 1e-6
-    in the logarithm covers the rounding of the logarithms, of |C|_F and of
+    of D at most 2), with |C|_F^2 = p + 1 + |D|_F^2.  A slack of 1e-6 in
+    the logarithm covers the rounding of the logarithms, of |C|_F and of
     the bound itself, and the 1 + O(p u) factors the growth picks up in
     floating point (all relative errors below 1e-10 for p <= 20).  The
     argument holds for every x0, so it needs no error constant of the SVD.
     """
     p = d.shape[-1]
     g_p = p * _UNIT / (1 - p * _UNIT)
-    thr = 1e-9 * max(1.0, scale)
-    need = np.sqrt(q) * (thr / (1 - _UNIT) + g_p * p * max(1.0, 2.0 * scale))
-    # payoffs beyond 1e153 overflow the norm to inf, which only withholds
-    # the certificate
+    need = np.sqrt(q) * (_EQ_TOL / (1 - _UNIT) + g_p * p * 2.0)
     frob = np.sqrt(p + 1 + np.einsum("...ij,...ij->...", d, d))
-    log_floor, e = _lu_floor(logdet, frob, p, p, 2.0 * scale)
+    log_floor, e = _lu_floor(logdet, frob, p, p, 2.0)
     return log_floor > np.log(need + e) + 1e-6
-
-
-def _screen_unbalanced(view, d, logdet, own, opp_classes, pay, opp_pay, scale):
-    """Fill `view`, the mask over the pairs of the supports `own` (size p,
-    rows) with every larger opponent support (columns, in class order).
-
-    A pair whose own side `_certified_inconsistent` proves inconsistent
-    stays False.  The others go to `_screen_side`, one call per size
-    class and side: the own side (payoffs `pay`) first, then the
-    opponent's (`opp_pay`) for the pairs it leaves open.
-    """
-    if not opp_classes:
-        return
-    q = np.repeat([c.shape[1] for c in opp_classes], [len(c) for c in opp_classes])
-    open_ = ~_certified_inconsistent(d, logdet.reshape(d.shape[:2]), q, scale)
-    start = 0
-    for opp in opp_classes:
-        i, j = np.nonzero(open_[:, start:start + len(opp)])
-        if i.size:
-            view[i, start + j] = _fallback(
-                ((own[i], opp[j], pay), (opp[j], own[i], opp_pay)), scale)
-        start += len(opp)
-
-
-def _fallback(sides, scale):
-    """A boolean mask over the pairs of one size class whose `sides` are
-    (own, opp, opp_payoff) stacks: False where `_screen_side` proves a side
-    empty.  Each side is screened only for the pairs the sides before it
-    leave open."""
-    live = np.arange(len(sides[0][0]))
-    for own, opp, opp_payoff in sides:
-        if not live.size:
-            break
-        bad, infeasible = _screen_side(own[live], opp[live], opp_payoff, scale)
-        live = live[~bad & ~infeasible]
-    keep = np.zeros(len(sides[0][0]), dtype=bool)
-    keep[live] = True
-    return keep
-
-
-def _screen_square(a, logdet, side, scale):
-    """A boolean mask over the pairs of one balanced size class, False
-    where their square `side` (own, opp, opp_payoff), with equality matrices
-    `a` and their log |det|, proves the pair empty: by `_lu_screen`, and by
-    `_screen_side` on the pairs that `_lu_screen` leaves open."""
-    infeasible, open_ = _lu_screen(a, logdet, side, scale)
-    keep = ~infeasible
-    if open_.any():
-        own, opp, opp_payoff = side
-        keep[open_] = _fallback(((own[open_], opp[open_], opp_payoff),), scale)
-    return keep
 
 
 # a square side is decided by its LU factors only where the floor on its
@@ -511,22 +466,21 @@ def _screen_square(a, logdet, side, scale):
 _CLEARANCE = 1e6
 
 
-def _square_floor(a, logdet, scale):
+def _square_floor(a, logdet):
     """(low, frob): a lower bound on the smallest singular value of each
     square equality matrix of a stack, from its log |det| (`_lu_floor`
-    with Z = M = a, entries at most max(1, 2 scale)), and its Frobenius
+    with Z = M = a, entries at most 2 on the unit view), and its Frobenius
     norm.  The 1e-6 in the logarithm covers the rounding of the floor."""
     p = a.shape[-1]
     frob = np.sqrt(np.einsum("nij,nij->n", a, a))
-    log_floor, e = _lu_floor(logdet, frob, p, p - 1, max(1.0, 2.0 * scale))
+    log_floor, e = _lu_floor(logdet, frob, p, p - 1, 2.0)
     return np.exp(log_floor - 1e-6) - e, frob
 
 
-def _lu_screen(a, logdet, side, scale):
-    """The `_side` decisions for square sides (p unknowns, p equalities)
-    from their LU factors: boolean arrays `infeasible` (`_side` returns None
-    or a point with infeasible x0) and `open_` (undecided; for
-    `_screen_side`).  Where a side is neither, x^ below is feasible.
+def _lu_screen(a, logdet, side):
+    """A boolean mask over square sides (p unknowns, p equalities, on the
+    unit view), True where their LU factors prove that `_side` returns None
+    or a point with infeasible x0.  The other sides go to `_solve_pair`.
 
     The bound.  Let u be the unit roundoff, x* = a^-1 e1 the exact solution,
     L the `_square_floor` of a (L <= sigma_min(a)) and F = |a|_F; each row
@@ -538,8 +492,8 @@ def _lu_screen(a, logdet, side, scale):
     its rank cut p 2u s[0], so `_side` finds a point: its null space is
     empty.
     - `_side` returns a point x0 only if its computed resid is <= thr =
-      1e-9 max(1, scale).  A row of a @ x0 rounds by at most
-      (2p + 4) u R |x0|_inf, and |x0|_inf <= |x*|_2 + D0 <= 1/L + D0 with
+      _EQ_TOL.  A row of a @ x0 rounds by at most (2p + 4) u R |x0|_inf, and
+      |x0|_inf <= |x*|_2 + D0 <= 1/L + D0 with
       D0 = |x0 - x*|_2 <= sqrt(p) |a x0 - e1|_inf / L, so
           D0 <= sqrt(p) (thr + (2p + 4) u R / L) / (L (1 - c)),
       c = sqrt(p) (2p + 4) u R / L <= (2p + 4) / (2 _CLEARANCE) < 1.
@@ -548,23 +502,18 @@ def _lu_screen(a, logdet, side, scale):
     So |x0 - x^|_2 <= D = D0 + D1, times 1 + 1e-6 for the rounding of these
     sums.  `_side` takes x0 feasible where g_r @ x0 >= -tol_r for each row
     r of g: x0_j >= -1e-10 (computed exactly) and each payoff edge
-    >= -NASH_TOL.  A row has |g_r|_2 <= max(1, 2 sqrt(p) scale), so
-    g_r @ (x0 - x^) is at most that times D.  The slacks of x^ (from
-    `_slack`) and of x0 (in `_side`) round by at most
-    (8p + 8) u (p scale (|x^|_inf + D) + 1) together.  A side is infeasible
-    where the slack of x^ is below minus the sum of these margins.  It is
-    open where the slack is negative but within the margin, so
-    `_screen_side`, whose x0 is `_side`'s up to rounding, still drops what
-    it can.
+    >= -NASH_TOL.  A row has |g_r|_2 <= 2 sqrt(p), so g_r @ (x0 - x^) is at
+    most that times D.  The slacks of x^ (from `_slack`) and of x0 (in
+    `_side`) round by at most (8p + 8) u (p (|x^|_inf + D) + 1) together.
+    A side is infeasible where the slack of x^ is below minus the sum of
+    these margins.
     """
     p = a.shape[-1]
-    low, frob = _square_floor(a, logdet, scale)
-    clear = low > _CLEARANCE * p * 2 * _UNIT * frob
-    n = np.flatnonzero(clear)
+    low, frob = _square_floor(a, logdet)
+    n = np.flatnonzero(low > _CLEARANCE * p * 2 * _UNIT * frob)
     infeasible = np.zeros(len(a), dtype=bool)
-    open_ = ~clear
     if not n.size:
-        return infeasible, open_
+        return infeasible
     a, low, frob = a[n], low[n], frob[n]
     rhs = np.zeros((len(n), p, 1))
     rhs[:, 0] = 1.0
@@ -572,19 +521,17 @@ def _lu_screen(a, logdet, side, scale):
     resid = np.einsum("nij,nj->ni", a, x)
     resid[:, 0] -= 1.0
     resid = np.max(np.abs(resid), axis=-1)
-    thr = 1e-9 * max(1.0, scale)
     rnd = (2 * p + 4) * _UNIT * math.sqrt(p) * frob
     c = math.sqrt(p) * rnd / low
     x_max = np.max(np.abs(x), axis=-1)
-    dist = math.sqrt(p) * ((thr + rnd / low) / (1 - c) + resid + rnd * x_max) / low
+    dist = math.sqrt(p) * ((_EQ_TOL + rnd / low) / (1 - c) + resid + rnd * x_max) / low
     dist *= 1.0 + 1e-6
     own, opp, opp_payoff = side
     slack = _slack(x, own[n], opp[n], opp_payoff)
-    err = (max(1.0, 2.0 * math.sqrt(p) * scale) * dist
-           + (8 * p + 8) * _UNIT * (p * scale * (x_max + dist) + 1.0))
+    err = (2.0 * math.sqrt(p) * dist
+           + (8 * p + 8) * _UNIT * (p * (x_max + dist) + 1.0))
     infeasible[n] = slack < -err
-    open_[n] = ~infeasible[n] & (slack < 0)
-    return infeasible, open_
+    return infeasible
 
 
 def _equality_matrices(own, opp, opp_payoff):
@@ -609,88 +556,31 @@ def _slack(x0, own, opp, opp_payoff):
     return np.minimum(x0.min(axis=-1) + 1e-10, edge + NASH_TOL)
 
 
-def _screen_side(own, opp, opp_payoff, scale):
-    """The `_side` decisions for the pairs (own[n], opp[n]) of a size class,
-    from one stacked SVD: boolean arrays `bad` (inconsistent equalities)
-    and `infeasible` (consistent, no free dimension, and x0 fails
-    `_Side.x0_feasible`).
-
-    This is the fallback screen: it runs on unbalanced pairs that
-    `_certified_inconsistent` leaves open, on the other side of those that
-    survive their first, and on square sides that `_lu_screen` cannot
-    decide (singular or ill-conditioned, as in degenerate games, or with
-    slack within its margin).
-
-    The screen is conservative: each decision needs a margin `err` that
-    bounds how far its resid and slack can round away from `_side`'s.
-    Pairs that miss a margin are neither bad nor infeasible.
-
-    The bound.  `np.linalg.svd` runs the same LAPACK routine on each matrix
-    of a stack as on a single one, so both paths factor the same equality
-    matrix into the same U, s and Vt, and the same cut on s gives them the
-    same rank r; they differ only in the arithmetic after it.  Let u be the
-    unit roundoff, g_n = n u / (1 - n u), and T = sum of 1/s_k over the
-    kept values (`inv.sum()`).  As |U|, |Vt| <= 1, the exact x0 has entries of
-    size at most T, and an n-term dot product rounds by at most g_n times
-    the sum of its terms' sizes.
-    - x0: `_side` rounds U/s once and sums r <= p terms, the screen rounds
-      1/s and U * inv and sums min(p, q) <= p terms, so the two x0 differ
-      by at most (2p + 3) u T per entry.
-    - resid: each row of the q x p equality matrix has absolute sum at most
-      R = p (1 + 2 scale) (the ones row, and payoff differences of size
-      <= 2 scale).  The x0 gap moves a row by at most R (2p + 3) u T, and
-      each path's own dot products round it by at most g_p R T, so the
-      resids differ by at most (4p + 3) u R T, plus u times the resid
-      itself for the final subtraction of the right-hand side.
-    - slack: the probability rows are x0 itself.  For the payoff edge
-      `_side` rounds each difference of payoffs and then sums p terms of
-      size <= 2 scale T, while the screen sums two p-term products of size
-      <= scale T and subtracts; with the x0 gap the edges differ by at most
-      (4p + 4) u 2 scale p T, plus u times the edge for the final sums.
-    So err = (4p + 6) u R (1 + T) covers both; the 1 covers the terms that
-    scale with the resid, edge and tolerances themselves, all about thr or
-    below near a decision.
-    """
-    p, q = own.shape[1], opp.shape[1]
-    a = _equality_matrices(own, opp, opp_payoff)
-    u, s, vt = np.linalg.svd(a)
-    r = s.shape[-1]
-    cut = max(q, p) * np.finfo(float).eps * s[:, :1]
-    kept = s > cut
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    x0 = np.einsum("nij,ni->nj", vt[:, :r], u[:, 0, :r] * inv)
-    resid = np.einsum("nij,nj->ni", a, x0)
-    resid[:, 0] -= 1.0
-    resid = np.max(np.abs(resid), axis=-1)
-    err = (4 * p + 6) * _UNIT * p * (1.0 + 2.0 * scale) * (1.0 + inv.sum(axis=-1))
-    thr = 1e-9 * max(1.0, scale)
-    bad = resid > thr + err
-    point = (resid < thr - err) & (kept.sum(axis=-1) == p)
-    return bad, point & (_slack(x0, own, opp, opp_payoff) < -err)
-
-
 def _proves_empty(side):
     """True when a pair with this side holds no equilibrium: its equalities
     are inconsistent (None), or it is a point with infeasible x0."""
     return side is None or (not side.null.shape[1] and not side.x0_feasible)
 
 
-def _solve_pair(game, s1, s2, scale, out):
+def _solve_pair(game, s1, s2, out):
     """The exact decision for the support pair (s1, s2), added to `out`.
 
-    A pair with a side that `_proves_empty`, or a one-dimensional family
-    with no feasible point, adds nothing.  Otherwise the pair adds an isolated
-    equilibrium or a segment, or a diagnostic: `degenerate` for a solution
-    set of dimension >= 2, with the side records `nearest_nash` projects
-    onto, and `incentive-violation` for a candidate point that is not Nash.
+    The sides and the Nash test of a candidate are taken on the game's
+    `unit_view`; what is added is built on `game`.  A pair with a side that
+    `_proves_empty`, or a one-dimensional family with no feasible point,
+    adds nothing.  Otherwise the pair adds an isolated equilibrium or a
+    segment, or a diagnostic: `degenerate` for a solution set of dimension
+    >= 2, with the side records `nearest_nash` projects onto, and
+    `incentive-violation` for a candidate point that is not Nash.
     """
     m, k = game.action_counts
+    unit = unit_view(game)
     # x over s1 equalizes player 2 across s2; y over s2 equalizes player 1
     # across s1
-    xs = _side(s1, s2, game.payoffs[..., 1], scale)
+    xs = _side(s1, s2, unit.payoffs[..., 1])
     if _proves_empty(xs):
         return
-    ys = _side(s2, s1, game.payoffs[..., 0].T, scale)
+    ys = _side(s2, s1, unit.payoffs[..., 0].T)
     if _proves_empty(ys):
         return
     dim = xs.null.shape[1] + ys.null.shape[1]
@@ -699,7 +589,7 @@ def _solve_pair(game, s1, s2, scale, out):
             game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
                    _embed(k, s2, np.clip(ys.x0, 0, None))]
         )
-        if is_nash(game, prof, 1e-8):
+        if is_nash(unit, prof, 1e-8):
             out.isolated.append(prof)
         else:
             out.diagnostics.append(
@@ -708,7 +598,7 @@ def _solve_pair(game, s1, s2, scale, out):
     elif dim == 1:
         comp = _one_dim_component(game, xs, ys)
         if isinstance(comp, MixedProfile):
-            if is_nash(game, comp, 1e-8):
+            if is_nash(unit, comp, 1e-8):
                 out.isolated.append(comp)
         elif comp is not None:
             out.components.append(comp)
@@ -789,7 +679,7 @@ def _enumerate_single(game):
         isolated = []
     elif len(argmax) > 2:
         # the face is the simplex over the argmax: a side with no opponent
-        face = _side(tuple(argmax), (), np.zeros((len(u), 0)), 1.0)
+        face = _side(tuple(argmax), (), np.zeros((len(u), 0)))
         diags.append(
             SupportDiagnostic(
                 (tuple(argmax),), "degenerate", "argmax face of dimension >= 2",

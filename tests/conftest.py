@@ -70,17 +70,17 @@ def random_profile(game, rng):
 
 def per_pair_reference(game):
     """Support enumeration without the batched screen: the exact decision
-    for every support pair, in the order (|s1|, s1, |s2|, s2)."""
+    for every support pair, on the game's unit view, in the order
+    (|s1|, s1, |s2|, s2)."""
     def supports(n):
         return sorted((s for r in range(1, n + 1) for s in combinations(range(n), r)),
                       key=lambda s: (len(s), s))
 
-    scale = float(np.max(np.abs(game.payoffs))) or 1.0
     out = nash.EquilibriumSet([], [], [])
     m, k = game.action_counts
     for s1 in supports(m):
         for s2 in supports(k):
-            nash._solve_pair(game, s1, s2, scale, out)
+            nash._solve_pair(game, s1, s2, out)
     out.isolated, out.components = nash._dedupe(game, out.isolated, out.components)
     return out
 

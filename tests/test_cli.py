@@ -127,6 +127,21 @@ def test_nash_diagnostics_match_per_pair_reference(tmp_path):
     assert '"diagnostics": []' in out
 
 
+def test_empirical_lists_dropped_faces(tmp_path):
+    # every profile of the constant game is Nash; enumeration traces the four
+    # edges and leaves the square itself as a `degenerate` face, which
+    # `empirical` lists as `nash` does, without changing its exit code
+    path = _game_file(tmp_path, np.ones((2, 2)), np.ones((2, 2)))
+    code, out, err = _run(["empirical", "--game", path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["components"]) == 4
+    assert doc["diagnostics"] == [{"support": [[0, 1], [0, 1]], "status": "degenerate",
+                                   "detail": "solution set of dimension 2 not traced"}]
+    nash_doc = json.loads(_run(["nash", "--game", path])[1])
+    assert doc["diagnostics"] == nash_doc["diagnostics"]
+
+
 def test_structural_zeros_in_components_print_as_zero(tmp_path):
     # P1 uniform with P2 = (q, 1 - q, 0): b3 is zero along the whole segment
     path = _game_file(tmp_path, [[2, 2, 1], [2, 2, 0], [2, 2, 2]],

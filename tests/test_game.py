@@ -12,6 +12,7 @@ from empeq.game import (
     best_responses,
     expected_utility,
     profile_value,
+    unit_view,
     weak_dominance,
 )
 from empeq import corpus
@@ -103,6 +104,17 @@ def test_weak_dominance_is_computed_once_per_game(phi):
     fresh = weak_dominance(Game(phi.players, phi.actions, phi.payoffs))
     assert fresh is not rep
     assert fresh.pairs == rep.pairs
+
+
+def test_unit_view_maps_each_player_to_unit_range(phi):
+    # P1's payoffs span more than the largest double; P2 is constant
+    pay = np.stack([[[1e308, -1e308], [0.0, 1e308]], np.full((2, 2), 7.0)], axis=-1)
+    g = Game(["P1", "P2"], {"P1": ["a1", "a2"], "P2": ["b1", "b2"]}, pay)
+    assert np.array_equal(unit_view(g).payoffs[..., 0], [[1.0, 0.0], [0.5, 1.0]])
+    assert np.array_equal(unit_view(g).payoffs[..., 1], np.zeros((2, 2)))
+    assert unit_view(phi) is unit_view(phi)
+    assert unit_view(phi).payoffs.min() == 0.0 and unit_view(phi).payoffs.max() == 1.0
+    assert np.array_equal(unit_view(phi).payoffs, (phi.payoffs - [0, 15]) / [20, 15])
 
 
 def test_weak_dominance_witness_is_strict(phi):

@@ -1,11 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from empeq import corpus, nash
 from empeq.empirical import enumerate_empirical
-from empeq.game import Game, MixedProfile, nash_defect
+from empeq.game import Game, MixedProfile, nash_defect, unit_view
 from empeq.nash import (
     EquilibriumSet,
     UnsupportedGameError,
@@ -20,7 +18,13 @@ from empeq.nash import (
     undominated_flag,
 )
 
-from conftest import integer_game, integer_games, per_pair_reference, random_game
+from conftest import (
+    corpus_games,
+    integer_game,
+    integer_games,
+    per_pair_reference,
+    random_game,
+)
 
 
 def _pure_set(game, eqset):
@@ -129,21 +133,44 @@ def test_three_player_unsupported():
         enumerate_nash(g)
 
 
+def _assert_same_equilibria(got, ref, atol=1e-12):
+    """Same diagnostics and supports, and points, interval ends, bases and
+    directions within `atol`."""
+    assert ([(d.support, d.status, d.detail) for d in got.diagnostics]
+            == [(d.support, d.status, d.detail) for d in ref.diagnostics])
+    assert len(got.isolated) == len(ref.isolated)
+    for p, q in zip(got.isolated, ref.isolated):
+        assert p.distance(q) <= atol
+    assert [c.support for c in got.components] == [c.support for c in ref.components]
+    for c, r in zip(got.components, ref.components):
+        assert np.allclose(c.interval, r.interval, rtol=0, atol=atol)
+        for u, v in zip(c.base + c.direction, r.base + r.direction):
+            assert np.allclose(u, v, rtol=0, atol=atol)
+
+
+def _affine(game, alpha, shift, players):
+    """`game` with the payoffs of `players` mapped by u -> alpha (u + shift)."""
+    payoffs = game.payoffs.copy()
+    for i in players:
+        payoffs[..., i] = alpha * payoffs[..., i] + alpha * shift
+    return Game(game.players, game.actions, payoffs)
+
+
 def test_affine_invariance():
+    # a positive affine map of a player's payoffs keeps the Nash set, and
+    # enumeration decides on unit-range payoffs, so it finds the same set at
+    # every payoff scale.  The shift is a multiple of alpha, so that rounding
+    # does not wipe out payoffs of size 1e-150
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        g = random_game(rng, (3, 3))
-        scale = float(rng.uniform(0.5, 3.0))
+    games = corpus_games() + integer_games(400)
+    games += [random_game(rng, (n, n)) for n in (3, 4, 5, 6)]
+    for g in games:
+        ref = enumerate_nash(g)
         shift = float(rng.uniform(-5, 5))
-        payoffs = g.payoffs.copy()
-        payoffs[..., 0] = scale * payoffs[..., 0] + shift
-        g2 = Game(g.players, g.actions, payoffs)
-        eq1 = enumerate_nash(g)
-        eq2 = enumerate_nash(g2)
-        assert len(eq1.isolated) == len(eq2.isolated)
-        assert len(eq1.components) == len(eq2.components)
-        for p, q in zip(eq1.isolated, eq2.isolated):
-            assert p.distance(q) <= 1e-7
+        for alpha in (1e-150, 1e-10, 1e8, 1e10, 1e150):
+            for players in ((0, 1), (1,)):
+                _assert_same_equilibria(
+                    enumerate_nash(_affine(g, alpha, shift, players)), ref)
 
 
 def test_enumerated_profiles_are_nash():
@@ -413,20 +440,11 @@ def test_enumeration_matches_per_pair_reference():
         games.append(integer_game(rng, shape))
     # a degenerate game moved off degeneracy by 1e-13 (all pairs keep their
     # decision), 1e-10 (below the equalities' 1e-9 tolerance) and 1e-8
-    # (pairs turn inconsistent, some certified and some only by the SVD)
+    # (pairs turn inconsistent, some certified and some only on the exact
+    # path)
     games += _near_degenerate_games((0.0, 1e-13, 1e-10, 1e-8))
     for g in games:
-        got, ref = enumerate_nash(g), per_pair_reference(g)
-        assert ([(d.support, d.status, d.detail) for d in got.diagnostics]
-                == [(d.support, d.status, d.detail) for d in ref.diagnostics])
-        assert len(got.isolated) == len(ref.isolated)
-        for p, q in zip(got.isolated, ref.isolated):
-            assert p.distance(q) <= 1e-12
-        assert [c.support for c in got.components] == [c.support for c in ref.components]
-        for c, r in zip(got.components, ref.components):
-            assert np.allclose(c.interval, r.interval, rtol=0, atol=1e-12)
-            for u, v in zip(c.base + c.direction, r.base + r.direction):
-                assert np.allclose(u, v, rtol=0, atol=1e-12)
+        _assert_same_equilibria(enumerate_nash(g), per_pair_reference(g))
     # a side that is a point with infeasible x0 empties its pair's face, so
     # no `degenerate` diagnostic may hold one; 191 of the 400 games keep a
     # face of dimension >= 2
@@ -467,28 +485,6 @@ def _svd_calls(monkeypatch, fn, *args):
                                                      names=("svd",))]
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_stacked_svd_matches_per_pair_svd(monkeypatch, n):
-    # the screen's rounding bound rests on `_screen_side` and `_side`
-    # factoring the same equality matrix of each pair into the same bits
-    game = random_game(np.random.default_rng(0), (n, n), 0.0, 1.0)
-    scale = float(np.max(np.abs(game.payoffs)))
-    classes = nash._support_classes(n)
-    for s1, s2 in itertools.product(classes, classes):
-        i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
-        for own, opp, pay in ((s1[i], s2[j], game.payoffs[..., 1]),
-                              (s2[j], s1[i], game.payoffs[..., 0].T)):
-            [(a, u, s, vt)] = _svd_calls(monkeypatch, nash._screen_side,
-                                         own, opp, pay, scale)
-            for k in range(len(own)):
-                [(ak, uk, sk, vtk)] = _svd_calls(monkeypatch, nash._side,
-                                                 tuple(own[k]), tuple(opp[k]),
-                                                 pay, scale)
-                assert np.array_equal(ak, a[k])
-                assert np.array_equal(uk, u[k]) and np.array_equal(sk, s[k])
-                assert np.array_equal(vtk, vt[k])
-
-
 def _overdetermined_sides(game):
     """(own, opp_classes, opp_payoff) for each size p and player: the
     player's supports of size p, the opponent's larger size classes, and
@@ -502,8 +498,7 @@ def _overdetermined_sides(game):
 
 def test_inconsistency_certificate_is_sound():
     # wherever the certificate fires, `_side` must find the equalities
-    # inconsistent, at payoff scales that overflow or underflow a plain
-    # determinant too
+    # inconsistent; the screens see the unit view
     rng = np.random.default_rng(6)
     uniform = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
     games = uniform + [random_game(rng, shape, 0.0, 1.0)
@@ -512,50 +507,44 @@ def test_inconsistency_certificate_is_sound():
     games += integer_games(400)
     games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
     fired = 0
-    for factor in (1.0, 1e-150, 1e150):
-        for g in games:
-            scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
-            for own, opp_classes, opp_payoff in _overdetermined_sides(g):
-                if not opp_classes:
-                    continue
-                opp_payoff = opp_payoff * factor
-                d = nash._d_blocks(own, opp_classes, opp_payoff)
-                q = np.repeat([c.shape[1] for c in opp_classes],
-                              [len(c) for c in opp_classes])
-                logdet = np.linalg.slogdet(d)[1]
-                cert = nash._certified_inconsistent(d, logdet, q, scale)
-                fired += int(cert.sum())
-                opps = nash._flat_supports(opp_classes)
-                for r, c in zip(*np.nonzero(cert)):
-                    assert nash._side(tuple(own[r]), opps[c], opp_payoff,
-                                      scale) is None
-                # every unbalanced pair of a uniform game is certified
-                if factor == 1.0 and any(g is u for u in uniform):
-                    assert cert.all()
+    for g in games:
+        for own, opp_classes, opp_payoff in _overdetermined_sides(unit_view(g)):
+            if not opp_classes:
+                continue
+            d = nash._d_blocks(own, opp_classes, opp_payoff)
+            q = np.repeat([c.shape[1] for c in opp_classes],
+                          [len(c) for c in opp_classes])
+            logdet = np.linalg.slogdet(d)[1]
+            cert = nash._certified_inconsistent(d, logdet, q)
+            fired += int(cert.sum())
+            opps = nash._flat_supports(opp_classes)
+            for r, c in zip(*np.nonzero(cert)):
+                assert nash._side(tuple(own[r]), opps[c], opp_payoff) is None
+            # every unbalanced pair of a uniform game is certified
+            if any(g is u for u in uniform):
+                assert cert.all()
     assert fired > 10000
 
 
 def test_single_sides_are_sound():
     # wherever the closed form drops a side of size 1, `_side` must return
-    # None or a point with infeasible x0, at payoff scales of 1e+-150 too
+    # None or a point with infeasible x0; the screens see the unit view
     rng = np.random.default_rng(7)
     games = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
     games += [integer_game(rng, shape) for shape in ((3, 5), (5, 3))]
     games += integer_games(400)
     games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
     dropped = 0
-    for factor in (1.0, 1e-150, 1e150):
-        for g in games:
-            scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
-            m, k = g.action_counts
-            for pay, n_opp in ((g.payoffs[..., 1], k), (g.payoffs[..., 0].T, m)):
-                pay = pay * factor
-                classes = nash._support_classes(n_opp)
-                keep = nash._single_sides(pay, classes, scale)
-                opps = nash._flat_supports(classes)
-                for a, c in zip(*np.nonzero(~keep)):
-                    assert nash._proves_empty(nash._side((a,), opps[c], pay, scale))
-                dropped += int((~keep).sum())
+    for g in games:
+        u = unit_view(g)
+        m, k = g.action_counts
+        for pay, n_opp in ((u.payoffs[..., 1], k), (u.payoffs[..., 0].T, m)):
+            classes = nash._support_classes(n_opp)
+            keep = nash._single_sides(pay, classes)
+            opps = nash._flat_supports(classes)
+            for a, c in zip(*np.nonzero(~keep)):
+                assert nash._proves_empty(nash._side((a,), opps[c], pay))
+            dropped += int((~keep).sum())
     assert dropped > 15000
 
 
@@ -573,39 +562,29 @@ def _square_sides(game):
 
 def test_lu_screen_is_sound():
     # wherever the LU stage drops a square side, `_side` must return None
-    # or a point with infeasible x0, at payoff scales of 1e+-150 too; on
-    # uniform games it decides every first side the SVD screen decides
+    # or a point with infeasible x0; the screens see the unit view
     rng = np.random.default_rng(8)
-    uniform = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
-    games = uniform + integer_games(400)
+    games = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
+    games += integer_games(400)
     games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
     unit = np.finfo(float).eps / 2
-    dropped = decided = 0
-    for factor in (1.0, 1e-150, 1e150):
-        for g in games:
-            scale = float(np.max(np.abs(g.payoffs * factor))) or 1.0
-            for sides in _square_sides(g):
-                for n_side, (own, opp, opp_payoff) in enumerate(sides):
-                    opp_payoff = opp_payoff * factor
-                    side = (own, opp, opp_payoff)
-                    a = nash._equality_matrices(*side)
-                    logdet = np.linalg.slogdet(a)[1]
-                    infeasible, open_ = nash._lu_screen(a, logdet, side, scale)
-                    assert not (infeasible & open_).any()
-                    dropped += int(infeasible.sum())
-                    for n in np.flatnonzero(infeasible):
-                        assert nash._proves_empty(
-                            nash._side(tuple(own[n]), tuple(opp[n]), opp_payoff, scale))
-                    # the LAPACK property the stage relies on
-                    p = a.shape[-1]
-                    low, frob = nash._square_floor(a, logdet, scale)
-                    s_min = np.linalg.svd(a, compute_uv=False)[:, -1]
-                    assert np.all(s_min >= low - 1e3 * p * unit * frob)
-                    if factor == 1.0 and n_side == 0 and any(g is u for u in uniform):
-                        bad, svd_infeasible = nash._screen_side(*side, scale)
-                        assert not (bad | svd_infeasible)[~infeasible].any()
-                        decided += int(infeasible.sum())
-    assert decided > 1000 and dropped > 6000
+    dropped = 0
+    for g in games:
+        for sides in _square_sides(unit_view(g)):
+            for own, opp, opp_payoff in sides:
+                a = nash._equality_matrices(own, opp, opp_payoff)
+                logdet = np.linalg.slogdet(a)[1]
+                infeasible = nash._lu_screen(a, logdet, (own, opp, opp_payoff))
+                dropped += int(infeasible.sum())
+                for n in np.flatnonzero(infeasible):
+                    assert nash._proves_empty(
+                        nash._side(tuple(own[n]), tuple(opp[n]), opp_payoff))
+                # the LAPACK property the stage relies on
+                p = a.shape[-1]
+                low, frob = nash._square_floor(a, logdet)
+                s_min = np.linalg.svd(a, compute_uv=False)[:, -1]
+                assert np.all(s_min >= low - 1e3 * p * unit * frob)
+    assert dropped > 6000
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (4, 6)])
@@ -619,23 +598,28 @@ def test_only_balanced_pairs_reach_the_svd(monkeypatch, shape):
     assert all(a.ndim == 2 and a.shape[0] == a.shape[1] for a, *_ in calls)
 
 
-def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch):
-    # payoffs in [0, 1] give small singular values; the screen's margin must
-    # still be tight enough to decide every pair but the equilibria
-    game = random_game(np.random.default_rng(0), (6, 6), 0.0, 1.0)
+@pytest.mark.parametrize("factor", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, n, factor):
+    # payoffs in [0, 1] give small singular values; the screens' margins must
+    # still be tight enough to decide every pair but the equilibria, at every
+    # payoff scale
     pairs = []
     solve = nash._solve_pair
 
-    def record(game, s1, s2, scale, out):
+    def record(game, s1, s2, out):
         pairs.append((s1, s2))
-        solve(game, s1, s2, scale, out)
+        solve(game, s1, s2, out)
 
     monkeypatch.setattr(nash, "_solve_pair", record)
-    eq = enumerate_nash(game)
-    assert len(pairs) == 5
-    assert len(eq.isolated) == 5
-    assert {tuple(tuple(np.flatnonzero(v)) for v in p.vectors)
-            for p in eq.isolated} == set(pairs)
+    for seed in range(3):
+        g = random_game(np.random.default_rng(seed), (n, n), 0.0, 1.0)
+        pairs.clear()
+        eq = enumerate_nash(Game(g.players, g.actions, g.payoffs * factor))
+        assert eq.components == eq.diagnostics == []
+        supports = [tuple(tuple(np.flatnonzero(v)) for v in p.vectors)
+                    for p in eq.isolated]
+        assert sorted(pairs) == sorted(supports)
 
 
 def test_empirical_does_no_label_work(monkeypatch):
