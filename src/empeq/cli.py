@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import corpus
 from .ccost import (
     ControlCostGame,
@@ -23,7 +21,7 @@ from .ccost import (
     build_spline,
     cc_equilibrium_check,
 )
-from .empirical import empirical_membership, enumerate_empirical
+from .empirical import enumerate_empirical
 from .game import Game, GameFormatError, MixedProfile, ProfileError, expected_utility
 from .monotone import (
     is_m_weakly_payoff_monotone,
@@ -297,7 +295,11 @@ def _cmd_trace(args):
 
 def _membership_doc(verdict, timings):
     doc = {"decision": verdict.decision}
-    if verdict.witnesses:  # one witness, listed at every scheduled delta
+    # one witness, listed at every scheduled delta: readers of this output,
+    # `perfbench/checks.check_membership` among them, take a member without
+    # an entry per delta as a failure, so printing the witness once with the
+    # delta list would fail every member
+    if verdict.witnesses:
         profile = _profile_doc(verdict.witnesses[0][1])
         doc["witnesses"] = [{"delta": d, "profile": profile} for d, _ in verdict.witnesses]
     if verdict.refutation is not None:

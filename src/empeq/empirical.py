@@ -6,6 +6,10 @@ candidate violates refutes it first.  For two players the closure test of
 `search.monotone_pattern_search` then decides exactly: the candidate is a
 member iff it lies in the closure of the interior monotone profiles of some
 comparison pattern pair, and a non-member by pattern exhaustion otherwise.
+At a candidate whose actions all differ in probability or utility (the
+equilibria of games with generic payoffs) the one compatible pair is a
+strict order per player, and a closed-form witness, checked row by row,
+decides member without an LP.
 With three or more players a witness heuristic runs, and only dominance
 refutes.  No decision depends on a distance: the delta schedule only places
 the witness a member verdict lists at every scheduled delta.

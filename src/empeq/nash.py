@@ -691,9 +691,17 @@ def _enumerate_single(game):
 
 def _dedupe(game, isolated, components):
     components = _merge_components(game, components)
+    # the max-norm gap from a point to a segment's bounding box bounds its
+    # distance to the segment from below
+    boxes = []
+    for c in components:
+        ends = [np.concatenate(c.base) + t * np.concatenate(c.direction) for t in c.interval]
+        boxes.append((np.minimum(*ends), np.maximum(*ends)))
     kept = []
     for p in isolated:
-        if any(c.distance_to(game, p)[0] <= 1e-9 for c in components):
+        x = p.stacked()
+        if any(np.max(np.maximum(lo - x, x - hi)) <= 1e-9 and c.distance_to(game, p)[0] <= 1e-9
+               for c, (lo, hi) in zip(components, boxes)):
             continue
         if any(p.distance(q) <= 1e-9 for q in kept):
             continue

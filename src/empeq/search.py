@@ -8,6 +8,9 @@ linear in this player's probabilities.  So each pattern pair reduces to
 small "maximize the common slack" linear programs (HiGHS).
 
 Membership is a closure test with no distance box (`monotone_pattern_search`).
+Where a candidate has a single compatible pattern pair, a strict order per
+player, a closed-form point replaces its LP once every strict row checks out
+at that point.
 The perfect and proper searches bound the profile to a delta box: a pattern
 is feasible when the slack clears a positive margin on every strict row,
 exhausting every pattern with nonpositive margins refutes, and margins
@@ -400,6 +403,79 @@ def _tie_blocks(sig, u, m):
     return blocks
 
 
+def _ray_point(point, x, delta):
+    """The point at max-norm distance delta from `point` toward `x`, or `x`
+    itself when it is closer."""
+    t = delta / max(delta, float(np.max(np.abs(x - point))))
+    return (1 - t) * point + t * x
+
+
+def _strict_rows(game, orders, vectors):
+    """Every strict row of the pattern pair in which player i's actions run
+    strictly down `orders[i]` in x_i and in u_i(., x_j), evaluated at
+    `vectors`: the entries of x, then each player's consecutive steps."""
+    rows = list(vectors)
+    for i, order in enumerate(orders):
+        for v in (vectors[i], utility_vector(game, i, vectors)):
+            rows.append(v[order[:-1]] - v[order[1:]])
+    return np.concatenate(rows)
+
+
+def _strict_order_witness(game, candidate, orders, delta):
+    """Witness for the one compatible pattern pair of an m = 1 candidate
+    whose tie blocks are all singletons, `orders[i]` being player i's
+    blocks, best first; None unless it clears every strict row.
+
+    The witness is candidate + t * D.  On the support S_j, D_j is the d_j of
+    [[A_i, -1], [1^T, 0]] [d_j; c] = [r_i; 0] with A_i = u_i[S_i, S_j] and
+    r_i the ranks k, ..., 1 of sigma*_i along the order, so u_i(., x_j)
+    falls by the same step per rank on S_i.  Off S_j, D_j puts a mass that
+    falls along the order, small enough to move those steps by at most
+    half, and takes it from sigma*_j pro rata; each D_j is scaled to max
+    norm 1.  t is half the step at which a first row falls to TIE_TOL, cut
+    to delta.
+    """
+    point = candidate.stacked()
+    sig = candidate.vectors
+    steps = [None, None]
+    for i, j in ((0, 1), (1, 0)):
+        sup_i, sup_j = (orders[p][sig[p][orders[p]] > TIE_TOL] for p in (i, j))
+        off_j = orders[j][len(sup_j):]
+        k = len(sup_i)
+        if len(sup_j) != k:
+            return None
+        step = np.zeros(len(sig[j]))
+        u = _util_coefs(game, j)[sup_i]  # u_i[S_i, .]
+        if k > 1:
+            border = np.zeros((k + 1, k + 1))
+            border[:k, :k] = u[:, sup_j]
+            border[:k, k] = -1.0
+            border[k, :k] = 1.0
+            try:
+                step[sup_j] = np.linalg.solve(border, np.arange(k, -1, -1.0))[:k]
+            except np.linalg.LinAlgError:
+                return None
+        if len(off_j):
+            spread = float(np.max(u[:, off_j].max(axis=0) - u[:, off_j].min(axis=0)))
+            mass = np.arange(len(off_j), 0, -1.0)
+            step[off_j] = mass / (mass.sum() * (2 * spread if spread > 0 else 1.0))
+            step -= step[off_j].sum() * sig[j]
+        top = np.abs(step).max()
+        steps[j] = step / top if top > 0 else step
+    at_point = _strict_rows(game, orders, sig)
+    along = _strict_rows(game, orders, steps)
+    down = along < 0
+    t = np.min((at_point[down] - TIE_TOL) / -along[down], initial=np.inf) / 2
+    if not t > 0:
+        return None
+    x = _ray_point(point, point + min(t, 1.0) * np.concatenate(steps), delta)
+    vectors = np.split(x, [len(sig[0])])
+    if not x.min() > 0 or max(abs(v.sum() - 1.0) for v in vectors) > TIE_TOL:
+        return None
+    witness = MixedProfile(game, vectors)
+    return witness if _strict_rows(game, orders, witness.vectors).min() > TIE_TOL else None
+
+
 def monotone_pattern_search(game, candidate, delta, m=1.0):
     """Closure test: is the candidate a limit of interior payoff-monotone
     (m = 1) or m-weakly payoff-monotone (m < 1) profiles?
@@ -413,9 +489,33 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     feasible: some slack > TIE_TOL; the witness is on the ray from the
     candidate to the LP's point, at distance delta, inside S.  refuted: no
     such slack.  open: more than MAX_PATTERN_PAIRS pairs.
+
+    For m = 1, when every tie block of both players is a singleton (as at
+    the equilibria of games with generic payoffs), the one compatible pair
+    is a strict order per player, and `_strict_order_witness` tries a point
+    in closed form first: one bordered solve per player.  It is accepted
+    only if every strict row of that pair, evaluated at the witness itself,
+    exceeds TIE_TOL and each vector sums to one.  The witness is then in S,
+    so `_witness_ok` holds, and the LP's slack is at least as large, so the
+    LP would decide feasible too; the segment from the candidate to the
+    witness lies in S, which puts the candidate in its closure.  Otherwise
+    the LP runs as above.
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
+    blocks = []
+    for i in range(2):
+        blocks.append(_tie_blocks(candidate.vectors[i],
+                                  utility_vector(game, i, candidate.vectors), m))
+        if blocks[i] is None:
+            return PatternOutcome(OUTCOME_REFUTED, None, 0)
+        if prod(n_weak_orders(len(b)) for b in blocks[i]) > MAX_PATTERN_PAIRS:
+            return PatternOutcome(OUTCOME_OPEN, None, 0)
+    if m == 1.0 and all(len(b) == 1 for player in blocks for b in player):
+        orders = [np.array([b[0] for b in player]) for player in blocks]
+        witness = _strict_order_witness(game, candidate, orders, delta)
+        if witness is not None:
+            return PatternOutcome(OUTCOME_FEASIBLE, witness, 1)
     k0, k1 = game.action_counts
     n = k0 + k1
     own = np.split(np.eye(n), [k0])  # x_i in the stacked variables (x_0, x_1)
@@ -439,13 +539,8 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
 
     pats = []
     for i in range(2):
-        blocks = _tie_blocks(candidate.vectors[i], utility_vector(game, i, candidate.vectors), m)
-        if blocks is None:
-            return PatternOutcome(OUTCOME_REFUTED, None, 0)
-        if prod(n_weak_orders(len(b)) for b in blocks) > MAX_PATTERN_PAIRS:
-            return PatternOutcome(OUTCOME_OPEN, None, 0)
         splits = [[tuple(tuple(b[j] for j in level) for level in levels)
-                   for levels in sorted(weak_orders(len(b)), key=len)] for b in blocks]
+                   for levels in sorted(weak_orders(len(b)), key=len)] for b in blocks[i]]
         rows = (pattern_rows(i, sum(parts, ())) for parts in product(*splits))
         pats.append([lp for lp in rows if lp is not None])
     count = len(pats[0]) * len(pats[1])
@@ -457,9 +552,8 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
                       lp0.weak + lp1.weak, base.eq + lp0.eq + lp1.eq)
         s, x = solve_player_lp(lp, solver)
         if s > TIE_TOL:
-            x = np.clip(x, 0.0, None)
-            t = delta / max(delta, float(np.max(np.abs(x - point))))
-            witness = MixedProfile(game, np.split((1 - t) * point + t * x, [k0]))
+            x = _ray_point(point, np.clip(x, 0.0, None), delta)
+            witness = MixedProfile(game, np.split(x, [k0]))
             return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
     return PatternOutcome(OUTCOME_REFUTED, None, count)
 

@@ -11,6 +11,7 @@ import pytest
 import empeq
 from empeq import cli, corpus
 from empeq.cli import run
+from empeq.empirical import DEFAULT_DELTAS
 from empeq.game import Game
 from empeq.qre import QreConvergenceError
 
@@ -97,6 +98,25 @@ def test_inconclusive_verdict_exits_one(tmp_path):
     doc = json.loads(out)
     assert [e["decision"] for e in doc["isolated"]] == ["inconclusive"]
     assert doc["components"] == []
+
+
+@pytest.mark.parametrize("schedule", [None, "0.1,0.001"])
+def test_empirical_lists_one_witness_per_delta(schedule, tmp_path):
+    # every member lists its witness once per scheduled delta, largest
+    # first; perfbench/checks.check_membership fails a member without them
+    path = _game_file(tmp_path, *np.random.default_rng(7).uniform(size=(2, 5, 5)))
+    argv = ["empirical", "--game", path]
+    if schedule is not None:
+        argv += ["--delta-schedule", schedule]
+    deltas = [0.1, 0.001] if schedule else sorted(DEFAULT_DELTAS, reverse=True)
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    members = [e for e in json.loads(out)["isolated"] if e["decision"] == "member"]
+    assert members
+    for entry in members:
+        assert [w["delta"] for w in entry["witnesses"]] == deltas
+        assert all(w["profile"] == entry["witnesses"][0]["profile"]
+                   for w in entry["witnesses"])
 
 
 def test_empirical_has_no_grid_option():

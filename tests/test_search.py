@@ -1,11 +1,14 @@
 import numpy as np
 from scipy.optimize import linprog
 
-from empeq import corpus, search
+from empeq import corpus, empirical, search
+from empeq.cli import _fmt12
 from empeq.empirical import DEFAULT_DELTAS
+from empeq.game import MixedProfile, utility_vector
+from empeq.monotone import is_payoff_monotone
 from empeq.nash import DEFAULT_EPS_SCHEDULE, DELTA_FACTOR, enumerate_nash
 
-from conftest import random_game
+from conftest import corpus_games, integer_games, random_game
 
 
 def _ranked_orders_reference(k, forced_strict, forced_weak, values):
@@ -52,23 +55,26 @@ def test_ranked_orders_match_loop_reference():
 def _pattern_lps(monkeypatch, games):
     """Every slack LP that the closure test (m in (1, 0.5)) and the proper
     search (largest and smallest default eps) solve at each equilibrium of
-    `games`."""
-    lps = []
+    `games`, and the searches that solved at least one."""
+    lps, sources = [], set()
     solve = search.solve_player_lp
 
     def record(lp, solver=None):
         lps.append(lp)
+        sources.add(source)
         return solve(lp, solver)
 
     monkeypatch.setattr(search, "solve_player_lp", record)
     for game in games:
         for profile in enumerate_nash(game).isolated:
             for m in (1.0, 0.5):
+                source = f"closure m={m:g}"
                 search.monotone_pattern_search(game, profile, min(DEFAULT_DELTAS), m=m)
             for eps in (max(DEFAULT_EPS_SCHEDULE), min(DEFAULT_EPS_SCHEDULE)):
+                source = "proper"
                 search.proper_pattern_search(game, profile, eps, DELTA_FACTOR * eps)
     monkeypatch.undo()
-    return lps
+    return lps, sources
 
 
 def _solve_reference(lp):
@@ -110,9 +116,11 @@ def test_slack_lp_matches_linprog_reference(monkeypatch):
     rng = np.random.default_rng(1)
     games = [random_game(rng, shape=(k, k)) for k in (3, 4, 5)]
     games.append(corpus.gamma2c(0.5, 0.5))  # closure LPs with slack <= 0
-    lps = _pattern_lps(monkeypatch, games)
+    lps, sources = _pattern_lps(monkeypatch, games)
     reference = [_solve_reference(lp) for lp in lps]
     assert len(lps) > 100
+    # generic candidates skip the m = 1 closure LP (_strict_order_witness)
+    assert {"closure m=0.5", "proper"} <= sources
     assert any(x is None for _, x in reference)
     assert any(s > 0 for s, _ in reference)
     assert any(s <= 0 and x is not None for s, x in reference)
@@ -122,3 +130,49 @@ def test_slack_lp_matches_linprog_reference(monkeypatch):
     _assert_same([search.solve_player_lp(lp, solver) for lp in lps], reference)
     monkeypatch.setattr(search, "_HIGHS", None)
     _assert_same([search.solve_player_lp(lp) for lp in lps], reference)
+
+
+def _all_singleton_blocks(game, profile):
+    blocks = [search._tie_blocks(profile.vectors[i],
+                                 utility_vector(game, i, profile.vectors), 1.0)
+              for i in range(2)]
+    return None not in blocks and all(len(b) == 1 for player in blocks for b in player)
+
+
+def test_closed_form_witness_agrees_with_closure_lp(monkeypatch):
+    """The m = 1 closed form and the closure LP give every isolated
+    equilibrium the same outcome and pattern count.  The closed form runs
+    only when every tie block is a singleton, never for m < 1, and each of
+    its witnesses stays payoff monotone as the CLI prints it, rounded to 12
+    significant digits."""
+    rng = np.random.default_rng(5)
+    games = [random_game(rng, shape=(k, k)) for k in (4, 5, 6, 7, 8) for _ in range(2)]
+    games += integer_games(400) + corpus_games()
+    delta = min(DEFAULT_DELTAS)
+    closed_form = search._strict_order_witness
+    calls, taken = [], 0
+
+    def counted(*args):
+        calls.append(closed_form(*args))
+        return calls[-1]
+
+    for game in games:
+        for profile in enumerate_nash(game).isolated:
+            for m in (1.0, 0.5):
+                calls.clear()
+                monkeypatch.setattr(search, "_strict_order_witness", counted)
+                fast = search.monotone_pattern_search(game, profile, delta, m=m)
+                assert len(calls) == (m == 1.0 and _all_singleton_blocks(game, profile))
+                if not calls:
+                    continue
+                monkeypatch.setattr(search, "_strict_order_witness", lambda *args: None)
+                lp = search.monotone_pattern_search(game, profile, delta, m=m)
+                assert (fast.outcome, fast.tried) == (lp.outcome, lp.tried)
+                if calls[0] is None:
+                    continue
+                taken += 1
+                assert fast.witness is calls[0]
+                assert empirical._witness_ok(game, fast.witness, profile, delta, m)
+                printed = MixedProfile(game, [[_fmt12(x) for x in v] for v in fast.witness.vectors])
+                assert is_payoff_monotone(game, printed).satisfied
+    assert taken > 40
