@@ -13,9 +13,9 @@ decides member without an LP.
 With three or more players a witness heuristic runs, and only dominance
 refutes.  No decision depends on a distance: the delta schedule only places
 the witness a member verdict lists at every scheduled delta.
-`nash.check_perfect` and `nash.check_proper` still decide at the smallest
-eps, since "non-best responses <= eps" and "ratios <= eps" only loosen as
-eps grows.
+`nash.check_proper` still decides at the smallest eps, since "ratios <= eps"
+only loosens as eps grows; `nash.check_perfect` decides two-player
+perfection exactly, one best-reply LP per player, whatever the eps.
 
 With the fraction parameter m < 1 the same machinery decides m-empirical
 membership, where weakly-better actions only need fraction m of the

@@ -425,10 +425,6 @@ class DominanceReport:
                     return player, pair, vec[d], vec[g]
         return None
 
-    @property
-    def is_empty(self):
-        return all(not lst for lst in self.pairs.values())
-
     def __repr__(self):
         n = sum(len(v) for v in self.pairs.values())
         return f"DominanceReport({n} pairs)"

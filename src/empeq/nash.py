@@ -51,13 +51,13 @@ The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
 checks the interval ends and every crossing of two of the distance's lines.
 
-Perfection and properness are decided by bounded searches for the
-epsilon-constrained interior profiles of their definitions, so verdicts are
-three-valued: verified (witness sequence in hand), refuted (structural
-certificate), or inconclusive.  The witness conditions only loosen as eps
-grows, so each check is decided at the smallest scheduled eps alone; only a
-verified verdict carries witnesses, its smallest-eps witness listed at every
-scheduled eps.
+Two-player perfection is decided exactly, by one best-reply LP per player;
+properness by a bounded search for the eps-proper interior profiles of its
+definition.  Verdicts are three-valued: verified (witness sequence in
+hand), refuted (certificate), or inconclusive.  The witness conditions only
+loosen as eps grows, so each check is decided at the smallest scheduled eps
+alone; only a verified verdict carries witnesses, its smallest-eps witness
+listed at every scheduled eps.
 """
 
 from __future__ import annotations
@@ -842,6 +842,9 @@ class RefinementTag:
 
 
 def undominated_flag(game, profile, tol=NASH_TOL):
+    """No action played above `tol` is weakly dominated by a pure action.
+    Mixed dominance is not tested: a point can read undominated and still
+    be refuted by `check_perfect` with a `mixed-dominance` certificate."""
     return _dominated_on_support(game, profile, tol) is None
 
 
@@ -911,14 +914,9 @@ def is_epsilon_proper(game, profile, eps, util_tol=NASH_TOL):
 
 
 def _smoothed_perfect_witness(game, profile, eps):
-    tau = eps
-    vecs = [
-        (1 - tau) * v + tau / len(v) for v in profile.vectors
-    ]
-    cand = MixedProfile(game, vecs)
-    if is_epsilon_perfect(game, cand, eps):
-        return cand
-    return None
+    """The best-reply LPs' witness form with tau uniform, if eps-perfect."""
+    cand = MixedProfile(game, [(1 - eps) * v + eps / len(v) for v in profile.vectors])
+    return cand if is_epsilon_perfect(game, cand, eps) else None
 
 
 def _tiered_proper_witness(game, profile, eps):
@@ -970,14 +968,14 @@ def _dominated_on_support(game, profile, tol=NASH_TOL):
 
 
 def _check_refinement(game, profile, schedule, delta_factor, closed_form,
-                      passes, pattern_search, exhaustion_refutes):
+                      passes, pattern_search):
     """Decide a refinement at the smallest scheduled eps.
 
     The closed-form candidate is kept if it lies within delta_factor * eps,
     else the pattern search runs.  A witness found is listed at every
     scheduled eps, largest first; any other verdict carries no witnesses
-    and one note for the smallest eps.  With `exhaustion_refutes`, a search
-    that exhausts every pattern refutes.
+    and one note for the smallest eps.  A refuted search outcome refutes,
+    with the certificate it carries.
     """
     check_schedule(schedule, "eps")
     _require_nash(game, profile)
@@ -1001,19 +999,9 @@ def _check_refinement(game, profile, schedule, delta_factor, closed_form,
         )
     if out is None:
         return RefinementVerdict(INCONCLUSIVE, notes=[f"eps={eps:g}: no witness found"])
-    if not exhaustion_refutes:
-        return RefinementVerdict(
-            INCONCLUSIVE, notes=[f"eps={eps:g}: no witness found ({out.tried} patterns)"]
-        )
-    notes = [f"eps={eps:g}: {out.outcome} ({out.tried} patterns)"]
+    notes = [f"eps={eps:g}: " + (out.note or f"{out.outcome} ({out.tried} patterns)")]
     if out.outcome == search.OUTCOME_REFUTED:
-        cert = {
-            "kind": "order-exhaustion",
-            "eps": float(eps),
-            "delta": float(delta),
-            "patterns_tried": out.tried,
-        }
-        return RefinementVerdict(REFUTED, certificate=cert, notes=notes)
+        return RefinementVerdict(REFUTED, certificate=out.certificate, notes=notes)
     return RefinementVerdict(INCONCLUSIVE, notes=notes)
 
 
@@ -1021,8 +1009,12 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
                   delta_factor=DELTA_FACTOR):
     """Three-valued perfection check, decided at the smallest scheduled eps.
 
-    Refutation uses the two-player equivalence with undominated play: an
-    on-support weakly dominated action rules perfection out.
+    A two-player Nash point is perfect iff no mixed strategy weakly
+    dominates a player's strategy.  Refutations carry `dominated-on-support`
+    (a pure dominance, tried first) or `mixed-dominance`, whose `dominating`
+    maps actions to the probabilities of a dominating mixed strategy (from
+    the LPs of `search.perfect_pattern_search`, run where the smoothing
+    fails).  With three or more players only the smoothing runs.
 
     An eps-perfect witness within delta_factor * eps is eps'-perfect and
     within delta_factor * eps' for every eps' >= eps: interior stays
@@ -1032,8 +1024,7 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     """
     return _check_refinement(game, profile, schedule, delta_factor,
                              _smoothed_perfect_witness, is_epsilon_perfect,
-                             search.perfect_pattern_search,
-                             exhaustion_refutes=False)
+                             search.perfect_pattern_search)
 
 
 def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
@@ -1053,8 +1044,7 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     """
     return _check_refinement(game, profile, schedule, delta_factor,
                              _tiered_proper_witness, is_epsilon_proper,
-                             search.proper_pattern_search,
-                             exhaustion_refutes=True)
+                             search.proper_pattern_search)
 
 
 def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE, component_grid=101):

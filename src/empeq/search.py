@@ -11,10 +11,10 @@ Membership is a closure test with no distance box (`monotone_pattern_search`).
 Where a candidate has a single compatible pattern pair, a strict order per
 player, a closed-form point replaces its LP once every strict row checks out
 at that point.
-The perfect and proper searches bound the profile to a delta box: a pattern
-is feasible when the slack clears a positive margin on every strict row,
-exhausting every pattern with nonpositive margins refutes, and margins
-between the two thresholds leave the question open.
+The proper search bounds the profile to a delta box, perfection's LPs do
+not: a pattern is feasible when its slack clears a positive margin on every
+strict row, exhausting every pattern with nonpositive margins refutes, and
+margins between the two thresholds leave the question open.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import comb, prod
 import numpy as np
 from scipy.optimize import linprog
 
-from .game import MixedProfile, expected_utility, utility_vector, weak_dominance
+from .game import MixedProfile, expected_utility, unit_view, utility_vector, weak_dominance
 
 MAX_EXHAUSTIVE_ACTIONS = 5
 # the closure test gives up (outcome "open") past this many pattern pairs
@@ -177,7 +177,7 @@ def new_solver(presolve=True):
     """A HiGHS instance for `solve_player_lp` to reuse, or None where scipy
     has no direct bindings.  Each solve passes it a new model, which
     discards the previous model, basis and solution.  Presolve costs the
-    closure test's small LPs more than it saves; the delta-box searches keep
+    closure test's small LPs more than it saves; the other searches keep
     it, as the witnesses they print depend on the vertex HiGHS returns."""
     if _HIGHS is None:
         return None
@@ -339,6 +339,8 @@ class PatternOutcome:
     outcome: str  # feasible | refuted | open
     witness: MixedProfile | None
     tried: int
+    certificate: dict | None = None  # shipped with a refuted outcome
+    note: str = ""  # replaces the verdict's default note
 
 
 def _util_coefs(game, for_player):
@@ -370,12 +372,9 @@ def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_ref
             if len(slacks) == 2 and min(slacks) >= s_feas:
                 witness = MixedProfile(game, [np.clip(x, 0.0, None) for x in xs])
                 return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
-    if all_refuted and tried > 0:
-        return PatternOutcome(OUTCOME_REFUTED, None, tried)
-    if tried == 0:
-        # every pattern was pruned by geometry: nothing can realize the ball
-        return PatternOutcome(OUTCOME_REFUTED, None, 0)
-    return PatternOutcome(OUTCOME_OPEN, None, tried)
+    # with no pattern at all, geometry pruned every one: nothing can
+    # realize the ball
+    return PatternOutcome(OUTCOME_REFUTED if all_refuted else OUTCOME_OPEN, None, tried)
 
 
 def _tie_blocks(sig, u, m):
@@ -559,40 +558,50 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
 
 
 def perfect_pattern_search(game, candidate, eps, delta):
-    """Interior profile within delta whose non-best-response actions all
-    carry probability at most eps; best-response sets are enumerated."""
+    """Exact two-player perfection (van Damme 1991, Thm 3.2.2): per player,
+    one LP on the unit view maximizes t over tau_j >= t, sum tau_j = 1, with
+    supp sigma_i (entries > TIE_TOL, nash's NASH_TOL) in the best replies.
+    Both t > TIE_TOL: feasible, witness (1 - eps) sigma + eps tau.  Else
+    refuted with a `_mixed_dominance` certificate, or open (`lp-numerics`)
+    where none re-checks.  `tried` counts LPs solved."""
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
-    s_feas = max(1e-12, min(1e-8, 1e-3 * eps))
-    s_refute = s_feas * 1e-3
-    pats = []
-    for i in range(2):
-        k = game.action_counts[i]
-        if k > MAX_EXHAUSTIVE_ACTIONS + 3:
-            return PatternOutcome(OUTCOME_OPEN, None, 0)
-        core = set(np.flatnonzero(candidate.vectors[i] > eps + delta).tolist())
-        subsets = (tuple(a for a in range(k) if mask >> a & 1) for mask in range(1, 1 << k))
-        pats.append(sorted((b for b in subsets if core <= set(b)), key=len))
+    solver = new_solver()
+    taus = [None, None]
+    for i, j in ((0, 1), (1, 0)):
+        coefs = _util_coefs(unit_view(game), j)  # u_i(a, .) over tau_j
+        support = candidate.vectors[i] > TIE_TOL
+        top = coefs[np.argmax(support)]
+        lp = _base_lp(np.zeros(coefs.shape[1]), 1.0)  # tau_j's whole simplex
+        for row, on in zip(coefs, support):
+            (lp.add_eq if on else lp.add_weak)(top - row)
+        t, taus[j] = solve_player_lp(lp, solver)
+        if not t > TIE_TOL:
+            cert = _mixed_dominance(game, candidate.vectors[i], i)
+            if cert is None:
+                return PatternOutcome(OUTCOME_OPEN, None, i + 2, note="lp-numerics")
+            return PatternOutcome(OUTCOME_REFUTED, None, i + 2, cert)
+    vectors = [(1 - eps) * sig + eps * tau for sig, tau in zip(candidate.vectors, taus)]
+    return PatternOutcome(OUTCOME_FEASIBLE, MixedProfile(game, vectors), 2)
 
-    def build_lp(i, own, opp):
-        lp = _base_lp(candidate.vectors[i], delta)
-        for a, row in enumerate(np.eye(game.action_counts[i])):
-            if a not in own:
-                lp.add_weak(-row, eps)  # x[a] <= eps
-        coefs = _util_coefs(game, i)
-        for b in range(game.action_counts[1 - i]):
-            if b in opp[1:]:
-                lp.add_eq(coefs[opp[0]] - coefs[b])
-            elif b not in opp:
-                lp.add_strict(coefs[opp[0]] - coefs[b])
-        return lp
 
-    out = _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
-    if out.outcome == OUTCOME_REFUTED:
-        # best-response enumeration is not an exhaustive class system for
-        # perfection; failure to find a witness stays "open"
-        return PatternOutcome(OUTCOME_OPEN, None, out.tried)
-    return out
+def _mixed_dominance(game, sig, i):
+    """A `mixed-dominance` certificate for player i's strategy sig: the mu
+    of greatest summed gain with no loss, on the unit view, if on raw
+    payoffs it loses at most 1e-9 to sig and gains over 1e-9 once."""
+    u = _util_coefs(unit_view(game), 1 - i)  # u_i[a, b]
+    res = linprog(-u.sum(axis=1), A_ub=-u.T, b_ub=-(sig @ u), A_eq=np.ones((1, len(sig))),
+                  b_eq=[1.0], bounds=(0.0, 1.0), method="highs", options=_HIGHS_OPTS)
+    if not res.success:
+        return None
+    mu = np.clip(res.x, 0.0, None)
+    mu /= mu.sum()
+    gain = (mu - sig) @ _util_coefs(game, 1 - i)
+    if gain.min() < -1e-9 or not gain.max() > 1e-9:
+        return None
+    player = game.players[i]
+    return {"kind": "mixed-dominance", "player": player,
+            "dominating": {game.actions[player][a]: float(mu[a]) for a in np.flatnonzero(mu)}}
 
 
 def proper_pattern_search(game, candidate, eps, delta):
@@ -601,7 +610,7 @@ def proper_pattern_search(game, candidate, eps, delta):
     Patterns are weak orders of each player's utilities; strictly lower
     levels keep at most eps times the probability of any higher action.
     Exhaustion refutes every eps' <= eps as well, since those constraints
-    only tighten.
+    only tighten, and the outcome carries an `order-exhaustion` certificate.
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
@@ -624,4 +633,8 @@ def proper_pattern_search(game, candidate, eps, delta):
         add_order_rows(lp, opp, coefs=coefs)
         return lp
 
-    return _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
+    out = _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
+    if out.outcome == OUTCOME_REFUTED:
+        out.certificate = {"kind": "order-exhaustion", "eps": float(eps),
+                           "delta": float(delta), "patterns_tried": out.tried}
+    return out

@@ -181,3 +181,60 @@ def reference_membership(game, profile, delta_schedule=empirical.DEFAULT_DELTAS,
     if ref.outcome == search.OUTCOME_REFUTED:
         return empirical.NON_MEMBER
     return empirical.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# reference perfection: the best-response-set search that the best-reply
+# LPs replaced
+
+
+def reference_perfect_search(game, candidate, eps, delta):
+    """Interior profile within delta whose non-best-response actions all
+    carry probability at most eps; best-response sets are enumerated, up to
+    `search.MAX_EXHAUSTIVE_ACTIONS + 3` actions.  Exhaustion does not refute
+    perfection, so it ends "open"."""
+    s_feas = max(1e-12, min(1e-8, 1e-3 * eps))
+    s_refute = s_feas * 1e-3
+    pats = []
+    for i in range(2):
+        k = game.action_counts[i]
+        if k > search.MAX_EXHAUSTIVE_ACTIONS + 3:
+            return search.PatternOutcome(search.OUTCOME_OPEN, None, 0)
+        core = set(np.flatnonzero(candidate.vectors[i] > eps + delta).tolist())
+        subsets = (tuple(a for a in range(k) if mask >> a & 1) for mask in range(1, 1 << k))
+        pats.append(sorted((b for b in subsets if core <= set(b)), key=len))
+
+    def build_lp(i, own, opp):
+        lp = search._base_lp(candidate.vectors[i], delta)
+        for a, row in enumerate(np.eye(game.action_counts[i])):
+            if a not in own:
+                lp.add_weak(-row, eps)  # x[a] <= eps
+        coefs = search._util_coefs(game, i)
+        for b in range(game.action_counts[1 - i]):
+            if b in opp[1:]:
+                lp.add_eq(coefs[opp[0]] - coefs[b])
+            elif b not in opp:
+                lp.add_strict(coefs[opp[0]] - coefs[b])
+        return lp
+
+    out = search._run_patterns(game, candidate, pats[0], pats[1], build_lp,
+                               s_feas, s_refute)
+    if out.outcome == search.OUTCOME_REFUTED:
+        return search.PatternOutcome(search.OUTCOME_OPEN, None, out.tried)
+    return out
+
+
+def recheck_mixed_dominance(game, candidate, cert):
+    """Assert that a `mixed-dominance` certificate holds on the raw payoff
+    table: its mixed strategy does at least as well as the candidate's
+    against every opponent action, up to 1e-9, and better by more than 1e-9
+    against one."""
+    assert cert["kind"] == "mixed-dominance"
+    i = game.player_index(cert["player"])
+    mu = np.zeros(game.action_counts[i])
+    for action, prob in cert["dominating"].items():
+        mu[game.action_index(cert["player"], action)] = prob
+    assert np.all(mu >= 0) and abs(mu.sum() - 1.0) <= 1e-9
+    u = np.moveaxis(game.payoffs[..., i], i, 0).reshape(len(mu), -1)
+    gain = mu @ u - candidate.vectors[i] @ u
+    assert gain.min() >= -1e-9 and gain.max() > 1e-9

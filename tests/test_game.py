@@ -95,7 +95,7 @@ def test_weak_dominance_constant_game_empty():
         {"P1": ["x", "y"], "P2": ["u", "v"]},
         np.full((2, 2, 2), 3.0),
     )
-    assert weak_dominance(g).is_empty
+    assert weak_dominance(g).pairs == {"P1": (), "P2": ()}
 
 
 def test_weak_dominance_is_computed_once_per_game(phi):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from empeq import corpus, nash
+from empeq import corpus, nash, search
 from empeq.empirical import enumerate_empirical
 from empeq.game import Game, MixedProfile, nash_defect, unit_view
 from empeq.nash import (
@@ -24,6 +24,8 @@ from conftest import (
     integer_games,
     per_pair_reference,
     random_game,
+    recheck_mixed_dominance,
+    reference_perfect_search,
 )
 
 
@@ -254,6 +256,49 @@ def test_perfect_strict_equilibrium_fast_path(gamma1):
     v = check_perfect(gamma1, eqs[("a1", "b1")])
     assert v.status == "verified"
     assert len(v.witnesses) == 4
+
+
+def test_perfect_refutes_mixed_dominance():
+    # B is weakly dominated by 1/2 T + 1/2 M but by no pure action, so the
+    # pure check passes (B; 1/2 L + 1/2 C) and only the best-reply LP refutes
+    u1 = [[2, 0, 0], [0, 2, 0], [1, 1, -1]]
+    u2 = [[0, 0, -1]] * 3
+    game = Game(["P1", "P2"], {"P1": ["T", "M", "B"], "P2": ["L", "C", "R"]},
+                np.stack([u1, u2], axis=-1).astype(float))
+    profile = MixedProfile.from_dict(game, {"P1": {"B": 1.0}, "P2": {"L": 0.5, "C": 0.5}})
+    assert undominated_flag(game, profile)
+    v = check_perfect(game, profile)
+    assert v.status == "refuted" and v.witnesses == []
+    assert v.certificate["player"] == "P1"
+    assert v.certificate["dominating"] == pytest.approx({"T": 0.5, "M": 0.5})
+    recheck_mixed_dominance(game, profile, v.certificate)
+    # the best-response-set search it replaced exhausts without a verdict
+    out = reference_perfect_search(game, profile, 1e-4, 1e-3)
+    assert (out.outcome, out.tried) == (search.OUTCOME_OPEN, 8)
+
+
+def test_perfect_is_decided_at_every_classified_point():
+    # every point `classify` checks (isolated equilibria and each
+    # component's 101-point grid) gets a decided perfect verdict that
+    # re-checks: a mixed-dominance certificate on the payoff table, or an
+    # interior witness within the smallest eps
+    eps = min(nash.DEFAULT_EPS_SCHEDULE)
+    kinds = set()
+    for game in corpus_games() + integer_games(80):
+        eqset = enumerate_nash(game)
+        points = list(eqset.isolated)
+        points += [p for c in eqset.components for _, p in c.grid(game, 101)]
+        for p in points:
+            v = check_perfect(game, p)
+            assert v.status != "inconclusive"
+            if v.status == "refuted":
+                kinds.add(v.certificate["kind"])
+                if v.certificate["kind"] == "mixed-dominance":
+                    recheck_mixed_dominance(game, p, v.certificate)
+            for e, w in v.witnesses:
+                assert w.is_interior and w.distance(p) <= eps * (1 + 1e-9)
+                assert is_epsilon_perfect(game, w, e)
+    assert kinds == {"dominated-on-support", "mixed-dominance"}
 
 
 def test_proper_gamma2c():

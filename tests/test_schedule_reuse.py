@@ -3,14 +3,19 @@ two-player membership against the delta-box searches it replaced.
 
 `empirical_membership`, `check_perfect` and `check_proper` list one
 witness at every scale.  The refinement references below are the earlier
-loops, which searched every scale on its own.  The membership reference
+loops, which searched every scale on its own; the perfect one runs the
+best-response-set search (`conftest.reference_perfect_search`) that the
+exact best-reply LPs replaced.  The membership reference
 runs one closure test for two players and re-checks its witness at every
 delta; for more players it searches every delta on its own.  On the
 default schedules decisions, refutations, statuses and certificates must
 match.  On the wide eps schedule a refinement may also go from inconclusive
 to verified: its smallest-eps witness holds at every larger eps, where a
-search of its own failed.  Every witness is re-checked at every scale, and
-only member and verified verdicts carry witnesses.
+search of its own failed.  Perfection may also go from inconclusive to
+refuted: the exhausted best-response-set search could not refute, and the
+LPs find a mixed strategy that dominates, whose certificate must re-check.
+Every witness is re-checked at every scale, and only member and verified
+verdicts carry witnesses.
 
 The closure test must also keep every verdict that the earlier delta-box
 searches decided (`conftest.reference_membership`).
@@ -45,7 +50,14 @@ from empeq.nash import (
     is_epsilon_proper,
 )
 
-from conftest import corpus_games, integer_games, random_game, reference_membership
+from conftest import (
+    corpus_games,
+    integer_games,
+    random_game,
+    recheck_mixed_dominance,
+    reference_membership,
+    reference_perfect_search,
+)
 
 
 def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0, seed=0):
@@ -85,7 +97,7 @@ def _perfect_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
             witnesses.append((eps, cand))
             continue
         if game.n_players == 2:
-            out = search.perfect_pattern_search(game, profile, eps, delta)
+            out = reference_perfect_search(game, profile, eps, delta)
             if out.outcome == search.OUTCOME_FEASIBLE and is_epsilon_perfect(
                 game, out.witness, eps
             ):
@@ -256,7 +268,10 @@ def test_refinements_match_per_scale_reference(games, schedule):
                 (check_proper, _proper_reference, is_epsilon_proper),
             ):
                 got, ref = check(game, candidate, epss), reference(game, candidate, epss)
-                if got.status != ref.status:
+                if got.status != ref.status and got.status == nash.REFUTED:
+                    assert check is check_perfect and ref.status == nash.INCONCLUSIVE
+                    recheck_mixed_dominance(game, candidate, got.certificate)
+                elif got.status != ref.status:
                     assert schedule == "wide"
                     assert (ref.status, got.status) == (nash.INCONCLUSIVE, nash.VERIFIED)
                 else:
