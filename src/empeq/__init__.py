@@ -33,7 +33,6 @@ from .nash import (
     check_proper,
     classify,
     enumerate_nash,
-    filter_undominated,
     is_nash,
     nearest_nash,
 )

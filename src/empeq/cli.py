@@ -117,11 +117,10 @@ def build_parser():
     p.add_argument("--c2", type=float)
     p.add_argument("--out")
 
-    p = subs.add_parser("nash", help="enumerate and classify equilibria")
+    p = subs.add_parser("nash", help="enumerate and classify equilibria; "
+                        "components are decided at their breakpoints")
     _add_game_args(p)
     p.add_argument("--eps-schedule", default="1e-1,1e-2,1e-3,1e-4")
-    p.add_argument("--grid", type=int, default=101,
-                   help="refinement grid points per component")
     p.add_argument("--out")
 
     p = subs.add_parser("wpm", help="monotonicity verdicts for a profile")
@@ -201,8 +200,7 @@ def _cmd_nash(args):
     game = _load_game(args)
     schedule = tuple(_parse_schedule(args.eps_schedule))
     eqset = enumerate_nash(game)
-    tags, comp_summaries = classify(game, eqset, schedule=schedule,
-                                    component_grid=args.grid)
+    tags, comp_summaries = classify(game, eqset, schedule=schedule)
     doc = {"isolated": [], "components": [],
            "diagnostics": _diagnostics_doc(eqset)}
     inconclusive = False
@@ -222,8 +220,7 @@ def _cmd_nash(args):
                 "interval": [comp.interval[0], comp.interval[1]],
                 "base": [[_fmt12(v) for v in vec] for vec in comp.base],
                 "direction": [[_fmt12(v) for v in vec] for vec in comp.direction],
-                "undominated_region": summary["undominated_region"],
-                "grid": summary["grid"],
+                **summary,
             }
         )
         inconclusive |= any(

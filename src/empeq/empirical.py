@@ -21,19 +21,19 @@ With the fraction parameter m < 1 the same machinery decides m-empirical
 membership, where weakly-better actions only need fraction m of the
 weakly-worse action's probability.  Along a two-player Nash segment,
 probabilities and utilities are linear in the segment parameter, so its
-decisions can change only at their crossings (`segment_breakpoints`).
+decisions can change only at their crossings: a segment is decided at its
+`nash.segment_breakpoints`, by `nash.decide_segment`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
 from . import search
-from .game import MixedProfile, utility_vector, weak_dominance
+from .game import MixedProfile, weak_dominance
 from .monotone import (
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
@@ -43,6 +43,7 @@ from .nash import (
     NASH_TOL,
     _require_nash,
     check_schedule,
+    decide_segment,
     enumerate_nash,
 )
 from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
@@ -118,7 +119,8 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     profiles, so no sequence of them converges to the candidate.
     inconclusive: too many compatible pattern pairs, a witness that fails
     its re-check, or no witness for three or more players.  Non-member and
-    inconclusive verdicts carry no witnesses.
+    inconclusive verdicts carry no witnesses.  A candidate whose Nash defect
+    on the game's unit view exceeds `nash_tol` raises ValueError.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
@@ -237,36 +239,11 @@ class EmpiricalReport:
     components: list  # ComponentMembership
 
 
-def segment_breakpoints(game, comp, m=1.0):
-    """The interval ends of a two-player segment and the crossings inside it
-    of sigma_a - sigma_b, sigma_a - m * sigma_b and u_a - u_b for one
-    player's actions a, b, merged within 1e-12, with the midpoints between
-    them.  All are linear in t, so membership decisions can change only at
-    these crossings."""
-    lo, hi = comp.interval
-    ts = [lo, hi]
-    for i in range(game.n_players):
-        lines = [(comp.base[i], comp.direction[i], w) for w in {1.0, m}]
-        if game.n_players == 2:  # a one-player game's utilities are constant
-            lines.append((utility_vector(game, i, comp.base),
-                          utility_vector(game, i, comp.direction), 1.0))
-        for value, slope, w in lines:
-            v, s = value[:, None] - w * value, slope[:, None] - w * slope
-            cross = -v[s != 0] / s[s != 0] + 0.0  # no -0.0
-            ts += cross[(cross > lo) & (cross < hi)].tolist()
-    points = [lo]
-    for t in sorted(ts):
-        if t - points[-1] > 1e-12:
-            points.append(t)
-    points[-1] = hi
-    return sorted(points + [(a + b) / 2 for a, b in zip(points, points[1:])])
-
-
 def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
     """Membership verdicts for every enumerated equilibrium.
 
     Isolated equilibria are decided directly, components at their
-    `segment_breakpoints`; runs of member verdicts give the member
+    `nash.segment_breakpoints`; runs of member verdicts give the member
     subintervals.
     """
     check_schedule(delta_schedule, "delta")
@@ -275,17 +252,14 @@ def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
         (p, empirical_membership(game, p, delta_schedule, m=m, seed=seed))
         for p in eqset.isolated
     ]
+
+    def decide(profile):
+        return empirical_membership(game, profile, delta_schedule, m=m, seed=seed).decision
+
     comps = []
     for comp in eqset.components:
-        grid = [
-            (t, empirical_membership(game, comp.profile_at(game, t), delta_schedule,
-                                     m=m, seed=seed).decision)
-            for t in segment_breakpoints(game, comp, m)
-        ]
-        runs = (list(run) for member, run in groupby(grid, lambda e: e[1] == MEMBER)
-                if member)
-        intervals = [(run[0][0], run[-1][0]) for run in runs]
-        comps.append(ComponentMembership(comp, grid, intervals))
+        grid, runs = decide_segment(game, comp, decide, {MEMBER: lambda d: d == MEMBER}, m)
+        comps.append(ComponentMembership(comp, grid, runs[MEMBER]))
     return EmpiricalReport(eqset, isolated, comps)
 
 

@@ -53,18 +53,29 @@ checks the interval ends and every crossing of two of the distance's lines.
 
 Two-player perfection is decided exactly, by one best-reply LP per player;
 properness by a bounded search for the eps-proper interior profiles of its
-definition.  Verdicts are three-valued: verified (witness sequence in
-hand), refuted (certificate), or inconclusive.  The witness conditions only
-loosen as eps grows, so each check is decided at the smallest scheduled eps
-alone; only a verified verdict carries witnesses, its smallest-eps witness
-listed at every scheduled eps.
+definition.  The Nash precondition of both and the eps-perfection test are
+taken on the unit view.  Verdicts are three-valued: verified (witness
+sequence in hand), refuted (certificate), or inconclusive.  The witness
+conditions only loosen as eps grows, so each check is decided at the
+smallest scheduled eps alone; only a verified verdict carries witnesses,
+its smallest-eps witness listed at every scheduled eps.
+
+A segment is decided at its `segment_breakpoints` (`decide_segment`): its
+ends, every crossing inside it of two of one player's probabilities or
+utilities, and one midpoint per open cell between them.  Both are linear
+along the segment, so supports and utility orders are constant on an open
+cell.  Pure dominance on the support and two-player perfection depend only
+on the supports (van Damme 1991, Thm 3.2.2), so a cell's midpoint decides
+the cell.  `classify` decides dominance, perfection and properness at these
+points (its proper verdicts are checked against pointwise ones in the
+tests), and `empirical.enumerate_empirical` decides membership there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 from scipy.optimize import linprog
@@ -75,6 +86,7 @@ from .game import (
     expected_utility,
     nash_defect,
     unit_view,
+    utility_vector,
     weak_dominance,
 )
 from . import search
@@ -109,12 +121,6 @@ def check_schedule(schedule, name):
         raise ValueError(f"{name} schedule entries must be finite and > 0, got {shown}")
 
 
-def check_component_grid(points):
-    """ValueError unless a component grid has at least its two ends."""
-    if points < 2:
-        raise ValueError(f"a component grid needs at least 2 points, got {points}")
-
-
 @dataclass(frozen=True)
 class Component:
     """One-dimensional connected set of equilibria.
@@ -133,11 +139,6 @@ class Component:
             np.clip(b + t * d, 0.0, None) for b, d in zip(self.base, self.direction)
         ]
         return MixedProfile(game, vecs)
-
-    def grid(self, game, points=101):
-        lo, hi = self.interval
-        ts = np.linspace(lo, hi, points)
-        return [(float(t), self.profile_at(game, float(t))) for t in ts]
 
     def distance_to(self, game, profile):
         """(distance, t): max-norm distance from `profile` to the component
@@ -160,6 +161,45 @@ class Component:
         vals = np.max(np.abs(a + ts[:, None] * b), axis=1)
         t = float(np.min(ts[vals <= vals.min() + 1e-14]))
         return self.profile_at(game, t).distance(profile), t
+
+
+def segment_breakpoints(game, comp, m=1.0):
+    """The interval ends of a segment and the crossings inside it of
+    sigma_a - sigma_b, sigma_a - m * sigma_b and (two players) u_a - u_b for
+    one player's actions a, b, merged within 1e-12, with the midpoints
+    between them.  All are linear in t, so supports, utility orders and
+    the m-fraction orders are constant between two breakpoints."""
+    lo, hi = comp.interval
+    ts = [lo, hi]
+    for i in range(game.n_players):
+        lines = [(comp.base[i], comp.direction[i], w) for w in {1.0, m}]
+        if game.n_players == 2:  # a one-player game's utilities are constant
+            lines.append((utility_vector(game, i, comp.base),
+                          utility_vector(game, i, comp.direction), 1.0))
+        for value, slope, w in lines:
+            v, s = value[:, None] - w * value, slope[:, None] - w * slope
+            cross = -v[s != 0] / s[s != 0] + 0.0  # no -0.0
+            ts += cross[(cross > lo) & (cross < hi)].tolist()
+    points = [lo]
+    for t in sorted(ts):
+        if t - points[-1] > 1e-12:
+            points.append(t)
+    points[-1] = hi
+    return sorted(points + [(a + b) / 2 for a, b in zip(points, points[1:])])
+
+
+def decide_segment(game, comp, decide, passes, m=1.0):
+    """(grid, runs): `grid` lists (t, decide(profile at t)) at every point
+    of `segment_breakpoints(game, comp, m)`, and `runs` maps each name of
+    `passes` to the (t_lo, t_hi) runs of consecutive grid points whose
+    decision passes[name] accepts."""
+    grid = [(t, decide(comp.profile_at(game, t)))
+            for t in segment_breakpoints(game, comp, m)]
+    runs = {}
+    for name, accepts in passes.items():
+        spans = (list(run) for ok, run in groupby(grid, lambda e: accepts(e[1])) if ok)
+        runs[name] = [(run[0][0], run[-1][0]) for run in spans]
+    return grid, runs
 
 
 @dataclass
@@ -848,41 +888,10 @@ def undominated_flag(game, profile, tol=NASH_TOL):
     return _dominated_on_support(game, profile, tol) is None
 
 
-@dataclass
-class UndominatedReport:
-    isolated_flags: list
-    component_regions: list  # list of intervals [(lo, hi)] per component
-
-
-def filter_undominated(game, eqset):
-    """Exact undominated flags; components report the surviving subregion."""
-    report = weak_dominance(game)
-    flags = [undominated_flag(game, p) for p in eqset.isolated]
-    regions = []
-    for comp in eqset.components:
-        lo, hi = comp.interval
-        feasible = [(lo, hi)]
-        for i, p in enumerate(game.players):
-            for a in report.dominated_actions(p):
-                j = game.action_index(p, a)
-                b0 = comp.base[i][j]
-                d0 = comp.direction[i][j]
-                if abs(d0) <= 1e-12:
-                    if b0 > NASH_TOL:
-                        feasible = []
-                else:
-                    t_star = -b0 / d0
-                    feasible = [
-                        (max(l, t_star), min(h, t_star))
-                        for l, h in feasible
-                        if l - 1e-9 <= t_star <= h + 1e-9
-                    ]
-        regions.append([(l, h) for l, h in feasible if l <= h + 1e-9])
-    return UndominatedReport(flags, regions)
-
-
 def _require_nash(game, profile, tol=NASH_TOL):
-    d = nash_defect(game, profile)
+    """ValueError unless `profile`'s Nash defect on the game's unit view is
+    at most `tol`, so the test means the same at every payoff scale."""
+    d = nash_defect(unit_view(game), profile)
     if d > tol:
         raise ValueError(f"profile is not a Nash equilibrium (defect {d:.3e})")
 
@@ -913,10 +922,15 @@ def is_epsilon_proper(game, profile, eps, util_tol=NASH_TOL):
     return True
 
 
+def _unit_epsilon_perfect(game, profile, eps):
+    """`is_epsilon_perfect` on the game's unit view."""
+    return is_epsilon_perfect(unit_view(game), profile, eps)
+
+
 def _smoothed_perfect_witness(game, profile, eps):
     """The best-reply LPs' witness form with tau uniform, if eps-perfect."""
     cand = MixedProfile(game, [(1 - eps) * v + eps / len(v) for v in profile.vectors])
-    return cand if is_epsilon_perfect(game, cand, eps) else None
+    return cand if _unit_epsilon_perfect(game, cand, eps) else None
 
 
 def _tiered_proper_witness(game, profile, eps):
@@ -1023,7 +1037,7 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     at every scheduled eps; refuted and inconclusive verdicts carry none.
     """
     return _check_refinement(game, profile, schedule, delta_factor,
-                             _smoothed_perfect_witness, is_epsilon_perfect,
+                             _smoothed_perfect_witness, _unit_epsilon_perfect,
                              search.perfect_pattern_search)
 
 
@@ -1047,31 +1061,33 @@ def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
                              search.proper_pattern_search)
 
 
-def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE, component_grid=101):
-    """Refinement tags for isolated equilibria plus component summaries."""
+def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):
+    """Refinement tags for the isolated equilibria, and a summary per
+    component.
+
+    A component is decided at its `segment_breakpoints` (`decide_segment`).
+    Its summary lists a `grid` entry {t, undominated, perfect, proper} at
+    every breakpoint and midpoint, and the (t_lo, t_hi) runs of points that
+    are undominated (`undominated_region`), perfect (`perfect_intervals`)
+    and proper (`proper_intervals`), in the form of `empirical`'s
+    `member_intervals`.
+    """
     check_schedule(schedule, "eps")
-    check_component_grid(component_grid)
-    undom = filter_undominated(game, eqset)
-    tags = []
-    for flag, prof in zip(undom.isolated_flags, eqset.isolated):
-        tags.append(
-            RefinementTag(
-                flag,
-                check_perfect(game, prof, schedule=schedule),
-                check_proper(game, prof, schedule=schedule),
-            )
-        )
-    comp_summaries = []
-    for comp, region in zip(eqset.components, undom.component_regions):
-        entries = []
-        for t, prof in comp.grid(game, component_grid):
-            entries.append(
-                {
-                    "t": t,
-                    "undominated": undominated_flag(game, prof),
-                    "perfect": check_perfect(game, prof, schedule=schedule).status,
-                    "proper": check_proper(game, prof, schedule=schedule).status,
-                }
-            )
-        comp_summaries.append({"undominated_region": region, "grid": entries})
-    return tags, comp_summaries
+    tags = [RefinementTag(undominated_flag(game, p),
+                          check_perfect(game, p, schedule=schedule),
+                          check_proper(game, p, schedule=schedule))
+            for p in eqset.isolated]
+
+    def decide(profile):
+        return {"undominated": undominated_flag(game, profile),
+                "perfect": check_perfect(game, profile, schedule=schedule).status,
+                "proper": check_proper(game, profile, schedule=schedule).status}
+
+    passes = {"undominated_region": lambda e: e["undominated"],
+              "perfect_intervals": lambda e: e["perfect"] == VERIFIED,
+              "proper_intervals": lambda e: e["proper"] == VERIFIED}
+    summaries = []
+    for comp in eqset.components:
+        grid, runs = decide_segment(game, comp, decide, passes)
+        summaries.append({"grid": [{"t": t, **e} for t, e in grid], **runs})
+    return tags, summaries

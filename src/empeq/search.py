@@ -587,8 +587,8 @@ def perfect_pattern_search(game, candidate, eps, delta):
 
 def _mixed_dominance(game, sig, i):
     """A `mixed-dominance` certificate for player i's strategy sig: the mu
-    of greatest summed gain with no loss, on the unit view, if on raw
-    payoffs it loses at most 1e-9 to sig and gains over 1e-9 once."""
+    of greatest summed gain with no loss, if it loses at most 1e-9 to sig
+    and gains over 1e-9 once, all on the unit view."""
     u = _util_coefs(unit_view(game), 1 - i)  # u_i[a, b]
     res = linprog(-u.sum(axis=1), A_ub=-u.T, b_ub=-(sig @ u), A_eq=np.ones((1, len(sig))),
                   b_eq=[1.0], bounds=(0.0, 1.0), method="highs", options=_HIGHS_OPTS)
@@ -596,7 +596,7 @@ def _mixed_dominance(game, sig, i):
         return None
     mu = np.clip(res.x, 0.0, None)
     mu /= mu.sum()
-    gain = (mu - sig) @ _util_coefs(game, 1 - i)
+    gain = (mu - sig) @ u
     if gain.min() < -1e-9 or not gain.max() > 1e-9:
         return None
     player = game.players[i]

@@ -68,6 +68,13 @@ def random_profile(game, rng):
     )
 
 
+def segment_grid(game, comp, points=101):
+    """(t, profile) at `points` evenly spaced parameters of a segment, its
+    ends included."""
+    lo, hi = comp.interval
+    return [(float(t), comp.profile_at(game, float(t))) for t in np.linspace(lo, hi, points)]
+
+
 def per_pair_reference(game):
     """Support enumeration without the batched screen: the exact decision
     for every support pair, on the game's unit view, in the order

@@ -127,6 +127,33 @@ def test_empirical_has_no_grid_option():
     assert "unrecognized arguments: --grid" in err
 
 
+def test_nash_has_no_grid_option():
+    # refinements are decided at breakpoints too, and listed as intervals
+    code, out, err = _run(["nash", "--corpus", "psi", "--grid", "101"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --grid" in err
+    code, out, _ = _run(["nash", "--corpus", "psi"])
+    assert code == 0
+    (comp,) = json.loads(out)["components"]
+    hi = comp["interval"][1]
+    assert [e["t"] for e in comp["grid"]][::4] == comp["interval"]
+    for key in ("undominated_region", "perfect_intervals", "proper_intervals"):
+        assert comp[key] == [[hi, hi]]
+
+
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_payoff_units_do_not_make_equilibria_input_errors(name, tmp_path):
+    # at payoffs of size 1e10 the enumerated equilibria have raw Nash
+    # defects of about 2e-6; the checks measure the defect on unit-range
+    # payoffs, so neither command rejects them
+    game = corpus.get(name)
+    path = tmp_path / "game.json"
+    Game(game.players, game.actions, 1e10 * game.payoffs).to_file(path)
+    for command in ("nash", "empirical"):
+        assert _run([command, "--game", str(path)])[::2] == (0, "")
+
+
 def test_nash_diagnostics_match_per_pair_reference(tmp_path):
     # `nash` reports only the pairs that may hold equilibria but gave none;
     # this game has degenerate faces
@@ -212,9 +239,9 @@ def test_repeat_runs_are_byte_identical(game, command, tmp_path):
     (["nash", "--corpus", "gamma1", "--eps-schedule", "0.1,nan"], "eps schedule"),
     (["trace", "--corpus", "gamma1", "--lambda-max", "inf"], "lambda schedule"),
     (["trace", "--corpus", "gamma1", "--lambda-max", "0.001"], "lambda schedule"),
-    (["nash", "--corpus", "psi", "--grid", "1"], "component grid"),
-    (["nash", "--corpus", "psi", "--grid", "-1"], "component grid"),
-    (["nash", "--corpus", "psi", "--grid", "0"], "component grid"),
+    (["region", "--corpus", "gamma1", "--resolution", "0"], "resolution"),
+    (["region", "--corpus", "gamma1", "--resolution", "-2"], "resolution"),
+    (["nash", "--corpus", "gamma1", "--eps-schedule", "0"], "eps schedule"),
     (["trace", "--corpus", "gamma1", "--steps", "1", "--lambda-max", "1000"],
      "steps >= 2"),
     (["trace", "--corpus", "gamma1", "--steps", "-3"], "steps >= 2"),

@@ -1,8 +1,10 @@
+from bisect import bisect
+
 import numpy as np
 import pytest
 
 from empeq import corpus, nash, search
-from empeq.empirical import enumerate_empirical
+from empeq.empirical import empirical_membership, enumerate_empirical
 from empeq.game import Game, MixedProfile, nash_defect, unit_view
 from empeq.nash import (
     EquilibriumSet,
@@ -11,10 +13,10 @@ from empeq.nash import (
     check_proper,
     classify,
     enumerate_nash,
-    filter_undominated,
     is_epsilon_perfect,
     is_epsilon_proper,
     nearest_nash,
+    segment_breakpoints,
     undominated_flag,
 )
 
@@ -26,6 +28,7 @@ from conftest import (
     random_game,
     recheck_mixed_dominance,
     reference_perfect_search,
+    segment_grid,
 )
 
 
@@ -67,7 +70,7 @@ def test_psi_single_component(psi):
          comp.profile_at(psi, hi).vectors[0][0])
     )
     assert ends == pytest.approx([0.0, 1.0], abs=1e-9)
-    for t, prof in comp.grid(psi, 11):
+    for t, prof in segment_grid(psi, comp, 11):
         assert prof.vectors[1][0] == pytest.approx(1.0, abs=1e-12)
         assert nash_defect(psi, prof) <= 1e-9
 
@@ -83,7 +86,7 @@ def test_phi_equilibrium_set(phi):
          comp.profile_at(phi, hi).vectors[0][1])
     )
     assert p15 == pytest.approx([1 / 3, 1.0], abs=1e-9)
-    for _, prof in comp.grid(phi, 21):
+    for _, prof in segment_grid(phi, comp, 21):
         assert prof.vectors[1][1] == pytest.approx(1.0, abs=1e-12)
         assert nash_defect(phi, prof) <= 1e-9
 
@@ -184,7 +187,7 @@ def test_enumerated_profiles_are_nash():
         for p in eq.isolated:
             assert nash_defect(g, p) <= 1e-8
         for comp in eq.components:
-            for _, prof in comp.grid(g, 7):
+            for _, prof in segment_grid(g, comp, 7):
                 assert nash_defect(g, prof) <= 1e-7
 
 
@@ -193,10 +196,8 @@ def test_enumerated_profiles_are_nash():
 
 def test_undominated_gamma2c(gamma2c22):
     eq = enumerate_nash(gamma2c22)
-    rep = filter_undominated(gamma2c22, eq)
-    flagged = {
-        _label(gamma2c22, p): f for p, f in zip(eq.isolated, rep.isolated_flags)
-    }
+    tags, _ = classify(gamma2c22, eq)
+    flagged = {_label(gamma2c22, p): tag.undominated for p, tag in zip(eq.isolated, tags)}
     assert flagged == {
         ("a1", "b1"): True,
         ("a2", "b2"): True,
@@ -206,13 +207,12 @@ def test_undominated_gamma2c(gamma2c22):
 
 def test_undominated_phi_unique(phi):
     eq = enumerate_nash(phi)
-    rep = filter_undominated(phi, eq)
-    flagged = [
-        _label(phi, p) for p, f in zip(eq.isolated, rep.isolated_flags) if f
-    ]
+    tags, (summary,) = classify(phi, eq)
+    flagged = [_label(phi, p) for p, tag in zip(eq.isolated, tags) if tag.undominated]
     assert flagged == [("10", "10")]
     # every point of the component plays the dominated bid 15
-    assert rep.component_regions == [[]]
+    assert summary["undominated_region"] == []
+    assert not any(e["undominated"] for e in summary["grid"])
 
 
 def test_undominated_no_dominance_all_pass():
@@ -222,8 +222,8 @@ def test_undominated_no_dominance_all_pass():
         np.array([[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]], dtype=float),
     )
     eq = enumerate_nash(g)
-    rep = filter_undominated(g, eq)
-    assert all(rep.isolated_flags)
+    tags, _ = classify(g, eq)
+    assert tags and all(tag.undominated for tag in tags)
 
 
 def _label(game, profile):
@@ -258,14 +258,20 @@ def test_perfect_strict_equilibrium_fast_path(gamma1):
     assert len(v.witnesses) == 4
 
 
-def test_perfect_refutes_mixed_dominance():
-    # B is weakly dominated by 1/2 T + 1/2 M but by no pure action, so the
-    # pure check passes (B; 1/2 L + 1/2 C) and only the best-reply LP refutes
+def _mixed_dominance_case(alpha=1.0):
+    """(game, profile): B is weakly dominated by 1/2 T + 1/2 M but by no
+    pure action, and (B; 1/2 L + 1/2 C) is Nash; every payoff times alpha."""
     u1 = [[2, 0, 0], [0, 2, 0], [1, 1, -1]]
     u2 = [[0, 0, -1]] * 3
     game = Game(["P1", "P2"], {"P1": ["T", "M", "B"], "P2": ["L", "C", "R"]},
-                np.stack([u1, u2], axis=-1).astype(float))
-    profile = MixedProfile.from_dict(game, {"P1": {"B": 1.0}, "P2": {"L": 0.5, "C": 0.5}})
+                alpha * np.stack([u1, u2], axis=-1).astype(float))
+    return game, MixedProfile.from_dict(game, {"P1": {"B": 1.0}, "P2": {"L": 0.5, "C": 0.5}})
+
+
+def test_perfect_refutes_mixed_dominance():
+    # the pure check passes (B; 1/2 L + 1/2 C) and only the best-reply LP
+    # refutes
+    game, profile = _mixed_dominance_case()
     assert undominated_flag(game, profile)
     v = check_perfect(game, profile)
     assert v.status == "refuted" and v.witnesses == []
@@ -277,19 +283,53 @@ def test_perfect_refutes_mixed_dominance():
     assert (out.outcome, out.tried) == (search.OUTCOME_OPEN, 8)
 
 
-def test_perfect_is_decided_at_every_classified_point():
-    # every point `classify` checks (isolated equilibria and each
-    # component's 101-point grid) gets a decided perfect verdict that
-    # re-checks: a mixed-dominance certificate on the payoff table, or an
-    # interior witness within the smallest eps
-    eps = min(nash.DEFAULT_EPS_SCHEDULE)
-    kinds = set()
+@pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1.0, 1e10, 1e12])
+def test_perfect_refutation_does_not_depend_on_payoff_units(alpha):
+    # eps-perfection and the dominating strategy's gain are tested on the
+    # unit view: on raw payoffs, utility gaps of size eps * 1e-6 counted as
+    # ties and verified the point, and at 1e10 rounding failed the gain test
+    ref = check_perfect(*_mixed_dominance_case())
+    game, profile = _mixed_dominance_case(alpha)
+    v = check_perfect(game, profile)
+    assert v.status == "refuted" and v.witnesses == []
+    assert v.certificate == ref.certificate
+    recheck_mixed_dominance(*_mixed_dominance_case(), v.certificate)
+
+
+@pytest.fixture(scope="module")
+def classified():
+    """(game, eqset, classify's tags and summaries) for the corpus and the
+    first 80 integer games."""
+    out = []
     for game in corpus_games() + integer_games(80):
         eqset = enumerate_nash(game)
-        points = list(eqset.isolated)
-        points += [p for c in eqset.components for _, p in c.grid(game, 101)]
-        for p in points:
-            v = check_perfect(game, p)
+        out.append((game, eqset, *classify(game, eqset)))
+    return out
+
+
+def test_perfect_is_decided_at_every_classified_point(classified):
+    # every point `classify` decides (isolated equilibria, and each
+    # component's breakpoints and cell midpoints) gets decided perfect and
+    # proper verdicts; a perfect one re-checks: a mixed-dominance
+    # certificate on the payoff table, or an interior witness within the
+    # smallest eps
+    eps = min(nash.DEFAULT_EPS_SCHEDULE)
+    kinds = set()
+    counts = [0, 0]
+    for game, eqset, tags, summaries in classified:
+        assert all(tag.proper.status != "inconclusive" for tag in tags)
+        points = [(p, tag.perfect) for p, tag in zip(eqset.isolated, tags)]
+        for comp, summary in zip(eqset.components, summaries):
+            ts = [e["t"] for e in summary["grid"]]
+            assert ts == segment_breakpoints(game, comp)
+            assert all(e["proper"] != "inconclusive" for e in summary["grid"])
+            for e in summary["grid"]:
+                p = comp.profile_at(game, e["t"])
+                points.append((p, check_perfect(game, p)))
+                assert points[-1][1].status == e["perfect"]
+        counts[0] += len(eqset.isolated)
+        counts[1] += len(points) - len(eqset.isolated)
+        for p, v in points:
             assert v.status != "inconclusive"
             if v.status == "refuted":
                 kinds.add(v.certificate["kind"])
@@ -299,6 +339,62 @@ def test_perfect_is_decided_at_every_classified_point():
                 assert w.is_interior and w.distance(p) <= eps * (1 + 1e-9)
                 assert is_epsilon_perfect(game, w, e)
     assert kinds == {"dominated-on-support", "mixed-dominance"}
+    assert counts == [45, 1303]
+
+
+def _cell_entry(grid, t):
+    """`classify`'s grid entry that decides parameter t: a breakpoint within
+    1e-12 of t, else the midpoint of the open cell around t.  Breakpoints
+    and midpoints alternate, breakpoints first."""
+    ts = [e["t"] for e in grid]
+    for k in range(0, len(ts), 2):
+        if abs(ts[k] - t) <= 1e-12:
+            return grid[k]
+    k = bisect(ts, t)
+    return grid[k] if k % 2 else grid[k - 1]
+
+
+def test_classified_cells_match_pointwise_checks(classified):
+    # refinements change only at breakpoints: at 11 points per component,
+    # every pointwise verdict is the one `classify` reports at that
+    # breakpoint or for its cell, and the reported runs are the runs of
+    # its grid
+    checked = 0
+    for game, eqset, _, summaries in classified:
+        for comp, summary in zip(eqset.components, summaries):
+            for t, p in segment_grid(game, comp, 11):
+                e = _cell_entry(summary["grid"], t)
+                assert undominated_flag(game, p) == e["undominated"]
+                assert check_perfect(game, p).status == e["perfect"]
+                assert check_proper(game, p).status == e["proper"]
+                checked += 1
+            for key, passes in (("undominated_region", lambda e: e["undominated"]),
+                                ("perfect_intervals", lambda e: e["perfect"] == "verified"),
+                                ("proper_intervals", lambda e: e["proper"] == "verified")):
+                for lo, hi in summary[key]:
+                    inside = [passes(e) for e in summary["grid"] if lo <= e["t"] <= hi]
+                    assert inside and all(inside)
+                covered = [any(lo <= e["t"] <= hi for lo, hi in summary[key])
+                           for e in summary["grid"]]
+                assert covered == [passes(e) for e in summary["grid"]]
+    assert checked == 11 * sum(len(eq.components) for _, eq, *_ in classified)
+
+
+def test_nash_candidates_are_required_on_the_unit_view():
+    # at 1e10 the enumerated equilibria of these games have raw Nash defects
+    # up to about 2e-6, and the checks that require a Nash candidate raised
+    # on them; measured on the unit view the defect is the same at every
+    # payoff scale
+    for game in corpus_games() + integer_games(40):
+        scaled = _affine(game, 1e10, 0.0, (0, 1))
+        eqset = enumerate_nash(scaled)
+        points = list(eqset.isolated)
+        points += [c.profile_at(scaled, t) for c in eqset.components
+                   for t in segment_breakpoints(scaled, c)[::2]]
+        for p in points:
+            empirical_membership(scaled, p)
+            check_perfect(scaled, p)
+            check_proper(scaled, p)
 
 
 def test_proper_gamma2c():
@@ -361,14 +457,6 @@ def test_refinements_reject_meaningless_schedules(gamma1, schedule):
         check_proper(gamma1, p, schedule=schedule)
     with pytest.raises(ValueError, match="schedule"):
         classify(gamma1, enumerate_nash(gamma1), schedule=schedule)
-
-
-@pytest.mark.parametrize("points", [-1, 0, 1])
-def test_classify_rejects_component_grid_below_two(psi, points):
-    with pytest.raises(ValueError, match="component grid"):
-        classify(psi, enumerate_nash(psi), component_grid=points)
-    _, (summary,) = classify(psi, enumerate_nash(psi), component_grid=2)
-    assert [e["t"] for e in summary["grid"]] == list(enumerate_nash(psi).components[0].interval)
 
 
 def test_nearest_nash(gamma1):
@@ -439,7 +527,7 @@ def test_segment_with_rounded_zero_weight_is_kept():
     assert len(full) == 1
     lo, hi = full[0].interval
     assert hi - lo == pytest.approx(1.0, abs=1e-9)
-    for _, prof in full[0].grid(g, 11):
+    for _, prof in segment_grid(g, full[0], 11):
         assert nash_defect(g, prof) <= 1e-9
 
 

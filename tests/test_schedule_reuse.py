@@ -36,7 +36,6 @@ from empeq.empirical import (
     MembershipVerdict,
     Refutation,
     empirical_membership,
-    segment_breakpoints,
 )
 from empeq.game import Game, MixedProfile, nash_defect
 from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
@@ -48,6 +47,7 @@ from empeq.nash import (
     enumerate_nash,
     is_epsilon_perfect,
     is_epsilon_proper,
+    segment_breakpoints,
 )
 
 from conftest import (
@@ -57,6 +57,7 @@ from conftest import (
     recheck_mixed_dominance,
     reference_membership,
     reference_perfect_search,
+    segment_grid,
 )
 
 
@@ -156,7 +157,7 @@ def _candidates(game):
     eqset = enumerate_nash(game)
     out = list(eqset.isolated)
     for c in eqset.components:
-        out += [p for _, p in c.grid(game, 3)]
+        out += [p for _, p in segment_grid(game, c, 3)]
     return out
 
 
@@ -339,7 +340,7 @@ def test_non_member_runs_one_search(monkeypatch):
     (segment,) = [c for c in enumerate_nash(game).components
                   if c.support == (("a0", "a1"), ("b3",))]
     calls = _count_searches(monkeypatch, "monotone_pattern_search")
-    for _, end in segment.grid(game, 2):
+    for _, end in segment_grid(game, segment, 2):
         calls.clear()
         verdict = empirical_membership(game, end, m=0.5)
         assert verdict.decision == NON_MEMBER
@@ -365,7 +366,7 @@ def test_closure_test_keeps_decided_reference_verdicts(m):
         eqset = enumerate_nash(game)
         candidates = list(eqset.isolated)
         for c in eqset.components:
-            candidates += [p for _, p in c.grid(game, 5)]
+            candidates += [p for _, p in segment_grid(game, c, 5)]
             candidates += [c.profile_at(game, t) for t in segment_breakpoints(game, c, m)]
         for candidate in candidates:
             ref = reference_membership(game, candidate, m=m)
