@@ -41,10 +41,12 @@ from .monotone import (
 )
 from .nash import (
     NASH_TOL,
+    UnsupportedGameError,
     _require_nash,
     check_schedule,
     decide_segment,
     enumerate_nash,
+    nearest_nash,
 )
 from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
 
@@ -274,9 +276,13 @@ def nonemptiness_probe(game, delta_schedule=DEFAULT_DELTAS, seed=0):
     """Sanity oracle: the logit-path terminal is an approachable equilibrium.
 
     The traced path itself is the witness sequence; the probe returns the
-    nearest enumerated Nash point with its membership verdict.
+    Nash point nearest its terminal, or the terminal where enumeration is
+    unsupported or finds none, with its membership verdict.
     """
     path = trace_logit_path(game)
-    candidate = path.nearest_nash if path.nearest_nash is not None else path.terminal
+    try:
+        candidate = nearest_nash(game, path.terminal)[1] or path.terminal
+    except UnsupportedGameError:
+        candidate = path.terminal
     verdict = empirical_membership(game, candidate, delta_schedule, seed=seed)
     return ProbeResult(candidate, verdict, path)

@@ -836,8 +836,9 @@ def nearest_nash(game, profile, eqset=None):
     Candidates are the isolated points, the closest point of each
     component, and the projection onto each face that enumeration flags
     `degenerate` (solution sets of dimension >= 2).  A face projection is
-    kept only if it passes `is_nash` and beats every enumerated candidate
-    by more than 1e-9, the distance at which enumeration merges points.
+    kept only if it passes `is_nash` on the `unit_view`, as enumeration's
+    points do, and beats every enumerated candidate by more than 1e-9, the
+    distance at which enumeration merges points.
     """
     if eqset is None:
         eqset = enumerate_nash(game)
@@ -851,10 +852,13 @@ def nearest_nash(game, profile, eqset=None):
         if d < best[0]:
             best = (d, comp.profile_at(game, t))
     for diag in eqset.diagnostics:
-        if not diag.sides:
+        # the face puts no mass off its sides' supports: a distance floor
+        if not diag.sides or best[0] - 1e-9 <= max(
+                np.delete(v, s.own).max(initial=0.0)
+                for v, s in zip(profile.vectors, diag.sides)):
             continue
         p = _project_face(game, diag.sides, profile)
-        if p is None or not is_nash(game, p):
+        if p is None or not is_nash(unit_view(game), p):
             continue
         d = profile.distance(p)
         if d < best[0] - 1e-9:

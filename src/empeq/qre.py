@@ -19,7 +19,7 @@ the log-probabilities y by pseudo-arclength predictor-corrector steps with
 an analytic Jacobian, so it passes folds where the branch turns back in
 lambda.  Each scheduled lambda is reported where the branch first reaches
 it, with its residual max |sigma - logit_lambda(U(sigma))|.  The terminal
-point is the limit candidate, which lands on a Nash equilibrium.
+point is the limit candidate; the trace enumerates no Nash equilibrium.
 """
 
 from __future__ import annotations
@@ -244,9 +244,7 @@ def default_lambda_schedule(lam_max=1e3, steps=40, lam_min=1e-2):
 @dataclass
 class LogitPath:
     points: list  # QrePoints, one per schedule entry
-    terminal: MixedProfile
-    nearest_nash: MixedProfile | None
-    nash_distance: float | None
+    terminal: MixedProfile  # the last point's profile, the limit candidate
 
 
 MAX_JUMP = 0.35  # largest change of any probability over one accepted step
@@ -278,8 +276,8 @@ def trace_logit_path(game, lam_schedule=None, tol=FIXED_POINT_TOL):
     all entries, computed as in `qre_fixed_point`; a point is reported
     only if that residual is below `tol`.  Newton stops once no probability
     differs from its logit response by more than tol / 10, so the residual
-    column mostly shows rounding.  The terminal point is the limit candidate; its nearest enumerated Nash
-    equilibrium is attached when enumeration is available.
+    column mostly shows rounding.  The terminal point is the limit candidate;
+    `nash.nearest_nash` finds the equilibrium next to it.
     """
     if lam_schedule is None:
         lam_schedule = default_lambda_schedule()
@@ -289,16 +287,7 @@ def trace_logit_path(game, lam_schedule=None, tol=FIXED_POINT_TOL):
     if any(b <= a for a, b in zip(lam_schedule, lam_schedule[1:])):
         raise ValueError("the lambda schedule must be strictly increasing")
     points = _LogitHomotopy(game).trace(lam_schedule, tol)
-    terminal = points[-1].profile
-    nearest = None
-    distance = None
-    from .nash import UnsupportedGameError, nearest_nash
-
-    try:
-        distance, nearest = nearest_nash(game, terminal)
-    except UnsupportedGameError:
-        pass
-    return LogitPath(points, terminal, nearest, distance)
+    return LogitPath(points, points[-1].profile)
 
 
 class _LogitHomotopy:

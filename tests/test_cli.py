@@ -74,6 +74,17 @@ def test_unconverged_trace_exits_one(monkeypatch):
     assert err == "error: fixed point not reached (last residual 1.4e-10)\n"
 
 
+def test_trace_enumerates_no_equilibrium(monkeypatch):
+    def fail(game):
+        raise AssertionError("trace must not enumerate Nash equilibria")
+
+    monkeypatch.setattr(empeq.nash, "enumerate_nash", fail)
+    code, out, err = _run(["trace", "--corpus", "psi"])
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 42
+
+
 def _game_file(tmp_path, a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, k = a.shape

@@ -8,9 +8,10 @@ from empeq.empirical import (
     DEFAULT_DELTAS,
     empirical_membership,
     enumerate_empirical,
+    nonemptiness_probe,
     reverify_dominance,
 )
-from empeq.game import MixedProfile, nash_defect
+from empeq.game import Game, MixedProfile, nash_defect
 from empeq.nash import enumerate_nash
 from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 
@@ -204,3 +205,33 @@ def test_phi_pinned(m, start):
                                   ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)): "non-member"}
     ((lo, hi),) = _member_intervals(report)
     assert abs(lo - start) <= 1e-12 and abs(hi - 1 / 6) <= 1e-12
+
+
+def _three_player_probe_game():
+    # all 1 at (a0, a0, a0), all 0.5 at (a1, a1, a1), 0 elsewhere
+    payoffs = np.zeros((2, 2, 2, 3))
+    payoffs[0, 0, 0] = 1.0
+    payoffs[1, 1, 1] = 0.5
+    return Game(["P1", "P2", "P3"], {p: ["a0", "a1"] for p in ("P1", "P2", "P3")},
+                payoffs)
+
+
+@pytest.mark.parametrize("make, expected", [
+    (corpus.gamma1, {"P1": {"a1": 1.0}, "P2": {"b1": 1.0}}),
+    (corpus.psi, {"P1": {"a1": 0.5, "a2": 0.5}, "P2": {"b1": 1.0}}),
+    (corpus.phi, {"U": {"10": 1.0}, "T": {"10": 1.0}}),
+    (lambda: corpus.gamma2c(2, 2), {"P1": {"a1": 1.0}, "P2": {"b1": 1.0}}),
+    (lambda: corpus.gamma2c(0.5, 0.5), {"P1": {"a1": 1.0}, "P2": {"b1": 1.0}}),
+    (_three_player_probe_game, {p: {"a0": 1.0} for p in ("P1", "P2", "P3")}),
+], ids=["gamma1", "psi", "phi", "gamma2c-2-2", "gamma2c-0.5-0.5", "three-player"])
+def test_nonemptiness_probe_pinned(make, expected):
+    """The logit branch ends next to a member: (a1; b1) in Gamma1 and both
+    Gamma2(c), (10; 10) in Phi, and the midpoint (a1/2 + a2/2; b1) of Psi's
+    segment.  Enumeration does not support three players, so there the
+    candidate is the path's own terminal."""
+    game = make()
+    result = nonemptiness_probe(game)
+    assert result.verdict.decision == "member"
+    assert result.profile.distance(MixedProfile.from_dict(game, expected)) <= 1e-9
+    if game.n_players == 3:
+        assert result.profile is result.path.terminal

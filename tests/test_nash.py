@@ -512,6 +512,35 @@ def test_nearest_nash_phi_faces_change_nothing(phi):
         assert q.distance(q0) == 0.0
 
 
+def test_nearest_nash_faces_at_every_payoff_scale():
+    # face projections are tested for Nash on the unit view, so scaling the
+    # payoffs keeps every face; on raw payoffs of size 1e10 a projection's
+    # defect reaches a few 1e-6, and a test there drops faces that are Nash.
+    # The probes are a random profile and its projection onto each face, a
+    # Nash point at distance 0.  The shift is a multiple of alpha, so each
+    # scaled game is an exact affine image
+    rng = np.random.default_rng(0)
+    checked = 0
+    for g in integer_games(80):
+        eq = enumerate_nash(g)
+        faces = [d.sides for d in eq.diagnostics if d.sides]
+        if not faces:
+            continue
+        probe = MixedProfile(g, [rng.dirichlet(np.ones(k) * 0.5)
+                                 for k in g.action_counts])
+        probes = [probe] + [q for q in (nash._project_face(g, f, probe) for f in faces)
+                            if q is not None]
+        ref = [nearest_nash(g, p, eq)[0] for p in probes]
+        for alpha in (1e-12, 1e-6, 1e6, 1e10):
+            scaled = _affine(g, alpha, 3.0, (0, 1))
+            eq_s = enumerate_nash(scaled)
+            got = [nearest_nash(scaled, MixedProfile(scaled, p.vectors), eq_s)[0]
+                   for p in probes]
+            assert np.allclose(got, ref, rtol=0, atol=1e-9), alpha
+        checked += len(probes)
+    assert checked > 100
+
+
 def test_segment_with_rounded_zero_weight_is_kept():
     # P1 uniform with P2 = (q, 1 - q, 0) is Nash for every q in [0, 1].  The
     # zero weight on b3 rounds to about -1e-17; it once emptied the family,

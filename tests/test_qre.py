@@ -4,6 +4,7 @@ import pytest
 from empeq import corpus
 from empeq.game import Game, MixedProfile, ProfileError, expected_utility
 from empeq.monotone import is_payoff_monotone
+from empeq.nash import nearest_nash
 from empeq.qre import (
     FIXED_POINT_TOL,
     QRF,
@@ -92,7 +93,7 @@ def test_trace_gamma1_reaches_top_avoids_bottom(gamma1):
     top = MixedProfile.pure(gamma1, {"P1": "a1", "P2": "b1"})
     bottom = MixedProfile.pure(gamma1, {"P1": "a2", "P2": "b2"})
     assert path.terminal.distance(top) <= 1e-3
-    assert path.nash_distance <= 1e-3
+    assert nearest_nash(gamma1, path.terminal)[0] <= 1e-3
     assert min(pt.profile.distance(bottom) for pt in path.points) > 0.25
 
 
@@ -124,8 +125,7 @@ def test_trace_raises_when_no_point_meets_tol(gamma1):
 def test_trace_endpoints_near_nash_on_corpus():
     for g in corpus_games():
         path = trace_logit_path(g)
-        assert path.nash_distance is not None
-        assert path.nash_distance <= 1e-3
+        assert nearest_nash(g, path.terminal)[0] <= 1e-3
 
 
 def test_perturbed_uniform_fixed_on_flat_game():
