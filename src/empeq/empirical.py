@@ -34,11 +34,7 @@ import numpy as np
 
 from . import search
 from .game import MixedProfile, weak_dominance
-from .monotone import (
-    is_m_weakly_payoff_monotone,
-    is_payoff_monotone,
-    is_weakly_payoff_monotone,
-)
+from .monotone import is_m_weakly_payoff_monotone, is_weakly_payoff_monotone
 from .nash import (
     NASH_TOL,
     UnsupportedGameError,
@@ -98,24 +94,14 @@ def _dominance_refutation(game, profile, m):
     )
 
 
-def _witness_ok(game, witness, candidate, delta, m):
-    if witness is None or not witness.is_interior:
-        return False
-    if witness.distance(candidate) > delta * (1 + 1e-9):
-        return False
-    if m == 1.0:
-        return is_payoff_monotone(game, witness).satisfied
-    return is_m_weakly_payoff_monotone(game, witness, m).satisfied
-
-
 def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
                          nash_tol=NASH_TOL, seed=0):
     """Decide (m-)empirical membership of a Nash candidate.
 
     member: an interior monotone witness within the smallest scheduled
-    distance passes `_witness_ok`.  It is one within every larger distance
-    (interior and monotone do not depend on delta), so it is listed at
-    every scheduled distance, largest first.
+    distance passes `search.witness_ok`.  It is one within every larger
+    distance (interior and monotone do not depend on delta), so it is
+    listed at every scheduled distance, largest first.
     non-member: a dominance forcing is violated, or (two players) the
     closure test finds no compatible pattern pair with interior monotone
     profiles, so no sequence of them converges to the candidate.
@@ -153,7 +139,7 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
         witness = _generic_witness(game, profile, delta, m, seed)
         diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
 
-    if _witness_ok(game, witness, profile, delta, m):
+    if search.witness_ok(game, witness, profile, delta, m):
         witnesses = [(d, witness) for d in deltas]
         return MembershipVerdict(MEMBER, witnesses, None, diagnostics)
     return MembershipVerdict(INCONCLUSIVE, [], None, diagnostics)
@@ -186,7 +172,7 @@ def _generic_witness(game, profile, delta, m, seed):
             pt = perturbed_monotone_point(game, mu, zeta=min(0.25, delta / 4))
         except (QreConvergenceError, ValueError):
             continue
-        if _witness_ok(game, pt.profile, profile, delta, m):
+        if search.witness_ok(game, pt.profile, profile, delta, m):
             return pt.profile
     return None
 

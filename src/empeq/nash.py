@@ -78,7 +78,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .game import (
     MixedProfile,
@@ -806,13 +805,12 @@ def _project_side(target, side):
     b_ub = np.concatenate([p - x0, x0 - p, side.g @ x0])
     cost = np.zeros(r + 1)
     cost[-1] = 1.0
-    s_lo = float(off.max()) if off.size else 0.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * r + [(s_lo, None)],
-                  method="highs", options=search._HIGHS_OPTS)
-    if not res.success:
+    lb = np.full(r + 1, -np.inf)
+    lb[-1] = float(off.max()) if off.size else 0.0
+    x = search.solve_lp(cost, a_ub, len(b_ub), b_ub, lb, np.full(r + 1, np.inf))
+    if x is None:
         return None
-    return _embed(len(target), own, np.clip(x0 + null @ res.x[:r], 0.0, None))
+    return _embed(len(target), own, np.clip(x0 + null @ x[:r], 0.0, None))
 
 
 def _project_face(game, sides, profile):

@@ -17,13 +17,19 @@ centroid at lambda = 0 (McKelvey and Palfrey 1995; Turocy 2005).  It
 continues the zero set of H(y, lambda) = y - log logit_lambda(U(exp y)) in
 the log-probabilities y by pseudo-arclength predictor-corrector steps with
 an analytic Jacobian, so it passes folds where the branch turns back in
-lambda.  Each scheduled lambda is reported where the branch first reaches
-it, with its residual max |sigma - logit_lambda(U(sigma))|.  The terminal
-point is the limit candidate; the trace enumerates no Nash equilibrium.
+lambda.  Each Newton iterate evaluates H, its Jacobian and sigma = exp(y)
+once, into arrays allocated once per trace, with per-player sums taken by
+one block-ones product.  Each scheduled lambda is reported where the branch
+first reaches it: its profile is built from the sigma of the corrector's
+last iterate, and its residual max |sigma - logit_lambda(U(sigma))| is
+taken over that profile's own vectors in one vectorized logit pass.  The
+terminal point is the limit candidate; the trace enumerates no Nash
+equilibrium.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,13 +277,15 @@ def trace_logit_path(game, lam_schedule=None, tol=FIXED_POINT_TOL):
 
     Each scheduled lambda is reported where the branch first reaches it: a
     step that would pass it is shortened to end there, and Newton corrects
-    it at that fixed lambda.  The reported profile is sigma = exp(y) there,
-    and its `residual` is the largest |sigma - logit_lambda(U(sigma))| over
-    all entries, computed as in `qre_fixed_point`; a point is reported
-    only if that residual is below `tol`.  Newton stops once no probability
-    differs from its logit response by more than tol / 10, so the residual
-    column mostly shows rounding.  The terminal point is the limit candidate;
-    `nash.nearest_nash` finds the equilibrium next to it.
+    it at that fixed lambda.  The reported profile is the `MixedProfile` of
+    sigma = exp(y) at the corrector's last iterate, and its `residual` is
+    the largest |sigma - logit_lambda(U(sigma))| over the profile's own
+    (normalized) vectors, with logit_lambda(u) = exp(lambda (u - max u)) /
+    sum per player; a point is reported only if that residual is below
+    `tol`.  Newton stops once no probability differs from its logit response
+    by more than tol / 10, so the residual column mostly shows rounding.
+    The terminal point is the limit candidate; `nash.nearest_nash` finds the
+    equilibrium next to it.
     """
     if lam_schedule is None:
         lam_schedule = default_lambda_schedule()
@@ -293,19 +301,36 @@ def trace_logit_path(game, lam_schedule=None, tol=FIXED_POINT_TOL):
 class _LogitHomotopy:
     """H(y, lambda) = y - log logit_lambda(U(exp y)) and its continuation.
 
-    Points are vectors w = (y, lambda) with y stacked over the players.
+    Points are vectors w = (y, lambda) with y stacked over the players.  The
+    arrays that each Newton iterate fills are allocated once per trace.
     """
 
     def __init__(self, game):
         self.game = game
-        bounds = np.cumsum((0,) + game.action_counts)
+        self.n = n = game.n_players
+        counts = game.action_counts
+        bounds = np.cumsum((0,) + counts)
         self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.size = int(bounds[-1])
+        self.size = size = int(bounds[-1])
         self.starts = bounds[:-1]
-        self.counts = np.diff(bounds)
-        self.eye = np.eye(self.size)
-        # with two players dU/dsigma holds the payoff matrices, whatever sigma
-        self.fixed_du = self._du(None) if game.n_players <= 2 else None
+        # each entry's player, and ones where two entries share a player:
+        # `blocks @ v` puts each player's sum of v at each of its entries
+        self.owner = np.repeat(np.arange(n), counts)
+        self.blocks = (self.owner[:, None] == self.owner).astype(float)
+        self.eye = np.eye(size)
+        # [dU/dsigma | U]; with two players dU/dsigma holds the payoff
+        # matrices, whatever sigma, and only the last column changes
+        self.du_u = np.zeros((size, size + 1))
+        self.du = self.du_u[:, :-1]
+        if n <= 2:
+            self.du[:] = self._du(None)
+        # [dH/dy | dH/dlambda], above the constraint row that `correct` sets,
+        # and the right-hand sides [(-H, constraint), (0, 1)] of its solves
+        self.bordered = np.empty((size + 1, size + 1))
+        self.jac = self.bordered[:-1]
+        self.jac_y = self.bordered[:-1, :-1]
+        self.rhs = np.zeros((size + 1, 2))
+        self.rhs[-1, 1] = 1.0
 
     def _du(self, vectors):
         """dU/dsigma, stacked: block (i, j) is du_i/dsigma_j, zero for i == j.
@@ -328,33 +353,34 @@ class _LogitHomotopy:
         return du
 
     def evaluate(self, w):
-        """H at w, its Jacobian [dH/dy | dH/dlambda], and sigma = exp(y).
+        """H at w and sigma = exp(y); writes the Jacobian [dH/dy | dH/dlambda]
+        into the first rows of `bordered`.
 
         dH_i/dy = I - lambda (D_i - 1 p_i^T D_i) diag(sigma), where D_i is
         player i's rows of dU/dsigma and p_i = logit_lambda(u_i), and
         dH_i/dlambda = (p_i . u_i) 1 - u_i."""
         y, lam = w[:-1], w[-1]
         sigma = np.exp(y)
-        n = self.game.n_players
-        if self.fixed_du is not None:
-            du = self.fixed_du
-        else:
-            du = self._du([sigma[s] for s in self.slices])
+        n, du_u, jac = self.n, self.du_u, self.jac
+        if n > 2:
+            self.du[:] = self._du([sigma[s] for s in self.slices])
         # U is multilinear, so u_i = du_i/dsigma_j sigma_j for every j != i
-        u = du @ sigma / (n - 1) if n > 1 else self.game._views[0]
+        if n == 1:
+            u = self.game._views[0]
+        else:
+            u = self.du @ sigma
+            if n > 2:
+                u /= n - 1
+        du_u[:, -1] = u
         z = lam * u
-        z -= np.repeat(np.maximum.reduceat(z, self.starts), self.counts)
+        z -= np.maximum.reduceat(z, self.starts)[self.owner]
         e = np.exp(z)
-        total = np.repeat(np.add.reduceat(e, self.starts), self.counts)
-        p = e / total
-        h = y - z + np.log(total)
-        jac = np.empty((self.size, self.size + 1))
-        jac[:, :-1] = du - np.repeat(np.add.reduceat(p[:, None] * du, self.starts),
-                                     self.counts, axis=0)
-        jac[:, :-1] *= -lam * sigma
-        jac[:, :-1] += self.eye
-        jac[:, -1] = np.repeat(np.add.reduceat(p * u, self.starts), self.counts) - u
-        return h, jac, sigma
+        total = self.blocks @ e
+        # [1 p^T D - D | 1 p.u - u] per player, in one product
+        np.subtract(self.blocks @ ((e / total)[:, None] * du_u), du_u, out=jac)
+        self.jac_y *= lam * sigma
+        self.jac_y += self.eye
+        return y - z + np.log(total), sigma
 
     def correct(self, trial, row, goal):
         """Newton on [H(w); row . (w - trial)] = 0 from `trial`.
@@ -362,39 +388,48 @@ class _LogitHomotopy:
         `row` is the unit lambda vector for a solve at fixed lambda, and the
         predictor's tangent for an arclength step.  Returns the corrected w,
         once every probability is within `goal` of its logit response,
-        with a tangent there: the solution x of [dH; row] x = (0, 1) at the
-        last Newton iterate.  None when that error fails to halve at some
-        iteration."""
-        rhs = np.zeros((self.size + 1, 2))
-        rhs[-1, 1] = 1.0
+        with a tangent there, the solution x of [dH; row] x = (0, 1) at the
+        last Newton iterate, and sigma = exp(y) at w.  None when that error
+        fails to halve at some iteration."""
+        rhs = self.rhs
+        self.bordered[-1] = row
         w, x = trial, None
         last = np.inf
         for _ in range(MAX_NEWTON):
-            h, jac, sigma = self.evaluate(w)
-            error = float(np.max(sigma * np.abs(np.expm1(-h))))
+            h, sigma = self.evaluate(w)
+            error = float((sigma * np.abs(np.expm1(-h))).max())
             done = error <= goal
             if not (done or error <= 0.5 * last):  # also when error is nan
                 return None
             if done and x is not None:
-                return w, x
+                return w, x, sigma
             rhs[:-1, 0] = -h
             rhs[-1, 0] = -row @ (w - trial)
             try:
-                delta, x = np.linalg.solve(np.vstack([jac, row]), rhs).T
+                delta, x = np.linalg.solve(self.bordered, rhs).T
             except np.linalg.LinAlgError:
                 return None
             if done:
-                return w, x
+                return w, x, sigma
             last = error
             w = w + delta
         return None
 
-    def point(self, w):
-        """The QrePoint at w: the profile exp(y) and its residual."""
+    def point(self, w, sigma):
+        """The QrePoint at w, given sigma = exp(y) there: the profile built
+        from sigma, and its residual, taken with one logit pass over the
+        profile's own vectors."""
         game, lam = self.game, float(w[-1])
-        profile = MixedProfile(game, [np.exp(w[s]) for s in self.slices])
-        target = _apply_qrfs(game, logistic_profile(game, lam), profile.vectors)
-        return QrePoint(lam, profile, _residual(profile.vectors, target))
+        profile = MixedProfile(game, [sigma[s] for s in self.slices])
+        v = np.concatenate(profile.vectors)
+        if self.n == 2:
+            u = self.du @ v
+        else:
+            u = np.concatenate([utility_vector(game, i, profile.vectors)
+                                for i in range(game.n_players)])
+        e = np.exp(lam * (u - np.maximum.reduceat(u, self.starts)[self.owner]))
+        residual = float(np.abs(v - e / (self.blocks @ e)).max())
+        return QrePoint(lam, profile, residual)
 
     def trace(self, schedule, tol):
         """QrePoints at every lambda of `schedule`, which starts at 0."""
@@ -402,9 +437,9 @@ class _LogitHomotopy:
         lam_axis = np.eye(self.size + 1)[-1]
         start = np.append(np.concatenate(
             [np.full(k, -np.log(k)) for k in self.game.action_counts]), 0.0)
-        w, t = self.correct(start, lam_axis, goal)  # H vanishes at start
-        t /= np.linalg.norm(t)
-        points = [self.point(w)]
+        w, t, sigma = self.correct(start, lam_axis, goal)  # H vanishes at start
+        t /= math.sqrt(t @ t)
+        points = [self.point(w, sigma)]
         length = 0.1
         for _ in range(MAX_STEPS):
             if len(points) == len(schedule):
@@ -422,19 +457,19 @@ class _LogitHomotopy:
             # an arclength step that ends past lam would skip where the
             # branch first reaches it
             if found is not None and (clipped or found[0][-1] < lam):
-                moved = np.max(np.abs(np.exp(found[0][:-1]) - np.exp(w[:-1])))
-                point = self.point(found[0]) if clipped else None
-                if moved <= MAX_JUMP and (point is None or point.residual < tol):
-                    w, x = found
-                    t = x / np.copysign(np.linalg.norm(x), x @ t)
-                    if clipped:
-                        points.append(point)
-                    length = max(length, 2.0 * step)
-                    continue
+                if np.abs(found[2] - sigma).max() <= MAX_JUMP:
+                    point = self.point(found[0], found[2]) if clipped else None
+                    if point is None or point.residual < tol:
+                        w, x, sigma = found
+                        t = x / math.copysign(math.sqrt(x @ x), x @ t)
+                        if clipped:
+                            points.append(point)
+                        length = max(length, 2.0 * step)
+                        continue
             length = 0.5 * step
             if length < MIN_STEP * (1.0 + np.max(np.abs(w))):
                 break
-        residual = self.point(w).residual
+        residual = self.point(w, sigma).residual
         raise QreConvergenceError(
             f"logit branch lost at lambda = {w[-1]:.6g} before reaching "
             f"{schedule[len(points)]:.6g} (residual {residual:.3e})", residual)

@@ -25,9 +25,9 @@ from itertools import product
 from math import comb, prod
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .game import MixedProfile, expected_utility, unit_view, utility_vector, weak_dominance
+from .monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 
 MAX_EXHAUSTIVE_ACTIONS = 5
 # the closure test gives up (outcome "open") past this many pattern pairs
@@ -167,19 +167,32 @@ def _direct_highs():
     return _core, opts
 
 
-_HIGHS, _HIGHS_OPTIONS = _direct_highs()
+# scipy.optimize takes about half a second to import, and most commands
+# solve no LP, so the bindings load on the first LP (`_highs`)
+_UNLOADED = object()
+_HIGHS, _HIGHS_OPTIONS = _UNLOADED, None
 # linprog rejects an "optimal" solution that misses a constraint by more
 # than this (10 * sqrt of its default tol)
 _LINPROG_CHECK_TOL = 10 * np.sqrt(1e-9)
 
 
+def _highs():
+    """The HiGHS bindings module, loaded on first use; None where scipy has
+    no direct bindings."""
+    global _HIGHS, _HIGHS_OPTIONS
+    if _HIGHS is _UNLOADED:
+        _HIGHS, _HIGHS_OPTIONS = _direct_highs()
+    return _HIGHS
+
+
 def new_solver(presolve=True):
-    """A HiGHS instance for `solve_player_lp` to reuse, or None where scipy
-    has no direct bindings.  Each solve passes it a new model, which
-    discards the previous model, basis and solution.  Presolve costs the
-    closure test's small LPs more than it saves; the other searches keep
-    it, as the witnesses they print depend on the vertex HiGHS returns."""
-    if _HIGHS is None:
+    """A HiGHS instance for `solve_player_lp` and `solve_lp` to reuse, or
+    None where scipy has no direct bindings.  Each solve passes it a new
+    model, which discards the previous model, basis and solution.  Presolve
+    costs the closure test's small LPs more than it saves; the other
+    searches keep it, as the witnesses they print depend on the vertex
+    HiGHS returns."""
+    if _highs() is None:
         return None
     highs = _HIGHS._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
@@ -215,6 +228,26 @@ def _solve_highs(highs, c, a, lhs, rhs, lb, ub):
     return x if miss <= _LINPROG_CHECK_TOL else None  # False for NaN
 
 
+def solve_lp(c, a, n_ub, rhs, lb, ub, solver=None):
+    """min c @ x subject to the first n_ub rows of a @ x <= rhs, the other
+    rows == rhs, and lb <= x <= ub (infinite bounds allowed).  Returns the
+    minimizer, or None unless HiGHS reports an optimum.
+
+    The LP goes to `solver`, or a new instance, through the direct bindings
+    where scipy has them, and to `linprog(method="highs")` otherwise; the
+    model and options are the same either way."""
+    if _highs() is not None:
+        lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
+        return _solve_highs(solver if solver is not None else new_solver(),
+                            c, a, lhs, rhs, lb, ub)
+    from scipy.optimize import linprog
+    eq = len(a) > n_ub
+    res = linprog(c, A_ub=a[:n_ub] if n_ub else None, b_ub=rhs[:n_ub] if n_ub else None,
+                  A_eq=a[n_ub:] if eq else None, b_eq=rhs[n_ub:] if eq else None,
+                  bounds=list(zip(lb, ub)), method="highs", options=_HIGHS_OPTS)
+    return res.x if res.success else None
+
+
 def solve_player_lp(lp, solver=None):
     """Return (max slack, argmax x); (-inf, None) when infeasible.
 
@@ -237,16 +270,7 @@ def solve_player_lp(lp, solver=None):
     c[-1] = -1.0
     lb = np.append(np.asarray(lp.lo, dtype=float), -10.0)
     ub = np.append(np.asarray(lp.hi, dtype=float), 10.0)
-    if _HIGHS is not None:
-        lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
-        x = _solve_highs(solver if solver is not None else new_solver(),
-                         c, a, lhs, rhs, lb, ub)
-    else:
-        res = linprog(c, A_ub=a[:n_ub] if n_ub else None, b_ub=rhs[:n_ub] if n_ub else None,
-                      A_eq=a[n_ub:] if len(lp.eq) else None,
-                      b_eq=rhs[n_ub:] if len(lp.eq) else None,
-                      bounds=list(zip(lb, ub)), method="highs", options=_HIGHS_OPTS)
-        x = res.x if res.success else None
+    x = solve_lp(c, a, n_ub, rhs, lb, ub, solver)
     if x is None:
         return float("-inf"), None
     return float(x[-1]), np.asarray(x[:-1], dtype=float)
@@ -486,8 +510,12 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     weak.  So only pairs that the candidate meets weakly are tried, one
     stacked LP each with one slack on the strict rows and x > 0.
     feasible: some slack > TIE_TOL; the witness is on the ray from the
-    candidate to the LP's point, at distance delta, inside S.  refuted: no
-    such slack.  open: more than MAX_PATTERN_PAIRS pairs.
+    candidate to the LP's point, at distance delta, inside S.  Moving onto
+    the ray shrinks every strict row; where one falls to TIE_TOL and the
+    point fails `witness_ok`, the pair's LP is solved once more inside the
+    delta box, and its point is the witness if its slack exceeds TIE_TOL.
+    The outcome stays feasible either way.  refuted: no such slack.  open:
+    more than MAX_PATTERN_PAIRS pairs.
 
     For m = 1, when every tie block of both players is a singleton (as at
     the equilibria of games with generic payoffs), the one compatible pair
@@ -495,7 +523,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     in closed form first: one bordered solve per player.  It is accepted
     only if every strict row of that pair, evaluated at the witness itself,
     exceeds TIE_TOL and each vector sums to one.  The witness is then in S,
-    so `_witness_ok` holds, and the LP's slack is at least as large, so the
+    so `witness_ok` holds, and the LP's slack is at least as large, so the
     LP would decide feasible too; the segment from the candidate to the
     witness lies in S, which puts the candidate in its closure.  Otherwise
     the LP runs as above.
@@ -553,8 +581,33 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
         if s > TIE_TOL:
             x = _ray_point(point, np.clip(x, 0.0, None), delta)
             witness = MixedProfile(game, np.split(x, [k0]))
+            rows = np.array([coef for coef, _ in lp.strict])
+            if ((rows @ x + [k for _, k in lp.strict]).min() <= TIE_TOL
+                    and not witness_ok(game, witness, candidate, delta, m)):
+                # the ray shrinks every strict row by delta / |x - point|, so
+                # a utility step can fall to TIE_TOL; inside the delta box
+                # the same LP keeps its largest slack
+                box = PlayerLP(n, np.maximum(0.0, point - delta), np.minimum(1.0, point + delta),
+                               lp.strict, lp.weak, lp.eq)
+                s, x = solve_player_lp(box, solver)
+                if s > TIE_TOL:
+                    x = _ray_point(point, np.clip(x, 0.0, None), delta)
+                    witness = MixedProfile(game, np.split(x, [k0]))
             return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
     return PatternOutcome(OUTCOME_REFUTED, None, count)
+
+
+def witness_ok(game, witness, candidate, delta, m):
+    """The re-check of every membership witness: interior, within delta of
+    the candidate, and payoff monotone (m = 1) or m-weakly payoff monotone
+    at the predicates' default tolerance."""
+    if witness is None or not witness.is_interior:
+        return False
+    if witness.distance(candidate) > delta * (1 + 1e-9):
+        return False
+    if m == 1.0:
+        return is_payoff_monotone(game, witness).satisfied
+    return is_m_weakly_payoff_monotone(game, witness, m).satisfied
 
 
 def perfect_pattern_search(game, candidate, eps, delta):
@@ -590,11 +643,12 @@ def _mixed_dominance(game, sig, i):
     of greatest summed gain with no loss, if it loses at most 1e-9 to sig
     and gains over 1e-9 once, all on the unit view."""
     u = _util_coefs(unit_view(game), 1 - i)  # u_i[a, b]
-    res = linprog(-u.sum(axis=1), A_ub=-u.T, b_ub=-(sig @ u), A_eq=np.ones((1, len(sig))),
-                  b_eq=[1.0], bounds=(0.0, 1.0), method="highs", options=_HIGHS_OPTS)
-    if not res.success:
+    k = len(sig)
+    x = solve_lp(-u.sum(axis=1), np.vstack([-u.T, np.ones((1, k))]), u.shape[1],
+                 np.append(-(sig @ u), 1.0), np.zeros(k), np.ones(k))
+    if x is None:
         return None
-    mu = np.clip(res.x, 0.0, None)
+    mu = np.clip(x, 0.0, None)
     mu /= mu.sum()
     gain = (mu - sig) @ u
     if gain.min() < -1e-9 or not gain.max() > 1e-9:

@@ -182,7 +182,7 @@ def reference_membership(game, profile, delta_schedule=empirical.DEFAULT_DELTAS,
         return empirical.NON_MEMBER
     out = reference_pattern_search(game, profile, delta, m=m)
     witness = out.witness if out.outcome == search.OUTCOME_FEASIBLE else None
-    if empirical._witness_ok(game, witness, profile, delta, m):
+    if search.witness_ok(game, witness, profile, delta, m):
         return empirical.MEMBER
     ref = reference_pattern_search(game, profile, delta, m=m, refute_mode=True)
     if ref.outcome == search.OUTCOME_REFUTED:

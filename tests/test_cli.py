@@ -30,15 +30,26 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_fresh_process(argv):
+def _run_fresh_process(argv, module=("-m", "empeq.cli")):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(empeq.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, "-m", "empeq.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, *module, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stdout
+
+
+def test_lp_solver_loads_on_first_lp():
+    # scipy.optimize takes about half a second to import; trace solves no LP
+    script = ("import sys\nfrom empeq.cli import run\n"
+              "loaded = 'scipy.optimize' in sys.modules\n"
+              "run(sys.argv[1:])\n"
+              "print(loaded, 'scipy.optimize' in sys.modules)")
+    code, out = _run_fresh_process(["trace", "--corpus", "gamma1"], ("-c", script))
+    assert code == 0
+    assert out.splitlines()[-1] == "False False"
 
 
 def test_nash_gamma1_exits_zero():

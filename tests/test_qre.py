@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from empeq import corpus
+from empeq import corpus, qre
 from empeq.game import Game, MixedProfile, ProfileError, expected_utility
 from empeq.monotone import is_payoff_monotone
 from empeq.nash import nearest_nash
@@ -412,3 +412,26 @@ def test_trace_reaches_every_lambda_on_seeded_games(index):
     assert all(b > a for a, b in zip(lams, lams[1:]))
     for point in path.points:
         assert _softmax_residual(g, point) < FIXED_POINT_TOL
+
+
+def test_trace_corrector_work_is_bounded(monkeypatch):
+    # one evaluation per Newton iterate: H, its Jacobian and exp(y) come out
+    # of one `evaluate` call, and a reported point reuses the last iterate's
+    # sigma.  `pinned` holds the counts of the default step rules, about 2.4
+    # per scheduled lambda; a count above it means redone work
+    games = corpus_games() + [corpus.gamma2c(c1, c2) for c1, c2 in
+                              np.random.default_rng(20).uniform(0.1, 4.0, size=(4, 2))]
+    pinned = [89, 92, 102, 100, 92, 102, 103, 101, 103]
+    evaluate, counts = qre._LogitHomotopy.evaluate, []
+
+    def counted(self, w):
+        counts[-1] += 1
+        return evaluate(self, w)
+
+    monkeypatch.setattr(qre._LogitHomotopy, "evaluate", counted)
+    for g in games:
+        counts.append(0)
+        path = trace_logit_path(g)
+        assert len(path.points) == len(default_lambda_schedule())
+        assert all(point.residual < FIXED_POINT_TOL for point in path.points)
+    assert all(c <= p for c, p in zip(counts, pinned, strict=True)), counts

@@ -78,7 +78,7 @@ def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0, seed=0):
     else:
         witnesses = [(delta, empirical._generic_witness(game, profile, delta, m, seed))
                      for delta in sorted(deltas, reverse=True)]
-    missing = [d for d, w in witnesses if not empirical._witness_ok(game, w, profile, d, m)]
+    missing = [d for d, w in witnesses if not search.witness_ok(game, w, profile, d, m)]
     if not missing:
         return MembershipVerdict(MEMBER, witnesses)
     return MembershipVerdict(INCONCLUSIVE, [], None, {"missing_deltas": missing})

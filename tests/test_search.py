@@ -1,10 +1,10 @@
 import numpy as np
 from scipy.optimize import linprog
 
-from empeq import corpus, empirical, search
+from empeq import corpus, nash, search
 from empeq.cli import _fmt12
 from empeq.empirical import DEFAULT_DELTAS
-from empeq.game import MixedProfile, utility_vector
+from empeq.game import Game, MixedProfile, unit_view, utility_vector
 from empeq.monotone import is_payoff_monotone
 from empeq.nash import DEFAULT_EPS_SCHEDULE, DELTA_FACTOR, enumerate_nash
 
@@ -132,6 +132,71 @@ def test_slack_lp_matches_linprog_reference(monkeypatch):
     _assert_same([search.solve_player_lp(lp) for lp in lps], reference)
 
 
+
+def _project_side_reference(target, side):
+    """`nash._project_side` through scipy's linprog."""
+    own = list(side.own)
+    x0, null = side.x0, side.null
+    r = null.shape[1]
+    p = target[own]
+    off = np.delete(target, own)
+    ones = np.ones((len(own), 1))
+    a_ub = np.block([[null, -ones], [-null, -ones],
+                     [-(side.g @ null), np.zeros((len(side.g), 1))]])
+    b_ub = np.concatenate([p - x0, x0 - p, side.g @ x0])
+    cost = np.zeros(r + 1)
+    cost[-1] = 1.0
+    s_lo = float(off.max()) if off.size else 0.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * r + [(s_lo, None)],
+                  method="highs", options=search._HIGHS_OPTS)
+    if not res.success:
+        return None
+    return nash._embed(len(target), own, np.clip(x0 + null @ res.x[:r], 0.0, None))
+
+
+def _mixed_dominance_reference(game, sig, i):
+    """`search._mixed_dominance` through scipy's linprog."""
+    u = search._util_coefs(unit_view(game), 1 - i)
+    res = linprog(-u.sum(axis=1), A_ub=-u.T, b_ub=-(sig @ u), A_eq=np.ones((1, len(sig))),
+                  b_eq=[1.0], bounds=(0.0, 1.0), method="highs", options=search._HIGHS_OPTS)
+    if not res.success:
+        return None
+    mu = np.clip(res.x, 0.0, None)
+    mu /= mu.sum()
+    gain = (mu - sig) @ u
+    if gain.min() < -1e-9 or not gain.max() > 1e-9:
+        return None
+    player = game.players[i]
+    return {"kind": "mixed-dominance", "player": player,
+            "dominating": {game.actions[player][a]: float(mu[a]) for a in np.flatnonzero(mu)}}
+
+
+def test_projection_and_dominance_lps_match_linprog_reference(monkeypatch):
+    """Face projections and mixed-dominance certificates come out of the
+    direct HiGHS call, and out of the linprog fallback, as they came out of
+    linprog, to the bit."""
+    rng = np.random.default_rng(3)
+    projections, dominance = [], []
+    for game in integer_games(30):
+        eq = enumerate_nash(game)
+        for diag in eq.diagnostics:
+            for k, side in zip(game.action_counts, diag.sides or ()):
+                projections.append((rng.dirichlet(np.ones(k) * 0.5), side))
+        for i, k in enumerate(game.action_counts):
+            strategies = [p.vectors[i] for p in eq.isolated] + [rng.dirichlet(np.ones(k))]
+            dominance += [(game, sig, i) for sig in strategies + list(np.eye(k))]
+    ref_proj = [_project_side_reference(*args) for args in projections]
+    ref_dom = [_mixed_dominance_reference(*args) for args in dominance]
+    assert len(projections) > 50 and any(v is not None for v in ref_proj)
+    assert any(c is None for c in ref_dom) and any(c is not None for c in ref_dom)
+    for _ in range(2):
+        got = [nash._project_side(*args) for args in projections]
+        assert all((v is None) == (r is None) for v, r in zip(got, ref_proj, strict=True))
+        assert all(np.array_equal(v, r) for v, r in zip(got, ref_proj) if v is not None)
+        assert [search._mixed_dominance(*args) for args in dominance] == ref_dom
+        monkeypatch.setattr(search, "_HIGHS", None)  # then the linprog fallback
+
+
 def _all_singleton_blocks(game, profile):
     blocks = [search._tie_blocks(profile.vectors[i],
                                  utility_vector(game, i, profile.vectors), 1.0)
@@ -172,7 +237,97 @@ def test_closed_form_witness_agrees_with_closure_lp(monkeypatch):
                     continue
                 taken += 1
                 assert fast.witness is calls[0]
-                assert empirical._witness_ok(game, fast.witness, profile, delta, m)
+                assert search.witness_ok(game, fast.witness, profile, delta, m)
                 printed = MixedProfile(game, [[_fmt12(x) for x in v] for v in fast.witness.vectors])
                 assert is_payoff_monotone(game, printed).satisfied
     assert taken > 40
+
+
+# Payoff tables (P1, P2) of two uniform [0, 1) games, random4x4-70 of the
+# benchmark's random-generic workload at seed 508 and random6x6-45 at seed
+# 509.  At one equilibrium of each, the closure LP's point moved onto the ray
+# at distance delta has a utility step under TIE_TOL.
+_RAY_RECHECK_PAYOFFS = (
+    (
+        [
+            [0.8012077674157795, 0.7514991457318858, 0.1455945351872615,
+             0.4261920485561169],
+            [0.46252872408535084, 0.43459292380612746, 0.4339261356325126,
+             0.7299837077361565],
+            [0.29358939471624457, 0.08862826792590695, 0.1372141470386401,
+             0.8430242525399012],
+            [0.5197888057142609, 0.6050087481737259, 0.9341428809233088,
+             0.678604109492342],
+        ],
+        [
+            [0.47254278185950904, 0.2534611175919693, 0.42155364655860406,
+             0.8833498964829208],
+            [0.7127068074850905, 0.03346649607382968, 0.4772909069450456,
+             0.1933974651454775],
+            [0.49189522860857904, 0.3359922373753905, 0.18841665696652155,
+             0.2180370938066617],
+            [0.7575045213915582, 0.29238426873689083, 0.8070420638798563,
+             0.8674331324783184],
+        ],
+    ),
+    (
+        [
+            [0.7893776820202258, 0.7551921608106319, 0.7842029228546048,
+             0.5380790447507894, 0.15969849513022039, 0.9115678359631403],
+            [0.8332440074505337, 0.5826303726831977, 0.4225658244780043,
+             0.9124650865435401, 0.9317307050365736, 0.6446627404264303],
+            [0.912890588046825, 0.21603563553685268, 0.724273858662369,
+             0.5774588204742408, 0.4151777586096409, 0.8643832031313528],
+            [0.3214251689428297, 0.6800708545798319, 0.5947252240398633,
+             0.4588476727389683, 0.8230580691231066, 0.3404614468726441],
+            [0.4801605639238732, 0.6684453951736529, 0.2522985439045783,
+             0.2433943060858169, 0.070230953747343, 0.9408527332719268],
+            [0.6900425374139351, 0.25868050026922884, 0.46785617758254416,
+             0.998046455634594, 0.45918593405588826, 0.6031813480995925],
+        ],
+        [
+            [0.6934430261278489, 0.6489976257952981, 0.8101640302421348,
+             0.7352005740685731, 0.6802745260308695, 0.059493316777188054],
+            [0.9569970764407855, 0.2676710342794032, 0.4974554657838416,
+             0.13660931051978908, 0.8179496993213964, 0.4910039280904033],
+            [0.3537202373661855, 0.47908320526191994, 0.5647870754411296,
+             0.30810923071750174, 0.931108204842768, 0.837664131891203],
+            [0.6711767605592562, 0.5797514212910995, 0.6834324527209445,
+             0.44298025899195714, 0.9435421626939972, 0.46200103141475346],
+            [0.5296659965360444, 0.30710113434315867, 0.19590681675226418,
+             0.7218783846349236, 0.7546628163524541, 0.4290757781273735],
+            [0.9029104124185031, 0.5006501034193315, 0.7904903353842565,
+             0.33634499114684246, 0.7116368708121837, 0.6863468836237736],
+        ],
+    ),
+)
+
+
+def test_closure_witness_passes_its_recheck(monkeypatch):
+    """With the closed form off, every equilibrium of these games is
+    feasible for the closure test, with a witness that passes `witness_ok`.
+    For one equilibrium of each the ray point fails the re-check, and
+    the same pattern's LP, solved once more inside the delta box, gives the
+    witness: one LP beyond the patterns tried."""
+    monkeypatch.setattr(search, "_strict_order_witness", lambda *args: None)
+    solve, solved = search.solve_player_lp, []
+
+    def counted(lp, solver=None):
+        solved.append(lp)
+        return solve(lp, solver)
+
+    monkeypatch.setattr(search, "solve_player_lp", counted)
+    delta = min(DEFAULT_DELTAS)
+    for payoffs in _RAY_RECHECK_PAYOFFS:
+        n = len(payoffs[0])
+        game = Game(["P1", "P2"], {"P1": [f"a{k}" for k in range(n)],
+                                   "P2": [f"b{k}" for k in range(n)]},
+                    np.stack(payoffs, axis=-1))
+        boxed = 0
+        for profile in enumerate_nash(game).isolated:
+            solved.clear()
+            out = search.monotone_pattern_search(game, profile, delta)
+            assert out.outcome == search.OUTCOME_FEASIBLE
+            assert search.witness_ok(game, out.witness, profile, delta, 1.0)
+            boxed += len(solved) == out.tried + 1
+        assert boxed == 1
