@@ -11,7 +11,6 @@ from .game import (
     best_responses,
     expected_utility,
     nash_defect,
-    profile_value,
     weak_dominance,
 )
 from .monotone import (
@@ -19,7 +18,6 @@ from .monotone import (
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
     is_weakly_payoff_monotone,
-    region_area,
     region_csv,
     sample_monotone_region,
 )
@@ -46,7 +44,6 @@ from .qre import (
     logistic_qrf,
     perturbed_monotone_point,
     qre_fixed_point,
-    qrf_regularity_audit,
     trace_logit_path,
 )
 from .ccost import (
@@ -64,8 +61,6 @@ from .empirical import (
     Refutation,
     empirical_membership,
     enumerate_empirical,
-    nonemptiness_probe,
-    reverify_dominance,
 )
 from . import corpus
 

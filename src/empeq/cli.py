@@ -22,7 +22,7 @@ from .ccost import (
     cc_equilibrium_check,
 )
 from .empirical import enumerate_empirical
-from .game import Game, GameFormatError, MixedProfile, ProfileError, expected_utility
+from .game import TIE_TOL, Game, GameFormatError, MixedProfile, ProfileError, expected_utility
 from .monotone import (
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
@@ -127,14 +127,14 @@ def build_parser():
     _add_game_args(p)
     p.add_argument("--profile", required=True, help="profile JSON file")
     p.add_argument("--m", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--out")
 
     p = subs.add_parser("region", help="monotone-region grid CSV")
     _add_game_args(p)
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--kind", choices=["weak", "strict"], default="weak")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--out")
 
     p = subs.add_parser("trace", help="logit path CSV")

@@ -12,7 +12,9 @@ strict order per player, and a closed-form witness, checked row by row,
 decides member without an LP.
 With three or more players a witness heuristic runs, and only dominance
 refutes.  No decision depends on a distance: the delta schedule only places
-the witness a member verdict lists at every scheduled delta.
+the witness a member verdict lists at every scheduled delta.  Nor does one
+depend on payoff units: every step decides on the game's `unit_view`, under
+the tie rule stated there.
 `nash.check_proper` still decides at the smallest eps, since "ratios <= eps"
 only loosens as eps grows; `nash.check_perfect` decides two-player
 perfection exactly, one best-reply LP per player, whatever the eps.
@@ -33,18 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import search
-from .game import MixedProfile, weak_dominance
-from .monotone import is_m_weakly_payoff_monotone, is_weakly_payoff_monotone
-from .nash import (
-    NASH_TOL,
-    UnsupportedGameError,
-    _require_nash,
-    check_schedule,
-    decide_segment,
-    enumerate_nash,
-    nearest_nash,
-)
-from .qre import QreConvergenceError, perturbed_monotone_point, trace_logit_path
+from .game import TIE_TOL, MixedProfile, unit_view, weak_dominance
+from .monotone import is_weakly_payoff_monotone
+from .nash import _require_nash, check_schedule, decide_segment, enumerate_nash
+from .qre import QreConvergenceError, perturbed_monotone_point
 
 DEFAULT_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -73,7 +67,7 @@ def _dominance_refutation(game, profile, m):
     every (m-)weakly monotone profile; a candidate violating it in the limit
     cannot be approached."""
     hit = weak_dominance(game).first_violation(
-        profile, lambda x_d, x_g: m * x_d - x_g > NASH_TOL)
+        profile, lambda x_d, x_g: m * x_d - x_g > TIE_TOL)
     if hit is None:
         return None
     player, pair, x_d, x_g = hit
@@ -94,8 +88,7 @@ def _dominance_refutation(game, profile, m):
     )
 
 
-def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
-                         nash_tol=NASH_TOL, seed=0):
+def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
     """Decide (m-)empirical membership of a Nash candidate.
 
     member: an interior monotone witness within the smallest scheduled
@@ -108,25 +101,29 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
     inconclusive: too many compatible pattern pairs, a witness that fails
     its re-check, or no witness for three or more players.  Non-member and
     inconclusive verdicts carry no witnesses.  A candidate whose Nash defect
-    on the game's unit view exceeds `nash_tol` raises ValueError.
+    on the game's unit view exceeds `game.TIE_TOL` raises ValueError.
+
+    Every step decides on `unit_view(game)`, so the verdict does not depend
+    on payoff units; witnesses are profiles of `game`.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
     check_schedule(delta_schedule, "delta")
-    _require_nash(game, profile, nash_tol)
+    _require_nash(game, profile)
+    unit = unit_view(game)
     deltas = sorted((float(d) for d in delta_schedule), reverse=True)
     delta = deltas[-1]
     t0 = time.perf_counter()
     diagnostics = {"m": m, "stage_seconds": {}}
 
-    cert = _dominance_refutation(game, profile, m)
+    cert = _dominance_refutation(unit, profile, m)
     diagnostics["stage_seconds"]["dominance"] = time.perf_counter() - t0
     if cert is not None and m > 0.0:
         return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
 
     t1 = time.perf_counter()
     if game.n_players == 2:
-        out = search.monotone_pattern_search(game, profile, delta, m=m)
+        out = search.monotone_pattern_search(unit, profile, delta, m=m)
         diagnostics["stage_seconds"]["closure-test"] = time.perf_counter() - t1
         diagnostics["patterns_tried"] = out.tried
         if out.outcome == search.OUTCOME_REFUTED:
@@ -139,7 +136,7 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0,
         witness = _generic_witness(game, profile, delta, m, seed)
         diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
 
-    if search.witness_ok(game, witness, profile, delta, m):
+    if search.witness_ok(unit, witness, profile, delta, m):
         witnesses = [(d, witness) for d in deltas]
         return MembershipVerdict(MEMBER, witnesses, None, diagnostics)
     return MembershipVerdict(INCONCLUSIVE, [], None, diagnostics)
@@ -172,41 +169,9 @@ def _generic_witness(game, profile, delta, m, seed):
             pt = perturbed_monotone_point(game, mu, zeta=min(0.25, delta / 4))
         except (QreConvergenceError, ValueError):
             continue
-        if search.witness_ok(game, pt.profile, profile, delta, m):
+        if search.witness_ok(unit_view(game), pt.profile, profile, delta, m):
             return pt.profile
     return None
-
-
-def reverify_dominance(game, refutation, samples=1000, seed=0):
-    """Check a dominance certificate against sampled monotone profiles.
-
-    Returns the number of sampled (m-)weakly monotone profiles; every one of
-    them must satisfy the forced inequality (AssertionError otherwise).
-    """
-    if refutation.kind != "dominance":
-        raise ValueError("not a dominance certificate")
-    data = refutation.data
-    m = data["m"]
-    i = game.player_index(data["player"])
-    d = game.action_index(data["player"], data["dominated"])
-    g = game.action_index(data["player"], data["dominating"])
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(samples):
-        prof = MixedProfile(
-            game, [rng.dirichlet(np.ones(k)) for k in game.action_counts]
-        )
-        if m == 1.0:
-            ok = is_weakly_payoff_monotone(game, prof).satisfied
-        else:
-            ok = is_m_weakly_payoff_monotone(game, prof, m).satisfied
-        if not ok:
-            continue
-        checked += 1
-        assert prof.vectors[i][g] >= m * prof.vectors[i][d] - 1e-9, (
-            "dominance certificate failed to re-verify"
-        )
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +214,3 @@ def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
         grid, runs = decide_segment(game, comp, decide, {MEMBER: lambda d: d == MEMBER}, m)
         comps.append(ComponentMembership(comp, grid, runs[MEMBER]))
     return EmpiricalReport(eqset, isolated, comps)
-
-
-@dataclass
-class ProbeResult:
-    profile: MixedProfile
-    verdict: MembershipVerdict
-    path: object
-
-
-def nonemptiness_probe(game, delta_schedule=DEFAULT_DELTAS, seed=0):
-    """Sanity oracle: the logit-path terminal is an approachable equilibrium.
-
-    The traced path itself is the witness sequence; the probe returns the
-    Nash point nearest its terminal, or the terminal where enumeration is
-    unsupported or finds none, with its membership verdict.
-    """
-    path = trace_logit_path(game)
-    try:
-        candidate = nearest_nash(game, path.terminal)[1] or path.terminal
-    except UnsupportedGameError:
-        candidate = path.terminal
-    verdict = empirical_membership(game, candidate, delta_schedule, seed=seed)
-    return ProbeResult(candidate, verdict, path)

@@ -345,12 +345,6 @@ def expected_utility(game, profile, player):
     return utility_vector(game, i, profile.vectors)
 
 
-def profile_value(game, profile, player):
-    """Full-profile expected utility U_i(sigma)."""
-    i = game.player_index(player)
-    return float(expected_utility(game, profile, i) @ profile.vectors[i])
-
-
 def best_responses(game, profile, player, tol=0.0):
     """Actions within `tol` of the maximal expected-utility component."""
     if tol < 0:
@@ -362,15 +356,30 @@ def best_responses(game, profile, player, tol=0.0):
     return {a for j, a in enumerate(game.actions[p]) if eu[j] >= cut}
 
 
+# The one tie tolerance: absolute, on unit-view payoffs and on probabilities
+# (see `unit_view`).
+TIE_TOL = 1e-9
+
+
 def unit_view(game):
     """The game with each player's payoffs mapped to [0, 1] by
     u_i -> (u_i - min u_i) / (max u_i - min u_i); a constant player maps
-    to 0.
+    to 0.  The view is built on first use and kept on the game.
 
     The map is a positive affine one per player, so it keeps best
     responses, Nash equilibria and weak dominance, and a test with an
     absolute tolerance on the view means the same at every payoff scale.
-    The view is built on first use and kept on the game.
+
+    The tie rule: two utilities of the view, or two probabilities, tie
+    when they differ by at most TIE_TOL.  Enumeration, the Nash test of
+    every candidate, perfection and membership (its dominance forcing,
+    closure test, witness re-check and segment breakpoints) decide on the
+    view and return profiles of the caller's game, so printed profiles and
+    utilities keep its units.  Raw payoffs stay where units matter or the
+    rule does not reach yet: `qre` and `ccost` (lambda and costs are in
+    payoff units), the utility ties of properness, and the `monotone`
+    predicates, which apply the `tol` they are given (TIE_TOL unless the
+    CLI's `--tol` says otherwise) to the game they are given.
     """
     if game._unit is None:
         axes = tuple(range(game.n_players))

@@ -2,7 +2,9 @@
 
 All predicates are pure functions over immutable inputs.  Strictness at
 exact equality resolves as "not greater": `x` beats `y` only when
-``x > y + tol``.
+``x > y + tol``.  The default `tol` is `game.TIE_TOL`, applied to the game
+a predicate is given: the membership engine gives them the unit view, the
+CLI the caller's game (see `game.unit_view` for the tie rule).
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import expected_utility, normalized, utility_vector
-
-DEFAULT_TOL = 1e-9
+from .game import TIE_TOL, expected_utility, normalized, utility_vector
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def _violation(game, p, sig, eu, a, b, note):
     )
 
 
-def is_weakly_payoff_monotone(game, profile, tol=DEFAULT_TOL):
+def is_weakly_payoff_monotone(game, profile, tol=TIE_TOL):
     """Strictly-more-played actions must earn strictly more.
 
     Probability ties impose nothing; a pair violates when the probability
@@ -115,7 +115,7 @@ def is_weakly_payoff_monotone(game, profile, tol=DEFAULT_TOL):
     return MonotonicityVerdict(not bad, tuple(bad))
 
 
-def is_payoff_monotone(game, profile, tol=DEFAULT_TOL):
+def is_payoff_monotone(game, profile, tol=TIE_TOL):
     """Probabilities and expected utilities are ordinally equivalent.
 
     Utility ties (within tol) force probability ties (within tol).  When
@@ -138,7 +138,7 @@ def is_payoff_monotone(game, profile, tol=DEFAULT_TOL):
     return MonotonicityVerdict(not bad, tuple(bad))
 
 
-def is_m_weakly_payoff_monotone(game, profile, m, tol=DEFAULT_TOL):
+def is_m_weakly_payoff_monotone(game, profile, m, tol=TIE_TOL):
     """Weakly-better actions keep at least fraction `m` of the worse one's mass."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
@@ -152,7 +152,7 @@ def is_m_weakly_payoff_monotone(game, profile, m, tol=DEFAULT_TOL):
     return MonotonicityVerdict(not bad, tuple(bad))
 
 
-def sample_monotone_region(game, resolution, kind="weak", tol=DEFAULT_TOL):
+def sample_monotone_region(game, resolution, kind="weak", tol=TIE_TOL):
     """Grid verdicts over the unit cube for games with two actions per player.
 
     Coordinates are sigma_i(first action).  Rows come out in lexicographic
@@ -201,10 +201,3 @@ def region_csv(rows):
     for coords, ok in rows:
         lines.append(",".join(repr(c) for c in coords) + f",{int(ok)}")
     return "\n".join(lines) + "\n"
-
-
-def region_area(rows):
-    """Fraction of grid points satisfying the predicate."""
-    if not rows:
-        return 0.0
-    return sum(1 for _, ok in rows if ok) / len(rows)

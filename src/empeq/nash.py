@@ -4,8 +4,8 @@ Support enumeration runs over every support pair of a two-player game, on
 the game's `unit_view`: each player's payoffs mapped to [0, 1].  The map is
 a positive affine one per player, so it keeps the Nash set, and every
 tolerance below is absolute on payoffs of size at most 1, whatever the
-game's units.  Profiles, components and diagnostics are built on the
-caller's game.
+game's units (the tie rule of `game.unit_view`, with `game.TIE_TOL`).
+Profiles, components and diagnostics are built on the caller's game.
 
 Each side of a pair is one `_Side` record, built from one SVD of the
 opponent's payoff block: the vectors v over the side's own support that sum
@@ -66,7 +66,8 @@ utilities, and one midpoint per open cell between them.  Both are linear
 along the segment, so supports and utility orders are constant on an open
 cell.  Pure dominance on the support and two-player perfection depend only
 on the supports (van Damme 1991, Thm 3.2.2), so a cell's midpoint decides
-the cell.  `classify` decides dominance, perfection and properness at these
+the cell; by the same theorem a two-player point is undominated iff it is
+perfect.  `classify` decides dominance, perfection and properness at these
 points (its proper verdicts are checked against pointwise ones in the
 tests), and `empirical.enumerate_empirical` decides membership there.
 """
@@ -80,6 +81,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .game import (
+    TIE_TOL,
     MixedProfile,
     best_responses,
     expected_utility,
@@ -90,14 +92,10 @@ from .game import (
 )
 from . import search
 
-NASH_TOL = 1e-9
 ENUMERATION_LIMIT = 4096
 DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 DELTA_FACTOR = 10.0
 _UNIT = np.finfo(float).eps / 2  # unit roundoff
-# `_side`'s bound on the residual of its equalities, on the unit view; the
-# screens prove a side empty against this same threshold
-_EQ_TOL = 1e-9
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -164,17 +162,18 @@ class Component:
 
 def segment_breakpoints(game, comp, m=1.0):
     """The interval ends of a segment and the crossings inside it of
-    sigma_a - sigma_b, sigma_a - m * sigma_b and (two players) u_a - u_b for
-    one player's actions a, b, merged within 1e-12, with the midpoints
-    between them.  All are linear in t, so supports, utility orders and
-    the m-fraction orders are constant between two breakpoints."""
+    sigma_a - sigma_b, sigma_a - m * sigma_b and (two players) u_a - u_b on
+    the unit view for one player's actions a, b, merged within 1e-12, with
+    the midpoints between them.  All are linear in t, so supports, utility
+    orders and the m-fraction orders are constant between two breakpoints."""
     lo, hi = comp.interval
     ts = [lo, hi]
+    unit = unit_view(game)
     for i in range(game.n_players):
         lines = [(comp.base[i], comp.direction[i], w) for w in {1.0, m}]
         if game.n_players == 2:  # a one-player game's utilities are constant
-            lines.append((utility_vector(game, i, comp.base),
-                          utility_vector(game, i, comp.direction), 1.0))
+            lines.append((utility_vector(unit, i, comp.base),
+                          utility_vector(unit, i, comp.direction), 1.0))
         for value, slope, w in lines:
             v, s = value[:, None] - w * value, slope[:, None] - w * slope
             cross = -v[s != 0] / s[s != 0] + 0.0  # no -0.0
@@ -221,7 +220,7 @@ class EquilibriumSet:
     diagnostics: list = field(default_factory=list)
 
 
-def is_nash(game, profile, tol=NASH_TOL):
+def is_nash(game, profile, tol=TIE_TOL):
     return nash_defect(game, profile) <= tol
 
 
@@ -260,11 +259,11 @@ def _side(own, opp, opp_payoff):
     x0 = vt[:rank].T @ (u[0, :rank] / s[:rank])
     rhs = np.zeros(len(a))
     rhs[0] = 1.0
-    if np.max(np.abs(a @ x0 - rhs)) > _EQ_TOL:
+    if np.max(np.abs(a @ x0 - rhs)) > TIE_TOL:
         return None
     outside = [b for b in range(pay.shape[1]) if b not in opp]
     g = np.vstack([np.eye(len(own)), (block[:, :1] - pay[:, outside]).T])
-    tol = np.repeat([1e-10, NASH_TOL], [len(own), len(outside)])
+    tol = np.repeat([1e-10, TIE_TOL], [len(own), len(outside)])
     return _Side(tuple(own), x0, vt[rank:].T, g, tol)
 
 
@@ -402,7 +401,7 @@ def _single_sides(pay, opp_classes):
     proven to return None or a point with infeasible x0.  No LAPACK call is
     made.
 
-    The bound.  Let thr = _EQ_TOL, `_side`'s threshold.  The equalities of a
+    The bound.  Let thr = TIE_TOL, `_side`'s threshold.  The equalities of a
     size-1 side read x0 = 1 and d_i x0 = 0, with d_i = pay[a, S[i]] -
     pay[a, S[i + 1]] rounded as `_side` rounds it.  `_side`'s subtraction
     of 1 is exact for x0 in [0.5, 2], so any x0 it accepts has
@@ -410,10 +409,10 @@ def _single_sides(pay, opp_classes):
     Its payoff edges are g x0, with g = pay[a, S[0]] - pay[a, c] rounded as
     `_side` rounds it, for each c outside S; the smallest g is pay[a, S[0]]
     minus the best payoff outside S.  So the side is empty where
-    max |d_i| (1 - thr) > thr, or where g (1 - thr) < -NASH_TOL, each by a
+    max |d_i| (1 - thr) > thr, or where g (1 - thr) < -TIE_TOL, each by a
     relative 8 eps, which covers the roundings of both products.
     """
-    thr = _EQ_TOL
+    thr = TIE_TOL
     n = sum(len(c) for c in opp_classes)
     inside = np.zeros((n, pay.shape[1]), dtype=bool)
     spread = np.zeros((len(pay), n))
@@ -428,7 +427,7 @@ def _single_sides(pay, opp_classes):
     heads = np.concatenate([c[:, 0] for c in opp_classes])
     gap = pay[:, heads] - np.where(inside, -np.inf, pay[:, None, :]).max(axis=-1)
     return ((spread * (1.0 - thr) <= thr * (1.0 + 16 * _UNIT))
-            & (gap * (1.0 - thr) >= -NASH_TOL * (1.0 + 16 * _UNIT)))
+            & (gap * (1.0 - thr) >= -TIE_TOL * (1.0 + 16 * _UNIT)))
 
 
 def _d_blocks(own, opp_classes, opp_payoff):
@@ -483,7 +482,7 @@ def _certified_inconsistent(d, logdet, q):
     the computed a @ x0 is off by at most g_p R M per entry, and the
     subtraction of e1 rounds by a factor 1 - u at worst: `_side`'s resid is
     at least (1 - u) M (sigma_min(C) / sqrt(q) - g_p R), with M >= 1, and
-    exceeds thr = _EQ_TOL once
+    exceeds thr = TIE_TOL once
         sigma_min(C) > sqrt(q) (thr / (1 - u) + g_p R).
     `_lu_floor` bounds sigma_min(C) from below (Z = C, others = p, entries
     of D at most 2), with |C|_F^2 = p + 1 + |D|_F^2.  A slack of 1e-6 in
@@ -494,7 +493,7 @@ def _certified_inconsistent(d, logdet, q):
     """
     p = d.shape[-1]
     g_p = p * _UNIT / (1 - p * _UNIT)
-    need = np.sqrt(q) * (_EQ_TOL / (1 - _UNIT) + g_p * p * 2.0)
+    need = np.sqrt(q) * (TIE_TOL / (1 - _UNIT) + g_p * p * 2.0)
     frob = np.sqrt(p + 1 + np.einsum("...ij,...ij->...", d, d))
     log_floor, e = _lu_floor(logdet, frob, p, p, 2.0)
     return log_floor > np.log(need + e) + 1e-6
@@ -531,7 +530,7 @@ def _lu_screen(a, logdet, side):
     its rank cut p 2u s[0], so `_side` finds a point: its null space is
     empty.
     - `_side` returns a point x0 only if its computed resid is <= thr =
-      _EQ_TOL.  A row of a @ x0 rounds by at most (2p + 4) u R |x0|_inf, and
+      TIE_TOL.  A row of a @ x0 rounds by at most (2p + 4) u R |x0|_inf, and
       |x0|_inf <= |x*|_2 + D0 <= 1/L + D0 with
       D0 = |x0 - x*|_2 <= sqrt(p) |a x0 - e1|_inf / L, so
           D0 <= sqrt(p) (thr + (2p + 4) u R / L) / (L (1 - c)),
@@ -541,7 +540,7 @@ def _lu_screen(a, logdet, side):
     So |x0 - x^|_2 <= D = D0 + D1, times 1 + 1e-6 for the rounding of these
     sums.  `_side` takes x0 feasible where g_r @ x0 >= -tol_r for each row
     r of g: x0_j >= -1e-10 (computed exactly) and each payoff edge
-    >= -NASH_TOL.  A row has |g_r|_2 <= 2 sqrt(p), so g_r @ (x0 - x^) is at
+    >= -TIE_TOL.  A row has |g_r|_2 <= 2 sqrt(p), so g_r @ (x0 - x^) is at
     most that times D.  The slacks of x^ (from `_slack`) and of x0 (in
     `_side`) round by at most (8p + 8) u (p (|x^|_inf + D) + 1) together.
     A side is infeasible where the slack of x^ is below minus the sum of
@@ -563,7 +562,7 @@ def _lu_screen(a, logdet, side):
     rnd = (2 * p + 4) * _UNIT * math.sqrt(p) * frob
     c = math.sqrt(p) * rnd / low
     x_max = np.max(np.abs(x), axis=-1)
-    dist = math.sqrt(p) * ((_EQ_TOL + rnd / low) / (1 - c) + resid + rnd * x_max) / low
+    dist = math.sqrt(p) * ((TIE_TOL + rnd / low) / (1 - c) + resid + rnd * x_max) / low
     dist *= 1.0 + 1e-6
     own, opp, opp_payoff = side
     slack = _slack(x, own[n], opp[n], opp_payoff)
@@ -584,7 +583,7 @@ def _equality_matrices(own, opp, opp_payoff):
 
 def _slack(x0, own, opp, opp_payoff):
     """The feasibility slack of each vector x0[n] over the side (own[n],
-    opp[n]): the smaller of its least entry plus 1e-10 and NASH_TOL plus
+    opp[n]): the smaller of its least entry plus 1e-10 and TIE_TOL plus
     the opponent's payoff edge of opp[n][0] over the best opponent action
     outside opp[n].  x0 passes `_Side.x0_feasible` where it is >= 0, up to
     rounding."""
@@ -592,7 +591,7 @@ def _slack(x0, own, opp, opp_payoff):
     outside = np.all(opp[:, :, None] != np.arange(opp_payoff.shape[1]), axis=1)
     best_out = np.max(vals, axis=-1, where=outside, initial=-np.inf)
     edge = vals[np.arange(len(opp)), opp[:, 0]] - best_out
-    return np.minimum(x0.min(axis=-1) + 1e-10, edge + NASH_TOL)
+    return np.minimum(x0.min(axis=-1) + 1e-10, edge + TIE_TOL)
 
 
 def _proves_empty(side):
@@ -793,7 +792,7 @@ def _project_side(target, side):
     """Vector on the side's polytope closest to `target` in max norm:
     minimize s with |v - target| <= s entrywise, v = x0 + null @ z and
     g @ v >= 0.  Without the enumeration's slack `tol`, the projection is
-    Nash up to the LP's own tolerance, well inside NASH_TOL."""
+    Nash up to the LP's own tolerance, well inside TIE_TOL."""
     own = list(side.own)
     x0, null = side.x0, side.null
     r = null.shape[1]
@@ -883,34 +882,34 @@ class RefinementTag:
     proper: RefinementVerdict
 
 
-def undominated_flag(game, profile, tol=NASH_TOL):
-    """No action played above `tol` is weakly dominated by a pure action.
+def undominated_flag(game, profile):
+    """No action played above TIE_TOL is weakly dominated by a pure action.
     Mixed dominance is not tested: a point can read undominated and still
     be refuted by `check_perfect` with a `mixed-dominance` certificate."""
-    return _dominated_on_support(game, profile, tol) is None
+    return _dominated_on_support(game, profile) is None
 
 
-def _require_nash(game, profile, tol=NASH_TOL):
+def _require_nash(game, profile):
     """ValueError unless `profile`'s Nash defect on the game's unit view is
-    at most `tol`, so the test means the same at every payoff scale."""
+    at most TIE_TOL, so the test means the same at every payoff scale."""
     d = nash_defect(unit_view(game), profile)
-    if d > tol:
+    if d > TIE_TOL:
         raise ValueError(f"profile is not a Nash equilibrium (defect {d:.3e})")
 
 
-def is_epsilon_perfect(game, profile, eps, util_tol=NASH_TOL):
+def is_epsilon_perfect(game, profile, eps):
     """Interior, and only best responses carry probability above eps."""
     if not profile.is_interior:
         return False
     for i, p in enumerate(game.players):
-        br = best_responses(game, profile, i, tol=util_tol)
+        br = best_responses(game, profile, i, tol=TIE_TOL)
         for j, a in enumerate(game.actions[p]):
             if a not in br and profile.vectors[i][j] > eps * (1 + 1e-12) + 1e-15:
                 return False
     return True
 
 
-def is_epsilon_proper(game, profile, eps, util_tol=NASH_TOL):
+def is_epsilon_proper(game, profile, eps):
     """Interior, with eps-bounded ratios down the utility ranking."""
     if not profile.is_interior:
         return False
@@ -919,7 +918,7 @@ def is_epsilon_proper(game, profile, eps, util_tol=NASH_TOL):
         sig = profile.vectors[i]
         for a in range(len(eu)):
             for b in range(len(eu)):
-                if eu[a] > eu[b] + util_tol and sig[b] > eps * sig[a] * (1 + 1e-9):
+                if eu[a] > eu[b] + TIE_TOL and sig[b] > eps * sig[a] * (1 + 1e-9):
                     return False
     return True
 
@@ -939,7 +938,7 @@ def _tiered_proper_witness(game, profile, eps):
     vecs = []
     for i in range(game.n_players):
         eu = expected_utility(game, profile, i)
-        order = _order_from_values(eu, tol=NASH_TOL)
+        order = _order_from_values(eu)
         k = len(eu)
         w = np.array(profile.vectors[i], dtype=float)
         for depth, level in enumerate(order):
@@ -955,12 +954,12 @@ def _tiered_proper_witness(game, profile, eps):
     return None
 
 
-def _order_from_values(values, tol=0.0):
+def _order_from_values(values):
     idx = np.argsort(-np.asarray(values, dtype=float), kind="stable")
     levels = []
     current = [int(idx[0])]
     for j in idx[1:]:
-        if values[current[-1]] - values[j] <= tol:
+        if values[current[-1]] - values[j] <= TIE_TOL:
             current.append(int(j))
         else:
             levels.append(tuple(current))
@@ -969,8 +968,8 @@ def _order_from_values(values, tol=0.0):
     return tuple(levels)
 
 
-def _dominated_on_support(game, profile, tol=NASH_TOL):
-    hit = weak_dominance(game).first_violation(profile, lambda x_d, _: x_d > tol)
+def _dominated_on_support(game, profile):
+    hit = weak_dominance(game).first_violation(profile, lambda x_d, _: x_d > TIE_TOL)
     if hit is None:
         return None
     player, pair, x_d, _ = hit
@@ -1067,6 +1066,11 @@ def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):
     """Refinement tags for the isolated equilibria, and a summary per
     component.
 
+    A two-player point is tagged undominated unless its perfection is
+    refuted: no mixed strategy weakly dominates either player's strategy
+    exactly when it is perfect (van Damme 1991, Thm 3.2.2).  Other games
+    keep `undominated_flag`, the test against pure dominance.
+
     A component is decided at its `segment_breakpoints` (`decide_segment`).
     Its summary lists a `grid` entry {t, undominated, perfect, proper} at
     every breakpoint and midpoint, and the (t_lo, t_hi) runs of points that
@@ -1075,15 +1079,20 @@ def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):
     `member_intervals`.
     """
     check_schedule(schedule, "eps")
-    tags = [RefinementTag(undominated_flag(game, p),
-                          check_perfect(game, p, schedule=schedule),
-                          check_proper(game, p, schedule=schedule))
-            for p in eqset.isolated]
+
+    def tag(profile):
+        perfect = check_perfect(game, profile, schedule=schedule)
+        undominated = (perfect.status != REFUTED if game.n_players == 2
+                       else undominated_flag(game, profile))
+        return RefinementTag(undominated, perfect,
+                             check_proper(game, profile, schedule=schedule))
+
+    tags = [tag(p) for p in eqset.isolated]
 
     def decide(profile):
-        return {"undominated": undominated_flag(game, profile),
-                "perfect": check_perfect(game, profile, schedule=schedule).status,
-                "proper": check_proper(game, profile, schedule=schedule).status}
+        t = tag(profile)
+        return {"undominated": t.undominated, "perfect": t.perfect.status,
+                "proper": t.proper.status}
 
     passes = {"undominated_region": lambda e: e["undominated"],
               "perfect_intervals": lambda e: e["perfect"] == VERIFIED,

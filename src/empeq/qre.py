@@ -514,54 +514,3 @@ def perturbed_monotone_point(game, mu, zeta, lam=1.0, tol=1e-12,
     return PerturbedPoint(
         profile, profile.distance(mu), is_payoff_monotone(game, profile)
     )
-
-
-@dataclass
-class AuditReport:
-    passed: bool
-    axioms: dict  # axiom -> bool
-    counterexamples: list
-
-    def __bool__(self):
-        return self.passed
-
-
-def qrf_regularity_audit(qrf, n_actions, sample_count=200, seed=0,
-                         eta=0.1, continuity_step=1e-7):
-    """Sampled check of the four regularity axioms.
-
-    Interiority and monotonicity are checked at each sampled utility
-    vector; responsiveness via a bump of size eta on one coordinate;
-    continuity via the output delta under a small perturbation.
-    """
-    rng = np.random.default_rng(seed)
-    axioms = {
-        "interiority": True,
-        "continuity": True,
-        "responsiveness": True,
-        "monotonicity": True,
-    }
-    bad = []
-    for _ in range(int(sample_count)):
-        x = rng.uniform(-5.0, 5.0, size=n_actions)
-        p = np.asarray(qrf.evaluate(x), dtype=float)
-        if not np.all(p > 0.0):
-            axioms["interiority"] = False
-            bad.append(("interiority", x.copy()))
-        a = int(rng.integers(n_actions))
-        bump = x.copy()
-        bump[a] += eta
-        if not qrf.evaluate(bump)[a] > p[a]:
-            axioms["responsiveness"] = False
-            bad.append(("responsiveness", x.copy()))
-        for i in range(n_actions):
-            for j in range(n_actions):
-                if x[i] > x[j] and not p[i] > p[j]:
-                    axioms["monotonicity"] = False
-                    bad.append(("monotonicity", x.copy()))
-        wiggle = x + rng.uniform(-continuity_step, continuity_step, size=n_actions)
-        dp = np.max(np.abs(np.asarray(qrf.evaluate(wiggle)) - p))
-        if dp > 1e-3:
-            axioms["continuity"] = False
-            bad.append(("continuity", x.copy()))
-    return AuditReport(all(axioms.values()), axioms, bad)

@@ -10,7 +10,10 @@ small "maximize the common slack" linear programs (HiGHS).
 Membership is a closure test with no distance box (`monotone_pattern_search`).
 Where a candidate has a single compatible pattern pair, a strict order per
 player, a closed-form point replaces its LP once every strict row checks out
-at that point.
+at that point.  Membership runs the closure test and `witness_ok` on the
+game's `unit_view`, under the tie rule stated there: values within TIE_TOL
+tie, and a slack of at most TIE_TOL counts as empty.  The closure test
+builds its witnesses on the candidate's game.
 The proper search bounds the profile to a delta box, perfection's LPs do
 not: a pattern is feasible when its slack clears a positive margin on every
 strict row, exhausting every pattern with nonpositive margins refutes, and
@@ -26,15 +29,12 @@ from math import comb, prod
 
 import numpy as np
 
-from .game import MixedProfile, expected_utility, unit_view, utility_vector, weak_dominance
+from .game import TIE_TOL, MixedProfile, expected_utility, unit_view, utility_vector, weak_dominance
 from .monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 
 MAX_EXHAUSTIVE_ACTIONS = 5
 # the closure test gives up (outcome "open") past this many pattern pairs
 MAX_PATTERN_PAIRS = 20000
-# values closer than this count as tied when patterns are matched to a
-# candidate; a closure LP whose slack does not exceed it counts as empty
-TIE_TOL = 1e-9
 
 # 1e-10 is the tightest feasibility tolerance HiGHS accepts
 _HIGHS_OPTS = {
@@ -495,7 +495,7 @@ def _strict_order_witness(game, candidate, orders, delta):
     vectors = np.split(x, [len(sig[0])])
     if not x.min() > 0 or max(abs(v.sum() - 1.0) for v in vectors) > TIE_TOL:
         return None
-    witness = MixedProfile(game, vectors)
+    witness = MixedProfile(candidate.game, vectors)
     return witness if _strict_rows(game, orders, witness.vectors).min() > TIE_TOL else None
 
 
@@ -580,7 +580,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
         s, x = solve_player_lp(lp, solver)
         if s > TIE_TOL:
             x = _ray_point(point, np.clip(x, 0.0, None), delta)
-            witness = MixedProfile(game, np.split(x, [k0]))
+            witness = MixedProfile(candidate.game, np.split(x, [k0]))
             rows = np.array([coef for coef, _ in lp.strict])
             if ((rows @ x + [k for _, k in lp.strict]).min() <= TIE_TOL
                     and not witness_ok(game, witness, candidate, delta, m)):
@@ -592,7 +592,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
                 s, x = solve_player_lp(box, solver)
                 if s > TIE_TOL:
                     x = _ray_point(point, np.clip(x, 0.0, None), delta)
-                    witness = MixedProfile(game, np.split(x, [k0]))
+                    witness = MixedProfile(candidate.game, np.split(x, [k0]))
             return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
     return PatternOutcome(OUTCOME_REFUTED, None, count)
 
@@ -613,7 +613,7 @@ def witness_ok(game, witness, candidate, delta, m):
 def perfect_pattern_search(game, candidate, eps, delta):
     """Exact two-player perfection (van Damme 1991, Thm 3.2.2): per player,
     one LP on the unit view maximizes t over tau_j >= t, sum tau_j = 1, with
-    supp sigma_i (entries > TIE_TOL, nash's NASH_TOL) in the best replies.
+    supp sigma_i (entries > TIE_TOL) in the best replies.
     Both t > TIE_TOL: feasible, witness (1 - eps) sigma + eps tau.  Else
     refuted with a `_mixed_dominance` certificate, or open (`lp-numerics`)
     where none re-checks.  `tried` counts LPs solved."""
@@ -640,8 +640,8 @@ def perfect_pattern_search(game, candidate, eps, delta):
 
 def _mixed_dominance(game, sig, i):
     """A `mixed-dominance` certificate for player i's strategy sig: the mu
-    of greatest summed gain with no loss, if it loses at most 1e-9 to sig
-    and gains over 1e-9 once, all on the unit view."""
+    of greatest summed gain with no loss, if it loses at most TIE_TOL to
+    sig and gains over TIE_TOL once, all on the unit view."""
     u = _util_coefs(unit_view(game), 1 - i)  # u_i[a, b]
     k = len(sig)
     x = solve_lp(-u.sum(axis=1), np.vstack([-u.T, np.ones((1, k))]), u.shape[1],
@@ -651,7 +651,7 @@ def _mixed_dominance(game, sig, i):
     mu = np.clip(x, 0.0, None)
     mu /= mu.sum()
     gain = (mu - sig) @ u
-    if gain.min() < -1e-9 or not gain.max() > 1e-9:
+    if gain.min() < -TIE_TOL or not gain.max() > TIE_TOL:
         return None
     player = game.players[i]
     return {"kind": "mixed-dominance", "player": player,

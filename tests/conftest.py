@@ -1,11 +1,14 @@
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from empeq import corpus, empirical, nash, search
+from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
 from empeq.game import Game, MixedProfile
-from empeq.qre import QreConvergenceError, logistic_profile, qre_fixed_point
+from empeq.nash import UnsupportedGameError, nearest_nash
+from empeq.qre import QreConvergenceError, logistic_profile, qre_fixed_point, trace_logit_path
 
 
 @pytest.fixture
@@ -245,3 +248,66 @@ def recheck_mixed_dominance(game, candidate, cert):
     u = np.moveaxis(game.payoffs[..., i], i, 0).reshape(len(mu), -1)
     gain = mu @ u - candidate.vectors[i] @ u
     assert gain.min() >= -1e-9 and gain.max() > 1e-9
+
+
+def assert_regular_qrf(qrf, n_actions, samples, seed):
+    """Assert the regularity of a quantal response function at sampled
+    utility vectors: interior, monotone (a better-paid action is more
+    likely) and responsive (raising an action's utility raises its
+    probability)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = rng.uniform(-5.0, 5.0, size=n_actions)
+        p = np.asarray(qrf.evaluate(x))
+        assert np.all(p > 0)
+        assert all(p[a] > p[b] for a in range(n_actions) for b in range(n_actions)
+                   if x[a] > x[b])
+        a = int(rng.integers(n_actions))
+        bump = x.copy()
+        bump[a] += 0.1
+        assert qrf.evaluate(bump)[a] > p[a]
+
+
+def recheck_dominance(game, refutation):
+    """Assert that a `dominance` refutation holds on the raw payoff table:
+    its dominating action does at least as well as the dominated one
+    against every opponent profile and better against one, so every
+    interior (m-)weakly monotone profile gives it at least m times the
+    dominated action's probability, and the candidate falls short of that
+    by more than 1e-9."""
+    assert refutation.kind == "dominance"
+    data = refutation.data
+    i = game.player_index(data["player"])
+    u = np.moveaxis(game.payoffs[..., i], i, 0)
+    diff = (u[game.action_index(i, data["dominating"])]
+            - u[game.action_index(i, data["dominated"])])
+    assert diff.min() >= 0 and diff.max() > 0
+    x = data["candidate"]
+    assert data["m"] * x[data["dominated"]] - x[data["dominating"]] > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sanity oracle: the logit path ends next to a member
+
+
+@dataclass
+class ProbeResult:
+    profile: MixedProfile
+    verdict: MembershipVerdict
+    path: object
+
+
+def nonemptiness_probe(game, delta_schedule=DEFAULT_DELTAS, seed=0):
+    """Sanity oracle: the logit-path terminal is an approachable equilibrium.
+
+    The traced path itself is the witness sequence; the probe returns the
+    Nash point nearest its terminal, or the terminal where enumeration is
+    unsupported or finds none, with its membership verdict.
+    """
+    path = trace_logit_path(game)
+    try:
+        candidate = nearest_nash(game, path.terminal)[1] or path.terminal
+    except UnsupportedGameError:
+        candidate = path.terminal
+    verdict = empirical_membership(game, candidate, delta_schedule, seed=seed)
+    return ProbeResult(candidate, verdict, path)

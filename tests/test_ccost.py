@@ -17,9 +17,9 @@ from empeq.ccost import (
 )
 from empeq.game import MixedProfile, expected_utility, nash_defect
 from empeq.monotone import is_payoff_monotone
-from empeq.qre import logistic_profile, qre_fixed_point, qrf_regularity_audit
+from empeq.qre import logistic_profile, qre_fixed_point
 
-from conftest import random_game, random_monotone_profile
+from conftest import assert_regular_qrf, random_game, random_monotone_profile
 
 
 def _profile_splines(game, profile, eps=0.1):
@@ -184,8 +184,7 @@ def test_induced_qrf_matches_grid_maximization():
 
 def test_spline_qrf_regular():
     sp = build_spline(np.array([0.2, 0.35, 0.45]), np.array([0.0, 0.5, 1.3]), 0.15)
-    rep = qrf_regularity_audit(SplineQRF(sp), 3, sample_count=80, seed=5)
-    assert rep.passed
+    assert_regular_qrf(SplineQRF(sp), 3, samples=80, seed=5)
 
 
 def test_serialization_round_trip():

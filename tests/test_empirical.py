@@ -8,14 +8,12 @@ from empeq.empirical import (
     DEFAULT_DELTAS,
     empirical_membership,
     enumerate_empirical,
-    nonemptiness_probe,
-    reverify_dominance,
 )
-from empeq.game import Game, MixedProfile, nash_defect
+from empeq.game import Game, MixedProfile, nash_defect, unit_view
 from empeq.nash import enumerate_nash
 from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 
-from conftest import random_game
+from conftest import integer_games, nonemptiness_probe, random_game, recheck_dominance
 
 
 def _recheck_member(game, candidate, verdict, m):
@@ -73,6 +71,21 @@ def test_member_witnesses_recheck_on_three_player_games(m):
     assert members >= 4
 
 
+@pytest.mark.parametrize("alpha", [1e-10, 1e-6, 1.0, 1e6, 1e10])
+def test_mixed_member_at_every_payoff_scale(alpha):
+    # P1 [[0,2,2],[2,2,1],[1,2,0]] and P2 [[0,1,2],[1,0,0],[1,2,2]].  At
+    # 1e10, rounding puts P1's two support utilities 1.2e-5 apart, which a
+    # tie test on raw payoffs read as a strict order against sigma's; on the
+    # unit view they tie at every scale.  The witness re-checks there, and
+    # is a profile of the scaled game
+    game = integer_games(40)[26]
+    game = Game(game.players, game.actions, alpha * game.payoffs)
+    candidate = MixedProfile(game, [[1 / 3, 2 / 3, 0.0], [1 / 3, 0.0, 2 / 3]])
+    verdict = empirical_membership(game, candidate)
+    _recheck_member(unit_view(game), candidate, verdict, 1.0)
+    assert all(w.game is game for _, w in verdict.witnesses)
+
+
 @pytest.mark.parametrize("m", [1.0, 0.5])
 def test_gamma1_verdicts_and_dominance_certificate(m):
     """Gamma1 has two Nash points, (a1, b1) and (a2, b2).
@@ -92,7 +105,7 @@ def test_gamma1_verdicts_and_dominance_certificate(m):
     verdict = empirical_membership(game, bottom, m=m)
     assert verdict.decision == "non-member"
     assert verdict.refutation.kind == "dominance"
-    assert reverify_dominance(game, verdict.refutation) > 0
+    recheck_dominance(game, verdict.refutation)
 
 
 BAD_SCHEDULES = [(np.nan,), (np.inf,), (-0.1,), (0.0,), (0.1, -1e-3), (0.1, np.nan), ()]

@@ -11,7 +11,6 @@ from empeq.game import (
     ProfileError,
     best_responses,
     expected_utility,
-    profile_value,
     unit_view,
     weak_dominance,
 )
@@ -40,14 +39,6 @@ def test_expected_utility_phi_column(phi):
     p = MixedProfile.pure(phi, {"U": "10", "T": "10"})
     eu = expected_utility(phi, p, "U")
     assert list(eu) == [10.0, 5.0, 0.0]
-
-
-def test_full_profile_value_is_weighted_sum(gamma1):
-    p = MixedProfile.from_dict(
-        gamma1, {"P1": {"a1": 0.3, "a2": 0.7}, "P2": {"b1": 0.6, "b2": 0.4}}
-    )
-    eu = expected_utility(gamma1, p, 0)
-    assert profile_value(gamma1, p, 0) == pytest.approx(eu @ p.vectors[0])
 
 
 def test_best_responses_gamma1(gamma1):

@@ -178,6 +178,36 @@ def test_affine_invariance():
                     enumerate_nash(_affine(g, alpha, shift, players)), ref)
 
 
+def _membership_grids(game, m):
+    """`enumerate_empirical`'s decisions: one per isolated equilibrium, and
+    each component's grid."""
+    report = enumerate_empirical(game, m=m)
+    return ([v.decision for _, v in report.isolated],
+            [[d for _, d in c.grid] for c in report.components])
+
+
+def _undominated_and_perfect(game):
+    tags, summaries = classify(game, enumerate_nash(game))
+    return ([(tag.undominated, tag.perfect.status) for tag in tags],
+            [[(e["undominated"], e["perfect"]) for e in s["grid"]] for s in summaries])
+
+
+def test_membership_and_perfection_affine_invariance():
+    # membership, the undominated tag and perfection decide on the unit
+    # view, so scaling payoffs keeps every decision and every grid length;
+    # on raw payoffs, 1e-10 turned members into non-members and 1e10 did so
+    # on a few, through ties read as strict orders
+    cases = [(1e-10, (0, 1)), (1e10, (0, 1)), (1e10, (1,))]
+    for k, g in enumerate(corpus_games() + integer_games(40)):
+        checks = [lambda h: _membership_grids(h, 1.0)]
+        if k < 15:  # the corpus and the first 10 integer games
+            checks += [lambda h: _membership_grids(h, 0.5), _undominated_and_perfect]
+        for check in checks:
+            ref = check(g)
+            for alpha, players in cases:
+                assert check(_affine(g, alpha, 0.0, players)) == ref, (k, alpha, players)
+
+
 def test_enumerated_profiles_are_nash():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -283,6 +313,24 @@ def test_perfect_refutes_mixed_dominance():
     assert (out.outcome, out.tried) == (search.OUTCOME_OPEN, 8)
 
 
+def test_two_player_undominated_tag_is_the_perfect_verdict():
+    # B is weakly dominated by 1/2 T + 1/2 M but by no pure action, so the
+    # pure test alone would tag (B; 1/2 L + 1/2 C) undominated; for two
+    # players the tag is the perfect verdict (van Damme 1991, Thm 3.2.2)
+    game, profile = _mixed_dominance_case()
+    eqset = enumerate_nash(game)
+    tags, summaries = classify(game, eqset)
+    points = [(p, tag.undominated, tag.perfect.status)
+              for p, tag in zip(eqset.isolated, tags)]
+    points += [(comp.profile_at(game, e["t"]), e["undominated"], e["perfect"])
+               for comp, summary in zip(eqset.components, summaries)
+               for e in summary["grid"]]
+    assert all(undominated == (perfect != "refuted") for _, undominated, perfect in points)
+    hits = [(undominated, perfect) for p, undominated, perfect in points
+            if p.distance(profile) <= 1e-12]
+    assert hits and set(hits) == {(False, "refuted")}
+
+
 @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1.0, 1e10, 1e12])
 def test_perfect_refutation_does_not_depend_on_payoff_units(alpha):
     # eps-perfection and the dominating strategy's gain are tested on the
@@ -364,8 +412,8 @@ def test_classified_cells_match_pointwise_checks(classified):
         for comp, summary in zip(eqset.components, summaries):
             for t, p in segment_grid(game, comp, 11):
                 e = _cell_entry(summary["grid"], t)
-                assert undominated_flag(game, p) == e["undominated"]
                 assert check_perfect(game, p).status == e["perfect"]
+                assert e["undominated"] == (e["perfect"] != "refuted")
                 assert check_proper(game, p).status == e["proper"]
                 checked += 1
             for key, passes in (("undominated_region", lambda e: e["undominated"]),

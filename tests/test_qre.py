@@ -15,11 +15,10 @@ from empeq.qre import (
     logistic_qrf,
     perturbed_monotone_point,
     qre_fixed_point,
-    qrf_regularity_audit,
     trace_logit_path,
 )
 
-from conftest import corpus_games, random_game
+from conftest import assert_regular_qrf, corpus_games, random_game
 
 
 def test_logistic_lambda_zero_uniform():
@@ -170,15 +169,7 @@ def test_perturbed_rejects_non_monotone_mu(gamma1):
 
 
 def test_audit_logistic_clean():
-    rep = qrf_regularity_audit(logistic_qrf(2.0), 3, sample_count=150, seed=1)
-    assert rep.passed
-    assert all(rep.axioms.values())
-
-
-def test_audit_lambda_zero_not_responsive():
-    rep = qrf_regularity_audit(logistic_qrf(0.0), 3, sample_count=50, seed=1)
-    assert not rep.axioms["responsiveness"]
-    assert any(kind == "responsiveness" for kind, _ in rep.counterexamples)
+    assert_regular_qrf(logistic_qrf(2.0), 3, samples=150, seed=1)
 
 
 def test_newton_fallback_high_lambda():
