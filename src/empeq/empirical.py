@@ -147,8 +147,10 @@ def _generic_witness(game, profile, delta, m, seed):
 
     Smooth the candidate toward uniform, keep the smoothing weakly monotone,
     then pull it to an interior payoff-monotone point with the
-    logit-perturbation fixed point.
+    logit-perturbation fixed point.  Every step runs on the unit view, so
+    the fixed point's lambda = 1 means the same at every payoff scale.
     """
+    unit = unit_view(game)
     rng = np.random.default_rng(seed)
     taus = [delta / 4, delta / 8, delta / 16]
     seeds = []
@@ -163,14 +165,14 @@ def _generic_witness(game, profile, delta, m, seed):
             vecs.append((1 - tau) * v + tau * noise / noise.sum())
         seeds.append(MixedProfile(game, vecs))
     for mu in seeds:
-        if not is_weakly_payoff_monotone(game, mu).satisfied:
+        if not is_weakly_payoff_monotone(unit, mu).satisfied:
             continue
         try:
-            pt = perturbed_monotone_point(game, mu, zeta=min(0.25, delta / 4))
+            pt = perturbed_monotone_point(unit, mu, zeta=min(0.25, delta / 4))
         except (QreConvergenceError, ValueError):
             continue
-        if search.witness_ok(unit_view(game), pt.profile, profile, delta, m):
-            return pt.profile
+        if search.witness_ok(unit, pt.profile, profile, delta, m):
+            return MixedProfile(game, pt.profile.vectors)
     return None
 
 

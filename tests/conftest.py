@@ -253,8 +253,9 @@ def recheck_mixed_dominance(game, candidate, cert):
 def assert_regular_qrf(qrf, n_actions, samples, seed):
     """Assert the regularity of a quantal response function at sampled
     utility vectors: interior, monotone (a better-paid action is more
-    likely) and responsive (raising an action's utility raises its
-    probability)."""
+    likely), responsive (raising an action's utility raises its
+    probability) and continuous (a wiggle of at most 1e-7 per utility moves
+    no probability by more than 1e-3)."""
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         x = rng.uniform(-5.0, 5.0, size=n_actions)
@@ -266,6 +267,8 @@ def assert_regular_qrf(qrf, n_actions, samples, seed):
         bump = x.copy()
         bump[a] += 0.1
         assert qrf.evaluate(bump)[a] > p[a]
+        wiggle = x + rng.uniform(-1e-7, 1e-7, size=n_actions)
+        assert np.max(np.abs(np.asarray(qrf.evaluate(wiggle)) - p)) <= 1e-3
 
 
 def recheck_dominance(game, refutation):

@@ -71,6 +71,27 @@ def test_member_witnesses_recheck_on_three_player_games(m):
     assert members >= 4
 
 
+@pytest.mark.parametrize("alpha", [1e-10, 1e10])
+def test_three_player_verdicts_at_every_payoff_scale(alpha):
+    # the witness heuristic runs on the unit view, so at 1e-10, where every
+    # raw utility ties, the five pure members stay members
+    for seed in range(4):
+        base = random_game(np.random.default_rng(seed), (2, 2, 2), -3.0, 3.0)
+        game = Game(base.players, base.actions, alpha * base.payoffs)
+        for combo in itertools.product(range(2), repeat=3):
+            pure = {p: game.actions[p][j] for p, j in zip(game.players, combo)}
+            if nash_defect(base, MixedProfile.pure(base, pure)) > 0:
+                continue
+            for m in (1.0, 0.5):
+                expected = empirical_membership(base, MixedProfile.pure(base, pure), m=m)
+                candidate = MixedProfile.pure(game, pure)
+                verdict = empirical_membership(game, candidate, m=m)
+                assert verdict.decision == expected.decision
+                if verdict.decision == "member":
+                    _recheck_member(unit_view(game), candidate, verdict, m)
+                    assert all(w.game is game for _, w in verdict.witnesses)
+
+
 @pytest.mark.parametrize("alpha", [1e-10, 1e-6, 1.0, 1e6, 1e10])
 def test_mixed_member_at_every_payoff_scale(alpha):
     # P1 [[0,2,2],[2,2,1],[1,2,0]] and P2 [[0,1,2],[1,0,0],[1,2,2]].  At
