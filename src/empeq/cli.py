@@ -73,6 +73,8 @@ def _dump(doc, out_path):
 
 def _load_game(args):
     if getattr(args, "game", None):
+        if args.c1 is not None or args.c2 is not None:
+            raise GameFormatError("--c1 and --c2 apply to gamma2c only, not to --game")
         return Game.from_file(args.game)
     if getattr(args, "corpus", None):
         return corpus.get(args.corpus, getattr(args, "c1", None),
@@ -87,9 +89,10 @@ def _load_profile(game, path):
 
 
 def _add_game_args(sub):
-    sub.add_argument("--game", help="path to a game JSON file")
-    sub.add_argument("--corpus", help="bundled game name "
-                     f"({', '.join(corpus.NAMES)})")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--game", help="path to a game JSON file")
+    source.add_argument("--corpus", help="bundled game name "
+                        f"({', '.join(corpus.NAMES)})")
     sub.add_argument("--c1", type=float, help="gamma2c cost for player 1")
     sub.add_argument("--c2", type=float, help="gamma2c cost for player 2")
 

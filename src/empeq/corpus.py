@@ -73,8 +73,13 @@ NAMES = ("gamma1", "psi", "gamma2c", "phi")
 
 
 def get(name, c1=None, c2=None):
-    """Look a bundled game up by name; gamma2c needs both cost parameters."""
+    """Look a bundled game up by name; gamma2c needs both cost parameters,
+    and no other game takes them."""
     name = str(name).lower()
+    if name not in NAMES:
+        raise GameFormatError(f"unknown corpus game {name!r}; choices: {', '.join(NAMES)}")
+    if name != "gamma2c" and (c1 is not None or c2 is not None):
+        raise GameFormatError(f"--c1 and --c2 apply to gamma2c only, not {name}")
     if name == "gamma1":
         return gamma1()
     if name == "psi":
@@ -83,6 +88,4 @@ def get(name, c1=None, c2=None):
         if c1 is None or c2 is None:
             raise GameFormatError("gamma2c requires --c1 and --c2")
         return gamma2c(c1, c2)
-    if name == "phi":
-        return phi()
-    raise GameFormatError(f"unknown corpus game {name!r}; choices: {', '.join(NAMES)}")
+    return phi()

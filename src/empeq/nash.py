@@ -7,15 +7,16 @@ tolerance below is absolute on payoffs of size at most 1, whatever the
 game's units (the tie rule of `game.unit_view`, with `game.TIE_TOL`).
 Profiles, components and diagnostics are built on the caller's game.
 
-Each side of a pair is one `_Side` record, built from one SVD of the
-opponent's payoff block: the vectors v over the side's own support that sum
-to one and make the opponent indifferent across the opponent's support are
-x0 + null @ z, and v is feasible where g @ v >= -tol (nonnegative
-probabilities, no opponent action outside its support doing better).  A pair
-whose sides leave no freedom gives an isolated candidate, one free dimension
-a segment (`Component`), and larger solution sets a `degenerate` diagnostic
-that keeps its side records, so `nearest_nash` projects onto the face with
-one LP per side.
+Each side of a pair is solved exactly by one SVD of its equality matrix:
+the vectors v over the side's own support that sum to one and make the
+opponent indifferent across the opponent's support are x0 + null @ z, with
+x0 the minimum-norm solution, and the side is inconsistent where x0 leaves
+a residual above TIE_TOL.  v is feasible where g @ v >= -tol (nonnegative
+probabilities, no opponent action outside its support doing better), as the
+side's `_Side` record states.  A pair whose sides leave no freedom gives an
+isolated candidate, one free dimension a segment (`Component`), and larger
+solution sets a `degenerate` diagnostic that keeps its side records, so
+`nearest_nash` projects onto the face with one LP per side.
 
 A pair is proven empty when one of its sides has inconsistent equalities
 or is a point with infeasible x0.  Most pairs of a generic game are, so
@@ -23,29 +24,34 @@ enumeration screens the pairs by the size p of their smaller support, in
 three stages, and a pair drops at the first stage that proves it empty:
 - Closed form (p = 1), with no LAPACK call.  A side of size 1 has the
   equality x0 = 1, so the payoff table decides whether it is consistent
-  and feasible, in pure pairs and pairs (1, q) alike.  The other side of a
-  pair (1, q >= 2) is one equality over q unknowns and never proves the
-  pair empty.
+  and feasible, in pure pairs and pairs (1, q) alike, exactly as its SVD
+  would (`_single_sides`).  The other side of a pair (1, q >= 2) is one
+  equality over q unknowns and never proves the pair empty.
 - Certificate (p >= 2).  One `slogdet` per size factors every p x p matrix
   the size needs.  In an unbalanced pair (|s1| != |s2|) the side of the
   smaller support has more equalities than unknowns.  A lower bound on the
-  residual of any solution `_side` could compute, from the determinant of a
-  p x p block, proves that side inconsistent on most such pairs.  This is
-  the balance condition of Porter, Nudelman & Shoham (GEB 2008), applied
-  pair by pair, so degenerate games keep their unbalanced equilibria.
+  residual of any solution the exact solve could compute, from the
+  determinant of a p x p block, proves that side inconsistent on most such
+  pairs.  This is the balance condition of Porter, Nudelman & Shoham (GEB
+  2008), applied pair by pair, so degenerate games keep their unbalanced
+  equilibria.
 - LU decision (p >= 2).  On a balanced pair's square first side, the
   determinant and the Frobenius norm bound the smallest singular value from
-  below.  Where that bound clears `_side`'s rank cut, one stacked `solve`
-  gives a point close enough to any x0 `_side` could accept to prove x0
-  infeasible by a margin.  The second side of each surviving pair is
-  decided the same way.
-Every pair left open goes to `_solve_pair`, the exact decision: unbalanced
-pairs without a certificate, square sides that are singular or
-ill-conditioned, as in degenerate games, and sides within the LU margin.
-A dropped pair would be found empty by `_side` as well, so the result is
-the same as when every pair is decided exactly.  Diagnostics report only
-the pairs that may hold equilibria but gave none: `degenerate` faces of
-dimension >= 2 and isolated candidates with an `incentive-violation`.
+  below.  Where that bound clears the exact solve's rank cut, one stacked
+  `solve` gives a point close enough to any x0 the exact solve could accept
+  to prove x0 infeasible by a margin.  The second side of each surviving
+  pair is decided the same way.
+A dropped pair would be found empty by the exact solve as well.  The pairs
+left open (unbalanced pairs without a certificate, singular, ill-conditioned
+or near-margin square sides, and the pairs that hold equilibria) go to one
+exact stage, `_exact_stage`, which decides them all on arrays and builds
+`MixedProfile`s and `Component`s only for what it returns.  Its result is
+bit for bit that of one SVD per side and one decision per pair (the tests'
+reference enumeration): x0, null spaces, residuals and payoff edges are the
+same per-matrix products, so printed interval ends do not move.
+Diagnostics report only the pairs that may hold equilibria but gave none:
+`degenerate` faces of dimension >= 2 and isolated candidates with an
+`incentive-violation`.
 
 The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
@@ -77,6 +83,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +93,7 @@ from .game import (
     best_responses,
     expected_utility,
     nash_defect,
+    normalized,
     unit_view,
     utility_vector,
     weak_dominance,
@@ -132,32 +140,38 @@ class Component:
     interval: tuple
 
     def profile_at(self, game, t):
-        vecs = [
-            np.clip(b + t * d, 0.0, None) for b, d in zip(self.base, self.direction)
-        ]
-        return MixedProfile(game, vecs)
+        return MixedProfile(game, _segment_point(self.base, self.direction, t))
 
     def distance_to(self, game, profile):
         """(distance, t): max-norm distance from `profile` to the component
-        and the smallest t in the interval attaining it.
+        and the smallest t in the interval attaining it."""
+        return _segment_distance(game, self, profile.stacked())
 
-        The distance max_i |a_i + t b_i|, with a = base - profile and
-        b = direction, is convex and piecewise linear in t, so its minimum
-        lies at an interval end or where two of the lines ±(a_i + t b_i)
-        cross.
-        """
-        a = np.concatenate(self.base) - profile.stacked()
-        b = np.concatenate(self.direction)
-        alpha, beta = np.concatenate([a, -a]), np.concatenate([b, -b])
-        i, j = np.triu_indices(len(alpha), 1)
-        slope = beta[i] - beta[j]
-        crossing = slope != 0
-        cross = (alpha[j] - alpha[i])[crossing] / slope[crossing]
-        lo, hi = self.interval
-        ts = np.concatenate([[lo, hi], cross[(cross > lo) & (cross < hi)]])
-        vals = np.max(np.abs(a + ts[:, None] * b), axis=1)
-        t = float(np.min(ts[vals <= vals.min() + 1e-14]))
-        return self.profile_at(game, t).distance(profile), t
+
+def _segment_distance(game, seg, x):
+    """(distance, t): max-norm distance from the stacked profile vectors x
+    to a segment of `game` (a `Component` or `_Segment`) and the smallest t
+    in its interval attaining it.
+
+    The distance max_i |a_i + t b_i|, with a = base - x and b = direction,
+    is convex and piecewise linear in t, so its minimum lies at an interval
+    end or where two of the lines +-(a_i + t b_i) cross.  The distance is
+    taken to the profile at t, as `Component.profile_at` normalizes it.
+    """
+    a = np.concatenate(seg.base) - x
+    b = np.concatenate(seg.direction)
+    alpha, beta = np.concatenate([a, -a]), np.concatenate([b, -b])
+    i, j = np.triu_indices(len(alpha), 1)
+    slope = beta[i] - beta[j]
+    crossing = slope != 0
+    cross = (alpha[j] - alpha[i])[crossing] / slope[crossing]
+    lo, hi = seg.interval
+    ts = np.concatenate([[lo, hi], cross[(cross > lo) & (cross < hi)]])
+    vals = np.max(np.abs(a + ts[:, None] * b), axis=1)
+    t = float(np.min(ts[vals <= vals.min() + 1e-14]))
+    at = np.concatenate([normalized(v, p) for v, p in
+                         zip(_segment_point(seg.base, seg.direction, t), game.players)])
+    return float(np.max(np.abs(at - x))), t
 
 
 def segment_breakpoints(game, comp, m=1.0):
@@ -235,53 +249,29 @@ class _Side:
     g: np.ndarray
     tol: np.ndarray
 
-    @property
-    def x0_feasible(self):
-        return bool(np.all(self.g @ self.x0 >= -self.tol))
 
-
-def _side(own, opp, opp_payoff):
-    """The `_Side` of actions `own` against opponent support `opp`, or None
-    when its equalities are inconsistent.
+def _side_record(own, opp, opp_payoff, x0, null):
+    """The `_Side` of actions `own` against opponent support `opp` with the
+    solution set x0 + null @ z.
 
     opp_payoff[own action, opponent action] is the opponent's payoff on the
-    unit view, in [0, 1].  The equalities are sum(v) = 1 and equal opponent
-    payoff across `opp`; one SVD of their matrix gives the minimum-norm
-    solution x0 and the null space.  The rows of g are v_j >= -1e-10, then
-    the payoff edge of opp[0] over each opponent action outside `opp`.
+    unit view.  The rows of g are v_j >= -1e-10, then the payoff edge of
+    opp[0] over each opponent action outside `opp`, in action order.
     """
     pay = opp_payoff[list(own)]
-    block = pay[:, list(opp)]
-    a = np.vstack([np.ones(len(own)), (block[:, :-1] - block[:, 1:]).T])
-    u, s, vt = np.linalg.svd(a)
-    # s[0] >= 1: the all-ones row has norm at least one
-    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
-    x0 = vt[:rank].T @ (u[0, :rank] / s[:rank])
-    rhs = np.zeros(len(a))
-    rhs[0] = 1.0
-    if np.max(np.abs(a @ x0 - rhs)) > TIE_TOL:
-        return None
     outside = [b for b in range(pay.shape[1]) if b not in opp]
-    g = np.vstack([np.eye(len(own)), (block[:, :1] - pay[:, outside]).T])
+    g = np.vstack([np.eye(len(own)), (pay[:, list(opp[:1])] - pay[:, outside]).T])
     tol = np.repeat([1e-10, TIE_TOL], [len(own), len(outside)])
-    return _Side(tuple(own), x0, vt[rank:].T, g, tol)
+    return _Side(tuple(own), x0, null, g, tol)
 
 
-def _interval_for(x0, d, g, tol):
-    """[lo, hi] of the t with g @ (x0 + t d) >= -tol, or None when empty."""
-    a = g @ d
-    b = g @ x0 + tol
-    flat = np.abs(a) <= 1e-12
-    if np.any(b[flat] < 0):
-        return None
-    up, down = a > 1e-12, a < -1e-12
-    lo = float(np.max(-b[up] / a[up], initial=-1e12))
-    hi = float(np.min(-b[down] / a[down], initial=1e12))
-    if lo > hi + 1e-12:
-        return None
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return (lo, hi)
+def _ones_side(p):
+    """(x0, null) of the equality sum(v) = 1 over p unknowns, the only
+    equality of a side against one opponent action, from the SVD of its
+    1 x p matrix.  Its rank is 1, and x0 sums to one up to rounding, so
+    the side is always consistent."""
+    u, s, vt = np.linalg.svd(np.ones((1, p)))
+    return vt[:1].T @ (u[0, :1] / s[:1]), vt[1:].T
 
 
 def _snap_zero(v):
@@ -318,14 +308,11 @@ def enumerate_nash(game):
         raise UnsupportedGameError("too many support pairs to enumerate")
     classes1, classes2 = _support_classes(m), _support_classes(k)
     sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
-    may_hold = _screen_pairs(unit_view(game), classes1, classes2)
-    found = EquilibriumSet([], [])
+    unit = unit_view(game)
+    may_hold = _screen_pairs(unit, classes1, classes2)
     # row-major order is the order of the pairs (s1 outer, s2 inner)
-    for i, j in zip(*np.nonzero(may_hold)):
-        _solve_pair(game, sup1[i], sup2[j], found)
-    found.isolated, found.components = _dedupe(game, found.isolated,
-                                                found.components)
-    return found
+    return _exact_stage(game, unit, [(sup1[i], sup2[j])
+                                     for i, j in zip(*np.nonzero(may_hold))])
 
 
 def _support_classes(n):
@@ -342,7 +329,7 @@ def _flat_supports(classes):
 def _screen_pairs(unit, classes1, classes2):
     """A boolean mask over every support pair (s1, s2), rows and columns in
     `_flat_supports` order: True where the pair may hold an equilibrium and
-    goes to `_solve_pair`.
+    goes to `_exact_stage`.
 
     `unit` is the game's unit view.  The pairs are screened by the size p
     of their smaller support; the stages are listed in the module
@@ -356,11 +343,11 @@ def _screen_pairs(unit, classes1, classes2):
     start1 = np.cumsum([0] + [len(c) for c in classes1])
     start2 = np.cumsum([0] + [len(c) for c in classes2])
     may_hold = np.zeros((start1[-1], start2[-1]), dtype=bool)
-    # pairs with a size-1 support: the other side of a pair (1, q >= 2) has
-    # the one equality sum(v) = 1 over q unknowns, so it is consistent and
-    # never a point
-    single1 = _single_sides(b, classes2)
-    single2 = _single_sides(a_t, classes1).T
+    # pairs with a size-1 support, decided exactly: the other side of a pair
+    # (1, q >= 2) has the one equality sum(v) = 1 over q unknowns, so it is
+    # consistent and never a point
+    single1 = np.logical_and(*_single_sides(b, classes2))
+    single2 = np.logical_and(*_single_sides(a_t, classes1)).T
     may_hold[:m] = single1
     may_hold[m:, :k] = single2[m:]
     may_hold[:m, :k] &= single2[:m]
@@ -395,24 +382,22 @@ def _screen_pairs(unit, classes1, classes2):
 
 
 def _single_sides(pay, opp_classes):
-    """A boolean mask over the sides of each own action a (rows of `pay`,
-    the opponent's payoffs on the unit view) against each opponent support
-    S of `opp_classes` (columns, in class order): False where `_side` is
-    proven to return None or a point with infeasible x0.  No LAPACK call is
-    made.
+    """(consistent, feasible): boolean masks over the sides of each own
+    action a (rows of `pay`, the opponent's payoffs on the unit view)
+    against each opponent support S of `opp_classes` (columns, in class
+    order).  No LAPACK call is made.
 
-    The bound.  Let thr = TIE_TOL, `_side`'s threshold.  The equalities of a
-    size-1 side read x0 = 1 and d_i x0 = 0, with d_i = pay[a, S[i]] -
-    pay[a, S[i + 1]] rounded as `_side` rounds it.  `_side`'s subtraction
-    of 1 is exact for x0 in [0.5, 2], so any x0 it accepts has
-    |x0 - 1| <= thr, and then |d_i| x0, rounded once, is <= thr as well.
-    Its payoff edges are g x0, with g = pay[a, S[0]] - pay[a, c] rounded as
-    `_side` rounds it, for each c outside S; the smallest g is pay[a, S[0]]
-    minus the best payoff outside S.  So the side is empty where
-    max |d_i| (1 - thr) > thr, or where g (1 - thr) < -TIE_TOL, each by a
-    relative 8 eps, which covers the roundings of both products.
+    The closed form.  A size-1 side has the equality matrix (1, d_1, ...,
+    d_{q-1}) as one column, with d_i = pay[a, S[i]] - pay[a, S[i + 1]].
+    Where every |d_i| <= TIE_TOL, the sum of the d_i^2 is below the unit
+    roundoff and the SVD's minimum-norm solution is exactly x0 = [1.0] (a
+    test pins this), whose residual is max |d_i|: so the side is consistent
+    iff max |d_i| <= TIE_TOL, and its record is `_side_record` with x0 =
+    [1.0] and an empty null space.  Its payoff edges g_c x0 are then g_c =
+    pay[a, S[0]] - pay[a, c] for each c outside S, whose least is
+    pay[a, S[0]] minus the best payoff outside S, as subtraction rounds
+    monotonically: so x0 is feasible iff that least edge is >= -TIE_TOL.
     """
-    thr = TIE_TOL
     n = sum(len(c) for c in opp_classes)
     inside = np.zeros((n, pay.shape[1]), dtype=bool)
     spread = np.zeros((len(pay), n))
@@ -426,13 +411,12 @@ def _single_sides(pay, opp_classes):
         start += len(c)
     heads = np.concatenate([c[:, 0] for c in opp_classes])
     gap = pay[:, heads] - np.where(inside, -np.inf, pay[:, None, :]).max(axis=-1)
-    return ((spread * (1.0 - thr) <= thr * (1.0 + 16 * _UNIT))
-            & (gap * (1.0 - thr) >= -TIE_TOL * (1.0 + 16 * _UNIT)))
+    return spread <= TIE_TOL, gap >= -TIE_TOL
 
 
 def _d_blocks(own, opp_classes, opp_payoff):
     """The D blocks of `_certified_inconsistent` (transposed, rounded as
-    `_side` rounds its equality matrix) of every pair of a support in `own`
+    the exact solve rounds its equality matrix) of every pair of a support in `own`
     (size p) with an opponent support in `opp_classes` (sizes > p), in
     class order: shape (len(own), opponent supports, p, p).  A block reads
     only the first p + 1 actions of the opponent support."""
@@ -467,20 +451,20 @@ def _lu_floor(logdet, frob, p, others, entry_max):
 def _certified_inconsistent(d, logdet, q):
     """For pairs whose side has fewer unknowns p than equalities q, given
     that side's D blocks d (from `_d_blocks`, on the unit view), their
-    log |det| and each pair's q: a boolean array, True where `_side` is
-    proven to return None.  No SVD is taken.
+    log |det| and each pair's q: a boolean array, True where the exact solve
+    is proven to find that side inconsistent.  No SVD is taken.
 
-    The bound.  Let a (q x p) be `_side`'s equality matrix, with right-hand
+    The bound.  Let a (q x p) be the side's equality matrix, with right-hand
     side e1, and C the first p + 1 rows of [a | e1].  C's first row is all
     ones and its last column is e1, so |det C| = |det D| for the p x p block
     D of payoff differences under the first row.  For any x0, the one
-    `_side` computes included, put z = (x0, -1) and M = max(1, |x0|_inf)
+    the exact solve computes included, put z = (x0, -1) and M = max(1, |x0|_inf)
     <= |z|_2; then |a x0 - e1|_inf >= |a x0 - e1|_2 / sqrt(q)
     >= |C z|_2 / sqrt(q) >= sigma_min(C) M / sqrt(q).  Let u be the unit
     roundoff and g_n = n u / (1 - n u).  Payoffs lie in [0, 1], so entries
     of D are below 2 and each row of a has absolute sum at most R = 2p;
     the computed a @ x0 is off by at most g_p R M per entry, and the
-    subtraction of e1 rounds by a factor 1 - u at worst: `_side`'s resid is
+    subtraction of e1 rounds by a factor 1 - u at worst: the solve's resid is
     at least (1 - u) M (sigma_min(C) / sqrt(q) - g_p R), with M >= 1, and
     exceeds thr = TIE_TOL once
         sigma_min(C) > sqrt(q) (thr / (1 - u) + g_p R).
@@ -500,7 +484,7 @@ def _certified_inconsistent(d, logdet, q):
 
 
 # a square side is decided by its LU factors only where the floor on its
-# smallest singular value exceeds this multiple of `_side`'s rank cut
+# smallest singular value exceeds this multiple of the exact solve's rank cut
 _CLEARANCE = 1e6
 
 
@@ -517,8 +501,9 @@ def _square_floor(a, logdet):
 
 def _lu_screen(a, logdet, side):
     """A boolean mask over square sides (p unknowns, p equalities, on the
-    unit view), True where their LU factors prove that `_side` returns None
-    or a point with infeasible x0.  The other sides go to `_solve_pair`.
+    unit view), True where their LU factors prove that the exact solve finds
+    them inconsistent or a point with infeasible x0.  The other sides go to
+    `_exact_stage`.
 
     The bound.  Let u be the unit roundoff, x* = a^-1 e1 the exact solution,
     L the `_square_floor` of a (L <= sigma_min(a)) and F = |a|_F; each row
@@ -526,10 +511,10 @@ def _lu_screen(a, logdet, side):
     where L > _CLEARANCE p 2u F.  The one LAPACK property this relies on:
     the SVD computes each singular value within 1e3 p u |a|_F of the exact
     one (LAPACK's SVD is backward stable with an error of a small multiple
-    of p u |a|_2).  Then `_side`'s smallest computed singular value exceeds
-    its rank cut p 2u s[0], so `_side` finds a point: its null space is
+    of p u |a|_2).  Then the solve's smallest computed singular value
+    exceeds its rank cut p 2u s[0], so it finds a point: its null space is
     empty.
-    - `_side` returns a point x0 only if its computed resid is <= thr =
+    - The solve returns a point x0 only if its computed resid is <= thr =
       TIE_TOL.  A row of a @ x0 rounds by at most (2p + 4) u R |x0|_inf, and
       |x0|_inf <= |x*|_2 + D0 <= 1/L + D0 with
       D0 = |x0 - x*|_2 <= sqrt(p) |a x0 - e1|_inf / L, so
@@ -538,11 +523,11 @@ def _lu_screen(a, logdet, side):
     - x^ = `np.linalg.solve(a, e1)` has computed residual r^, so
       D1 = |x^ - x*|_2 <= sqrt(p) (r^ + (2p + 4) u R |x^|_inf) / L.
     So |x0 - x^|_2 <= D = D0 + D1, times 1 + 1e-6 for the rounding of these
-    sums.  `_side` takes x0 feasible where g_r @ x0 >= -tol_r for each row
+    sums.  The solve takes x0 feasible where g_r @ x0 >= -tol_r for each row
     r of g: x0_j >= -1e-10 (computed exactly) and each payoff edge
     >= -TIE_TOL.  A row has |g_r|_2 <= 2 sqrt(p), so g_r @ (x0 - x^) is at
     most that times D.  The slacks of x^ (from `_slack`) and of x0 (in
-    `_side`) round by at most (8p + 8) u (p (|x^|_inf + D) + 1) together.
+    the solve) round by at most (8p + 8) u (p (|x^|_inf + D) + 1) together.
     A side is infeasible where the slack of x^ is below minus the sum of
     these margins.
     """
@@ -573,8 +558,9 @@ def _lu_screen(a, logdet, side):
 
 
 def _equality_matrices(own, opp, opp_payoff):
-    """`_side`'s equality matrix of each side (own[n], opp[n]), rounded as
-    `_side` rounds it: shape (n, len(opp[n]), len(own[n]))."""
+    """The equality matrix of each side (own[n], opp[n]), the all-ones row
+    over the payoff differences of consecutive opponent actions, as the
+    exact solve factors it: shape (n, len(opp[n]), len(own[n]))."""
     p = own.shape[1]
     block = opp_payoff[own[:, :, None], opp[:, None, :]]
     diff = np.swapaxes(block[..., :-1] - block[..., 1:], -1, -2)
@@ -585,7 +571,7 @@ def _slack(x0, own, opp, opp_payoff):
     """The feasibility slack of each vector x0[n] over the side (own[n],
     opp[n]): the smaller of its least entry plus 1e-10 and TIE_TOL plus
     the opponent's payoff edge of opp[n][0] over the best opponent action
-    outside opp[n].  x0 passes `_Side.x0_feasible` where it is >= 0, up to
+    outside opp[n].  x0 is feasible (g @ x0 >= -tol) where it is >= 0, up to
     rounding."""
     vals = np.einsum("nj,njb->nb", x0, opp_payoff[own])
     outside = np.all(opp[:, :, None] != np.arange(opp_payoff.shape[1]), axis=1)
@@ -594,101 +580,267 @@ def _slack(x0, own, opp, opp_payoff):
     return np.minimum(x0.min(axis=-1) + 1e-10, edge + TIE_TOL)
 
 
-def _proves_empty(side):
-    """True when a pair with this side holds no equilibrium: its equalities
-    are inconsistent (None), or it is a point with infeasible x0."""
-    return side is None or (not side.null.shape[1] and not side.x0_feasible)
+# a size-1 side of an open pair: the feasible point x0 = [1.0] (`_single_sides`)
+_UNIT_POINT = (np.ones(1), np.zeros((1, 0)), True)
 
 
-def _solve_pair(game, s1, s2, out):
-    """The exact decision for the support pair (s1, s2), added to `out`.
+def _exact_stage(game, unit, pairs):
+    """The `EquilibriumSet` of the open support pairs (s1, s2) of `pairs`,
+    in pair order, with duplicates dropped.
 
-    The sides and the Nash test of a candidate are taken on the game's
-    `unit_view`; what is added is built on `game`.  A pair with a side that
-    `_proves_empty`, or a one-dimensional family with no feasible point,
-    adds nothing.  Otherwise the pair adds an isolated equilibrium or a
-    segment, or a diagnostic: `degenerate` for a solution set of dimension
-    >= 2, with the side records `nearest_nash` projects onto, and
-    `incentive-violation` for a candidate point that is not Nash.
+    A pair holds nothing when a side is inconsistent or a point with
+    infeasible x0 (`_solve_sides`).  Otherwise sides with no freedom give
+    the point candidate of their x0, clipped at zero; one free dimension a
+    segment (`_lines`), a point candidate when at most 1e-9 wide; more a
+    `degenerate` diagnostic with the two `_Side` records.  A pair's point
+    candidate that `_nash_points` rejects gives an `incentive-violation`.
     """
     m, k = game.action_counts
-    unit = unit_view(game)
+    pays = (unit.payoffs[..., 1], unit.payoffs[..., 0].T)
     # x over s1 equalizes player 2 across s2; y over s2 equalizes player 1
     # across s1
-    xs = _side(s1, s2, unit.payoffs[..., 1])
-    if _proves_empty(xs):
-        return
-    ys = _side(s2, s1, unit.payoffs[..., 0].T)
-    if _proves_empty(ys):
-        return
-    dim = xs.null.shape[1] + ys.null.shape[1]
-    if dim == 0:
-        prof = MixedProfile(
-            game, [_embed(m, s1, np.clip(xs.x0, 0, None)),
-                   _embed(k, s2, np.clip(ys.x0, 0, None))]
-        )
-        if is_nash(unit, prof, 1e-8):
-            out.isolated.append(prof)
+    sides = [(s1, s2, 0) for s1, s2 in pairs] + [(s2, s1, 1) for s1, s2 in pairs]
+    solved = _solve_sides(sides, pays)
+    points, lines, diagnostics = [], [], []
+    for n, (s1, s2) in enumerate(pairs):
+        xs, ys = solved[n], solved[len(pairs) + n]
+        if any(s is None or not (s[1].shape[1] or s[2]) for s in (xs, ys)):
+            continue
+        dim = xs[1].shape[1] + ys[1].shape[1]
+        if dim == 0:
+            points.append((n, (_embed(m, s1, np.clip(xs[0], 0, None)),
+                               _embed(k, s2, np.clip(ys[0], 0, None)))))
+        elif dim == 1:
+            x, y = n, len(pairs) + n
+            lines.append((n, x, y) if xs[1].shape[1] else (n, y, x))
         else:
-            out.diagnostics.append(
-                SupportDiagnostic((s1, s2), "incentive-violation")
-            )
-    elif dim == 1:
-        comp = _one_dim_component(game, xs, ys)
-        if isinstance(comp, MixedProfile):
-            if is_nash(unit, comp, 1e-8):
-                out.isolated.append(comp)
-        elif comp is not None:
-            out.components.append(comp)
-    else:
-        out.diagnostics.append(
-            SupportDiagnostic(
-                (s1, s2),
-                "degenerate",
-                f"solution set of dimension {dim} not traced",
-                sides=(xs, ys),
-            )
-        )
+            diagnostics.append((n, SupportDiagnostic(
+                (s1, s2), "degenerate", f"solution set of dimension {dim} not traced",
+                sides=(_side_record(s1, s2, pays[0], *xs[:2]),
+                       _side_record(s2, s1, pays[1], *ys[:2])))))
+    segments, hair = _lines(game, pays, sides, solved, lines)
+    # each pair gives at most one candidate, so pair order is a total order
+    candidates = sorted(points + hair, key=lambda c: c[0])
+    stacked = _nash_points(unit, [vecs for _, vecs in candidates])
+    dim0 = {n for n, _ in points}
+    kept = []
+    for (n, vecs), x in zip(candidates, stacked):
+        if x is not None:
+            kept.append((vecs, x))
+        elif n in dim0:
+            diagnostics.append((n, SupportDiagnostic(pairs[n], "incentive-violation")))
+    diagnostics.sort(key=lambda d: d[0])
+    isolated, segments = _dedupe(game, kept, segments)
+    return EquilibriumSet([MixedProfile(game, vecs) for vecs in isolated],
+                          [Component(*seg) for seg in segments],
+                          [d for _, d in diagnostics])
 
 
-def _one_dim_component(game, xs, ys):
-    """Segment of a support pair with one free dimension: a `Component`, a
-    single `MixedProfile` when the segment has width <= 1e-9, or None.  The
-    fixed side is a point with feasible x0."""
-    var = xs if xs.null.shape[1] == 1 else ys
-    d = var.null[:, 0]
-    mx = np.max(np.abs(d))
-    if mx <= 1e-12:
-        return None
-    d = d / mx
-    if d[np.flatnonzero(np.abs(d) > 1e-12)[0]] < 0:
-        d = -d
-    span = _interval_for(var.x0, d, var.g, var.tol)
-    if span is None:
-        return None
-    # tolerance fuzz inflates point solutions into hair-width intervals;
-    # the zero-tolerance geometry decides point vs genuine component.  Rows
-    # flat along d cannot widen the interval, so they keep their tolerance
-    # (a zero weight that rounds to -1e-17 must not empty the family)
-    flat = np.abs(var.g @ d) <= 1e-12
-    exact = _interval_for(var.x0, d, var.g, np.where(flat, var.tol, 0.0))
-    if exact is None:
-        mid = 0.5 * (span[0] + span[1])
-        exact = (mid, mid)
-    lo, hi = _snap_zero(np.array(exact))
-    sides = (xs, ys)
-    base = tuple(
-        _snap_zero(_embed(n, s.own, s.x0 if s is var else np.clip(s.x0, 0, None)))
-        for n, s in zip(game.action_counts, sides)
-    )
-    direction = tuple(_snap_zero(_embed(n, s.own, d if s is var else 0.0))
-                      for n, s in zip(game.action_counts, sides))
-    support = tuple(tuple(game.actions[p][a] for a in s.own)
-                    for p, s in zip(game.players, sides))
-    comp = Component(support, base, direction, (float(lo), float(hi)))
-    if hi - lo <= 1e-9:
-        return comp.profile_at(game, 0.5 * (lo + hi))
-    return comp
+def _solve_sides(sides, pays):
+    """For each side (own, opp, player), against the opponent payoffs
+    pays[player] on the unit view: None where its equalities are
+    inconsistent, else (x0, null, feasible), `feasible` telling whether
+    g @ x0 >= -tol where the null space is empty.
+
+    Each is, bit for bit, what one SVD of the side's equality matrix gives.
+    A side of size 1 is the screen's closed form; a side against one
+    opponent action has the matrix ones((1, p)), one SVD per p; the others
+    take one `np.linalg.svd` per matrix shape, and the per-matrix products
+    of the stack, grouped by rank, for x0, residuals and payoff edges.
+    """
+    out = [None] * len(sides)
+    shapes = {}
+    for n, (own, opp, _) in enumerate(sides):
+        shapes.setdefault((len(opp), len(own)), []).append(n)
+    for (q, p), idx in shapes.items():
+        if p == 1:
+            for n in idx:
+                out[n] = _UNIT_POINT
+        elif q == 1:
+            x0, null = _ones_side(p)
+            for n in idx:
+                out[n] = (x0, null, False)
+        else:
+            for n, side in zip(idx, _solve_stack([sides[n] for n in idx], pays)):
+                out[n] = side
+    return out
+
+
+def _by_player(sides, pays):
+    """(positions in `sides`, own array, opp array, opponent payoffs) of
+    each player's sides (own, opp, player), for the players that have
+    some."""
+    groups = []
+    for player, pay in enumerate(pays):
+        at = [n for n, side in enumerate(sides) if side[2] == player]
+        if at:
+            groups.append((at, np.array([sides[n][0] for n in at]),
+                           np.array([sides[n][1] for n in at]), pay))
+    return groups
+
+
+def _solve_stack(sides, pays):
+    """`_solve_sides` for sides of one shape, p >= 2 unknowns and q >= 2
+    equalities."""
+    out = [None] * len(sides)
+    groups = _by_player(sides, pays)
+    a = np.concatenate([_equality_matrices(*g[1:]) for g in groups])
+    u, s, vt = np.linalg.svd(a)
+    # s[:, 0] >= 1: the all-ones row has norm at least one
+    rank = np.sum(s > max(a.shape[1:]) * np.finfo(float).eps * s[:, :1], axis=1)
+    x0 = np.empty((len(a), a.shape[2]))
+    for r in np.unique(rank):
+        of = rank == r
+        w = u[of, 0, :r] / s[of, :r]
+        x0[of] = (vt[of, :r].swapaxes(1, 2) @ w[..., None])[..., 0]
+    resid = (a @ x0[..., None])[..., 0]
+    resid[:, 0] -= 1.0
+    consistent = np.max(np.abs(resid), axis=1) <= TIE_TOL
+    row = 0
+    for at, own, opp, pay in groups:
+        g, tol = _g_stack(own, opp, pay)
+        feasible = np.all((g @ x0[row:row + len(at), :, None])[..., 0] >= -tol, axis=1)
+        for n, r, ok in zip(at, range(row, row + len(at)), feasible):
+            if consistent[r]:
+                out[n] = (x0[r], vt[r, rank[r]:].T, ok)
+        row += len(at)
+    return out
+
+
+def _g_stack(own, opp, opp_payoff):
+    """(g, tol) of `_side_record` for sides (own[n], opp[n]) of one shape,
+    g stacked."""
+    n, p = own.shape
+    outside = np.ones((n, opp_payoff.shape[1]), dtype=bool)
+    outside[np.arange(n)[:, None], opp] = False
+    outside = np.nonzero(outside)[1].reshape(n, opp_payoff.shape[1] - opp.shape[1])
+    edges = (opp_payoff[own[:, :, None], opp[:, None, :1]]
+             - opp_payoff[own[:, :, None], outside[:, None, :]])
+    g = np.concatenate([np.broadcast_to(np.eye(p), (n, p, p)), edges.swapaxes(1, 2)],
+                       axis=1)
+    return g, np.repeat([1e-10, TIE_TOL], [p, outside.shape[1]])
+
+
+class _Segment(NamedTuple):
+    """A segment candidate, with the fields of the `Component` it becomes."""
+
+    support: tuple
+    base: tuple
+    direction: tuple
+    interval: tuple
+
+
+def _segment_point(base, direction, t):
+    """The vectors of the profile at t on the segment base + t * direction,
+    before normalization."""
+    return [np.clip(b + t * d, 0.0, None) for b, d in zip(base, direction)]
+
+
+def _lines(game, pays, sides, solved, lines):
+    """(segments, points): the `_Segment`s of the pairs (pair, var, fixed)
+    of `lines`, in pair order, and their hair-width ones as (pair, point
+    candidate).  var and fixed index `sides` and `solved`: the side with a
+    one-dimensional null space and the other, a feasible point.  One pass
+    on arrays per shape of the varying side.
+
+    Its null vector d, scaled to max-norm 1 with its first entry above
+    1e-12 positive, spans x0 + t d, kept where g @ (x0 + t d) >= -tol.
+    Tolerance fuzz inflates points into hair-width intervals, so the
+    interval is taken without tolerance, except on rows flat along d, which
+    cannot widen it (a zero weight that rounds to -1e-17 must not empty the
+    family).  A segment at most 1e-9 wide is the point at its middle.
+    """
+    segments, points = [], []
+    shapes = {}
+    for line in lines:
+        own, opp, player = sides[line[1]]
+        counts = game.action_counts[player], game.action_counts[1 - player]
+        shapes.setdefault((len(own), len(opp)) + counts, []).append(line)
+    for (p, q, n_var, n_fixed), group in shapes.items():
+        parts = _by_player([sides[v] for _, v, _ in group], pays)
+        group = [group[r] for part in parts for r in part[0]]
+        own, opp = (np.concatenate([part[i] for part in parts]) for i in (1, 2))
+        g, tol = zip(*(_g_stack(*part[1:]) for part in parts))
+        g, tol = np.concatenate(g), tol[0]
+        player = np.array([sides[v][2] for _, v, _ in group])
+        x0 = np.array([solved[v][0] for _, v, _ in group])
+        d = np.array([solved[v][1][:, 0] for _, v, _ in group])
+        fixed = np.array([solved[f][0] for _, _, f in group])
+        fixed_own = np.array([sides[f][0] for _, _, f in group])
+        mx = np.max(np.abs(d), axis=1)
+        live = mx > 1e-12
+        d = d / np.where(live, mx, 1.0)[:, None]
+        first = np.argmax(np.abs(d) > 1e-12, axis=1)
+        d = np.where((d[np.arange(len(d)), first] < 0)[:, None], -d, d)
+        slope = (g @ d[..., None])[..., 0]
+        at_x0 = (g @ x0[..., None])[..., 0]
+        flat = np.abs(slope) <= 1e-12
+        # the interval with the tolerance, then the zero-tolerance one
+        lo, hi, ok = _interval(np.concatenate([slope, slope]),
+                               np.concatenate([at_x0 + tol, at_x0 + np.where(flat, tol, 0.0)]),
+                               np.concatenate([flat, flat]))
+        n = len(group)
+        mid = 0.5 * (lo[:n] + hi[:n])
+        ends = _snap_zero(np.where(ok[n:], [lo[n:], hi[n:]], mid))
+        base = (_snap_zero(_embed_rows(n_var, own, x0)),
+                _snap_zero(_embed_rows(n_fixed, fixed_own, np.clip(fixed, 0, None))))
+        direction = (_snap_zero(_embed_rows(n_var, own, d)), np.zeros((n, n_fixed)))
+        for r in np.flatnonzero(live & ok[:n]):
+            pair, lo, hi = group[r][0], float(ends[0, r]), float(ends[1, r])
+            # the varying side is player[r]'s; list the sides in player order
+            order = slice(None, None, -1 if player[r] else 1)
+            base_r = (base[0][r], base[1][r])[order]
+            direction_r = (direction[0][r], direction[1][r])[order]
+            if hi - lo <= 1e-9:
+                points.append((pair, _segment_point(base_r, direction_r, 0.5 * (lo + hi))))
+            else:
+                support = tuple(tuple(game.actions[pl][a] for a in s) for pl, s in
+                                zip(game.players, (own[r], fixed_own[r])[order]))
+                segments.append((pair, _Segment(support, base_r, direction_r, (lo, hi))))
+    segments.sort(key=lambda e: e[0])
+    return [seg for _, seg in segments], points
+
+
+def _interval(slope, rhs, flat):
+    """(lo, hi, ok) per row: the t with rhs + t * slope >= 0 entrywise, ok
+    False where there are none.  Flat rows (|slope| <= 1e-12) only check
+    rhs >= 0.  An interval empty by at most 1e-12 is its middle point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = -rhs / slope
+    lo = np.max(np.where(slope > 1e-12, cut, -np.inf), axis=1, initial=-1e12)
+    hi = np.min(np.where(slope < -1e-12, cut, np.inf), axis=1, initial=1e12)
+    ok = ~np.any(flat & (rhs < 0), axis=1) & ~(lo > hi + 1e-12)
+    mid = 0.5 * (lo + hi)
+    pinch = lo > hi
+    return np.where(pinch, mid, lo), np.where(pinch, mid, hi), ok
+
+
+def _embed_rows(n, support, values):
+    """`_embed` of each row of `values` at the columns of `support`."""
+    out = np.zeros((len(values), n))
+    out[np.arange(len(values))[:, None], support] = values
+    return out
+
+
+def _nash_points(unit, candidates):
+    """For each point candidate (x, y), unnormalized: the stacked vectors
+    of its `MixedProfile`, or None where its Nash defect on the unit view
+    exceeds 1e-8; the normalization and the defect are `normalized`'s and
+    `nash_defect`'s, with the same per-candidate products."""
+    if not candidates:
+        return []
+    normed = []
+    for vecs in zip(*candidates):
+        v = np.maximum(np.array(vecs), 0.0)
+        normed.append((v / v.sum(axis=1)[:, None])[..., None])
+    defect = 0.0
+    for i in range(2):
+        # one column of utilities per candidate
+        eu = utility_vector(unit, i, normed)
+        gain = eu.max(axis=1)[:, 0] - (eu.swapaxes(1, 2) @ normed[i])[:, 0, 0]
+        defect = np.maximum(defect, gain)
+    x = np.concatenate(normed, axis=1)[..., 0]
+    return [x[r] if defect[r] <= 1e-8 else None for r in range(len(x))]
 
 
 def _enumerate_single(game):
@@ -717,7 +869,8 @@ def _enumerate_single(game):
         isolated = []
     elif len(argmax) > 2:
         # the face is the simplex over the argmax: a side with no opponent
-        face = _side(tuple(argmax), (), np.zeros((len(u), 0)))
+        face = _side_record(tuple(argmax), (), np.zeros((len(u), 0)),
+                            *_ones_side(len(argmax)))
         diags.append(
             SupportDiagnostic(
                 (tuple(argmax),), "degenerate", "argmax face of dimension >= 2",
@@ -727,44 +880,48 @@ def _enumerate_single(game):
     return EquilibriumSet(isolated, components, diags)
 
 
-def _dedupe(game, isolated, components):
-    components = _merge_components(game, components)
-    # the max-norm gap from a point to a segment's bounding box bounds its
-    # distance to the segment from below
-    boxes = []
-    for c in components:
-        ends = [np.concatenate(c.base) + t * np.concatenate(c.direction) for t in c.interval]
-        boxes.append((np.minimum(*ends), np.maximum(*ends)))
+def _dedupe(game, points, segments):
+    """(vecs of the kept points, merged segments), from the (vecs, stacked
+    profile vectors) of `points` and the `_Segment`s of `segments`, each in
+    pair order.  A point within 1e-9 of a segment, or of a point kept
+    before it, is dropped; the kept points are sorted by their profile
+    vectors and the segments by support."""
+    segments = _merge_segments(segments)
     kept = []
-    for p in isolated:
-        x = p.stacked()
-        if any(np.max(np.maximum(lo - x, x - hi)) <= 1e-9 and c.distance_to(game, p)[0] <= 1e-9
-               for c, (lo, hi) in zip(components, boxes)):
-            continue
-        if any(p.distance(q) <= 1e-9 for q in kept):
-            continue
-        kept.append(p)
-    kept.sort(key=lambda p: tuple(p.stacked()))
-    components.sort(key=lambda c: c.support)
-    return kept, components
+    if points:
+        x = np.array([y for _, y in points])
+        # the max-norm gap from a point to a segment's bounding box bounds its
+        # distance to the segment from below
+        near = np.zeros(len(x), dtype=bool)
+        for seg in segments:
+            ends = [np.concatenate(seg.base) + t * np.concatenate(seg.direction)
+                    for t in seg.interval]
+            lo, hi = np.minimum(*ends), np.maximum(*ends)
+            for n in np.flatnonzero(np.max(np.maximum(lo - x, x - hi), axis=1) <= 1e-9):
+                near[n] = near[n] or _segment_distance(game, seg, x[n])[0] <= 1e-9
+        close = (np.max(np.abs(x[:, None] - x), axis=2) <= 1e-9).tolist()
+        for n in np.flatnonzero(~near).tolist():
+            if not any(close[n][j] for j in kept):
+                kept.append(n)
+        kept.sort(key=lambda n: tuple(x[n]))
+    segments.sort(key=lambda seg: seg.support)
+    return [points[n][0] for n in kept], segments
 
 
-def _merge_components(game, components):
+def _merge_segments(segments):
     merged = []
-    for comp in components:
-        absorbed = False
+    for seg in segments:
         for i, other in enumerate(merged):
-            joined = _try_join(game, other, comp)
+            joined = _try_join(other, seg)
             if joined is not None:
                 merged[i] = joined
-                absorbed = True
                 break
-        if not absorbed:
-            merged.append(comp)
+        else:
+            merged.append(seg)
     return merged
 
 
-def _try_join(game, a, b):
+def _try_join(a, b):
     da = np.concatenate(a.direction)
     db = np.concatenate(b.direction)
     na, nb = np.linalg.norm(da), np.linalg.norm(db)
@@ -784,8 +941,7 @@ def _try_join(game, a, b):
     alo, ahi = a.interval
     if blo > ahi + 1e-9 or alo > bhi + 1e-9:
         return None
-    return Component(a.support, a.base, a.direction,
-                     (min(alo, blo), max(ahi, bhi)))
+    return a._replace(interval=(min(alo, blo), max(ahi, bhi)))
 
 
 def _project_side(target, side):

@@ -6,7 +6,7 @@ import pytest
 
 from empeq import corpus, empirical, nash, search
 from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
-from empeq.game import Game, MixedProfile
+from empeq.game import TIE_TOL, Game, MixedProfile, nash_defect, unit_view
 from empeq.nash import UnsupportedGameError, nearest_nash
 from empeq.qre import QreConvergenceError, logistic_profile, qre_fixed_point, trace_logit_path
 
@@ -78,10 +78,16 @@ def segment_grid(game, comp, points=101):
     return [(float(t), comp.profile_at(game, float(t))) for t in np.linspace(lo, hi, points)]
 
 
+# ---------------------------------------------------------------------------
+# reference enumeration: the per-pair exact decision that the array-level
+# exact stage replaced, kept self-contained so that it shares no code with
+# the stage it checks
+
+
 def per_pair_reference(game):
-    """Support enumeration without the batched screen: the exact decision
-    for every support pair, on the game's unit view, in the order
-    (|s1|, s1, |s2|, s2)."""
+    """Support enumeration without the screen or the exact stage: one
+    `_ref_side` per side of every support pair, on the game's unit view, in
+    the order (|s1|, s1, |s2|, s2)."""
     def supports(n):
         return sorted((s for r in range(1, n + 1) for s in combinations(range(n), r)),
                       key=lambda s: (len(s), s))
@@ -90,9 +96,248 @@ def per_pair_reference(game):
     m, k = game.action_counts
     for s1 in supports(m):
         for s2 in supports(k):
-            nash._solve_pair(game, s1, s2, out)
-    out.isolated, out.components = nash._dedupe(game, out.isolated, out.components)
+            _ref_solve_pair(game, s1, s2, out)
+    out.isolated, out.components = _ref_dedupe(game, out.isolated, out.components)
     return out
+
+
+def _ref_side(own, opp, opp_payoff):
+    """The `nash._Side` of actions `own` against opponent support `opp`, or
+    None when its equalities are inconsistent.
+
+    opp_payoff[own action, opponent action] is the opponent's payoff on the
+    unit view, in [0, 1].  The equalities are sum(v) = 1 and equal opponent
+    payoff across `opp`; one SVD of their matrix gives the minimum-norm
+    solution x0 and the null space.  The rows of g are v_j >= -1e-10, then
+    the payoff edge of opp[0] over each opponent action outside `opp`.
+    """
+    pay = opp_payoff[list(own)]
+    block = pay[:, list(opp)]
+    a = np.vstack([np.ones(len(own)), (block[:, :-1] - block[:, 1:]).T])
+    u, s, vt = np.linalg.svd(a)
+    # s[0] >= 1: the all-ones row has norm at least one
+    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
+    x0 = vt[:rank].T @ (u[0, :rank] / s[:rank])
+    rhs = np.zeros(len(a))
+    rhs[0] = 1.0
+    if np.max(np.abs(a @ x0 - rhs)) > TIE_TOL:
+        return None
+    outside = [b for b in range(pay.shape[1]) if b not in opp]
+    g = np.vstack([np.eye(len(own)), (block[:, :1] - pay[:, outside]).T])
+    tol = np.repeat([1e-10, TIE_TOL], [len(own), len(outside)])
+    return nash._Side(tuple(own), x0, vt[rank:].T, g, tol)
+
+
+def _ref_x0_feasible(side):
+    return bool(np.all(side.g @ side.x0 >= -side.tol))
+
+
+def _ref_proves_empty(side):
+    """True when a pair with this side holds no equilibrium: its equalities
+    are inconsistent (None), or it is a point with infeasible x0."""
+    return side is None or (not side.null.shape[1] and not _ref_x0_feasible(side))
+
+
+def _ref_interval_for(x0, d, g, tol):
+    """[lo, hi] of the t with g @ (x0 + t d) >= -tol, or None when empty."""
+    a = g @ d
+    b = g @ x0 + tol
+    flat = np.abs(a) <= 1e-12
+    if np.any(b[flat] < 0):
+        return None
+    up, down = a > 1e-12, a < -1e-12
+    lo = float(np.max(-b[up] / a[up], initial=-1e12))
+    hi = float(np.min(-b[down] / a[down], initial=1e12))
+    if lo > hi + 1e-12:
+        return None
+    if lo > hi:
+        lo = hi = 0.5 * (lo + hi)
+    return (lo, hi)
+
+
+def _ref_snap_zero(v):
+    return np.where(np.abs(v) <= 1e-15, 0.0, v)
+
+
+def _ref_embed(n, support, values):
+    v = np.zeros(n)
+    v[list(support)] = values
+    return v
+
+
+def _ref_solve_pair(game, s1, s2, out):
+    """The exact decision for the support pair (s1, s2), added to `out`.
+
+    The sides and the Nash test of a candidate are taken on the game's
+    `unit_view`; what is added is built on `game`.  A pair with a side that
+    `_ref_proves_empty`, or a one-dimensional family with no feasible point,
+    adds nothing.  Otherwise the pair adds an isolated equilibrium or a
+    segment, or a diagnostic: `degenerate` for a solution set of dimension
+    >= 2, with the side records `nearest_nash` projects onto, and
+    `incentive-violation` for a candidate point that is not Nash.
+    """
+    m, k = game.action_counts
+    unit = unit_view(game)
+    # x over s1 equalizes player 2 across s2; y over s2 equalizes player 1
+    # across s1
+    xs = _ref_side(s1, s2, unit.payoffs[..., 1])
+    if _ref_proves_empty(xs):
+        return
+    ys = _ref_side(s2, s1, unit.payoffs[..., 0].T)
+    if _ref_proves_empty(ys):
+        return
+    dim = xs.null.shape[1] + ys.null.shape[1]
+    if dim == 0:
+        prof = MixedProfile(
+            game, [_ref_embed(m, s1, np.clip(xs.x0, 0, None)),
+                   _ref_embed(k, s2, np.clip(ys.x0, 0, None))]
+        )
+        if nash_defect(unit, prof) <= 1e-8:
+            out.isolated.append(prof)
+        else:
+            out.diagnostics.append(
+                nash.SupportDiagnostic((s1, s2), "incentive-violation")
+            )
+    elif dim == 1:
+        comp = _ref_one_dim_component(game, xs, ys)
+        if isinstance(comp, MixedProfile):
+            if nash_defect(unit, comp) <= 1e-8:
+                out.isolated.append(comp)
+        elif comp is not None:
+            out.components.append(comp)
+    else:
+        out.diagnostics.append(
+            nash.SupportDiagnostic(
+                (s1, s2),
+                "degenerate",
+                f"solution set of dimension {dim} not traced",
+                sides=(xs, ys),
+            )
+        )
+
+
+def _ref_profile_at(game, comp, t):
+    vecs = [np.clip(b + t * d, 0.0, None) for b, d in zip(comp.base, comp.direction)]
+    return MixedProfile(game, vecs)
+
+
+def _ref_one_dim_component(game, xs, ys):
+    """Segment of a support pair with one free dimension: a `Component`, a
+    single `MixedProfile` when the segment has width <= 1e-9, or None.  The
+    fixed side is a point with feasible x0."""
+    var = xs if xs.null.shape[1] == 1 else ys
+    d = var.null[:, 0]
+    mx = np.max(np.abs(d))
+    if mx <= 1e-12:
+        return None
+    d = d / mx
+    if d[np.flatnonzero(np.abs(d) > 1e-12)[0]] < 0:
+        d = -d
+    span = _ref_interval_for(var.x0, d, var.g, var.tol)
+    if span is None:
+        return None
+    # tolerance fuzz inflates point solutions into hair-width intervals;
+    # the zero-tolerance geometry decides point vs genuine component.  Rows
+    # flat along d cannot widen the interval, so they keep their tolerance
+    # (a zero weight that rounds to -1e-17 must not empty the family)
+    flat = np.abs(var.g @ d) <= 1e-12
+    exact = _ref_interval_for(var.x0, d, var.g, np.where(flat, var.tol, 0.0))
+    if exact is None:
+        mid = 0.5 * (span[0] + span[1])
+        exact = (mid, mid)
+    lo, hi = _ref_snap_zero(np.array(exact))
+    sides = (xs, ys)
+    base = tuple(
+        _ref_snap_zero(_ref_embed(n, s.own, s.x0 if s is var else np.clip(s.x0, 0, None)))
+        for n, s in zip(game.action_counts, sides)
+    )
+    direction = tuple(_ref_snap_zero(_ref_embed(n, s.own, d if s is var else 0.0))
+                      for n, s in zip(game.action_counts, sides))
+    support = tuple(tuple(game.actions[p][a] for a in s.own)
+                    for p, s in zip(game.players, sides))
+    comp = nash.Component(support, base, direction, (float(lo), float(hi)))
+    if hi - lo <= 1e-9:
+        return _ref_profile_at(game, comp, 0.5 * (lo + hi))
+    return comp
+
+
+def _ref_distance_to(game, comp, profile):
+    """(distance, t): max-norm distance from `profile` to the component and
+    the smallest t in the interval attaining it."""
+    a = np.concatenate(comp.base) - profile.stacked()
+    b = np.concatenate(comp.direction)
+    alpha, beta = np.concatenate([a, -a]), np.concatenate([b, -b])
+    i, j = np.triu_indices(len(alpha), 1)
+    slope = beta[i] - beta[j]
+    crossing = slope != 0
+    cross = (alpha[j] - alpha[i])[crossing] / slope[crossing]
+    lo, hi = comp.interval
+    ts = np.concatenate([[lo, hi], cross[(cross > lo) & (cross < hi)]])
+    vals = np.max(np.abs(a + ts[:, None] * b), axis=1)
+    t = float(np.min(ts[vals <= vals.min() + 1e-14]))
+    return _ref_profile_at(game, comp, t).distance(profile), t
+
+
+def _ref_dedupe(game, isolated, components):
+    components = _ref_merge_components(game, components)
+    # the max-norm gap from a point to a segment's bounding box bounds its
+    # distance to the segment from below
+    boxes = []
+    for c in components:
+        ends = [np.concatenate(c.base) + t * np.concatenate(c.direction) for t in c.interval]
+        boxes.append((np.minimum(*ends), np.maximum(*ends)))
+    kept = []
+    for p in isolated:
+        x = p.stacked()
+        if any(np.max(np.maximum(lo - x, x - hi)) <= 1e-9
+               and _ref_distance_to(game, c, p)[0] <= 1e-9
+               for c, (lo, hi) in zip(components, boxes)):
+            continue
+        if any(p.distance(q) <= 1e-9 for q in kept):
+            continue
+        kept.append(p)
+    kept.sort(key=lambda p: tuple(p.stacked()))
+    components.sort(key=lambda c: c.support)
+    return kept, components
+
+
+def _ref_merge_components(game, components):
+    merged = []
+    for comp in components:
+        absorbed = False
+        for i, other in enumerate(merged):
+            joined = _ref_try_join(game, other, comp)
+            if joined is not None:
+                merged[i] = joined
+                absorbed = True
+                break
+        if not absorbed:
+            merged.append(comp)
+    return merged
+
+
+def _ref_try_join(game, a, b):
+    da = np.concatenate(a.direction)
+    db = np.concatenate(b.direction)
+    na, nb = np.linalg.norm(da), np.linalg.norm(db)
+    if na == 0 or nb == 0:
+        return None
+    cos = float(da @ db) / (na * nb)
+    if abs(abs(cos) - 1.0) > 1e-9:
+        return None
+    delta = np.concatenate(b.base) - np.concatenate(a.base)
+    # offset of b's base along a's line; must lie on the line
+    t0 = float(delta @ da) / (na * na)
+    if np.max(np.abs(delta - t0 * da)) > 1e-9:
+        return None
+    sgn = 1.0 if cos > 0 else -1.0
+    ratio = nb / na * sgn
+    blo, bhi = sorted((t0 + b.interval[0] * ratio, t0 + b.interval[1] * ratio))
+    alo, ahi = a.interval
+    if blo > ahi + 1e-9 or alo > bhi + 1e-9:
+        return None
+    return nash.Component(a.support, a.base, a.direction,
+                          (min(alo, blo), max(ahi, bhi)))
 
 
 def integer_game(rng, shape):

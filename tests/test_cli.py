@@ -66,6 +66,30 @@ def test_unknown_corpus_name_is_input_error():
     assert "unknown corpus game" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nash", "--corpus", "gamma1", "--c1", "5"],
+    ["empirical", "--corpus", "psi", "--c2", "1"],
+    ["corpus", "emit", "phi", "--c1", "1", "--c2", "2"],
+    ["nash", "--game", "{path}", "--c1", "1", "--c2", "2"],
+])
+def test_costs_for_games_other_than_gamma2c_are_input_errors(argv, tmp_path):
+    path = tmp_path / "g.json"
+    corpus.gamma1().to_file(path)
+    code, out, err = _run([a.format(path=path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "apply to gamma2c only" in err
+
+
+def test_game_file_and_corpus_name_are_exclusive(tmp_path):
+    path = tmp_path / "g.json"
+    corpus.gamma1().to_file(path)
+    code, out, err = _run(["nash", "--game", str(path), "--corpus", "psi"])
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_missing_game_file_is_input_error(tmp_path):
     code, out, err = _run(["nash", "--game", str(tmp_path / "missing.json")])
     assert code == 2

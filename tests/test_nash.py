@@ -21,6 +21,9 @@ from empeq.nash import (
 )
 
 from conftest import (
+    _ref_proves_empty,
+    _ref_side,
+    _ref_x0_feasible,
     corpus_games,
     integer_game,
     integer_games,
@@ -628,6 +631,26 @@ def _near_degenerate_games(shifts):
     return out
 
 
+def _assert_identical_equilibria(got, ref):
+    """The same `EquilibriumSet`, bit for bit: diagnostics with their
+    `_Side` records, points, supports, bases, directions and interval
+    ends."""
+    assert ([(d.support, d.status, d.detail) for d in got.diagnostics]
+            == [(d.support, d.status, d.detail) for d in ref.diagnostics])
+    for d, r in zip(got.diagnostics, ref.diagnostics):
+        assert len(d.sides) == len(r.sides)
+        for side, ref_side in zip(d.sides, r.sides):
+            _assert_same_side(side, ref_side)
+    assert len(got.isolated) == len(ref.isolated)
+    for p, q in zip(got.isolated, ref.isolated):
+        assert all(np.array_equal(u, v) for u, v in zip(p.vectors, q.vectors))
+    assert [c.support for c in got.components] == [c.support for c in ref.components]
+    for c, r in zip(got.components, ref.components):
+        assert c.interval == r.interval
+        for u, v in zip(c.base + c.direction, r.base + r.direction):
+            assert np.array_equal(u, v)
+
+
 def test_enumeration_matches_per_pair_reference():
     rng = np.random.default_rng(4)
     games = [random_game(rng, (n, n)) for n in (4, 4, 4, 5, 5, 6, 6)]
@@ -654,15 +677,18 @@ def test_enumeration_matches_per_pair_reference():
     # (pairs turn inconsistent, some certified and some only on the exact
     # path)
     games += _near_degenerate_games((0.0, 1e-13, 1e-10, 1e-8))
+    # the paper's Gamma2(c) family at seeded costs, as the benchmark draws it
+    costs = np.random.default_rng(5).uniform(0.1, 3.0, size=(60, 2))
+    games += [corpus.gamma2c(c1, c2) for c1, c2 in costs]
     for g in games:
-        _assert_same_equilibria(enumerate_nash(g), per_pair_reference(g))
+        _assert_identical_equilibria(enumerate_nash(g), per_pair_reference(g))
     # a side that is a point with infeasible x0 empties its pair's face, so
     # no `degenerate` diagnostic may hold one; 191 of the 400 games keep a
     # face of dimension >= 2
     with_face = 0
     for g in integer_games(400):
         faces = [d for d in enumerate_nash(g).diagnostics if d.status == "degenerate"]
-        assert all(s.null.shape[1] or s.x0_feasible for d in faces for s in d.sides)
+        assert all(s.null.shape[1] or _ref_x0_feasible(s) for d in faces for s in d.sides)
         with_face += bool(faces)
     assert with_face == 191
 
@@ -730,33 +756,52 @@ def test_inconsistency_certificate_is_sound():
             fired += int(cert.sum())
             opps = nash._flat_supports(opp_classes)
             for r, c in zip(*np.nonzero(cert)):
-                assert nash._side(tuple(own[r]), opps[c], opp_payoff) is None
+                assert _ref_side(tuple(own[r]), opps[c], opp_payoff) is None
             # every unbalanced pair of a uniform game is certified
             if any(g is u for u in uniform):
                 assert cert.all()
     assert fired > 10000
 
 
-def test_single_sides_are_sound():
-    # wherever the closed form drops a side of size 1, `_side` must return
-    # None or a point with infeasible x0; the screens see the unit view
+def _assert_same_side(got, ref):
+    """The same `_Side` record, bit for bit."""
+    assert got.own == ref.own
+    for name in ("x0", "null", "g", "tol"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+def test_single_sides_closed_form_is_exact():
+    # a side of size 1 is consistent iff its payoff differences are within
+    # TIE_TOL, and then the SVD's x0 is exactly [1.0]: the closed form gives
+    # `_side`'s record bit for bit, and the screen keeps it iff x0 is
+    # feasible; the screens see the unit view
     rng = np.random.default_rng(7)
-    games = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
-    games += [integer_game(rng, shape) for shape in ((3, 5), (5, 3))]
-    games += integer_games(400)
-    games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
-    dropped = 0
+    games = integer_games(400)
+    games += _near_degenerate_games((0.0, 1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    for scale in (1.0, 1e-150, 1e150):
+        games += [random_game(rng, (n, n), 0.0, scale) for n in (4, 5, 6)]
+    sides = consistent = 0
     for g in games:
         u = unit_view(g)
         m, k = g.action_counts
         for pay, n_opp in ((u.payoffs[..., 1], k), (u.payoffs[..., 0].T, m)):
             classes = nash._support_classes(n_opp)
-            keep = nash._single_sides(pay, classes)
+            closed, feasible = nash._single_sides(pay, classes)
             opps = nash._flat_supports(classes)
-            for a, c in zip(*np.nonzero(~keep)):
-                assert nash._proves_empty(nash._side((a,), opps[c], pay))
-            dropped += int((~keep).sum())
-    assert dropped > 15000
+            for a in range(len(pay)):
+                for c, opp in enumerate(opps):
+                    ref = _ref_side((a,), opp, pay)
+                    sides += 1
+                    if ref is None:
+                        assert not closed[a, c]
+                        continue
+                    consistent += 1
+                    assert closed[a, c]
+                    _assert_same_side(
+                        nash._side_record((a,), opp, pay, *nash._UNIT_POINT[:2]), ref)
+                    assert feasible[a, c] == _ref_x0_feasible(ref)
+    assert sides > 25000 and 0 < consistent < sides
 
 
 def _square_sides(game):
@@ -788,8 +833,8 @@ def test_lu_screen_is_sound():
                 infeasible = nash._lu_screen(a, logdet, (own, opp, opp_payoff))
                 dropped += int(infeasible.sum())
                 for n in np.flatnonzero(infeasible):
-                    assert nash._proves_empty(
-                        nash._side(tuple(own[n]), tuple(opp[n]), opp_payoff))
+                    assert _ref_proves_empty(
+                        _ref_side(tuple(own[n]), tuple(opp[n]), opp_payoff))
                 # the LAPACK property the stage relies on
                 p = a.shape[-1]
                 low, frob = nash._square_floor(a, logdet)
@@ -802,11 +847,15 @@ def test_lu_screen_is_sound():
 def test_only_balanced_pairs_reach_the_svd(monkeypatch, shape):
     # every unbalanced pair of a generic game is certified inconsistent and
     # every square side is decided by its LU factors, so the screen takes no
-    # SVD, and the exact path factors square equality matrices only
+    # SVD, and the exact stage factors square equality matrices only, one
+    # stacks of one shape; pure pairs need no SVD
     game = random_game(np.random.default_rng(6), shape, 0.0, 1.0)
     calls = _svd_calls(monkeypatch, enumerate_nash, game)
-    assert calls
-    assert all(a.ndim == 2 and a.shape[0] == a.shape[1] for a, *_ in calls)
+    assert all(a.shape[-1] == a.shape[-2] for a, *_ in calls)
+    assert len({a.shape[1:] for a, *_ in calls}) == len(calls)
+    mixed = [p for p in enumerate_nash(game).isolated
+             if max(np.count_nonzero(v) for v in p.vectors) > 1]
+    assert bool(calls) == bool(mixed)
 
 
 @pytest.mark.parametrize("factor", [1.0, 1e-150, 1e150])
@@ -816,13 +865,13 @@ def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, n, fact
     # still be tight enough to decide every pair but the equilibria, at every
     # payoff scale
     pairs = []
-    solve = nash._solve_pair
+    decide = nash._exact_stage
 
-    def record(game, s1, s2, out):
-        pairs.append((s1, s2))
-        solve(game, s1, s2, out)
+    def record(game, unit, open_pairs):
+        pairs.extend(open_pairs)
+        return decide(game, unit, open_pairs)
 
-    monkeypatch.setattr(nash, "_solve_pair", record)
+    monkeypatch.setattr(nash, "_exact_stage", record)
     for seed in range(3):
         g = random_game(np.random.default_rng(seed), (n, n), 0.0, 1.0)
         pairs.clear()
@@ -838,10 +887,15 @@ def test_empirical_does_no_label_work(monkeypatch):
     # balanced first sides in one LU stack, together with the D blocks of
     # its unbalanced pairs, and the 36 pure pairs need no factorization.  A
     # pair whose first side is an infeasible point never has its second
-    # side factored: fewer second sides than first sides reach the LU
+    # side factored: fewer second sides than first sides reach the LU.  The
+    # exact stage takes one SVD stack per support size of the open mixed
+    # pairs, both sides of each pair in it, and none for the pure pairs
     game = random_game(np.random.default_rng(0), (6, 6), 0.0, 1.0)
     calls = _lapack_calls(monkeypatch, enumerate_empirical, game)
-    assert all(a.ndim == 2 for name, a, _ in calls if name == "svd")
+    eq = enumerate_nash(game)
+    sizes = sorted(len(np.flatnonzero(p.vectors[0])) for p in eq.isolated)
+    assert sizes == [1, 1, 2, 2, 3]
+    assert [a.shape for name, a, _ in calls if name == "svd"] == [(4, 2, 2), (2, 3, 3)]
     classes = nash._support_classes(6)
     first = second = 0
     for p in range(2, 7):
@@ -852,8 +906,6 @@ def test_empirical_does_no_label_work(monkeypatch):
         second += sum(stacks[1:])
     assert first == 923 - 36
     assert second < first / 10
-    eq = enumerate_nash(game)
-    assert len(eq.isolated) == 5
     assert eq.components == eq.diagnostics == []
 
 
