@@ -4,7 +4,10 @@ All predicates are pure functions over immutable inputs.  Strictness at
 exact equality resolves as "not greater": `x` beats `y` only when
 ``x > y + tol``.  The default `tol` is `game.TIE_TOL`, applied to the game
 a predicate is given: the membership engine gives them the unit view, the
-CLI the caller's game (see `game.unit_view` for the tie rule).
+CLI the caller's game (see `game.unit_view` for the tie rule).  `tol` must
+be finite and >= 0; the predicates and `sample_monotone_region` raise
+ValueError otherwise, since a negative or NaN tolerance turns every tie
+and every verdict into an artifact of the input.
 """
 
 from __future__ import annotations
@@ -99,12 +102,18 @@ def _violation(game, p, sig, eu, a, b, note):
     )
 
 
+def _check_tol(tol):
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol:g}")
+
+
 def is_weakly_payoff_monotone(game, profile, tol=TIE_TOL):
     """Strictly-more-played actions must earn strictly more.
 
     Probability ties impose nothing; a pair violates when the probability
     gap exceeds `tol` but the utility gap does not.
     """
+    _check_tol(tol)
     note = "played strictly more without strictly higher payoff"
     bad = [
         _violation(game, p, sig, eu, a, b, note)
@@ -123,6 +132,7 @@ def is_payoff_monotone(game, profile, tol=TIE_TOL):
     exactly: sharper quantal responses legitimately separate actions by far
     less than tol, so the direction of the gap decides, not its size.
     """
+    _check_tol(tol)
     bad = []
     for p, sig, eu, pairs in _marked_pairs(
             game, profile, lambda s, u: strict_violations(s, u, tol)):
@@ -140,6 +150,7 @@ def is_payoff_monotone(game, profile, tol=TIE_TOL):
 
 def is_m_weakly_payoff_monotone(game, profile, m, tol=TIE_TOL):
     """Weakly-better actions keep at least fraction `m` of the worse one's mass."""
+    _check_tol(tol)
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
     note = f"sigma(a) < {m} * sigma(b) despite weakly higher payoff"
@@ -161,6 +172,7 @@ def sample_monotone_region(game, resolution, kind="weak", tol=TIE_TOL):
     probabilities and utilities are those of the `MixedProfile` at its
     coordinates, bit for bit.
     """
+    _check_tol(tol)
     if any(k != 2 for k in game.action_counts):
         raise ValueError("region sampling requires exactly 2 actions per player")
     resolution = int(resolution)

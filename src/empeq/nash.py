@@ -18,39 +18,54 @@ isolated candidate, one free dimension a segment (`Component`), and larger
 solution sets a `degenerate` diagnostic that keeps its side records, so
 `nearest_nash` projects onto the face with one LP per side.
 
-A pair is proven empty when one of its sides has inconsistent equalities
-or is a point with infeasible x0.  Most pairs of a generic game are, so
-enumeration screens the pairs by the size p of their smaller support, in
-three stages, and a pair drops at the first stage that proves it empty:
-- Closed form (p = 1), with no LAPACK call.  A side of size 1 has the
-  equality x0 = 1, so the payoff table decides whether it is consistent
-  and feasible, in pure pairs and pairs (1, q) alike, exactly as its SVD
-  would (`_single_sides`).  The other side of a pair (1, q >= 2) is one
-  equality over q unknowns and never proves the pair empty.
+A pair holds nothing when one of its sides has inconsistent equalities, is
+a point with infeasible x0, or is a line or face with no feasible point.
+Most pairs of a generic game do, so enumeration screens the pairs in four
+stages, and a pair drops at the first stage that proves it empty:
+- Dominance (every pair), with no LAPACK call.  An action of one player
+  is beaten against a support S of the other where another action of its
+  player earns more than mu = 3e-8 against every action of S, on the unit
+  view.  A pair whose support holds an action beaten against the other
+  support is empty (conditional strict dominance, Porter, Nudelman &
+  Shoham, GEB 2008): every y over S that meets the side's rows within
+  their tolerances would give the beaten action a deficit both above mu -
+  q 1e-10 and below p TIE_TOL, a contradiction once mu exceeds 20
+  (TIE_TOL + 1e-10) + 20 (1e-10 + 1e-10) = 2.6e-8 for supports of at most
+  20 actions (the pair cap), with 1e-10 for rounding (`_undominated`).
+  One bitmask per support and player decides every pair.
+- Closed form (p = 1, with p the size of the smaller support), with no
+  LAPACK call.  A side of size 1 has the equality x0 = 1, so the payoff
+  table decides whether it is consistent and feasible, in pure pairs and
+  pairs (1, q) alike, exactly as its SVD would (`_single_sides`).  The
+  other side of a pair (1, q >= 2) is one equality over q unknowns and
+  never proves the pair empty.
 - Certificate (p >= 2).  One `slogdet` per size factors every p x p matrix
-  the size needs.  In an unbalanced pair (|s1| != |s2|) the side of the
-  smaller support has more equalities than unknowns.  A lower bound on the
-  residual of any solution the exact solve could compute, from the
-  determinant of a p x p block, proves that side inconsistent on most such
-  pairs.  This is the balance condition of Porter, Nudelman & Shoham (GEB
-  2008), applied pair by pair, so degenerate games keep their unbalanced
-  equilibria.
-- LU decision (p >= 2).  On a balanced pair's square first side, the
-  determinant and the Frobenius norm bound the smallest singular value from
-  below.  Where that bound clears the exact solve's rank cut, one stacked
-  `solve` gives a point close enough to any x0 the exact solve could accept
-  to prove x0 infeasible by a margin.  The second side of each surviving
-  pair is decided the same way.
-A dropped pair would be found empty by the exact solve as well.  The pairs
-left open (unbalanced pairs without a certificate, singular, ill-conditioned
-or near-margin square sides, and the pairs that hold equilibria) go to one
-exact stage, `_exact_stage`, which decides them all on arrays and builds
-`MixedProfile`s and `Component`s only for what it returns.  Its result is
-bit for bit that of one SVD per side and one decision per pair (the tests'
-reference enumeration): x0, null spaces, residuals and payoff edges are the
-same per-matrix products, so printed interval ends do not move.
-Diagnostics report only the pairs that may hold equilibria but gave none:
-`degenerate` faces of dimension >= 2 and isolated candidates with an
+  the size needs among the undominated pairs.  In an unbalanced pair
+  (|s1| != |s2|) the side of the smaller support has more equalities than
+  unknowns.  A lower bound on the residual of any solution the exact solve
+  could compute, from the determinant of a p x p block, proves that side
+  inconsistent on most such pairs.  This is the balance condition of
+  Porter, Nudelman & Shoham, applied pair by pair, so degenerate games
+  keep their unbalanced equilibria.
+- LU decision (p >= 2).  On an undominated balanced pair's square first
+  side, the determinant and the Frobenius norm bound the smallest singular
+  value from below.  Where that bound clears the exact solve's rank cut,
+  one stacked `solve` gives a point close enough to any x0 the exact solve
+  could accept to prove x0 infeasible by a margin.  The second side of each
+  surviving pair is decided the same way.
+A dropped pair would give the exact solve no point and no segment: the
+last three stages drop only pairs it finds empty, and a pair dropped by
+dominance is at most a face of dimension >= 2 with no feasible point.  The
+pairs left open (unbalanced pairs without a certificate, singular,
+ill-conditioned or near-margin square sides, and the pairs that hold
+equilibria) go to one exact stage, `_exact_stage`, which decides them all
+on arrays and builds `MixedProfile`s and `Component`s only for what it
+returns.  Its result is bit for bit that of one SVD per side and one
+decision per pair (the tests' reference enumeration): x0, null spaces,
+residuals and payoff edges are the same per-matrix products, so printed
+interval ends do not move.  Diagnostics report only the pairs that may
+hold equilibria but gave none: `degenerate` faces of dimension >= 2 that
+dominance does not prove empty, and isolated candidates with an
 `incentive-violation`.
 
 The max-norm distance from a profile to a segment is convex and piecewise
@@ -82,7 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -216,6 +231,9 @@ def decide_segment(game, comp, decide, passes, m=1.0):
 
 @dataclass
 class SupportDiagnostic:
+    """A support pair that may hold equilibria but gave none.  A face that
+    the dominance stage proves empty gets no diagnostic."""
+
     support: tuple
     status: str
     detail: str = ""
@@ -227,7 +245,9 @@ class SupportDiagnostic:
 class EquilibriumSet:
     """The isolated equilibria and components of a game, and a diagnostic
     for each support pair that may hold equilibria but gave neither: an
-    untraced `degenerate` face or an `incentive-violation`."""
+    untraced `degenerate` face or an `incentive-violation`.  A face whose
+    support holds a beaten action (the dominance stage) is proved empty
+    and gets none."""
 
     isolated: list
     components: list
@@ -333,10 +353,11 @@ def _screen_pairs(unit, classes1, classes2):
 
     `unit` is the game's unit view.  The pairs are screened by the size p
     of their smaller support; the stages are listed in the module
-    docstring.  For each p >= 2 one `slogdet` factors every p x p matrix
-    the size needs: the D blocks of `_certified_inconsistent` for the
-    unbalanced pairs, and the equality matrix of each balanced pair's first
-    side (player 2's, y).
+    docstring.  The pairs whose supports hold a beaten action
+    (`_undominated`) are dropped first.  For each p >= 2 one `slogdet` then
+    factors every p x p matrix the size needs among the pairs still alive:
+    the D blocks of `_certified_inconsistent` for the unbalanced pairs, and
+    the equality matrix of each balanced pair's first side (player 2's, y).
     """
     a_t, b = unit.payoffs[..., 0].T, unit.payoffs[..., 1]
     m, k = len(classes1), len(classes2)
@@ -348,37 +369,103 @@ def _screen_pairs(unit, classes1, classes2):
     # consistent and never a point
     single1 = np.logical_and(*_single_sides(b, classes2))
     single2 = np.logical_and(*_single_sides(a_t, classes1)).T
-    may_hold[:m] = single1
-    may_hold[m:, :k] = single2[m:]
+    alive = _undominated(a_t.T, b.T, classes1, classes2)
+    may_hold[:m] = single1 & alive[:m]
+    may_hold[m:, :k] = single2[m:] & alive[m:, :k]
     may_hold[:m, :k] &= single2[:m]
     for p in range(2, min(m, k) + 1):
         own1, own2 = classes1[p - 1], classes2[p - 1]
-        # the pairs of player 1's size-p supports with player 2's larger ones,
-        # and of player 2's size-p supports with player 1's larger ones
-        dx = _d_blocks(own1, classes2[p:], b)
-        dy = _d_blocks(own2, classes1[p:], a_t)
-        i, j = np.divmod(np.arange(len(own1) * len(own2)), len(own2))
-        first = (own2[j], own1[i], a_t)
-        a = _equality_matrices(*first)
-        mats = [dx.reshape(-1, p, p), dy.reshape(-1, p, p), a]
-        logdet = np.split(np.linalg.slogdet(np.concatenate(mats))[1],
-                          np.cumsum([len(x) for x in mats[:-1]]))
         rows = slice(start1[p - 1], start1[p])
         cols = slice(start2[p - 1], start2[p])
-        for view, d, log_d, opp_classes in (
-                (may_hold[rows, start2[p]:], dx, logdet[0], classes2[p:]),
-                (may_hold.T[cols, start1[p]:], dy, logdet[1], classes1[p:])):
-            q = np.repeat([c.shape[1] for c in opp_classes],
-                          [len(c) for c in opp_classes])
-            view[:] = ~_certified_inconsistent(d, log_d.reshape(d.shape[:2]), q)
-        keep = ~_lu_screen(a, logdet[2], first)
+        # the undominated pairs of player 1's size-p supports with player 2's
+        # larger ones, of player 2's size-p supports with player 1's larger
+        # ones, and of the two players' size-p supports
+        x_at = np.nonzero(alive[rows, start2[p]:])
+        y_at = np.nonzero(alive.T[cols, start1[p]:])
+        i, j = np.nonzero(alive[rows, cols])
+        if not (len(x_at[0]) or len(y_at[0]) or len(i)):
+            continue
+        unbalanced = []
+        for view, at, own, opp_classes, pay in (
+                (may_hold[rows, start2[p]:], x_at, own1, classes2[p:], b),
+                (may_hold.T[cols, start1[p]:], y_at, own2, classes1[p:], a_t)):
+            head = np.concatenate([c[:, :p + 1] for c in opp_classes]
+                                  or [np.zeros((0, p + 1), dtype=int)])
+            q = np.repeat([c.shape[1] for c in opp_classes], [len(c) for c in opp_classes])
+            unbalanced.append((view, at, q[at[1]], _d_blocks(own[at[0]], head[at[1]], pay)))
+        first = (own2[j], own1[i], a_t)
+        mats = [d for *_, d in unbalanced] + [_equality_matrices(*first)]
+        logdet = np.linalg.slogdet(np.concatenate(mats))[1]
+        ends = list(accumulate(len(x) for x in mats))
+        for (view, at, q, d), lo, hi in zip(unbalanced, [0] + ends, ends):
+            if len(d):
+                view[at] = ~_certified_inconsistent(d, logdet[lo:hi], q)
+        keep = ~_lu_screen(mats[2], logdet[ends[1]:], first)
         live = np.flatnonzero(keep)
         if live.size:
             second = (own1[i[live]], own2[j[live]], b)
             a = _equality_matrices(*second)
             keep[live] = ~_lu_screen(a, np.linalg.slogdet(a)[1], second)
-        may_hold[rows, cols] = keep.reshape(len(own1), len(own2))
+        may_hold[rows, cols][i, j] = keep
     return may_hold
+
+
+# an action is beaten against an opponent support where another action of
+# its player earns more than this against every action of the support, on
+# the unit view; the margin is derived in `_undominated`
+_BEATEN = 3e-8
+
+
+def _undominated(a, b, classes1, classes2):
+    """A boolean mask over every support pair, as `_screen_pairs` returns
+    it: False where one support holds an action that is beaten against the
+    other (conditional strict dominance, Porter, Nudelman & Shoham, GEB
+    2008).  a[i, j] and b[j, i] are player 1's and player 2's payoffs on
+    the unit view at actions i of player 1 and j of player 2.
+
+    Why a beaten action empties its pair.  Let i in s1 be beaten by i'
+    against s2 (p = |s1|, q = |s2|): the computed a[i', j] - a[i, j]
+    exceeds mu = _BEATEN for every j in s2, so its exact value d_j exceeds
+    mu (1 - u), with u the unit roundoff.  Take any y over s2 that the exact
+    stage could accept on the pair's y side (the side over s2 that makes
+    player 1 indifferent across s1).  Its rows hold within their
+    tolerances plus r: sum(y) >= 1 - TIE_TOL - r, each consecutive equality
+    within TIE_TOL + r, y_j >= -1e-10 - r, and each payoff edge of s1[0]
+    over an action outside s1 >= -TIE_TOL - r.  Then
+        E = sum_j y_j d_j >= mu (1 - u) (1 - TIE_TOL - r) - q (1e-10 + r),
+    as d_j <= 1 on the unit view, while the equalities between i and i'
+    (at most p - 1 of them, telescoped), or those between i and s1[0] and
+    the edge over i' when i' is outside s1, give E <= p (TIE_TOL + r).
+    Under the pair cap p, q <= 20, so r <= 1e-10 makes the two bounds
+    contradict each other once mu > (20 (TIE_TOL + r) + 20 (1e-10 + r))
+    / (1 - 2e-9) = 2.6e-8, and _BEATEN = 3e-8 clears that.  So the y side
+    is inconsistent, an infeasible point, or a line or face with no
+    feasible point, and the pair holds nothing; the same holds for a
+    beaten j in s2 and the x side.
+    The allowance r.  Rounding the side's products of at most 20 terms,
+    entries at most 1 in size, costs below 1e-13.  On a line x0 + t d
+    (`_lines`, d of max-norm 1) the null vector d meets the equalities
+    within the exact solve's rank cut, below 2e-13; `_interval` keeps an
+    interval empty by at most 1e-12 in t, and checks rows with |slope| <=
+    1e-12 at t = 0 only.  Together these move a row by at most 1e-12 (q +
+    |t|).  d is orthogonal to the minimum-norm x0, so |x0|_2 <= |y|_2 <= 1
+    + O(q r); the entry of d of size 1 and one of the opposite sign (d
+    sums to zero up to rounding, so one has size >= 1 / 19) then bound |t|
+    by 19 (|x0|_inf + 1e-10) < 20, and r < 1e-12 (20 + 20) + 1e-13 < 1e-10.
+    """
+    bits1, bits2 = (np.concatenate([(1 << c).sum(axis=1) for c in classes])
+                    for classes in (classes1, classes2))
+
+    def beaten(pay, opp_bits):
+        # beats[i', i]: the opponent actions against which i' earns more
+        # than _BEATEN over i, as a bitmask; i is beaten against a support
+        # inside it
+        beats = (pay[:, None, :] - pay[None, :, :] > _BEATEN) @ (1 << np.arange(pay.shape[1]))
+        inside = (opp_bits & ~beats[..., None]) == 0  # [i', i, opponent support]
+        return (1 << np.arange(len(pay))) @ inside.any(axis=0)
+
+    return (((bits1[:, None] & beaten(a, bits2)) == 0)
+            & ((beaten(b, bits1)[:, None] & bits2) == 0))
 
 
 def _single_sides(pay, opp_classes):
@@ -414,16 +501,13 @@ def _single_sides(pay, opp_classes):
     return spread <= TIE_TOL, gap >= -TIE_TOL
 
 
-def _d_blocks(own, opp_classes, opp_payoff):
+def _d_blocks(own, head, opp_payoff):
     """The D blocks of `_certified_inconsistent` (transposed, rounded as
-    the exact solve rounds its equality matrix) of every pair of a support in `own`
-    (size p) with an opponent support in `opp_classes` (sizes > p), in
-    class order: shape (len(own), opponent supports, p, p).  A block reads
-    only the first p + 1 actions of the opponent support."""
-    p = own.shape[1]
-    head = np.concatenate([c[:, :p + 1] for c in opp_classes]
-                          or [np.zeros((0, p + 1), dtype=int)])
-    block = opp_payoff[own[:, None, :, None], head[None, :, None, :]]
+    the exact solve rounds its equality matrix) of the pairs of a support
+    own[n] (size p) with an opponent support of size > p whose first p + 1
+    actions are head[n]: shape (n, p, p).  A block reads only those
+    actions."""
+    block = opp_payoff[own[:, :, None], head[:, None, :]]
     return block[..., :-1] - block[..., 1:]
 
 

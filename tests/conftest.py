@@ -138,6 +138,31 @@ def _ref_proves_empty(side):
     return side is None or (not side.null.shape[1] and not _ref_x0_feasible(side))
 
 
+def face_proved_empty(side):
+    """True when an LP over the side record proves that no v = x0 + null @ z
+    meets g @ v >= -tol: the largest s with g @ v + tol >= s entrywise (s
+    at most 1) is negative."""
+    r = side.null.shape[1]
+    a = np.hstack([-(side.g @ side.null), np.ones((len(side.g), 1))])
+    rhs = side.g @ side.x0 + side.tol
+    cost = np.zeros(r + 1)
+    cost[-1] = -1.0
+    ub = np.full(r + 1, np.inf)
+    ub[-1] = 1.0
+    x = search.solve_lp(cost, a, len(rhs), rhs, np.full(r + 1, -np.inf), ub)
+    return x is not None and x[-1] < 0
+
+
+def without_dropped_faces(listed, ref):
+    """`ref` without the `degenerate` diagnostics whose support is not in
+    `listed` and that `face_proved_empty` proves empty on one side; the rest
+    of `ref` is kept as it is."""
+    keep = [d for d in ref.diagnostics
+            if d.support in listed or d.status != "degenerate"
+            or not any(face_proved_empty(s) for s in d.sides)]
+    return nash.EquilibriumSet(ref.isolated, ref.components, keep)
+
+
 def _ref_interval_for(x0, d, g, tol):
     """[lo, hi] of the t with g @ (x0 + t d) >= -tol, or None when empty."""
     a = g @ d

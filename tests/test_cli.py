@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import empeq
-from empeq import cli, corpus
+from empeq import cli, corpus, nash
 from empeq.cli import run
 from empeq.empirical import DEFAULT_DELTAS
 from empeq.game import Game
 from empeq.qre import QreConvergenceError
 
-from conftest import per_pair_reference
+from conftest import per_pair_reference, without_dropped_faces
 
 GAMES = {
     "gamma1": ["--corpus", "gamma1"],
@@ -209,8 +209,12 @@ def test_nash_diagnostics_match_per_pair_reference(tmp_path):
     assert code == 0
     assert err == ""
     got = json.loads(out)["diagnostics"]
-    ref = per_pair_reference(Game.from_file(path)).diagnostics
-    assert sum(d["status"] == "degenerate" for d in got) == 13
+    # the reference lists every face of dimension >= 2; `nash` leaves out
+    # only those that the dominance stage proves empty
+    listed = {tuple(map(tuple, d["support"])) for d in got}
+    full = per_pair_reference(Game.from_file(path)).diagnostics
+    ref = without_dropped_faces(listed, nash.EquilibriumSet([], [], full)).diagnostics
+    assert (len(full) - len(ref), sum(d["status"] == "degenerate" for d in got)) == (3, 10)
     assert {d["status"] for d in got} <= {"degenerate", "incentive-violation"}
     assert got == [{"support": [list(s) for s in d.support], "status": d.status,
                     "detail": d.detail} for d in ref]
@@ -291,9 +295,14 @@ def test_repeat_runs_are_byte_identical(game, command, tmp_path):
     (["trace", "--corpus", "gamma1", "--steps", "1", "--lambda-max", "1000"],
      "steps >= 2"),
     (["trace", "--corpus", "gamma1", "--steps", "-3"], "steps >= 2"),
+    (["wpm", "--corpus", "gamma1", "--profile", "{profile}", "--tol", "-1"], "tol"),
+    (["wpm", "--corpus", "gamma1", "--profile", "{profile}", "--tol", "nan"], "tol"),
+    (["region", "--corpus", "gamma1", "--tol", "-1"], "tol"),
+    (["region", "--corpus", "gamma1", "--tol", "nan"], "tol"),
 ])
-def test_meaningless_schedules_and_grids_are_input_errors(argv, message):
-    code, out, err = _run(argv)
+def test_meaningless_schedules_and_grids_are_input_errors(argv, message, tmp_path):
+    profile = _profile_file(tmp_path, "gamma1")
+    code, out, err = _run([a.format(profile=profile) for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err

@@ -109,6 +109,19 @@ def test_m_rejects_out_of_range(gamma1):
         is_m_weakly_payoff_monotone(gamma1, MixedProfile.uniform(gamma1), 1.5)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_meaningless_tolerances_are_rejected(gamma1, tol):
+    profile = MixedProfile.uniform(gamma1)
+    checks = [lambda t: is_weakly_payoff_monotone(gamma1, profile, t),
+              lambda t: is_payoff_monotone(gamma1, profile, t),
+              lambda t: is_m_weakly_payoff_monotone(gamma1, profile, 0.5, t),
+              lambda t: sample_monotone_region(gamma1, 4, tol=t)]
+    for check in checks:
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check(tol)
+        check(0.0)  # a zero tolerance is a strict test, not an error
+
+
 def test_m_monotone_in_m():
     rng = np.random.default_rng(11)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -270,7 +283,8 @@ def test_predicates_match_pairwise_reference():
             if s % 2:
                 vecs = [np.round(v * 4) + (v == v.max()) for v in vecs]
             p = MixedProfile(g, vecs)
-            for tol in (1e-9, 0.0, -0.05, 0.2):
+            # a negative tolerance is an input error (test_meaningless_tolerances_are_rejected)
+            for tol in (1e-9, 0.0, 0.05, 0.2):
                 assert is_weakly_payoff_monotone(g, p, tol).violations == _ref_weak(g, p, tol)
                 assert is_payoff_monotone(g, p, tol).violations == _ref_strict(g, p, tol)
                 for m in (0.0, 0.5, 1.0):
@@ -302,6 +316,7 @@ def test_region_grid_matches_per_point_reference(case, kind):
 
 @pytest.mark.parametrize("kind", ["weak", "strict"])
 def test_region_grid_matches_reference_at_other_tolerances(psi, kind):
-    for tol in (-0.01, 0.0, 0.3):
+    # a negative tolerance is an input error (test_meaningless_tolerances_are_rejected)
+    for tol in (0.0, 0.01, 0.3):
         rows = sample_monotone_region(psi, 30, kind=kind, tol=tol)
         assert rows == _region_reference(psi, 30, kind, tol)

@@ -25,6 +25,7 @@ from conftest import (
     _ref_side,
     _ref_x0_feasible,
     corpus_games,
+    face_proved_empty,
     integer_game,
     integer_games,
     per_pair_reference,
@@ -32,6 +33,7 @@ from conftest import (
     recheck_mixed_dominance,
     reference_perfect_search,
     segment_grid,
+    without_dropped_faces,
 )
 
 
@@ -680,17 +682,24 @@ def test_enumeration_matches_per_pair_reference():
     # the paper's Gamma2(c) family at seeded costs, as the benchmark draws it
     costs = np.random.default_rng(5).uniform(0.1, 3.0, size=(60, 2))
     games += [corpus.gamma2c(c1, c2) for c1, c2 in costs]
+    # the reference lists every face of dimension >= 2; enumeration leaves
+    # out only those that the dominance stage proves empty
+    dropped = 0
     for g in games:
-        _assert_identical_equilibria(enumerate_nash(g), per_pair_reference(g))
+        got, ref = enumerate_nash(g), per_pair_reference(g)
+        kept = without_dropped_faces({d.support for d in got.diagnostics}, ref)
+        _assert_identical_equilibria(got, kept)
+        dropped += len(ref.diagnostics) - len(kept.diagnostics)
+    assert dropped == 20
     # a side that is a point with infeasible x0 empties its pair's face, so
-    # no `degenerate` diagnostic may hold one; 191 of the 400 games keep a
-    # face of dimension >= 2
+    # no `degenerate` diagnostic may hold one; 173 of the 400 games keep a
+    # face of dimension >= 2 that dominance does not prove empty
     with_face = 0
     for g in integer_games(400):
         faces = [d for d in enumerate_nash(g).diagnostics if d.status == "degenerate"]
         assert all(s.null.shape[1] or _ref_x0_feasible(s) for d in faces for s in d.sides)
         with_face += bool(faces)
-    assert with_face == 191
+    assert with_face == 173
 
 
 def _lapack_calls(monkeypatch, fn, *args, names=("svd", "slogdet", "solve")):
@@ -748,15 +757,17 @@ def test_inconsistency_certificate_is_sound():
         for own, opp_classes, opp_payoff in _overdetermined_sides(unit_view(g)):
             if not opp_classes:
                 continue
-            d = nash._d_blocks(own, opp_classes, opp_payoff)
+            # every pair of a support in `own` with a larger opponent support
+            head = np.concatenate([c[:, :own.shape[1] + 1] for c in opp_classes])
+            r, c = np.divmod(np.arange(len(own) * len(head)), len(head))
+            d = nash._d_blocks(own[r], head[c], opp_payoff)
             q = np.repeat([c.shape[1] for c in opp_classes],
-                          [len(c) for c in opp_classes])
-            logdet = np.linalg.slogdet(d)[1]
-            cert = nash._certified_inconsistent(d, logdet, q)
+                          [len(c) for c in opp_classes])[c]
+            cert = nash._certified_inconsistent(d, np.linalg.slogdet(d)[1], q)
             fired += int(cert.sum())
             opps = nash._flat_supports(opp_classes)
-            for r, c in zip(*np.nonzero(cert)):
-                assert _ref_side(tuple(own[r]), opps[c], opp_payoff) is None
+            for n in np.flatnonzero(cert):
+                assert _ref_side(tuple(own[r[n]]), opps[c[n]], opp_payoff) is None
             # every unbalanced pair of a uniform game is certified
             if any(g is u for u in uniform):
                 assert cert.all()
@@ -843,6 +854,68 @@ def test_lu_screen_is_sound():
     assert dropped > 6000
 
 
+def _beaten_in(pay, own, opp):
+    """True when an action of `own` is beaten against `opp`: some other
+    action earns more than nash._BEATEN in pay[own action, opponent action]
+    against every action of `opp`."""
+    block = pay[:, list(opp)]
+    return bool(np.any(np.all(block[:, None, :] - block[None, list(own), :] > nash._BEATEN,
+                              axis=-1)))
+
+
+def _undominated_pairs(unit):
+    """(s1, s2) -> True where neither support holds an action beaten
+    against the other, for every support pair of a two-player game."""
+    a, b = unit.payoffs[..., 0], unit.payoffs[..., 1]
+    sup1, sup2 = (nash._flat_supports(nash._support_classes(n)) for n in unit.action_counts)
+    return {(s1, s2): not (_beaten_in(a, s1, s2) or _beaten_in(b.T, s2, s1))
+            for s1 in sup1 for s2 in sup2}
+
+
+def test_dominance_stage_is_sound():
+    # wherever the dominance stage drops a pair, the side over the support
+    # that a beaten action is beaten against holds no feasible point:
+    # `_side` finds it inconsistent or an infeasible point, or an LP over
+    # its record proves the face empty; the screens see the unit view
+    rng = np.random.default_rng(10)
+    games = integer_games(400)
+    games += _near_degenerate_games((0.0, 1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    for scale in (1.0, 1e-150, 1e150):
+        games += [random_game(rng, (n, n), 0.0, scale) for n in (4, 5, 6)]
+    dropped = by_lp = 0
+    for g in games:
+        u = unit_view(g)
+        a, b = u.payoffs[..., 0], u.payoffs[..., 1]
+        classes1, classes2 = (nash._support_classes(n) for n in g.action_counts)
+        alive = nash._undominated(a, b.T, classes1, classes2)
+        sup1, sup2 = nash._flat_supports(classes1), nash._flat_supports(classes2)
+        ref = _undominated_pairs(u)
+        assert alive.tolist() == [[ref[s1, s2] for s2 in sup2] for s1 in sup1]
+        for r, c in zip(*np.nonzero(~alive)):
+            s1, s2 = sup1[r], sup2[c]
+            sides = [_ref_side(s2, s1, a.T)] if _beaten_in(a, s1, s2) else []
+            if _beaten_in(b.T, s2, s1):
+                sides.append(_ref_side(s1, s2, b))
+            dropped += 1
+            if not any(_ref_proves_empty(side) for side in sides):
+                by_lp += 1
+                assert any(face_proved_empty(side) for side in sides)
+    assert dropped > 30000 and by_lp > 1000
+    # row a1 trails a2 by delta against both columns: the pair of full
+    # supports is dropped only when delta exceeds the margin
+    for delta, drops in ((nash._BEATEN * (1 + 1e-6), True),
+                         (nash._BEATEN * (1 - 1e-6), False)):
+        a = np.array([[1.0 - delta, 0.0], [1.0, delta]])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        g = _two_player(np.stack([a, b], axis=-1))
+        u = unit_view(g)
+        assert np.array_equal(u.payoffs, g.payoffs)
+        classes = nash._support_classes(2)
+        alive = nash._undominated(a, b.T, classes, classes)
+        assert alive[2, 2] != drops
+        assert _ref_side((0, 1), (0, 1), a.T) is None
+
+
 @pytest.mark.parametrize("shape", [(6, 6), (4, 6)])
 def test_only_balanced_pairs_reach_the_svd(monkeypatch, shape):
     # every unbalanced pair of a generic game is certified inconsistent and
@@ -883,29 +956,34 @@ def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, n, fact
 
 
 def test_empirical_does_no_label_work(monkeypatch):
-    # the screen takes no SVD on this game.  Each size p >= 2 factors its
-    # balanced first sides in one LU stack, together with the D blocks of
-    # its unbalanced pairs, and the 36 pure pairs need no factorization.  A
-    # pair whose first side is an infeasible point never has its second
-    # side factored: fewer second sides than first sides reach the LU.  The
-    # exact stage takes one SVD stack per support size of the open mixed
-    # pairs, both sides of each pair in it, and none for the pure pairs
+    # the screen takes no SVD on this game.  Each size p >= 2 factors the
+    # first sides of its undominated balanced pairs in one LU stack,
+    # together with the D blocks of its undominated unbalanced pairs, and
+    # the 36 pure pairs need no factorization.  A pair whose first side is
+    # an infeasible point never has its second side factored: fewer second
+    # sides than first sides reach the LU.  The exact stage takes one SVD
+    # stack per support size of the open mixed pairs, both sides of each
+    # pair in it, and none for the pure pairs
     game = random_game(np.random.default_rng(0), (6, 6), 0.0, 1.0)
     calls = _lapack_calls(monkeypatch, enumerate_empirical, game)
     eq = enumerate_nash(game)
     sizes = sorted(len(np.flatnonzero(p.vectors[0])) for p in eq.isolated)
     assert sizes == [1, 1, 2, 2, 3]
     assert [a.shape for name, a, _ in calls if name == "svd"] == [(4, 2, 2), (2, 3, 3)]
-    classes = nash._support_classes(6)
+    # the support sizes of the undominated pairs, smaller first
+    sizes = [sorted(map(len, pair))
+             for pair, ok in _undominated_pairs(unit_view(game)).items() if ok]
     first = second = 0
     for p in range(2, 7):
         stacks = [len(a) for name, a, _ in calls
                   if name == "slogdet" and a.shape[-1] == p]
         assert len(stacks) <= 2
-        first += stacks[0] - 2 * len(classes[p - 1]) * sum(len(c) for c in classes[p:])
+        balanced = sizes.count([p, p])
+        assert stacks[0] == balanced + sum(s[0] == p < s[1] for s in sizes)
+        first += balanced
         second += sum(stacks[1:])
-    assert first == 923 - 36
-    assert second < first / 10
+    # of the 887 balanced pairs without a pure support
+    assert (first, second) == (102, 19)
     assert eq.components == eq.diagnostics == []
 
 
