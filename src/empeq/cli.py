@@ -286,7 +286,7 @@ def _cmd_trace(args):
     for point in path.points:
         row = [repr(float(point.lam))]
         for vec in point.profile.vectors:
-            row.extend(repr(v) for v in vec.tolist())
+            row.extend(repr(float(v)) for v in vec)
         row.append(repr(float(point.residual)))
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)

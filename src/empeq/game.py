@@ -230,23 +230,6 @@ class MixedProfile:
         self.vectors = tuple(cleaned)
 
     @classmethod
-    def _of_clean(cls, game, vectors):
-        """The profile of `vectors` that are already clean: of the game's
-        shapes, finite and non-negative, each with a positive sum.  Each is
-        divided by its sum, which is all that `normalized` does to such a
-        vector, so the profile holds the bits `MixedProfile(game, vectors)`
-        would; nothing is checked."""
-        self = object.__new__(cls)
-        cleaned = []
-        for v in vectors:
-            v = v / v.sum()
-            v.flags.writeable = False
-            cleaned.append(v)
-        self.game = game
-        self.vectors = tuple(cleaned)
-        return self
-
-    @classmethod
     def uniform(cls, game):
         return cls(game, [np.full(k, 1.0 / k) for k in game.action_counts])
 

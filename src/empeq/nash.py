@@ -389,15 +389,12 @@ def _screen_pairs(unit, classes1, classes2):
         for view, at, own, opp_classes, pay in (
                 (may_hold[rows, start2[p]:], x_at, own1, classes2[p:], b),
                 (may_hold.T[cols, start1[p]:], y_at, own2, classes1[p:], a_t)):
-            head = np.concatenate([c[:, :p + 1] for c in opp_classes]
-                                  or [np.zeros((0, p + 1), dtype=int)])
-            q = np.repeat([c.shape[1] for c in opp_classes], [len(c) for c in opp_classes])
-            unbalanced.append((view, at, q[at[1]], _d_blocks(own[at[0]], head[at[1]], pay)))
+            unbalanced.append((view, at, *_d_blocks(own, opp_classes, at, pay)))
         first = (own2[j], own1[i], a_t)
-        mats = [d for *_, d in unbalanced] + [_equality_matrices(*first)]
+        mats = [d for _, _, d, _ in unbalanced] + [_equality_matrices(*first)]
         logdet = np.linalg.slogdet(np.concatenate(mats))[1]
         ends = list(accumulate(len(x) for x in mats))
-        for (view, at, q, d), lo, hi in zip(unbalanced, [0] + ends, ends):
+        for (view, at, d, q), lo, hi in zip(unbalanced, [0] + ends, ends):
             if len(d):
                 view[at] = ~_certified_inconsistent(d, logdet[lo:hi], q)
         keep = ~_lu_screen(mats[2], logdet[ends[1]:], first)
@@ -501,14 +498,20 @@ def _single_sides(pay, opp_classes):
     return spread <= TIE_TOL, gap >= -TIE_TOL
 
 
-def _d_blocks(own, head, opp_payoff):
-    """The D blocks of `_certified_inconsistent` (transposed, rounded as
-    the exact solve rounds its equality matrix) of the pairs of a support
-    own[n] (size p) with an opponent support of size > p whose first p + 1
-    actions are head[n]: shape (n, p, p).  A block reads only those
-    actions."""
-    block = opp_payoff[own[:, :, None], head[:, None, :]]
-    return block[..., :-1] - block[..., 1:]
+def _d_blocks(own, opp_classes, at, opp_payoff):
+    """(d, q) for the pairs at = (rows, cols) of a support own[rows[n]]
+    (size p) with the opponent support at flat index cols[n] of
+    `opp_classes` (sizes > p, in class order): d[n] is the pair's D block of
+    `_certified_inconsistent` (transposed, rounded as the exact solve rounds
+    its equality matrix), shape (n, p, p), and q[n] the opponent support's
+    size.  A block reads only the first p + 1 actions of that support."""
+    p = own.shape[1]
+    head = np.concatenate([c[:, :p + 1] for c in opp_classes]
+                          or [np.zeros((0, p + 1), dtype=int)])
+    q = np.repeat([c.shape[1] for c in opp_classes], [len(c) for c in opp_classes])
+    rows, cols = at
+    block = opp_payoff[own[rows][:, :, None], head[cols][:, None, :]]
+    return block[..., :-1] - block[..., 1:], q[cols]
 
 
 def _lu_floor(logdet, frob, p, others, entry_max):

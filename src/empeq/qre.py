@@ -418,10 +418,9 @@ class _LogitHomotopy:
     def point(self, w, sigma):
         """The QrePoint at w, given sigma = exp(y) there: the profile built
         from sigma, and its residual, taken with one logit pass over the
-        profile's own vectors.  sigma is finite and non-negative, so the
-        profile skips the constructor's checks (`MixedProfile._of_clean`)."""
+        profile's own vectors."""
         game, lam = self.game, float(w[-1])
-        profile = MixedProfile._of_clean(game, [sigma[s] for s in self.slices])
+        profile = MixedProfile(game, [sigma[s] for s in self.slices])
         v = np.concatenate(profile.vectors)
         if self.n == 2:
             u = self.du @ v

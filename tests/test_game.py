@@ -131,27 +131,6 @@ def test_profile_clamps_and_renormalizes(gamma1):
     assert p.vectors[1][0] == pytest.approx(0.5)
 
 
-def test_clean_profile_path_matches_the_constructor():
-    # the logit trace builds its profiles from sigma = exp(y) without the
-    # constructor's checks; the bits must be the constructor's, also where
-    # exp underflows to 0 or leaves subnormal entries
-    rng = np.random.default_rng(14)
-    game = random_game(rng, (3, 4, 2))
-    zeros = 0
-    for scale in (1.0, 50.0, 745.0, 800.0):
-        for _ in range(20):
-            vecs = [np.exp(scale * rng.uniform(-1.0, 0.0, size=k)) for k in game.action_counts]
-            for v in vecs:
-                v[rng.integers(len(v))] = 1.0
-            got = MixedProfile._of_clean(game, vecs)
-            ref = MixedProfile(game, vecs)
-            for u, v in zip(got.vectors, ref.vectors):
-                assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
-                assert not u.flags.writeable
-                zeros += int(np.count_nonzero(u == 0))
-    assert zeros
-
-
 def test_profile_interior_flag(gamma1):
     assert MixedProfile.uniform(gamma1).is_interior
     assert not MixedProfile.pure(gamma1, {"P1": "a1", "P2": "b1"}).is_interior

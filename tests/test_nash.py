@@ -758,14 +758,11 @@ def test_inconsistency_certificate_is_sound():
             if not opp_classes:
                 continue
             # every pair of a support in `own` with a larger opponent support
-            head = np.concatenate([c[:, :own.shape[1] + 1] for c in opp_classes])
-            r, c = np.divmod(np.arange(len(own) * len(head)), len(head))
-            d = nash._d_blocks(own[r], head[c], opp_payoff)
-            q = np.repeat([c.shape[1] for c in opp_classes],
-                          [len(c) for c in opp_classes])[c]
+            opps = nash._flat_supports(opp_classes)
+            r, c = np.divmod(np.arange(len(own) * len(opps)), len(opps))
+            d, q = nash._d_blocks(own, opp_classes, (r, c), opp_payoff)
             cert = nash._certified_inconsistent(d, np.linalg.slogdet(d)[1], q)
             fired += int(cert.sum())
-            opps = nash._flat_supports(opp_classes)
             for n in np.flatnonzero(cert):
                 assert _ref_side(tuple(own[r[n]]), opps[c[n]], opp_payoff) is None
             # every unbalanced pair of a uniform game is certified
