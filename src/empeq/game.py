@@ -372,15 +372,15 @@ def unit_view(game):
 
     The tie rule: two utilities of the view, or two probabilities, tie
     when they differ by at most TIE_TOL.  Enumeration, the Nash test of
-    every candidate, perfection and membership (its dominance forcing,
-    closure test, three-player witness heuristic, witness re-check and
-    segment breakpoints) decide on the view and return profiles of the
-    caller's game, so printed profiles and utilities keep its units.  Raw
-    payoffs stay where units matter or the rule does not reach yet: `qre`
-    and `ccost` (lambda and costs are in payoff units), the utility ties of
-    properness, and the `monotone` predicates, which apply the `tol` they
-    are given (TIE_TOL unless the CLI's `--tol` says otherwise) to the game
-    they are given.
+    every candidate, perfection, the tie blocks of properness's patterns
+    and membership (its dominance forcing, closure test, three-player
+    witness heuristic, witness re-check and segment breakpoints) decide on
+    the view and return profiles of the caller's game, so printed profiles
+    and utilities keep its units.  Raw payoffs stay where units matter or
+    the rule does not reach yet: `qre` and `ccost` (lambda and costs are in
+    payoff units), properness's LP rows and eps-proper test, and the
+    `monotone` predicates, which apply the `tol` they are given (TIE_TOL
+    unless the CLI's `--tol` says otherwise) to the game they are given.
     """
     if game._unit is None:
         axes = tuple(range(game.n_players))

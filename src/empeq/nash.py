@@ -73,13 +73,14 @@ linear in the segment parameter, so `Component.distance_to` is exact: it
 checks the interval ends and every crossing of two of the distance's lines.
 
 Two-player perfection is decided exactly, by one best-reply LP per player;
-properness by a bounded search for the eps-proper interior profiles of its
-definition.  The Nash precondition of both and the eps-perfection test are
-taken on the unit view.  Verdicts are three-valued: verified (witness
-sequence in hand), refuted (certificate), or inconclusive.  The witness
-conditions only loosen as eps grows, so each check is decided at the
-smallest scheduled eps alone; only a verified verdict carries witnesses,
-its smallest-eps witness listed at every scheduled eps.
+properness by a search for the eps-proper interior profiles of its
+definition, over the utility orders that keep the candidate's tie blocks.
+The Nash precondition of both and the eps-perfection test are taken on the
+unit view.  Verdicts are three-valued: verified (witness sequence in hand),
+refuted (certificate), or inconclusive.  The witness conditions only loosen
+as eps grows, so each check is decided at the smallest scheduled eps alone;
+only a verified verdict carries witnesses, its smallest-eps witness listed
+at every scheduled eps.
 
 A segment is decided at its `segment_breakpoints` (`decide_segment`): its
 ends, every crossing inside it of two of one player's probabilities or
@@ -1225,11 +1226,10 @@ def _dominated_on_support(game, profile):
     }
 
 
-def _check_refinement(game, profile, schedule, delta_factor, closed_form,
-                      passes, pattern_search):
+def _check_refinement(game, profile, schedule, closed_form, passes, pattern_search):
     """Decide a refinement at the smallest scheduled eps.
 
-    The closed-form candidate is kept if it lies within delta_factor * eps,
+    The closed-form candidate is kept if it lies within DELTA_FACTOR * eps,
     else the pattern search runs.  A witness found is listed at every
     scheduled eps, largest first; any other verdict carries no witnesses
     and one note for the smallest eps.  A refuted search outcome refutes,
@@ -1242,7 +1242,7 @@ def _check_refinement(game, profile, schedule, delta_factor, closed_form,
         if cert is not None:
             return RefinementVerdict(REFUTED, certificate=cert)
     eps = min(schedule)
-    delta = delta_factor * eps
+    delta = DELTA_FACTOR * eps
     witness = closed_form(game, profile, eps)
     if witness is not None and witness.distance(profile) > delta:
         witness = None
@@ -1263,8 +1263,7 @@ def _check_refinement(game, profile, schedule, delta_factor, closed_form,
     return RefinementVerdict(INCONCLUSIVE, notes=notes)
 
 
-def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
-                  delta_factor=DELTA_FACTOR):
+def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     """Three-valued perfection check, decided at the smallest scheduled eps.
 
     A two-player Nash point is perfect iff no mixed strategy weakly
@@ -1274,35 +1273,37 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
     the LPs of `search.perfect_pattern_search`, run where the smoothing
     fails).  With three or more players only the smoothing runs.
 
-    An eps-perfect witness within delta_factor * eps is eps'-perfect and
-    within delta_factor * eps' for every eps' >= eps: interior stays
+    An eps-perfect witness within DELTA_FACTOR * eps is eps'-perfect and
+    within DELTA_FACTOR * eps' for every eps' >= eps: interior stays
     interior, the distance bound and "non-best responses <= eps" only grow.
     So only the smallest eps is searched, and `verified` lists its witness
     at every scheduled eps; refuted and inconclusive verdicts carry none.
     """
-    return _check_refinement(game, profile, schedule, delta_factor,
-                             _smoothed_perfect_witness, _unit_epsilon_perfect,
-                             search.perfect_pattern_search)
+    return _check_refinement(game, profile, schedule, _smoothed_perfect_witness,
+                             _unit_epsilon_perfect, search.perfect_pattern_search)
 
 
-def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE,
-                 delta_factor=DELTA_FACTOR):
+def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     """Three-valued properness check, decided at the smallest scheduled eps.
 
     Refutation: either an on-support dominated action (properness implies
-    perfection), or exhaustion of every utility-order pattern at the
-    smallest scheduled eps -- constraints only tighten for smaller eps, so
-    pattern exhaustion rules out every tail of a would-be defining sequence.
+    perfection), or exhaustion of the utility-order patterns that keep the
+    candidate's tie blocks (`search.proper_pattern_search`) at the smallest
+    scheduled eps, within DELTA_FACTOR * eps.  Every tail of a would-be
+    defining sequence keeps the candidate's strict utility gaps, lies in
+    that box and is eps-proper, so exhaustion rules the sequence out.
+    Exhaustion over a pattern deeper than the LPs can resolve, eps^(L-1)
+    for L levels under the search's feasibility margin, is inconclusive
+    with note `lp-numerics`; so is a search past MAX_PATTERN_PAIRS.
 
-    The same nesting runs the other way for witnesses: an eps-proper one
-    within delta_factor * eps is eps'-proper and within delta_factor * eps'
-    for every eps' >= eps, since "ratios <= eps" only loosens.  So only the
+    Witnesses nest the other way: an eps-proper one within
+    DELTA_FACTOR * eps is eps'-proper and within DELTA_FACTOR * eps' for
+    every eps' >= eps, since "ratios <= eps" only loosens.  So only the
     smallest eps is searched, and `verified` lists its witness at every
     scheduled eps; refuted and inconclusive verdicts carry none.
     """
-    return _check_refinement(game, profile, schedule, delta_factor,
-                             _tiered_proper_witness, is_epsilon_proper,
-                             search.proper_pattern_search)
+    return _check_refinement(game, profile, schedule, _tiered_proper_witness,
+                             is_epsilon_proper, search.proper_pattern_search)
 
 
 def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):

@@ -7,6 +7,12 @@ probability constraints plus the *opponent's* utility constraints, which are
 linear in this player's probabilities.  So each pattern pair reduces to
 small "maximize the common slack" linear programs (HiGHS).
 
+The closure test and the proper search try the same patterns: each
+player's actions fall into tie blocks at the candidate (`_tie_blocks`, on
+the game's `unit_view`), and a pattern keeps the blocks in order and splits
+each by any weak order (`_block_orders`).  Either search gives up, outcome
+"open", past MAX_PATTERN_PAIRS patterns of one player or pattern pairs.
+
 Membership is a closure test with no distance box (`monotone_pattern_search`).
 Where a candidate has a single compatible pattern pair, a strict order per
 player, a closed-form point replaces its LP once every strict row checks out
@@ -29,11 +35,11 @@ from math import comb, prod
 
 import numpy as np
 
-from .game import TIE_TOL, MixedProfile, expected_utility, unit_view, utility_vector, weak_dominance
+from .game import TIE_TOL, MixedProfile, unit_view, utility_vector, weak_dominance
 from .monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 
-MAX_EXHAUSTIVE_ACTIONS = 5
-# the closure test gives up (outcome "open") past this many pattern pairs
+# the closure test and the proper search give up (outcome "open") past this
+# many patterns of one player, or pattern pairs
 MAX_PATTERN_PAIRS = 20000
 
 # 1e-10 is the tightest feasibility tolerance HiGHS accepts
@@ -78,43 +84,6 @@ def n_weak_orders(k):
 
 def level_of(levels):
     return {a: d for d, level in enumerate(levels) for a in level}
-
-
-@lru_cache(maxsize=None)
-def _level_table(k):
-    """Row r holds each action's level in weak_orders(k)[r], best level 0."""
-    table = np.empty((len(weak_orders(k)), k), dtype=np.int64)
-    for r, levels in enumerate(weak_orders(k)):
-        for d, level in enumerate(levels):
-            table[r, list(level)] = d
-    table.setflags(write=False)
-    return table
-
-
-def ranked_orders(k, forced_strict, forced_weak, values):
-    """Weak orders of k actions where forced_strict pairs (a,b) have a
-    strictly above b and forced_weak pairs have a at least as high as b,
-    closest to the value vector first, ties in weak_orders(k) order.
-
-    The distance sums, over pairs a < b, the amount by which the values run
-    against the order, plus 0.1 for a tie in value split across levels.
-    """
-    lv = _level_table(k)
-    keep = np.ones(len(lv), dtype=bool)
-    for a, b in forced_strict:
-        keep &= lv[:, a] < lv[:, b]
-    for a, b in forced_weak:
-        keep &= lv[:, a] <= lv[:, b]
-    score = np.zeros(len(lv))
-    for a in range(k):
-        for b in range(a + 1, k):
-            dv = float(values[a] - values[b])
-            tie = 0.1 if dv == 0 else 0.0
-            score += np.where(lv[:, a] < lv[:, b], max(0.0, -dv) + tie,
-                              np.where(lv[:, a] > lv[:, b], max(0.0, dv) + tie, abs(dv)))
-    rows = np.flatnonzero(keep)
-    orders = weak_orders(k)
-    return [orders[r] for r in rows[np.argsort(score[rows], kind="stable")]]
 
 
 # ---------------------------------------------------------------------------
@@ -327,31 +296,9 @@ def add_m_fraction_rows(lp, levels, m, coefs=None):
                 lp.add_weak(_vec_of(lp.n, coefs, a) - m * _vec_of(lp.n, coefs, b))
 
 
-# ---------------------------------------------------------------------------
-# forcing sets derived from the candidate and the ball radius
-
-
-def forced_util_pairs(game, candidate, player, delta):
-    """Pairs whose expected-utility order cannot flip inside the ball."""
-    eu = expected_utility(game, candidate, player)
-    ui = game.payoffs[..., player]
-    opp_size = ui.size // game.action_counts[player]
-    slack = float(ui.max() - ui.min()) * min(2.0, opp_size * delta)
-    n = len(eu)
-    return {(a, b) for a in range(n) for b in range(n) if a != b and eu[a] - eu[b] > 2 * slack}
-
-
 def dominance_pairs(game, player):
     """(dominating_index, dominated_index) pairs for one player."""
     return {(g, d) for _, d, g in weak_dominance(game).indexed[player]}
-
-
-def _sorted_orders(game, candidate, player, forced_strict, forced_weak):
-    k = game.action_counts[player]
-    if k > MAX_EXHAUSTIVE_ACTIONS:
-        return None
-    eu = expected_utility(game, candidate, player)
-    return ranked_orders(k, forced_strict, forced_weak, eu)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +348,12 @@ def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_ref
     return PatternOutcome(OUTCOME_REFUTED if all_refuted else OUTCOME_OPEN, None, tried)
 
 
-def _tie_blocks(sig, u, m):
+def _tie_blocks(values):
     """One player's actions in blocks, best first: the blocks of actions
-    tied in (sig, u) for m = 1, in u for m < 1.  Every compatible pattern
-    keeps the blocks in this order and splits each by any weak order.
-    None when the blocks do not run down in every value."""
-    values = [v.tolist() for v in ((sig, u) if m == 1.0 else (u,))]
+    tied in every vector of `values`, compared in turn.  Every compatible
+    pattern keeps the blocks in this order and splits each by any weak
+    order.  None when the blocks do not run down in every value."""
+    values = [v.tolist() for v in values]
 
     def cmp(a, b):
         for v in values:
@@ -424,6 +371,17 @@ def _tie_blocks(sig, u, m):
         if any(v[a] < v[b] - TIE_TOL for v in values for a in up for b in down):
             return None
     return blocks
+
+
+def _block_orders(blocks):
+    """The weak orders of one player's actions that keep `blocks` in order
+    and split each block by a weak order, every block whole first; None
+    past MAX_PATTERN_PAIRS of them."""
+    if prod(n_weak_orders(len(b)) for b in blocks) > MAX_PATTERN_PAIRS:
+        return None
+    splits = [[tuple(tuple(b[j] for j in level) for level in levels)
+               for levels in sorted(weak_orders(len(b)), key=len)] for b in blocks]
+    return (sum(parts, ()) for parts in product(*splits))
 
 
 def _ray_point(point, x, delta):
@@ -530,13 +488,14 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
-    blocks = []
+    blocks, patterns = [], []
     for i in range(2):
-        blocks.append(_tie_blocks(candidate.vectors[i],
-                                  utility_vector(game, i, candidate.vectors), m))
+        u = utility_vector(game, i, candidate.vectors)
+        blocks.append(_tie_blocks((candidate.vectors[i], u) if m == 1.0 else (u,)))
         if blocks[i] is None:
             return PatternOutcome(OUTCOME_REFUTED, None, 0)
-        if prod(n_weak_orders(len(b)) for b in blocks[i]) > MAX_PATTERN_PAIRS:
+        patterns.append(_block_orders(blocks[i]))
+        if patterns[i] is None:
             return PatternOutcome(OUTCOME_OPEN, None, 0)
     if m == 1.0 and all(len(b) == 1 for player in blocks for b in player):
         orders = [np.array([b[0] for b in player]) for player in blocks]
@@ -566,9 +525,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
 
     pats = []
     for i in range(2):
-        splits = [[tuple(tuple(b[j] for j in level) for level in levels)
-                   for levels in sorted(weak_orders(len(b)), key=len)] for b in blocks[i]]
-        rows = (pattern_rows(i, sum(parts, ())) for parts in product(*splits))
+        rows = (pattern_rows(i, levels) for levels in patterns[i])
         pats.append([lp for lp in rows if lp is not None])
     count = len(pats[0]) * len(pats[1])
     if count > MAX_PATTERN_PAIRS:
@@ -661,24 +618,44 @@ def _mixed_dominance(game, sig, i):
 def proper_pattern_search(game, candidate, eps, delta):
     """Search / refute eps-proper interior profiles within delta.
 
-    Patterns are weak orders of each player's utilities; strictly lower
+    Player i's pattern is a weak order of u_i(., x_j); strictly lower
     levels keep at most eps times the probability of any higher action.
-    Exhaustion refutes every eps' <= eps as well, since those constraints
-    only tighten, and the outcome carries an `order-exhaustion` certificate.
+    The patterns are those of the closure test: u_i's tie blocks at the
+    candidate, on the unit view, each split by any weak order, less those
+    that put a weakly dominated action at or above its dominator (at an
+    interior profile the dominator earns strictly more).  Past
+    MAX_PATTERN_PAIRS patterns of one player or pattern pairs the outcome
+    is open.
+
+    Exhaustion refutes properness in the limit: eps_n-proper profiles that
+    converge to the candidate eventually keep its strict utility gaps, lie
+    within delta and, once eps_n <= eps, are eps-proper, so one of them
+    would meet a pattern tried here.  The outcome then carries an
+    `order-exhaustion` certificate.  A pattern of L levels holds its lowest
+    level to at most eps^(L-1), so no slack above that clears its LP.  Each
+    player's patterns include one of k_i levels, every block split into
+    single actions; so where eps^(kmax-1) falls below the feasibility
+    margin, exhaustion is open with note `lp-numerics` instead.
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
     kmax = max(game.action_counts)
     s_feas = max(1e-13, min(1e-8, 1e-2 * eps ** max(1, kmax - 1)))
     s_refute = s_feas * 1e-3
+    unit = unit_view(game)
     pats = []
     for i in range(2):
-        util_forced = forced_util_pairs(game, candidate, i, delta)
-        dom = dominance_pairs(game, i)
-        orders = _sorted_orders(game, candidate, i, util_forced | dom, set())
+        orders = _block_orders(_tie_blocks((utility_vector(unit, i, candidate.vectors),)))
         if orders is None:
             return PatternOutcome(OUTCOME_OPEN, None, 0)
-        pats.append(orders)
+        dom = dominance_pairs(game, i)
+        pats.append([])
+        for levels in orders:
+            lv = level_of(levels)
+            if all(lv[g] < lv[d] for g, d in dom):
+                pats[i].append(levels)
+    if len(pats[0]) * len(pats[1]) > MAX_PATTERN_PAIRS:
+        return PatternOutcome(OUTCOME_OPEN, None, 0)
 
     def build_lp(i, own, opp):
         lp = _base_lp(candidate.vectors[i], delta)
@@ -689,6 +666,9 @@ def proper_pattern_search(game, candidate, eps, delta):
 
     out = _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
     if out.outcome == OUTCOME_REFUTED:
-        out.certificate = {"kind": "order-exhaustion", "eps": float(eps),
-                           "delta": float(delta), "patterns_tried": out.tried}
+        if eps ** (kmax - 1) < s_feas:
+            out.outcome, out.note = OUTCOME_OPEN, "lp-numerics"
+        else:
+            out.certificate = {"kind": "order-exhaustion", "eps": float(eps),
+                               "delta": float(delta), "patterns_tried": out.tried}
     return out

@@ -6,7 +6,7 @@ import pytest
 
 from empeq import corpus, empirical, nash, search
 from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
-from empeq.game import TIE_TOL, Game, MixedProfile, nash_defect, unit_view
+from empeq.game import TIE_TOL, Game, MixedProfile, expected_utility, nash_defect, unit_view
 from empeq.nash import UnsupportedGameError, nearest_nash
 from empeq.qre import QreConvergenceError, logistic_profile, qre_fixed_point, trace_logit_path
 
@@ -380,6 +380,94 @@ def integer_games(count):
 
 
 # ---------------------------------------------------------------------------
+# reference ranked orders: the pattern sets of the delta-box searches, which
+# ranked every weak order of up to REF_MAX_EXHAUSTIVE_ACTIONS actions
+
+REF_MAX_EXHAUSTIVE_ACTIONS = 5
+
+
+def _ref_ranked_orders(k, forced_strict, forced_weak, values):
+    """Weak orders of k actions where forced_strict pairs (a,b) have a
+    strictly above b and forced_weak pairs have a at least as high as b,
+    closest to the value vector first, ties in `search.weak_orders(k)`
+    order.
+
+    The distance sums, over pairs a < b, the amount by which the values run
+    against the order, plus 0.1 for a tie in value split across levels.
+    """
+
+    def distance(lv):
+        score = 0.0
+        for a in range(k):
+            for b in range(a + 1, k):
+                dv = float(values[a] - values[b])
+                if lv[a] < lv[b]:
+                    score += max(0.0, -dv) + (0.1 if dv == 0 else 0.0)
+                elif lv[a] > lv[b]:
+                    score += max(0.0, dv) + (0.1 if dv == 0 else 0.0)
+                else:
+                    score += abs(dv)
+        return score
+
+    out = []
+    for levels in search.weak_orders(k):
+        lv = search.level_of(levels)
+        if all(lv[a] < lv[b] for a, b in forced_strict) and all(
+            lv[a] <= lv[b] for a, b in forced_weak
+        ):
+            out.append(levels)
+    out.sort(key=lambda levels: distance(search.level_of(levels)))
+    return out
+
+
+def _ref_forced_util_pairs(game, candidate, player, delta):
+    """Pairs whose expected-utility order cannot flip inside the ball."""
+    eu = expected_utility(game, candidate, player)
+    ui = game.payoffs[..., player]
+    opp_size = ui.size // game.action_counts[player]
+    slack = float(ui.max() - ui.min()) * min(2.0, opp_size * delta)
+    n = len(eu)
+    return {(a, b) for a in range(n) for b in range(n) if a != b and eu[a] - eu[b] > 2 * slack}
+
+
+def _ref_sorted_orders(game, candidate, player, forced_strict, forced_weak):
+    k = game.action_counts[player]
+    if k > REF_MAX_EXHAUSTIVE_ACTIONS:
+        return None
+    eu = expected_utility(game, candidate, player)
+    return _ref_ranked_orders(k, forced_strict, forced_weak, eu)
+
+
+def reference_proper_search(game, candidate, eps, delta):
+    """The ranked proper search that the tie-block patterns replaced: per
+    player, the weak orders that keep the dominance pairs and the utility
+    gaps the delta ball cannot close, closest to the candidate's utilities
+    first.  Exhaustion refutes, with an `order-exhaustion` certificate."""
+    kmax = max(game.action_counts)
+    s_feas = max(1e-13, min(1e-8, 1e-2 * eps ** max(1, kmax - 1)))
+    s_refute = s_feas * 1e-3
+    pats = []
+    for i in range(2):
+        forced = _ref_forced_util_pairs(game, candidate, i, delta) | search.dominance_pairs(game, i)
+        orders = _ref_sorted_orders(game, candidate, i, forced, set())
+        if orders is None:
+            return search.PatternOutcome(search.OUTCOME_OPEN, None, 0)
+        pats.append(orders)
+
+    def build_lp(i, own, opp):
+        lp = search._base_lp(candidate.vectors[i], delta)
+        search.add_ratio_rows(lp, own, eps)
+        search.add_order_rows(lp, opp, coefs=search._util_coefs(game, i))
+        return lp
+
+    out = search._run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
+    if out.outcome == search.OUTCOME_REFUTED:
+        out.certificate = {"kind": "order-exhaustion", "eps": float(eps),
+                           "delta": float(delta), "patterns_tried": out.tried}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference membership: the delta-box searches that the closure test replaced
 
 
@@ -406,13 +494,13 @@ def reference_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
     m-weakly monotone) within `delta`; in refute mode, certify that not even
     boundary profiles of the matching monotonicity notion exist there.
     Weak orders are ranked per player, and only up to
-    `search.MAX_EXHAUSTIVE_ACTIONS` actions."""
+    REF_MAX_EXHAUSTIVE_ACTIONS actions."""
     s_feas = max(1e-12, min(1e-8, 1e-2 * delta))
     s_refute = s_feas * 1e-3
     pats = []
     for i in range(2):
         prob_forced = _forced_prob_pairs(candidate.vectors[i], delta)
-        util_forced = search.forced_util_pairs(game, candidate, i, delta)
+        util_forced = _ref_forced_util_pairs(game, candidate, i, delta)
         dom = search.dominance_pairs(game, i)
         if m == 1.0 and not refute_mode:
             strict, weak = prob_forced | util_forced | dom, set()
@@ -422,7 +510,7 @@ def reference_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
             strict, weak = util_forced | dom, set()
         else:
             strict, weak = util_forced, dom
-        orders = search._sorted_orders(game, candidate, i, strict, weak)
+        orders = _ref_sorted_orders(game, candidate, i, strict, weak)
         if orders is None:
             return search.PatternOutcome(search.OUTCOME_OPEN, None, 0)
         pats.append(orders)
@@ -471,14 +559,14 @@ def reference_membership(game, profile, delta_schedule=empirical.DEFAULT_DELTAS,
 def reference_perfect_search(game, candidate, eps, delta):
     """Interior profile within delta whose non-best-response actions all
     carry probability at most eps; best-response sets are enumerated, up to
-    `search.MAX_EXHAUSTIVE_ACTIONS + 3` actions.  Exhaustion does not refute
+    REF_MAX_EXHAUSTIVE_ACTIONS + 3 actions.  Exhaustion does not refute
     perfection, so it ends "open"."""
     s_feas = max(1e-12, min(1e-8, 1e-3 * eps))
     s_refute = s_feas * 1e-3
     pats = []
     for i in range(2):
         k = game.action_counts[i]
-        if k > search.MAX_EXHAUSTIVE_ACTIONS + 3:
+        if k > REF_MAX_EXHAUSTIVE_ACTIONS + 3:
             return search.PatternOutcome(search.OUTCOME_OPEN, None, 0)
         core = set(np.flatnonzero(candidate.vectors[i] > eps + delta).tolist())
         subsets = (tuple(a for a in range(k) if mask >> a & 1) for mask in range(1, 1 << k))

@@ -18,7 +18,8 @@ Every witness is re-checked at every scale, and only member and verified
 verdicts carry witnesses.
 
 The closure test must also keep every verdict that the earlier delta-box
-searches decided (`conftest.reference_membership`).
+searches decided (`conftest.reference_membership`), and `check_proper` every
+verdict of the ranked proper search (`conftest.reference_proper_search`).
 """
 
 import collections
@@ -37,7 +38,7 @@ from empeq.empirical import (
     Refutation,
     empirical_membership,
 )
-from empeq.game import Game, MixedProfile, nash_defect
+from empeq.game import Game, MixedProfile, expected_utility, nash_defect
 from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 from empeq.nash import (
     DEFAULT_EPS_SCHEDULE,
@@ -57,6 +58,7 @@ from conftest import (
     recheck_mixed_dominance,
     reference_membership,
     reference_perfect_search,
+    reference_proper_search,
     segment_grid,
 )
 
@@ -135,7 +137,7 @@ def _proper_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
         ):
             witnesses.append((eps, out.witness))
         else:
-            notes.append(f"eps={eps:g}: {out.outcome} ({out.tried} patterns)")
+            notes.append(f"eps={eps:g}: " + (out.note or f"{out.outcome} ({out.tried} patterns)"))
             if eps == min(schedule) and out.outcome == search.OUTCOME_REFUTED:
                 smallest_refuted = out
     if len(witnesses) == len(schedule):
@@ -256,19 +258,32 @@ def _recheck_refinement(game, candidate, verdict, epss, passes):
         assert passes(game, w, eps)
 
 
+def _too_deep(game, eps):
+    """True when eps^(k-1), the most that a pattern of k levels leaves its
+    lowest level, is under the proper search's feasibility margin, k being
+    the larger action count: then no exhaustion refutes."""
+    depth = eps ** (max(game.action_counts) - 1)
+    return depth < max(1e-13, min(1e-8, 1e-2 * depth))
+
+
 @pytest.mark.parametrize("schedule", sorted(EPS_SCHEDULES))
 @pytest.mark.parametrize("games", sorted(GAME_SETS))
 def test_refinements_match_per_scale_reference(games, schedule):
     epss = EPS_SCHEDULES[schedule]
     smallest = f"eps={min(epss):g}:"
-    statuses = set()
+    statuses, numerics = set(), 0
     for game, candidates in GAME_SETS[games]():
+        deep = _too_deep(game, min(epss))
         for candidate in candidates:
             for check, reference, passes in (
                 (check_perfect, _perfect_reference, is_epsilon_perfect),
                 (check_proper, _proper_reference, is_epsilon_proper),
             ):
                 got, ref = check(game, candidate, epss), reference(game, candidate, epss)
+                if check is check_proper:
+                    numerics += got.notes == [f"{smallest} lp-numerics"]
+                    assert deep or got.notes != [f"{smallest} lp-numerics"]
+                    assert not deep or (got.certificate or {}).get("kind") != "order-exhaustion"
                 if got.status != ref.status and got.status == nash.REFUTED:
                     assert check is check_perfect and ref.status == nash.INCONCLUSIVE
                     recheck_mixed_dominance(game, candidate, got.certificate)
@@ -281,6 +296,76 @@ def test_refinements_match_per_scale_reference(games, schedule):
                 _recheck_refinement(game, candidate, got, epss, passes)
                 statuses.add(got.status)
     assert nash.VERIFIED in statuses
+    # 5x5 games at eps = 1e-4 and 4x4 games at 1e-5 exhaust patterns too deep
+    # for the LPs
+    assert (numerics > 0) == (games == "seeded" or (games, schedule) == ("integer", "wide"))
+
+
+def test_check_proper_matches_ranked_reference(monkeypatch):
+    """The tie-block patterns decide every candidate of these games as the
+    ranked search (`conftest.reference_proper_search`) did: same status and
+    certificate at isolated equilibria and at the points where `classify`
+    decides components, and the same witnesses at isolated equilibria,
+    which `nash` prints.  At a few component points the two searches meet
+    a different feasible pattern first, and both witnesses are eps-proper."""
+    rng = np.random.default_rng(2026)
+    games = [random_game(rng, (n, n)) for n in (3, 4, 5) for _ in range(6)]
+    costs = np.random.default_rng(5).uniform(0.1, 3.0, size=(60, 2))
+    games += corpus_games() + [corpus.gamma2c(c1, c2) for c1, c2 in costs] + integer_games(80)
+    statuses = collections.Counter()
+    for game in games:
+        eqset = enumerate_nash(game)
+        points = [c.profile_at(game, t) for c in eqset.components
+                  for t in segment_breakpoints(game, c)]
+        for candidate in eqset.isolated + points:
+            got = check_proper(game, candidate)
+            monkeypatch.setattr(search, "proper_pattern_search", reference_proper_search)
+            ref = check_proper(game, candidate)
+            monkeypatch.undo()
+            assert (got.status, got.certificate) == (ref.status, ref.certificate)
+            if candidate in eqset.isolated:
+                assert got.witnesses == ref.witnesses
+            statuses[got.status, bool(got.certificate)] += 1
+    assert statuses[nash.VERIFIED, False] > 100
+    assert statuses[nash.REFUTED, True] > 100
+
+
+def _strict_pure_equilibria(game):
+    """Pure equilibria at which every other action of each player earns
+    strictly less."""
+    return [c for c in _pure_equilibria(game)
+            if all(np.sum(eu == eu.max()) == 1
+                   for eu in (expected_utility(game, c, i) for i in range(2)))]
+
+
+def test_strict_pure_equilibria_are_not_refuted_at_small_eps():
+    """Strict equilibria are proper.  At eps = 1e-4 a 5x5 game's
+    strict-order pattern holds its lowest level to eps^4 = 1e-16 of the
+    top, under the search's 1e-13 margin, so exhausting it leaves the
+    question open with note `lp-numerics`; it must not refute."""
+    candidates = [(g, c) for g in _seeded_games()[10:] for c in _strict_pure_equilibria(g)]
+    assert len(candidates) == 4
+    for game, candidate in candidates:
+        out = search.proper_pattern_search(game, candidate, 1e-4, 1e-3)
+        assert (out.outcome, out.note) == (search.OUTCOME_OPEN, "lp-numerics")
+        assert out.certificate is None
+
+
+def test_generic_6x6_equilibria_are_not_refuted_by_exhaustion():
+    """The equilibria of games with generic payoffs are regular, hence
+    proper (van Damme 1991, ch. 2): no 6x6 verdict may be an
+    `order-exhaustion` refutation, and each verified witness is
+    eps-proper at every scheduled eps."""
+    rng = np.random.default_rng(2026)
+    games = [random_game(rng, (n, n)) for n in (3, 4, 5, 6) for _ in range(6)][18:]
+    statuses = collections.Counter()
+    for game in games:
+        for candidate in enumerate_nash(game).isolated:
+            verdict = check_proper(game, candidate)
+            assert verdict.status != nash.REFUTED
+            _recheck_refinement(game, candidate, verdict, DEFAULT_EPS_SCHEDULE, is_epsilon_proper)
+            statuses[verdict.status] += 1
+    assert statuses[nash.VERIFIED] >= 18  # 10 under the 5-action cap
 
 
 def _count_searches(monkeypatch, name):
