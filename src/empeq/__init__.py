@@ -41,7 +41,6 @@ from .qre import (
     QreConvergenceError,
     QrePoint,
     default_lambda_schedule,
-    logistic_qrf,
     perturbed_monotone_point,
     qre_fixed_point,
     trace_logit_path,

@@ -23,6 +23,8 @@ from .qre import QRF
 FOC_TOL = 1e-9
 LEVEL_TIE_TOL = 1e-12
 SUM_TOL = 1e-13
+VANISHING_NASH_TOL = 1e-6  # Nash defect allowed at a vanishing sequence's end
+GRID_STEP = 0.01  # spacing of the grid that reports the splines' sup-norms
 
 
 class SplineError(ValueError):
@@ -322,15 +324,10 @@ class ControlCostGame:
         if len(self.splines) != self.game.n_players:
             raise SplineError("one spline per player required")
 
-    def payoff(self, profile, player):
-        i = self.game.player_index(player)
-        eu = expected_utility(self.game, profile, i)
-        cost = float(np.sum(self.splines[i].value(profile.vectors[i])))
-        return float(eu @ profile.vectors[i]) - cost
 
-
-def cc_equilibrium_check(ccg, profile, tol=FOC_TOL):
-    """First-order-condition audit: utility gaps equal derivative gaps.
+def cc_equilibrium_check(ccg, profile):
+    """First-order-condition audit: utility gaps equal derivative gaps, up
+    to FOC_TOL.
 
     Returns (is_equilibrium, max_defect, per_player_defects).  Boundary
     profiles are rejected: the asymptote at zero keeps equilibria interior.
@@ -351,15 +348,16 @@ def cc_equilibrium_check(ccg, profile, tol=FOC_TOL):
                 defect = max(defect, abs((eu[a] - eu[b]) - (dv[a] - dv[b])))
         per_player.append(defect)
         worst = max(worst, defect)
-    return worst < tol, worst, per_player
+    return worst < FOC_TOL, worst, per_player
 
 
-def induced_qrf(spline, utilities, sum_tol=SUM_TOL):
+def induced_qrf(spline, utilities):
     """Unique cost-adjusted best response to a utility vector.
 
     Solves the strictly concave problem max <sigma, x> - sum f(sigma_a) on
     the simplex through its Lagrange condition x_a - f'(sigma_a) = mu, by
-    bisection on mu (f' is continuous and strictly increasing).
+    bisection on mu (f' is continuous and strictly increasing) until the
+    mass is within SUM_TOL of one.
     """
     x = np.asarray(utilities, dtype=float)
     if x.ndim != 1 or len(x) == 0:
@@ -383,7 +381,7 @@ def induced_qrf(spline, utilities, sum_tol=SUM_TOL):
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         m = mass(mid)
-        if abs(m - 1.0) <= sum_tol:
+        if abs(m - 1.0) <= SUM_TOL:
             lo = hi = mid
             break
         if m > 1.0:
@@ -403,8 +401,6 @@ def induced_qrf(spline, utilities, sum_tol=SUM_TOL):
 
 class SplineQRF(QRF):
     """Regular quantal response induced by a control-cost spline."""
-
-    kind = "control-cost"
 
     def __init__(self, spline):
         self.spline = spline
@@ -478,15 +474,15 @@ def _player_case(game, limit, player):
     return order, k_pos, case
 
 
-def vanishing_sequence(game, profiles, nash_tol=1e-6, grid_step=0.01):
+def vanishing_sequence(game, profiles):
     """Retain a subsequence and calibrate cost splines that vanish along it.
 
     Every input profile must be an interior payoff-monotone profile for the
-    base game; the final one must be a Nash point up to `nash_tol`.  Each
-    retained profile is an exact cost-adjusted equilibrium of its spline
-    game (first-order conditions hold by construction), the cost parameters
-    shrink like 1/t, and per-index sup-norms over a fixed grid let callers
-    verify pointwise vanishing.
+    base game; the final one must be a Nash point up to VANISHING_NASH_TOL.
+    Each retained profile is an exact cost-adjusted equilibrium of its
+    spline game (first-order conditions hold by construction), the cost
+    parameters shrink like 1/t, and per-index sup-norms over a grid of step
+    GRID_STEP let callers verify pointwise vanishing.
     """
     if not profiles:
         raise ValueError("empty profile sequence")
@@ -497,13 +493,13 @@ def vanishing_sequence(game, profiles, nash_tol=1e-6, grid_step=0.01):
             raise ValueError(f"profile {j} is not payoff monotone")
     terminal = profiles[-1]
     defect = nash_defect(game, terminal)
-    if defect > nash_tol:
+    if defect > VANISHING_NASH_TOL:
         raise ValueError(
-            f"terminal profile has Nash defect {defect:.3e} > {nash_tol:g}"
+            f"terminal profile has Nash defect {defect:.3e} > {VANISHING_NASH_TOL:g}"
         )
     limit = _limit_profile(game, terminal)
     per_player = [_player_case(game, limit, i) for i in range(game.n_players)]
-    grid = np.round(np.arange(grid_step, 1.0 + grid_step / 2, grid_step), 12)
+    grid = np.round(np.arange(GRID_STEP, 1.0 + GRID_STEP / 2, GRID_STEP), 12)
 
     entries = []
     j_start = 0
@@ -569,7 +565,7 @@ def _build_entry(game, prof, per_player, source_index, t, grid):
         )
         splines.append(spline)
     ccg = ControlCostGame(game, tuple(splines))
-    ok, worst, _ = cc_equilibrium_check(ccg, prof, tol=1e-9)
+    ok, worst, _ = cc_equilibrium_check(ccg, prof)
     if not ok:
         raise RuntimeError(
             f"internal error: calibrated profile fails its own first-order "

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 analysis inconclusive, 2 input error.  A logit
 QRE fixed point that is not reached (`QreConvergenceError`) is
 inconclusive: it prints `error: ...` on stderr and exits 1.  Output is
-deterministic for a fixed (input, seed, version) triple; wall-clock timings
+deterministic for a fixed (input, version) pair; wall-clock timings
 are only included when explicitly requested.
 """
 
@@ -150,7 +150,6 @@ def build_parser():
     _add_game_args(p)
     p.add_argument("--delta-schedule", default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall times (breaks byte determinism)")
     p.add_argument("--out")
@@ -315,7 +314,7 @@ def _membership_doc(verdict, timings):
 def _cmd_empirical(args):
     game = _load_game(args)
     schedule = tuple(_parse_schedule(args.delta_schedule))
-    report = enumerate_empirical(game, schedule, m=args.m, seed=args.seed)
+    report = enumerate_empirical(game, schedule, m=args.m)
     doc = {"m": args.m, "isolated": [], "components": [],
            "diagnostics": _diagnostics_doc(report.eqset)}
     inconclusive = False

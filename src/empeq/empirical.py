@@ -88,7 +88,7 @@ def _dominance_refutation(game, profile, m):
     )
 
 
-def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
+def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0):
     """Decide (m-)empirical membership of a Nash candidate.
 
     member: an interior monotone witness within the smallest scheduled
@@ -114,18 +114,18 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0, se
     deltas = sorted((float(d) for d in delta_schedule), reverse=True)
     delta = deltas[-1]
     t0 = time.perf_counter()
-    diagnostics = {"m": m, "stage_seconds": {}}
+    stages = {}
+    diagnostics = {"stage_seconds": stages}
 
     cert = _dominance_refutation(unit, profile, m)
-    diagnostics["stage_seconds"]["dominance"] = time.perf_counter() - t0
+    stages["dominance"] = time.perf_counter() - t0
     if cert is not None and m > 0.0:
         return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
 
     t1 = time.perf_counter()
     if game.n_players == 2:
         out = search.monotone_pattern_search(unit, profile, delta, m=m)
-        diagnostics["stage_seconds"]["closure-test"] = time.perf_counter() - t1
-        diagnostics["patterns_tried"] = out.tried
+        stages["closure-test"] = time.perf_counter() - t1
         if out.outcome == search.OUTCOME_REFUTED:
             cert = Refutation("pattern-exhaustion", {
                 "m": m, "patterns_tried": out.tried,
@@ -133,8 +133,8 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0, se
             return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)
         witness = out.witness
     else:
-        witness = _generic_witness(game, profile, delta, m, seed)
-        diagnostics["stage_seconds"]["witness-search"] = time.perf_counter() - t1
+        witness = _generic_witness(game, profile, delta, m)
+        stages["witness-search"] = time.perf_counter() - t1
 
     if search.witness_ok(unit, witness, profile, delta, m):
         witnesses = [(d, witness) for d in deltas]
@@ -142,7 +142,7 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0, se
     return MembershipVerdict(INCONCLUSIVE, [], None, diagnostics)
 
 
-def _generic_witness(game, profile, delta, m, seed):
+def _generic_witness(game, profile, delta, m):
     """Witness construction for games outside the two-player engine.
 
     Smooth the candidate toward uniform, keep the smoothing weakly monotone,
@@ -151,7 +151,7 @@ def _generic_witness(game, profile, delta, m, seed):
     the fixed point's lambda = 1 means the same at every payoff scale.
     """
     unit = unit_view(game)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     taus = [delta / 4, delta / 8, delta / 16]
     seeds = []
     for tau in taus:
@@ -194,7 +194,7 @@ class EmpiricalReport:
     components: list  # ComponentMembership
 
 
-def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
+def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0):
     """Membership verdicts for every enumerated equilibrium.
 
     Isolated equilibria are decided directly, components at their
@@ -204,12 +204,12 @@ def enumerate_empirical(game, delta_schedule=DEFAULT_DELTAS, m=1.0, seed=0):
     check_schedule(delta_schedule, "delta")
     eqset = enumerate_nash(game)
     isolated = [
-        (p, empirical_membership(game, p, delta_schedule, m=m, seed=seed))
+        (p, empirical_membership(game, p, delta_schedule, m=m))
         for p in eqset.isolated
     ]
 
     def decide(profile):
-        return empirical_membership(game, profile, delta_schedule, m=m, seed=seed).decision
+        return empirical_membership(game, profile, delta_schedule, m=m).decision
 
     comps = []
     for comp in eqset.components:

@@ -103,13 +103,6 @@ class Game:
         except KeyError:
             raise ProfileError(f"unknown action {action!r} for player {p!r}") from None
 
-    def payoff(self, pure_profile, player):
-        """Payoff to `player` at a pure profile given as {player: action}."""
-        idx = tuple(
-            self.action_index(p, pure_profile[p]) for p in self.players
-        )
-        return float(self.payoffs[idx + (self.player_index(player),)])
-
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
@@ -259,10 +252,6 @@ class MixedProfile:
     @property
     def is_interior(self):
         return all(np.all(v > 0) for v in self.vectors)
-
-    def entry(self, player, action):
-        i = self.game.player_index(player)
-        return float(self.vectors[i][self.game.action_index(player, action)])
 
     def replace(self, player, vector):
         i = self.game.player_index(player)
@@ -421,9 +410,6 @@ class DominanceReport:
         self.indexed = tuple(tuple(lst) for lst in indexed)
         self.pairs = {p: tuple(t[0] for t in lst)
                       for p, lst in zip(players, self.indexed)}
-
-    def dominated_actions(self, player):
-        return {d.dominated for d in self.pairs.get(player, ())}
 
     def first_violation(self, profile, violates):
         """(player, pair, dominated probability, dominating probability) of

@@ -97,9 +97,8 @@ tests), and `empirical.enumerate_empirical` decides membership there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +115,6 @@ from .game import (
 )
 from . import search
 
-ENUMERATION_LIMIT = 4096
 DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 DELTA_FACTOR = 10.0
 _UNIT = np.finfo(float).eps / 2  # unit roundoff
@@ -166,8 +164,8 @@ class Component:
 
 def _segment_distance(game, seg, x):
     """(distance, t): max-norm distance from the stacked profile vectors x
-    to a segment of `game` (a `Component` or `_Segment`) and the smallest t
-    in its interval attaining it.
+    to a `Component` of `game` and the smallest t in its interval attaining
+    it.
 
     The distance max_i |a_i + t b_i|, with a = base - x and b = direction,
     is convex and piecewise linear in t, so its minimum lies at an interval
@@ -255,8 +253,8 @@ class EquilibriumSet:
     diagnostics: list = field(default_factory=list)
 
 
-def is_nash(game, profile, tol=TIE_TOL):
-    return nash_defect(game, profile) <= tol
+def is_nash(game, profile):
+    return nash_defect(game, profile) <= TIE_TOL
 
 
 @dataclass(frozen=True)
@@ -312,12 +310,9 @@ def enumerate_nash(game):
 
     Two-player games are decided on the game's `unit_view`, so the result
     is the same, up to rounding, when any player's payoffs are mapped by
-    u_i -> alpha_i u_i + beta_i with alpha_i > 0.
+    u_i -> alpha_i u_i + beta_i with alpha_i > 0.  They are limited to
+    2^20 support pairs (so m k <= 100); one-player games have no limit.
     """
-    if int(np.prod(game.action_counts)) > ENUMERATION_LIMIT:
-        raise UnsupportedGameError(
-            f"action-profile count exceeds the soft limit {ENUMERATION_LIMIT}"
-        )
     if game.n_players == 1:
         return _enumerate_single(game)
     if game.n_players != 2:
@@ -719,8 +714,7 @@ def _exact_stage(game, unit, pairs):
             diagnostics.append((n, SupportDiagnostic(pairs[n], "incentive-violation")))
     diagnostics.sort(key=lambda d: d[0])
     isolated, segments = _dedupe(game, kept, segments)
-    return EquilibriumSet([MixedProfile(game, vecs) for vecs in isolated],
-                          [Component(*seg) for seg in segments],
+    return EquilibriumSet([MixedProfile(game, vecs) for vecs in isolated], segments,
                           [d for _, d in diagnostics])
 
 
@@ -809,15 +803,6 @@ def _g_stack(own, opp, opp_payoff):
     return g, np.repeat([1e-10, TIE_TOL], [p, outside.shape[1]])
 
 
-class _Segment(NamedTuple):
-    """A segment candidate, with the fields of the `Component` it becomes."""
-
-    support: tuple
-    base: tuple
-    direction: tuple
-    interval: tuple
-
-
 def _segment_point(base, direction, t):
     """The vectors of the profile at t on the segment base + t * direction,
     before normalization."""
@@ -825,7 +810,7 @@ def _segment_point(base, direction, t):
 
 
 def _lines(game, pays, sides, solved, lines):
-    """(segments, points): the `_Segment`s of the pairs (pair, var, fixed)
+    """(segments, points): the `Component`s of the pairs (pair, var, fixed)
     of `lines`, in pair order, and their hair-width ones as (pair, point
     candidate).  var and fixed index `sides` and `solved`: the side with a
     one-dimensional null space and the other, a feasible point.  One pass
@@ -884,7 +869,7 @@ def _lines(game, pays, sides, solved, lines):
             else:
                 support = tuple(tuple(game.actions[pl][a] for a in s) for pl, s in
                                 zip(game.players, (own[r], fixed_own[r])[order]))
-                segments.append((pair, _Segment(support, base_r, direction_r, (lo, hi))))
+                segments.append((pair, Component(support, base_r, direction_r, (lo, hi))))
     segments.sort(key=lambda e: e[0])
     return [seg for _, seg in segments], points
 
@@ -970,7 +955,7 @@ def _enumerate_single(game):
 
 def _dedupe(game, points, segments):
     """(vecs of the kept points, merged segments), from the (vecs, stacked
-    profile vectors) of `points` and the `_Segment`s of `segments`, each in
+    profile vectors) of `points` and the `Component`s of `segments`, each in
     pair order.  A point within 1e-9 of a segment, or of a point kept
     before it, is dropped; the kept points are sorted by their profile
     vectors and the segments by support."""
@@ -1029,7 +1014,7 @@ def _try_join(a, b):
     alo, ahi = a.interval
     if blo > ahi + 1e-9 or alo > bhi + 1e-9:
         return None
-    return a._replace(interval=(min(alo, blo), max(ahi, bhi)))
+    return replace(a, interval=(min(alo, blo), max(ahi, bhi)))
 
 
 def _project_side(target, side):
@@ -1126,13 +1111,6 @@ class RefinementTag:
     proper: RefinementVerdict
 
 
-def undominated_flag(game, profile):
-    """No action played above TIE_TOL is weakly dominated by a pure action.
-    Mixed dominance is not tested: a point can read undominated and still
-    be refuted by `check_perfect` with a `mixed-dominance` certificate."""
-    return _dominated_on_support(game, profile) is None
-
-
 def _require_nash(game, profile):
     """ValueError unless `profile`'s Nash defect on the game's unit view is
     at most TIE_TOL, so the test means the same at every payoff scale."""
@@ -1179,13 +1157,19 @@ def _smoothed_perfect_witness(game, profile, eps):
 
 
 def _tiered_proper_witness(game, profile, eps):
+    """The candidate plus eps^(d + 1) / (k 2^d) on each action d levels
+    below the best replies, if eps-proper.  The levels are the tie blocks
+    of its utilities (`search._tie_blocks`), or single actions in utility
+    order where ties chain past TIE_TOL into no consistent blocks."""
     vecs = []
     for i in range(game.n_players):
         eu = expected_utility(game, profile, i)
-        order = _order_from_values(eu)
+        blocks = search._tie_blocks((eu,))
+        if blocks is None:
+            blocks = [[a] for a in np.argsort(-eu, kind="stable")]
         k = len(eu)
         w = np.array(profile.vectors[i], dtype=float)
-        for depth, level in enumerate(order):
+        for depth, level in enumerate(blocks):
             for a in level:
                 if depth == 0:
                     w[a] += eps / k
@@ -1198,21 +1182,12 @@ def _tiered_proper_witness(game, profile, eps):
     return None
 
 
-def _order_from_values(values):
-    idx = np.argsort(-np.asarray(values, dtype=float), kind="stable")
-    levels = []
-    current = [int(idx[0])]
-    for j in idx[1:]:
-        if values[current[-1]] - values[j] <= TIE_TOL:
-            current.append(int(j))
-        else:
-            levels.append(tuple(current))
-            current = [int(j)]
-    levels.append(tuple(current))
-    return tuple(levels)
-
-
 def _dominated_on_support(game, profile):
+    """A `dominated-on-support` certificate for the first action played
+    above TIE_TOL that a pure action weakly dominates, or None.  It refutes
+    perfection, and so properness, for any number of players: against
+    completely mixed trembles the dominator earns strictly more, so the
+    dominated action gets probability 0 in the limit."""
     hit = weak_dominance(game).first_violation(profile, lambda x_d, _: x_d > TIE_TOL)
     if hit is None:
         return None
@@ -1229,6 +1204,7 @@ def _dominated_on_support(game, profile):
 def _check_refinement(game, profile, schedule, closed_form, passes, pattern_search):
     """Decide a refinement at the smallest scheduled eps.
 
+    Pure dominance on the support refutes first (`_dominated_on_support`).
     The closed-form candidate is kept if it lies within DELTA_FACTOR * eps,
     else the pattern search runs.  A witness found is listed at every
     scheduled eps, largest first; any other verdict carries no witnesses
@@ -1237,10 +1213,9 @@ def _check_refinement(game, profile, schedule, closed_form, passes, pattern_sear
     """
     check_schedule(schedule, "eps")
     _require_nash(game, profile)
-    if game.n_players == 2:
-        cert = _dominated_on_support(game, profile)
-        if cert is not None:
-            return RefinementVerdict(REFUTED, certificate=cert)
+    cert = _dominated_on_support(game, profile)
+    if cert is not None:
+        return RefinementVerdict(REFUTED, certificate=cert)
     eps = min(schedule)
     delta = DELTA_FACTOR * eps
     witness = closed_form(game, profile, eps)
@@ -1271,7 +1246,8 @@ def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     (a pure dominance, tried first) or `mixed-dominance`, whose `dominating`
     maps actions to the probabilities of a dominating mixed strategy (from
     the LPs of `search.perfect_pattern_search`, run where the smoothing
-    fails).  With three or more players only the smoothing runs.
+    fails).  With three or more players pure dominance on the support
+    refutes, and otherwise only the smoothing runs.
 
     An eps-perfect witness within DELTA_FACTOR * eps is eps'-perfect and
     within DELTA_FACTOR * eps' for every eps' >= eps: interior stays
@@ -1310,10 +1286,11 @@ def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):
     """Refinement tags for the isolated equilibria, and a summary per
     component.
 
-    A two-player point is tagged undominated unless its perfection is
-    refuted: no mixed strategy weakly dominates either player's strategy
-    exactly when it is perfect (van Damme 1991, Thm 3.2.2).  Other games
-    keep `undominated_flag`, the test against pure dominance.
+    A point is tagged undominated unless its perfection is refuted.  For
+    two players no mixed strategy weakly dominates either player's strategy
+    exactly when the point is perfect (van Damme 1991, Thm 3.2.2); with
+    more players the tag reads "perfection not refuted", and pure dominance
+    on the support refutes it.
 
     A component is decided at its `segment_breakpoints` (`decide_segment`).
     Its summary lists a `grid` entry {t, undominated, perfect, proper} at
@@ -1326,9 +1303,7 @@ def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):
 
     def tag(profile):
         perfect = check_perfect(game, profile, schedule=schedule)
-        undominated = (perfect.status != REFUTED if game.n_players == 2
-                       else undominated_flag(game, profile))
-        return RefinementTag(undominated, perfect,
+        return RefinementTag(perfect.status != REFUTED, perfect,
                              check_proper(game, profile, schedule=schedule))
 
     tags = [tag(p) for p in eqset.isolated]

@@ -50,13 +50,8 @@ class QreConvergenceError(RuntimeError):
 class QRF:
     """Evaluable map from utility vectors to interior probability vectors."""
 
-    kind = "generic"
-
     def evaluate(self, utilities):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def __call__(self, utilities):
-        return self.evaluate(utilities)
 
 
 class LogisticQRF(QRF):
@@ -67,11 +62,9 @@ class LogisticQRF(QRF):
     representable.
     """
 
-    kind = "logistic"
-
     def __init__(self, lam):
-        if not np.isfinite(lam):
-            raise ValueError("lambda must be finite")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValueError("lambda must be finite and nonnegative")
         self.lam = float(lam)
 
     def evaluate(self, utilities):
@@ -84,25 +77,11 @@ class LogisticQRF(QRF):
         return f"LogisticQRF(lam={self.lam:g})"
 
 
-def logistic_qrf(lam):
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    return LogisticQRF(lam)
-
-
-def logistic_profile(game, lam):
-    return [LogisticQRF(lam) for _ in range(game.n_players)]
-
-
 @dataclass
 class QrePoint:
     lam: float | None
     profile: MixedProfile
     residual: float
-
-    @property
-    def interior(self):
-        return self.profile.is_interior
 
 
 def _apply_qrfs(game, qrfs, vectors):
@@ -121,9 +100,10 @@ def _normalized(game, vectors):
             for p, v in zip(game.players, vectors)]
 
 
-def qre_fixed_point(game, qrfs, start=None, tol=FIXED_POINT_TOL,
-                    max_iter=MAX_ITER, lam=None):
-    """Damped fixed-point iteration for sigma = p(U(sigma)).
+def qre_fixed_point(game, qrfs, start=None, lam=None):
+    """Damped fixed-point iteration for sigma = p(U(sigma)), to a residual
+    below FIXED_POINT_TOL in at most MAX_ITER steps; `lam` only labels the
+    returned point.
 
     The damping factor halves on residual increases; a finite-difference
     Newton step on the defect map kicks in when plain iteration stalls.
@@ -139,9 +119,9 @@ def qre_fixed_point(game, qrfs, start=None, tol=FIXED_POINT_TOL,
     target = _apply_qrfs(game, qrfs, vecs)
     res = _residual(vecs, target)
     stall = 0
-    for _ in range(max_iter):
-        if res < tol:
-            return _accept(game, qrfs, start, raw, target, res, lam, tol)
+    for _ in range(MAX_ITER):
+        if res < FIXED_POINT_TOL:
+            return _accept(game, qrfs, start, raw, target, res, lam)
         step = [(1 - alpha) * v + alpha * t for v, t in zip(vecs, target)]
         cand = _normalized(game, step)
         cand_target = _apply_qrfs(game, qrfs, cand)
@@ -156,26 +136,26 @@ def qre_fixed_point(game, qrfs, start=None, tol=FIXED_POINT_TOL,
         else:
             alpha *= 0.5
         if stall >= 60:
-            newton = _newton_polish(game, qrfs, vecs, tol)
+            newton = _newton_polish(game, qrfs, vecs)
             if newton is not None:
                 raw = newton
                 vecs = _normalized(game, raw)
                 target = _apply_qrfs(game, qrfs, vecs)
                 res = _residual(vecs, target)
-                if res < tol:
-                    return _accept(game, qrfs, start, raw, target, res, lam, tol)
+                if res < FIXED_POINT_TOL:
+                    return _accept(game, qrfs, start, raw, target, res, lam)
             stall = 0
     raise QreConvergenceError(
         f"fixed point not reached (last residual {res:.3e})", res
     )
 
 
-def _accept(game, qrfs, start, raw, target, res, lam, tol):
+def _accept(game, qrfs, start, raw, target, res, lam):
     """Prefer landing on the QRF image: it is interior by construction,
     which heals exact zeros left by clipped Newton steps."""
     imaged = _normalized(game, target)
     imaged_res = _residual(imaged, _apply_qrfs(game, qrfs, imaged))
-    if imaged_res < tol:
+    if imaged_res < FIXED_POINT_TOL:
         return QrePoint(lam, MixedProfile(game, target), imaged_res)
     return QrePoint(lam, start if raw is None else MixedProfile(game, raw), res)
 
@@ -196,7 +176,7 @@ def _unstack_reduced(game, z):
     return vecs
 
 
-def _newton_polish(game, qrfs, vectors, tol, steps=40):
+def _newton_polish(game, qrfs, vectors, steps=40):
     """Raw vectors of a polished point, or None when Newton fails."""
     def defect(z):
         vecs = _normalized(game, _unstack_reduced(game, z))
@@ -207,7 +187,7 @@ def _newton_polish(game, qrfs, vectors, tol, steps=40):
     n = len(z)
     for _ in range(steps):
         f = defect(z)
-        if np.max(np.abs(f)) < tol / 4:
+        if np.max(np.abs(f)) < FIXED_POINT_TOL / 4:
             return _unstack_reduced(game, z)
         jac = np.empty((n, n))
         h = 1e-7
@@ -232,19 +212,20 @@ def _newton_polish(game, qrfs, vectors, tol, steps=40):
     return None
 
 
-def default_lambda_schedule(lam_max=1e3, steps=40, lam_min=1e-2):
-    """0, then `steps` log-spaced values from lam_min to lam_max.
+LAM_MIN = 1e-2  # the first positive lambda of every schedule
+
+
+def default_lambda_schedule(lam_max=1e3, steps=40):
+    """0, then `steps` log-spaced values from LAM_MIN to lam_max.
 
     ValueError unless steps >= 2: fewer points cannot reach lam_max from
-    lam_min."""
+    LAM_MIN."""
     if steps < 2:
         raise ValueError(f"the lambda schedule needs steps >= 2, got steps={steps}")
-    if not (np.isfinite(lam_min) and np.isfinite(lam_max) and 0 < lam_min < lam_max):
+    if not (np.isfinite(lam_max) and LAM_MIN < lam_max):
         raise ValueError(
-            "the lambda schedule needs finite 0 < lam_min < lam_max, "
-            f"got lam_min={lam_min:g}, lam_max={lam_max:g}"
-        )
-    return [0.0] + list(np.logspace(np.log10(lam_min), np.log10(lam_max), steps))
+            f"the lambda schedule needs a finite lam_max > {LAM_MIN:g}, got {lam_max:g}")
+    return [0.0] + list(np.logspace(np.log10(LAM_MIN), np.log10(lam_max), steps))
 
 
 @dataclass
@@ -482,9 +463,9 @@ class PerturbedPoint:
     verdict: object  # MonotonicityVerdict of the payoff-monotone test
 
 
-def perturbed_monotone_point(game, mu, zeta, lam=1.0, tol=1e-12,
-                             max_iter=MAX_ITER):
-    """Fixed point of beta -> (1 - zeta) * mu + zeta * logit(U(beta)).
+def perturbed_monotone_point(game, mu, zeta):
+    """Fixed point of beta -> (1 - zeta) * mu + zeta * logit_1(U(beta)), to
+    a residual below 1e-12 in at most MAX_ITER steps.
 
     For small zeta the output is an interior payoff-monotone profile within
     about zeta of mu (convex-combination structure bounds the distance).
@@ -494,17 +475,17 @@ def perturbed_monotone_point(game, mu, zeta, lam=1.0, tol=1e-12,
     check = is_weakly_payoff_monotone(game, mu)
     if not check.satisfied:
         raise ValueError("mu is not weakly payoff monotone")
-    logit = LogisticQRF(lam)
+    logit = LogisticQRF(1.0)
     vecs = mu.vectors
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         target = [
             (1 - zeta) * m + zeta * logit.evaluate(utility_vector(game, i, vecs))
             for i, m in enumerate(mu.vectors)
         ]
         res = _residual(vecs, target)
         vecs = _normalized(game, target)
-        if res < tol:
+        if res < 1e-12:
             break
     else:
         raise QreConvergenceError(

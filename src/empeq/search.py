@@ -296,11 +296,6 @@ def add_m_fraction_rows(lp, levels, m, coefs=None):
                 lp.add_weak(_vec_of(lp.n, coefs, a) - m * _vec_of(lp.n, coefs, b))
 
 
-def dominance_pairs(game, player):
-    """(dominating_index, dominated_index) pairs for one player."""
-    return {(g, d) for _, d, g in weak_dominance(game).indexed[player]}
-
-
 # ---------------------------------------------------------------------------
 # pattern searches
 
@@ -625,7 +620,8 @@ def proper_pattern_search(game, candidate, eps, delta):
     that put a weakly dominated action at or above its dominator (at an
     interior profile the dominator earns strictly more).  Past
     MAX_PATTERN_PAIRS patterns of one player or pattern pairs the outcome
-    is open.
+    is open, and so it is where a player's utilities chain past TIE_TOL
+    into no consistent tie blocks.
 
     Exhaustion refutes properness in the limit: eps_n-proper profiles that
     converge to the candidate eventually keep its strict utility gaps, lie
@@ -645,10 +641,11 @@ def proper_pattern_search(game, candidate, eps, delta):
     unit = unit_view(game)
     pats = []
     for i in range(2):
-        orders = _block_orders(_tie_blocks((utility_vector(unit, i, candidate.vectors),)))
+        blocks = _tie_blocks((utility_vector(unit, i, candidate.vectors),))
+        orders = None if blocks is None else _block_orders(blocks)
         if orders is None:
             return PatternOutcome(OUTCOME_OPEN, None, 0)
-        dom = dominance_pairs(game, i)
+        dom = [(g, d) for _, d, g in weak_dominance(game).indexed[i]]
         pats.append([])
         for levels in orders:
             lv = level_of(levels)

@@ -6,9 +6,10 @@ import pytest
 
 from empeq import corpus, empirical, nash, search
 from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
-from empeq.game import TIE_TOL, Game, MixedProfile, expected_utility, nash_defect, unit_view
+from empeq.game import (TIE_TOL, Game, MixedProfile, expected_utility, nash_defect, unit_view,
+                        weak_dominance)
 from empeq.nash import UnsupportedGameError, nearest_nash
-from empeq.qre import QreConvergenceError, logistic_profile, qre_fixed_point, trace_logit_path
+from empeq.qre import LogisticQRF, QreConvergenceError, qre_fixed_point, trace_logit_path
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ def random_monotone_profile(game, rng, max_tries=12):
     for _ in range(max_tries):
         lam = float(rng.uniform(0.05, 2.5))
         try:
-            pt = qre_fixed_point(game, logistic_profile(game, lam))
+            pt = qre_fixed_point(game, [LogisticQRF(lam)] * game.n_players)
         except QreConvergenceError:
             continue
         from empeq.monotone import is_payoff_monotone
@@ -448,7 +449,7 @@ def reference_proper_search(game, candidate, eps, delta):
     s_refute = s_feas * 1e-3
     pats = []
     for i in range(2):
-        forced = _ref_forced_util_pairs(game, candidate, i, delta) | search.dominance_pairs(game, i)
+        forced = _ref_forced_util_pairs(game, candidate, i, delta) | dominance_pairs(game, i)
         orders = _ref_sorted_orders(game, candidate, i, forced, set())
         if orders is None:
             return search.PatternOutcome(search.OUTCOME_OPEN, None, 0)
@@ -501,7 +502,7 @@ def reference_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
     for i in range(2):
         prob_forced = _forced_prob_pairs(candidate.vectors[i], delta)
         util_forced = _ref_forced_util_pairs(game, candidate, i, delta)
-        dom = search.dominance_pairs(game, i)
+        dom = dominance_pairs(game, i)
         if m == 1.0 and not refute_mode:
             strict, weak = prob_forced | util_forced | dom, set()
         elif m == 1.0:
@@ -592,6 +593,20 @@ def reference_perfect_search(game, candidate, eps, delta):
     return out
 
 
+def dominance_pairs(game, player):
+    """(dominating index, dominated index) pairs of one player's weak
+    dominance."""
+    return {(g, d) for _, d, g in weak_dominance(game).indexed[player]}
+
+
+def undominated_flag(game, profile):
+    """Oracle: no action played above TIE_TOL is weakly dominated by a pure
+    action.  Mixed dominance is not tested: a point can read undominated
+    and still be refuted by `check_perfect` with a `mixed-dominance`
+    certificate."""
+    return weak_dominance(game).first_violation(profile, lambda x_d, _: x_d > TIE_TOL) is None
+
+
 def recheck_mixed_dominance(game, candidate, cert):
     """Assert that a `mixed-dominance` certificate holds on the raw payoff
     table: its mixed strategy does at least as well as the candidate's
@@ -658,7 +673,7 @@ class ProbeResult:
     path: object
 
 
-def nonemptiness_probe(game, delta_schedule=DEFAULT_DELTAS, seed=0):
+def nonemptiness_probe(game, delta_schedule=DEFAULT_DELTAS):
     """Sanity oracle: the logit-path terminal is an approachable equilibrium.
 
     The traced path itself is the witness sequence; the probe returns the
@@ -670,5 +685,5 @@ def nonemptiness_probe(game, delta_schedule=DEFAULT_DELTAS, seed=0):
         candidate = nearest_nash(game, path.terminal)[1] or path.terminal
     except UnsupportedGameError:
         candidate = path.terminal
-    verdict = empirical_membership(game, candidate, delta_schedule, seed=seed)
+    verdict = empirical_membership(game, candidate, delta_schedule)
     return ProbeResult(candidate, verdict, path)

@@ -17,7 +17,7 @@ from empeq.ccost import (
 )
 from empeq.game import MixedProfile, expected_utility, nash_defect
 from empeq.monotone import is_payoff_monotone
-from empeq.qre import logistic_profile, qre_fixed_point
+from empeq.qre import LogisticQRF, qre_fixed_point
 
 from conftest import assert_regular_qrf, random_game, random_monotone_profile
 
@@ -246,7 +246,7 @@ def test_random_round_trip_property():
 
 def test_vanishing_sequence_gamma1(gamma1):
     profs = [
-        qre_fixed_point(gamma1, logistic_profile(gamma1, lam)).profile
+        qre_fixed_point(gamma1, [LogisticQRF(lam)] * 2).profile
         # at lam = 1000, sigma(a2) ~ e^-1000 is below the smallest double;
         # past lam ~ 350 the spline tail m0 * y0^2 underflows as well
         for lam in (1, 10, 100, 300)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from empeq import corpus
+from empeq import corpus, search
 from empeq.empirical import (
     DEFAULT_DELTAS,
     empirical_membership,
@@ -151,7 +151,8 @@ def test_isolated_equilibria_of_uniform_games_are_members(n):
         for candidate in enumerate_nash(game).isolated:
             verdict = empirical_membership(game, candidate)
             _recheck_member(game, candidate, verdict, 1.0)
-            assert verdict.diagnostics["patterns_tried"] == 1
+            out = search.monotone_pattern_search(unit_view(game), candidate, min(DEFAULT_DELTAS))
+            assert out.tried == 1
 
 
 def _decisions(report):

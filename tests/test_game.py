@@ -112,11 +112,9 @@ def test_weak_dominance_witness_is_strict(phi):
     rep = weak_dominance(phi)
     for p in phi.players:
         for pair in rep.pairs[p]:
-            dom_prof = dict(pair.witness)
-            dom_prof[p] = pair.dominating
-            sub_prof = dict(pair.witness)
-            sub_prof[p] = pair.dominated
-            assert phi.payoff(dom_prof, p) > phi.payoff(sub_prof, p)
+            # p's utilities against the witness's pure opponent profile
+            u = expected_utility(phi, MixedProfile.pure(phi, {**pair.witness, p: pair.dominated}), p)
+            assert u[phi.action_index(p, pair.dominating)] > u[phi.action_index(p, pair.dominated)]
 
 
 def test_profile_rejects_negative(gamma1):

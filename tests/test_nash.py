@@ -17,7 +17,6 @@ from empeq.nash import (
     is_epsilon_proper,
     nearest_nash,
     segment_breakpoints,
-    undominated_flag,
 )
 
 from conftest import (
@@ -33,6 +32,7 @@ from conftest import (
     recheck_mixed_dominance,
     reference_perfect_search,
     segment_grid,
+    undominated_flag,
     without_dropped_faces,
 )
 
@@ -130,10 +130,24 @@ def test_one_by_one_game():
 
 
 def test_enumeration_limit():
+    # 70x70 has (2^70 - 1)^2 support pairs, past the 2^20 cap
     rng = np.random.default_rng(0)
     g = random_game(rng, (70, 70))
-    with pytest.raises(UnsupportedGameError):
+    with pytest.raises(UnsupportedGameError, match="support pairs"):
         enumerate_nash(g)
+
+
+def test_one_player_game_with_many_actions_enumerates():
+    u = np.zeros(5000)
+    u[4321] = 1.0
+    game = Game(["P1"], {"P1": [f"a{j}" for j in range(5000)]}, u[:, None])
+    eq = enumerate_nash(game)
+    assert len(eq.isolated) == 1 and not eq.components
+    assert eq.isolated[0].vectors[0][4321] == 1.0
+    u[17] = 1.0
+    eq = enumerate_nash(Game(game.players, game.actions, u[:, None]))
+    assert not eq.isolated and len(eq.components) == 1
+    assert eq.components[0].support == (("a17", "a4321"),)
 
 
 def test_three_player_unsupported():
@@ -301,6 +315,26 @@ def _mixed_dominance_case(alpha=1.0):
     game = Game(["P1", "P2"], {"P1": ["T", "M", "B"], "P2": ["L", "C", "R"]},
                 alpha * np.stack([u1, u2], axis=-1).astype(float))
     return game, MixedProfile.from_dict(game, {"P1": {"B": 1.0}, "P2": {"L": 0.5, "C": 0.5}})
+
+
+def test_pure_dominance_refutes_refinements_with_three_players():
+    # P1's y is weakly dominated by x (strictly only against (b1, c1)); at
+    # (y; b2; c2) every player is indifferent, so the point is Nash, yet
+    # under completely mixed trembles x earns strictly more than y
+    u1 = np.ones((2, 2, 2))
+    u1[1, 0, 0] = 0.0
+    payoffs = np.stack([u1, np.zeros((2, 2, 2)), np.zeros((2, 2, 2))], axis=-1)
+    game = Game(["P1", "P2", "P3"], {"P1": ["x", "y"], "P2": ["b1", "b2"],
+                                     "P3": ["c1", "c2"]}, payoffs)
+    profile = MixedProfile.pure(game, {"P1": "y", "P2": "b2", "P3": "c2"})
+    for verdict in (check_perfect(game, profile), check_proper(game, profile)):
+        assert verdict.status == "refuted" and verdict.witnesses == []
+        assert verdict.certificate == {"kind": "dominated-on-support", "player": "P1",
+                                       "action": "y", "dominated_by": "x",
+                                       "probability": 1.0}
+    (tag,), _ = classify(game, EquilibriumSet([profile], []))
+    assert not tag.undominated
+    assert tag.perfect.status == tag.proper.status == "refuted"
 
 
 def test_perfect_refutes_mixed_dominance():
@@ -488,6 +522,21 @@ def test_proper_implies_perfect_on_corpus():
             if prop.status == "verified":
                 assert check_perfect(g, p).status == "verified"
                 assert undominated_flag(g, p)
+
+
+def test_proper_with_utilities_chained_past_the_tie_tolerance():
+    # P1's utilities against b0 sit 0.7e-9 apart, so a0 and a2 differ by
+    # more than TIE_TOL while each ties a1: no consistent tie blocks
+    col = np.append(1 - 2.1e-9 + np.array([0.7, 1.4, 2.1, 0.7]) * 1e-9, 0.0)
+    payoffs = np.stack([np.stack([col, np.zeros(5)], axis=1),
+                        np.stack([np.ones(5), np.zeros(5)], axis=1)], axis=-1)
+    game = Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(5)], "P2": ["b0", "b1"]}, payoffs)
+    profile = MixedProfile.pure(game, {"P1": "a2", "P2": "b0"})
+    out = search.proper_pattern_search(game, profile, 1e-4, 1e-3)
+    assert out.outcome == search.OUTCOME_OPEN and out.tried == 0
+    v = check_proper(game, profile)
+    assert v.status == "verified"
+    assert is_epsilon_proper(game, v.witnesses[-1][1], 1e-4)
 
 
 def test_refinement_rejects_non_nash(gamma1):

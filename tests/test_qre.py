@@ -11,8 +11,6 @@ from empeq.qre import (
     LogisticQRF,
     QreConvergenceError,
     default_lambda_schedule,
-    logistic_profile,
-    logistic_qrf,
     perturbed_monotone_point,
     qre_fixed_point,
     trace_logit_path,
@@ -22,13 +20,13 @@ from conftest import assert_regular_qrf, corpus_games, random_game
 
 
 def test_logistic_lambda_zero_uniform():
-    q = logistic_qrf(0.0)
+    q = LogisticQRF(0.0)
     out = q.evaluate(np.array([3.0, -1.0, 17.0]))
     assert np.allclose(out, 1 / 3)
 
 
 def test_logistic_lambda_one_two_actions():
-    q = logistic_qrf(1.0)
+    q = LogisticQRF(1.0)
     out = q.evaluate(np.array([1.0, 0.0]))
     e = np.exp(1.0)
     assert out[0] == pytest.approx(e / (e + 1), abs=1e-12)
@@ -38,26 +36,26 @@ def test_logistic_lambda_one_two_actions():
 
 
 def test_logistic_shift_invariance():
-    q = logistic_qrf(2.5)
+    q = LogisticQRF(2.5)
     x = np.array([0.4, -1.2, 3.0])
     assert np.allclose(q.evaluate(x), q.evaluate(x + 17.3), atol=1e-12)
 
 
 def test_logistic_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        logistic_qrf(-1.0)
+        LogisticQRF(-1.0)
     with pytest.raises(ValueError):
         LogisticQRF(np.inf)
 
 
 def test_fixed_point_lambda_zero_uniform(gamma2c22):
-    pt = qre_fixed_point(gamma2c22, logistic_profile(gamma2c22, 0.0))
+    pt = qre_fixed_point(gamma2c22, [LogisticQRF(0.0)] * gamma2c22.n_players)
     assert np.allclose(pt.profile.stacked(), 1 / 3, atol=1e-12)
     assert pt.residual <= 1e-10
 
 
 def test_fixed_point_gamma1_tilts_to_top(gamma1):
-    pt = qre_fixed_point(gamma1, logistic_profile(gamma1, 10.0))
+    pt = qre_fixed_point(gamma1, [LogisticQRF(10.0)] * gamma1.n_players)
     assert pt.profile.is_interior
     assert pt.profile.vectors[0][0] > 0.5
 
@@ -68,21 +66,21 @@ def test_fixed_point_constant_game_uniform():
         {"P1": ["x", "y", "z"], "P2": ["u", "v"]},
         np.full((3, 2, 2), 2.0),
     )
-    for qrfs in (logistic_profile(g, 5.0), logistic_profile(g, 0.7)):
-        pt = qre_fixed_point(g, qrfs)
+    for lam in (5.0, 0.7):
+        pt = qre_fixed_point(g, [LogisticQRF(lam)] * 2)
         assert np.allclose(pt.profile.vectors[0], 1 / 3, atol=1e-10)
         assert np.allclose(pt.profile.vectors[1], 1 / 2, atol=1e-10)
 
 
 def test_fixed_point_requires_one_qrf_per_player(gamma1):
     with pytest.raises(ValueError):
-        qre_fixed_point(gamma1, [logistic_qrf(1.0)])
+        qre_fixed_point(gamma1, [LogisticQRF(1.0)])
 
 
 def test_qre_points_payoff_monotone():
     for g in corpus_games():
         for lam in (0.5, 1, 2, 5, 10):
-            pt = qre_fixed_point(g, logistic_profile(g, lam))
+            pt = qre_fixed_point(g, [LogisticQRF(lam)] * g.n_players)
             assert pt.residual < 1e-10
             assert is_payoff_monotone(g, pt.profile).satisfied
 
@@ -143,7 +141,7 @@ def test_perturbed_gamma1_example(gamma1):
     mu = MixedProfile.from_dict(
         gamma1, {"P1": {"a1": 0.75, "a2": 0.25}, "P2": {"b1": 0.75, "b2": 0.25}}
     )
-    pt = perturbed_monotone_point(gamma1, mu, zeta=0.01, lam=1.0)
+    pt = perturbed_monotone_point(gamma1, mu, zeta=0.01)
     assert pt.profile.is_interior
     assert pt.verdict.satisfied
     assert pt.distance <= 0.02
@@ -169,23 +167,21 @@ def test_perturbed_rejects_non_monotone_mu(gamma1):
 
 
 def test_audit_logistic_clean():
-    assert_regular_qrf(logistic_qrf(2.0), 3, samples=150, seed=1)
+    assert_regular_qrf(LogisticQRF(2.0), 3, samples=150, seed=1)
 
 
 def test_newton_fallback_high_lambda():
     # a high-precision logit point on an asymmetric game
     rng = np.random.default_rng(4)
     g = random_game(rng, (3, 3))
-    pt = qre_fixed_point(g, logistic_profile(g, 40.0))
+    pt = qre_fixed_point(g, [LogisticQRF(40.0)] * g.n_players)
     assert pt.residual < 1e-10
 
 
 def test_default_lambda_schedule_rejects_meaningless_ranges():
     assert len(default_lambda_schedule()) == 41
-    for kwargs in ({"lam_max": np.inf}, {"lam_max": np.nan}, {"lam_min": 0.0},
-                   {"lam_min": -1.0}, {"lam_max": 1e-3}, {"lam_max": 1e-2},
-                   {"lam_min": -np.inf}, {"steps": 1}, {"steps": 0},
-                   {"steps": -3}):
+    for kwargs in ({"lam_max": np.inf}, {"lam_max": np.nan}, {"lam_max": 1e-3},
+                   {"lam_max": 1e-2}, {"steps": 1}, {"steps": 0}, {"steps": -3}):
         with pytest.raises(ValueError, match="lambda schedule"):
             default_lambda_schedule(**kwargs)
 
@@ -299,7 +295,7 @@ def _ref_fixed_point(game, qrfs, start=None, tol=1e-10, max_iter=100_000, lam=No
 
 def _ref_trace_step(game, lam_lo, lam_hi, profile, depth):
     try:
-        point = _ref_fixed_point(game, logistic_profile(game, lam_hi), start=profile)
+        point = _ref_fixed_point(game, [LogisticQRF(lam_hi)] * game.n_players, start=profile)
         if point[0].distance(profile) <= 0.35 or depth >= 6:
             return point
     except QreConvergenceError:
@@ -357,8 +353,8 @@ def test_logit_iteration_matches_profile_reference(index):
     start = path.points[10].profile
     for lam in (0.3, 4.0, 40.0):
         for begin in (None, start):
-            got = qre_fixed_point(g, logistic_profile(g, lam), start=begin, lam=lam)
-            profile, res = _ref_fixed_point(g, logistic_profile(g, lam), start=begin)
+            got = qre_fixed_point(g, [LogisticQRF(lam)] * g.n_players, start=begin, lam=lam)
+            profile, res = _ref_fixed_point(g, [LogisticQRF(lam)] * g.n_players, start=begin)
             assert _same_bits(got.profile, profile)
             assert got.residual == res
     for mu in (MixedProfile.uniform(g), path.points[5].profile):

@@ -63,7 +63,7 @@ from conftest import (
 )
 
 
-def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0, seed=0):
+def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0):
     """Two players: one closure test, its witness re-checked at every delta.
     More players: one witness search per delta, largest first."""
     cert = empirical._dominance_refutation(game, profile, m)
@@ -78,7 +78,7 @@ def _membership_reference(game, profile, deltas=DEFAULT_DELTAS, m=1.0, seed=0):
             }))
         witnesses = [(delta, out.witness) for delta in sorted(deltas, reverse=True)]
     else:
-        witnesses = [(delta, empirical._generic_witness(game, profile, delta, m, seed))
+        witnesses = [(delta, empirical._generic_witness(game, profile, delta, m))
                      for delta in sorted(deltas, reverse=True)]
     missing = [d for d, w in witnesses if not search.witness_ok(game, w, profile, d, m)]
     if not missing:
