@@ -39,20 +39,27 @@ stages, and a pair drops at the first stage that proves it empty:
   pairs (1, q) alike, exactly as its SVD would (`_single_sides`).  The
   other side of a pair (1, q >= 2) is one equality over q unknowns and
   never proves the pair empty.
-- Certificate (p >= 2).  One `slogdet` per size factors every p x p matrix
-  the size needs among the undominated pairs.  In an unbalanced pair
-  (|s1| != |s2|) the side of the smaller support has more equalities than
-  unknowns.  A lower bound on the residual of any solution the exact solve
-  could compute, from the determinant of a p x p block, proves that side
-  inconsistent on most such pairs.  This is the balance condition of
-  Porter, Nudelman & Shoham, applied pair by pair, so degenerate games
-  keep their unbalanced equilibria.
+- Certificate (p >= 2).  In an unbalanced pair (|s1| != |s2|) the side of
+  the smaller support has more equalities than unknowns.  A lower bound on
+  the residual of any solution the exact solve could compute, from the
+  determinant of a p x p block, proves that side inconsistent on most such
+  pairs.  This is the balance condition of Porter, Nudelman & Shoham,
+  applied pair by pair, so degenerate games keep their unbalanced
+  equilibria.
 - LU decision (p >= 2).  On an undominated balanced pair's square first
   side, the determinant and the Frobenius norm bound the smallest singular
-  value from below.  Where that bound clears the exact solve's rank cut,
-  one stacked `solve` gives a point close enough to any x0 the exact solve
+  value from below.  Where that bound clears the exact solve's rank cut, a
+  stacked `solve` gives a point close enough to any x0 the exact solve
   could accept to prove x0 infeasible by a margin.  The second side of each
   surviving pair is decided the same way.
+The last two stages run once per game over every size p: the D blocks of
+the undominated unbalanced pairs and the first sides of the undominated
+balanced pairs go into one stack of P x P matrices diag(M, I), P the
+largest p among them, which one `slogdet`, one certificate evaluation and
+one LU decision (one `solve`) decide; the surviving second sides take one
+more `slogdet` and LU decision.  LAPACK factors diag(M, I) block by block,
+so every bound holds with its row's own p, q and the norms of the unpadded
+M (`_lu_floor`).
 A dropped pair would give the exact solve no point and no segment: the
 last three stages drop only pairs it finds empty, and a pair dropped by
 dominance is at most a face of dimension >= 2 with no feasible point.  The
@@ -98,7 +105,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, combinations, groupby
+from itertools import chain, combinations, groupby
 
 import numpy as np
 
@@ -128,16 +135,18 @@ class UnsupportedGameError(ValueError):
     """Game outside the enumeration limits of this module."""
 
 
-def check_schedule(schedule, name):
-    """ValueError unless `schedule` is non-empty and every entry is finite
-    and > 0: a NaN, infinite or non-positive eps or delta makes a verdict
-    at that scale meaningless."""
+def check_schedule(schedule, name, upper=math.inf):
+    """ValueError unless `schedule` is non-empty and every entry is finite,
+    > 0 and < `upper`: a NaN, infinite or non-positive eps or delta makes a
+    verdict at that scale meaningless, and eps-perfection and eps-properness
+    need eps < 1."""
     values = [float(v) for v in schedule]
     if not values:
         raise ValueError(f"the {name} schedule is empty")
-    if not all(np.isfinite(v) and v > 0 for v in values):
+    if not all(np.isfinite(v) and 0 < v < upper for v in values):
         shown = ", ".join(f"{v:g}" for v in values)
-        raise ValueError(f"{name} schedule entries must be finite and > 0, got {shown}")
+        bounds = "finite and > 0" if upper == math.inf else f"in (0, {upper:g})"
+        raise ValueError(f"{name} schedule entries must be {bounds}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -322,84 +331,81 @@ def enumerate_nash(game):
     m, k = game.action_counts
     if (2**m - 1) * (2**k - 1) > 1 << 20:
         raise UnsupportedGameError("too many support pairs to enumerate")
-    classes1, classes2 = _support_classes(m), _support_classes(k)
-    sup1, sup2 = _flat_supports(classes1), _flat_supports(classes2)
+    sup1, rows1, size1 = _support_table(m)
+    sup2, rows2, size2 = _support_table(k)
     unit = unit_view(game)
-    may_hold = _screen_pairs(unit, classes1, classes2)
+    may_hold = _screen_pairs(unit, (rows1, size1), (rows2, size2))
     # row-major order is the order of the pairs (s1 outer, s2 inner)
     return _exact_stage(game, unit, [(sup1[i], sup2[j])
                                      for i, j in zip(*np.nonzero(may_hold))])
 
 
-def _support_classes(n):
-    """Supports over n actions as one index array per size 1..n, each in
-    lexicographic order."""
-    return [np.array(list(combinations(range(n), r))) for r in range(1, n + 1)]
+def _support_table(n):
+    """(supports, rows, size): every support over n actions as a tuple, by
+    size 1..n and in lexicographic order within a size; the same supports
+    as rows of an index array, each padded to n entries by repeating its
+    last action; and the size of each."""
+    supports = [s for r in range(1, n + 1) for s in combinations(range(n), r)]
+    size = np.repeat(np.arange(1, n + 1), [math.comb(n, r) for r in range(1, n + 1)])
+    flat = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=int(size.sum()))
+    start = np.cumsum(size) - size
+    return supports, flat[start[:, None] + np.minimum(np.arange(n), size[:, None] - 1)], size
 
 
-def _flat_supports(classes):
-    """The supports of `classes` as one list of tuples, in class order."""
-    return [tuple(s) for c in classes for s in c.tolist()]
-
-
-def _screen_pairs(unit, classes1, classes2):
+def _screen_pairs(unit, table1, table2):
     """A boolean mask over every support pair (s1, s2), rows and columns in
-    `_flat_supports` order: True where the pair may hold an equilibrium and
+    `_support_table` order: True where the pair may hold an equilibrium and
     goes to `_exact_stage`.
 
-    `unit` is the game's unit view.  The pairs are screened by the size p
-    of their smaller support; the stages are listed in the module
-    docstring.  The pairs whose supports hold a beaten action
-    (`_undominated`) are dropped first.  For each p >= 2 one `slogdet` then
-    factors every p x p matrix the size needs among the pairs still alive:
-    the D blocks of `_certified_inconsistent` for the unbalanced pairs, and
-    the equality matrix of each balanced pair's first side (player 2's, y).
+    `unit` is the game's unit view, and table1 and table2 are the (rows,
+    size) of each player's `_support_table`.  The stages are listed in the
+    module docstring.  The pairs whose supports hold a beaten action
+    (`_undominated`) are dropped first, then those with a size-1 side that
+    the closed form decides (`_single_sides`).  The pairs of two supports
+    of size >= 2 that are still alive are decided in one pass, whatever
+    their sizes, on P x P matrices diag(M, I) (`_padded_stack`), with P the
+    largest size p of a pair's smaller support: one `slogdet` factors the D
+    blocks of the unbalanced pairs and the first sides (player 2's, y) of
+    the balanced ones, which `_certified_inconsistent` and `_lu_screen`
+    decide; one more `slogdet` factors the second sides of the balanced
+    pairs that survive, which `_lu_screen` decides.
     """
+    (rows1, size1), (rows2, size2) = table1, table2
     a_t, b = unit.payoffs[..., 0].T, unit.payoffs[..., 1]
-    m, k = len(classes1), len(classes2)
-    start1 = np.cumsum([0] + [len(c) for c in classes1])
-    start2 = np.cumsum([0] + [len(c) for c in classes2])
-    may_hold = np.zeros((start1[-1], start2[-1]), dtype=bool)
+    m, k = len(b), len(a_t)
+    may_hold = _undominated(a_t.T, b.T, rows1, rows2)
     # pairs with a size-1 support, decided exactly: the other side of a pair
     # (1, q >= 2) has the one equality sum(v) = 1 over q unknowns, so it is
     # consistent and never a point
-    single1 = np.logical_and(*_single_sides(b, classes2))
-    single2 = np.logical_and(*_single_sides(a_t, classes1)).T
-    alive = _undominated(a_t.T, b.T, classes1, classes2)
-    may_hold[:m] = single1 & alive[:m]
-    may_hold[m:, :k] = single2[m:] & alive[m:, :k]
-    may_hold[:m, :k] &= single2[:m]
-    for p in range(2, min(m, k) + 1):
-        own1, own2 = classes1[p - 1], classes2[p - 1]
-        rows = slice(start1[p - 1], start1[p])
-        cols = slice(start2[p - 1], start2[p])
-        # the undominated pairs of player 1's size-p supports with player 2's
-        # larger ones, of player 2's size-p supports with player 1's larger
-        # ones, and of the two players' size-p supports
-        x_at = np.nonzero(alive[rows, start2[p]:])
-        y_at = np.nonzero(alive.T[cols, start1[p]:])
-        i, j = np.nonzero(alive[rows, cols])
-        if not (len(x_at[0]) or len(y_at[0]) or len(i)):
-            continue
-        unbalanced = []
-        for view, at, own, opp_classes, pay in (
-                (may_hold[rows, start2[p]:], x_at, own1, classes2[p:], b),
-                (may_hold.T[cols, start1[p]:], y_at, own2, classes1[p:], a_t)):
-            unbalanced.append((view, at, *_d_blocks(own, opp_classes, at, pay)))
-        first = (own2[j], own1[i], a_t)
-        mats = [d for _, _, d, _ in unbalanced] + [_equality_matrices(*first)]
-        logdet = np.linalg.slogdet(np.concatenate(mats))[1]
-        ends = list(accumulate(len(x) for x in mats))
-        for (view, at, d, q), lo, hi in zip(unbalanced, [0] + ends, ends):
-            if len(d):
-                view[at] = ~_certified_inconsistent(d, logdet[lo:hi], q)
-        keep = ~_lu_screen(mats[2], logdet[ends[1]:], first)
-        live = np.flatnonzero(keep)
+    may_hold[:m] &= np.logical_and(*_single_sides(b, rows2))
+    may_hold[:, :k] &= np.logical_and(*_single_sides(a_t, rows1)).T
+    r, c = np.nonzero(may_hold[m:, k:])
+    if not r.size:
+        return may_hold
+    r, c = r + m, c + k
+    p1, p2 = size1[r], size2[c]
+    # player 1's overdetermined sides (x), then player 2's (y), then the
+    # first sides of the balanced pairs (y)
+    x, y, bal = (np.flatnonzero(f) for f in (p1 < p2, p1 > p2, p1 == p2))
+    at = np.concatenate([x, y, bal])
+    p, q = np.minimum(p1, p2)[at], np.maximum(p1, p2)[at]
+    on_y = (rows2[c[at[len(x):]]], rows1[r[at[len(x):]]])
+    mats, sq = _padded_stack((b, a_t), [(rows1[r[x]], rows2[c[x]]), on_y], p, q)
+    logdet = np.linalg.slogdet(mats)[1]
+    n_un = len(x) + len(y)
+    keep = np.ones(len(at), dtype=bool)
+    keep[:n_un] = ~_certified_inconsistent(sq[:n_un], logdet[:n_un], p[:n_un], q[:n_un])
+    if bal.size:
+        first = (on_y[0][len(y):], on_y[1][len(y):], a_t)
+        open_ = ~_lu_screen(mats[n_un:], logdet[n_un:], sq[n_un:], p[n_un:], first)
+        live = bal[open_]
         if live.size:
-            second = (own1[i[live]], own2[j[live]], b)
-            a = _equality_matrices(*second)
-            keep[live] = ~_lu_screen(a, np.linalg.slogdet(a)[1], second)
-        may_hold[rows, cols][i, j] = keep
+            second, size = (rows1[r[live]], rows2[c[live]]), p1[live]
+            mats, sq = _padded_stack((b,), [second], size, size)
+            open_[open_] = ~_lu_screen(mats, np.linalg.slogdet(mats)[1], sq, size,
+                                       second + (b,))
+        keep[n_un:] = open_
+    may_hold[r[at], c[at]] = keep
     return may_hold
 
 
@@ -409,12 +415,13 @@ def _screen_pairs(unit, classes1, classes2):
 _BEATEN = 3e-8
 
 
-def _undominated(a, b, classes1, classes2):
+def _undominated(a, b, rows1, rows2):
     """A boolean mask over every support pair, as `_screen_pairs` returns
     it: False where one support holds an action that is beaten against the
     other (conditional strict dominance, Porter, Nudelman & Shoham, GEB
     2008).  a[i, j] and b[j, i] are player 1's and player 2's payoffs on
-    the unit view at actions i of player 1 and j of player 2.
+    the unit view at actions i of player 1 and j of player 2, and rows1 and
+    rows2 the padded rows of each player's `_support_table`.
 
     Why a beaten action empties its pair.  Let i in s1 be beaten by i'
     against s2 (p = |s1|, q = |s2|): the computed a[i', j] - a[i, j]
@@ -446,8 +453,7 @@ def _undominated(a, b, classes1, classes2):
     sums to zero up to rounding, so one has size >= 1 / 19) then bound |t|
     by 19 (|x0|_inf + 1e-10) < 20, and r < 1e-12 (20 + 20) + 1e-13 < 1e-10.
     """
-    bits1, bits2 = (np.concatenate([(1 << c).sum(axis=1) for c in classes])
-                    for classes in (classes1, classes2))
+    bits1, bits2 = (np.bitwise_or.reduce(1 << rows, axis=1) for rows in (rows1, rows2))
 
     def beaten(pay, opp_bits):
         # beats[i', i]: the opponent actions against which i' earns more
@@ -461,11 +467,11 @@ def _undominated(a, b, classes1, classes2):
             & ((beaten(b, bits1)[:, None] & bits2) == 0))
 
 
-def _single_sides(pay, opp_classes):
+def _single_sides(pay, opp_rows):
     """(consistent, feasible): boolean masks over the sides of each own
     action a (rows of `pay`, the opponent's payoffs on the unit view)
-    against each opponent support S of `opp_classes` (columns, in class
-    order).  No LAPACK call is made.
+    against each opponent support S (columns, the padded rows of
+    `_support_table`).  No LAPACK call is made.
 
     The closed form.  A size-1 side has the equality matrix (1, d_1, ...,
     d_{q-1}) as one column, with d_i = pay[a, S[i]] - pay[a, S[i + 1]].
@@ -473,55 +479,86 @@ def _single_sides(pay, opp_classes):
     roundoff and the SVD's minimum-norm solution is exactly x0 = [1.0] (a
     test pins this), whose residual is max |d_i|: so the side is consistent
     iff max |d_i| <= TIE_TOL, and its record is `_side_record` with x0 =
-    [1.0] and an empty null space.  Its payoff edges g_c x0 are then g_c =
+    [1.0] and an empty null space.  The padding repeats S's last action, so
+    it adds only differences of 0.  Its payoff edges g_c x0 are then g_c =
     pay[a, S[0]] - pay[a, c] for each c outside S, whose least is
     pay[a, S[0]] minus the best payoff outside S, as subtraction rounds
     monotonically: so x0 is feasible iff that least edge is >= -TIE_TOL.
     """
-    n = sum(len(c) for c in opp_classes)
-    inside = np.zeros((n, pay.shape[1]), dtype=bool)
-    spread = np.zeros((len(pay), n))
-    start = 0
-    for c in opp_classes:
-        rows = np.arange(start, start + len(c))
-        inside[rows[:, None], c] = True
-        if c.shape[1] > 1:
-            d = pay[:, c[:, :-1]] - pay[:, c[:, 1:]]
-            spread[:, rows] = np.abs(d).max(axis=-1)
-        start += len(c)
-    heads = np.concatenate([c[:, 0] for c in opp_classes])
-    gap = pay[:, heads] - np.where(inside, -np.inf, pay[:, None, :]).max(axis=-1)
+    inside = np.zeros((len(opp_rows), pay.shape[1]), dtype=bool)
+    inside[np.arange(len(opp_rows))[:, None], opp_rows] = True
+    spread = np.abs(pay[:, opp_rows[:, :-1]] - pay[:, opp_rows[:, 1:]]).max(axis=-1, initial=0.0)
+    gap = pay[:, opp_rows[:, 0]] - np.where(inside, -np.inf, pay[:, None, :]).max(axis=-1)
     return spread <= TIE_TOL, gap >= -TIE_TOL
 
 
-def _d_blocks(own, opp_classes, at, opp_payoff):
-    """(d, q) for the pairs at = (rows, cols) of a support own[rows[n]]
-    (size p) with the opponent support at flat index cols[n] of
-    `opp_classes` (sizes > p, in class order): d[n] is the pair's D block of
-    `_certified_inconsistent` (transposed, rounded as the exact solve rounds
-    its equality matrix), shape (n, p, p), and q[n] the opponent support's
-    size.  A block reads only the first p + 1 actions of that support."""
-    p = own.shape[1]
-    head = np.concatenate([c[:, :p + 1] for c in opp_classes]
-                          or [np.zeros((0, p + 1), dtype=int)])
-    q = np.repeat([c.shape[1] for c in opp_classes], [len(c) for c in opp_classes])
-    rows, cols = at
-    block = opp_payoff[own[rows][:, :, None], head[cols][:, None, :]]
-    return block[..., :-1] - block[..., 1:], q[cols]
+def _padded_stack(pays, sides, p, q):
+    """(mats, sq) for the sides (own[n], opp[n]) of sides[i] = (own, opp),
+    player i's, in player order: own and opp are padded rows of
+    `_support_table` of sizes p[n] <= q[n], and pays[i][own action,
+    opponent action] the opponent's payoffs on the unit view.
+
+    Let C be the (p + 1) x p equality matrix of a side over the first p + 1
+    actions of opp[n], as the exact solve rounds it: the all-ones row over
+    the payoff differences of consecutive opponent actions.  M is its first
+    p rows, the equality matrix of a balanced side, where q = p, and its
+    last p rows, the D block of `_certified_inconsistent` (transposed),
+    where q > p.  mats[n] = diag(M, I), P x P with P the largest p, and
+    sq[n] = |M|_F^2.
+
+    Each entry of M is one difference pay[a, c] - pay[a, c'], read from a
+    table of every such difference of the payoffs bordered by a column of
+    ones, a column of zeros and a row of zeros: the all-ones row takes c =
+    ones, c' = zeros, and the padding takes the zero row and column, so it
+    is exactly 0 until the identity goes onto its diagonal.
+    """
+    size = int(p.max())
+    n = max(max(pay.shape) for pay in pays)
+    # columns: the opponent actions, then ones (n) and zeros (n + 1)
+    width = n + 2
+    bordered = np.zeros((len(pays), n + 1, width))
+    own, heads = [], []
+    for i, (pay, (own_i, opp_i)) in enumerate(zip(pays, sides)):
+        bordered[i, :len(pay), :pay.shape[1]] = pay
+        bordered[i, :len(pay), n] = 1.0
+        own.append(own_i[:, :size] + i * (n + 1))
+        heads.append(opp_i[:, np.minimum(np.arange(size + 1), opp_i.shape[1] - 1)])
+    own, heads = np.concatenate(own), np.concatenate(heads)
+    diffs = bordered[..., :, None] - bordered[..., None, :]
+    inner = np.arange(size) < p[:, None]
+    # row r of M is the difference of the columns (c, c') at r, or at r + 1
+    # where q > p, of ((ones, zeros), (heads[0], heads[1]), (heads[1],
+    # heads[2]), ...)
+    cols = np.concatenate([np.full((len(p), 1), n * width + n + 1),
+                           heads[:, :-1] * width + heads[:, 1:]], axis=1)
+    cols = np.where((q > p)[:, None], cols[:, 1:], cols[:, :-1])
+    own = np.where(inner, own, n) * (width * width)
+    cols = np.where(inner, cols, (n + 1) * (width + 1))
+    mats = np.take(diffs, own[:, None, :] + cols[:, :, None])
+    sq = np.einsum("nij,nij->n", mats, mats)
+    mats.reshape(len(mats), -1)[:, ::size + 1] += ~inner
+    return mats, sq
 
 
 def _lu_floor(logdet, frob, p, others, entry_max):
     """(log_floor, e): sigma_min(Z) >= exp(log_floor) - e for a matrix Z
     with others + 1 rows whose |det| is that of a p x p block M, given
-    `logdet`, the log |det| that `slogdet` returns for M, and frob = |Z|_F.
+    `logdet`, the log |det| that `slogdet` returns for diag(M, I), and
+    frob = |Z|_F.  Every argument may be an array, one entry per matrix.
 
     Let u be the unit roundoff and g_p = p u / (1 - p u).  `slogdet`
-    factors M by LU with partial pivoting, which is exact for some M + E
-    with |E|_F <= e = g_p p^2 2^(p-1) entry_max (multipliers at most 1,
-    growth at most 2^(p-1), entries of M at most entry_max).  Putting E
-    into Z's M block gives a Z' with |Z' - Z|_2 <= e, |Z'|_F <= frob + e and
-    |det Z'| = |det(M + E)|.  The product of Z''s singular values is
-    |det Z'| and none exceeds |Z'|_F, so
+    factors diag(M, I) by LU with partial pivoting.  Its off-diagonal
+    blocks are zero, so no pivot leaves M's rows (where a column of M is
+    zero below the diagonal, the search takes the first row, inside M),
+    every elimination step subtracts exact zeros from the identity block,
+    and the factors are diag(L, I) and diag(U, I) with L U an LU of M with
+    partial pivoting, each entry of which sums at most p nonzero products.
+    So it is exact for some M + E with |E|_F <= e = g_p p^2 2^(p-1)
+    entry_max (multipliers at most 1, growth at most 2^(p-1), entries of M
+    at most entry_max), and the ones of the identity block add 0 to the
+    log |det|.  Putting E into Z's M block gives a Z' with |Z' - Z|_2 <= e,
+    |Z'|_F <= frob + e and |det Z'| = |det(M + E)|.  The product of Z''s
+    singular values is |det Z'| and none exceeds |Z'|_F, so
         sigma_min(Z) >= sigma_min(Z') - e >= |det(M + E)| / (frob + e)^others - e.
     The floor is a logarithm, so a singular M has log -inf and never clears
     a bound.
@@ -531,11 +568,13 @@ def _lu_floor(logdet, frob, p, others, entry_max):
     return logdet - others * np.log(frob + e), e
 
 
-def _certified_inconsistent(d, logdet, q):
-    """For pairs whose side has fewer unknowns p than equalities q, given
-    that side's D blocks d (from `_d_blocks`, on the unit view), their
-    log |det| and each pair's q: a boolean array, True where the exact solve
-    is proven to find that side inconsistent.  No SVD is taken.
+def _certified_inconsistent(sq, logdet, p, q):
+    """For sides with fewer unknowns p than equalities q, given |D|_F^2 and
+    the log |det| of each side's padded D block (`_padded_stack`, on the
+    unit view) and each side's p and q: a boolean array,
+    True where the exact solve is proven to find that side inconsistent.
+    No SVD is taken.  The sides may have any sizes, as each bound takes
+    its own p and q.
 
     The bound.  Let a (q x p) be the side's equality matrix, with right-hand
     side e1, and C the first p + 1 rows of [a | e1].  C's first row is all
@@ -555,14 +594,14 @@ def _certified_inconsistent(d, logdet, q):
     of D at most 2), with |C|_F^2 = p + 1 + |D|_F^2.  A slack of 1e-6 in
     the logarithm covers the rounding of the logarithms, of |C|_F and of
     the bound itself, and the 1 + O(p u) factors the growth picks up in
-    floating point (all relative errors below 1e-10 for p <= 20).  The
-    argument holds for every x0, so it needs no error constant of the SVD.
+    floating point (all relative errors below 1e-10 for p <= 20); the
+    padded `slogdet` and the sum of |D|_F^2 over zero padding differ from
+    unpadded ones only in such rounding.  The argument holds for every x0,
+    so it needs no error constant of the SVD.
     """
-    p = d.shape[-1]
     g_p = p * _UNIT / (1 - p * _UNIT)
     need = np.sqrt(q) * (TIE_TOL / (1 - _UNIT) + g_p * p * 2.0)
-    frob = np.sqrt(p + 1 + np.einsum("...ij,...ij->...", d, d))
-    log_floor, e = _lu_floor(logdet, frob, p, p, 2.0)
+    log_floor, e = _lu_floor(logdet, np.sqrt(p + 1 + sq), p, p, 2.0)
     return log_floor > np.log(need + e) + 1e-6
 
 
@@ -571,40 +610,49 @@ def _certified_inconsistent(d, logdet, q):
 _CLEARANCE = 1e6
 
 
-def _square_floor(a, logdet):
+def _square_floor(sq, logdet, p):
     """(low, frob): a lower bound on the smallest singular value of each
-    square equality matrix of a stack, from its log |det| (`_lu_floor`
-    with Z = M = a, entries at most 2 on the unit view), and its Frobenius
-    norm.  The 1e-6 in the logarithm covers the rounding of the floor."""
-    p = a.shape[-1]
-    frob = np.sqrt(np.einsum("nij,nij->n", a, a))
+    square equality matrix M of size p, from |M|_F^2 and the log |det| of
+    its padded diag(M, I) (`_lu_floor` with Z = M, entries at most 2 on the
+    unit view), and its Frobenius norm.  The 1e-6 in the logarithm covers
+    the rounding of the floor."""
+    frob = np.sqrt(sq)
     log_floor, e = _lu_floor(logdet, frob, p, p - 1, 2.0)
     return np.exp(log_floor - 1e-6) - e, frob
 
 
-def _lu_screen(a, logdet, side):
-    """A boolean mask over square sides (p unknowns, p equalities, on the
-    unit view), True where their LU factors prove that the exact solve finds
-    them inconsistent or a point with infeasible x0.  The other sides go to
-    `_exact_stage`.
+def _lu_screen(a, logdet, sq, p, side):
+    """A boolean mask over square sides (p[n] unknowns, p[n] equalities, on
+    the unit view), True where their LU factors prove that the exact solve
+    finds them inconsistent or a point with infeasible x0.  The other sides
+    go to `_exact_stage`.
 
-    The bound.  Let u be the unit roundoff, x* = a^-1 e1 the exact solution,
-    L the `_square_floor` of a (L <= sigma_min(a)) and F = |a|_F; each row
-    of a has absolute sum at most R = sqrt(p) F.  A side is decided only
+    a[n] is the padded diag(M, I) of `_padded_stack`, logdet its log |det|
+    and sq |M|_F^2; side = (own, opp, opp_payoff) holds the sides' padded
+    rows of `_support_table` and the opponent's payoffs.  One stacked
+    `solve` serves every size: diag(M, I) x = e1 gives x = (M^-1 e1, 0)
+    through the block-diagonal factors of `_lu_floor`, the zero tail
+    computed exactly, and the bounds below take each side's own p and the
+    norm of M.
+
+    The bound.  Let u be the unit roundoff, x* = M^-1 e1 the exact solution,
+    L the `_square_floor` of M (L <= sigma_min(M)) and F = |M|_F; each row
+    of M has absolute sum at most R = sqrt(p) F.  A side is decided only
     where L > _CLEARANCE p 2u F.  The one LAPACK property this relies on:
-    the SVD computes each singular value within 1e3 p u |a|_F of the exact
+    the SVD computes each singular value within 1e3 p u |M|_F of the exact
     one (LAPACK's SVD is backward stable with an error of a small multiple
-    of p u |a|_2).  Then the solve's smallest computed singular value
+    of p u |M|_2).  Then the solve's smallest computed singular value
     exceeds its rank cut p 2u s[0], so it finds a point: its null space is
     empty.
     - The solve returns a point x0 only if its computed resid is <= thr =
-      TIE_TOL.  A row of a @ x0 rounds by at most (2p + 4) u R |x0|_inf, and
+      TIE_TOL.  A row of M @ x0 rounds by at most (2p + 4) u R |x0|_inf, and
       |x0|_inf <= |x*|_2 + D0 <= 1/L + D0 with
-      D0 = |x0 - x*|_2 <= sqrt(p) |a x0 - e1|_inf / L, so
+      D0 = |x0 - x*|_2 <= sqrt(p) |M x0 - e1|_inf / L, so
           D0 <= sqrt(p) (thr + (2p + 4) u R / L) / (L (1 - c)),
       c = sqrt(p) (2p + 4) u R / L <= (2p + 4) / (2 _CLEARANCE) < 1.
-    - x^ = `np.linalg.solve(a, e1)` has computed residual r^, so
+    - x^, the head of `np.linalg.solve(a, e1)`, has computed residual r^, so
       D1 = |x^ - x*|_2 <= sqrt(p) (r^ + (2p + 4) u R |x^|_inf) / L.
+      The padding adds exact zeros to each row's sum.
     So |x0 - x^|_2 <= D = D0 + D1, times 1 + 1e-6 for the rounding of these
     sums.  The solve takes x0 feasible where g_r @ x0 >= -tol_r for each row
     r of g: x0_j >= -1e-10 (computed exactly) and each payoff edge
@@ -614,28 +662,28 @@ def _lu_screen(a, logdet, side):
     A side is infeasible where the slack of x^ is below minus the sum of
     these margins.
     """
-    p = a.shape[-1]
-    low, frob = _square_floor(a, logdet)
+    low, frob = _square_floor(sq, logdet, p)
     n = np.flatnonzero(low > _CLEARANCE * p * 2 * _UNIT * frob)
     infeasible = np.zeros(len(a), dtype=bool)
     if not n.size:
         return infeasible
-    a, low, frob = a[n], low[n], frob[n]
-    rhs = np.zeros((len(n), p, 1))
+    own, opp, opp_payoff = side
+    if n.size < len(a):
+        a, low, frob, p, own, opp = a[n], low[n], frob[n], p[n], own[n], opp[n]
+    rhs = np.zeros(a.shape[:2] + (1,))
     rhs[:, 0] = 1.0
     x = np.linalg.solve(a, rhs)[..., 0]
     resid = np.einsum("nij,nj->ni", a, x)
     resid[:, 0] -= 1.0
     resid = np.max(np.abs(resid), axis=-1)
-    rnd = (2 * p + 4) * _UNIT * math.sqrt(p) * frob
-    c = math.sqrt(p) * rnd / low
+    root = np.sqrt(p)
+    rnd = (2 * p + 4) * _UNIT * root * frob
+    c = root * rnd / low
     x_max = np.max(np.abs(x), axis=-1)
-    dist = math.sqrt(p) * ((TIE_TOL + rnd / low) / (1 - c) + resid + rnd * x_max) / low
+    dist = root * ((TIE_TOL + rnd / low) / (1 - c) + resid + rnd * x_max) / low
     dist *= 1.0 + 1e-6
-    own, opp, opp_payoff = side
-    slack = _slack(x, own[n], opp[n], opp_payoff)
-    err = (2.0 * math.sqrt(p) * dist
-           + (8 * p + 8) * _UNIT * (p * (x_max + dist) + 1.0))
+    slack = _slack(x, p, own, opp, opp_payoff)
+    err = 2.0 * root * dist + (8 * p + 8) * _UNIT * (p * (x_max + dist) + 1.0)
     infeasible[n] = slack < -err
     return infeasible
 
@@ -650,17 +698,27 @@ def _equality_matrices(own, opp, opp_payoff):
     return np.concatenate([np.ones((len(own), 1, p)), diff], axis=-2)
 
 
-def _slack(x0, own, opp, opp_payoff):
+def _slack(x0, p, own, opp, opp_payoff):
     """The feasibility slack of each vector x0[n] over the side (own[n],
-    opp[n]): the smaller of its least entry plus 1e-10 and TIE_TOL plus
-    the opponent's payoff edge of opp[n][0] over the best opponent action
-    outside opp[n].  x0 is feasible (g @ x0 >= -tol) where it is >= 0, up to
-    rounding."""
-    vals = np.einsum("nj,njb->nb", x0, opp_payoff[own])
-    outside = np.all(opp[:, :, None] != np.arange(opp_payoff.shape[1]), axis=1)
-    best_out = np.max(vals, axis=-1, where=outside, initial=-np.inf)
-    edge = vals[np.arange(len(opp)), opp[:, 0]] - best_out
-    return np.minimum(x0.min(axis=-1) + 1e-10, edge + TIE_TOL)
+    opp[n]) of size p[n], all padded as `_lu_screen` takes them: the smaller
+    of its least entry plus 1e-10 and TIE_TOL plus the opponent's payoff
+    edge of opp[n][0] over the best opponent action outside opp[n].  x0 is
+    feasible (g @ x0 >= -tol) where it is >= 0, up to rounding.  The
+    opponent's payoffs are x0 spread over all own actions, zero elsewhere,
+    times opp_payoff: the zeros add exact zeros to each sum."""
+    n, size = x0.shape
+    n_own, n_opp = opp_payoff.shape
+    at = np.arange(n)[:, None]
+    inner = np.arange(size) < p[:, None]
+    spread = np.zeros((n, n_own + 1))
+    spread[at, np.where(inner, own[:, :size], n_own)] = x0
+    vals = spread[:, :n_own] @ opp_payoff
+    inside = np.zeros((n, n_opp), dtype=bool)
+    inside[at, opp] = True
+    best_out = np.max(vals, axis=-1, where=~inside, initial=-np.inf)
+    edge = vals[at[:, 0], opp[:, 0]] - best_out
+    least = np.min(x0, axis=-1, where=inner, initial=np.inf)
+    return np.minimum(least + 1e-10, edge + TIE_TOL)
 
 
 # a size-1 side of an open pair: the feasible point x0 = [1.0] (`_single_sides`)
@@ -1211,7 +1269,7 @@ def _check_refinement(game, profile, schedule, closed_form, passes, pattern_sear
     and one note for the smallest eps.  A refuted search outcome refutes,
     with the certificate it carries.
     """
-    check_schedule(schedule, "eps")
+    check_schedule(schedule, "eps", upper=1.0)
     _require_nash(game, profile)
     cert = _dominated_on_support(game, profile)
     if cert is not None:
@@ -1299,7 +1357,7 @@ def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):
     and proper (`proper_intervals`), in the form of `empirical`'s
     `member_intervals`.
     """
-    check_schedule(schedule, "eps")
+    check_schedule(schedule, "eps", upper=1.0)
 
     def tag(profile):
         perfect = check_perfect(game, profile, schedule=schedule)

@@ -468,7 +468,9 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     point fails `witness_ok`, the pair's LP is solved once more inside the
     delta box, and its point is the witness if its slack exceeds TIE_TOL.
     The outcome stays feasible either way.  refuted: no such slack.  open:
-    more than MAX_PATTERN_PAIRS pairs.
+    more than MAX_PATTERN_PAIRS pairs, or values whose ties chain past
+    TIE_TOL into no consistent tie blocks (`_tie_blocks` is None), where
+    no pattern is tried.
 
     For m = 1, when every tie block of both players is a singleton (as at
     the equilibria of games with generic payoffs), the one compatible pair
@@ -488,7 +490,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
         u = utility_vector(game, i, candidate.vectors)
         blocks.append(_tie_blocks((candidate.vectors[i], u) if m == 1.0 else (u,)))
         if blocks[i] is None:
-            return PatternOutcome(OUTCOME_REFUTED, None, 0)
+            return PatternOutcome(OUTCOME_OPEN, None, 0)
         patterns.append(_block_orders(blocks[i]))
         if patterns[i] is None:
             return PatternOutcome(OUTCOME_OPEN, None, 0)

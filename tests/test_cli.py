@@ -299,6 +299,7 @@ def test_repeat_runs_are_byte_identical(game, command, tmp_path):
     (["wpm", "--corpus", "gamma1", "--profile", "{profile}", "--tol", "nan"], "tol"),
     (["region", "--corpus", "gamma1", "--tol", "-1"], "tol"),
     (["region", "--corpus", "gamma1", "--tol", "nan"], "tol"),
+    (["nash", "--corpus", "gamma1", "--eps-schedule", "2"], "eps schedule"),
 ])
 def test_meaningless_schedules_and_grids_are_input_errors(argv, message, tmp_path):
     profile = _profile_file(tmp_path, "gamma1")

@@ -547,7 +547,7 @@ def test_refinement_rejects_non_nash(gamma1):
         check_proper(gamma1, p)
 
 
-BAD_SCHEDULES = [(np.nan,), (np.inf,), (-0.1,), (0.0,), (0.1, -1e-3), ()]
+BAD_SCHEDULES = [(np.nan,), (np.inf,), (-0.1,), (0.0,), (0.1, -1e-3), (), (1.0,), (0.1, 2.0)]
 
 
 @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
@@ -780,15 +780,23 @@ def _svd_calls(monkeypatch, fn, *args):
                                                      names=("svd",))]
 
 
-def _overdetermined_sides(game):
-    """(own, opp_classes, opp_payoff) for each size p and player: the
-    player's supports of size p, the opponent's larger size classes, and
-    the payoffs that the own side equalizes."""
-    m, k = game.action_counts
-    classes1, classes2 = nash._support_classes(m), nash._support_classes(k)
-    for p in range(1, min(m, k) + 1):
-        yield classes1[p - 1], classes2[p:], game.payoffs[..., 1]
-        yield classes2[p - 1], classes1[p:], game.payoffs[..., 0].T
+def _overdetermined_stack(unit):
+    """The D blocks of the overdetermined side of every pair of a support
+    with a larger opponent support, of every size in one padded stack as
+    the screen builds them, player 1's sides first: (mats, sq, p, q,
+    sides), with sides[n] = (own, opp, opp_payoff) for `_ref_side`."""
+    tables = [nash._support_table(n) for n in unit.action_counts]
+    pays = (unit.payoffs[..., 1], unit.payoffs[..., 0].T)
+    parts, p, q, sides = [], [], [], []
+    for (sup, rows, size), (opp_sup, opp_rows, opp_size), pay in zip(tables, tables[::-1], pays):
+        r, c = np.nonzero(size[:, None] < opp_size)
+        parts.append((rows[r], opp_rows[c]))
+        p.append(size[r])
+        q.append(opp_size[c])
+        sides += [(sup[i], opp_sup[j], pay) for i, j in zip(r, c)]
+    p, q = np.concatenate(p), np.concatenate(q)
+    mats, sq = nash._padded_stack(pays, parts, p, q)
+    return mats, sq, p, q, sides
 
 
 def test_inconsistency_certificate_is_sound():
@@ -801,22 +809,20 @@ def test_inconsistency_certificate_is_sound():
     games += [integer_game(rng, shape) for shape in ((3, 5), (5, 3), (4, 6))]
     games += integer_games(400)
     games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    # the shapes where the padding and the two overdetermined players differ most
+    wide = [random_game(rng, shape, 0.0, 1.0) for shape in ((3, 7), (7, 3), (4, 8))]
+    uniform += wide
+    games += wide
     fired = 0
     for g in games:
-        for own, opp_classes, opp_payoff in _overdetermined_sides(unit_view(g)):
-            if not opp_classes:
-                continue
-            # every pair of a support in `own` with a larger opponent support
-            opps = nash._flat_supports(opp_classes)
-            r, c = np.divmod(np.arange(len(own) * len(opps)), len(opps))
-            d, q = nash._d_blocks(own, opp_classes, (r, c), opp_payoff)
-            cert = nash._certified_inconsistent(d, np.linalg.slogdet(d)[1], q)
-            fired += int(cert.sum())
-            for n in np.flatnonzero(cert):
-                assert _ref_side(tuple(own[r[n]]), opps[c[n]], opp_payoff) is None
-            # every unbalanced pair of a uniform game is certified
-            if any(g is u for u in uniform):
-                assert cert.all()
+        mats, sq, p, q, sides = _overdetermined_stack(unit_view(g))
+        cert = nash._certified_inconsistent(sq, np.linalg.slogdet(mats)[1], p, q)
+        fired += int(cert.sum())
+        for n in np.flatnonzero(cert):
+            assert _ref_side(*sides[n]) is None
+        # every unbalanced pair of a uniform game is certified
+        if any(g is u for u in uniform):
+            assert cert.all()
     assert fired > 10000
 
 
@@ -843,9 +849,8 @@ def test_single_sides_closed_form_is_exact():
         u = unit_view(g)
         m, k = g.action_counts
         for pay, n_opp in ((u.payoffs[..., 1], k), (u.payoffs[..., 0].T, m)):
-            classes = nash._support_classes(n_opp)
-            closed, feasible = nash._single_sides(pay, classes)
-            opps = nash._flat_supports(classes)
+            opps, rows, _ = nash._support_table(n_opp)
+            closed, feasible = nash._single_sides(pay, rows)
             for a in range(len(pay)):
                 for c, opp in enumerate(opps):
                     ref = _ref_side((a,), opp, pay)
@@ -861,16 +866,21 @@ def test_single_sides_closed_form_is_exact():
     assert sides > 25000 and 0 < consistent < sides
 
 
-def _square_sides(game):
-    """(first, second) side stacks (own, opp, opp_payoff) of the balanced
-    pairs of each size p >= 2, in the order the screen decides them."""
-    m, k = game.action_counts
-    classes1, classes2 = nash._support_classes(m), nash._support_classes(k)
-    for p in range(2, min(m, k) + 1):
-        c1, c2 = classes1[p - 1], classes2[p - 1]
-        i, j = np.divmod(np.arange(len(c1) * len(c2)), len(c2))
-        yield ((c2[j], c1[i], game.payoffs[..., 0].T),
-               (c1[i], c2[j], game.payoffs[..., 1]))
+def _square_stacks(unit):
+    """The first sides (player 2's) and the second sides (player 1's) of
+    every balanced pair of supports of size >= 2, each kind in one padded
+    stack as the screen builds it: (mats, sq, p, side, supports) per kind,
+    with side = (own, opp, opp_payoff) as `nash._lu_screen` takes it and
+    supports[n] the (own, opp) tuples of `_ref_side`."""
+    (sup1, rows1, size1), (sup2, rows2, size2) = (nash._support_table(n)
+                                                  for n in unit.action_counts)
+    r, c = np.nonzero((size1[:, None] == size2) & (size2 >= 2))
+    p = size1[r]
+    a_t, b = unit.payoffs[..., 0].T, unit.payoffs[..., 1]
+    for side, supports in (((rows2[c], rows1[r], a_t), [(sup2[j], sup1[i]) for i, j in zip(r, c)]),
+                           ((rows1[r], rows2[c], b), [(sup1[i], sup2[j]) for i, j in zip(r, c)])):
+        mats, sq = nash._padded_stack(side[2:], [side[:2]], p, p)
+        yield mats, sq, p, side, supports
 
 
 def test_lu_screen_is_sound():
@@ -880,23 +890,23 @@ def test_lu_screen_is_sound():
     games = [random_game(rng, (n, n), 0.0, 1.0) for n in (4, 5, 6)]
     games += integer_games(400)
     games += _near_degenerate_games((1e-13, 1e-10, 1e-9, 3e-9, 1e-8))
+    # the shapes where the padding and the two overdetermined players differ most
+    games += [random_game(rng, shape, 0.0, 1.0) for shape in ((3, 7), (7, 3), (4, 8))]
     unit = np.finfo(float).eps / 2
     dropped = 0
     for g in games:
-        for sides in _square_sides(unit_view(g)):
-            for own, opp, opp_payoff in sides:
-                a = nash._equality_matrices(own, opp, opp_payoff)
-                logdet = np.linalg.slogdet(a)[1]
-                infeasible = nash._lu_screen(a, logdet, (own, opp, opp_payoff))
-                dropped += int(infeasible.sum())
-                for n in np.flatnonzero(infeasible):
-                    assert _ref_proves_empty(
-                        _ref_side(tuple(own[n]), tuple(opp[n]), opp_payoff))
-                # the LAPACK property the stage relies on
-                p = a.shape[-1]
-                low, frob = nash._square_floor(a, logdet)
-                s_min = np.linalg.svd(a, compute_uv=False)[:, -1]
-                assert np.all(s_min >= low - 1e3 * p * unit * frob)
+        for mats, sq, p, side, supports in _square_stacks(unit_view(g)):
+            logdet = np.linalg.slogdet(mats)[1]
+            infeasible = nash._lu_screen(mats, logdet, sq, p, side)
+            dropped += int(infeasible.sum())
+            for n in np.flatnonzero(infeasible):
+                assert _ref_proves_empty(_ref_side(*supports[n], side[2]))
+            # the LAPACK property the stage relies on, for each unpadded M
+            low, frob = nash._square_floor(sq, logdet, p)
+            for size in np.unique(p):
+                at = p == size
+                s_min = np.linalg.svd(mats[at, :size, :size], compute_uv=False)[:, -1]
+                assert np.all(s_min >= low[at] - 1e3 * size * unit * frob[at])
     assert dropped > 6000
 
 
@@ -913,7 +923,7 @@ def _undominated_pairs(unit):
     """(s1, s2) -> True where neither support holds an action beaten
     against the other, for every support pair of a two-player game."""
     a, b = unit.payoffs[..., 0], unit.payoffs[..., 1]
-    sup1, sup2 = (nash._flat_supports(nash._support_classes(n)) for n in unit.action_counts)
+    sup1, sup2 = (nash._support_table(n)[0] for n in unit.action_counts)
     return {(s1, s2): not (_beaten_in(a, s1, s2) or _beaten_in(b.T, s2, s1))
             for s1 in sup1 for s2 in sup2}
 
@@ -932,9 +942,8 @@ def test_dominance_stage_is_sound():
     for g in games:
         u = unit_view(g)
         a, b = u.payoffs[..., 0], u.payoffs[..., 1]
-        classes1, classes2 = (nash._support_classes(n) for n in g.action_counts)
-        alive = nash._undominated(a, b.T, classes1, classes2)
-        sup1, sup2 = nash._flat_supports(classes1), nash._flat_supports(classes2)
+        (sup1, rows1, _), (sup2, rows2, _) = (nash._support_table(n) for n in g.action_counts)
+        alive = nash._undominated(a, b.T, rows1, rows2)
         ref = _undominated_pairs(u)
         assert alive.tolist() == [[ref[s1, s2] for s2 in sup2] for s1 in sup1]
         for r, c in zip(*np.nonzero(~alive)):
@@ -956,10 +965,39 @@ def test_dominance_stage_is_sound():
         g = _two_player(np.stack([a, b], axis=-1))
         u = unit_view(g)
         assert np.array_equal(u.payoffs, g.payoffs)
-        classes = nash._support_classes(2)
-        alive = nash._undominated(a, b.T, classes, classes)
+        rows = nash._support_table(2)[1]
+        alive = nash._undominated(a, b.T, rows, rows)
         assert alive[2, 2] != drops
         assert _ref_side((0, 1), (0, 1), a.T) is None
+
+
+def test_equilibrium_indices_sum_to_one():
+    # the index theorem (Shapley 1974): in a nondegenerate bimatrix game with
+    # positive payoffs A, B, the indices (-1)^(|I| + 1) sign(det A_IJ det
+    # B_IJ) of the equilibria, with supports I and J, sum to +1.  Each index
+    # is +-1, so a missing or extra equilibrium breaks the sum: this checks
+    # that enumeration is complete at sizes the per-pair reference cannot
+    # afford.  Payoffs are those of the unit view plus 1
+    shapes = [(n, n) for n in range(2, 9)] + [(3, 5), (5, 3), (4, 7), (7, 4), (2, 8)]
+    rng = np.random.default_rng(13)
+    games = 0
+    for _ in range(170):
+        for shape in shapes:
+            game = random_game(rng, shape)
+            eq = enumerate_nash(game)
+            assert eq.components == eq.diagnostics == []
+            pay = unit_view(game).payoffs + 1.0
+            indices = []
+            for profile in eq.isolated:
+                i, j = (np.flatnonzero(v) for v in profile.vectors)
+                assert len(i) == len(j)
+                det = np.linalg.det(pay[np.ix_(i, j)].transpose(2, 0, 1))
+                indices.append((-1) ** (len(i) + 1) * int(np.sign(det[0] * det[1])))
+            assert sum(indices) == 1
+            # dropping any one point breaks the sum
+            assert all(sum(indices) - index != 1 for index in indices)
+            games += 1
+    assert games >= 2000
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (4, 6)])
@@ -977,9 +1015,15 @@ def test_only_balanced_pairs_reach_the_svd(monkeypatch, shape):
     assert bool(calls) == bool(mixed)
 
 
+# square games by their size; the wide shapes are where the padding and the
+# two overdetermined players differ most
+SCREEN_SHAPES = ([pytest.param((n, n), id=str(n)) for n in range(3, 9)]
+                 + [pytest.param(s, id=f"{s[0]}x{s[1]}") for s in ((3, 7), (7, 3), (4, 8))])
+
+
 @pytest.mark.parametrize("factor", [1.0, 1e-150, 1e150])
-@pytest.mark.parametrize("n", range(3, 9))
-def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, n, factor):
+@pytest.mark.parametrize("shape", SCREEN_SHAPES)
+def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, shape, factor):
     # payoffs in [0, 1] give small singular values; the screens' margins must
     # still be tight enough to decide every pair but the equilibria, at every
     # payoff scale
@@ -992,7 +1036,7 @@ def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, n, fact
 
     monkeypatch.setattr(nash, "_exact_stage", record)
     for seed in range(3):
-        g = random_game(np.random.default_rng(seed), (n, n), 0.0, 1.0)
+        g = random_game(np.random.default_rng(seed), shape, 0.0, 1.0)
         pairs.clear()
         eq = enumerate_nash(Game(g.players, g.actions, g.payoffs * factor))
         assert eq.components == eq.diagnostics == []
@@ -1002,14 +1046,14 @@ def test_screen_leaves_only_equilibrium_pairs_to_exact_path(monkeypatch, n, fact
 
 
 def test_empirical_does_no_label_work(monkeypatch):
-    # the screen takes no SVD on this game.  Each size p >= 2 factors the
-    # first sides of its undominated balanced pairs in one LU stack,
-    # together with the D blocks of its undominated unbalanced pairs, and
-    # the 36 pure pairs need no factorization.  A pair whose first side is
-    # an infeasible point never has its second side factored: fewer second
-    # sides than first sides reach the LU.  The exact stage takes one SVD
-    # stack per support size of the open mixed pairs, both sides of each
-    # pair in it, and none for the pure pairs
+    # the screen takes no SVD on this game.  One padded stack holds the D
+    # blocks of the undominated unbalanced pairs and the first sides of the
+    # undominated balanced pairs, of every size, and the 36 pure pairs need
+    # no factorization.  A pair whose first side is an infeasible point never
+    # has its second side factored: fewer second sides than first sides
+    # reach the second stack.  The exact stage takes one SVD stack per
+    # support size of the open mixed pairs, both sides of each pair in it,
+    # and none for the pure pairs
     game = random_game(np.random.default_rng(0), (6, 6), 0.0, 1.0)
     calls = _lapack_calls(monkeypatch, enumerate_empirical, game)
     eq = enumerate_nash(game)
@@ -1019,18 +1063,31 @@ def test_empirical_does_no_label_work(monkeypatch):
     # the support sizes of the undominated pairs, smaller first
     sizes = [sorted(map(len, pair))
              for pair, ok in _undominated_pairs(unit_view(game)).items() if ok]
-    first = second = 0
-    for p in range(2, 7):
-        stacks = [len(a) for name, a, _ in calls
-                  if name == "slogdet" and a.shape[-1] == p]
-        assert len(stacks) <= 2
-        balanced = sizes.count([p, p])
-        assert stacks[0] == balanced + sum(s[0] == p < s[1] for s in sizes)
-        first += balanced
-        second += sum(stacks[1:])
+    stacks = [a for name, a, _ in calls if name == "slogdet"]
+    assert len(stacks) == 2
+    first = sum(s[0] == s[1] >= 2 for s in sizes)
+    assert len(stacks[0]) == first + sum(2 <= s[0] < s[1] for s in sizes)
+    second = len(stacks[1])
     # of the 887 balanced pairs without a pure support
     assert (first, second) == (102, 19)
     assert eq.components == eq.diagnostics == []
+
+
+@pytest.mark.parametrize("shape", [(n, n) for n in range(2, 9)] + [(3, 7), (7, 3), (4, 8)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_screen_factors_every_size_in_one_pass(monkeypatch, shape):
+    # the D blocks and first sides of every size share one padded stack and
+    # the surviving second sides one more, so the screen makes at most two
+    # `slogdet` and two `solve` calls per game, and the exact stage none
+    factored = 0
+    for seed in range(3):
+        game = random_game(np.random.default_rng(seed), shape, 0.0, 1.0)
+        calls = _lapack_calls(monkeypatch, enumerate_nash, game, names=("slogdet", "solve"))
+        for name in ("slogdet", "solve"):
+            assert sum(call[0] == name for call in calls) <= 2
+        factored += bool(calls)
+    # dominance and the closed form decide every pair of these small games
+    assert factored or min(shape) <= 3
 
 
 def test_face_projection_has_no_incentive_slack():
