@@ -42,8 +42,7 @@ INPUT_ERRORS = (
     ProfileError,
     SplineError,
     UnsupportedGameError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     ValueError,
 )
 
@@ -104,49 +103,44 @@ def _parse_schedule(text):
     return values
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="empeq",
-        description="Finite-game equilibrium analysis: Nash refinements, "
-                    "monotone regions, quantal response paths, control-cost "
-                    "splines, and empirical-equilibrium membership.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("corpus", help="list or emit bundled games")
+def _corpus_args(p):
     p.add_argument("action", choices=["list", "emit"])
     p.add_argument("name", nargs="?")
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
     p.add_argument("--out")
 
-    p = subs.add_parser("nash", help="enumerate and classify equilibria; "
-                        "components are decided at their breakpoints")
+
+def _nash_args(p):
     _add_game_args(p)
     p.add_argument("--eps-schedule", default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--out")
 
-    p = subs.add_parser("wpm", help="monotonicity verdicts for a profile")
+
+def _wpm_args(p):
     _add_game_args(p)
     p.add_argument("--profile", required=True, help="profile JSON file")
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--out")
 
-    p = subs.add_parser("region", help="monotone-region grid CSV")
+
+def _region_args(p):
     _add_game_args(p)
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--kind", choices=["weak", "strict"], default="weak")
     p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--out")
 
-    p = subs.add_parser("trace", help="logit path CSV")
+
+def _trace_args(p):
     _add_game_args(p)
     p.add_argument("--lambda-max", type=float, default=1e3)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--out")
 
-    p = subs.add_parser("empirical", help="empirical-equilibrium membership")
+
+def _empirical_args(p):
     _add_game_args(p)
     p.add_argument("--delta-schedule", default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--m", type=float, default=1.0)
@@ -154,7 +148,8 @@ def build_parser():
                    help="include wall times (breaks byte determinism)")
     p.add_argument("--out")
 
-    p = subs.add_parser("ccost", help="control-cost spline build/check")
+
+def _ccost_args(p):
     p.add_argument("action", choices=["build", "check"])
     _add_game_args(p)
     p.add_argument("--profile", required=True)
@@ -164,6 +159,29 @@ def build_parser():
     p.add_argument("--splines", help="spline JSON (for check)")
     p.add_argument("--out")
 
+
+def build_parser(command=None):
+    """The `empeq` parser, with arguments for `command` only.
+
+    Every subcommand is registered with its help text, so the top-level
+    usage, `empeq -h` and the error for an unknown command read the same
+    for any `command`.  Only `command`'s subparser gets its arguments, or
+    every subparser when `command` is None.  `run` parses one subcommand
+    per call, and adding the arguments of all seven takes about as long
+    as enumerating a 6x6 game's equilibria, so a small analysis would
+    spend a large share of its time building options it never reads.
+    """
+    parser = argparse.ArgumentParser(
+        prog="empeq",
+        description="Finite-game equilibrium analysis: Nash refinements, "
+                    "monotone regions, quantal response paths, control-cost "
+                    "splines, and empirical-equilibrium membership.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_args(sub)
     return parser
 
 
@@ -370,25 +388,29 @@ def _cmd_ccost(args):
     return 0
 
 
-_HANDLERS = {
-    "corpus": _cmd_corpus,
-    "nash": _cmd_nash,
-    "wpm": _cmd_wpm,
-    "region": _cmd_region,
-    "trace": _cmd_trace,
-    "empirical": _cmd_empirical,
-    "ccost": _cmd_ccost,
+# name -> (help text, function that adds its arguments, handler)
+_COMMANDS = {
+    "corpus": ("list or emit bundled games", _corpus_args, _cmd_corpus),
+    "nash": ("enumerate and classify equilibria; components are decided at "
+             "their breakpoints", _nash_args, _cmd_nash),
+    "wpm": ("monotonicity verdicts for a profile", _wpm_args, _cmd_wpm),
+    "region": ("monotone-region grid CSV", _region_args, _cmd_region),
+    "trace": ("logit path CSV", _trace_args, _cmd_trace),
+    "empirical": ("empirical-equilibrium membership", _empirical_args,
+                  _cmd_empirical),
+    "ccost": ("control-cost spline build/check", _ccost_args, _cmd_ccost),
 }
 
 
 def run(argv):
-    parser = build_parser()
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

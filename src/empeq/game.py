@@ -131,17 +131,27 @@ class Game:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GameFormatError(f"invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise GameFormatError("a game file holds one JSON object")
         for key in ("players", "actions", "payoffs"):
             if key not in doc:
                 raise GameFormatError(f"missing top-level field {key!r}")
+        if not isinstance(doc["players"], list) or not isinstance(doc["payoffs"], list):
+            raise GameFormatError("'players' and 'payoffs' must be JSON arrays")
+        if not isinstance(doc["actions"], dict) or not all(
+                isinstance(labels, list) for labels in doc["actions"].values()):
+            raise GameFormatError("'actions' must map each player to a JSON array")
         players = [str(p) for p in doc["players"]]
         actions = {str(p): [str(a) for a in labels] for p, labels in doc["actions"].items()}
-        probe = cls(players, actions, np.zeros(tuple(len(actions[p]) for p in players) + (len(players),)))
+        # a player without actions gets shape 0 here and is rejected by name
+        shape = tuple(len(actions.get(p, ())) for p in players) + (len(players),)
+        probe = cls(players, actions, np.zeros(shape))
         tensor = np.full(probe.payoffs.shape, np.nan)
         seen = set()
         for k, rec in enumerate(doc["payoffs"]):
-            if "profile" not in rec or "u" not in rec:
-                raise GameFormatError(f"payoff record {k}: needs 'profile' and 'u'")
+            if not (isinstance(rec, dict) and isinstance(rec.get("profile"), dict)
+                    and isinstance(rec.get("u"), dict)):
+                raise GameFormatError(f"payoff record {k}: needs 'profile' and 'u' objects")
             try:
                 idx = tuple(probe.action_index(p, rec["profile"][p]) for p in players)
             except (KeyError, ProfileError) as exc:
@@ -239,13 +249,21 @@ class MixedProfile:
     @classmethod
     def from_dict(cls, game, mapping):
         """Build from {player: {action: prob}}; omitted actions get zero."""
+        if not isinstance(mapping, dict):
+            raise ProfileError("a profile maps each player to an object of probabilities")
         vecs = []
         for p in game.players:
             if p not in mapping:
                 raise ProfileError(f"profile is missing player {p!r}")
+            if not isinstance(mapping[p], dict):
+                raise ProfileError(f"probabilities for {p!r} must map actions to numbers")
             v = np.zeros(len(game.actions[p]))
             for a, prob in mapping[p].items():
-                v[game.action_index(p, a)] = float(prob)
+                j = game.action_index(p, a)
+                try:
+                    v[j] = float(prob)
+                except (TypeError, ValueError):
+                    raise ProfileError(f"non-numeric probability {prob!r} for {p!r}") from None
             vecs.append(v)
         return cls(game, vecs)
 

@@ -308,3 +308,100 @@ def test_meaningless_schedules_and_grids_are_input_errors(argv, message, tmp_pat
     assert out == ""
     assert err.startswith("error:") and message in err
     assert "Warning" not in err
+
+
+def _help(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_subcommand_parser_matches_full_parser(command, monkeypatch):
+    # `run` adds arguments to the invoked subcommand only
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "-h"]
+    assert _help(cli.build_parser(command), argv) == _help(cli.build_parser(), argv)
+
+
+PARSE_ONLY_ARGV = [
+    [], ["-h"], ["bogus"], ["-h", "nash"],
+    *([command, "-h"] for command in sorted(cli._COMMANDS)),
+    ["nash", "--corpus", "psi", "--grid", "101"],
+    ["wpm", "--corpus", "gamma1"],
+    ["nash", "--game", "g.json", "--corpus", "psi"],
+    ["trace", "--corpus", "gamma1", "--steps", "x"],
+    ["empirical", "--corpus", "gamma1", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY_ARGV, ids=" ".join)
+def test_run_prints_what_a_full_parser_prints(argv, monkeypatch):
+    # help, usage and every parse error read the same as with all
+    # subcommands' arguments added
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _run(argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
+    assert got == _run(argv)
+    assert got[0] in (0, 2) and got[1:] != ("", "")
+
+
+def test_run_builds_one_new_parser_per_call(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy(command):
+        built.append((command, build(command)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["corpus", "list"], ["corpus", "list"], ["-h"]):
+        _run(argv)
+    assert [command for command, _ in built] == ["corpus", "corpus", None]
+    assert len({id(parser) for _, parser in built}) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["nash", "--corpus", "gamma1", "--out", "{F}/x.json"],
+    ["nash", "--game", "{F}/x.json"],
+    ["wpm", "--corpus", "gamma1", "--profile", "{F}/p.json"],
+])
+def test_paths_through_a_regular_file_are_input_errors(argv, tmp_path):
+    regular = tmp_path / "F"
+    regular.write_text("")
+    code, out, err = _run([a.format(F=regular) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(actions=["a"]),
+    lambda doc: doc["payoffs"].__setitem__(0, 3),
+    lambda doc: doc.update(players="P1"),
+    lambda doc: doc["payoffs"][0].update(profile="x"),
+    lambda doc: doc["actions"].update(P1="ab"),
+    lambda doc: doc.update(players=["P1", "P3"]),
+])
+def test_malformed_game_files_are_input_errors(edit, tmp_path):
+    # one-letter labels, so that the string "ab" reads as a valid action list
+    game = Game(["P1", "P2"], {"P1": ["a", "b"], "P2": ["c", "d"]}, np.zeros((2, 2, 2)))
+    doc = json.loads(game.to_json())
+    edit(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["nash", "--game", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], {"P1": [0.5, 0.5]}, {"P1": {"a1": None}, "P2": {"b1": 1}},
+])
+def test_malformed_profile_files_are_input_errors(doc, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["wpm", "--corpus", "gamma1", "--profile", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1

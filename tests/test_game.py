@@ -190,6 +190,37 @@ def test_loader_rejects_unknown_action(gamma1):
         Game.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(actions=["a"]),
+    lambda doc: doc["payoffs"].__setitem__(0, 3),
+    lambda doc: doc.update(players="P1"),
+    lambda doc: doc["payoffs"][0].update(profile="x"),
+    lambda doc: doc["payoffs"][0].update(u=3),
+    lambda doc: doc["actions"].update(P1="ab"),
+    lambda doc: doc.update(players=["P1", "P3"]),
+])
+def test_loader_rejects_malformed_shapes(edit):
+    # one-letter labels, so that the string "ab" reads as a valid action list
+    game = Game(["P1", "P2"], {"P1": ["a", "b"], "P2": ["c", "d"]}, np.zeros((2, 2, 2)))
+    doc = json.loads(game.to_json())
+    edit(doc)
+    with pytest.raises(GameFormatError):
+        Game.from_json(json.dumps(doc))
+
+
+def test_loader_rejects_a_file_that_is_not_an_object():
+    with pytest.raises(GameFormatError):
+        Game.from_json("3")
+
+
+@pytest.mark.parametrize("mapping", [
+    [1, 2], {"P1": [0.5, 0.5]}, {"P1": {"a1": None}, "P2": {"b1": 1.0}},
+])
+def test_profile_from_dict_rejects_malformed_shapes(mapping, gamma1):
+    with pytest.raises(ProfileError):
+        MixedProfile.from_dict(gamma1, mapping)
+
+
 # -- properties --------------------------------------------------------
 
 
