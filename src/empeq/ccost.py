@@ -163,12 +163,25 @@ class ControlCostSpline:
 
     @classmethod
     def from_dict(cls, doc):
+        """The spline of a `to_dict` document; SplineError names the first
+        field that is missing or malformed."""
+        if not isinstance(doc, dict):
+            raise SplineError(f"a spline must be a JSON object, got {type(doc).__name__}")
+
+        def field(key, convert):
+            if key not in doc:
+                raise SplineError(f"spline field {key!r} is missing")
+            try:
+                return convert(doc[key])
+            except (TypeError, ValueError):
+                raise SplineError(f"spline field {key!r} is malformed") from None
+
         return cls(
-            doc["knots"],
-            doc["slopes"],
-            doc["epsilon"],
-            [tuple(pair) for pair in doc["levels"]],
-            ystar=doc.get("ystar"),
+            field("knots", lambda v: np.asarray(v, dtype=float)),
+            field("slopes", lambda v: np.asarray(v, dtype=float)),
+            field("epsilon", float),
+            field("levels", lambda v: [(float(y), float(u)) for y, u in v]),
+            ystar=None if doc.get("ystar") is None else field("ystar", float),
             calibration=doc.get("calibration"),
         )
 

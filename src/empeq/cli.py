@@ -22,7 +22,7 @@ from .ccost import (
     cc_equilibrium_check,
 )
 from .empirical import enumerate_empirical
-from .game import TIE_TOL, Game, GameFormatError, MixedProfile, ProfileError, expected_utility
+from .game import TIE_TOL, Game, GameFormatError, MixedProfile, expected_utility
 from .monotone import (
     is_m_weakly_payoff_monotone,
     is_payoff_monotone,
@@ -30,21 +30,16 @@ from .monotone import (
     region_csv,
     sample_monotone_region,
 )
-from .nash import UnsupportedGameError, classify, enumerate_nash
+from .nash import classify, enumerate_nash
 from .qre import (
     QreConvergenceError,
     default_lambda_schedule,
     trace_logit_path,
 )
 
-INPUT_ERRORS = (
-    GameFormatError,
-    ProfileError,
-    SplineError,
-    UnsupportedGameError,
-    OSError,
-    ValueError,
-)
+# GameFormatError, ProfileError, SplineError and UnsupportedGameError are
+# ValueErrors too
+INPUT_ERRORS = (OSError, ValueError)
 
 
 def _fmt12(x):
@@ -375,10 +370,18 @@ def _cmd_ccost(args):
         raise GameFormatError("ccost check needs --splines PATH")
     with open(args.splines, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    splines = tuple(
-        ControlCostSpline.from_dict(doc["splines"][p]) for p in game.players
-    )
-    ccg = ControlCostGame(game, splines)
+    docs = doc.get("splines") if isinstance(doc, dict) else None
+    if not isinstance(docs, dict):
+        raise SplineError("the splines file must be a JSON object with a 'splines' object")
+    splines = []
+    for p in game.players:
+        if p not in docs:
+            raise SplineError(f"'splines' has no entry for player {p!r}")
+        try:
+            splines.append(ControlCostSpline.from_dict(docs[p]))
+        except SplineError as exc:
+            raise SplineError(f"spline of {p!r}: {exc}") from None
+    ccg = ControlCostGame(game, tuple(splines))
     ok, defect, per_player = cc_equilibrium_check(ccg, profile)
     _dump(
         {"equilibrium": bool(ok), "max_defect": defect,

@@ -7,6 +7,11 @@ tolerance below is absolute on payoffs of size at most 1, whatever the
 game's units (the tie rule of `game.unit_view`, with `game.TIE_TOL`).
 Profiles, components and diagnostics are built on the caller's game.
 
+One Nash test serves every verdict: `is_nash`, a Nash defect of at most
+TIE_TOL on the unit view.  Every point enumeration returns passes it
+(`_nash_points`, `_lines`), and the refinements and membership raise on a
+profile that fails it (`_require_nash`).
+
 Each side of a pair is solved exactly by one SVD of its equality matrix:
 the vectors v over the side's own support that sum to one and make the
 opponent indifferent across the opponent's support are x0 + null @ z, with
@@ -82,12 +87,12 @@ checks the interval ends and every crossing of two of the distance's lines.
 Two-player perfection is decided exactly, by one best-reply LP per player;
 properness by a search for the eps-proper interior profiles of its
 definition, over the utility orders that keep the candidate's tie blocks.
-The Nash precondition of both and the eps-perfection test are taken on the
-unit view.  Verdicts are three-valued: verified (witness sequence in hand),
-refuted (certificate), or inconclusive.  The witness conditions only loosen
-as eps grows, so each check is decided at the smallest scheduled eps alone;
-only a verified verdict carries witnesses, its smallest-eps witness listed
-at every scheduled eps.
+The Nash precondition of both is `is_nash`; the eps-perfection test is on
+the unit view too.  Verdicts are three-valued: verified (witness sequence
+in hand), refuted (certificate), or inconclusive.  The witness conditions
+only loosen as eps grows, so each check is decided at the smallest
+scheduled eps alone; only a verified verdict carries witnesses, its
+smallest-eps witness listed at every scheduled eps.
 
 A segment is decided at its `segment_breakpoints` (`decide_segment`): its
 ends, every crossing inside it of two of one player's probabilities or
@@ -263,7 +268,9 @@ class EquilibriumSet:
 
 
 def is_nash(game, profile):
-    return nash_defect(game, profile) <= TIE_TOL
+    """The Nash test of every verdict: a Nash defect of at most TIE_TOL on
+    the game's unit view, so the same at every payoff scale."""
+    return nash_defect(unit_view(game), profile) <= TIE_TOL
 
 
 @dataclass(frozen=True)
@@ -279,18 +286,9 @@ class _Side:
 
 
 def _side_record(own, opp, opp_payoff, x0, null):
-    """The `_Side` of actions `own` against opponent support `opp` with the
-    solution set x0 + null @ z.
-
-    opp_payoff[own action, opponent action] is the opponent's payoff on the
-    unit view.  The rows of g are v_j >= -1e-10, then the payoff edge of
-    opp[0] over each opponent action outside `opp`, in action order.
-    """
-    pay = opp_payoff[list(own)]
-    outside = [b for b in range(pay.shape[1]) if b not in opp]
-    g = np.vstack([np.eye(len(own)), (pay[:, list(opp[:1])] - pay[:, outside]).T])
-    tol = np.repeat([1e-10, TIE_TOL], [len(own), len(outside)])
-    return _Side(tuple(own), x0, null, g, tol)
+    """The `_Side` of `own` against `opp` for x0 + null @ z, rows by `_g_stack`."""
+    g, tol = _g_stack(np.array([own]), np.array([opp], dtype=np.intp), opp_payoff)
+    return _Side(tuple(own), x0, null, g[0], tol)
 
 
 def _ones_side(p):
@@ -430,12 +428,13 @@ def _undominated(a, b, rows1, rows2):
     stage could accept on the pair's y side (the side over s2 that makes
     player 1 indifferent across s1).  Its rows hold within their
     tolerances plus r: sum(y) >= 1 - TIE_TOL - r, each consecutive equality
-    within TIE_TOL + r, y_j >= -1e-10 - r, and each payoff edge of s1[0]
-    over an action outside s1 >= -TIE_TOL - r.  Then
+    within TIE_TOL + r, y_j >= -1e-10 - r, and each payoff edge (of s1[0],
+    or of x on a segment) over an action outside s1 >= -TIE_TOL - r.  Then
         E = sum_j y_j d_j >= mu (1 - u) (1 - TIE_TOL - r) - q (1e-10 + r),
     as d_j <= 1 on the unit view, while the equalities between i and i'
-    (at most p - 1 of them, telescoped), or those between i and s1[0] and
-    the edge over i' when i' is outside s1, give E <= p (TIE_TOL + r).
+    (at most p - 1 of them, telescoped), or those between i and s1[0] (or
+    each action x plays) and the edge over i' when i' is outside s1, give
+    E <= p (TIE_TOL + r).
     Under the pair cap p, q <= 20, so r <= 1e-10 makes the two bounds
     contradict each other once mu > (20 (TIE_TOL + r) + 20 (1e-10 + r))
     / (1 - 2e-9) = 2.6e-8, and _BEATEN = 3e-8 clears that.  So the y side
@@ -806,24 +805,16 @@ def _solve_sides(sides, pays):
     return out
 
 
-def _by_player(sides, pays):
-    """(positions in `sides`, own array, opp array, opponent payoffs) of
-    each player's sides (own, opp, player), for the players that have
-    some."""
-    groups = []
+def _solve_stack(sides, pays):
+    """`_solve_sides` for sides of one shape, p >= 2 unknowns and q >= 2
+    equalities."""
+    out = [None] * len(sides)
+    groups = []  # (positions in `sides`, own array, opp array, opponent payoffs)
     for player, pay in enumerate(pays):
         at = [n for n, side in enumerate(sides) if side[2] == player]
         if at:
             groups.append((at, np.array([sides[n][0] for n in at]),
                            np.array([sides[n][1] for n in at]), pay))
-    return groups
-
-
-def _solve_stack(sides, pays):
-    """`_solve_sides` for sides of one shape, p >= 2 unknowns and q >= 2
-    equalities."""
-    out = [None] * len(sides)
-    groups = _by_player(sides, pays)
     a = np.concatenate([_equality_matrices(*g[1:]) for g in groups])
     u, s, vt = np.linalg.svd(a)
     # s[:, 0] >= 1: the all-ones row has norm at least one
@@ -848,8 +839,10 @@ def _solve_stack(sides, pays):
 
 
 def _g_stack(own, opp, opp_payoff):
-    """(g, tol) of `_side_record` for sides (own[n], opp[n]) of one shape,
-    g stacked."""
+    """(g, tol) for sides (own[n], opp[n]) of one shape, g stacked, with
+    opp_payoff[own action, opponent action] the opponent's payoff on the
+    unit view: the rows v_j >= -1e-10, then the payoff edge of opp[n][0]
+    over each opponent action outside opp[n], in action order."""
     n, p = own.shape
     outside = np.ones((n, opp_payoff.shape[1]), dtype=bool)
     outside[np.arange(n)[:, None], opp] = False
@@ -875,11 +868,15 @@ def _lines(game, pays, sides, solved, lines):
     on arrays per shape of the varying side.
 
     Its null vector d, scaled to max-norm 1 with its first entry above
-    1e-12 positive, spans x0 + t d, kept where g @ (x0 + t d) >= -tol.
-    Tolerance fuzz inflates points into hair-width intervals, so the
-    interval is taken without tolerance, except on rows flat along d, which
-    cannot widen it (a zero weight that rounds to -1e-17 must not empty the
-    family).  A segment at most 1e-9 wide is the point at its middle.
+    1e-12 positive, spans x0 + t d, kept where x0 + t d >= -1e-10 and every
+    utility gap of `nash_defect` >= -TIE_TOL (so it passes `is_nash`).
+    Tolerance fuzz inflates points into hair-width intervals, so a second
+    pass drops the tolerance of the probabilities and the opponent's gaps,
+    except on rows flat along d, which cannot widen the interval (a zero
+    weight that rounds to -1e-17 must not empty the family).  The player's
+    own gaps keep TIE_TOL less 1e-12 for rounding: d sums to zero, so they
+    move only by the ties the fixed side accepted.  A segment at most 1e-9
+    wide is the point at its middle.
     """
     segments, points = [], []
     shapes = {}
@@ -887,34 +884,44 @@ def _lines(game, pays, sides, solved, lines):
         own, opp, player = sides[line[1]]
         counts = game.action_counts[player], game.action_counts[1 - player]
         shapes.setdefault((len(own), len(opp)) + counts, []).append(line)
-    for (p, q, n_var, n_fixed), group in shapes.items():
-        parts = _by_player([sides[v] for _, v, _ in group], pays)
-        group = [group[r] for part in parts for r in part[0]]
-        own, opp = (np.concatenate([part[i] for part in parts]) for i in (1, 2))
-        g, tol = zip(*(_g_stack(*part[1:]) for part in parts))
-        g, tol = np.concatenate(g), tol[0]
-        player = np.array([sides[v][2] for _, v, _ in group])
+    for (p, _, n_var, n_fixed), group in shapes.items():
+        # the fixed side's actions are the varying side's opponent support
+        own, opp, player = (np.array([sides[v][i] for _, v, _ in group]) for i in (0, 1, 2))
         x0 = np.array([solved[v][0] for _, v, _ in group])
         d = np.array([solved[v][1][:, 0] for _, v, _ in group])
-        fixed = np.array([solved[f][0] for _, _, f in group])
-        fixed_own = np.array([sides[f][0] for _, _, f in group])
+        fixed = _embed_rows(n_fixed, opp, np.maximum([solved[f][0] for _, _, f in group], 0.0))
+        n = len(group)
+        at = np.arange(n)[:, None]
         mx = np.max(np.abs(d), axis=1)
         live = mx > 1e-12
         d = d / np.where(live, mx, 1.0)[:, None]
         first = np.argmax(np.abs(d) > 1e-12, axis=1)
-        d = np.where((d[np.arange(len(d)), first] < 0)[:, None], -d, d)
+        d = np.where((d[at[:, 0], first] < 0)[:, None], -d, d)
+        w = fixed / fixed.sum(axis=1)[:, None]  # as `MixedProfile` normalizes it
+        # rows over v = x0 + t d: the probabilities, then the utility gaps
+        # that `nash_defect` compares, u_opp(v, w) - u_opp(v, b) for each
+        # opponent action b and u(v, w) - u(a, w) for each own action a;
+        # both players' lines share a shape only in square games
+        g = np.zeros((n, p + n_fixed + n_var, p))
+        g[:, range(p), range(p)] = 1.0
+        for pl in set(player.tolist()):
+            r = player == pl
+            opp_pay = pays[pl][own[r]]  # [line, own action, opponent action]
+            util = w[r] @ pays[1 - pl]  # the player's utilities against w
+            g[r, p:p + n_fixed] = (opp_pay @ w[r][..., None] - opp_pay).swapaxes(1, 2)
+            g[r, p + n_fixed:] = util[at[:len(util)], own[r]][:, None, :] - util[:, :, None]
+        tol = np.repeat([1e-10, TIE_TOL, TIE_TOL], [p, n_fixed, n_var])
         slope = (g @ d[..., None])[..., 0]
         at_x0 = (g @ x0[..., None])[..., 0]
         flat = np.abs(slope) <= 1e-12
-        # the interval with the tolerance, then the zero-tolerance one
+        exact = np.where(flat, tol, np.repeat([0.0, 0.0, TIE_TOL - 1e-12], [p, n_fixed, n_var]))
+        # the interval with the tolerance, then the one without fuzz
         lo, hi, ok = _interval(np.concatenate([slope, slope]),
-                               np.concatenate([at_x0 + tol, at_x0 + np.where(flat, tol, 0.0)]),
+                               np.concatenate([at_x0 + tol, at_x0 + exact]),
                                np.concatenate([flat, flat]))
-        n = len(group)
         mid = 0.5 * (lo[:n] + hi[:n])
         ends = _snap_zero(np.where(ok[n:], [lo[n:], hi[n:]], mid))
-        base = (_snap_zero(_embed_rows(n_var, own, x0)),
-                _snap_zero(_embed_rows(n_fixed, fixed_own, np.clip(fixed, 0, None))))
+        base = (_snap_zero(_embed_rows(n_var, own, x0)), _snap_zero(fixed))
         direction = (_snap_zero(_embed_rows(n_var, own, d)), np.zeros((n, n_fixed)))
         for r in np.flatnonzero(live & ok[:n]):
             pair, lo, hi = group[r][0], float(ends[0, r]), float(ends[1, r])
@@ -926,7 +933,7 @@ def _lines(game, pays, sides, solved, lines):
                 points.append((pair, _segment_point(base_r, direction_r, 0.5 * (lo + hi))))
             else:
                 support = tuple(tuple(game.actions[pl][a] for a in s) for pl, s in
-                                zip(game.players, (own[r], fixed_own[r])[order]))
+                                zip(game.players, (own[r], opp[r])[order]))
                 segments.append((pair, Component(support, base_r, direction_r, (lo, hi))))
     segments.sort(key=lambda e: e[0])
     return [seg for _, seg in segments], points
@@ -955,9 +962,9 @@ def _embed_rows(n, support, values):
 
 def _nash_points(unit, candidates):
     """For each point candidate (x, y), unnormalized: the stacked vectors
-    of its `MixedProfile`, or None where its Nash defect on the unit view
-    exceeds 1e-8; the normalization and the defect are `normalized`'s and
-    `nash_defect`'s, with the same per-candidate products."""
+    of its `MixedProfile`, or None where it fails `is_nash`; the
+    normalization and the defect are `normalized`'s and `nash_defect`'s on
+    the unit view, with the same per-candidate products."""
     if not candidates:
         return []
     normed = []
@@ -971,44 +978,26 @@ def _nash_points(unit, candidates):
         gain = eu.max(axis=1)[:, 0] - (eu.swapaxes(1, 2) @ normed[i])[:, 0, 0]
         defect = np.maximum(defect, gain)
     x = np.concatenate(normed, axis=1)[..., 0]
-    return [x[r] if defect[r] <= 1e-8 else None for r in range(len(x))]
+    return [x[r] if defect[r] <= TIE_TOL else None for r in range(len(x))]
 
 
 def _enumerate_single(game):
+    """One player: each pure maximizer; two of them give their segment
+    instead, and more also give a `degenerate` face, the simplex over them."""
     u = game.payoffs[..., 0]
-    top = float(u.max())
-    argmax = [a for a in range(len(u)) if u[a] == top]
-    isolated, components, diags = [], [], []
-    for a in argmax:
-        v = np.zeros(len(u))
-        v[a] = 1.0
-        isolated.append(MixedProfile(game, [v]))
+    argmax = np.flatnonzero(u == u.max()).tolist()
     if len(argmax) == 2:
-        base = np.zeros(len(u))
-        base[argmax[1]] = 1.0
-        d = np.zeros(len(u))
-        d[argmax[0]] = 1.0
-        d[argmax[1]] = -1.0
-        components.append(
-            Component(
-                (tuple(game.actions[game.players[0]][a] for a in argmax),),
-                (base,),
-                (d,),
-                (0.0, 1.0),
-            )
-        )
-        isolated = []
-    elif len(argmax) > 2:
+        support = (tuple(game.actions[game.players[0]][a] for a in argmax),)
+        return EquilibriumSet([], [Component(support, (_embed(len(u), argmax[1:], 1.0),),
+                                             (_embed(len(u), argmax, [1.0, -1.0]),), (0.0, 1.0))])
+    isolated = [MixedProfile(game, [_embed(len(u), [a], 1.0)]) for a in argmax]
+    diags = []
+    if len(argmax) > 2:
         # the face is the simplex over the argmax: a side with no opponent
-        face = _side_record(tuple(argmax), (), np.zeros((len(u), 0)),
-                            *_ones_side(len(argmax)))
-        diags.append(
-            SupportDiagnostic(
-                (tuple(argmax),), "degenerate", "argmax face of dimension >= 2",
-                sides=(face,),
-            )
-        )
-    return EquilibriumSet(isolated, components, diags)
+        face = _side_record(tuple(argmax), (), np.zeros((len(u), 0)), *_ones_side(len(argmax)))
+        diags.append(SupportDiagnostic((tuple(argmax),), "degenerate",
+                                       "argmax face of dimension >= 2", sides=(face,)))
+    return EquilibriumSet(isolated, [], diags)
 
 
 def _dedupe(game, points, segments):
@@ -1120,9 +1109,9 @@ def nearest_nash(game, profile, eqset=None):
     Candidates are the isolated points, the closest point of each
     component, and the projection onto each face that enumeration flags
     `degenerate` (solution sets of dimension >= 2).  A face projection is
-    kept only if it passes `is_nash` on the `unit_view`, as enumeration's
-    points do, and beats every enumerated candidate by more than 1e-9, the
-    distance at which enumeration merges points.
+    kept only if it passes `is_nash`, as enumeration's points do, and
+    beats every enumerated candidate by more than 1e-9, the distance at
+    which enumeration merges points.
     """
     if eqset is None:
         eqset = enumerate_nash(game)
@@ -1142,7 +1131,7 @@ def nearest_nash(game, profile, eqset=None):
                 for v, s in zip(profile.vectors, diag.sides)):
             continue
         p = _project_face(game, diag.sides, profile)
-        if p is None or not is_nash(unit_view(game), p):
+        if p is None or not is_nash(game, p):
             continue
         d = profile.distance(p)
         if d < best[0] - 1e-9:
@@ -1170,10 +1159,9 @@ class RefinementTag:
 
 
 def _require_nash(game, profile):
-    """ValueError unless `profile`'s Nash defect on the game's unit view is
-    at most TIE_TOL, so the test means the same at every payoff scale."""
-    d = nash_defect(unit_view(game), profile)
-    if d > TIE_TOL:
+    """ValueError unless `profile` passes `is_nash`."""
+    if not is_nash(game, profile):
+        d = nash_defect(unit_view(game), profile)
         raise ValueError(f"profile is not a Nash equilibrium (defect {d:.3e})")
 
 
@@ -1217,14 +1205,11 @@ def _smoothed_perfect_witness(game, profile, eps):
 def _tiered_proper_witness(game, profile, eps):
     """The candidate plus eps^(d + 1) / (k 2^d) on each action d levels
     below the best replies, if eps-proper.  The levels are the tie blocks
-    of its utilities (`search._tie_blocks`), or single actions in utility
-    order where ties chain past TIE_TOL into no consistent blocks."""
+    of its utilities (`search._tie_blocks`)."""
     vecs = []
     for i in range(game.n_players):
         eu = expected_utility(game, profile, i)
         blocks = search._tie_blocks((eu,))
-        if blocks is None:
-            blocks = [[a] for a in np.argsort(-eu, kind="stable")]
         k = len(eu)
         w = np.array(profile.vectors[i], dtype=float)
         for depth, level in enumerate(blocks):

@@ -9,9 +9,10 @@ small "maximize the common slack" linear programs (HiGHS).
 
 The closure test and the proper search try the same patterns: each
 player's actions fall into tie blocks at the candidate (`_tie_blocks`, on
-the game's `unit_view`), and a pattern keeps the blocks in order and splits
-each by any weak order (`_block_orders`).  Either search gives up, outcome
-"open", past MAX_PATTERN_PAIRS patterns of one player or pattern pairs.
+the game's `unit_view`, by single linkage at TIE_TOL), and a pattern keeps
+the blocks in order and splits each by any weak order (`_block_orders`).
+Either search gives up, outcome "open", past MAX_PATTERN_PAIRS patterns of
+one player or pattern pairs.
 
 Membership is a closure test with no distance box (`monotone_pattern_search`).
 Where a candidate has a single compatible pattern pair, a strict order per
@@ -29,8 +30,8 @@ margins between the two thresholds leave the question open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache
-from itertools import product
+from functools import lru_cache
+from itertools import groupby, product
 from math import comb, prod
 
 import numpy as np
@@ -344,28 +345,24 @@ def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_ref
 
 
 def _tie_blocks(values):
-    """One player's actions in blocks, best first: the blocks of actions
-    tied in every vector of `values`, compared in turn.  Every compatible
+    """One player's actions in blocks, best first.  Each vector of `values`
+    is sorted and cut at every gap above TIE_TOL (single linkage), which
+    gives each action a cut rank in it, 0 at the top; a block is the set of
+    actions that share their rank in every vector, in action order, and
+    blocks run by their ranks, the first vector's first.  Every compatible
     pattern keeps the blocks in this order and splits each by any weak
-    order.  None when the blocks do not run down in every value."""
-    values = [v.tolist() for v in values]
-
-    def cmp(a, b):
-        for v in values:
-            if abs(v[a] - v[b]) > TIE_TOL:
-                return -1 if v[a] > v[b] else 1
-        return 0
-
-    blocks = []
-    for a in sorted(range(len(values[0])), key=cmp_to_key(cmp)):
-        if blocks and cmp(blocks[-1][0], a) == 0:
-            blocks[-1].append(a)
-        else:
-            blocks.append([a])
-    for up, down in zip(blocks, blocks[1:]):
-        if any(v[a] < v[b] - TIE_TOL for v in values for a in up for b in down):
-            return None
-    return blocks
+    order."""
+    ranks = []
+    for v in values:
+        v = v.tolist()
+        down = sorted(range(len(v)), key=lambda a: -v[a])
+        rank = [0] * len(v)
+        for up, a in zip(down, down[1:]):
+            rank[a] = rank[up] + (v[up] - v[a] > TIE_TOL)
+        ranks.append(rank)
+    keys = list(zip(*ranks))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [list(block) for _, block in groupby(order, key=keys.__getitem__)]
 
 
 def _block_orders(blocks):
@@ -400,7 +397,8 @@ def _strict_rows(game, orders, vectors):
 def _strict_order_witness(game, candidate, orders, delta):
     """Witness for the one compatible pattern pair of an m = 1 candidate
     whose tie blocks are all singletons, `orders[i]` being player i's
-    blocks, best first; None unless it clears every strict row.
+    blocks, best first; None unless the candidate meets the pair weakly
+    (every strict row >= -TIE_TOL) and the witness clears every strict row.
 
     The witness is candidate + t * D.  On the support S_j, D_j is the d_j of
     [[A_i, -1], [1^T, 0]] [d_j; c] = [r_i; 0] with A_i = u_i[S_i, S_j] and
@@ -442,7 +440,7 @@ def _strict_order_witness(game, candidate, orders, delta):
     along = _strict_rows(game, orders, steps)
     down = along < 0
     t = np.min((at_point[down] - TIE_TOL) / -along[down], initial=np.inf) / 2
-    if not t > 0:
+    if not t > 0 or at_point.min() < -TIE_TOL:
         return None
     x = _ray_point(point, point + min(t, 1.0) * np.concatenate(steps), delta)
     vectors = np.split(x, [len(sig[0])])
@@ -460,28 +458,30 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     too for m = 1; for m < 1, x_i meets its m-fraction rows.  The interior
     profiles of a pattern pair form a relatively open polyhedron S, whose
     closure, if S is nonempty, is the same system with strict rows made
-    weak.  So only pairs that the candidate meets weakly are tried, one
-    stacked LP each with one slack on the strict rows and x > 0.
+    weak.  So only pairs that the candidate meets weakly (every inequality
+    >= -TIE_TOL and every equality within TIE_TOL) are tried, one stacked
+    LP each with one slack on the strict rows and x > 0.
     feasible: some slack > TIE_TOL; the witness is on the ray from the
     candidate to the LP's point, at distance delta, inside S.  Moving onto
     the ray shrinks every strict row; where one falls to TIE_TOL and the
     point fails `witness_ok`, the pair's LP is solved once more inside the
     delta box, and its point is the witness if its slack exceeds TIE_TOL.
-    The outcome stays feasible either way.  refuted: no such slack.  open:
-    more than MAX_PATTERN_PAIRS pairs, or values whose ties chain past
-    TIE_TOL into no consistent tie blocks (`_tie_blocks` is None), where
-    no pattern is tried.
+    The outcome stays feasible either way.  refuted: no such slack, also
+    where the candidate meets no pair (for m = 1, x_i and u_i can order two
+    tie blocks in opposite directions).  open: more than MAX_PATTERN_PAIRS
+    patterns of one player or pattern pairs.
 
     For m = 1, when every tie block of both players is a singleton (as at
     the equilibria of games with generic payoffs), the one compatible pair
-    is a strict order per player, and `_strict_order_witness` tries a point
-    in closed form first: one bordered solve per player.  It is accepted
-    only if every strict row of that pair, evaluated at the witness itself,
-    exceeds TIE_TOL and each vector sums to one.  The witness is then in S,
-    so `witness_ok` holds, and the LP's slack is at least as large, so the
-    LP would decide feasible too; the segment from the candidate to the
-    witness lies in S, which puts the candidate in its closure.  Otherwise
-    the LP runs as above.
+    is a strict order per player, and where the candidate meets it,
+    `_strict_order_witness` tries a point in closed form first: one
+    bordered solve per player.  It is accepted only if every strict row of
+    that pair, evaluated at the witness itself, exceeds TIE_TOL and each
+    vector sums to one.  The witness is then in S, so `witness_ok` holds,
+    and the LP's slack is at least as large, so the LP would decide
+    feasible too; the segment from the candidate to the witness lies in S,
+    which puts the candidate in its closure.  Otherwise the LP runs as
+    above.
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
@@ -489,8 +489,6 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     for i in range(2):
         u = utility_vector(game, i, candidate.vectors)
         blocks.append(_tie_blocks((candidate.vectors[i], u) if m == 1.0 else (u,)))
-        if blocks[i] is None:
-            return PatternOutcome(OUTCOME_OPEN, None, 0)
         patterns.append(_block_orders(blocks[i]))
         if patterns[i] is None:
             return PatternOutcome(OUTCOME_OPEN, None, 0)
@@ -509,15 +507,16 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     for i in range(2):
         base.add_eq(own[i].sum(axis=0), -1.0)
 
-    def pattern_rows(i, levels):
+    def pattern_rows(i, levels):  # None unless the candidate meets them weakly
         lp = PlayerLP(n, base.lo, base.hi)
         if m == 1.0:
             add_order_rows(lp, levels, own[i])
         else:
             add_m_fraction_rows(lp, levels, m, own[i])
-            if any(coef @ point + const < -TIE_TOL for coef, const in lp.weak):
-                return None
         add_order_rows(lp, levels, util[i])
+        if (any(coef @ point + const < -TIE_TOL for coef, const in lp.strict + lp.weak)
+                or any(abs(coef @ point + const) > TIE_TOL for coef, const in lp.eq)):
+            return None
         return lp
 
     pats = []
@@ -622,8 +621,7 @@ def proper_pattern_search(game, candidate, eps, delta):
     that put a weakly dominated action at or above its dominator (at an
     interior profile the dominator earns strictly more).  Past
     MAX_PATTERN_PAIRS patterns of one player or pattern pairs the outcome
-    is open, and so it is where a player's utilities chain past TIE_TOL
-    into no consistent tie blocks.
+    is open.
 
     Exhaustion refutes properness in the limit: eps_n-proper profiles that
     converge to the candidate eventually keep its strict utility gaps, lie
@@ -643,8 +641,7 @@ def proper_pattern_search(game, candidate, eps, delta):
     unit = unit_view(game)
     pats = []
     for i in range(2):
-        blocks = _tie_blocks((utility_vector(unit, i, candidate.vectors),))
-        orders = None if blocks is None else _block_orders(blocks)
+        orders = _block_orders(_tie_blocks((utility_vector(unit, i, candidate.vectors),)))
         if orders is None:
             return PatternOutcome(OUTCOME_OPEN, None, 0)
         dom = [(g, d) for _, d, g in weak_dominance(game).indexed[i]]

@@ -218,7 +218,7 @@ def _ref_solve_pair(game, s1, s2, out):
             game, [_ref_embed(m, s1, np.clip(xs.x0, 0, None)),
                    _ref_embed(k, s2, np.clip(ys.x0, 0, None))]
         )
-        if nash_defect(unit, prof) <= 1e-8:
+        if nash_defect(unit, prof) <= TIE_TOL:
             out.isolated.append(prof)
         else:
             out.diagnostics.append(
@@ -227,7 +227,7 @@ def _ref_solve_pair(game, s1, s2, out):
     elif dim == 1:
         comp = _ref_one_dim_component(game, xs, ys)
         if isinstance(comp, MixedProfile):
-            if nash_defect(unit, comp) <= 1e-8:
+            if nash_defect(unit, comp) <= TIE_TOL:
                 out.isolated.append(comp)
         elif comp is not None:
             out.components.append(comp)
@@ -250,8 +250,14 @@ def _ref_profile_at(game, comp, t):
 def _ref_one_dim_component(game, xs, ys):
     """Segment of a support pair with one free dimension: a `Component`, a
     single `MixedProfile` when the segment has width <= 1e-9, or None.  The
-    fixed side is a point with feasible x0."""
-    var = xs if xs.null.shape[1] == 1 else ys
+    fixed side is a point with feasible x0.
+
+    The segment keeps the t where the varying side is >= -1e-10 and every
+    utility gap that `nash_defect` compares, against the fixed side's point
+    normalized, is >= -TIE_TOL: the opponent's actions against the
+    opponent's utility, then the varying player's against the player's."""
+    player = 0 if xs.null.shape[1] == 1 else 1
+    var, fixed = (xs, ys)[player], (ys, xs)[player]
     d = var.null[:, 0]
     mx = np.max(np.abs(d))
     if mx <= 1e-12:
@@ -259,15 +265,29 @@ def _ref_one_dim_component(game, xs, ys):
     d = d / mx
     if d[np.flatnonzero(np.abs(d) > 1e-12)[0]] < 0:
         d = -d
-    span = _ref_interval_for(var.x0, d, var.g, var.tol)
+    unit = unit_view(game)
+    pays = (unit.payoffs[..., 1], unit.payoffs[..., 0].T)
+    w = _ref_embed(game.action_counts[1 - player], fixed.own, np.clip(fixed.x0, 0, None))
+    w = w / w.sum()
+    own = list(var.own)
+    opp_pay = pays[player][own]
+    util = w @ pays[1 - player]
+    g = np.vstack([np.eye(len(own)), (opp_pay @ w)[None, :] - opp_pay.T,
+                   util[own][None, :] - util[:, None]])
+    nash_row = np.arange(len(g)) >= len(own)
+    own_row = np.arange(len(g)) >= len(g) - len(util)
+    tol = np.where(nash_row, TIE_TOL, 1e-10)
+    span = _ref_interval_for(var.x0, d, g, tol)
     if span is None:
         return None
     # tolerance fuzz inflates point solutions into hair-width intervals;
-    # the zero-tolerance geometry decides point vs genuine component.  Rows
+    # the geometry without it decides point vs genuine component.  Rows
     # flat along d cannot widen the interval, so they keep their tolerance
-    # (a zero weight that rounds to -1e-17 must not empty the family)
-    flat = np.abs(var.g @ d) <= 1e-12
-    exact = _ref_interval_for(var.x0, d, var.g, np.where(flat, var.tol, 0.0))
+    # (a zero weight that rounds to -1e-17 must not empty the family); the
+    # varying player's own gaps keep TIE_TOL, less 1e-12 for rounding
+    flat = np.abs(g @ d) <= 1e-12
+    exact = _ref_interval_for(var.x0, d, g,
+                              np.where(flat, tol, np.where(own_row, TIE_TOL - 1e-12, 0.0)))
     if exact is None:
         mid = 0.5 * (span[0] + span[1])
         exact = (mid, mid)
@@ -378,6 +398,25 @@ def integer_games(count):
     # payoffs in {0, 1, 2}; sizes cycle through 2, 3, 3, 4
     rng = np.random.default_rng(11)
     return [integer_game(rng, ((2, 3, 3, 4)[i % 4],) * 2) for i in range(count)]
+
+
+def noisy_integer_games(count):
+    """`integer_games(count)` with U(-1e-9, 1e-9) added to every payoff:
+    ties broken at the scale of the tie tolerance."""
+    rng = np.random.default_rng(5)
+    return [Game(g.players, g.actions, g.payoffs + rng.uniform(-1e-9, 1e-9, size=g.payoffs.shape))
+            for g in integer_games(count)]
+
+
+def chained_tie_game():
+    """P1 = [[1, 0], [1 - 1.6e-9, 0], [1 + 1.2e-9, 2]] over a0-a2 and b0-b1,
+    P2 = 1 at b0 and 0 at b1.  Against b0, a0 ties a1 and a2 on the unit
+    view while a1 and a2 differ by 1.4e-9, so the segment a0-a1 against b0
+    is Nash only up to its middle."""
+    p1 = np.array([[1, 0], [1 - 1.6e-9, 0], [1 + 1.2e-9, 2]])
+    p2 = np.array([[1.0, 0.0]] * 3)
+    return Game(["P1", "P2"], {"P1": ["a0", "a1", "a2"], "P2": ["b0", "b1"]},
+                np.stack([p1, p2], axis=-1))
 
 
 # ---------------------------------------------------------------------------

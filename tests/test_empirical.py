@@ -146,8 +146,8 @@ def test_membership_rejects_meaningless_schedules(schedule):
 def test_utilities_chained_past_the_tie_tolerance_are_not_refuted(m):
     # P1's utilities against b0 sit 0.7e-9 apart, so a2 ties a1 and a1 ties
     # a0 while a2 and a0 differ by more than TIE_TOL.  For m < 1 the blocks
-    # are those of the utilities alone: there are no consistent ones, so no
-    # pattern is tried and nothing is refuted
+    # are those of the utilities alone: single linkage chains them into one
+    # block, whose splits the closure test tries
     col = 1 - np.array([1.4, 0.7, 0.0, 1.4]) * 1e-9
     payoffs = np.stack([np.stack([col, np.zeros(4)], axis=1),
                         np.stack([np.ones(4), np.zeros(4)], axis=1)], axis=-1)
@@ -156,7 +156,7 @@ def test_utilities_chained_past_the_tie_tolerance_are_not_refuted(m):
     profile = MixedProfile.pure(game, {"P1": "a2", "P2": "b0"})
     if m < 1.0:
         out = search.monotone_pattern_search(unit_view(game), profile, min(DEFAULT_DELTAS), m=m)
-        assert out.outcome == search.OUTCOME_OPEN and out.tried == 0
+        assert out.outcome != search.OUTCOME_REFUTED and out.tried > 0
     assert empirical_membership(game, profile, m=m).decision != "non-member"
 
 

@@ -162,7 +162,7 @@ def test_projection_and_dominance_lps_match_linprog_reference(monkeypatch):
 def _all_singleton_blocks(game, profile):
     blocks = [search._tie_blocks((profile.vectors[i], utility_vector(game, i, profile.vectors)))
               for i in range(2)]
-    return None not in blocks and all(len(b) == 1 for player in blocks for b in player)
+    return all(len(b) == 1 for player in blocks for b in player)
 
 
 def test_closed_form_witness_agrees_with_closure_lp(monkeypatch):
@@ -292,3 +292,25 @@ def test_closure_witness_passes_its_recheck(monkeypatch):
             assert search.witness_ok(game, out.witness, profile, delta, 1.0)
             boxed += len(solved) == out.tried + 1
         assert boxed == 1
+
+
+def test_tie_blocks_link_chained_ties():
+    # 0.7e-9 steps chain four actions into one block, though the ends
+    # differ by more than TIE_TOL; blocks keep action order
+    chained = 1 - np.array([1.4, 0.7, 0.0, 1.4]) * 1e-9
+    assert search._tie_blocks((chained,)) == [[0, 1, 2, 3]]
+    assert search._tie_blocks((np.array([0.0, 0.0, 1.0, 0.0]), chained)) == [[2], [0, 1, 3]]
+    # the first vector ranks first, the second breaks its ties
+    values = (np.array([0.5, 0.5, 0.0]), np.array([0.0, 1.0, 1.0]))
+    assert search._tie_blocks(values) == [[1], [0], [2]]
+
+
+def test_opposite_block_orders_meet_no_pattern():
+    # P1 plays a0 more than a1 though a1 earns more: x and u order the two
+    # blocks in opposite directions, so no m = 1 pattern meets the candidate
+    payoffs = np.zeros((2, 2, 2))
+    payoffs[1, :, 0] = 1.0
+    game = Game(["P1", "P2"], {"P1": ["a0", "a1"], "P2": ["b0", "b1"]}, payoffs)
+    candidate = MixedProfile(game, [np.array([0.6, 0.4]), np.array([0.5, 0.5])])
+    out = search.monotone_pattern_search(game, candidate, min(DEFAULT_DELTAS))
+    assert (out.outcome, out.tried) == (search.OUTCOME_REFUTED, 0)
