@@ -164,13 +164,15 @@ class Game:
                     raise GameFormatError(f"payoff record {k}: missing utility for {p!r}")
                 try:
                     # decimal strings are accepted and stored as doubles
-                    tensor[idx + (probe.player_index(p),)] = float(rec["u"][p])
+                    value = float(rec["u"][p])
                 except (TypeError, ValueError):
-                    raise GameFormatError(
-                        f"payoff record {k}: non-numeric utility {rec['u'][p]!r}"
-                    ) from None
-        if np.any(np.isnan(tensor)):
-            missing = int(np.isnan(tensor[..., 0]).sum())
+                    value = np.nan
+                if not np.isfinite(value):
+                    raise GameFormatError(f"payoff record {k}: utility {rec['u'][p]!r} for "
+                                          f"{p!r} is not a finite number")
+                tensor[idx + (probe.player_index(p),)] = value
+        missing = tensor[..., 0].size - len(seen)
+        if missing:
             raise GameFormatError(f"{missing} pure profiles have no payoff record")
         return cls(players, actions, tensor)
 
@@ -379,8 +381,8 @@ def unit_view(game):
 
     The tie rule: two utilities of the view, or two probabilities, tie
     when they differ by at most TIE_TOL.  Enumeration, the Nash test of
-    every candidate, perfection, the tie blocks of properness's patterns
-    and membership (its dominance forcing, closure test, three-player
+    every candidate, perfection, both trembled witnesses, properness's tie
+    blocks and membership (its dominance forcing, closure test, three-player
     witness heuristic, witness re-check and segment breakpoints) decide on
     the view and return profiles of the caller's game, so printed profiles
     and utilities keep its units.  Raw payoffs stay where units matter or

@@ -84,15 +84,16 @@ The max-norm distance from a profile to a segment is convex and piecewise
 linear in the segment parameter, so `Component.distance_to` is exact: it
 checks the interval ends and every crossing of two of the distance's lines.
 
-Two-player perfection is decided exactly, by one best-reply LP per player;
-properness by a search for the eps-proper interior profiles of its
-definition, over the utility orders that keep the candidate's tie blocks.
-The Nash precondition of both is `is_nash`; the eps-perfection test is on
-the unit view too.  Verdicts are three-valued: verified (witness sequence
-in hand), refuted (certificate), or inconclusive.  The witness conditions
-only loosen as eps grows, so each check is decided at the smallest
-scheduled eps alone; only a verified verdict carries witnesses, its
-smallest-eps witness listed at every scheduled eps.
+Perfection and properness first try one witness, the candidate plus the
+refinement's tremble, with each two-player support mix re-solved so that
+the opponent's best replies still tie (`_trembled_witness`).  It passes at
+regular equilibria, so generic games solve no LP.  Where it fails,
+two-player perfection is decided exactly, by one best-reply LP per player
+on the unit view; properness by a search for the eps-proper interior
+profiles of its definition, over the utility orders that keep the
+candidate's tie blocks.  Both require `is_nash`, and are decided at the
+smallest scheduled eps: verified (witness sequence in hand), refuted
+(certificate), or inconclusive.
 
 A segment is decided at its `segment_breakpoints` (`decide_segment`): its
 ends, every crossing inside it of two of one player's probabilities or
@@ -117,7 +118,6 @@ import numpy as np
 from .game import (
     TIE_TOL,
     MixedProfile,
-    best_responses,
     expected_utility,
     nash_defect,
     normalized,
@@ -1166,14 +1166,13 @@ def _require_nash(game, profile):
 
 
 def is_epsilon_perfect(game, profile, eps):
-    """Interior, and only best responses carry probability above eps."""
+    """Interior, and only unit-view best responses carry probability above eps."""
     if not profile.is_interior:
         return False
-    for i, p in enumerate(game.players):
-        br = best_responses(game, profile, i, tol=TIE_TOL)
-        for j, a in enumerate(game.actions[p]):
-            if a not in br and profile.vectors[i][j] > eps * (1 + 1e-12) + 1e-15:
-                return False
+    for i in range(game.n_players):
+        eu = expected_utility(unit_view(game), profile, i)
+        if np.any(profile.vectors[i][eu < eu.max() - TIE_TOL] > eps * (1 + 1e-12) + 1e-15):
+            return False
     return True
 
 
@@ -1182,47 +1181,51 @@ def is_epsilon_proper(game, profile, eps):
     if not profile.is_interior:
         return False
     for i in range(game.n_players):
-        eu = expected_utility(game, profile, i)
-        sig = profile.vectors[i]
-        for a in range(len(eu)):
-            for b in range(len(eu)):
-                if eu[a] > eu[b] + TIE_TOL and sig[b] > eps * sig[a] * (1 + 1e-9):
-                    return False
+        eu, sig = expected_utility(game, profile, i), profile.vectors[i]
+        # [a, b]: b earns less than a and has more than eps times its probability
+        if np.any((eu[:, None] > eu + TIE_TOL) & (sig > eps * sig[:, None] * (1 + 1e-9))):
+            return False
     return True
 
 
-def _unit_epsilon_perfect(game, profile, eps):
-    """`is_epsilon_perfect` on the game's unit view."""
-    return is_epsilon_perfect(unit_view(game), profile, eps)
+def _perfect_tremble(game, sig, i, eps):
+    """(1 - eps) sigma_i + eps / k."""
+    return (1 - eps) * sig[i] + eps / len(sig[i])
 
 
-def _smoothed_perfect_witness(game, profile, eps):
-    """The best-reply LPs' witness form with tau uniform, if eps-perfect."""
-    cand = MixedProfile(game, [(1 - eps) * v + eps / len(v) for v in profile.vectors])
-    return cand if _unit_epsilon_perfect(game, cand, eps) else None
+def _proper_tremble(game, sig, i, eps):
+    """sigma_i plus eps^(d + 1) / (k 2^d) per action d tie blocks down, cut
+    on the unit view and on the raw payoffs `is_epsilon_proper` reads; renormalized."""
+    w = sig[i].copy()
+    eus = (utility_vector(unit_view(game), i, sig), utility_vector(game, i, sig))
+    for depth, block in enumerate(search._tie_blocks(eus)):
+        w[block] += eps ** (depth + 1) / (len(w) * 2.0**depth)
+    return w / w.sum()
 
 
-def _tiered_proper_witness(game, profile, eps):
-    """The candidate plus eps^(d + 1) / (k 2^d) on each action d levels
-    below the best replies, if eps-proper.  The levels are the tie blocks
-    of its utilities (`search._tie_blocks`)."""
-    vecs = []
-    for i in range(game.n_players):
-        eu = expected_utility(game, profile, i)
-        blocks = search._tie_blocks((eu,))
-        k = len(eu)
-        w = np.array(profile.vectors[i], dtype=float)
-        for depth, level in enumerate(blocks):
-            for a in level:
-                if depth == 0:
-                    w[a] += eps / k
-                else:
-                    w[a] += eps ** (depth + 1) / (k * 2.0**depth)
-        vecs.append(w)
-    cand = MixedProfile(game, vecs)
-    if is_epsilon_proper(game, cand, eps):
-        return cand
-    return None
+def _trembled_witness(game, profile, eps, tremble):
+    """The candidate with each player's vector trembled by `tremble`.  With
+    two players, where |S_i| > 1 is the number of the opponent's best
+    replies b_0 < b_1 < ... (its first tie block on the unit view), S_i's
+    mass is re-solved from [1^T; u_j(., b) - u_j(., b_0) over S_i] so those
+    replies tie again exactly, and kept if positive.  At a regular
+    equilibrium every support action then stays a best reply."""
+    unit, sig = unit_view(game), profile.vectors
+    vecs = [tremble(game, sig, i, eps) for i in range(len(sig))]
+    for i in range(2) if len(sig) == 2 else ():
+        on, w = sig[i] > TIE_TOL, vecs[i]
+        best = search._tie_blocks((utility_vector(unit, 1 - i, sig),))[0]
+        if len(best) == on.sum() > 1:
+            u = search._util_coefs(unit, i).T  # u_j[a, b]
+            d = u[:, best[1:]] - u[:, best[:1]]
+            try:
+                x = np.linalg.solve(np.vstack([np.ones(len(best)), d[on].T]),
+                                    np.append(1 - w[~on].sum(), -(w[~on] @ d[~on])))
+            except np.linalg.LinAlgError:
+                continue
+            if x.min() > 0:
+                w[on] = x
+    return MixedProfile(game, vecs)
 
 
 def _dominated_on_support(game, profile):
@@ -1235,24 +1238,22 @@ def _dominated_on_support(game, profile):
     if hit is None:
         return None
     player, pair, x_d, _ = hit
-    return {
-        "kind": "dominated-on-support",
-        "player": player,
-        "action": pair.dominated,
-        "dominated_by": pair.dominating,
-        "probability": float(x_d),
-    }
+    return {"kind": "dominated-on-support", "player": player, "action": pair.dominated,
+            "dominated_by": pair.dominating, "probability": float(x_d)}
 
 
-def _check_refinement(game, profile, schedule, closed_form, passes, pattern_search):
+def _check_refinement(game, profile, schedule, tremble, passes, pattern_search):
     """Decide a refinement at the smallest scheduled eps.
 
     Pure dominance on the support refutes first (`_dominated_on_support`).
-    The closed-form candidate is kept if it lies within DELTA_FACTOR * eps,
-    else the pattern search runs.  A witness found is listed at every
+    The candidate trembled by the refinement's rule (`_trembled_witness`)
+    is kept if it passes the refinement's test within DELTA_FACTOR * eps,
+    else the pattern search runs.  Witnesses nest: interior stays interior,
+    and the distance bound, "non-best responses <= eps" and "ratios <= eps"
+    only loosen as eps grows.  So a witness found is listed at every
     scheduled eps, largest first; any other verdict carries no witnesses
-    and one note for the smallest eps.  A refuted search outcome refutes,
-    with the certificate it carries.
+    and one note for the smallest eps.  A refuted search refutes, with the
+    certificate it carries.
     """
     check_schedule(schedule, "eps", upper=1.0)
     _require_nash(game, profile)
@@ -1261,8 +1262,8 @@ def _check_refinement(game, profile, schedule, closed_form, passes, pattern_sear
         return RefinementVerdict(REFUTED, certificate=cert)
     eps = min(schedule)
     delta = DELTA_FACTOR * eps
-    witness = closed_form(game, profile, eps)
-    if witness is not None and witness.distance(profile) > delta:
+    witness = _trembled_witness(game, profile, eps, tremble)
+    if witness.distance(profile) > delta or not passes(game, witness, eps):
         witness = None
     out = None
     if witness is None and game.n_players == 2:
@@ -1270,9 +1271,7 @@ def _check_refinement(game, profile, schedule, closed_form, passes, pattern_sear
         if out.outcome == search.OUTCOME_FEASIBLE and passes(game, out.witness, eps):
             witness = out.witness
     if witness is not None:
-        return RefinementVerdict(
-            VERIFIED, [(e, witness) for e in sorted(schedule, reverse=True)]
-        )
+        return RefinementVerdict(VERIFIED, [(e, witness) for e in sorted(schedule, reverse=True)])
     if out is None:
         return RefinementVerdict(INCONCLUSIVE, notes=[f"eps={eps:g}: no witness found"])
     notes = [f"eps={eps:g}: " + (out.note or f"{out.outcome} ({out.tried} patterns)")]
@@ -1284,45 +1283,43 @@ def _check_refinement(game, profile, schedule, closed_form, passes, pattern_sear
 def check_perfect(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     """Three-valued perfection check, decided at the smallest scheduled eps.
 
-    A two-player Nash point is perfect iff no mixed strategy weakly
-    dominates a player's strategy.  Refutations carry `dominated-on-support`
-    (a pure dominance, tried first) or `mixed-dominance`, whose `dominating`
-    maps actions to the probabilities of a dominating mixed strategy (from
-    the LPs of `search.perfect_pattern_search`, run where the smoothing
-    fails).  With three or more players pure dominance on the support
-    refutes, and otherwise only the smoothing runs.
+    The witness tried first trembles the candidate to (1 - eps) sigma +
+    eps / k (`_trembled_witness`).  Where it fails, a two-player point is
+    perfect iff no mixed strategy weakly dominates a player's strategy, which
+    the LPs of `search.perfect_pattern_search` decide.  Refutations carry
+    `dominated-on-support` (a pure dominance, tried first) or
+    `mixed-dominance`, whose `dominating` maps actions to the probabilities
+    of a dominating mixed strategy.  With three or more players pure
+    dominance on the support refutes, and otherwise only the witness runs.
 
-    An eps-perfect witness within DELTA_FACTOR * eps is eps'-perfect and
-    within DELTA_FACTOR * eps' for every eps' >= eps: interior stays
-    interior, the distance bound and "non-best responses <= eps" only grow.
-    So only the smallest eps is searched, and `verified` lists its witness
-    at every scheduled eps; refuted and inconclusive verdicts carry none.
+    `verified` lists the smallest eps's witness at every scheduled eps
+    (`_check_refinement`); refuted and inconclusive verdicts carry none.
     """
-    return _check_refinement(game, profile, schedule, _smoothed_perfect_witness,
-                             _unit_epsilon_perfect, search.perfect_pattern_search)
+    return _check_refinement(game, profile, schedule, _perfect_tremble, is_epsilon_perfect,
+                             search.perfect_pattern_search)
 
 
 def check_proper(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     """Three-valued properness check, decided at the smallest scheduled eps.
 
-    Refutation: either an on-support dominated action (properness implies
-    perfection), or exhaustion of the utility-order patterns that keep the
-    candidate's tie blocks (`search.proper_pattern_search`) at the smallest
-    scheduled eps, within DELTA_FACTOR * eps.  Every tail of a would-be
-    defining sequence keeps the candidate's strict utility gaps, lies in
-    that box and is eps-proper, so exhaustion rules the sequence out.
-    Exhaustion over a pattern deeper than the LPs can resolve, eps^(L-1)
-    for L levels under the search's feasibility margin, is inconclusive
-    with note `lp-numerics`; so is a search past MAX_PATTERN_PAIRS.
+    The witness tried first adds eps^(d + 1) / (k 2^d) to each action d tie
+    blocks below the best replies (`_trembled_witness`).  Where it fails,
+    the float LPs of `search.proper_pattern_search` run.  Refutation: either
+    an on-support dominated action (properness implies perfection), or
+    exhaustion of the utility-order patterns that keep the candidate's tie
+    blocks at the smallest scheduled eps, within DELTA_FACTOR * eps.  Every
+    tail of a would-be defining sequence keeps the candidate's strict
+    utility gaps, lies in that box and is eps-proper, so exhaustion rules
+    the sequence out.  Exhaustion over a pattern deeper than the LPs can
+    resolve, eps^(L-1) for L levels under the search's feasibility margin,
+    is inconclusive with note `lp-numerics`; so is a search past
+    MAX_PATTERN_PAIRS.
 
-    Witnesses nest the other way: an eps-proper one within
-    DELTA_FACTOR * eps is eps'-proper and within DELTA_FACTOR * eps' for
-    every eps' >= eps, since "ratios <= eps" only loosens.  So only the
-    smallest eps is searched, and `verified` lists its witness at every
-    scheduled eps; refuted and inconclusive verdicts carry none.
+    `verified` lists the smallest eps's witness at every scheduled eps
+    (`_check_refinement`); refuted and inconclusive verdicts carry none.
     """
-    return _check_refinement(game, profile, schedule, _tiered_proper_witness,
-                             is_epsilon_proper, search.proper_pattern_search)
+    return _check_refinement(game, profile, schedule, _proper_tremble, is_epsilon_proper,
+                             search.proper_pattern_search)
 
 
 def classify(game, eqset, schedule=DEFAULT_EPS_SCHEDULE):

@@ -397,6 +397,17 @@ def test_malformed_game_files_are_input_errors(edit, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [float("nan"), "nan"])
+def test_a_nan_utility_is_an_input_error(value, tmp_path):
+    doc = json.loads(corpus.gamma1().to_json())
+    doc["payoffs"][1]["u"]["P2"] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["nash", "--game", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: payoff record 1: utility {value!r} for 'P2' is not a finite number\n"
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2], {"P1": [0.5, 0.5]}, {"P1": {"a1": None}, "P2": {"b1": 1}},
 ])

@@ -183,6 +183,18 @@ def test_loader_rejects_missing_record(gamma1):
         Game.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("player", ["P1", "P2"])
+@pytest.mark.parametrize("value", [float("nan"), "nan", float("inf"), "-Infinity", "abc", None])
+def test_loader_rejects_a_utility_that_is_not_a_finite_number(gamma1, value, player):
+    # a NaN once passed as a missing record: "0 pure profiles have no
+    # payoff record"
+    doc = json.loads(gamma1.to_json())
+    doc["payoffs"][2]["u"][player] = value
+    message = f"^payoff record 2: utility .* for '{player}' is not a finite number$"
+    with pytest.raises(GameFormatError, match=message):
+        Game.from_json(json.dumps(doc))
+
+
 def test_loader_rejects_unknown_action(gamma1):
     doc = json.loads(gamma1.to_json())
     doc["payoffs"][0]["profile"]["P1"] = "zz"

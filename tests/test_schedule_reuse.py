@@ -54,6 +54,7 @@ from empeq.nash import (
 from conftest import (
     corpus_games,
     integer_games,
+    noisy_integer_games,
     random_game,
     recheck_mixed_dominance,
     reference_membership,
@@ -95,8 +96,8 @@ def _perfect_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     witnesses, notes = [], []
     for eps in sorted(schedule, reverse=True):
         delta = DELTA_FACTOR * eps
-        cand = nash._smoothed_perfect_witness(game, profile, eps)
-        if cand is not None and cand.distance(profile) <= delta:
+        cand = nash._trembled_witness(game, profile, eps, nash._perfect_tremble)
+        if cand.distance(profile) <= delta and is_epsilon_perfect(game, cand, eps):
             witnesses.append((eps, cand))
             continue
         if game.n_players == 2:
@@ -124,8 +125,8 @@ def _proper_reference(game, profile, schedule=DEFAULT_EPS_SCHEDULE):
     smallest_refuted = None
     for eps in sorted(schedule, reverse=True):
         delta = DELTA_FACTOR * eps
-        cand = nash._tiered_proper_witness(game, profile, eps)
-        if cand is not None and cand.distance(profile) <= delta:
+        cand = nash._trembled_witness(game, profile, eps, nash._proper_tremble)
+        if cand.distance(profile) <= delta and is_epsilon_proper(game, cand, eps):
             witnesses.append((eps, cand))
             continue
         if game.n_players != 2:
@@ -296,9 +297,10 @@ def test_refinements_match_per_scale_reference(games, schedule):
                 _recheck_refinement(game, candidate, got, epss, passes)
                 statuses.add(got.status)
     assert nash.VERIFIED in statuses
-    # 5x5 games at eps = 1e-4 and 4x4 games at 1e-5 exhaust patterns too deep
-    # for the LPs
-    assert (numerics > 0) == (games == "seeded" or (games, schedule) == ("integer", "wide"))
+    # 4x4 integer games at eps = 1e-5 exhaust patterns too deep for the LPs;
+    # the seeded games' equilibria are regular, so their trembled witnesses
+    # pass and no pattern search runs
+    assert (numerics > 0) == ((games, schedule) == ("integer", "wide"))
 
 
 def test_check_proper_matches_ranked_reference(monkeypatch):
@@ -351,23 +353,6 @@ def test_strict_pure_equilibria_are_not_refuted_at_small_eps():
         assert out.certificate is None
 
 
-def test_generic_6x6_equilibria_are_not_refuted_by_exhaustion():
-    """The equilibria of games with generic payoffs are regular, hence
-    proper (van Damme 1991, ch. 2): no 6x6 verdict may be an
-    `order-exhaustion` refutation, and each verified witness is
-    eps-proper at every scheduled eps."""
-    rng = np.random.default_rng(2026)
-    games = [random_game(rng, (n, n)) for n in (3, 4, 5, 6) for _ in range(6)][18:]
-    statuses = collections.Counter()
-    for game in games:
-        for candidate in enumerate_nash(game).isolated:
-            verdict = check_proper(game, candidate)
-            assert verdict.status != nash.REFUTED
-            _recheck_refinement(game, candidate, verdict, DEFAULT_EPS_SCHEDULE, is_epsilon_proper)
-            statuses[verdict.status] += 1
-    assert statuses[nash.VERIFIED] >= 18  # 10 under the 5-action cap
-
-
 def _count_searches(monkeypatch, name):
     calls = []
     original = getattr(search, name)
@@ -379,6 +364,44 @@ def _count_searches(monkeypatch, name):
 
     monkeypatch.setattr(search, name, counted)
     return calls
+
+
+def test_regular_equilibria_are_perfect_and_proper_without_search(monkeypatch):
+    """The equilibria of games with generic payoffs are regular, hence
+    proper (van Damme 1991, sec. 2.5).  On seeded uniform 3x3-8x8 games,
+    with payoffs as drawn and scaled by 1e-6 and 1e-10, every isolated
+    equilibrium is verified perfect and proper by its trembled witness, and
+    no pattern search runs.  Each witness re-checks at every scheduled eps."""
+    searches = [_count_searches(monkeypatch, name)
+                for name in ("perfect_pattern_search", "proper_pattern_search")]
+    rng = np.random.default_rng(2030)
+    games = [random_game(rng, (n, n)) for n in range(3, 9) for _ in range(6)]
+    points = 0
+    for game, alpha in itertools.product(games, (1.0, 1e-6, 1e-10)):
+        scaled = Game(game.players, game.actions, alpha * game.payoffs)
+        for candidate in enumerate_nash(scaled).isolated:
+            for check, passes in ((check_perfect, is_epsilon_perfect),
+                                  (check_proper, is_epsilon_proper)):
+                verdict = check(scaled, candidate)
+                assert verdict.status == nash.VERIFIED
+                _recheck_refinement(scaled, candidate, verdict, DEFAULT_EPS_SCHEDULE, passes)
+            points += 1
+    assert searches == [[], []]
+    assert points == 3 * 120
+
+
+def test_proper_tremble_follows_raw_payoff_gaps(monkeypatch):
+    """Noise of 1e-9 on payoffs of span 2: against b3, a1 and a3 earn 1.05e-9
+    and 1.16e-9 more than a0, ties on the unit view but strict gaps on the
+    raw payoffs that `is_epsilon_proper` reads.  The proper tremble cuts its tie blocks on
+    both, so its witness re-checks and no search runs; with blocks cut on
+    the unit view alone it failed, and the search refuted."""
+    searches = _count_searches(monkeypatch, "proper_pattern_search")
+    game = noisy_integer_games(12)[11]
+    candidate = MixedProfile.pure(game, {"P1": "a3", "P2": "b3"})
+    verdict = check_proper(game, candidate)
+    assert verdict.status == nash.VERIFIED and searches == []
+    _recheck_refinement(game, candidate, verdict, DEFAULT_EPS_SCHEDULE, is_epsilon_proper)
 
 
 @pytest.mark.parametrize("m", [1.0, 0.5])
