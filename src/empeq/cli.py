@@ -155,16 +155,14 @@ def _ccost_args(p):
     p.add_argument("--out")
 
 
-def build_parser(command=None):
-    """The `empeq` parser, with arguments for `command` only.
+def build_parser():
+    """The full `empeq` parser: every subcommand with its arguments.
 
-    Every subcommand is registered with its help text, so the top-level
-    usage, `empeq -h` and the error for an unknown command read the same
-    for any `command`.  Only `command`'s subparser gets its arguments, or
-    every subparser when `command` is None.  `run` parses one subcommand
-    per call, and adding the arguments of all seven takes about as long
-    as enumerating a 6x6 game's equilibria, so a small analysis would
-    spend a large share of its time building options it never reads.
+    `run` parses a named command with that command's parser alone, which
+    is the parser `add_parser` makes here, so its help, usage and errors
+    read the same.  This parser handles the rest: no command, `-h`, an
+    unknown command and arguments the command leaves over, which only
+    the top-level parser reports.
     """
     parser = argparse.ArgumentParser(
         prog="empeq",
@@ -174,9 +172,7 @@ def build_parser(command=None):
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args, _) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_args(sub)
+        add_args(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -406,10 +402,22 @@ _COMMANDS = {
 
 
 def run(argv):
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
+    """Parse `argv`, run its command and return the exit code.
+
+    A named command is parsed by its own parser, `empeq NAME`, alone:
+    building all seven costs as much as a small analysis.  Any other argv,
+    or one that leaves arguments over, goes to `build_parser`, so every
+    help screen, usage line and error prints the bytes it always has.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if entry:
+            parser = argparse.ArgumentParser(prog=f"empeq {argv[0]}")
+            entry[1](parser)
+            args, extra = parser.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if not entry or extra:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

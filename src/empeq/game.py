@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,29 +149,37 @@ class Game:
         probe = cls(players, actions, np.zeros(shape))
         tensor = np.full(probe.payoffs.shape, np.nan)
         seen = set()
+        aidx = [probe._aidx[p] for p in players]
         for k, rec in enumerate(doc["payoffs"]):
             if not (isinstance(rec, dict) and isinstance(rec.get("profile"), dict)
                     and isinstance(rec.get("u"), dict)):
                 raise GameFormatError(f"payoff record {k}: needs 'profile' and 'u' objects")
-            try:
-                idx = tuple(probe.action_index(p, rec["profile"][p]) for p in players)
-            except (KeyError, ProfileError) as exc:
-                raise GameFormatError(f"payoff record {k}: {exc}") from None
+            prof, u = rec["profile"], rec["u"]
+            idx = []
+            for p, labels in zip(players, aidx):
+                if p not in prof:
+                    raise GameFormatError(f"payoff record {k}: {p!r}")
+                j = labels.get(str(prof[p]))
+                if j is None:
+                    raise GameFormatError(f"payoff record {k}: unknown action "
+                                          f"{prof[p]!r} for player {p!r}")
+                idx.append(j)
+            idx = tuple(idx)
             if idx in seen:
-                raise GameFormatError(f"payoff record {k}: duplicate profile {rec['profile']}")
+                raise GameFormatError(f"payoff record {k}: duplicate profile {prof}")
             seen.add(idx)
-            for p in players:
-                if p not in rec["u"]:
+            for i, p in enumerate(players):
+                if p not in u:
                     raise GameFormatError(f"payoff record {k}: missing utility for {p!r}")
                 try:
                     # decimal strings are accepted and stored as doubles
-                    value = float(rec["u"][p])
-                except (TypeError, ValueError):
-                    value = np.nan
-                if not np.isfinite(value):
-                    raise GameFormatError(f"payoff record {k}: utility {rec['u'][p]!r} for "
+                    value = float(u[p])
+                except (TypeError, ValueError, OverflowError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise GameFormatError(f"payoff record {k}: utility {u[p]!r} for "
                                           f"{p!r} is not a finite number")
-                tensor[idx + (probe.player_index(p),)] = value
+                tensor[idx + (i,)] = value
         missing = tensor[..., 0].size - len(seen)
         if missing:
             raise GameFormatError(f"{missing} pure profiles have no payoff record")

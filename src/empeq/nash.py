@@ -315,10 +315,11 @@ def _embed(n, support, values):
 def enumerate_nash(game):
     """Exhaustive support enumeration (one- and two-player games).
 
-    Two-player games are decided on the game's `unit_view`, so the result
-    is the same, up to rounding, when any player's payoffs are mapped by
-    u_i -> alpha_i u_i + beta_i with alpha_i > 0.  They are limited to
-    2^20 support pairs (so m k <= 100); one-player games have no limit.
+    Games are decided on the game's `unit_view`, so the result is the
+    same, up to rounding, when any player's payoffs are mapped by
+    u_i -> alpha_i u_i + beta_i with alpha_i > 0.  Two-player games are
+    limited to 2^20 support pairs (so m k <= 100); one-player games have
+    no limit.
     """
     if game.n_players == 1:
         return _enumerate_single(game)
@@ -982,10 +983,11 @@ def _nash_points(unit, candidates):
 
 
 def _enumerate_single(game):
-    """One player: each pure maximizer; two of them give their segment
+    """One player: each pure maximizer, an action `is_nash` accepts (within
+    TIE_TOL of the best on the unit view); two of them give their segment
     instead, and more also give a `degenerate` face, the simplex over them."""
-    u = game.payoffs[..., 0]
-    argmax = np.flatnonzero(u == u.max()).tolist()
+    u = unit_view(game).payoffs[..., 0]
+    argmax = np.flatnonzero(u.max() - u <= TIE_TOL).tolist()
     if len(argmax) == 2:
         support = (tuple(game.actions[game.players[0]][a] for a in argmax),)
         return EquilibriumSet([], [Component(support, (_embed(len(u), argmax[1:], 1.0),),

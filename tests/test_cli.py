@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -318,12 +319,46 @@ def _help(parser, argv):
     return out.getvalue()
 
 
+def _run_full_parser(argv):
+    """What `run` printed and returned when the full parser parsed every
+    argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            code = cli._COMMANDS[args.command][2](args)
+    return code, out.getvalue(), err.getvalue()
+
+
+VALID_ARGV = {
+    "corpus": ["corpus", "emit", "gamma2c", "--c1", "1", "--c2", "2", "--out", "o"],
+    "nash": ["nash", "--cor", "psi", "--eps-schedule", "0.1,0.01"],
+    "wpm": ["wpm", "--game", "g.json", "--profile", "p.json", "--m", "2", "--tol", "0"],
+    "region": ["region", "--corpus", "phi", "--resolution", "5", "--kind", "strict"],
+    "trace": ["trace", "--corpus=gamma1", "--steps=3", "--lambda-max", "10"],
+    "empirical": ["empirical", "--m", "0.5", "--corpus", "gamma1", "--m", "1",
+                  "--timings"],
+    "ccost": ["ccost", "check", "--corpus", "gamma1", "--profile", "p.json",
+              "--splines", "s.json", "--eps", "0.2", "--y0", "1", "--ystar", "2"],
+}
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_subcommand_parser_matches_full_parser(command, monkeypatch):
-    # `run` adds arguments to the invoked subcommand only
+    # `run` parses a named command with that command's parser alone
     monkeypatch.setenv("COLUMNS", "80")
     argv = [command, "-h"]
-    assert _help(cli.build_parser(command), argv) == _help(cli.build_parser(), argv)
+    assert _run(argv) == (0, _help(cli.build_parser(), argv), "")
+    parsed = []
+    help_text, add_args, _ = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (help_text, add_args, lambda args: parsed.append(args) or 0))
+    argv = VALID_ARGV[command]
+    assert _run(argv) == (0, "", "")
+    assert parsed == [cli.build_parser().parse_args(argv)]
 
 
 PARSE_ONLY_ARGV = [
@@ -334,34 +369,47 @@ PARSE_ONLY_ARGV = [
     ["nash", "--game", "g.json", "--corpus", "psi"],
     ["trace", "--corpus", "gamma1", "--steps", "x"],
     ["empirical", "--corpus", "gamma1", "--seed", "3"],
+    ["nash", "--corpus", "psi", "extra"],
+    ["nash", "--", "x"],
+    ["corpus", "list", "x", "y"],
+    ["trace", "--corpus=gamma1", "--steps=3"],
+    ["nash", "--cor", "psi"],
+    ["empirical", "--m", "0.5", "--corpus", "gamma1", "--m", "1"],
+    ["nash", "--corpus", "psi", "-h"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_ONLY_ARGV, ids=" ".join)
 def test_run_prints_what_a_full_parser_prints(argv, monkeypatch):
-    # help, usage and every parse error read the same as with all
-    # subcommands' arguments added
+    # help, usage, every parse error and the parsed command's output read
+    # the same as with the full parser
     monkeypatch.setenv("COLUMNS", "80")
     got = _run(argv)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
-    assert got == _run(argv)
+    assert got == _run_full_parser(argv)
     assert got[0] in (0, 2) and got[1:] != ("", "")
 
 
 def test_run_builds_one_new_parser_per_call(monkeypatch):
+    # a valid argv builds its command's parser alone; help, an unknown
+    # command and leftover arguments build the full parser, prog "empeq",
+    # once
     built = []
-    build = cli.build_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(command):
-        built.append((command, build(command)))
-        return built[-1][1]
+    def spy(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
-    for argv in (["corpus", "list"], ["corpus", "list"], ["-h"]):
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    full = ["empeq", *(f"empeq {command}" for command in cli._COMMANDS)]
+    for argv, progs in ((["corpus", "list"], ["empeq corpus"]),
+                        (["corpus", "list"], ["empeq corpus"]),
+                        (["-h"], full),
+                        (["bogus"], full),
+                        (["corpus", "list", "x", "y"], ["empeq corpus", *full])):
+        built.clear()
         _run(argv)
-    assert [command for command, _ in built] == ["corpus", "corpus", None]
-    assert len({id(parser) for _, parser in built}) == 3
+        assert built == progs
 
 
 @pytest.mark.parametrize("argv", [

@@ -202,6 +202,32 @@ def test_loader_rejects_unknown_action(gamma1):
         Game.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["payoffs"][0].pop("u"),
+     "payoff record 0: needs 'profile' and 'u' objects"),
+    (lambda doc: doc["payoffs"][1]["profile"].pop("P2"), "payoff record 1: 'P2'"),
+    (lambda doc: doc["payoffs"][0]["profile"].update(P1="zz"),
+     "payoff record 0: unknown action 'zz' for player 'P1'"),
+    (lambda doc: doc["payoffs"][0]["profile"].update(P2=7),
+     "payoff record 0: unknown action 7 for player 'P2'"),
+    (lambda doc: doc["payoffs"].append(doc["payoffs"][3]),
+     "payoff record 4: duplicate profile {'P1': 'a2', 'P2': 'b2'}"),
+    (lambda doc: doc["payoffs"][2]["u"].pop("P2"),
+     "payoff record 2: missing utility for 'P2'"),
+    # float() of an integer past the largest double raises OverflowError
+    (lambda doc: doc["payoffs"][3]["u"].update(P1=10**400),
+     f"payoff record 3: utility {10**400!r} for 'P1' is not a finite number"),
+    (lambda doc: doc["payoffs"].pop(), "1 pure profiles have no payoff record"),
+], ids=["no-u", "no-player", "unknown-action", "non-string-action", "duplicate",
+        "no-utility", "overflow", "missing-record"])
+def test_loader_messages_name_the_record(gamma1, edit, message):
+    doc = json.loads(gamma1.to_json())
+    edit(doc)
+    with pytest.raises(GameFormatError) as exc:
+        Game.from_json(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.update(actions=["a"]),
     lambda doc: doc["payoffs"].__setitem__(0, 3),

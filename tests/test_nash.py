@@ -153,6 +153,27 @@ def test_one_player_game_with_many_actions_enumerates():
     assert eq.components[0].support == (("a17", "a4321"),)
 
 
+@pytest.mark.parametrize("u", [
+    [1, 1 - 1e-12, 0],
+    [2e6 + 5, 2e6 + 5 - 1e-7, -1e6],
+    [0, 1, 1 - 5e-10, 1 - 2e-9, 1 - 1e-12],
+])
+def test_one_player_enumeration_has_every_point_the_nash_test_accepts(u):
+    # a maximizer is an action within TIE_TOL of the best on the unit view,
+    # not only an exact tie
+    n = len(u)
+    game = Game(["P1"], {"P1": [f"a{j}" for j in range(n)]}, np.array(u, float)[:, None])
+    eq = enumerate_nash(game)
+    for a in range(n):
+        pure = MixedProfile(game, [np.eye(n)[a]])
+        enumerated = (any(np.array_equal(p.vectors[0], pure.vectors[0]) for p in eq.isolated)
+                      or any(c.distance_to(game, pure)[0] == 0 for c in eq.components))
+        assert enumerated == is_nash(game, pure)
+    for comp in eq.components:
+        for t in np.linspace(*comp.interval, 5):
+            assert is_nash(game, MixedProfile(game, [comp.base[0] + t * comp.direction[0]]))
+
+
 def test_three_player_unsupported():
     rng = np.random.default_rng(0)
     g = random_game(rng, (2, 2, 2))
