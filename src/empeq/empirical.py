@@ -13,8 +13,8 @@ decides member without an LP.
 With three or more players a witness heuristic runs, and only dominance
 refutes.  No decision depends on a distance: the delta schedule only places
 the witness a member verdict lists at every scheduled delta.  Nor does one
-depend on payoff units: every step decides on the game's `unit_view`, under
-the tie rule stated there.
+depend on payoff units: dominance reads the caller's exact `weak_dominance`
+report, and every later step decides on `unit_view` under its tie rule.
 `nash.check_proper` still decides at the smallest eps, since "ratios <= eps"
 only loosens as eps grows; `nash.check_perfect` decides two-player
 perfection exactly, one best-reply LP per player, whatever the eps.
@@ -103,8 +103,8 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0):
     inconclusive verdicts carry no witnesses.  A candidate whose Nash defect
     on the game's unit view exceeds `game.TIE_TOL` raises ValueError.
 
-    Every step decides on `unit_view(game)`, so the verdict does not depend
-    on payoff units; witnesses are profiles of `game`.
+    Dominance reads `weak_dominance(game)`, later steps `unit_view(game)`, so
+    the verdict does not depend on payoff units; witnesses are profiles of `game`.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
@@ -117,7 +117,7 @@ def empirical_membership(game, profile, delta_schedule=DEFAULT_DELTAS, m=1.0):
     stages = {}
     diagnostics = {"stage_seconds": stages}
 
-    cert = _dominance_refutation(unit, profile, m)
+    cert = _dominance_refutation(game, profile, m)
     stages["dominance"] = time.perf_counter() - t0
     if cert is not None and m > 0.0:
         return MembershipVerdict(NON_MEMBER, [], cert, diagnostics)

@@ -43,21 +43,7 @@ class Game:
                  "_dominance", "_unit")
 
     def __init__(self, players, actions, payoffs):
-        players = tuple(str(p) for p in players)
-        if not players:
-            raise GameFormatError("a game needs at least one player")
-        if len(set(players)) != len(players):
-            raise GameFormatError("duplicate player identifiers")
-        acts = {}
-        for p in players:
-            if p not in actions:
-                raise GameFormatError(f"no action list for player {p!r}")
-            labels = tuple(str(a) for a in actions[p])
-            if not labels:
-                raise GameFormatError(f"player {p!r} has an empty action set")
-            if len(set(labels)) != len(labels):
-                raise GameFormatError(f"duplicate action labels for player {p!r}")
-            acts[p] = labels
+        players, acts = _checked_labels(players, actions)
         arr = np.array(payoffs, dtype=float)
         shape = tuple(len(acts[p]) for p in players) + (len(players),)
         if arr.shape != shape:
@@ -142,14 +128,10 @@ class Game:
         if not isinstance(doc["actions"], dict) or not all(
                 isinstance(labels, list) for labels in doc["actions"].values()):
             raise GameFormatError("'actions' must map each player to a JSON array")
-        players = [str(p) for p in doc["players"]]
-        actions = {str(p): [str(a) for a in labels] for p, labels in doc["actions"].items()}
-        # a player without actions gets shape 0 here and is rejected by name
-        shape = tuple(len(actions.get(p, ())) for p in players) + (len(players),)
-        probe = cls(players, actions, np.zeros(shape))
-        tensor = np.full(probe.payoffs.shape, np.nan)
+        players, actions = _checked_labels(doc["players"], doc["actions"])
+        aidx = [{a: j for j, a in enumerate(actions[p])} for p in players]
+        tensor = np.full(tuple(map(len, aidx)) + (len(players),), np.nan)
         seen = set()
-        aidx = [probe._aidx[p] for p in players]
         for k, rec in enumerate(doc["payoffs"]):
             if not (isinstance(rec, dict) and isinstance(rec.get("profile"), dict)
                     and isinstance(rec.get("u"), dict)):
@@ -158,7 +140,7 @@ class Game:
             idx = []
             for p, labels in zip(players, aidx):
                 if p not in prof:
-                    raise GameFormatError(f"payoff record {k}: {p!r}")
+                    raise GameFormatError(f"payoff record {k}: no action for player {p!r}")
                 j = labels.get(str(prof[p]))
                 if j is None:
                     raise GameFormatError(f"payoff record {k}: unknown action "
@@ -207,6 +189,26 @@ class Game:
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+def _checked_labels(players, actions):
+    """Players and each one's action labels as tuples of strings, checked."""
+    players = tuple(str(p) for p in players)
+    if not players:
+        raise GameFormatError("a game needs at least one player")
+    if len(set(players)) != len(players):
+        raise GameFormatError("duplicate player identifiers")
+    acts = {}
+    for p in players:
+        if p not in actions:
+            raise GameFormatError(f"no action list for player {p!r}")
+        labels = tuple(str(a) for a in actions[p])
+        if not labels:
+            raise GameFormatError(f"player {p!r} has an empty action set")
+        if len(set(labels)) != len(labels):
+            raise GameFormatError(f"duplicate action labels for player {p!r}")
+        acts[p] = labels
+    return players, acts
 
 
 def _json_number(v):
@@ -391,14 +393,15 @@ def unit_view(game):
     The tie rule: two utilities of the view, or two probabilities, tie
     when they differ by at most TIE_TOL.  Enumeration, the Nash test of
     every candidate, perfection, both trembled witnesses, properness's tie
-    blocks and membership (its dominance forcing, closure test, three-player
-    witness heuristic, witness re-check and segment breakpoints) decide on
-    the view and return profiles of the caller's game, so printed profiles
-    and utilities keep its units.  Raw payoffs stay where units matter or
-    the rule does not reach yet: `qre` and `ccost` (lambda and costs are in
-    payoff units), properness's LP rows and eps-proper test, and the
+    blocks and membership (its closure test, three-player witness
+    heuristic, witness re-check and segment breakpoints) decide on the view
+    and return profiles of the caller's game, so printed profiles and
+    utilities keep its units.  Raw payoffs stay where units matter or the
+    rule does not reach yet: `qre` and `ccost` (lambda and costs are in
+    payoff units), properness's LP rows and eps-proper test, the
     `monotone` predicates, which apply the `tol` they are given (TIE_TOL
-    unless the CLI's `--tol` says otherwise) to the game they are given.
+    unless the CLI's `--tol` says otherwise) to the game they are given,
+    and pure weak dominance (`weak_dominance`), which is exact.
     """
     if game._unit is None:
         axes = tuple(range(game.n_players))
@@ -456,10 +459,11 @@ class DominanceReport:
 
 
 def weak_dominance(game):
-    """Exhaustive weak-dominance report, exact arithmetic on raw payoffs.
+    """Exhaustive weak-dominance report, exact comparisons of raw payoffs.
 
-    The report is computed on first use and kept on the game, so every
-    caller shares it and none may mutate it.
+    The one report that every pure-dominance refutation reads, always of
+    the caller's game and never of its unit view.  It is computed on first
+    use and kept on the game, so every caller shares it and none may mutate it.
     """
     if game._dominance is None:
         game._dominance = _dominance_report(game)
@@ -469,25 +473,19 @@ def weak_dominance(game):
 def _dominance_report(game):
     indexed = []
     for i, p in enumerate(game.players):
-        k = len(game.actions[p])
-        ui = game._views[i].reshape(k, -1)
-        opp_players = [q for q in game.players if q != p]
-        opp_counts = [len(game.actions[q]) for q in opp_players]
-        found = []
-        for d in range(k):
-            for g in range(k):
-                if d == g:
-                    continue
-                diff = ui[g] - ui[d]
-                if np.all(diff >= 0.0) and np.any(diff > 0.0):
-                    flat = int(np.argmax(diff > 0.0))
-                    witness = {}
-                    if opp_counts:
-                        idx = np.unravel_index(flat, tuple(opp_counts))
-                        witness = {
-                            q: game.actions[q][idx[t]] for t, q in enumerate(opp_players)
-                        }
-                    pair = DominancePair(game.actions[p][d], game.actions[p][g], witness)
-                    found.append((pair, d, g))
-        indexed.append(found)
+        ui = game._views[i].reshape(len(game.actions[p]), -1)
+        # [d, g, opponent profile]: row g against row d, all pairs at once
+        above = ui[None] > ui[:, None]
+        dom = (ui[None] >= ui[:, None]).all(axis=-1) & above.any(axis=-1)
+        ds, gs = np.nonzero(dom)  # d major, as a loop over d then g finds them
+        opp = [q for q in game.players if q != p]
+        # the first opponent profile where the dominator does strictly better;
+        # with no opponents ui has one column and the witness is {}
+        idx = np.unravel_index(above[ds, gs].argmax(axis=-1),
+                               tuple(len(game.actions[q]) for q in opp) or (1,))
+        indexed.append([
+            (DominancePair(game.actions[p][d], game.actions[p][g],
+                           {q: game.actions[q][idx[t][n]] for t, q in enumerate(opp)}),
+             int(d), int(g))
+            for n, (d, g) in enumerate(zip(ds, gs))])
     return DominanceReport(game.players, indexed)

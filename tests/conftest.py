@@ -6,8 +6,8 @@ import pytest
 
 from empeq import corpus, empirical, nash, search
 from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
-from empeq.game import (TIE_TOL, Game, MixedProfile, expected_utility, nash_defect, unit_view,
-                        weak_dominance)
+from empeq.game import (TIE_TOL, DominancePair, Game, MixedProfile, expected_utility,
+                        nash_defect, unit_view, weak_dominance)
 from empeq.nash import UnsupportedGameError, nearest_nash
 from empeq.qre import LogisticQRF, QreConvergenceError, qre_fixed_point, trace_logit_path
 
@@ -630,6 +630,33 @@ def reference_perfect_search(game, candidate, eps, delta):
     if out.outcome == search.OUTCOME_REFUTED:
         return search.PatternOutcome(search.OUTCOME_OPEN, None, out.tried)
     return out
+
+
+def reference_dominance_report(game):
+    """`weak_dominance(game).indexed` by the pair loop that the array
+    comparison replaced: per player, every dominated d and then every
+    dominating g != d, a pair where u[g] - u[d] >= 0 everywhere and > 0
+    somewhere, witnessed by the first opponent profile where it is > 0."""
+    indexed = []
+    for i, p in enumerate(game.players):
+        k = len(game.actions[p])
+        ui = np.moveaxis(game.payoffs[..., i], i, 0).reshape(k, -1)
+        opp = [q for q in game.players if q != p]
+        found = []
+        for d in range(k):
+            for g in range(k):
+                diff = ui[g] - ui[d]
+                if d == g or not (np.all(diff >= 0.0) and np.any(diff > 0.0)):
+                    continue
+                witness = {}
+                if opp:
+                    idx = np.unravel_index(int(np.argmax(diff > 0.0)),
+                                           tuple(len(game.actions[q]) for q in opp))
+                    witness = {q: game.actions[q][idx[t]] for t, q in enumerate(opp)}
+                found.append((DominancePair(game.actions[p][d], game.actions[p][g], witness),
+                              d, g))
+        indexed.append(tuple(found))
+    return tuple(indexed)
 
 
 def dominance_pairs(game, player):

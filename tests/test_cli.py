@@ -497,3 +497,35 @@ def test_segment_ends_near_ties_are_nash(game, command, tmp_path):
     assert doc["isolated"] or doc["components"]
     for entry in doc["isolated"]:
         nash._require_nash(game, MixedProfile.from_dict(game, entry["profile"]))
+
+
+def test_ccost_build_then_check_round_trip(tmp_path):
+    # interior and payoff-monotone: a1 and b1 earn 0.6 against it, a2 and b2 0
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"P1": {"a1": 0.6, "a2": 0.4},
+                                   "P2": {"b1": 0.6, "b2": 0.4}}))
+    splines = tmp_path / "splines.json"
+    common = [*GAMES["gamma1"], "--profile", str(profile)]
+    assert _run(["ccost", "build", *common, "--out", str(splines)]) == (0, "", "")
+    code, out, err = _run(["ccost", "check", *common, "--splines", str(splines)])
+    assert (code, err) == (0, "")
+    assert '"equilibrium": true' in out
+
+
+def test_corpus_emit_writes_the_game(tmp_path):
+    path = tmp_path / "g.json"
+    argv = ["corpus", "emit", "gamma2c", "--c1", "2", "--c2", "2", "--out", str(path)]
+    assert _run(argv) == (0, "", "")
+    assert Game.from_file(path) == corpus.gamma2c(2, 2)
+
+
+def test_empirical_timings_add_only_stage_seconds():
+    argv = ["empirical", *GAMES["gamma2c-2-2"]]
+    code, plain, _ = _run(argv)
+    timed_code, timed, _ = _run([*argv, "--timings"])
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert timed_code == code and timed["isolated"]
+    for entry in timed["isolated"]:
+        stages = entry.pop("stage_seconds")
+        assert stages and all(s >= 0.0 for s in stages.values())
+    assert timed == plain

@@ -3,17 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from empeq import corpus, search
+from empeq import corpus, empirical, search
 from empeq.empirical import (
     DEFAULT_DELTAS,
     empirical_membership,
     enumerate_empirical,
 )
 from empeq.game import Game, MixedProfile, nash_defect, unit_view
-from empeq.nash import enumerate_nash
+from empeq.nash import classify, enumerate_nash
 from empeq.monotone import is_m_weakly_payoff_monotone, is_payoff_monotone
 
-from conftest import integer_games, nonemptiness_probe, random_game, recheck_dominance
+from conftest import (corpus_games, integer_games, nonemptiness_probe, random_game,
+                      recheck_dominance)
 
 
 def _recheck_member(game, candidate, verdict, m):
@@ -127,6 +128,48 @@ def test_gamma1_verdicts_and_dominance_certificate(m):
     assert verdict.decision == "non-member"
     assert verdict.refutation.kind == "dominance"
     recheck_dominance(game, verdict.refutation)
+
+
+def test_dominance_refutations_hold_on_the_callers_payoffs(monkeypatch):
+    """Integer games jittered by at most 1e-15: in game 31 P2's b2 loses
+    2.2e-16 to b3 at one opponent action, a loss that the unit view's
+    rounding erases.  The pair does not hold, so the points that its
+    forcing would refute are refuted by the closure test instead; every
+    `dominance` certificate holds on the payoffs given."""
+    rng = np.random.default_rng(3)
+    jit = [Game(g.players, g.actions, g.payoffs + rng.uniform(-1e-15, 1e-15, g.payoffs.shape))
+           for g in integer_games(200)]
+    verdicts = []
+
+    def record(game, profile, *args, **kwargs):
+        verdict = empirical_membership(game, profile, *args, **kwargs)
+        verdicts.append((game, profile, kwargs["m"], verdict))
+        return verdict
+
+    monkeypatch.setattr(empirical, "empirical_membership", record)
+    for n in (31, 189):
+        for m in (1.0, 0.5):
+            enumerate_empirical(jit[n], m=m)
+    rounded = certified = 0
+    for game, profile, m, verdict in verdicts:
+        if verdict.refutation is not None and verdict.refutation.kind == "dominance":
+            assert verdict.decision == "non-member"
+            recheck_dominance(game, verdict.refutation)
+            certified += 1
+        elif empirical._dominance_refutation(unit_view(game), profile, m) is not None:
+            assert verdict.decision == "non-member"
+            assert verdict.refutation.kind == "pattern-exhaustion"
+            rounded += 1
+    assert rounded == 24 and certified == 86
+
+
+@pytest.mark.parametrize("game", corpus_games(),
+                         ids=["gamma1", "psi", "gamma2c-2-2", "gamma2c-0.5-0.5", "phi"])
+def test_no_dominance_report_is_built_on_a_unit_view(game):
+    enumerate_empirical(game)
+    enumerate_empirical(game, m=0.5)
+    classify(game, enumerate_nash(game))
+    assert unit_view(game)._dominance is None
 
 
 BAD_SCHEDULES = [(np.nan,), (np.inf,), (-0.1,), (0.0,), (0.1, -1e-3), (0.1, np.nan), ()]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from empeq.game import (
 )
 from empeq import corpus
 
-from conftest import random_game, random_profile
+from conftest import (corpus_games, integer_games, noisy_integer_games, random_game,
+                      random_profile, reference_dominance_report)
 
 
 def test_expected_utility_gamma1_half_half(gamma1):
@@ -117,6 +119,36 @@ def test_weak_dominance_witness_is_strict(phi):
             assert u[phi.action_index(p, pair.dominating)] > u[phi.action_index(p, pair.dominated)]
 
 
+def _small_integer_games(seed, players, count):
+    """Games with payoffs in {0, 1, 2} and 2 to 3 actions per player, so
+    that ties and dominance pairs occur."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        shape = tuple(int(k) for k in rng.integers(2, 4, size=players))
+        names = [f"P{i + 1}" for i in range(players)]
+        out.append(Game(names, {p: [f"{p}x{j}" for j in range(k)] for p, k in zip(names, shape)},
+                        rng.integers(0, 3, size=shape + (players,)).astype(float)))
+    return out
+
+
+def test_weak_dominance_matches_the_pair_loop():
+    # pairs, their order and their witnesses
+    games = (corpus_games() + integer_games(400) + noisy_integer_games(100)
+             + _small_integer_games(17, 3, 60) + _small_integer_games(19, 1, 20))
+    for g in games:
+        assert weak_dominance(g).indexed == reference_dominance_report(g)
+
+
+def test_weak_dominance_of_many_tied_actions_is_fast():
+    # the pair loop took seconds here: a million pairs, none dominated
+    g = Game(["P1"], {"P1": [f"a{j}" for j in range(1000)]}, np.zeros((1000, 1)))
+    t0 = time.perf_counter()
+    rep = weak_dominance(g)
+    assert time.perf_counter() - t0 < 0.1
+    assert rep.pairs == {"P1": ()}
+
+
 def test_profile_rejects_negative(gamma1):
     with pytest.raises(ProfileError):
         MixedProfile(gamma1, [np.array([1.1, -0.1]), np.array([0.5, 0.5])])
@@ -205,7 +237,8 @@ def test_loader_rejects_unknown_action(gamma1):
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["payoffs"][0].pop("u"),
      "payoff record 0: needs 'profile' and 'u' objects"),
-    (lambda doc: doc["payoffs"][1]["profile"].pop("P2"), "payoff record 1: 'P2'"),
+    (lambda doc: doc["payoffs"][1]["profile"].pop("P2"),
+     "payoff record 1: no action for player 'P2'"),
     (lambda doc: doc["payoffs"][0]["profile"].update(P1="zz"),
      "payoff record 0: unknown action 'zz' for player 'P1'"),
     (lambda doc: doc["payoffs"][0]["profile"].update(P2=7),
