@@ -190,8 +190,7 @@ class ControlCostSpline:
                 f"eps={self.epsilon:g})")
 
 
-def build_spline(sigma, utils, epsilon, y0=None, ystar=None, ystar_slope=None,
-                 clamp_ystar_slope=False):
+def build_spline(sigma, utils, epsilon, y0=None, ystar=None, ystar_slope=None):
     """Construct the cost spline calibrated by an interior vector and its
     ordinally matching utilities.
 
@@ -203,6 +202,8 @@ def build_spline(sigma, utils, epsilon, y0=None, ystar=None, ystar_slope=None,
     when |y - y'| <= LEVEL_TIE_TOL * max(y, y'), so entries many orders of
     magnitude apart stay separate levels however small they are; the same
     relative rule decides collisions of `ystar` with the levels and knots.
+    A `ystar_slope` outside the open interval of the slopes next to `ystar`
+    takes that interval's midpoint.
     """
     sigma = np.asarray(sigma, dtype=float)
     utils = np.asarray(utils, dtype=float)
@@ -284,29 +285,20 @@ def build_spline(sigma, utils, epsilon, y0=None, ystar=None, ystar_slope=None,
         target = above[0] if above else None
         if ystar_slope is not None:
             m_star = float(ystar_slope)
-            if not m_lo < m_star < m_hi:
-                if clamp_ystar_slope:
-                    m_star = 0.5 * (m_lo + m_hi)
-                else:
-                    raise CalibrationError(
-                        f"ystar slope {m_star} breaks the increasing slope "
-                        f"sequence ({m_lo}, {m_hi})"
-                    )
-        else:
+        elif target is not None and _same_level(knots[pos], target):
             # pick the slope meeting f(ystar) < f(next level above) + epsilon
-            if target is not None and _same_level(knots[pos], target):
-                gap = target - ystar
-                cap = 2.0 * epsilon / gap + m_hi  # |m*| below this
-                if cap <= -m_hi:
-                    raise CalibrationError(
-                        "epsilon calibration target unreachable at this ystar"
-                    )
-                hi_mag = min(-m_lo, cap)
-                m_star = -0.5 * (-m_hi + hi_mag)
-                if not m_lo < m_star < m_hi:
-                    m_star = 0.5 * (m_lo + m_hi)
-            else:
-                m_star = 0.5 * (m_lo + m_hi)
+            gap = target - ystar
+            cap = 2.0 * epsilon / gap + m_hi  # |m*| below this
+            if cap <= -m_hi:
+                raise CalibrationError(
+                    "epsilon calibration target unreachable at this ystar"
+                )
+            hi_mag = min(-m_lo, cap)
+            m_star = -0.5 * (-m_hi + hi_mag)
+        else:
+            m_star = 0.5 * (m_lo + m_hi)
+        if not m_lo < m_star < m_hi:  # keep the slopes increasing
+            m_star = 0.5 * (m_lo + m_hi)
         knots.insert(pos, ystar)
         slopes.insert(pos, m_star)
         calibration = {"ystar": ystar, "slope": float(m_star),
@@ -572,10 +564,7 @@ def _build_entry(game, prof, per_player, source_index, t, grid):
         if case == 2:
             ystar = 1.0 / t
             ystar_slope = -3.0 / t
-        spline = build_spline(
-            sig, eu, eps, y0=y0, ystar=ystar, ystar_slope=ystar_slope,
-            clamp_ystar_slope=True,
-        )
+        spline = build_spline(sig, eu, eps, y0=y0, ystar=ystar, ystar_slope=ystar_slope)
         splines.append(spline)
     ccg = ControlCostGame(game, tuple(splines))
     ok, worst, _ = cc_equilibrium_check(ccg, prof)

@@ -5,7 +5,9 @@ player's comparison pattern (a weak order over actions, or a best-response
 set) is fixed, the constraints on one player's vector are linear -- own
 probability constraints plus the *opponent's* utility constraints, which are
 linear in this player's probabilities.  So each pattern pair reduces to
-small "maximize the common slack" linear programs (HiGHS).
+small "maximize the common slack" linear programs (HiGHS).  Each LP is
+three row blocks (strict, weak, eq), each an (r, n + 1) array [A | b] of the
+rows A @ x + b; a pattern's blocks are built once and stacked per pair.
 
 The closure test and the proper search try the same patterns: each
 player's actions fall into tie blocks at the candidate (`_tie_blocks`, on
@@ -29,7 +31,7 @@ margins between the two thresholds leave the question open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
 from math import comb, prod
@@ -91,27 +93,6 @@ def level_of(levels):
 # single-player slack LP
 
 
-@dataclass
-class PlayerLP:
-    """max s subject to lo<=x<=hi, eq rows, weak rows >= 0, strict rows >= s."""
-
-    n: int
-    lo: np.ndarray
-    hi: np.ndarray
-    strict: list = field(default_factory=list)  # (coef, const): coef@x + const
-    weak: list = field(default_factory=list)
-    eq: list = field(default_factory=list)
-
-    def add_strict(self, coef, const=0.0):
-        self.strict.append((np.asarray(coef, dtype=float), float(const)))
-
-    def add_weak(self, coef, const=0.0):
-        self.weak.append((np.asarray(coef, dtype=float), float(const)))
-
-    def add_eq(self, coef, const=0.0):
-        self.eq.append((np.asarray(coef, dtype=float), float(const)))
-
-
 def _direct_highs():
     """scipy's HiGHS bindings with the options `linprog(method="highs",
     options=_HIGHS_OPTS)` passes, or (None, None) where scipy has none.
@@ -156,12 +137,12 @@ def _highs():
 
 
 def new_solver(presolve=True):
-    """A HiGHS instance for `solve_player_lp` and `solve_lp` to reuse, or
-    None where scipy has no direct bindings.  Each solve passes it a new
-    model, which discards the previous model, basis and solution.  Presolve
-    costs the closure test's small LPs more than it saves; the other
-    searches keep it, as the witnesses they print depend on the vertex
-    HiGHS returns."""
+    """A HiGHS instance for one search's LPs to reuse, or None where scipy
+    has no direct bindings.  Each `solve_player_lp` call passes it the model
+    of its [A | b] row blocks, which replaces the previous model, basis and
+    solution.  Presolve costs the closure test's small LPs more than it
+    saves; the other searches keep it, as the witnesses they print depend
+    on the vertex HiGHS returns."""
     if _highs() is None:
         return None
     highs = _HIGHS._Highs()
@@ -218,83 +199,78 @@ def solve_lp(c, a, n_ub, rhs, lb, ub, solver=None):
     return res.x if res.success else None
 
 
-def solve_player_lp(lp, solver=None):
+def solve_player_lp(lo, hi, strict, weak, eq, solver=None):
     """Return (max slack, argmax x); (-inf, None) when infeasible.
 
-    Variables (x, s) with s in [-10, 10]; rows in linprog's order: strict,
-    then weak as upper bounds, then equalities.  `solver` is an instance
-    from `new_solver()` to reuse; without one the call makes its own.
+    Maximizes s over lo <= x <= hi with every strict row >= s, every weak
+    row >= 0 and every eq row == 0.  Each block is an (r, n + 1) array
+    [A | b] of the rows A @ x + b.  Variables (x, s) with s in [-10, 10];
+    rows in linprog's order: strict, then weak as upper bounds, then
+    equalities.  `solver` is an instance from `new_solver()` to reuse;
+    without one the call makes its own.
     """
-    n = lp.n
-    rows = lp.strict + lp.weak + lp.eq
-    n_ub = len(lp.strict) + len(lp.weak)
-    a = np.zeros((len(rows), n + 1))
-    const = np.zeros(len(rows))
-    for r, (coef, k) in enumerate(rows):
-        a[r, :n] = coef
-        const[r] = k
+    n = len(lo)
+    n_ub = len(strict) + len(weak)
+    a = np.concatenate([strict, weak, eq])
+    rhs = np.concatenate([a[:n_ub, n], -a[n_ub:, n]])
+    a[:, n] = 0.0
     a[:n_ub, :n] *= -1.0
-    a[:len(lp.strict), n] = 1.0
-    rhs = np.concatenate([const[:n_ub], -const[n_ub:]])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    lb = np.append(np.asarray(lp.lo, dtype=float), -10.0)
-    ub = np.append(np.asarray(lp.hi, dtype=float), 10.0)
-    x = solve_lp(c, a, n_ub, rhs, lb, ub, solver)
+    a[:len(strict), n] = 1.0
+    c = np.append(np.zeros(n), -1.0)
+    x = solve_lp(c, a, n_ub, rhs, np.append(lo, -10.0), np.append(hi, 10.0), solver)
     if x is None:
         return float("-inf"), None
     return float(x[-1]), np.asarray(x[:-1], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# row builders
+# row builders: each returns an (r, n + 1) block [A | b] of the rows A @ x + b
 
 
-def _base_lp(candidate_vec, delta):
-    """Interior vectors summing to one, within delta of the candidate."""
-    v = np.asarray(candidate_vec)
-    lp = PlayerLP(len(v), np.maximum(0.0, v - delta), np.minimum(1.0, v + delta))
-    lp.add_eq(np.ones(len(v)), -1.0)
-    for row in np.eye(len(v)):
-        lp.add_strict(row)
-    return lp
+def _rows(coefs, const=0.0):
+    """The block [coefs | const]."""
+    rows = np.full((len(coefs), coefs.shape[1] + 1), const)
+    rows[:, :-1] = coefs
+    return rows
 
 
-def _vec_of(n, coefs, a):
-    if coefs is None:
-        row = np.zeros(n)
-        row[a] = 1.0
-        return row
-    return np.asarray(coefs[a], dtype=float)
+def _at(rows, x):
+    """Every row of the block `rows` evaluated at x."""
+    return rows[:, :-1] @ x + rows[:, -1]
 
 
-def add_order_rows(lp, levels, coefs=None):
-    """Force `coefs @ x` (or x itself) to realize the weak order exactly:
-    equal within levels, strictly decreasing across consecutive levels."""
-    for level in levels:
-        rep = level[0]
-        for other in level[1:]:
-            lp.add_eq(_vec_of(lp.n, coefs, rep) - _vec_of(lp.n, coefs, other))
-    for up, down in zip(levels, levels[1:]):
-        lp.add_strict(_vec_of(lp.n, coefs, up[0]) - _vec_of(lp.n, coefs, down[0]))
+def _simplex_rows(k):
+    """(strict, eq): interior vectors of k entries summing to one."""
+    return _rows(np.eye(k)), _rows(np.ones((1, k)), -1.0)
 
 
-def add_ratio_rows(lp, levels, eps):
-    """x[b] <= eps * x[a] across consecutive levels (chains downward)."""
-    for up, down in zip(levels, levels[1:]):
-        for a in up:
-            for b in down:
-                lp.add_weak(eps * _vec_of(lp.n, None, a) - _vec_of(lp.n, None, b))
+def _diff_rows(lead, trail, pairs):
+    """lead[a] - trail[b] for each pair (a, b)."""
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return _rows(lead[a] - trail[b])
 
 
-def add_m_fraction_rows(lp, levels, m, coefs=None):
-    """x[a] >= m * x[b] (or the same on `coefs @ x`) whenever a's level is
-    at or above b's."""
+def _order_rows(levels, coefs):
+    """(strict, eq): `coefs @ x` realizes the weak order exactly, equal
+    within levels and strictly decreasing across consecutive levels."""
+    tops = [level[0] for level in levels]
+    rows = _diff_rows(coefs, coefs, list(zip(tops, tops[1:]))
+                      + [(level[0], a) for level in levels for a in level[1:]])
+    return rows[:len(levels) - 1], rows[len(levels) - 1:]
+
+
+def _ratio_rows(levels, eps):
+    """Weak rows x[b] <= eps * x[a], b one level below a (chains downward)."""
+    eye = np.eye(sum(map(len, levels)))
+    return _diff_rows(eps * eye, eye,
+                      [(a, b) for up, down in zip(levels, levels[1:]) for a in up for b in down])
+
+
+def _m_fraction_rows(levels, m, coefs):
+    """Weak rows coefs[a] @ x >= m * coefs[b] @ x, a's level at or above b's."""
     lv = level_of(levels)
-    for a in lv:
-        for b in lv:
-            if a != b and lv[a] <= lv[b]:
-                lp.add_weak(_vec_of(lp.n, coefs, a) - m * _vec_of(lp.n, coefs, b))
+    return _diff_rows(coefs, m * coefs,
+                      [(a, b) for a in lv for b in lv if a != b and lv[a] <= lv[b]])
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +294,28 @@ def _util_coefs(game, for_player):
     return uj.T if for_player == 0 else uj
 
 
-def _run_patterns(game, candidate, patterns0, patterns1, build_lp, s_feas, s_refute):
-    """Shared driver: iterate pattern pairs, early-exit on a feasible one."""
-    tried = 0
+def _run_patterns(game, patterns0, patterns1, build_lp, s_feas, s_refute):
+    """Shared driver: iterate pattern pairs, early-exit on a feasible one.
+    `build_lp(i, own, opp)` gives player i's (lo, hi, strict, weak, eq)."""
     all_refuted = True
     solver = new_solver()
-    for pat0 in patterns0:
-        for pat1 in patterns1:
-            tried += 1
-            slacks, xs = [], []
-            for i, (own, opp) in enumerate(((pat0, pat1), (pat1, pat0))):
-                lp = build_lp(i, own, opp)
-                s, x = solve_player_lp(lp, solver)
-                slacks.append(s)
-                xs.append(x)
-                if s < s_feas:
-                    break
-            if min(slacks) > s_refute:
-                all_refuted = False
-            if len(slacks) == 2 and min(slacks) >= s_feas:
-                witness = MixedProfile(game, [np.clip(x, 0.0, None) for x in xs])
-                return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
+    for tried, (pat0, pat1) in enumerate(product(patterns0, patterns1), start=1):
+        slacks, xs = [], []
+        for i, (own, opp) in enumerate(((pat0, pat1), (pat1, pat0))):
+            s, x = solve_player_lp(*build_lp(i, own, opp), solver)
+            slacks.append(s)
+            xs.append(x)
+            if s < s_feas:
+                break
+        if min(slacks) > s_refute:
+            all_refuted = False
+        if len(slacks) == 2 and min(slacks) >= s_feas:
+            witness = MixedProfile(game, [np.clip(x, 0.0, None) for x in xs])
+            return PatternOutcome(OUTCOME_FEASIBLE, witness, tried)
     # with no pattern at all, geometry pruned every one: nothing can
     # realize the ball
-    return PatternOutcome(OUTCOME_REFUTED if all_refuted else OUTCOME_OPEN, None, tried)
+    return PatternOutcome(OUTCOME_REFUTED if all_refuted else OUTCOME_OPEN, None,
+                          len(patterns0) * len(patterns1))
 
 
 def _tie_blocks(values):
@@ -503,46 +477,44 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     util = (np.hstack([np.zeros((k0, k0)), _util_coefs(game, 1)]),  # u_0(., x_1)
             np.hstack([_util_coefs(game, 0), np.zeros((k1, k1))]))  # u_1(., x_0)
     point = candidate.stacked()
-    base = PlayerLP(n, np.zeros(n), np.ones(n), [(row, 0.0) for row in np.eye(n)])
-    for i in range(2):
-        base.add_eq(own[i].sum(axis=0), -1.0)
+    base_strict = _rows(np.eye(n))
+    base_eq = _rows(np.array([own[0].sum(axis=0), own[1].sum(axis=0)]), -1.0)
 
     def pattern_rows(i, levels):  # None unless the candidate meets them weakly
-        lp = PlayerLP(n, base.lo, base.hi)
+        strict, eq = _order_rows(levels, util[i])
         if m == 1.0:
-            add_order_rows(lp, levels, own[i])
+            own_strict, own_eq = _order_rows(levels, own[i])
+            strict, eq = np.concatenate([own_strict, strict]), np.concatenate([own_eq, eq])
+            weak = np.zeros((0, n + 1))
         else:
-            add_m_fraction_rows(lp, levels, m, own[i])
-        add_order_rows(lp, levels, util[i])
-        if (any(coef @ point + const < -TIE_TOL for coef, const in lp.strict + lp.weak)
-                or any(abs(coef @ point + const) > TIE_TOL for coef, const in lp.eq)):
+            weak = _m_fraction_rows(levels, m, own[i])
+        if (_at(np.concatenate([strict, weak]), point).min(initial=0.0) < -TIE_TOL
+                or np.abs(_at(eq, point)).max(initial=0.0) > TIE_TOL):
             return None
-        return lp
+        return strict, weak, eq
 
-    pats = []
-    for i in range(2):
-        rows = (pattern_rows(i, levels) for levels in patterns[i])
-        pats.append([lp for lp in rows if lp is not None])
+    pats = [[rows for levels in patterns[i] if (rows := pattern_rows(i, levels)) is not None]
+            for i in range(2)]
     count = len(pats[0]) * len(pats[1])
     if count > MAX_PATTERN_PAIRS:
         return PatternOutcome(OUTCOME_OPEN, None, 0)
     solver = new_solver(presolve=False)
-    for tried, (lp0, lp1) in enumerate(product(*pats), start=1):
-        lp = PlayerLP(n, base.lo, base.hi, base.strict + lp0.strict + lp1.strict,
-                      lp0.weak + lp1.weak, base.eq + lp0.eq + lp1.eq)
-        s, x = solve_player_lp(lp, solver)
+    for tried, ((s0, w0, e0), (s1, w1, e1)) in enumerate(product(*pats), start=1):
+        strict = np.concatenate([base_strict, s0, s1])
+        weak = np.concatenate([w0, w1])
+        eq = np.concatenate([base_eq, e0, e1])
+        s, x = solve_player_lp(np.zeros(n), np.ones(n), strict, weak, eq, solver)
         if s > TIE_TOL:
             x = _ray_point(point, np.clip(x, 0.0, None), delta)
             witness = MixedProfile(candidate.game, np.split(x, [k0]))
-            rows = np.array([coef for coef, _ in lp.strict])
-            if ((rows @ x + [k for _, k in lp.strict]).min() <= TIE_TOL
+            if (_at(strict, x).min() <= TIE_TOL
                     and not witness_ok(game, witness, candidate, delta, m)):
                 # the ray shrinks every strict row by delta / |x - point|, so
                 # a utility step can fall to TIE_TOL; inside the delta box
                 # the same LP keeps its largest slack
-                box = PlayerLP(n, np.maximum(0.0, point - delta), np.minimum(1.0, point + delta),
-                               lp.strict, lp.weak, lp.eq)
-                s, x = solve_player_lp(box, solver)
+                s, x = solve_player_lp(np.maximum(0.0, point - delta),
+                                       np.minimum(1.0, point + delta),
+                                       strict, weak, eq, solver)
                 if s > TIE_TOL:
                     x = _ray_point(point, np.clip(x, 0.0, None), delta)
                     witness = MixedProfile(candidate.game, np.split(x, [k0]))
@@ -577,11 +549,11 @@ def perfect_pattern_search(game, candidate, eps, delta):
     for i, j in ((0, 1), (1, 0)):
         coefs = _util_coefs(unit_view(game), j)  # u_i(a, .) over tau_j
         support = candidate.vectors[i] > TIE_TOL
-        top = coefs[np.argmax(support)]
-        lp = _base_lp(np.zeros(coefs.shape[1]), 1.0)  # tau_j's whole simplex
-        for row, on in zip(coefs, support):
-            (lp.add_eq if on else lp.add_weak)(top - row)
-        t, taus[j] = solve_player_lp(lp, solver)
+        gaps = coefs[np.argmax(support)] - coefs
+        k = coefs.shape[1]
+        strict, eq = _simplex_rows(k)  # tau_j's whole simplex
+        t, taus[j] = solve_player_lp(np.zeros(k), np.ones(k), strict, _rows(gaps[~support]),
+                                     np.concatenate([eq, _rows(gaps[support])]), solver)
         if not t > TIE_TOL:
             cert = _mixed_dominance(game, candidate.vectors[i], i)
             if cert is None:
@@ -652,15 +624,21 @@ def proper_pattern_search(game, candidate, eps, delta):
                 pats[i].append(levels)
     if len(pats[0]) * len(pats[1]) > MAX_PATTERN_PAIRS:
         return PatternOutcome(OUTCOME_OPEN, None, 0)
+    simplex = [_simplex_rows(k) for k in game.action_counts]
 
-    def build_lp(i, own, opp):
-        lp = _base_lp(candidate.vectors[i], delta)
-        add_ratio_rows(lp, own, eps)
-        coefs = _util_coefs(game, i)
-        add_order_rows(lp, opp, coefs=coefs)
-        return lp
+    def pattern_rows(i, levels):
+        """Player i's weak rows, and the opponent's strict and eq rows: its
+        simplex, then the order rows of u_i(., x_j), linear in x_j."""
+        strict, eq = simplex[1 - i]
+        order_strict, order_eq = _order_rows(levels, _util_coefs(game, 1 - i))
+        return (_ratio_rows(levels, eps), np.concatenate([strict, order_strict]),
+                np.concatenate([eq, order_eq]))
 
-    out = _run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
+    rows = [[pattern_rows(i, levels) for levels in pats[i]] for i in range(2)]
+    boxes = [(np.maximum(0.0, v - delta), np.minimum(1.0, v + delta)) for v in candidate.vectors]
+    out = _run_patterns(game, rows[0], rows[1],
+                        lambda i, own, opp: (*boxes[i], opp[1], own[0], opp[2]),
+                        s_feas, s_refute)
     if out.outcome == OUTCOME_REFUTED:
         if eps ** (kmax - 1) < s_feas:
             out.outcome, out.note = OUTCOME_OPEN, "lp-numerics"

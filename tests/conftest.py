@@ -495,12 +495,12 @@ def reference_proper_search(game, candidate, eps, delta):
         pats.append(orders)
 
     def build_lp(i, own, opp):
-        lp = search._base_lp(candidate.vectors[i], delta)
-        search.add_ratio_rows(lp, own, eps)
-        search.add_order_rows(lp, opp, coefs=search._util_coefs(game, i))
-        return lp
+        strict, eq = search._simplex_rows(len(candidate.vectors[i]))
+        opp_strict, opp_eq = search._order_rows(opp, search._util_coefs(game, i))
+        return (*_box(candidate.vectors[i], delta), np.concatenate([strict, opp_strict]),
+                search._ratio_rows(own, eps), np.concatenate([eq, opp_eq]))
 
-    out = search._run_patterns(game, candidate, pats[0], pats[1], build_lp, s_feas, s_refute)
+    out = search._run_patterns(game, pats[0], pats[1], build_lp, s_feas, s_refute)
     if out.outcome == search.OUTCOME_REFUTED:
         out.certificate = {"kind": "order-exhaustion", "eps": float(eps),
                            "delta": float(delta), "patterns_tried": out.tried}
@@ -518,15 +518,16 @@ def _forced_prob_pairs(candidate_vec, delta):
             if a != b and v[a] - v[b] > 2 * delta}
 
 
-def _add_cross_strict_rows(lp, levels, coefs=None):
+def _box(v, delta):
+    """(lo, hi): within delta of v, inside [0, 1]."""
+    return np.maximum(0.0, v - delta), np.minimum(1.0, v + delta)
+
+
+def _cross_strict_rows(levels, coefs):
     """Strict rows for every pair across distinct levels, no tie equalities:
     strictly-more-played pairs need strictly higher value."""
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            for a in levels[i]:
-                for b in levels[j]:
-                    lp.add_strict(search._vec_of(lp.n, coefs, a)
-                                  - search._vec_of(lp.n, coefs, b))
+    return search._diff_rows(coefs, coefs, [(a, b) for i, up in enumerate(levels)
+                                            for down in levels[i + 1:] for a in up for b in down])
 
 
 def reference_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
@@ -556,22 +557,25 @@ def reference_pattern_search(game, candidate, delta, m=1.0, refute_mode=False):
         pats.append(orders)
 
     def build_lp(i, own, opp):
-        lp = search._base_lp(candidate.vectors[i], delta)
+        k = len(candidate.vectors[i])
+        strict, eq = search._simplex_rows(k)
         if refute_mode:
-            lp.strict = []  # boundary profiles count as well
+            strict = strict[:0]  # boundary profiles count as well
+        weak = np.zeros((0, k + 1))
         if m == 1.0:
-            search.add_order_rows(lp, own)
+            own_strict, own_eq = search._order_rows(own, np.eye(k))
+            strict, eq = np.concatenate([strict, own_strict]), np.concatenate([eq, own_eq])
         else:
-            search.add_m_fraction_rows(lp, own, m)
+            weak = search._m_fraction_rows(own, m, np.eye(k))
         coefs = search._util_coefs(game, i)
         if m == 1.0 and refute_mode:
-            _add_cross_strict_rows(lp, opp, coefs=coefs)
+            opp_strict, opp_eq = _cross_strict_rows(opp, coefs), eq[:0]
         else:
-            search.add_order_rows(lp, opp, coefs=coefs)
-        return lp
+            opp_strict, opp_eq = search._order_rows(opp, coefs)
+        return (*_box(candidate.vectors[i], delta), np.concatenate([strict, opp_strict]),
+                weak, np.concatenate([eq, opp_eq]))
 
-    return search._run_patterns(game, candidate, pats[0], pats[1], build_lp,
-                                s_feas, s_refute)
+    return search._run_patterns(game, pats[0], pats[1], build_lp, s_feas, s_refute)
 
 
 def reference_membership(game, profile, delta_schedule=empirical.DEFAULT_DELTAS,
@@ -613,20 +617,17 @@ def reference_perfect_search(game, candidate, eps, delta):
         pats.append(sorted((b for b in subsets if core <= set(b)), key=len))
 
     def build_lp(i, own, opp):
-        lp = search._base_lp(candidate.vectors[i], delta)
-        for a, row in enumerate(np.eye(game.action_counts[i])):
-            if a not in own:
-                lp.add_weak(-row, eps)  # x[a] <= eps
+        strict, eq = search._simplex_rows(len(candidate.vectors[i]))
+        off = [a for a in range(game.action_counts[i]) if a not in own]
+        weak = search._rows(-np.eye(game.action_counts[i])[off], eps)  # x[a] <= eps
         coefs = search._util_coefs(game, i)
-        for b in range(game.action_counts[1 - i]):
-            if b in opp[1:]:
-                lp.add_eq(coefs[opp[0]] - coefs[b])
-            elif b not in opp:
-                lp.add_strict(coefs[opp[0]] - coefs[b])
-        return lp
+        others = range(game.action_counts[1 - i])
+        tied = search._diff_rows(coefs, coefs, [(opp[0], b) for b in others if b in opp[1:]])
+        worse = search._diff_rows(coefs, coefs, [(opp[0], b) for b in others if b not in opp])
+        return (*_box(candidate.vectors[i], delta), np.concatenate([strict, worse]), weak,
+                np.concatenate([eq, tied]))
 
-    out = search._run_patterns(game, candidate, pats[0], pats[1], build_lp,
-                               s_feas, s_refute)
+    out = search._run_patterns(game, pats[0], pats[1], build_lp, s_feas, s_refute)
     if out.outcome == search.OUTCOME_REFUTED:
         return search.PatternOutcome(search.OUTCOME_OPEN, None, out.tried)
     return out

@@ -17,7 +17,7 @@ from empeq.ccost import (
 )
 from empeq.game import MixedProfile, expected_utility, nash_defect
 from empeq.monotone import is_payoff_monotone
-from empeq.qre import LogisticQRF, qre_fixed_point
+from empeq.qre import LogisticQRF, default_lambda_schedule, qre_fixed_point, trace_logit_path
 
 from conftest import assert_regular_qrf, random_game, random_monotone_profile
 
@@ -221,12 +221,14 @@ def test_ystar_collision_rejected():
 
 
 def test_ystar_slope_validation():
-    with pytest.raises(CalibrationError):
-        build_spline(np.array([0.3, 0.7]), np.array([0.0, 0.7]), 0.1,
-                     y0=0.05, ystar=0.15, ystar_slope=5.0)
+    # the slopes next to ystar = 0.15 are m0 = -0.9 and -0.8, so a slope of
+    # 5.0 would break convexity and takes their midpoint instead
     sp = build_spline(np.array([0.3, 0.7]), np.array([0.0, 0.7]), 0.1,
-                      y0=0.05, ystar=0.15, ystar_slope=5.0,
-                      clamp_ystar_slope=True)
+                      y0=0.05, ystar=0.15, ystar_slope=5.0)
+    pos = int(np.searchsorted(sp.knots, 0.15))
+    assert sp.knots[pos] == 0.15
+    assert sp.slopes[pos] == 0.5 * (sp.slopes[pos - 1] + sp.slopes[pos + 1])
+    assert sp.calibration["slope"] == sp.slopes[pos]
     assert np.all(np.diff(sp.slopes) > 0)
 
 
@@ -258,6 +260,29 @@ def test_vanishing_sequence_gamma1(gamma1):
     for e in vs.entries:
         assert e.foc_defect < 1e-9
     assert nash_defect(gamma1, profs[-1]) < 1e-6
+
+
+def test_vanishing_sequence_skips_profiles_over_the_budget(gamma1):
+    """Gamma1's logit path to lambda = 300 tends to (a1, b1), where a2 and b2
+    sit below the best reply (case 2): a profile kept at step t plays them
+    with probability below 1/t.  Profile 0 is kept at t = 2; at t = 3,
+    profiles 1-17 still play a2 with probability 1/3 or more and are
+    skipped, and every later profile is kept, one per step."""
+    path = trace_logit_path(gamma1, default_lambda_schedule(lam_max=300))
+    profs = [p.profile for p in path.points if p.lam > 0]
+    assert len(profs) == 40
+    assert all(p.vectors[0][1] >= 1 / 3 for p in profs[1:18])
+    assert profs[18].vectors[0][1] < 1 / 3
+    vs = vanishing_sequence(gamma1, profs)
+    assert [e.source_index for e in vs.entries] == [0] + list(range(18, 40))
+    assert all(e.cases == (2, 2) for e in vs.entries)
+    eps = [e.epsilon for e in vs.entries]
+    assert eps[:2] == [0.5 / 2, 0.5 / 3]
+    assert all(b < a for a, b in zip(eps, eps[1:]))
+    for e in vs.entries:
+        assert cc_equilibrium_check(e.cc_game, profs[e.source_index])[0]
+    sups = [e.sup_norms.max() for e in vs.entries]
+    assert all(b < a for a, b in zip(sups, sups[1:]))
 
 
 def test_vanishing_sequence_gamma2c_to_a2b2(gamma2c22):

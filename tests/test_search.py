@@ -18,10 +18,10 @@ def _pattern_lps(monkeypatch, games):
     lps, sources = [], set()
     solve = search.solve_player_lp
 
-    def record(lp, solver=None):
-        lps.append(lp)
+    def record(lo, hi, strict, weak, eq, solver=None):
+        lps.append((lo, hi, strict, weak, eq))
         sources.add(source)
-        return solve(lp, solver)
+        return solve(lo, hi, strict, weak, eq, solver)
 
     monkeypatch.setattr(search, "solve_player_lp", record)
     for game in games:
@@ -36,24 +36,18 @@ def _pattern_lps(monkeypatch, games):
     return lps, sources
 
 
-def _solve_reference(lp):
-    """The slack LP row by row through scipy's linprog."""
-    n = lp.n
+def _solve_reference(lo, hi, strict, weak, eq):
+    """The slack LP through scipy's linprog, its blocks split by hand."""
+    n = len(lo)
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coef, const in lp.strict:
-        a_ub.append(np.append(-coef, 1.0))
-        b_ub.append(const)
-    for coef, const in lp.weak:
-        a_ub.append(np.append(-coef, 0.0))
-        b_ub.append(const)
-    for coef, const in lp.eq:
-        a_eq.append(np.append(coef, 0.0))
-        b_eq.append(-const)
-    bounds = [(float(lo), float(hi)) for lo, hi in zip(lp.lo, lp.hi)] + [(-10.0, 10.0)]
-    res = linprog(c, A_ub=np.array(a_ub) if a_ub else None, b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(a_eq) if a_eq else None, b_eq=np.array(b_eq) if b_eq else None,
+    a_ub = np.concatenate([np.column_stack([-strict[:, :n], np.ones(len(strict))]),
+                           np.column_stack([-weak[:, :n], np.zeros(len(weak))])])
+    b_ub = np.concatenate([strict[:, n], weak[:, n]])
+    a_eq = np.column_stack([eq[:, :n], np.zeros(len(eq))])
+    bounds = [(float(l), float(h)) for l, h in zip(lo, hi)] + [(-10.0, 10.0)]
+    res = linprog(c, A_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                  A_eq=a_eq if len(a_eq) else None, b_eq=-eq[:, n] if len(a_eq) else None,
                   bounds=bounds, method="highs", options=search._HIGHS_OPTS)
     if not res.success:
         return float("-inf"), None
@@ -79,19 +73,19 @@ def test_slack_lp_matches_linprog_reference(monkeypatch):
     # ties and components keep the LP count up
     games += [corpus.phi()] + integer_games(8)
     lps, sources = _pattern_lps(monkeypatch, games)
-    reference = [_solve_reference(lp) for lp in lps]
+    reference = [_solve_reference(*lp) for lp in lps]
     assert len(lps) > 100
     # generic candidates skip the m = 1 closure LP (_strict_order_witness)
     assert {"closure m=0.5", "proper"} <= sources
     assert any(x is None for _, x in reference)
     assert any(s > 0 for s, _ in reference)
     assert any(s <= 0 and x is not None for s, x in reference)
-    assert any(lp.weak for lp in lps)
+    assert any(len(weak) for _, _, _, weak, _ in lps)
     solver = search.new_solver()
     assert solver is not None
-    _assert_same([search.solve_player_lp(lp, solver) for lp in lps], reference)
+    _assert_same([search.solve_player_lp(*lp, solver) for lp in lps], reference)
     monkeypatch.setattr(search, "_HIGHS", None)
-    _assert_same([search.solve_player_lp(lp) for lp in lps], reference)
+    _assert_same([search.solve_player_lp(*lp) for lp in lps], reference)
 
 
 
@@ -273,9 +267,9 @@ def test_closure_witness_passes_its_recheck(monkeypatch):
     monkeypatch.setattr(search, "_strict_order_witness", lambda *args: None)
     solve, solved = search.solve_player_lp, []
 
-    def counted(lp, solver=None):
+    def counted(*lp):
         solved.append(lp)
-        return solve(lp, solver)
+        return solve(*lp)
 
     monkeypatch.setattr(search, "solve_player_lp", counted)
     delta = min(DEFAULT_DELTAS)
@@ -314,3 +308,29 @@ def test_opposite_block_orders_meet_no_pattern():
     candidate = MixedProfile(game, [np.array([0.6, 0.4]), np.array([0.5, 0.5])])
     out = search.monotone_pattern_search(game, candidate, min(DEFAULT_DELTAS))
     assert (out.outcome, out.tried) == (search.OUTCOME_REFUTED, 0)
+
+
+def _constant_game(k):
+    return Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(k)],
+                               "P2": [f"b{j}" for j in range(k)]}, np.zeros((k, k, 2)))
+
+
+def test_searches_give_up_past_the_pattern_cap():
+    """At the uniform profile of a constant game every action of a player
+    ties, so each player's patterns are all weak orders of its actions:
+    541 for 5 actions, and the candidate meets every one of them.  541^2
+    pattern pairs exceed MAX_PATTERN_PAIRS, and 7 actions have 47,293 weak
+    orders, more than the cap on one player's patterns."""
+    assert search.n_weak_orders(5) == 541
+    assert search.n_weak_orders(6) == 4683 <= search.MAX_PATTERN_PAIRS
+    assert search.n_weak_orders(7) == 47293 > search.MAX_PATTERN_PAIRS
+    five = _constant_game(5)
+    uniform = MixedProfile.uniform(five)
+    for m in (1.0, 0.5):
+        out = search.monotone_pattern_search(five, uniform, min(DEFAULT_DELTAS), m=m)
+        assert (out.outcome, out.tried) == (search.OUTCOME_OPEN, 0)
+    out = search.proper_pattern_search(five, uniform, 1e-4, 1e-3)
+    assert (out.outcome, out.tried) == (search.OUTCOME_OPEN, 0)
+    seven = _constant_game(7)
+    out = search.proper_pattern_search(seven, MixedProfile.uniform(seven), 1e-4, 1e-3)
+    assert (out.outcome, out.tried) == (search.OUTCOME_OPEN, 0)
