@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 analysis inconclusive, 2 input error.  A logit
 QRE fixed point that is not reached (`QreConvergenceError`) is
 inconclusive: it prints `error: ...` on stderr and exits 1.  Output is
 deterministic for a fixed (input, version) pair; wall-clock timings
-are only included when explicitly requested.
+are only included when explicitly requested.  JSON output is byte for
+byte `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, written
+by `_json_text`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def _profile_doc(profile):
     }
 
 
+def _witness_docs(witnesses, scale):
+    """One entry per (scale, witness), with one profile doc per distinct
+    witness object, which `_json_text` then encodes once."""
+    profiles = {}
+    for _, prof in witnesses:
+        if id(prof) not in profiles:
+            profiles[id(prof)] = _profile_doc(prof)
+    return [{scale: s, "profile": profiles[id(prof)]} for s, prof in witnesses]
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -61,8 +73,90 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+_escape = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _scalar_text(o):
+    """The text the stdlib encoder gives a scalar, tested in its order; None
+    for anything else."""
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _key_text(k):
+    if isinstance(k, str):
+        return _escape(k)
+    if isinstance(k, (float, int)) or k is None:
+        return _escape(_scalar_text(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+# exact types only: subclasses such as np.float64 go through _scalar_text
+_SCALARS = {str: _escape, float: _float_text, int: int.__repr__,
+            bool: _scalar_text, type(None): _scalar_text}
+
+
+def _json_text(doc):
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+
+    With `indent` set the stdlib always runs its pure-Python encoder.  This
+    writer builds each container's text with one join and encodes each
+    container once per (object, depth): a witness profile listed at every
+    scheduled scale is encoded once.  `doc` may share sub-objects but must
+    be acyclic; the memo lives for this call only.
+    """
+    memo = {}
+
+    def text(o, depth):
+        scalar = _SCALARS.get(type(o))
+        if scalar is not None:
+            return scalar(o)
+        key = (id(o), depth)
+        done = memo.get(key)
+        if done is not None:
+            return done
+        outer = "\n" + "  " * depth
+        inner = outer + "  "
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            body = [f"{_key_text(k)}: {text(v, depth + 1)}" for k, v in sorted(o.items())]
+            done = "{" + inner + ("," + inner).join(body) + outer + "}"
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            body = [text(v, depth + 1) for v in o]
+            done = "[" + inner + ("," + inner).join(body) + outer + "]"
+        else:
+            done = _scalar_text(o)
+            if done is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            return done
+        memo[key] = done
+        return done
+
+    return text(doc, 0)
+
+
 def _dump(doc, out_path):
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(_json_text(doc) + "\n", out_path)
 
 
 def _load_game(args):
@@ -190,10 +284,7 @@ def _cmd_corpus(args):
 def _verdict_doc(verdict):
     doc = {"status": verdict.status}
     if verdict.witnesses:
-        doc["witnesses"] = [
-            {"eps": eps, "profile": _profile_doc(prof)}
-            for eps, prof in verdict.witnesses
-        ]
+        doc["witnesses"] = _witness_docs(verdict.witnesses, "eps")
     if verdict.certificate is not None:
         doc["certificate"] = verdict.certificate
     if verdict.notes:
@@ -308,8 +399,7 @@ def _membership_doc(verdict, timings):
     # an entry per delta as a failure, so printing the witness once with the
     # delta list would fail every member
     if verdict.witnesses:
-        profile = _profile_doc(verdict.witnesses[0][1])
-        doc["witnesses"] = [{"delta": d, "profile": profile} for d, _ in verdict.witnesses]
+        doc["witnesses"] = _witness_docs(verdict.witnesses, "delta")
     if verdict.refutation is not None:
         doc["refutation"] = {
             "kind": verdict.refutation.kind,

@@ -205,11 +205,25 @@ def sample_monotone_region(game, resolution, kind="weak", tol=TIE_TOL):
 
 
 def region_csv(rows):
-    """CSV text for region rows: coord_1,...,coord_k,satisfied (0/1)."""
+    """CSV text for region rows: coord_1,...,coord_k,satisfied (0/1).
+
+    Each coordinate prints as its `repr`, formatted once per coordinate
+    object: `sample_monotone_region` gives every row of an axis position
+    the same float object.  The texts are keyed by identity, not by value,
+    so 0.0 and -0.0, which are equal keys, keep their own texts.
+    """
     if not rows:
         return ""
     k = len(rows[0][0])
     lines = [",".join(f"coord_{j + 1}" for j in range(k)) + ",satisfied"]
+    texts = {}  # id -> repr; `rows` keeps every coordinate alive
     for coords, ok in rows:
-        lines.append(",".join(repr(c) for c in coords) + f",{int(ok)}")
+        row = []
+        for c in coords:
+            text = texts.get(id(c))
+            if text is None:
+                text = texts[id(c)] = repr(c)
+            row.append(text)
+        row.append("1" if ok else "0")
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -493,11 +493,15 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
             return None
         return strict, weak, eq
 
-    pats = [[rows for levels in patterns[i] if (rows := pattern_rows(i, levels)) is not None]
-            for i in range(2)]
+    pats = [[rows for levels in patterns[0] if (rows := pattern_rows(0, levels)) is not None], []]
+    # player 1's patterns are built only while they can still matter: none
+    # when player 0 keeps none, and none past the pair cap
+    for levels in patterns[1] if pats[0] else ():
+        if (rows := pattern_rows(1, levels)) is not None:
+            pats[1].append(rows)
+            if len(pats[0]) * len(pats[1]) > MAX_PATTERN_PAIRS:
+                return PatternOutcome(OUTCOME_OPEN, None, 0)
     count = len(pats[0]) * len(pats[1])
-    if count > MAX_PATTERN_PAIRS:
-        return PatternOutcome(OUTCOME_OPEN, None, 0)
     solver = new_solver(presolve=False)
     for tried, ((s0, w0, e0), (s1, w1, e1)) in enumerate(product(*pats), start=1):
         strict = np.concatenate([base_strict, s0, s1])

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import empeq
 from empeq import cli, corpus, nash
@@ -529,3 +530,114 @@ def test_empirical_timings_add_only_stage_seconds():
         stages = entry.pop("stage_seconds")
         assert stages and all(s >= 0.0 for s in stages.values())
     assert timed == plain
+
+
+def _stdlib_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# sort_keys sorts a dict's keys, so the keys of one dict are all str, all
+# numbers (int, float and bool compare with one another) or the one None
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=2**63, max_value=2**80) | st.floats()
+                 | st.floats().map(np.float64) | st.text())
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.dictionaries(st.integers() | st.floats() | st.booleans(),
+                                        children, max_size=4)
+                      | st.dictionaries(st.none(), children, max_size=1)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_writer_prints_what_the_stdlib_prints(doc):
+    assert cli._json_text(doc) == _stdlib_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(alphabet=st.characters(codec="utf-8")) | st.sampled_from(
+    ["\"", "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "é", "\U0001f600", "/"]),
+    _JSON_SCALARS, min_size=1))
+def test_writer_escapes_keys_and_strings_as_the_stdlib_does(doc):
+    assert cli._json_text(doc) == _stdlib_json(doc)
+    assert cli._json_text(list(doc)) == _stdlib_json(list(doc))
+
+
+_PINNED = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-05, 1e16, 5e-324,
+           np.float64(0.1), np.float64("nan"), np.float64("-inf"), 2**63, 2**64 + 1,
+           -(2**70), True, False, None]
+
+
+@pytest.mark.parametrize("value", _PINNED, ids=repr)
+def test_writer_prints_pinned_values_as_the_stdlib_does(value):
+    for doc in (value, [value, value], {"v": value, "w": [value]}, (value,)):
+        assert cli._json_text(doc) == _stdlib_json(doc)
+    if value is not None and not isinstance(value, bool):
+        # a number key, and a number key beside True and False
+        for doc in ({value: 1}, {value: 1, True: 2, False: 3}):
+            assert cli._json_text(doc) == _stdlib_json(doc)
+    assert cli._json_text({None: value}) == _stdlib_json({None: value})
+
+
+def test_writer_prints_a_shared_sub_dict_at_each_depth():
+    shared = {"b": [1.5, {"c": None}], "a": "x", "n": {}}
+    doc = {"one": shared, "two": shared, "deep": {"three": [shared, (shared, [shared])]}}
+    assert cli._json_text(doc) == _stdlib_json(doc)
+    assert cli._json_text([shared, shared]) == _stdlib_json([shared, shared])
+
+
+@pytest.mark.parametrize("doc", [
+    np.int64(1), {"a": np.int64(1)}, [1.0, np.int64(1)], ({"a": [np.int64(2)]},),
+    {(1, 2): 0}, {"a": {(1,): 0}}, {"a": {1, 2}},
+], ids=repr)
+def test_writer_raises_type_error_where_the_stdlib_does(doc):
+    with pytest.raises(TypeError) as stdlib:
+        _stdlib_json(doc)
+    with pytest.raises(TypeError) as ours:
+        cli._json_text(doc)
+    assert str(ours.value) == str(stdlib.value)
+
+
+ROUND_TRIP_GAMES = {**GAMES, "psi": ["--corpus", "psi"], "phi": ["--corpus", "phi"]}
+
+
+def _monotone_profile_file(tmp_path, game):
+    """An interior payoff-monotone profile: the first member's witness, or
+    `_profile_file`'s where the game has no isolated member."""
+    code, out, _ = _run(["empirical", *ROUND_TRIP_GAMES[game]])
+    members = [e for e in json.loads(out)["isolated"] if e["decision"] == "member"]
+    if not members:
+        return _profile_file(tmp_path, game)
+    path = tmp_path / "monotone.json"
+    path.write_text(json.dumps(members[0]["witnesses"][0]["profile"]))
+    return str(path)
+
+
+@pytest.mark.parametrize("game", sorted(ROUND_TRIP_GAMES))
+def test_json_output_is_the_stdlib_encoding(game, tmp_path):
+    # a json.loads / json.dumps round trip gives back any text the stdlib
+    # encoder wrote, and --out writes the bytes stdout gets
+    args = ROUND_TRIP_GAMES[game]
+    profile = _monotone_profile_file(tmp_path, game)
+    splines = tmp_path / "splines.json"
+    assert _run(["ccost", "build", *args, "--profile", profile,
+                 "--out", str(splines)]) == (0, "", "")
+    runs = [
+        ["nash", *args],
+        ["empirical", *args],
+        ["empirical", *args, "--m", "0.5"],
+        ["wpm", *args, "--profile", _profile_file(tmp_path, game), "--m", "0.5"],
+        ["ccost", "build", *args, "--profile", profile],
+        ["ccost", "check", *args, "--profile", profile, "--splines", str(splines)],
+    ]
+    for argv in runs:
+        code, out, err = _run(argv)
+        assert code in (0, 1) and err == ""
+        assert out == _stdlib_json(json.loads(out)) + "\n"
+        path = tmp_path / "out.json"
+        assert _run([*argv, "--out", str(path)]) == (code, "", "")
+        assert path.read_bytes() == out.encode("ascii")

@@ -189,6 +189,21 @@ def test_region_csv_shape(gamma1):
     assert lines[1] == "0.0,0.0,0"
 
 
+def test_region_csv_keeps_signed_zeros_apart():
+    # 0.0 and -0.0 are equal dict keys but print differently
+    zero, neg = 0.0, -0.0
+    rows = [((zero, neg), True), ((neg, zero), False), ((zero, zero), True), ((neg, neg), False)]
+    assert region_csv(rows) == ("coord_1,coord_2,satisfied\n0.0,-0.0,1\n-0.0,0.0,0\n"
+                                "0.0,0.0,1\n-0.0,-0.0,0\n")
+
+
+def test_region_csv_matches_per_row_repr(gamma1):
+    rows = sample_monotone_region(gamma1, 200)
+    lines = ["coord_1,coord_2,satisfied"]
+    lines += [",".join(repr(c) for c in coords) + f",{int(ok)}" for coords, ok in rows]
+    assert region_csv(rows) == "\n".join(lines) + "\n"
+
+
 def test_region_verdicts_invariant_under_relabeling(gamma1):
     # permuting action labels permutes coordinates but not verdicts
     flipped = Game(
