@@ -62,6 +62,9 @@ class ControlCostSpline:
         slopes = np.asarray(slopes, dtype=float)
         if knots.shape != slopes.shape or knots.ndim != 1 or len(knots) < 2:
             raise SplineError("knots and slopes must be matching 1-d arrays")
+        for name, arr in (("knots", knots), ("slopes", slopes)):
+            if not np.isfinite(arr).all():
+                raise SplineError(f"{name} must be finite")
         if np.any(np.diff(knots) <= 0):
             raise SplineError("knots must be strictly increasing")
         if knots[-1] != 1.0:
@@ -79,11 +82,8 @@ class ControlCostSpline:
         self.ystar = None if ystar is None else float(ystar)
         self.calibration = calibration
         # values by trapezoid accumulation downward from f(1) = 0
-        vals = np.zeros_like(knots)
-        for j in range(len(knots) - 2, -1, -1):
-            dy = knots[j + 1] - knots[j]
-            vals[j] = vals[j + 1] + dy * (slopes[j] + slopes[j + 1]) / 2.0 * -1.0
-        self.values = vals
+        pieces = np.diff(knots) * (slopes[:-1] + slopes[1:]) / 2.0
+        self.values = vals = np.append(-np.cumsum(pieces[::-1])[::-1], 0.0)
         self.tail_coef = float(slopes[0] * knots[0] ** 2)  # B < 0
         if not self.tail_coef < 0:
             raise SplineError(
@@ -94,42 +94,30 @@ class ControlCostSpline:
 
     # -- evaluation -----------------------------------------------------
 
-    def value(self, y):
+    def _locate(self, y):
+        """y as a float array of at least one dimension, whether it was a
+        scalar, its tail mask and the index j of the piece [knots[j],
+        knots[j+1]] that holds each entry (0 in the tail)."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
         if np.any(y <= 0) or np.any(y > 1):
             raise SplineError("control costs are defined on (0, 1]")
-        out = np.empty_like(y)
-        tail = y < self.knots[0]
-        out[tail] = self.tail_const - self.tail_coef / y[tail]
-        body = ~tail
-        if np.any(body):
-            j = np.clip(np.searchsorted(self.knots, y[body], side="right") - 1,
-                        0, len(self.knots) - 2)
-            kj, kj1 = self.knots[j], self.knots[j + 1]
-            mj, mj1 = self.slopes[j], self.slopes[j + 1]
-            dy = y[body] - kj1
-            out[body] = (self.values[j + 1] + mj1 * dy
-                         + (mj1 - mj) / (2.0 * (kj1 - kj)) * dy**2)
+        j = np.clip(np.searchsorted(self.knots, y, side="right") - 1, 0, len(self.knots) - 2)
+        return y, scalar, y < self.knots[0], j
+
+    def value(self, y):
+        y, scalar, tail, j = self._locate(y)
+        kj, kj1, mj, mj1 = self.knots[j], self.knots[j + 1], self.slopes[j], self.slopes[j + 1]
+        dy = y - kj1
+        out = np.where(tail, self.tail_const - self.tail_coef / y,
+                       self.values[j + 1] + mj1 * dy + (mj1 - mj) / (2.0 * (kj1 - kj)) * dy**2)
         return float(out[0]) if scalar else out
 
     def derivative(self, y):
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        if np.any(y <= 0) or np.any(y > 1):
-            raise SplineError("control costs are defined on (0, 1]")
-        out = np.empty_like(y)
-        tail = y < self.knots[0]
-        out[tail] = self.tail_coef / y[tail] ** 2
-        body = ~tail
-        if np.any(body):
-            j = np.clip(np.searchsorted(self.knots, y[body], side="right") - 1,
-                        0, len(self.knots) - 2)
-            kj, kj1 = self.knots[j], self.knots[j + 1]
-            mj, mj1 = self.slopes[j], self.slopes[j + 1]
-            out[body] = mj1 + (mj1 - mj) / (kj1 - kj) * (y[body] - kj1)
+        y, scalar, tail, j = self._locate(y)
+        kj, kj1, mj, mj1 = self.knots[j], self.knots[j + 1], self.slopes[j], self.slopes[j + 1]
+        out = np.where(tail, self.tail_coef / y**2, mj1 + (mj1 - mj) / (kj1 - kj) * (y - kj1))
         return float(out[0]) if scalar else out
 
     def derivative_inverse(self, v):
@@ -334,25 +322,19 @@ def cc_equilibrium_check(ccg, profile):
     """First-order-condition audit: utility gaps equal derivative gaps, up
     to FOC_TOL.
 
-    Returns (is_equilibrium, max_defect, per_player_defects).  Boundary
-    profiles are rejected: the asymptote at zero keeps equilibria interior.
+    Returns (is_equilibrium, max_defect, per_player_defects) as a bool, a
+    float and a list of floats.  Boundary profiles are rejected: the
+    asymptote at zero keeps equilibria interior.
     """
     if not profile.is_interior:
         raise SplineError("control-cost equilibria are interior; boundary "
                           "profile rejected")
-    game = ccg.game
-    worst = 0.0
     per_player = []
-    for i in range(game.n_players):
-        eu = expected_utility(game, profile, i)
-        dv = ccg.splines[i].derivative(profile.vectors[i])
-        k = len(eu)
-        defect = 0.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                defect = max(defect, abs((eu[a] - eu[b]) - (dv[a] - dv[b])))
-        per_player.append(defect)
-        worst = max(worst, defect)
+    for i, (spline, sig) in enumerate(zip(ccg.splines, profile.vectors)):
+        eu, dv = expected_utility(ccg.game, profile, i), spline.derivative(sig)
+        gaps = np.subtract.outer(eu, eu) - np.subtract.outer(dv, dv)
+        per_player.append(float(np.abs(gaps).max()))
+    worst = max(per_player)
     return worst < FOC_TOL, worst, per_player
 
 
@@ -458,25 +440,24 @@ def _limit_profile(game, terminal):
 
 
 def _player_case(game, limit, player):
-    """Sorted action order (ascending limit probability, utility tiebreak)
-    plus the case of the lowest-ranked limit-best-response action."""
+    """The case of a_k, the lowest-ranked limit best reply in ascending
+    order of limit probability (utility tiebreak), plus what a retained
+    profile is held to: the limit's best-reply mask, the mask of actions it
+    must play below the budget (the limit's zeros in case 1, the actions
+    ranked below a_k in case 2) and a_k itself."""
     eu = expected_utility(game, limit, player)
     sig = limit.vectors[player]
     order = np.lexsort((eu, sig))
-    top = eu.max()
-    k_pos = None
-    for pos, a in enumerate(order):
-        if eu[a] >= top - FOC_TOL:
-            k_pos = pos
-            break
+    best = eu >= eu.max() - FOC_TOL
+    k_pos = int(np.argmax(best[order]))
     a_k = int(order[k_pos])
+    low = np.zeros(len(sig), dtype=bool)
     if sig[a_k] <= FOC_TOL:
-        case = 1
-    elif k_pos == 0:
-        case = 3
+        case, low = 1, sig <= FOC_TOL
     else:
-        case = 2
-    return order, k_pos, case
+        case = 3 if k_pos == 0 else 2
+        low[order[:k_pos]] = True
+    return case, best, low, a_k
 
 
 def vanishing_sequence(game, profiles):
@@ -511,7 +492,7 @@ def vanishing_sequence(game, profiles):
     for t in range(1, len(profiles) + 50):
         found = None
         for j in range(j_start, len(profiles)):
-            if _retention_ok(game, profiles[j], per_player, limit, t):
+            if _retention_ok(game, profiles[j], per_player, t):
                 found = j
                 break
         if found is None:
@@ -524,28 +505,16 @@ def vanishing_sequence(game, profiles):
     return VanishingSequence(entries, limit, grid)
 
 
-def _retention_ok(game, prof, per_player, limit, t):
+def _retention_ok(game, prof, per_player, t):
+    """Whether `prof` may be kept at step t: the limit's best replies earn
+    within 1/t of each other, the `low` actions get less than 1/t, and in
+    case 2 a_k gets more."""
     budget = 1.0 / t
-    for i in range(game.n_players):
-        order, k_pos, case = per_player[i]
-        eu = expected_utility(game, prof, i)
-        eu_lim = expected_utility(game, limit, i)
-        best = [a for a in range(len(eu_lim)) if eu_lim[a] >= eu_lim.max() - FOC_TOL]
-        spread = float(max(eu[a] for a in best) - min(eu[a] for a in best))
-        if spread > budget:
+    for i, (case, best, low, a_k) in enumerate(per_player):
+        eu, sig = expected_utility(game, prof, i)[best], prof.vectors[i]
+        if (eu.max() - eu.min() > budget or np.any(sig[low] >= budget)
+                or (case == 2 and not sig[a_k] > budget)):
             return False
-        sig = prof.vectors[i]
-        if case == 1:
-            zeros = [a for a in range(len(sig)) if limit.vectors[i][a] <= FOC_TOL]
-            if zeros and max(sig[a] for a in zeros) >= budget:
-                return False
-        elif case == 2:
-            below = [int(order[p]) for p in range(k_pos)]
-            a_k = int(order[k_pos])
-            if below and max(sig[a] for a in below) >= budget:
-                return False
-            if not sig[a_k] > budget:
-                return False
     return True
 
 
@@ -553,8 +522,7 @@ def _build_entry(game, prof, per_player, source_index, t, grid):
     eps = 0.5 / t
     splines = []
     cases = []
-    for i in range(game.n_players):
-        order, k_pos, case = per_player[i]
+    for i, (case, *_) in enumerate(per_player):
         cases.append(case)
         sig = prof.vectors[i]
         eu = expected_utility(game, prof, i)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from empeq import corpus, empirical, nash, search
+from empeq.ccost import SplineError
 from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
 from empeq.game import (TIE_TOL, DominancePair, Game, MixedProfile, expected_utility,
                         nash_defect, unit_view, weak_dominance)
@@ -727,6 +728,75 @@ def recheck_dominance(game, refutation):
     assert diff.min() >= 0 and diff.max() > 0
     x = data["candidate"]
     assert data["m"] * x[data["dominated"]] - x[data["dominating"]] > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference spline evaluation and first-order audit: the per-branch masked
+# assignments and the pair loop that one knot lookup with one np.where per
+# formula, and one array expression per player, replaced
+
+
+def _ref_spline_points(spline, y):
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y)
+    if np.any(y <= 0) or np.any(y > 1):
+        raise SplineError("control costs are defined on (0, 1]")
+    tail = y < spline.knots[0]
+    body = ~tail
+    j = np.clip(np.searchsorted(spline.knots, y[body], side="right") - 1,
+                0, len(spline.knots) - 2)
+    return y, scalar, tail, body, j
+
+
+def reference_spline_value(spline, y):
+    y, scalar, tail, body, j = _ref_spline_points(spline, y)
+    out = np.empty_like(y)
+    out[tail] = spline.tail_const - spline.tail_coef / y[tail]
+    if np.any(body):
+        kj, kj1 = spline.knots[j], spline.knots[j + 1]
+        mj, mj1 = spline.slopes[j], spline.slopes[j + 1]
+        dy = y[body] - kj1
+        out[body] = (spline.values[j + 1] + mj1 * dy
+                     + (mj1 - mj) / (2.0 * (kj1 - kj)) * dy**2)
+    return float(out[0]) if scalar else out
+
+
+def reference_spline_derivative(spline, y):
+    y, scalar, tail, body, j = _ref_spline_points(spline, y)
+    out = np.empty_like(y)
+    out[tail] = spline.tail_coef / y[tail] ** 2
+    if np.any(body):
+        kj, kj1 = spline.knots[j], spline.knots[j + 1]
+        mj, mj1 = spline.slopes[j], spline.slopes[j + 1]
+        out[body] = mj1 + (mj1 - mj) / (kj1 - kj) * (y[body] - kj1)
+    return float(out[0]) if scalar else out
+
+
+def reference_knot_values(knots, slopes):
+    """f at each knot, by trapezoid accumulation downward from f(1) = 0."""
+    vals = np.zeros_like(knots)
+    for j in range(len(knots) - 2, -1, -1):
+        dy = knots[j + 1] - knots[j]
+        vals[j] = vals[j + 1] + dy * (slopes[j] + slopes[j + 1]) / 2.0 * -1.0
+    return vals
+
+
+def reference_foc_defects(ccg, profile):
+    """Each player's largest |utility gap - derivative gap| over action
+    pairs, and the largest over players."""
+    worst = 0.0
+    per_player = []
+    for i in range(ccg.game.n_players):
+        eu = expected_utility(ccg.game, profile, i)
+        dv = reference_spline_derivative(ccg.splines[i], profile.vectors[i])
+        defect = 0.0
+        for a in range(len(eu)):
+            for b in range(a + 1, len(eu)):
+                defect = max(defect, abs((eu[a] - eu[b]) - (dv[a] - dv[b])))
+        per_player.append(defect)
+        worst = max(worst, defect)
+    return worst, per_player
 
 
 # ---------------------------------------------------------------------------

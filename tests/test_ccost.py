@@ -15,11 +15,13 @@ from empeq.ccost import (
     induced_qrf,
     vanishing_sequence,
 )
-from empeq.game import MixedProfile, expected_utility, nash_defect
+from empeq.game import Game, MixedProfile, expected_utility, nash_defect
 from empeq.monotone import is_payoff_monotone
 from empeq.qre import LogisticQRF, default_lambda_schedule, qre_fixed_point, trace_logit_path
 
-from conftest import assert_regular_qrf, random_game, random_monotone_profile
+from conftest import (assert_regular_qrf, random_game, random_monotone_profile,
+                      reference_foc_defects, reference_knot_values,
+                      reference_spline_derivative, reference_spline_value)
 
 
 def _profile_splines(game, profile, eps=0.1):
@@ -141,6 +143,99 @@ def test_tiny_probabilities_are_separate_levels():
 def test_underflowing_tail_rejected():
     with pytest.raises(SplineError, match="tail"):
         ControlCostSpline([1e-170, 0.5, 1.0], [-1.0, -0.5, 0.0], 0.1, [])
+
+
+def _random_splines(rng, count):
+    """Splines at random interior vectors with matching utility orders; some
+    have entries down to 1e-100, a tie or a calibration knot."""
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(1, 7))
+        sigma = rng.dirichlet(np.ones(k))
+        if k > 1 and rng.random() < 0.2:
+            sigma[0] = rng.choice([1e-12, 1e-40, 1e-100])
+        if k > 2 and rng.random() < 0.2:
+            sigma[2] = sigma[1]
+        sigma /= sigma.sum()
+        utils = np.sort(rng.uniform(-5, 5, k))[np.argsort(np.argsort(sigma))]
+        ystar = float(rng.uniform(0.001, 0.999)) if rng.random() < 0.3 else None
+        try:
+            out.append(build_spline(sigma, utils, float(rng.uniform(0.01, 1.0)),
+                                    ystar=ystar))
+        except SplineError:
+            continue
+    return out
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and np.array_equal(a, b, equal_nan=True)
+
+
+def test_spline_evaluation_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for sp in _random_splines(rng, 300):
+        assert _same(sp.values, reference_knot_values(sp.knots, sp.slopes))
+        k0 = sp.knots[0]
+        ys = np.concatenate([rng.uniform(0, 1, 10), sp.knots, [1.0],
+                             k0 * rng.uniform(0, 1, 4), [k0 * 1e-9],
+                             np.nextafter(sp.knots, 0), np.nextafter(sp.knots[:-1], 1)])
+        ys = ys[ys > 0]
+        cases = [ys, ys.reshape(-1, 1), list(ys[:3]), np.array([]), np.asarray(0.5),
+                 np.float64(k0 / 2), 1.0, 1, k0, float(ys[0])]
+        for f, ref in ((sp.value, reference_spline_value),
+                       (sp.derivative, reference_spline_derivative)):
+            for y in cases:
+                assert _same(f(y), ref(sp, y)), (sp.to_dict(), y)
+
+
+@pytest.mark.parametrize("y", [0.0, -0.5, 1.5, [0.5, 0.0], np.array([2.0]), [0.3, 1.0000001]])
+def test_spline_evaluation_outside_the_domain_matches_the_reference(y):
+    sp = build_spline(np.array([0.3, 0.7]), np.array([0.0, 0.7]), 0.1, ystar=0.5)
+    for f, ref in ((sp.value, reference_spline_value),
+                   (sp.derivative, reference_spline_derivative)):
+        with pytest.raises(SplineError) as exc:
+            f(y)
+        with pytest.raises(SplineError) as ref_exc:
+            ref(sp, y)
+        assert str(exc.value) == str(ref_exc.value) == "control costs are defined on (0, 1]"
+
+
+def test_equilibrium_check_matches_the_pair_loop():
+    rng = np.random.default_rng(35)
+    for _ in range(150):
+        shape = tuple(int(k) for k in rng.integers(1, 6, size=int(rng.integers(2, 4))))
+        g = random_game(rng, shape)
+        prof = MixedProfile(g, [rng.dirichlet(np.ones(k)) for k in shape])
+        splines = []
+        for i, k in enumerate(shape):
+            # half the players get the profile's own splines (defects near
+            # 0), half a spline of another vector (defects of order 1)
+            own = rng.random() < 0.5
+            sig = prof.vectors[i] if own else rng.dirichlet(np.ones(k))
+            eu = expected_utility(g, prof, i) if own else rng.uniform(-3, 3, k)
+            eu = np.sort(eu)[np.argsort(np.argsort(sig))]
+            splines.append(build_spline(sig, eu, 0.1))
+        ccg = ControlCostGame(g, tuple(splines))
+        ok, worst, per_player = cc_equilibrium_check(ccg, prof)
+        ref_worst, ref_per_player = reference_foc_defects(ccg, prof)
+        assert type(ok) is bool and type(worst) is float
+        assert all(type(d) is float for d in per_player)
+        assert worst.hex() == float(ref_worst).hex()
+        assert [d.hex() for d in per_player] == [float(d).hex() for d in ref_per_player]
+        assert ok == (ref_worst < 1e-9)
+
+
+@pytest.mark.parametrize("field,index,bad", [
+    ("knots", 1, np.nan), ("knots", 0, -np.inf), ("slopes", 0, -np.inf), ("slopes", 1, np.nan),
+])
+def test_non_finite_spline_rejected(field, index, bad):
+    doc = build_spline(np.array([0.4, 0.6]), np.array([0.0, 0.6]), 0.1).to_dict()
+    doc[field][index] = bad
+    with pytest.raises(SplineError, match=f"^{field} must be finite$"):
+        ControlCostSpline.from_dict(doc)
 
 
 def test_induced_qrf_equal_utilities_uniform():
@@ -283,6 +378,43 @@ def test_vanishing_sequence_skips_profiles_over_the_budget(gamma1):
         assert cc_equilibrium_check(e.cc_game, profs[e.source_index])[0]
     sups = [e.sup_norms.max() for e in vs.entries]
     assert all(b < a for a, b in zip(sups, sups[1:]))
+
+
+def test_vanishing_sequence_skips_profiles_over_the_spread_budget():
+    """The battle of the sexes' mixed equilibrium makes both actions best
+    replies of both players (case 3).  Along x = (2/3 - s, 1/3 + s),
+    y = (1/3 + s, 2/3 - s) each player's utility spread is 3s, and a
+    profile kept at step t needs 3s <= 1/t.  Profiles 0-2 (s near 0.1) are
+    kept at t = 1-3; at t = 4 profiles 3-15 are skipped and 16 is the first
+    with s <= 1/12; at t = 5 no s near 0.08 is within 0.2, so the next is
+    profile 20."""
+    payoffs = np.stack([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]], axis=-1)
+    bos = Game(["P1", "P2"], {"P1": ["a1", "a2"], "P2": ["b1", "b2"]}, payoffs)
+    ss = list(np.linspace(0.1, 0.08, 20)) + [1e-3, 1e-5, 1e-7, 1e-8]
+    profs = [MixedProfile(bos, [np.array([2 / 3 - s, 1 / 3 + s]),
+                                np.array([1 / 3 + s, 2 / 3 - s])]) for s in ss]
+    vs = vanishing_sequence(bos, profs)
+    assert [e.source_index for e in vs.entries] == [0, 1, 2, 16, 20, 21, 22, 23]
+    assert all(e.cases == (3, 3) for e in vs.entries)
+    for e in vs.entries:
+        assert cc_equilibrium_check(e.cc_game, profs[e.source_index])[0]
+
+
+def test_vanishing_sequence_skips_profiles_over_the_zero_budget(gamma2c22):
+    """Along v = (1.5t, 1 - 2.5t, t) Gamma2(2,2) tends to (a2, b2), whose
+    best reply is the only action played (case 1): a profile kept at step T
+    plays the limit's zero-probability actions with probability below 1/T.
+    With t from 0.12 down to 0.09, profiles 0-4 are kept at T = 1-5, then
+    profile 8 (1.5t < 1/6) and profile 20 (1.5t < 1/7); no t near 0.09
+    gives 1.5t < 1/8, so the next is profile 25."""
+    ts = list(np.linspace(0.12, 0.09, 25)) + [1e-3, 1e-5, 1e-7]
+    profs = [MixedProfile(gamma2c22, [v, v])
+             for v in (np.array([1.5 * t, 1 - 2.5 * t, t]) for t in ts)]
+    vs = vanishing_sequence(gamma2c22, profs)
+    assert [e.source_index for e in vs.entries] == [0, 1, 2, 3, 4, 8, 20, 25, 26, 27]
+    assert all(e.cases == (1, 1) for e in vs.entries)
+    for e in vs.entries:
+        assert cc_equilibrium_check(e.cc_game, profs[e.source_index])[0]
 
 
 def test_vanishing_sequence_gamma2c_to_a2b2(gamma2c22):

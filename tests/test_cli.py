@@ -513,6 +513,26 @@ def test_ccost_build_then_check_round_trip(tmp_path):
     assert '"equilibrium": true' in out
 
 
+@pytest.mark.parametrize("field,index,bad,message", [
+    ("knots", 1, float("nan"), "knots must be finite"),
+    ("slopes", 0, float("-inf"), "slopes must be finite"),
+])
+def test_ccost_check_rejects_non_finite_splines(field, index, bad, message, tmp_path):
+    # a NaN knot once passed the order check, and both files printed
+    # "equilibrium": true with exit 0
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"P1": {"a1": 0.6, "a2": 0.4},
+                                   "P2": {"b1": 0.6, "b2": 0.4}}))
+    splines = tmp_path / "splines.json"
+    common = [*GAMES["gamma1"], "--profile", str(profile)]
+    assert _run(["ccost", "build", *common, "--out", str(splines)]) == (0, "", "")
+    doc = json.loads(splines.read_text())
+    doc["splines"]["P1"][field][index] = bad
+    splines.write_text(json.dumps(doc))
+    code, out, err = _run(["ccost", "check", *common, "--splines", str(splines)])
+    assert (code, out, err) == (2, "", f"error: spline of 'P1': {message}\n")
+
+
 def test_corpus_emit_writes_the_game(tmp_path):
     path = tmp_path / "g.json"
     argv = ["corpus", "emit", "gamma2c", "--c1", "2", "--c2", "2", "--out", str(path)]
