@@ -82,8 +82,11 @@ class ControlCostSpline:
         self.ystar = None if ystar is None else float(ystar)
         self.calibration = calibration
         # values by trapezoid accumulation downward from f(1) = 0
-        pieces = np.diff(knots) * (slopes[:-1] + slopes[1:]) / 2.0
-        self.values = vals = np.append(-np.cumsum(pieces[::-1])[::-1], 0.0)
+        vals = np.zeros_like(knots)
+        for j in range(len(knots) - 2, -1, -1):
+            dy = knots[j + 1] - knots[j]
+            vals[j] = vals[j + 1] + dy * (slopes[j] + slopes[j + 1]) / 2.0 * -1.0
+        self.values = vals
         self.tail_coef = float(slopes[0] * knots[0] ** 2)  # B < 0
         if not self.tail_coef < 0:
             raise SplineError(
@@ -332,8 +335,11 @@ def cc_equilibrium_check(ccg, profile):
     per_player = []
     for i, (spline, sig) in enumerate(zip(ccg.splines, profile.vectors)):
         eu, dv = expected_utility(ccg.game, profile, i), spline.derivative(sig)
-        gaps = np.subtract.outer(eu, eu) - np.subtract.outer(dv, dv)
-        per_player.append(float(np.abs(gaps).max()))
+        idx = np.arange(len(eu))
+        a, b = np.nonzero(idx[:, None] < idx)  # the pairs a < b
+        gaps = np.abs((eu[a] - eu[b]) - (dv[a] - dv[b]))
+        # fmax skips the NaN gap of two -inf slopes, as the pair loop did
+        per_player.append(float(np.fmax.reduce(gaps, initial=0.0)))
     worst = max(per_player)
     return worst < FOC_TOL, worst, per_player
 

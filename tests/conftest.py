@@ -773,15 +773,6 @@ def reference_spline_derivative(spline, y):
     return float(out[0]) if scalar else out
 
 
-def reference_knot_values(knots, slopes):
-    """f at each knot, by trapezoid accumulation downward from f(1) = 0."""
-    vals = np.zeros_like(knots)
-    for j in range(len(knots) - 2, -1, -1):
-        dy = knots[j + 1] - knots[j]
-        vals[j] = vals[j + 1] + dy * (slopes[j] + slopes[j + 1]) / 2.0 * -1.0
-    return vals
-
-
 def reference_foc_defects(ccg, profile):
     """Each player's largest |utility gap - derivative gap| over action
     pairs, and the largest over players."""

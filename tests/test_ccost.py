@@ -20,8 +20,8 @@ from empeq.monotone import is_payoff_monotone
 from empeq.qre import LogisticQRF, default_lambda_schedule, qre_fixed_point, trace_logit_path
 
 from conftest import (assert_regular_qrf, random_game, random_monotone_profile,
-                      reference_foc_defects, reference_knot_values,
-                      reference_spline_derivative, reference_spline_value)
+                      reference_foc_defects, reference_spline_derivative,
+                      reference_spline_value)
 
 
 def _profile_splines(game, profile, eps=0.1):
@@ -177,7 +177,6 @@ def _same(a, b):
 def test_spline_evaluation_matches_the_reference_bit_for_bit():
     rng = np.random.default_rng(34)
     for sp in _random_splines(rng, 300):
-        assert _same(sp.values, reference_knot_values(sp.knots, sp.slopes))
         k0 = sp.knots[0]
         ys = np.concatenate([rng.uniform(0, 1, 10), sp.knots, [1.0],
                              k0 * rng.uniform(0, 1, 4), [k0 * 1e-9],
@@ -226,6 +225,26 @@ def test_equilibrium_check_matches_the_pair_loop():
         assert worst.hex() == float(ref_worst).hex()
         assert [d.hex() for d in per_player] == [float(d).hex() for d in ref_per_player]
         assert ok == (ref_worst < 1e-9)
+
+
+@pytest.mark.parametrize("p2", [[1e-170, 1.0], [1e-170, 0.5, 0.5], [1.0, 1e-170, 1e-170]])
+def test_equilibrium_check_keeps_an_infinite_defect(p2):
+    # 1e-170 squares to 0 in the tail, so its slope is -inf: its gaps
+    # against finite slopes are inf, and a NaN from -inf - -inf (two such
+    # entries, or one against itself) must not hide them
+    k = len(p2)
+    g = Game(["P1", "P2"], {"P1": ["a1", "a2"], "P2": [f"b{j}" for j in range(k)]},
+             np.stack(np.broadcast_arrays([[1.0], [0.0]], np.linspace(1, 0, k)), axis=-1))
+    prof = MixedProfile(g, [np.array([0.6, 0.4]), np.linspace(2, 1, k) / np.linspace(2, 1, k).sum()])
+    ccg = ControlCostGame(g, _profile_splines(g, prof))
+    at = MixedProfile(g, [prof.vectors[0], np.array(p2)])
+    with pytest.warns(RuntimeWarning):  # the zero square, and the NaN gap
+        ok, worst, per_player = cc_equilibrium_check(ccg, at)
+        ref_worst, ref_per_player = reference_foc_defects(ccg, at)
+    assert (ok, worst, per_player[1]) == (False, np.inf, np.inf)
+    assert per_player[0] < 1e-9
+    assert [d.hex() for d in per_player] == [float(d).hex() for d in ref_per_player]
+    assert worst == ref_worst
 
 
 @pytest.mark.parametrize("field,index,bad", [

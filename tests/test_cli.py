@@ -533,6 +533,30 @@ def test_ccost_check_rejects_non_finite_splines(field, index, bad, message, tmp_
     assert (code, out, err) == (2, "", f"error: spline of 'P1': {message}\n")
 
 
+def test_ccost_check_reports_an_infinite_defect(tmp_path):
+    # P2's entry of 1e-170 has slope -inf, so P2's defect is inf and no
+    # NaN from -inf - -inf may turn the verdict into "equilibrium": true
+    game = tmp_path / "g.json"
+    game.write_text(Game(["P1", "P2"], {"P1": ["a1", "a2"], "P2": ["b1", "b2"]},
+                         [[[1, 1], [1, 0]], [[0, 1], [0, 0]]]).to_json())
+    profile, at = tmp_path / "profile.json", tmp_path / "at.json"
+    profile.write_text(json.dumps({"P1": {"a1": 0.6, "a2": 0.4},
+                                   "P2": {"b1": 0.6, "b2": 0.4}}))
+    at.write_text(json.dumps({"P1": {"a1": 0.6, "a2": 0.4},
+                              "P2": {"b1": 1e-170, "b2": 1.0}}))
+    splines = tmp_path / "splines.json"
+    argv = ["ccost", "build", "--game", str(game), "--profile", str(profile)]
+    assert _run([*argv, "--out", str(splines)]) == (0, "", "")
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        code, out, err = _run(["ccost", "check", "--game", str(game), "--profile", str(at),
+                               "--splines", str(splines)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["equilibrium"] is False
+    assert doc["max_defect"] == doc["per_player_defect"][1] == float("inf")
+    assert doc["per_player_defect"][0] < 1e-9
+
+
 def test_corpus_emit_writes_the_game(tmp_path):
     path = tmp_path / "g.json"
     argv = ["corpus", "emit", "gamma2c", "--c1", "2", "--c2", "2", "--out", str(path)]
