@@ -104,7 +104,7 @@ class ControlCostSpline:
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
-        if np.any(y <= 0) or np.any(y > 1):
+        if not ((y > 0) & (y <= 1)).all():  # also NaN
             raise SplineError("control costs are defined on (0, 1]")
         j = np.clip(np.searchsorted(self.knots, y, side="right") - 1, 0, len(self.knots) - 2)
         return y, scalar, y < self.knots[0], j
@@ -120,12 +120,15 @@ class ControlCostSpline:
     def derivative(self, y):
         y, scalar, tail, j = self._locate(y)
         kj, kj1, mj, mj1 = self.knots[j], self.knots[j + 1], self.slopes[j], self.slopes[j + 1]
-        out = np.where(tail, self.tail_coef / y**2, mj1 + (mj1 - mj) / (kj1 - kj) * (y - kj1))
+        with np.errstate(divide="ignore"):  # y**2 underflows to 0 below about 1e-162: -inf
+            out = np.where(tail, self.tail_coef / y**2, mj1 + (mj1 - mj) / (kj1 - kj) * (y - kj1))
         return float(out[0]) if scalar else out
 
     def derivative_inverse(self, v):
         """The y in (0, 1] with f'(y) = v, for v <= 0."""
         v = float(v)
+        if v != v:
+            raise SplineError("f' has no inverse at NaN")
         if v >= self.slopes[-1]:
             return 1.0
         if v <= self.slopes[0]:
@@ -337,7 +340,8 @@ def cc_equilibrium_check(ccg, profile):
         eu, dv = expected_utility(ccg.game, profile, i), spline.derivative(sig)
         idx = np.arange(len(eu))
         a, b = np.nonzero(idx[:, None] < idx)  # the pairs a < b
-        gaps = np.abs((eu[a] - eu[b]) - (dv[a] - dv[b]))
+        with np.errstate(invalid="ignore"):
+            gaps = np.abs((eu[a] - eu[b]) - (dv[a] - dv[b]))
         # fmax skips the NaN gap of two -inf slopes, as the pair loop did
         per_player.append(float(np.fmax.reduce(gaps, initial=0.0)))
     worst = max(per_player)
@@ -362,6 +366,8 @@ def induced_qrf(spline, utilities):
         return sum(spline.derivative_inverse(xa - mu) for xa in x)
 
     lo = float(x.max())  # f'(1) = 0, so the argmax coordinate hits 1 here
+    if not np.isfinite(lo):
+        raise SplineError("utilities must be finite or -inf, with a finite maximum")
     hi = lo + 1.0
     for _ in range(200):
         if mass(hi) < 1.0:

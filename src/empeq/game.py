@@ -326,12 +326,16 @@ def normalized(v, player):
     player's vector; loops on plain arrays apply it to their iterates, so a
     profile later built from the same input holds the same bits.
     """
-    if not np.isfinite(v).all():
-        raise ProfileError(f"non-finite probability for player {player!r}")
-    if (v < -SIMPLEX_TOL).any():
-        raise ProfileError(f"negative probability for player {player!r}: {v.min()}")
-    v = np.maximum(v, 0.0)  # what np.clip(v, 0.0, None) computes
+    low = v.min()
+    if not low > 0:  # also NaN
+        if not np.isfinite(v).all():
+            raise ProfileError(f"non-finite probability for player {player!r}")
+        if low < -SIMPLEX_TOL:
+            raise ProfileError(f"negative probability for player {player!r}: {low}")
+        v = np.maximum(v, 0.0)  # what np.clip(v, 0.0, None) computes
     total = v.sum()
+    if total == np.inf and not np.isfinite(v).all():  # not an overflowing sum
+        raise ProfileError(f"non-finite probability for player {player!r}")
     if not total > 0:
         raise ProfileError(f"probabilities for {player!r} sum to zero")
     return v / total

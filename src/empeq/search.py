@@ -31,6 +31,7 @@ margins between the two thresholds leave the question open.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
@@ -93,31 +94,6 @@ def level_of(levels):
 # single-player slack LP
 
 
-def _direct_highs():
-    """scipy's HiGHS bindings with the options `linprog(method="highs",
-    options=_HIGHS_OPTS)` passes, or (None, None) where scipy has none.
-
-    A pattern search solves up to hundreds of LPs of at most a dozen rows.
-    `linprog` spends about three quarters of each call validating options
-    and converting inputs, and a new solver instance costs about a third
-    of what is left.  The model and options given here are the ones
-    `linprog` hands to HiGHS, so the solutions are the same to the bit.
-    """
-    try:
-        from scipy.optimize._highspy import _core
-        opts = _core.HighsOptions()
-        opts.presolve = "on" if _HIGHS_OPTS["presolve"] else "off"
-        opts.primal_feasibility_tolerance = _HIGHS_OPTS["primal_feasibility_tolerance"]
-        opts.dual_feasibility_tolerance = _HIGHS_OPTS["dual_feasibility_tolerance"]
-        opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-        opts.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        opts.log_to_console = False
-        opts.output_flag = False
-    except (ImportError, AttributeError):
-        return None, None
-    return _core, opts
-
-
 # scipy.optimize takes about half a second to import, and most commands
 # solve no LP, so the bindings load on the first LP (`_highs`)
 _UNLOADED = object()
@@ -128,47 +104,85 @@ _LINPROG_CHECK_TOL = 10 * np.sqrt(1e-9)
 
 
 def _highs():
-    """The HiGHS bindings module, loaded on first use; None where scipy has
-    no direct bindings."""
+    """scipy's HiGHS bindings, loaded on first use with the options
+    `linprog(method="highs", options=_HIGHS_OPTS)` passes; None where scipy
+    has none.
+
+    A pattern search solves up to hundreds of LPs of at most a dozen rows.
+    `linprog` spends about three quarters of each call validating options
+    and converting inputs, and a new solver instance costs about a third
+    of what is left, so each thread keeps its own (`_Solvers`).  The model
+    and options given here are the ones `linprog` hands to HiGHS, so the
+    solutions are the same to the bit.
+    """
     global _HIGHS, _HIGHS_OPTIONS
     if _HIGHS is _UNLOADED:
-        _HIGHS, _HIGHS_OPTIONS = _direct_highs()
+        try:
+            from scipy.optimize._highspy import _core
+            opts = _core.HighsOptions()
+            opts.presolve = "on" if _HIGHS_OPTS["presolve"] else "off"
+            opts.primal_feasibility_tolerance = _HIGHS_OPTS["primal_feasibility_tolerance"]
+            opts.dual_feasibility_tolerance = _HIGHS_OPTS["dual_feasibility_tolerance"]
+            opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+            opts.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+            opts.log_to_console = False
+            opts.output_flag = False
+        except (ImportError, AttributeError):
+            _HIGHS = None
+        else:
+            _HIGHS, _HIGHS_OPTIONS = _core, opts
     return _HIGHS
 
 
-def new_solver(presolve=True):
-    """A HiGHS instance for one search's LPs to reuse, or None where scipy
-    has no direct bindings.  Each `solve_player_lp` call passes it the model
-    of its [A | b] row blocks, which replaces the previous model, basis and
-    solution.  Presolve costs the closure test's small LPs more than it
-    saves; the other searches keep it, as the witnesses they print depend
-    on the vertex HiGHS returns."""
+class _Solvers(threading.local):
+    """This thread's HiGHS instances by presolve setting, each made on its
+    first LP.  Each LP passes its whole model, which replaces the previous
+    model, basis and solution, so an instance gives the bits of a new one."""
+
+    def __init__(self):
+        self.by_presolve = {}
+
+    def get(self, presolve):
+        highs = self.by_presolve.get(presolve)
+        if highs is None:
+            highs = self.by_presolve[presolve] = _HIGHS._Highs()
+            highs.passOptions(_HIGHS_OPTIONS)
+            if not presolve:
+                highs.setOptionValue("presolve", "off")
+        return highs
+
+
+_SOLVERS = _Solvers()
+
+
+def solve_lp(c, a, n_ub, rhs, lb, ub, presolve=True):
+    """min c @ x subject to the first n_ub rows of a @ x <= rhs, the other
+    rows == rhs, and lb <= x <= ub (infinite bounds allowed).  Returns the
+    minimizer, or None unless HiGHS reports an optimum.
+
+    Every LP goes as arrays to this thread's HiGHS instance for `presolve`,
+    or to `linprog(method="highs")` where scipy has no direct bindings, with
+    the same model and options.  Presolve costs the closure test's small
+    LPs more than it saves; the other searches keep it, as the witnesses
+    they print depend on the vertex HiGHS returns."""
     if _highs() is None:
-        return None
-    highs = _HIGHS._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    if not presolve:
-        highs.setOptionValue("presolve", "off")
-    return highs
-
-
-def _solve_highs(highs, c, a, lhs, rhs, lb, ub):
-    """min c @ x subject to lhs <= a @ x <= rhs and lb <= x <= ub; returns
-    the minimizer, or None unless HiGHS reports an optimum."""
+        from scipy.optimize import linprog
+        eq = len(a) > n_ub
+        res = linprog(c, A_ub=a[:n_ub] if n_ub else None, b_ub=rhs[:n_ub] if n_ub else None,
+                      A_eq=a[n_ub:] if eq else None, b_eq=rhs[n_ub:] if eq else None,
+                      bounds=list(zip(lb, ub)), method="highs",
+                      options=dict(_HIGHS_OPTS, presolve=presolve))
+        return res.x if res.success else None
+    num_row, num_col = a.shape
+    lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
     cols, rows = np.nonzero(a.T)  # column-wise, as linprog's CSC matrix
-    model = _HIGHS.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = a.shape[1]
-    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
-    model.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
-    model.a_matrix_.start_ = np.searchsorted(cols, np.arange(a.shape[1] + 1)).astype(np.int32)
-    model.a_matrix_.index_ = rows.astype(np.int32)
-    model.a_matrix_.value_ = a.T[cols, rows]
-    model.col_cost_ = c
-    model.col_lower_ = lb
-    model.col_upper_ = ub
-    model.row_lower_ = lhs
-    model.row_upper_ = rhs
-    highs.passModel(model)
+    highs = _SOLVERS.get(presolve)
+    status = highs.passModel(
+        num_col, num_row, len(rows), _HIGHS.MatrixFormat.kColwise, _HIGHS.ObjSense.kMinimize,
+        0.0, c, lb, ub, lhs, rhs, np.searchsorted(cols, np.arange(num_col)).astype(np.int32),
+        rows.astype(np.int32), a.T[cols, rows], np.zeros(num_col, dtype=np.int32))
+    if status == _HIGHS.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected an LP model")
     highs.run()
     if highs.getModelStatus() != _HIGHS.HighsModelStatus.kOptimal:
         return None
@@ -179,35 +193,14 @@ def _solve_highs(highs, c, a, lhs, rhs, lb, ub):
     return x if miss <= _LINPROG_CHECK_TOL else None  # False for NaN
 
 
-def solve_lp(c, a, n_ub, rhs, lb, ub, solver=None):
-    """min c @ x subject to the first n_ub rows of a @ x <= rhs, the other
-    rows == rhs, and lb <= x <= ub (infinite bounds allowed).  Returns the
-    minimizer, or None unless HiGHS reports an optimum.
-
-    The LP goes to `solver`, or a new instance, through the direct bindings
-    where scipy has them, and to `linprog(method="highs")` otherwise; the
-    model and options are the same either way."""
-    if _highs() is not None:
-        lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
-        return _solve_highs(solver if solver is not None else new_solver(),
-                            c, a, lhs, rhs, lb, ub)
-    from scipy.optimize import linprog
-    eq = len(a) > n_ub
-    res = linprog(c, A_ub=a[:n_ub] if n_ub else None, b_ub=rhs[:n_ub] if n_ub else None,
-                  A_eq=a[n_ub:] if eq else None, b_eq=rhs[n_ub:] if eq else None,
-                  bounds=list(zip(lb, ub)), method="highs", options=_HIGHS_OPTS)
-    return res.x if res.success else None
-
-
-def solve_player_lp(lo, hi, strict, weak, eq, solver=None):
+def solve_player_lp(lo, hi, strict, weak, eq, presolve=True):
     """Return (max slack, argmax x); (-inf, None) when infeasible.
 
     Maximizes s over lo <= x <= hi with every strict row >= s, every weak
     row >= 0 and every eq row == 0.  Each block is an (r, n + 1) array
     [A | b] of the rows A @ x + b.  Variables (x, s) with s in [-10, 10];
     rows in linprog's order: strict, then weak as upper bounds, then
-    equalities.  `solver` is an instance from `new_solver()` to reuse;
-    without one the call makes its own.
+    equalities.  `presolve` is `solve_lp`'s.
     """
     n = len(lo)
     n_ub = len(strict) + len(weak)
@@ -217,7 +210,7 @@ def solve_player_lp(lo, hi, strict, weak, eq, solver=None):
     a[:n_ub, :n] *= -1.0
     a[:len(strict), n] = 1.0
     c = np.append(np.zeros(n), -1.0)
-    x = solve_lp(c, a, n_ub, rhs, np.append(lo, -10.0), np.append(hi, 10.0), solver)
+    x = solve_lp(c, a, n_ub, rhs, np.append(lo, -10.0), np.append(hi, 10.0), presolve)
     if x is None:
         return float("-inf"), None
     return float(x[-1]), np.asarray(x[:-1], dtype=float)
@@ -298,11 +291,10 @@ def _run_patterns(game, patterns0, patterns1, build_lp, s_feas, s_refute):
     """Shared driver: iterate pattern pairs, early-exit on a feasible one.
     `build_lp(i, own, opp)` gives player i's (lo, hi, strict, weak, eq)."""
     all_refuted = True
-    solver = new_solver()
     for tried, (pat0, pat1) in enumerate(product(patterns0, patterns1), start=1):
         slacks, xs = [], []
         for i, (own, opp) in enumerate(((pat0, pat1), (pat1, pat0))):
-            s, x = solve_player_lp(*build_lp(i, own, opp), solver)
+            s, x = solve_player_lp(*build_lp(i, own, opp))
             slacks.append(s)
             xs.append(x)
             if s < s_feas:
@@ -459,18 +451,18 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
-    blocks, patterns = [], []
+    blocks = []
     for i in range(2):
         u = utility_vector(game, i, candidate.vectors)
         blocks.append(_tie_blocks((candidate.vectors[i], u) if m == 1.0 else (u,)))
-        patterns.append(_block_orders(blocks[i]))
-        if patterns[i] is None:
-            return PatternOutcome(OUTCOME_OPEN, None, 0)
     if m == 1.0 and all(len(b) == 1 for player in blocks for b in player):
         orders = [np.array([b[0] for b in player]) for player in blocks]
         witness = _strict_order_witness(game, candidate, orders, delta)
         if witness is not None:
             return PatternOutcome(OUTCOME_FEASIBLE, witness, 1)
+    patterns = [_block_orders(b) for b in blocks]
+    if any(p is None for p in patterns):
+        return PatternOutcome(OUTCOME_OPEN, None, 0)
     k0, k1 = game.action_counts
     n = k0 + k1
     own = np.split(np.eye(n), [k0])  # x_i in the stacked variables (x_0, x_1)
@@ -502,12 +494,11 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
             if len(pats[0]) * len(pats[1]) > MAX_PATTERN_PAIRS:
                 return PatternOutcome(OUTCOME_OPEN, None, 0)
     count = len(pats[0]) * len(pats[1])
-    solver = new_solver(presolve=False)
     for tried, ((s0, w0, e0), (s1, w1, e1)) in enumerate(product(*pats), start=1):
         strict = np.concatenate([base_strict, s0, s1])
         weak = np.concatenate([w0, w1])
         eq = np.concatenate([base_eq, e0, e1])
-        s, x = solve_player_lp(np.zeros(n), np.ones(n), strict, weak, eq, solver)
+        s, x = solve_player_lp(np.zeros(n), np.ones(n), strict, weak, eq, presolve=False)
         if s > TIE_TOL:
             x = _ray_point(point, np.clip(x, 0.0, None), delta)
             witness = MixedProfile(candidate.game, np.split(x, [k0]))
@@ -518,7 +509,7 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
                 # the same LP keeps its largest slack
                 s, x = solve_player_lp(np.maximum(0.0, point - delta),
                                        np.minimum(1.0, point + delta),
-                                       strict, weak, eq, solver)
+                                       strict, weak, eq, presolve=False)
                 if s > TIE_TOL:
                     x = _ray_point(point, np.clip(x, 0.0, None), delta)
                     witness = MixedProfile(candidate.game, np.split(x, [k0]))
@@ -548,7 +539,6 @@ def perfect_pattern_search(game, candidate, eps, delta):
     where none re-checks.  `tried` counts LPs solved."""
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
-    solver = new_solver()
     taus = [None, None]
     for i, j in ((0, 1), (1, 0)):
         coefs = _util_coefs(unit_view(game), j)  # u_i(a, .) over tau_j
@@ -557,7 +547,7 @@ def perfect_pattern_search(game, candidate, eps, delta):
         k = coefs.shape[1]
         strict, eq = _simplex_rows(k)  # tau_j's whole simplex
         t, taus[j] = solve_player_lp(np.zeros(k), np.ones(k), strict, _rows(gaps[~support]),
-                                     np.concatenate([eq, _rows(gaps[support])]), solver)
+                                     np.concatenate([eq, _rows(gaps[support])]))
         if not t > TIE_TOL:
             cert = _mixed_dominance(game, candidate.vectors[i], i)
             if cert is None:

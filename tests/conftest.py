@@ -7,8 +7,8 @@ import pytest
 from empeq import corpus, empirical, nash, search
 from empeq.ccost import SplineError
 from empeq.empirical import DEFAULT_DELTAS, MembershipVerdict, empirical_membership
-from empeq.game import (TIE_TOL, DominancePair, Game, MixedProfile, expected_utility,
-                        nash_defect, unit_view, weak_dominance)
+from empeq.game import (SIMPLEX_TOL, TIE_TOL, DominancePair, Game, MixedProfile, ProfileError,
+                        expected_utility, nash_defect, unit_view, weak_dominance)
 from empeq.nash import UnsupportedGameError, nearest_nash
 from empeq.qre import LogisticQRF, QreConvergenceError, qre_fixed_point, trace_logit_path
 
@@ -747,6 +747,20 @@ def _ref_spline_points(spline, y):
     j = np.clip(np.searchsorted(spline.knots, y[body], side="right") - 1,
                 0, len(spline.knots) - 2)
     return y, scalar, tail, body, j
+
+
+def reference_normalized(v, player):
+    """`game.normalized` as five numpy calls: the finite test, the
+    negative test, the clamp, the sum and the division."""
+    if not np.isfinite(v).all():
+        raise ProfileError(f"non-finite probability for player {player!r}")
+    if (v < -SIMPLEX_TOL).any():
+        raise ProfileError(f"negative probability for player {player!r}: {v.min()}")
+    v = np.maximum(v, 0.0)
+    total = v.sum()
+    if not total > 0:
+        raise ProfileError(f"probabilities for {player!r} sum to zero")
+    return v / total
 
 
 def reference_spline_value(spline, y):

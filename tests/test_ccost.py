@@ -238,8 +238,9 @@ def test_equilibrium_check_keeps_an_infinite_defect(p2):
     prof = MixedProfile(g, [np.array([0.6, 0.4]), np.linspace(2, 1, k) / np.linspace(2, 1, k).sum()])
     ccg = ControlCostGame(g, _profile_splines(g, prof))
     at = MixedProfile(g, [prof.vectors[0], np.array(p2)])
+    # the check itself warns of neither (RuntimeWarnings are errors here)
+    ok, worst, per_player = cc_equilibrium_check(ccg, at)
     with pytest.warns(RuntimeWarning):  # the zero square, and the NaN gap
-        ok, worst, per_player = cc_equilibrium_check(ccg, at)
         ref_worst, ref_per_player = reference_foc_defects(ccg, at)
     assert (ok, worst, per_player[1]) == (False, np.inf, np.inf)
     assert per_player[0] < 1e-9
@@ -255,6 +256,39 @@ def test_non_finite_spline_rejected(field, index, bad):
     doc[field][index] = bad
     with pytest.raises(SplineError, match=f"^{field} must be finite$"):
         ControlCostSpline.from_dict(doc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_square_gives_an_infinite_slope_without_a_warning():
+    sp = build_spline(np.array([0.4, 0.6]), np.array([0.0, 0.6]), 0.1)
+    assert sp.derivative(1e-170) == -np.inf
+    out = sp.derivative(np.array([1e-170, 1e-100, 0.5]))
+    assert out[0] == -np.inf and np.isfinite(out[1:]).all()
+    assert out[1:].tobytes() == reference_spline_derivative(sp, np.array([1e-100, 0.5])).tobytes()
+
+
+@pytest.mark.parametrize("y", [np.nan, [0.5, np.nan], np.array([[np.nan]])])
+def test_nan_point_rejected(y):
+    sp = build_spline(np.array([0.4, 0.6]), np.array([0.0, 0.6]), 0.1)
+    for f in (sp.value, sp.derivative):
+        with pytest.raises(SplineError, match=r"^control costs are defined on \(0, 1\]$"):
+            f(y)
+
+
+@pytest.mark.parametrize("utilities", [[np.nan, 0.0], [0.0, np.nan, 1.0], [np.inf, 0.0],
+                                       [-np.inf, -np.inf]])
+def test_induced_qrf_rejects_utilities_without_a_finite_maximum(utilities):
+    sp = build_spline(np.array([0.4, 0.6]), np.array([0.0, 0.6]), 0.1)
+    with pytest.raises(SplineError, match="finite maximum"):
+        induced_qrf(sp, utilities)
+
+
+def test_derivative_inverse_rejects_nan_and_gives_minus_inf_no_mass():
+    sp = build_spline(np.array([0.4, 0.6]), np.array([0.0, 0.6]), 0.1)
+    with pytest.raises(SplineError, match="NaN"):
+        sp.derivative_inverse(np.nan)
+    assert sp.derivative_inverse(-np.inf) == 0.0
+    assert induced_qrf(sp, [-np.inf, 0.0]).tolist() == [0.0, 1.0]
 
 
 def test_induced_qrf_equal_utilities_uniform():

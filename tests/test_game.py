@@ -12,13 +12,14 @@ from empeq.game import (
     ProfileError,
     best_responses,
     expected_utility,
+    normalized,
     unit_view,
     weak_dominance,
 )
 from empeq import corpus
 
 from conftest import (corpus_games, integer_games, noisy_integer_games, random_game,
-                      random_profile, reference_dominance_report)
+                      random_profile, reference_dominance_report, reference_normalized)
 
 
 def test_expected_utility_gamma1_half_half(gamma1):
@@ -159,6 +160,36 @@ def test_profile_clamps_and_renormalizes(gamma1):
     assert p.vectors[0][1] == 0.0
     assert p.vectors[1].sum() == pytest.approx(1.0, abs=1e-15)
     assert p.vectors[1][0] == pytest.approx(0.5)
+
+
+def _normalized_outcome(f, v):
+    try:
+        out = f(np.array(v, dtype=float), "P1")
+    except ProfileError as exc:
+        return str(exc)
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("v", [
+    [0.2, 0.3, 0.5], [3.0], [1.0, -1e-13, 0.0], [0.0, -0.0, 2.0], [-1e-12, 1.0], [5e-324, 0.0],
+    [-2e-12, 1.0], [np.nan, 1.0], [0.0, np.nan], [1.0, np.inf], [np.inf, 0.0], [-np.inf, 1.0],
+    [0.0, -0.0], [1e308, 1e308], [1e308, 1e308, 0.0],
+], ids=["interior", "one", "clamped", "zeros", "at-tol", "subnormal", "negative", "nan",
+        "nan-min", "inf", "inf-zero", "minus-inf", "zero-sum", "overflow", "overflow-zero"])
+def test_normalized_keeps_the_bits_and_messages_of_five_calls(v):
+    """The cheaper rule (one min on the happy path) returns the same bits,
+    and raises the same messages, as the five-call rule."""
+    with np.errstate(over="ignore"):  # the overflowing sums
+        want = _normalized_outcome(reference_normalized, v)
+        assert _normalized_outcome(normalized, v) == want
+
+
+def test_normalized_keeps_the_bits_of_five_calls_at_every_scale():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        w = rng.dirichlet(np.ones(4)) * 10.0 ** rng.integers(-300, 300)
+        w[rng.random(4) < 0.2] = 0.0
+        assert _normalized_outcome(normalized, w) == _normalized_outcome(reference_normalized, w)
 
 
 def test_profile_interior_flag(gamma1):

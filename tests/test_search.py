@@ -1,4 +1,9 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from empeq import corpus, nash, search
@@ -14,14 +19,15 @@ from conftest import corpus_games, integer_games, random_game
 def _pattern_lps(monkeypatch, games):
     """Every slack LP that the closure test (m in (1, 0.5)) and the proper
     search (largest and smallest default eps) solve at each equilibrium of
-    `games`, and the searches that solved at least one."""
+    `games`, each with its presolve setting, and the searches that solved
+    at least one."""
     lps, sources = [], set()
     solve = search.solve_player_lp
 
-    def record(lo, hi, strict, weak, eq, solver=None):
-        lps.append((lo, hi, strict, weak, eq))
+    def record(lo, hi, strict, weak, eq, presolve=True):
+        lps.append((lo, hi, strict, weak, eq, presolve))
         sources.add(source)
-        return solve(lo, hi, strict, weak, eq, solver)
+        return solve(lo, hi, strict, weak, eq, presolve)
 
     monkeypatch.setattr(search, "solve_player_lp", record)
     for game in games:
@@ -36,7 +42,7 @@ def _pattern_lps(monkeypatch, games):
     return lps, sources
 
 
-def _solve_reference(lo, hi, strict, weak, eq):
+def _solve_reference(lo, hi, strict, weak, eq, presolve):
     """The slack LP through scipy's linprog, its blocks split by hand."""
     n = len(lo)
     c = np.zeros(n + 1)
@@ -48,7 +54,8 @@ def _solve_reference(lo, hi, strict, weak, eq):
     bounds = [(float(l), float(h)) for l, h in zip(lo, hi)] + [(-10.0, 10.0)]
     res = linprog(c, A_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(b_ub) else None,
                   A_eq=a_eq if len(a_eq) else None, b_eq=-eq[:, n] if len(a_eq) else None,
-                  bounds=bounds, method="highs", options=search._HIGHS_OPTS)
+                  bounds=bounds, method="highs",
+                  options=dict(search._HIGHS_OPTS, presolve=presolve))
     if not res.success:
         return float("-inf"), None
     return float(res.x[-1]), res.x[:-1]
@@ -63,9 +70,10 @@ def _assert_same(results, reference):
 
 
 def test_slack_lp_matches_linprog_reference(monkeypatch):
-    """Both solver paths give linprog's slack and argmax to the bit: the
-    direct HiGHS call, with one solver reused across all the LPs, and the
-    linprog call kept for scipy builds without HiGHS bindings."""
+    """Both solver paths give linprog's slack and argmax to the bit, with
+    presolve on and off: the direct HiGHS call, on the thread's shared
+    instances, and the linprog call kept for scipy builds without HiGHS
+    bindings."""
     rng = np.random.default_rng(1)
     games = [random_game(rng, shape=(k, k)) for k in (3, 4, 5)]
     games.append(corpus.gamma2c(0.5, 0.5))  # closure LPs with slack <= 0
@@ -80,12 +88,82 @@ def test_slack_lp_matches_linprog_reference(monkeypatch):
     assert any(x is None for _, x in reference)
     assert any(s > 0 for s, _ in reference)
     assert any(s <= 0 and x is not None for s, x in reference)
-    assert any(len(weak) for _, _, _, weak, _ in lps)
-    solver = search.new_solver()
-    assert solver is not None
-    _assert_same([search.solve_player_lp(*lp, solver) for lp in lps], reference)
+    assert any(len(weak) for _, _, _, weak, _, _ in lps)
+    assert {presolve for *_, presolve in lps} == {False, True}
+    assert search._highs() is not None
+    _assert_same([search.solve_player_lp(*lp) for lp in lps], reference)
     monkeypatch.setattr(search, "_HIGHS", None)
     _assert_same([search.solve_player_lp(*lp) for lp in lps], reference)
+
+
+def test_shared_solver_gives_the_bits_of_a_new_instance(monkeypatch):
+    """Each LP passes its whole model, so the thread's shared instance
+    gives the slack and argmax of a new one whatever it solved before: the
+    pattern LPs in a shuffled order against one new instance each."""
+    games = [corpus.phi(), corpus.gamma2c(2, 2)] + integer_games(8)
+    lps, _ = _pattern_lps(monkeypatch, games)
+    assert len(lps) > 100
+    order = np.random.default_rng(7).permutation(len(lps))
+    fresh = []
+    for k in order:
+        monkeypatch.setattr(search, "_SOLVERS", search._Solvers())
+        fresh.append(search.solve_player_lp(*lps[k]))
+    monkeypatch.undo()
+    _assert_same([search.solve_player_lp(*lps[k]) for k in order], fresh)
+
+
+def test_a_rejected_model_raises_instead_of_solving_the_last_one():
+    a, rhs, ub = np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2)
+    assert search.solve_lp(np.array([-1.0, 0.0]), a, 1, rhs, np.zeros(2), ub).tolist() == [1.0, 0.0]
+    # HiGHS refuses a NaN bound; the shared instance still holds the LP above
+    with pytest.raises(RuntimeError, match="HiGHS rejected an LP model"):
+        search.solve_lp(np.array([-1.0, 0.0]), a, 1, rhs, np.array([np.nan, 0.0]), ub)
+
+
+def _summary(verdict, closure):
+    """The proper verdict and the closure outcomes, witnesses as bytes."""
+    def vectors(profile):
+        return None if profile is None else [v.tobytes() for v in profile.vectors]
+    return ((verdict.status, [(eps, vectors(w)) for eps, w in verdict.witnesses],
+             verdict.certificate, verdict.notes),
+            [(out.outcome, out.tried, vectors(out.witness)) for out in closure])
+
+
+def test_threads_solve_on_their_own_instances():
+    """Threads running the proper check and the closure test at once, in
+    different orders and more of them than cores, get one thread's
+    results, each on its own HiGHS instances."""
+    games = [corpus.phi(), corpus.gamma2c(2, 2), corpus.gamma2c(0.5, 0.5)] + integer_games(12)
+    jobs = [(game, p) for game in games for p in enumerate_nash(game).isolated]
+    delta = min(DEFAULT_DELTAS)
+
+    def run(jobs, start=None):
+        if start is not None:
+            start.wait(timeout=60)
+        out = [_summary(nash.check_proper(game, p),
+                        [search.monotone_pattern_search(game, p, delta, m=m) for m in (1.0, 0.5)])
+               for game, p in jobs]
+        return out, dict(search._SOLVERS.by_presolve)
+
+    alone, main_solvers = run(jobs)
+    orders = [list(range(len(jobs))), list(range(len(jobs)))[::-1]]
+    orders += [np.random.default_rng(k).permutation(len(jobs)).tolist() for k in range(2)]
+    start = threading.Barrier(len(orders))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between HiGHS calls
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [pool.submit(run, [jobs[k] for k in order], start) for order in orders]
+            results = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    solvers = [main_solvers]
+    for order, (got, by_presolve) in zip(orders, results):
+        assert got == [alone[k] for k in order]
+        assert set(by_presolve) == {False, True}
+        solvers.append(by_presolve)
+    ids = [id(highs) for by_presolve in solvers for highs in by_presolve.values()]
+    assert len(set(ids)) == len(ids)
 
 
 
@@ -267,9 +345,9 @@ def test_closure_witness_passes_its_recheck(monkeypatch):
     monkeypatch.setattr(search, "_strict_order_witness", lambda *args: None)
     solve, solved = search.solve_player_lp, []
 
-    def counted(*lp):
+    def counted(*lp, **options):
         solved.append(lp)
-        return solve(*lp)
+        return solve(*lp, **options)
 
     monkeypatch.setattr(search, "solve_player_lp", counted)
     delta = min(DEFAULT_DELTAS)
