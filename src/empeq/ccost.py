@@ -113,8 +113,9 @@ class ControlCostSpline:
         y, scalar, tail, j = self._locate(y)
         kj, kj1, mj, mj1 = self.knots[j], self.knots[j + 1], self.slopes[j], self.slopes[j + 1]
         dy = y - kj1
-        out = np.where(tail, self.tail_const - self.tail_coef / y,
-                       self.values[j + 1] + mj1 * dy + (mj1 - mj) / (2.0 * (kj1 - kj)) * dy**2)
+        with np.errstate(over="ignore"):  # B / y overflows below about |B| / 1.8e308: +inf
+            out = np.where(tail, self.tail_const - self.tail_coef / y,
+                           self.values[j + 1] + mj1 * dy + (mj1 - mj) / (2.0 * (kj1 - kj)) * dy**2)
         return float(out[0]) if scalar else out
 
     def derivative(self, y):

@@ -39,8 +39,8 @@ class ProfileError(ValueError):
 class Game:
     """Immutable finite normal-form game (players, named actions, payoffs)."""
 
-    __slots__ = ("players", "actions", "payoffs", "_pidx", "_aidx", "_views",
-                 "_dominance", "_unit")
+    __slots__ = ("players", "actions", "action_counts", "payoffs", "_pidx", "_aidx",
+                 "_views", "_dominance", "_unit")
 
     def __init__(self, players, actions, payoffs):
         players, acts = _checked_labels(players, actions)
@@ -55,6 +55,7 @@ class Game:
         arr.flags.writeable = False
         self.players = players
         self.actions = acts
+        self.action_counts = shape[:-1]
         self.payoffs = arr
         self._pidx = {p: i for i, p in enumerate(players)}
         self._aidx = {p: {a: j for j, a in enumerate(acts[p])} for p in players}
@@ -68,10 +69,6 @@ class Game:
     @property
     def n_players(self):
         return len(self.players)
-
-    @property
-    def action_counts(self):
-        return tuple(len(self.actions[p]) for p in self.players)
 
     def player_index(self, player):
         if isinstance(player, (int, np.integer)):
@@ -282,7 +279,7 @@ class MixedProfile:
 
     @property
     def is_interior(self):
-        return all(np.all(v > 0) for v in self.vectors)
+        return all(v.min() > 0 for v in self.vectors)
 
     def replace(self, player, vector):
         i = self.game.player_index(player)
@@ -293,7 +290,7 @@ class MixedProfile:
     def distance(self, other):
         """Max norm over all probability entries."""
         return max(
-            float(np.max(np.abs(a - b))) for a, b in zip(self.vectors, other.vectors)
+            float(abs(a - b).max()) for a, b in zip(self.vectors, other.vectors)
         )
 
     def as_dict(self):

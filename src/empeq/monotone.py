@@ -13,7 +13,9 @@ and every verdict into an artifact of the input.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,28 +52,36 @@ def _pairwise(x):
     return x[..., :, None], x[..., None, :]
 
 
+@lru_cache(maxsize=None)
+def _pair_mask(k, upper):
+    """The read-only (k, k) mask of the pairs a rule may mark: a < b when
+    `upper`, else a != b."""
+    mask = ~(np.tri if upper else np.eye)(k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def weak_violations(sig, eu, tol):
     """a is played more than b by over tol, but a's payoff is not more than
     tol above b's."""
     sa, sb = _pairwise(sig)
     ua, ub = _pairwise(eu)
-    off_diagonal = ~np.eye(sig.shape[-1], dtype=bool)
-    return (sa > sb + tol) & ~(ua > ub + tol) & off_diagonal
+    return (sa > sb + tol) & ~(ua > ub + tol) & _pair_mask(sig.shape[-1], False)
 
 
 def strict_violations(sig, eu, tol):
     """Payoffs within tol of each other but probabilities not, or payoffs
     apart by more than tol but the better-paid action not strictly more
-    played.  Only pairs a < b are marked."""
-    sa, sb = _pairwise(sig)
-    ua, ub = _pairwise(eu)
-    du = ua - ub
-    tie = np.abs(du) <= tol
-    more = sa > sb
-    tie_bad = tie & (np.abs(sa - sb) > tol)
-    order_bad = ~tie & np.where(du > 0, ~more, ~np.swapaxes(more, -1, -2))
-    upper = ~np.tri(sig.shape[-1], dtype=bool)
-    return (tie_bad | order_bad) & upper
+    played.  Only pairs a < b are marked.
+
+    Both tests read the differences d = x[a] - x[b], whose sign is that of
+    the comparison x[a] > x[b] (floating-point subtraction of finite
+    numbers is 0 only between equal ones)."""
+    ds = np.subtract(*_pairwise(sig))
+    du = np.subtract(*_pairwise(eu))
+    bad = np.where(np.abs(du) <= tol, np.abs(ds) > tol,
+                   np.where(du > 0, ~(ds > 0), ~(ds < 0)))
+    return bad & _pair_mask(sig.shape[-1], True)
 
 
 def m_weak_violations(sig, eu, m, tol):
@@ -79,8 +89,7 @@ def m_weak_violations(sig, eu, m, tol):
     fraction m of b's probability (within tol)."""
     sa, sb = _pairwise(sig)
     ua, ub = _pairwise(eu)
-    off_diagonal = ~np.eye(sig.shape[-1], dtype=bool)
-    return (ua >= ub - tol) & ~(sa >= m * sb - tol) & off_diagonal
+    return (ua >= ub - tol) & ~(sa >= m * sb - tol) & _pair_mask(sig.shape[-1], False)
 
 
 def _marked_pairs(game, profile, rule):
@@ -103,7 +112,7 @@ def _violation(game, p, sig, eu, a, b, note):
 
 
 def _check_tol(tol):
-    if not (np.isfinite(tol) and tol >= 0):
+    if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol:g}")
 
 

@@ -148,7 +148,7 @@ def check_schedule(schedule, name, upper=math.inf):
     values = [float(v) for v in schedule]
     if not values:
         raise ValueError(f"the {name} schedule is empty")
-    if not all(np.isfinite(v) and 0 < v < upper for v in values):
+    if not all(math.isfinite(v) and 0 < v < upper for v in values):
         shown = ", ".join(f"{v:g}" for v in values)
         bounds = "finite and > 0" if upper == math.inf else f"in (0, {upper:g})"
         raise ValueError(f"{name} schedule entries must be {bounds}, got {shown}")
@@ -787,11 +787,19 @@ def _solve_sides(sides, pays):
     opponent action has the matrix ones((1, p)), one SVD per p; the others
     take one `np.linalg.svd` per matrix shape, and the per-matrix products
     of the stack, grouped by rank, for x0, residuals and payoff edges.
+    Both players' sides of a shape are gathered from one table: rows
+    w * player + a hold pays[player][a], w the larger action count, padded
+    with zeros.
     """
     out = [None] * len(sides)
     shapes = {}
     for n, (own, opp, _) in enumerate(sides):
         shapes.setdefault((len(opp), len(own)), []).append(n)
+    w = max(max(pay.shape) for pay in pays)
+    table = np.zeros((2 * w, w))
+    for i, pay in enumerate(pays):
+        table[w * i:w * i + len(pay), :pay.shape[1]] = pay
+    n_opp = np.array([pay.shape[1] for pay in pays])
     for (q, p), idx in shapes.items():
         if p == 1:
             for n in idx:
@@ -801,49 +809,46 @@ def _solve_sides(sides, pays):
             for n in idx:
                 out[n] = (x0, null, False)
         else:
-            for n, side in zip(idx, _solve_stack([sides[n] for n in idx], pays)):
+            for n, side in zip(idx, _solve_stack([sides[n] for n in idx], table, n_opp)):
                 out[n] = side
     return out
 
 
-def _solve_stack(sides, pays):
+def _solve_stack(sides, table, n_opp):
     """`_solve_sides` for sides of one shape, p >= 2 unknowns and q >= 2
-    equalities."""
-    out = [None] * len(sides)
-    groups = []  # (positions in `sides`, own array, opp array, opponent payoffs)
-    for player, pay in enumerate(pays):
-        at = [n for n, side in enumerate(sides) if side[2] == player]
-        if at:
-            groups.append((at, np.array([sides[n][0] for n in at]),
-                           np.array([sides[n][1] for n in at]), pay))
-    a = np.concatenate([_equality_matrices(*g[1:]) for g in groups])
+    equalities, gathered from `table` with n_opp[player] opponent actions."""
+    player = np.array([side[2] for side in sides])
+    own = np.array([side[0] for side in sides]) + len(table) // 2 * player[:, None]
+    opp = np.array([side[1] for side in sides])
+    a = _equality_matrices(own, opp, table)
     u, s, vt = np.linalg.svd(a)
     # s[:, 0] >= 1: the all-ones row has norm at least one
     rank = np.sum(s > max(a.shape[1:]) * np.finfo(float).eps * s[:, :1], axis=1)
     x0 = np.empty((len(a), a.shape[2]))
-    for r in np.unique(rank):
+    for r in set(rank.tolist()):
         of = rank == r
         w = u[of, 0, :r] / s[of, :r]
         x0[of] = (vt[of, :r].swapaxes(1, 2) @ w[..., None])[..., 0]
     resid = (a @ x0[..., None])[..., 0]
     resid[:, 0] -= 1.0
     consistent = np.max(np.abs(resid), axis=1) <= TIE_TOL
-    row = 0
-    for at, own, opp, pay in groups:
-        g, tol = _g_stack(own, opp, pay)
-        feasible = np.all((g @ x0[row:row + len(at), :, None])[..., 0] >= -tol, axis=1)
-        for n, r, ok in zip(at, range(row, row + len(at)), feasible):
-            if consistent[r]:
-                out[n] = (x0[r], vt[r, rank[r]:].T, ok)
-        row += len(at)
-    return out
+    g, tol = _g_stack(own, opp, table)
+    feasible = np.empty(len(sides), dtype=bool)
+    for pl in {side[2] for side in sides}:
+        # each player's rows of g, without the padding rows of the table
+        rows, height = player == pl, own.shape[1] + n_opp[pl] - opp.shape[1]
+        feasible[rows] = np.all((g[rows, :height] @ x0[rows, :, None])[..., 0]
+                                >= -tol[:height], axis=1)
+    return [(x0[r], vt[r, rank[r]:].T, feasible[r]) if consistent[r] else None
+            for r in range(len(sides))]
 
 
 def _g_stack(own, opp, opp_payoff):
     """(g, tol) for sides (own[n], opp[n]) of one shape, g stacked, with
     opp_payoff[own action, opponent action] the opponent's payoff on the
     unit view: the rows v_j >= -1e-10, then the payoff edge of opp[n][0]
-    over each opponent action outside opp[n], in action order."""
+    over each opponent action outside opp[n], in action order.  Columns of
+    opp_payoff past a side's opponent actions come last, as padding rows."""
     n, p = own.shape
     outside = np.ones((n, opp_payoff.shape[1]), dtype=bool)
     outside[np.arange(n)[:, None], opp] = False

@@ -345,75 +345,113 @@ def _block_orders(blocks):
 def _ray_point(point, x, delta):
     """The point at max-norm distance delta from `point` toward `x`, or `x`
     itself when it is closer."""
-    t = delta / max(delta, float(np.max(np.abs(x - point))))
+    t = delta / max(delta, float(abs(x - point).max()))
     return (1 - t) * point + t * x
 
 
-def _strict_rows(game, orders, vectors):
-    """Every strict row of the pattern pair in which player i's actions run
-    strictly down `orders[i]` in x_i and in u_i(., x_j), evaluated at
-    `vectors`: the entries of x, then each player's consecutive steps."""
-    rows = list(vectors)
-    for i, order in enumerate(orders):
-        for v in (vectors[i], utility_vector(game, i, vectors)):
-            rows.append(v[order[:-1]] - v[order[1:]])
-    return np.concatenate(rows)
+@lru_cache(maxsize=None)
+def _strict_row_ends(n0, n1):
+    """(head, lead, trail) for the strict rows of a strict-order pattern
+    pair on an n0 x n1 game, n = n0 + n1.  Put r = both players' orders as
+    positions in (x_0, x_1), and at = (head, r, r + n) with head = (0, ...,
+    n - 1, 2n).  Then row q reads z[at[lead[q]]] - z[at[trail[q]]] for z =
+    (x_0, x_1, u_0, u_1, 0): first each entry of x, then each player's
+    consecutive steps along its order, in x_i and then in u_i."""
+    n = n0 + n1
+    lead, trail = list(range(n)), [n] * n  # at[n] = 2n, the 0 of z
+    for start, size in ((0, n0), (n0, n1)):
+        for shift in (0, n):
+            first = n + 1 + start + shift
+            lead += range(first, first + size - 1)
+            trail += range(first + 1, first + size)
+    ends = np.append(np.arange(n), 2 * n), np.array(lead), np.array(trail)
+    for a in ends:
+        a.flags.writeable = False
+    return ends
 
 
-def _strict_order_witness(game, candidate, orders, delta):
+def _strict_order_witness(game, candidate, orders, utils, delta):
     """Witness for the one compatible pattern pair of an m = 1 candidate
     whose tie blocks are all singletons, `orders[i]` being player i's
-    blocks, best first; None unless the candidate meets the pair weakly
-    (every strict row >= -TIE_TOL) and the witness clears every strict row.
+    blocks, best first, and `utils[i]` u_i(., sigma*_j) on `game`; None
+    unless the candidate meets the pair weakly (every strict row >=
+    -TIE_TOL) and the witness clears every strict row.
 
     The witness is candidate + t * D.  On the support S_j, D_j is the d_j of
     [[A_i, -1], [1^T, 0]] [d_j; c] = [r_i; 0] with A_i = u_i[S_i, S_j] and
     r_i the ranks k, ..., 1 of sigma*_i along the order, so u_i(., x_j)
-    falls by the same step per rank on S_i.  Off S_j, D_j puts a mass that
-    falls along the order, small enough to move those steps by at most
-    half, and takes it from sigma*_j pro rata; each D_j is scaled to max
-    norm 1.  t is half the step at which a first row falls to TIE_TOL, cut
-    to delta.
+    falls by the same step per rank on S_i; both players' systems are
+    solved in one stacked call.  Off S_j, D_j puts a mass that falls along
+    the order, small enough to move those steps by at most half, and takes
+    it from sigma*_j pro rata; each D_j is scaled to max norm 1.  t is half
+    the step at which a first row falls to TIE_TOL, cut to delta.
+
+    The strict rows of the pair at a profile x are the entries of x, then
+    each player's consecutive steps in x_i and in u_i(., x_j) along the
+    order.  They are read as differences z[lead] - z[trail] of z = (x_0,
+    x_1, u_0, u_1, 0), whose index arrays are built once per call
+    (`_strict_row_ends`).
     """
-    point = candidate.stacked()
     sig = candidate.vectors
-    steps = [None, None]
-    for i, j in ((0, 1), (1, 0)):
-        sup_i, sup_j = (orders[p][sig[p][orders[p]] > TIE_TOL] for p in (i, j))
-        off_j = orders[j][len(sup_j):]
-        k = len(sup_i)
-        if len(sup_j) != k:
-            return None
-        step = np.zeros(len(sig[j]))
-        u = _util_coefs(game, j)[sup_i]  # u_i[S_i, .]
-        if k > 1:
-            border = np.zeros((k + 1, k + 1))
-            border[:k, :k] = u[:, sup_j]
-            border[:k, k] = -1.0
-            border[k, :k] = 1.0
-            try:
-                step[sup_j] = np.linalg.solve(border, np.arange(k, -1, -1.0))[:k]
-            except np.linalg.LinAlgError:
-                return None
-        if len(off_j):
-            spread = float(np.max(u[:, off_j].max(axis=0) - u[:, off_j].min(axis=0)))
-            mass = np.arange(len(off_j), 0, -1.0)
-            step[off_j] = mass / (mass.sum() * (2 * spread if spread > 0 else 1.0))
-            step -= step[off_j].sum() * sig[j]
-        top = np.abs(step).max()
-        steps[j] = step / top if top > 0 else step
-    at_point = _strict_rows(game, orders, sig)
-    along = _strict_rows(game, orders, steps)
-    down = along < 0
-    t = np.min((at_point[down] - TIE_TOL) / -along[down], initial=np.inf) / 2
-    if not t > 0 or at_point.min() < -TIE_TOL:
+    sup = [order[s[order] > TIE_TOL] for order, s in zip(orders, sig)]
+    k = len(sup[0])
+    if len(sup[1]) != k:
         return None
-    x = _ray_point(point, point + min(t, 1.0) * np.concatenate(steps), delta)
-    vectors = np.split(x, [len(sig[0])])
+    n0 = len(sig[0])
+    n = n0 + len(sig[1])
+    head, lead, trail = _strict_row_ends(n0, n - n0)
+    ranked = np.concatenate([orders[0], orders[1] + n0])  # the orders in (x_0, x_1)
+    at = np.concatenate([head, ranked, ranked + n])
+    lead, trail = at[lead], at[trail]
+
+    def strict_rows(vectors, values):
+        z = np.concatenate([*vectors, *values, [0.0]])
+        return z, z[lead] - z[trail]
+
+    z, at_point = strict_rows(sig, utils)
+    if at_point.min() < -TIE_TOL:
+        return None
+    coefs = [_util_coefs(game, 1 - i)[sup[i]] for i in range(2)]  # u_i[S_i, .]
+    steps = [np.zeros(n0), np.zeros(n - n0)]
+    if k > 1:
+        border = np.zeros((2, k + 1, k + 1))
+        for i in range(2):
+            border[i, :k, :k] = coefs[i][:, sup[1 - i]]
+        border[:, :k, k] = -1.0
+        border[:, k, :k] = 1.0
+        try:
+            solved = np.linalg.solve(border, np.arange(k, -1, -1.0)[:, None])
+        except np.linalg.LinAlgError:
+            return None
+        for i in range(2):
+            steps[1 - i][sup[1 - i]] = solved[i, :k, 0]
+    for i in range(2):
+        j = 1 - i
+        off_j, step = orders[j][k:], steps[j]
+        if len(off_j):
+            block = coefs[i][:, off_j]
+            spread = float((block.max(axis=0) - block.min(axis=0)).max())
+            mass = np.arange(len(off_j), 0, -1.0)
+            share = mass / (mass.sum() * (2 * spread if spread > 0 else 1.0))
+            step[off_j] = share
+            step -= share.sum() * sig[j]
+        top = abs(step).max()
+        if top > 0:
+            steps[j] = step / top
+    dz, along = strict_rows(steps, [utility_vector(game, i, steps) for i in range(2)])
+    down = along < 0
+    t = ((at_point[down] - TIE_TOL) / -along[down]).min(initial=np.inf) / 2
+    if not t > 0:
+        return None
+    point = z[:n]
+    x = _ray_point(point, point + min(t, 1.0) * dz[:n], delta)
+    vectors = (x[:n0], x[n0:])
     if not x.min() > 0 or max(abs(v.sum() - 1.0) for v in vectors) > TIE_TOL:
         return None
     witness = MixedProfile(candidate.game, vectors)
-    return witness if _strict_rows(game, orders, witness.vectors).min() > TIE_TOL else None
+    w = witness.vectors
+    _, rows = strict_rows(w, [utility_vector(game, i, w) for i in range(2)])
+    return witness if rows.min() > TIE_TOL else None
 
 
 def monotone_pattern_search(game, candidate, delta, m=1.0):
@@ -451,13 +489,11 @@ def monotone_pattern_search(game, candidate, delta, m=1.0):
     """
     if game.n_players != 2:
         raise ValueError("pattern search requires a two-player game")
-    blocks = []
-    for i in range(2):
-        u = utility_vector(game, i, candidate.vectors)
-        blocks.append(_tie_blocks((candidate.vectors[i], u) if m == 1.0 else (u,)))
+    utils = [utility_vector(game, i, candidate.vectors) for i in range(2)]
+    blocks = [_tie_blocks((x, u) if m == 1.0 else (u,)) for x, u in zip(candidate.vectors, utils)]
     if m == 1.0 and all(len(b) == 1 for player in blocks for b in player):
         orders = [np.array([b[0] for b in player]) for player in blocks]
-        witness = _strict_order_witness(game, candidate, orders, delta)
+        witness = _strict_order_witness(game, candidate, orders, utils, delta)
         if witness is not None:
             return PatternOutcome(OUTCOME_FEASIBLE, witness, 1)
     patterns = [_block_orders(b) for b in blocks]

@@ -267,6 +267,19 @@ def test_underflowing_square_gives_an_infinite_slope_without_a_warning():
     assert out[1:].tobytes() == reference_spline_derivative(sp, np.array([1e-100, 0.5])).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_tail_gives_an_infinite_cost_without_a_warning():
+    """B / y overflows to -inf for y below about |B| / 1.8e308, so the tail
+    A - B / y is +inf, as the derivative's B / y**2 is -inf once y**2
+    underflows."""
+    sp = build_spline([0.6, 0.4], [1.0, 0.5], 0.1)
+    for y in (1e-310, 5e-324):
+        assert sp.value(y) == np.inf
+    out = sp.value(np.array([1e-310, 5e-324, 1e-100, 0.5]))
+    assert (out[:2] == np.inf).all() and np.isfinite(out[2:]).all()
+    assert out[2:].tobytes() == reference_spline_value(sp, np.array([1e-100, 0.5])).tobytes()
+
+
 @pytest.mark.parametrize("y", [np.nan, [0.5, np.nan], np.array([[np.nan]])])
 def test_nan_point_rejected(y):
     sp = build_spline(np.array([0.4, 0.6]), np.array([0.0, 0.6]), 0.1)

@@ -216,6 +216,36 @@ def test_isolated_equilibria_of_uniform_games_are_members(n):
             assert out.tried == 1
 
 
+def test_generic_equilibria_are_members_without_an_lp(monkeypatch):
+    """Every isolated equilibrium of 100 uniform [0, 1] games, 3x3 to 6x6,
+    is decided by the m = 1 closed form: a member whose witness passes
+    `witness_ok` at the smallest delta, and not one LP is solved."""
+    lps, solve = [], search.solve_lp
+
+    def counted(*args, **options):
+        lps.append(args)
+        return solve(*args, **options)
+
+    monkeypatch.setattr(search, "solve_lp", counted)
+    rng = np.random.default_rng(2030)
+    delta = min(DEFAULT_DELTAS)
+    decided = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(25):
+            game = Game(["P1", "P2"], {"P1": [f"a{j}" for j in range(n)],
+                                       "P2": [f"b{j}" for j in range(n)]},
+                        rng.uniform(0.0, 1.0, (n, n, 2)))
+            report = enumerate_empirical(game)
+            assert not report.components
+            for candidate, verdict in report.isolated:
+                assert verdict.decision == "member"
+                (witness,) = {id(w): w for _, w in verdict.witnesses}.values()
+                assert search.witness_ok(unit_view(game), witness, candidate, delta, 1.0)
+                decided += 1
+    assert decided == 272
+    assert lps == []
+
+
 def _decisions(report):
     return {tuple(tuple(float(x) for x in v) for v in p.vectors): verdict.decision
             for p, verdict in report.isolated}
