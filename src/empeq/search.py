@@ -349,27 +349,6 @@ def _ray_point(point, x, delta):
     return (1 - t) * point + t * x
 
 
-@lru_cache(maxsize=None)
-def _strict_row_ends(n0, n1):
-    """(head, lead, trail) for the strict rows of a strict-order pattern
-    pair on an n0 x n1 game, n = n0 + n1.  Put r = both players' orders as
-    positions in (x_0, x_1), and at = (head, r, r + n) with head = (0, ...,
-    n - 1, 2n).  Then row q reads z[at[lead[q]]] - z[at[trail[q]]] for z =
-    (x_0, x_1, u_0, u_1, 0): first each entry of x, then each player's
-    consecutive steps along its order, in x_i and then in u_i."""
-    n = n0 + n1
-    lead, trail = list(range(n)), [n] * n  # at[n] = 2n, the 0 of z
-    for start, size in ((0, n0), (n0, n1)):
-        for shift in (0, n):
-            first = n + 1 + start + shift
-            lead += range(first, first + size - 1)
-            trail += range(first + 1, first + size)
-    ends = np.append(np.arange(n), 2 * n), np.array(lead), np.array(trail)
-    for a in ends:
-        a.flags.writeable = False
-    return ends
-
-
 def _strict_order_witness(game, candidate, orders, utils, delta):
     """Witness for the one compatible pattern pair of an m = 1 candidate
     whose tie blocks are all singletons, `orders[i]` being player i's
@@ -389,8 +368,7 @@ def _strict_order_witness(game, candidate, orders, utils, delta):
     The strict rows of the pair at a profile x are the entries of x, then
     each player's consecutive steps in x_i and in u_i(., x_j) along the
     order.  They are read as differences z[lead] - z[trail] of z = (x_0,
-    x_1, u_0, u_1, 0), whose index arrays are built once per call
-    (`_strict_row_ends`).
+    x_1, u_0, u_1, 0), whose index arrays are built once per call.
     """
     sig = candidate.vectors
     sup = [order[s[order] > TIE_TOL] for order, s in zip(orders, sig)]
@@ -399,10 +377,10 @@ def _strict_order_witness(game, candidate, orders, utils, delta):
         return None
     n0 = len(sig[0])
     n = n0 + len(sig[1])
-    head, lead, trail = _strict_row_ends(n0, n - n0)
-    ranked = np.concatenate([orders[0], orders[1] + n0])  # the orders in (x_0, x_1)
-    at = np.concatenate([head, ranked, ranked + n])
-    lead, trail = at[lead], at[trail]
+    r0, r1 = orders[0].tolist(), (orders[1] + n0).tolist()  # the orders in (x_0, x_1)
+    pairs = [*zip(r0, r0[1:]), *zip(r1, r1[1:])]  # consecutive in an order
+    lead, trail = np.array([(a, 2 * n) for a in range(n)] + pairs
+                           + [(a + n, b + n) for a, b in pairs]).T
 
     def strict_rows(vectors, values):
         z = np.concatenate([*vectors, *values, [0.0]])
@@ -420,7 +398,7 @@ def _strict_order_witness(game, candidate, orders, utils, delta):
         border[:, :k, k] = -1.0
         border[:, k, :k] = 1.0
         try:
-            solved = np.linalg.solve(border, np.arange(k, -1, -1.0)[:, None])
+            solved = np.linalg.solve(border, np.arange(k, -1, -1.0)[None, :, None])
         except np.linalg.LinAlgError:
             return None
         for i in range(2):
